@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/social-streams/ksir/internal/persist"
 )
 
 // exportGob serializes a stream's full exported engine state — the same
@@ -289,10 +291,11 @@ func TestCloseHibernatedDoesNotReactivate(t *testing.T) {
 }
 
 // A crash torn mid-hibernation recovers exactly, whichever side of the
-// checkpoint replace it fell on: (a) before the atomic rename (a stray
-// checkpoint.tmp next to the pre-hibernate state), (b) after the rename
-// but before the WAL truncation (new checkpoint + stale WAL records at or
-// below its watermark), (c) after a completed hibernation.
+// checkpoint replace it fell on: (a) after the element-log append but
+// before any head names it, (b) before the atomic rename (the log plus a
+// stray checkpoint.tmp next to the pre-hibernate state), (c) after the
+// rename but before the WAL truncation (new checkpoint + stale WAL records
+// at or below its watermark), (d) after a completed hibernation.
 func TestTornHibernateCrashRecovery(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
@@ -328,13 +331,33 @@ func TestTornHibernateCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// landed copies one file of the completed hibernation into a layout.
+	landed := func(t *testing.T, d, name string) {
+		data, err := os.ReadFile(filepath.Join(post, "feed", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(d, "feed", name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	layouts := map[string]func(t *testing.T) string{
+		"tornAfterLogAppend": func(t *testing.T) string {
+			d := filepath.Join(t.TempDir(), "d")
+			if err := os.MkdirAll(d, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			copyStreamTree(t, pre, d)
+			landed(t, d, persist.ElementsFile) // no head names it: invisible
+			return d
+		},
 		"tornBeforeRename": func(t *testing.T) string {
 			d := filepath.Join(t.TempDir(), "d")
 			if err := os.MkdirAll(d, 0o755); err != nil {
 				t.Fatal(err)
 			}
 			copyStreamTree(t, pre, d)
+			landed(t, d, persist.ElementsFile)
 			// The torn write the crash left behind: garbage that must be
 			// ignored, never loaded.
 			if err := os.WriteFile(filepath.Join(d, "feed", "checkpoint.tmp"), []byte("torn"), 0o644); err != nil {
@@ -350,13 +373,8 @@ func TestTornHibernateCrashRecovery(t *testing.T) {
 			copyStreamTree(t, pre, d)
 			// The new checkpoint landed; the WAL still holds every record
 			// at or below its watermark — replay must skip them all.
-			ck, err := os.ReadFile(filepath.Join(post, "feed", "checkpoint"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(d, "feed", "checkpoint"), ck, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			landed(t, d, persist.ElementsFile)
+			landed(t, d, persist.CheckpointFile)
 			return d
 		},
 		"completed": func(t *testing.T) string {

@@ -915,6 +915,7 @@ type writeOp struct {
 	err      error
 	accepted int          // opAddBatch
 	ps       PersistStats // opCheckpoint
+	stats    StreamStats  // opHibernate
 	stOut    *Stream      // opActivate: the resident stream
 	// nrecs is how many WAL records this op contributed to its commit
 	// batch; a batch-append failure is joined into the result of every
@@ -1534,6 +1535,10 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 					obsResEvictions.Inc()
 				}
 				st = nil // barrier: alone in its batch, nothing else uses it
+				// Read here, on the writer goroutine: a reactivation is an
+				// op behind this one, so these are the stats of the
+				// hibernated stream whatever races the caller's return.
+				op.stats = hs.Stats()
 			}
 		case opActivate:
 			if op.prefetch && actDur == 0 {
@@ -1963,12 +1968,18 @@ func (hs *StreamHandle) Unsubscribe(sub *Subscription) {
 // call this automatically on the coldest streams; it is also useful
 // directly when the caller knows a stream is going idle.
 func (hs *StreamHandle) Hibernate() error {
-	return hs.HibernateContext(context.Background())
+	_, err := hs.HibernateContext(context.Background())
+	return err
 }
 
 // HibernateContext is Hibernate with trace propagation (see AddContext).
-func (hs *StreamHandle) HibernateContext(ctx context.Context) error {
-	return hs.do(&writeOp{kind: opHibernate, tr: trace.FromContext(ctx)}).err
+// The returned stats are those of the stream as the hibernation itself
+// left it — not resident — even when a concurrent operation reactivates
+// the stream before the call returns; a later Stats call may already see
+// it resident again.
+func (hs *StreamHandle) HibernateContext(ctx context.Context) (StreamStats, error) {
+	op := hs.do(&writeOp{kind: opHibernate, tr: trace.FromContext(ctx)})
+	return op.stats, op.err
 }
 
 // Query answers a k-SIR query. Against a resident stream it never enters

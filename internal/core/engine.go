@@ -467,10 +467,15 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 		return fmt.Errorf("core: time moved backwards %d → %d", prevNow, now)
 	}
 	ids := make(map[stream.ElemID]struct{}, len(batch))
+	prevTS := prevNow
 	for _, e := range batch {
 		if e.TS <= prevNow || e.TS > now {
 			return fmt.Errorf("core: element %d at %d outside bucket (%d, %d]", e.ID, e.TS, prevNow, now)
 		}
+		if e.TS < prevTS {
+			return fmt.Errorf("core: element %d at %d arrives after later timestamp %d", e.ID, e.TS, prevTS)
+		}
+		prevTS = e.TS
 		if _, dup := ids[e.ID]; dup || win.Known(e.ID) {
 			return fmt.Errorf("core: duplicate element ID %d", e.ID)
 		}

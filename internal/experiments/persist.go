@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -67,6 +68,20 @@ func persistPosts(n int, seed int64) []ksir.Post {
 
 var persistStreamOpts = ksir.Options{Window: time.Hour, Bucket: time.Minute, Eta: 5}
 
+// persistCheckpointGap is how many posts the lifetime rows ingest between
+// the restore and the checkpoint they time: 64 buckets' worth, the default
+// checkpoint interval, at persistPosts' 3.5 s a post.
+const persistCheckpointGap = 1100
+
+// fileSize returns the size of the file at path, 0 if there is none.
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
+}
+
 // persistIngest feeds posts through a handle and returns the wall time.
 func persistIngest(hs *ksir.StreamHandle, posts []ksir.Post) (time.Duration, error) {
 	start := time.Now()
@@ -80,8 +95,13 @@ func persistIngest(hs *ksir.StreamHandle, posts []ksir.Post) (time.Duration, err
 
 // Persist measures the durability subsystem (DESIGN.md §8): WAL append
 // overhead on the ingest path under each fsync policy (the in-memory hub
-// is the zero-overhead baseline), and crash-recovery time by stream size
-// for WAL-only replay vs checkpoint restore.
+// is the zero-overhead baseline), crash-recovery time by stream size for
+// WAL-only replay vs checkpoint restore, and what one more checkpoint
+// costs at that point of the stream's life. The sizes are lifetimes: the
+// window holds about a thousand posts, so the default sweep is a stream 1,
+// 4 and 16 windows old, and a checkpoint that scales with the live state
+// rather than the history writes the same bytes in the same time on every
+// row.
 func (l *Lab) Persist(sizes []int) (*Table, []BenchEntry, error) {
 	model, err := l.persistModel()
 	if err != nil {
@@ -91,17 +111,20 @@ func (l *Lab) Persist(sizes []int) (*Table, []BenchEntry, error) {
 		sizes = []int{1000, 4000, 16000}
 	}
 	t := &Table{
-		Title:  "Durability: WAL append overhead and recovery time vs stream size",
-		Header: []string{"elements", "ingest mem (ms)", "wal never (ms)", "wal interval (ms)", "wal always (ms)", "recover wal (ms)", "recover ckpt (ms)"},
+		Title:  "Durability: WAL append overhead, recovery time and checkpoint cost vs stream lifetime",
+		Header: []string{"elements", "lifetime (windows)", "ingest mem (ms)", "wal never (ms)", "wal interval (ms)", "wal always (ms)", "recover wal (ms)", "recover ckpt (ms)", "active", "next ckpt (ms)", "next ckpt (KB)"},
 		Notes: []string{
 			"ingest columns: same posts through an in-memory hub vs durable hubs per fsync policy",
 			"recover columns: OpenHub after an unclean stop — full WAL replay vs checkpoint restore + empty WAL",
+			fmt.Sprintf("next ckpt columns: one checkpoint after %d more posts (about a default checkpoint interval) — time, and head + element-log bytes written", persistCheckpointGap),
 		},
 	}
 	var entries []BenchEntry
 
 	for _, n := range sizes {
-		posts := persistPosts(n, l.scale.Seed)
+		timeline := persistPosts(n+persistCheckpointGap, l.scale.Seed)
+		posts, gap := timeline[:n], timeline[n:]
+		lifetime := float64(posts[n-1].Time-posts[0].Time) / persistStreamOpts.Window.Seconds()
 
 		// Baseline: no persistence.
 		hub := ksir.NewHub()
@@ -164,22 +187,44 @@ func (l *Lab) Persist(sizes []int) (*Table, []BenchEntry, error) {
 			return nil, nil, err
 		}
 		startCkpt := time.Now()
-		chub, err := ksir.OpenHub(walDir, model, ksir.PersistOptions{Fsync: ksir.FsyncNever})
+		chub, err := ksir.OpenHub(walDir, model, ksir.PersistOptions{Fsync: ksir.FsyncNever, CheckpointEvery: 1 << 30})
 		if err != nil {
 			return nil, nil, err
 		}
 		recoverCkpt := time.Since(startCkpt)
+		// One more checkpoint interval of traffic, then the checkpoint a
+		// stream this old takes next.
+		chs, err := chub.Get("bench")
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := persistIngest(chs, gap); err != nil {
+			return nil, nil, err
+		}
+		sdir := filepath.Join(walDir, "bench")
+		logBefore := fileSize(filepath.Join(sdir, "elements"))
+		startNext := time.Now()
+		if _, err := chs.Checkpoint(); err != nil {
+			return nil, nil, err
+		}
+		nextCkpt := time.Since(startNext)
+		active := chs.Stats().Active
+		nextBytes := fileSize(filepath.Join(sdir, "checkpoint")) + fileSize(filepath.Join(sdir, "elements")) - logBefore
 		if err := chub.CloseAll(); err != nil {
 			return nil, nil, err
 		}
 
 		t.AddRow(fmt.Sprint(n),
+			fmt.Sprintf("%.1f", lifetime),
 			fmtMS(float64(base.Nanoseconds())),
 			fmtMS(float64(ingest[ksir.FsyncNever].Nanoseconds())),
 			fmtMS(float64(ingest[ksir.FsyncInterval].Nanoseconds())),
 			fmtMS(float64(ingest[ksir.FsyncAlways].Nanoseconds())),
 			fmtMS(float64(recoverWAL.Nanoseconds())),
-			fmtMS(float64(recoverCkpt.Nanoseconds())))
+			fmtMS(float64(recoverCkpt.Nanoseconds())),
+			fmt.Sprint(active),
+			fmtMS(float64(nextCkpt.Nanoseconds())),
+			fmt.Sprintf("%.1f", float64(nextBytes)/1024))
 		suffix := fmt.Sprintf("-n%d", n)
 		perPost := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(n) / 1e3 }
 		entries = append(entries,
@@ -189,6 +234,10 @@ func (l *Lab) Persist(sizes []int) (*Table, []BenchEntry, error) {
 			BenchEntry{Name: "persist-ingest-fsync-always" + suffix, Value: perPost(ingest[ksir.FsyncAlways]), Unit: "Microseconds/post"},
 			BenchEntry{Name: "persist-recovery-wal" + suffix, Value: float64(recoverWAL.Nanoseconds()) / 1e6, Unit: "Milliseconds"},
 			BenchEntry{Name: "persist-recovery-checkpoint" + suffix, Value: float64(recoverCkpt.Nanoseconds()) / 1e6, Unit: "Milliseconds"},
+			BenchEntry{Name: "persist-next-checkpoint-ms" + suffix, Value: float64(nextCkpt.Nanoseconds()) / 1e6, Unit: "Milliseconds",
+				Extra: fmt.Sprintf("stream %.1f windows old, %d posts since its last checkpoint", lifetime, persistCheckpointGap)},
+			BenchEntry{Name: "persist-next-checkpoint-bytes" + suffix, Value: float64(nextBytes), Unit: "Bytes",
+				Extra: fmt.Sprintf("head + element-log bytes that checkpoint wrote, %d elements active", active)},
 		)
 	}
 	if len(sizes) > 0 {

@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
 
 	"github.com/social-streams/ksir/internal/core"
+	"github.com/social-streams/ksir/internal/stream"
 )
 
 // Meta is the small per-stream manifest written once at stream creation,
@@ -47,10 +49,11 @@ type Checkpoint struct {
 	// LastTime is the stream's last accepted post/flush time (the
 	// ordering watermark for future Adds).
 	LastTime int64
-	// Core is the engine state: window contents, per-topic ranked-list
-	// tuples (serialized, not recomputed — list scores may legitimately
-	// lag the live scorer, and recovery must reproduce them exactly), and
-	// maintenance counters.
+	// Core is the engine state: the arrival log and window facts, per-topic
+	// ranked-list tuples (serialized, not recomputed — list scores may
+	// legitimately lag the live scorer, and recovery must reproduce them
+	// exactly), and maintenance counters. On disk the log lives in its own
+	// append-only file (ElementsFile); everything else is the head.
 	Core core.State
 	// Pending are the buffered posts of the current, incomplete bucket in
 	// arrival order. They are stored raw and re-ingested through the
@@ -61,52 +64,54 @@ type Checkpoint struct {
 
 // File names inside one stream's directory.
 const (
-	MetaFile       = "meta"
+	MetaFile = "meta"
+	// CheckpointFile is the checkpoint head: every part of a Checkpoint
+	// except the elements, plus how much of ElementsFile it covers.
 	CheckpointFile = "checkpoint"
 	checkpointTmp  = "checkpoint.tmp"
-	// CheckpointBak is the previous checkpoint, kept until the next one
-	// lands so a crash mid-replace always leaves a loadable snapshot.
+	// CheckpointBak is the previous head, kept until the next one lands so
+	// a crash mid-replace always leaves a loadable snapshot.
 	CheckpointBak = "checkpoint.bak"
-	WALFile       = "wal"
+	// ElementsFile is the append-only element log the heads point into.
+	ElementsFile = "elements"
+	WALFile      = "wal"
 )
+
+// checkpointVersion is the head version this package writes: 2, the flat
+// head + element log of codec.go. Version 1, one gob file holding the
+// elements too, is still read (checkpoint_v1.go) and is replaced by the
+// first checkpoint taken after it loads.
+const checkpointVersion = 2
 
 var (
 	metaMagic = [8]byte{'K', 'S', 'I', 'R', 'M', 'E', 'T', 'A'}
 	ckptMagic = [8]byte{'K', 'S', 'I', 'R', 'C', 'K', 'P', 'T'}
 )
 
-// encodeFile wraps a gob payload in the integrity envelope shared by meta
-// and checkpoint files:
+// sealFile wraps a payload in the integrity envelope shared by meta and
+// checkpoint head files:
 //
-//	| magic 8B | version u32 | CRC32C(payload) u32 | gob payload |
-func encodeFile(magic [8]byte, v any) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("persist: encoding %s: %w", magic[:], err)
-	}
-	head := make([]byte, 0, 16+payload.Len())
-	head = append(head, magic[:]...)
-	head = appendU32(head, FormatVersion)
-	head = appendU32(head, crc32.Checksum(payload.Bytes(), crcTable))
-	return append(head, payload.Bytes()...), nil
+//	| magic 8B | version u32 | CRC32C(payload) u32 | payload |
+func sealFile(magic [8]byte, version uint32, payload []byte) []byte {
+	out := make([]byte, 0, 16+len(payload))
+	out = append(out, magic[:]...)
+	out = appendU32(out, version)
+	out = appendU32(out, crc32.Checksum(payload, crcTable))
+	return append(out, payload...)
 }
 
-// decodeFile verifies the envelope and decodes the gob payload into v.
-func decodeFile(magic [8]byte, data []byte, v any) error {
+// openFile verifies the envelope and returns the version and payload. A
+// bad magic, a short file or a checksum mismatch is ErrCorrupt; judging
+// the version is the caller's.
+func openFile(magic [8]byte, data []byte) (uint32, []byte, error) {
 	if len(data) < 16 || !bytes.Equal(data[:8], magic[:]) {
-		return fmt.Errorf("%w: bad %s header", ErrCorrupt, magic[:])
-	}
-	if ver := binary.LittleEndian.Uint32(data[8:]); ver != FormatVersion {
-		return fmt.Errorf("%w: %s file version %d (want %d)", ErrVersion, magic[:], ver, FormatVersion)
+		return 0, nil, fmt.Errorf("%w: bad %s header", ErrCorrupt, magic[:])
 	}
 	payload := data[16:]
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[12:]) {
-		return fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, magic[:])
+		return 0, nil, fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, magic[:])
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("%w: decoding %s: %v", ErrCorrupt, magic[:], err)
-	}
-	return nil
+	return binary.LittleEndian.Uint32(data[8:]), payload, nil
 }
 
 // writeFileAtomic writes data to dir/name via a temp file + fsync + rename
@@ -114,7 +119,18 @@ func decodeFile(magic [8]byte, data []byte, v any) error {
 // rather than merely atomic.
 func writeFileAtomic(dir, name string, data []byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err := writeFileSync(tmp, data); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// writeFileSync creates (or truncates) path, writes data and fsyncs it.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -126,13 +142,7 @@ func writeFileAtomic(dir, name string, data []byte) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return f.Close()
 }
 
 func syncDir(dir string) error {
@@ -150,11 +160,11 @@ func syncDir(dir string) error {
 // WriteMeta persists the stream manifest (atomically; called once at
 // stream creation).
 func WriteMeta(dir string, m Meta) error {
-	data, err := encodeFile(metaMagic, &m)
-	if err != nil {
-		return err
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&m); err != nil {
+		return fmt.Errorf("persist: encoding meta: %w", err)
 	}
-	return writeFileAtomic(dir, MetaFile, data)
+	return writeFileAtomic(dir, MetaFile, sealFile(metaMagic, FormatVersion, payload.Bytes()))
 }
 
 // ReadMeta loads the stream manifest.
@@ -163,41 +173,99 @@ func ReadMeta(dir string) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	var m Meta
-	if err := decodeFile(metaMagic, data, &m); err != nil {
+	ver, payload, err := openFile(metaMagic, data)
+	if err != nil {
 		return Meta{}, err
+	}
+	if ver != FormatVersion {
+		return Meta{}, fmt.Errorf("%w: meta file version %d (want %d)", ErrVersion, ver, FormatVersion)
+	}
+	var m Meta
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+		return Meta{}, fmt.Errorf("%w: decoding meta: %v", ErrCorrupt, err)
 	}
 	return m, nil
 }
 
-// WriteCheckpoint atomically replaces the stream's checkpoint, rotating
-// the previous one to .bak first. After it returns, the caller may Reset
-// the WAL: every crash window leaves either the new checkpoint, or the
-// .bak plus the still-untruncated WAL.
+// currentHead returns the head a reader of dir must use — the current
+// file when its envelope is intact, else the .bak (whose WAL suffix is
+// still on disk, see WriteCheckpoint) — as its version and payload, and
+// whether it is the current file. A nil payload with a nil error means the
+// stream has never been checkpointed. Loader and writer both choose
+// through here, so the log prefix a writer extends is always the one a
+// loader would read. Only a missing or torn current file falls back: a
+// version from the future is ErrVersion even when a .bak exists, so
+// operators see incompatibility rather than a silent restore of older
+// state.
+func currentHead(dir string) (ver uint32, payload []byte, isCurrent bool, err error) {
+	open := func(name string) (uint32, []byte, error) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return 0, nil, err
+		}
+		ver, payload, err := openFile(ckptMagic, data)
+		if err == nil && ver != 1 && ver != checkpointVersion {
+			err = fmt.Errorf("%w: checkpoint version %d (want %d)", ErrVersion, ver, checkpointVersion)
+		}
+		return ver, payload, err
+	}
+	ver, payload, err = open(CheckpointFile)
+	switch {
+	case err == nil:
+		return ver, payload, true, nil
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, ErrCorrupt):
+		bver, bpayload, berr := open(CheckpointBak)
+		if berr == nil {
+			return bver, bpayload, false, nil
+		}
+		if errors.Is(berr, fs.ErrNotExist) {
+			if errors.Is(err, ErrCorrupt) {
+				return 0, nil, false, err // corrupt current, nothing to fall back to
+			}
+			return 0, nil, false, nil // never checkpointed
+		}
+		return 0, nil, false, berr
+	default:
+		return 0, nil, false, err
+	}
+}
+
+// WriteCheckpoint makes ck the stream's checkpoint. The elements of
+// ck.Core.Window.Log that the head already in dir does not cover are
+// appended to the element log — each element is written once in its life,
+// so a checkpoint costs the live state plus the new arrivals, not the
+// history — and then the head is atomically replaced, the previous one
+// rotating to .bak. The order is what makes every crash window safe:
+//
+//  1. the log is cut back to the durable prefix (dropping what a crashed
+//     checkpoint left behind), the new frames are appended and fsynced —
+//     no head names those bytes yet, so a crash here changes nothing;
+//  2. the new head is written to a temp file and fsynced;
+//  3. the current head rotates to .bak and the temp file is renamed into
+//     place, then the directory is fsynced — a crash between the renames
+//     leaves the .bak, whose shorter prefix of the longer log is intact.
+//
+// After it returns, the caller may Reset the WAL: every crash window leaves
+// either the new head, or the previous one plus the still-untruncated WAL.
+// ck must extend the state the head in dir describes (same stream, a log
+// that only grew); with no head in dir everything is written.
 func WriteCheckpoint(dir string, ck *Checkpoint) error {
 	start := time.Now()
-	data, err := encodeFile(ckptMagic, ck)
+	base, rotate, err := durablePrefix(dir, ck)
 	if err != nil {
 		return err
 	}
+	lp, err := appendElements(dir, base, ck.Core.Window.Log)
+	if err != nil {
+		return err
+	}
+	head := sealFile(ckptMagic, checkpointVersion, appendHead(nil, ck, lp))
 	tmp := filepath.Join(dir, checkpointTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := writeFull(f, data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileSync(tmp, head); err != nil {
 		return err
 	}
 	cur := filepath.Join(dir, CheckpointFile)
-	if _, err := os.Stat(cur); err == nil {
+	if rotate {
 		if err := os.Rename(cur, filepath.Join(dir, CheckpointBak)); err != nil {
 			return err
 		}
@@ -209,48 +277,141 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 		return err
 	}
 	obsCkpts.Inc()
-	obsCkptBytes.Add(uint64(len(data)))
+	obsCkptBytes.Add(uint64(len(head)) + uint64(lp.bytes-base.bytes))
 	obsCkptDuration.ObserveSince(start)
 	return nil
 }
 
-// LoadCheckpoint loads the stream's latest valid checkpoint: the current
-// file if it decodes cleanly, else the .bak (whose WAL suffix is still on
-// disk — see WriteCheckpoint). It returns (nil, nil) when the stream has
-// never been checkpointed. A version mismatch is reported as ErrVersion
-// even when a fallback exists, so operators see incompatibility rather
-// than a silent restore of older state.
-func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	load := func(name string) (*Checkpoint, error) {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		var ck Checkpoint
-		if err := decodeFile(ckptMagic, data, &ck); err != nil {
-			return nil, err
-		}
-		return &ck, nil
-	}
-	ck, err := load(CheckpointFile)
+// durablePrefix finds the part of dir's element log that ck's log extends:
+// the prefix named by the head a loader would use. rotate says whether the
+// current head file is that head and so must survive as .bak (a torn
+// current file is overwritten in place instead — rotating it would destroy
+// the .bak that still loads).
+func durablePrefix(dir string, ck *Checkpoint) (base logPrefix, rotate bool, err error) {
+	ver, payload, isCurrent, err := currentHead(dir)
 	switch {
-	case err == nil:
-		return ck, nil
-	case errors.Is(err, ErrVersion):
-		return nil, err
-	case errors.Is(err, fs.ErrNotExist), errors.Is(err, ErrCorrupt):
-		bak, berr := load(CheckpointBak)
-		if berr == nil {
-			return bak, nil
+	case errors.Is(err, ErrCorrupt):
+		return logPrefix{}, false, nil // nothing in dir loads: start over
+	case err != nil:
+		return logPrefix{}, false, err
+	case payload == nil:
+		return logPrefix{}, false, nil // first checkpoint
+	case ver == 1:
+		// A v1 head holds its own elements; the log starts with this write.
+		return logPrefix{}, isCurrent, nil
+	}
+	prev, base, _, err := decodeHeadPrefix(payload)
+	if err != nil {
+		return logPrefix{}, false, err
+	}
+	if prev.Name != ck.Name || prev.ModelHash != ck.ModelHash || base.count > uint64(len(ck.Core.Window.Log)) {
+		return logPrefix{}, false, fmt.Errorf("persist: checkpoint of %q (%d elements) does not extend the one in %s (%q, %d elements)",
+			ck.Name, len(ck.Core.Window.Log), dir, prev.Name, base.count)
+	}
+	return base, isCurrent, nil
+}
+
+// appendElements brings dir's element log from the durable prefix base to
+// cover all of log, and returns the new prefix. With nothing to append the
+// file is left alone: whatever follows the prefix is invisible to loaders
+// and is cut by the next append.
+func appendElements(dir string, base logPrefix, log []*stream.Element) (logPrefix, error) {
+	if uint64(len(log)) == base.count {
+		return base, nil
+	}
+	size := 0
+	for _, e := range log[base.count:] {
+		size += elementFrameSize(e)
+	}
+	buf := make([]byte, 0, size)
+	for _, e := range log[base.count:] {
+		var err error
+		if buf, err = appendElement(buf, e); err != nil {
+			return logPrefix{}, err
 		}
-		if errors.Is(berr, fs.ErrNotExist) {
-			if errors.Is(err, ErrCorrupt) {
-				return nil, err // corrupt current, nothing to fall back to
-			}
-			return nil, nil // never checkpointed
+	}
+	f, err := os.OpenFile(filepath.Join(dir, ElementsFile), os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return logPrefix{}, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return logPrefix{}, err
+	}
+	if fi.Size() < base.bytes {
+		return logPrefix{}, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), base.bytes)
+	}
+	if err := f.Truncate(base.bytes); err != nil {
+		return logPrefix{}, err
+	}
+	if _, err := f.WriteAt(buf, base.bytes); err != nil {
+		return logPrefix{}, err
+	}
+	if err := f.Sync(); err != nil {
+		return logPrefix{}, err
+	}
+	if err := f.Close(); err != nil {
+		return logPrefix{}, err
+	}
+	if fi.Size() == 0 {
+		// Possibly just created: make the directory entry durable before
+		// a head can name the file.
+		if err := syncDir(dir); err != nil {
+			return logPrefix{}, err
 		}
-		return nil, berr
-	default:
+	}
+	return logPrefix{count: uint64(len(log)), bytes: base.bytes + int64(len(buf))}, nil
+}
+
+// LoadCheckpoint loads the stream's latest valid checkpoint: the head
+// chosen by currentHead plus the element-log prefix it names, ignoring
+// whatever a crashed or later checkpoint appended past it. It returns
+// (nil, nil) when the stream has never been checkpointed. A head whose
+// envelope is intact but whose payload or log prefix does not decode is
+// ErrCorrupt with no fallback: the log is fsynced before its head is
+// written, so no crash produces that shape.
+func LoadCheckpoint(dir string) (*Checkpoint, error) {
+	ver, payload, _, err := currentHead(dir)
+	if err != nil || payload == nil {
 		return nil, err
 	}
+	if ver == 1 {
+		return decodeCheckpointV1(payload)
+	}
+	ck, lp, err := decodeHead(payload)
+	if err != nil {
+		return nil, err
+	}
+	if ck.Core.Window.Log, err = readElements(dir, lp); err != nil {
+		return nil, err
+	}
+	return ck, nil
+}
+
+// readElements reads and decodes the durable prefix lp of dir's element log.
+func readElements(dir string, lp logPrefix) ([]*stream.Element, error) {
+	if lp.count == 0 && lp.bytes == 0 {
+		return nil, nil
+	}
+	f, err := os.Open(filepath.Join(dir, ElementsFile))
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("%w: checkpoint head names %d log bytes but there is no element log", ErrCorrupt, lp.bytes)
+		}
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() < lp.bytes {
+		return nil, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), lp.bytes)
+	}
+	data := make([]byte, lp.bytes)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return decodeElements(data, lp.count)
 }

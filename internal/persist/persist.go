@@ -6,9 +6,11 @@
 //
 //   - This package owns the on-disk formats and their failure modes:
 //     length-prefixed CRC-checked WAL records (record.go), the fsync
-//     policy (wal.go), and atomically-replaced versioned checkpoint files
-//     with a .bak fallback (checkpoint.go). It decodes state but never
-//     interprets it.
+//     policy (wal.go), and checkpoints as an append-only element log plus
+//     an atomically-replaced versioned head with a .bak fallback
+//     (checkpoint.go for the protocol, codec.go for the flat encoding,
+//     checkpoint_v1.go for reading the gob files of format v1). It decodes
+//     state but never interprets it.
 //   - internal/stream and internal/core own what the state *means*: they
 //     export and restore window contents and ranked-list tuples.
 //   - The root ksir package glues the two together: ksir.OpenHub recovers
@@ -17,18 +19,20 @@
 //
 // Crash-consistency contract: a WAL record is the unit of atomicity. A
 // torn or corrupt tail (a crash mid-append) is not an error — recovery
-// applies every valid prefix record and truncates the rest. Checkpoint
-// files are written to a temp name, fsynced and renamed into place, with
-// the previous checkpoint kept as .bak; a crash at any point leaves at
-// least one loadable checkpoint whose op-sequence number tells replay
-// exactly which WAL records are already folded in.
+// applies every valid prefix record and truncates the rest. A checkpoint
+// appends its new elements to the log and fsyncs them before its head —
+// which names how much of the log it covers — is written to a temp name,
+// fsynced and renamed into place, with the previous head kept as .bak; a
+// crash at any point leaves at least one loadable head over an intact log
+// prefix, and its op-sequence number tells replay exactly which WAL
+// records are already folded in.
 package persist
 
 import "errors"
 
-// FormatVersion guards every on-disk artifact this package writes (WAL
-// records, checkpoint and meta files). Bump it when a layout changes;
-// readers reject other versions with ErrVersion.
+// FormatVersion guards the meta file; readers reject other versions with
+// ErrVersion. Checkpoint heads carry their own checkpointVersion, and WAL
+// records are unversioned (an unknown record kind is ErrVersion).
 const FormatVersion = 1
 
 var (

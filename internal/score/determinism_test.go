@@ -71,7 +71,7 @@ func deterministicFixture(t *testing.T) (*Scorer, []*stream.Element, topicmodel.
 	}
 	for i := 0; i < 30; i++ {
 		c := randElement(rng, 100+i, z, v)
-		c.TS = stream.Time(i + 2)
+		c.TS = stream.Time(i + 5) // after the parents: batches arrive timestamp-ordered
 		c.Refs = []stream.ElemID{parents[i%len(parents)].ID, parents[(i+1)%len(parents)].ID}
 		batch = append(batch, c)
 	}

@@ -238,11 +238,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, hs *ksir.St
 // reactivates on its next post/query/subscription; 409 persist_disabled
 // without -data-dir, 409 stream_busy while subscriptions are live.
 func (s *Server) handleHibernate(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
-	if err := hs.HibernateContext(r.Context()); err != nil {
+	st, err := hs.HibernateContext(r.Context())
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, s.streamInfo(hs))
+	// The state this request produced, not whatever a racing query has
+	// reactivated by now.
+	writeJSON(w, s.streamInfoFrom(hs, st))
 }
 
 // toQuery converts the wire query, folding parse failures into the typed
@@ -275,7 +278,11 @@ func toResponse(res ksir.Result) apiv1.QueryResponse {
 }
 
 func (s *Server) streamInfo(hs *ksir.StreamHandle) apiv1.StreamInfo {
-	st := hs.Stats()
+	return s.streamInfoFrom(hs, hs.Stats())
+}
+
+// streamInfoFrom renders st, a stats reading of hs, in its wire form.
+func (s *Server) streamInfoFrom(hs *ksir.StreamHandle, st ksir.StreamStats) apiv1.StreamInfo {
 	opts := hs.Options() // residency-independent: hs.Stream() is nil while hibernated
 	info := apiv1.StreamInfo{
 		Name:          hs.Name(),

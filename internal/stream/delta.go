@@ -19,8 +19,8 @@ type RefAdd struct {
 // state without re-deriving any of it.
 type Delta struct {
 	Now Time
-	// Batch is the bucket's arrivals in order: appended to the window
-	// queue and archive, activated, and given last-ref = own TS.
+	// Batch is the bucket's arrivals in order: appended to the arrival
+	// log and archive, activated, and given last-ref = own TS.
 	Batch []*Element
 	// Resurrected are previously expired parents that re-entered A_t
 	// because a batch element refers to them.
@@ -45,19 +45,20 @@ func (w *ActiveWindow) ApplyDelta(d *Delta) {
 
 	// Phase 1: arrivals, resurrections and reference wiring, as recorded.
 	// A window sharing its writer-path state (ShareWriterState) skips the
-	// archive, last-ref and heap writes: the recording advance already
+	// archive, log, last-ref and heap writes: the recording advance already
 	// made them in the shared structures.
 	shared := w.twinShared
 	for _, e := range d.Batch {
 		w.active[e.ID] = e
-		w.windowQ = append(w.windowQ, e)
 		if !shared {
+			*w.log = append(*w.log, e)
 			w.archive[e.ID] = e
 			w.countArchived(e)
 			w.lastRef[e.ID] = e.TS
 			heap.Push(w.expiryQ, expiryEntry{at: e.TS, id: e.ID})
 		}
 	}
+	w.end += len(d.Batch)
 	for _, p := range d.Resurrected {
 		w.active[p.ID] = p
 	}

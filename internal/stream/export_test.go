@@ -113,34 +113,35 @@ func TestWindowExportRestoreEquivalence(t *testing.T) {
 
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	base := func() WindowState {
+		e0 := &Element{ID: 7, TS: -200}
 		e1 := &Element{ID: 1, TS: 100}
-		e2 := &Element{ID: 2, TS: 150, Refs: []ElemID{1}}
+		e2 := &Element{ID: 2, TS: 150, Refs: []ElemID{1, 7}}
 		return WindowState{
-			Now:       180,
-			WindowLen: 2,
-			Elems: []ExportedElem{
-				{Elem: e1, Active: true, LastRef: 150},
-				{Elem: e2, Active: true, LastRef: 150},
-			},
+			Now:      180,
+			Log:      []*Element{e0, e1, e2},
+			InWindow: 2,
+			Active:   []ActiveRef{{ID: 1, LastRef: 150}, {ID: 2, LastRef: 150}, {ID: 7, LastRef: 150}},
 		}
 	}
 	if _, err := Restore(300, base()); err != nil {
 		t.Fatalf("baseline state rejected: %v", err)
 	}
 	cases := map[string]func(*WindowState){
-		"nil element":       func(st *WindowState) { st.Elems[0].Elem = nil },
-		"duplicate id":      func(st *WindowState) { st.Elems[1].Elem.ID = 1 },
-		"window not active": func(st *WindowState) { st.Elems[0].Active = false },
-		"bad window len":    func(st *WindowState) { st.WindowLen = 3 },
-		"lastref below ts":  func(st *WindowState) { st.Elems[1].LastRef = 10 },
-		"ts beyond now":     func(st *WindowState) { st.Elems[1].Elem.TS = 999 },
-		"queue out of order": func(st *WindowState) {
-			st.Elems[0].Elem.TS = 170
-			st.Elems[0].LastRef = 170
-		},
+		"nil element":        func(st *WindowState) { st.Log[0] = nil },
+		"duplicate id":       func(st *WindowState) { st.Log[2].ID = 1 },
+		"window not active":  func(st *WindowState) { st.Active = st.Active[1:] },
+		"bad window len":     func(st *WindowState) { st.InWindow = 4 },
+		"negative window":    func(st *WindowState) { st.InWindow = -1 },
+		"lastref below ts":   func(st *WindowState) { st.Active[1].LastRef = 10 },
+		"lastref expired":    func(st *WindowState) { st.Active[2].LastRef = -150 },
+		"ts beyond now":      func(st *WindowState) { st.Log[2].TS = 999 },
+		"active unknown":     func(st *WindowState) { st.Active[2].ID = 99 },
+		"active twice":       func(st *WindowState) { st.Active = append(st.Active, st.Active[0]) },
+		"window outside":     func(st *WindowState) { st.InWindow = 1 },
+		"expired in queue":   func(st *WindowState) { st.InWindow = 3 },
+		"queue out of order": func(st *WindowState) { st.Log[1].TS, st.Active[0].LastRef = 170, 170 },
 		"referenced inactive": func(st *WindowState) {
-			st.Elems[0] = ExportedElem{Elem: &Element{ID: 3, TS: 140}, Active: true, LastRef: 140}
-			st.Elems = append(st.Elems, ExportedElem{Elem: &Element{ID: 1, TS: 20}})
+			st.Active = st.Active[:2]
 		},
 	}
 	for name, mutate := range cases {
@@ -152,5 +153,35 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}
 	if _, err := Restore(0, base()); err == nil {
 		t.Error("non-positive window length accepted")
+	}
+}
+
+// Export must cost the active set, not the history: it shares the arrival
+// log instead of walking it, and the shared prefix must stay intact while
+// the window keeps ingesting.
+func TestExportSharesLogPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	w := NewActiveWindow(120)
+	next := randomAdvance(t, w, rng, 40, 1)
+	st := w.Export()
+	if len(st.Log) != int(next-1) || st.InWindow >= len(st.Log) || len(st.Active) != w.NumActive() {
+		t.Fatalf("export of %d elements: log %d, window %d, active %d/%d",
+			next-1, len(st.Log), st.InWindow, len(st.Active), w.NumActive())
+	}
+	if cap(st.Log) != len(st.Log) {
+		t.Fatalf("exported log has spare capacity %d: an append through it could reach the window's log", cap(st.Log)-len(st.Log))
+	}
+	ids := make([]ElemID, len(st.Log))
+	for i, e := range st.Log {
+		ids[i] = e.ID
+	}
+	randomAdvance(t, w, rng, 40, next)
+	for i, e := range st.Log {
+		if e.ID != ids[i] {
+			t.Fatalf("exported log entry %d changed under later advances", i)
+		}
+	}
+	if _, err := Restore(120, st); err != nil {
+		t.Fatalf("earlier export no longer restores: %v", err)
 	}
 }

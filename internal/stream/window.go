@@ -31,6 +31,11 @@ type ChangeSet struct {
 // arrival after they expired are resurrected from an internal archive, so
 // the active set is always exactly the paper's A_t.
 //
+// Every element ever ingested sits once in an append-only arrival-order
+// log; the window W_t is by construction the log's suffix, so window exit
+// is a head index moving forward and a state export (Export) costs the
+// active set, not the history.
+//
 // ActiveWindow is not safe for concurrent mutation; the engine serializes
 // Advance calls and allows concurrent reads between them.
 type ActiveWindow struct {
@@ -53,11 +58,15 @@ type ActiveWindow struct {
 	// path only, shareable between twins like archive.
 	lastRef map[ElemID]Time
 
-	// windowQ holds in-window elements in arrival order for O(1) window
-	// exit; windowHead is the logical front (the slice is compacted when
-	// more than half is dead to bound memory).
-	windowQ    []*Element
-	windowHead int
+	// log holds every element ever ingested in arrival order — the
+	// archive as a sequence. It is append-only and only the serialized
+	// writer path appends, so twin windows share one copy like the archive
+	// (ShareWriterState) and an exported prefix stays immutable. The window
+	// queue W_t is log[head:end]: end counts the arrivals this window has
+	// applied (a replaying twin trails the shared log by the deltas it has
+	// not replayed yet), head is the oldest in-window arrival.
+	log       *[]*Element
+	head, end int
 	// expiryQ is a lazy min-heap over (lastRef, id) for active-set expiry.
 	// Mutation-path only, shareable between twins like archive.
 	expiryQ *expiryHeap
@@ -68,15 +77,15 @@ type ActiveWindow struct {
 	// and shared between twins like archive, so the shared copy of every
 	// element is counted exactly once.
 	bytes *int64
-	// twinShared marks a window whose archive, lastRef and expiryQ are
-	// shared with a lockstep twin (ShareWriterState); its delta replays
+	// twinShared marks a window whose archive, log, lastRef and expiryQ
+	// are shared with a lockstep twin (ShareWriterState); its delta replays
 	// skip maintaining them because the recording advance already did.
 	twinShared bool
 }
 
 // elemOverheadBytes is the flat per-archived-element bookkeeping estimate
 // rolled into the bytes counter: map entries (archive, active, lastRef,
-// children), the window-queue slot, expiry-heap entries and the ranked-list
+// children), the arrival-log slot, expiry-heap entries and the ranked-list
 // tuples the element occupies across topic shards.
 const elemOverheadBytes = 176
 
@@ -94,6 +103,7 @@ func NewActiveWindow(T Time) *ActiveWindow {
 		lastRef:  make(map[ElemID]Time),
 		expiryQ:  new(expiryHeap),
 		bytes:    new(int64),
+		log:      new([]*Element),
 	}
 }
 
@@ -215,9 +225,10 @@ func (w *ActiveWindow) ActiveIDs() []ElemID {
 }
 
 // Advance moves the window to time now and ingests batch (a bucket's
-// elements, timestamp-ordered, all with TS ≤ now and TS > previous now).
-// It returns the resulting ChangeSet. Elements referencing IDs never seen
-// before have those references ignored.
+// elements in non-decreasing timestamp order, all with TS ≤ now and TS >
+// previous now — so the arrival log stays timestamp-ordered and window
+// exits pop its head). It returns the resulting ChangeSet. Elements
+// referencing IDs never seen before have those references ignored.
 func (w *ActiveWindow) Advance(now Time, batch []*Element) (ChangeSet, error) {
 	return w.advance(now, batch, nil)
 }
@@ -244,10 +255,15 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 
 	// Phase 1: insert arrivals and wire references.
 	updated := make(map[ElemID]*Element)
+	prevTS := prevNow
 	for _, e := range batch {
 		if e.TS <= prevNow || e.TS > now {
 			return ChangeSet{}, fmt.Errorf("stream: element %d at %d outside bucket (%d, %d]", e.ID, e.TS, prevNow, now)
 		}
+		if e.TS < prevTS {
+			return ChangeSet{}, fmt.Errorf("stream: element %d at %d arrives after later timestamp %d", e.ID, e.TS, prevTS)
+		}
+		prevTS = e.TS
 		if _, dup := w.archive[e.ID]; dup {
 			return ChangeSet{}, fmt.Errorf("stream: duplicate element ID %d", e.ID)
 		}
@@ -255,7 +271,8 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 		w.countArchived(e)
 		w.active[e.ID] = e
 		w.lastRef[e.ID] = e.TS
-		w.windowQ = append(w.windowQ, e)
+		*w.log = append(*w.log, e)
+		w.end++
 		heap.Push(w.expiryQ, expiryEntry{at: e.TS, id: e.ID})
 		cs.Inserted = append(cs.Inserted, e)
 
@@ -320,41 +337,37 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 }
 
 // ShareWriterState makes two windows share the state that only the
-// serialized writer path ever touches: the archive (duplicate detection,
-// resurrection), the last-ref times and the expiry heap. It is only legal
-// for windows the caller advances in lockstep over the same logical
-// stream with all mutation serialized — the engine's double buffer: the
-// two windows' logical states are identical at every hand-off and no
-// concurrent reader dereferences these structures (queries read only the
-// active set and the reference index, which stay per-window). A sharing
-// window's delta replay then skips maintaining all three — the recording
-// advance already did — and the archive, the largest map in the system
-// (it holds every element ever ingested), exists once instead of twice.
+// serialized writer path ever touches: the archive and its arrival-order
+// log (duplicate detection, resurrection, export), the last-ref times and
+// the expiry heap. It is only legal for windows the caller advances in
+// lockstep over the same logical stream with all mutation serialized — the
+// engine's double buffer: the two windows' logical states are identical at
+// every hand-off and no concurrent reader dereferences these structures
+// (queries read only the active set and the reference index, which stay
+// per-window). A sharing window's delta replay then skips maintaining them
+// — the recording advance already did — and the archive, the largest map
+// in the system (it holds every element ever ingested), exists once
+// instead of twice.
 func ShareWriterState(a, b *ActiveWindow) {
 	b.archive = a.archive
+	b.log = a.log
 	b.lastRef = a.lastRef
 	b.expiryQ = a.expiryQ
 	b.bytes = a.bytes
 	a.twinShared, b.twinShared = true, true
 }
 
-// slideOut pops window exits (arrival order, TS ≤ cutoff) off the window
-// queue, dropping each exiting child from the reference index, and
-// compacts the queue when more than half of it is dead. Shared verbatim
-// between Advance and ApplyDelta so the two paths cannot drift.
+// slideOut moves the window head past the exits (arrival order, TS ≤
+// cutoff), dropping each exiting child from the reference index. Shared
+// verbatim between Advance and ApplyDelta so the two paths cannot drift.
 func (w *ActiveWindow) slideOut(cutoff Time) {
-	for w.windowHead < len(w.windowQ) && w.windowQ[w.windowHead].TS <= cutoff {
-		child := w.windowQ[w.windowHead]
-		w.windowQ[w.windowHead] = nil
-		w.windowHead++
+	log := *w.log
+	for w.head < w.end && log[w.head].TS <= cutoff {
+		child := log[w.head]
+		w.head++
 		for _, pid := range child.Refs {
 			w.removeChild(pid, child.ID)
 		}
-	}
-	if w.windowHead > len(w.windowQ)/2 {
-		n := copy(w.windowQ, w.windowQ[w.windowHead:])
-		w.windowQ = w.windowQ[:n]
-		w.windowHead = 0
 	}
 }
 

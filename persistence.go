@@ -258,8 +258,9 @@ func persistErr(err error) error {
 // stream configuration — e.g. WithSubscriptionErrorHandler — applied to
 // every recovered stream, while each stream's core parameters (window,
 // bucket, λ, η, shards) come from its own manifest. A torn WAL tail (a
-// crash mid-append) is truncated silently; a checkpoint torn mid-replace
-// falls back to the previous one plus the not-yet-truncated WAL.
+// crash mid-append) is truncated silently; a checkpoint torn anywhere in
+// its write — element-log append, head replace — falls back to the
+// previous head plus the not-yet-truncated WAL (DESIGN.md §8).
 func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*Hub, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrBadOptions)
@@ -679,11 +680,12 @@ func (p *streamPersist) maybeCheckpoint(st *Stream) error {
 	return p.checkpoint(st)
 }
 
-// checkpoint serializes the stream's full state, atomically replaces the
-// checkpoint file, and truncates the WAL. Called on the handle's commit
-// path, where checkpoints are commit barriers (no other op is mid-apply
-// and every deferred publish has completed, so the published engine
-// snapshot IS the latest state).
+// checkpoint exports the stream's state — O(active): the engine hands out
+// its arrival log by reference — has persist append the elements the disk
+// does not hold yet and atomically replace the checkpoint head, and
+// truncates the WAL. Called on the handle's commit path, where checkpoints
+// are commit barriers (no other op is mid-apply and every deferred publish
+// has completed, so the published engine snapshot IS the latest state).
 func (p *streamPersist) checkpoint(st *Stream) error {
 	ck := &persist.Checkpoint{
 		Name:      p.name,

@@ -1,7 +1,9 @@
 package ksir
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,9 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/social-streams/ksir/internal/metrics"
+	"github.com/social-streams/ksir/internal/persist"
 )
 
 // persistOpts are the stream options used across the recovery suite:
@@ -734,4 +740,175 @@ func TestAddBatchCheckpointBoundary(t *testing.T) {
 	if a, b := hs2.Stats(), mirror.Stats(); a.Elements != b.Elements || a.Bucket != b.Bucket {
 		t.Errorf("stats diverge after batched recovery: %+v vs %+v", a, b)
 	}
+}
+
+// A data directory written before checkpoint format v2 — one gob file
+// holding every element (testdata/checkpoint_v1, written by the last
+// commit that produced the format, with the answers it gave) — still
+// opens, answers identically, and is upgraded by its next checkpoint: a
+// v2 head and element log, the v1 file kept as .bak until the checkpoint
+// after that.
+func TestCheckpointV1Upgrade(t *testing.T) {
+	const fixture = "testdata/checkpoint_v1"
+	m, err := LoadModelFile(filepath.Join(fixture, "model.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(fixture, "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Result
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyStreamTree(t, filepath.Join(fixture, "data"), dir)
+	sdir := filepath.Join(dir, "feed")
+	v1, err := os.ReadFile(filepath.Join(sdir, persist.CheckpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headVersion := func(name string) uint32 {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(sdir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint32(data[8:])
+	}
+
+	h := openTestHub(t, dir, m, PersistOptions{CheckpointEvery: 100000})
+	hs, err := h.Get("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(q Query) (Result, error) { return hs.Query(nil, q) }
+	sameResults(t, "v1 checkpoint + WAL tail", persistQueries(t, query), want)
+	if v := headVersion(persist.CheckpointFile); v != 1 {
+		t.Fatalf("opening rewrote the head to version %d", v)
+	}
+	if _, err := hs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if v := headVersion(persist.CheckpointFile); v != 2 {
+		t.Fatalf("the checkpoint after a v1 load wrote version %d, want 2", v)
+	}
+	if bak, err := os.ReadFile(filepath.Join(sdir, persist.CheckpointBak)); err != nil || !bytes.Equal(bak, v1) {
+		t.Fatalf("the v1 file did not rotate to .bak intact (%v)", err)
+	}
+	if fi, err := os.Stat(filepath.Join(sdir, persist.ElementsFile)); err != nil || fi.Size() == 0 {
+		t.Fatalf("no element log after the upgrade: %v", err)
+	}
+	sameResults(t, "after the upgrading checkpoint", persistQueries(t, query), want)
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	h = openTestHub(t, dir, m, PersistOptions{})
+	defer h.CloseAll()
+	if hs, err = h.Get("feed"); err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "reopened as v2", persistQueries(t, query), want)
+}
+
+// checkpointCounters reads the process-wide checkpoint metrics the way a
+// scrape would: checkpoints taken and bytes written.
+func checkpointCounters(t *testing.T) (count, written float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := metrics.Default().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var v float64
+		if _, err := fmt.Sscanf(line, "ksir_checkpoints_total %g", &v); err == nil {
+			count = v
+		}
+		if _, err := fmt.Sscanf(line, "ksir_checkpoint_bytes_total %g", &v); err == nil {
+			written = v
+		}
+	}
+	return count, written
+}
+
+// What a checkpoint writes follows the live state, not the stream's age:
+// over sixteen windows of posts every automatic checkpoint writes a head
+// and the elements that arrived since the last one, so its bytes stay
+// within a constant of (active + new posts) from the first window to the
+// last. (Format v1 rewrote the whole archive every time: sixteen windows
+// in it wrote about ten times what it wrote in the first.) The counter an
+// operator reads, ksir_checkpoint_bytes_total, must say the same as the
+// disk: head bytes plus log growth.
+func TestCheckpointBytesFlatOverLifetime(t *testing.T) {
+	m := trainTestModel(t)
+	dir := t.TempDir()
+	h := openTestHub(t, dir, m, PersistOptions{CheckpointEvery: 5}) // one window
+	defer h.CloseAll()
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	posts := genPosts(420, 71)
+	if windows := (posts[len(posts)-1].Time - posts[0].Time) / int64(persistOpts().Window.Seconds()); windows < 10 {
+		t.Fatalf("fixture spans %d windows, want at least 10", windows)
+	}
+	sdir := filepath.Join(dir, "feed")
+	size := func(name string) float64 {
+		fi, err := os.Stat(filepath.Join(sdir, name))
+		if err != nil {
+			return 0
+		}
+		return float64(fi.Size())
+	}
+
+	// perUnit is the ceiling on bytes per (active element + new post): an
+	// element frame of these posts is ~110 bytes and an active element
+	// costs its 16-byte reference plus a 24-byte tuple per topic.
+	const perUnit, fixed = 200, 512
+	var ratios []float64
+	taken, since, logSize := int64(0), 0, 0.0
+	count0, bytes0 := checkpointCounters(t)
+	for _, p := range posts {
+		if err := hs.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		since++
+		st := hs.Stats()
+		if st.Persist.Checkpoints == taken {
+			continue
+		}
+		taken = st.Persist.Checkpoints
+		count1, bytes1 := checkpointCounters(t)
+		wrote := bytes1 - bytes0
+		if count1-count0 != 1 {
+			t.Fatalf("checkpoint %d: ksir_checkpoints_total moved by %v", taken, count1-count0)
+		}
+		if onDisk := size(persist.CheckpointFile) + size(persist.ElementsFile) - logSize; wrote != onDisk {
+			t.Fatalf("checkpoint %d: ksir_checkpoint_bytes_total moved by %v, the disk by %v (head + log growth)", taken, wrote, onDisk)
+		}
+		units := float64(st.Active + since)
+		if wrote > fixed+perUnit*units {
+			t.Fatalf("checkpoint %d at bucket %d wrote %v bytes for %d active + %d new posts", taken, st.Bucket, wrote, st.Active, since)
+		}
+		ratios = append(ratios, wrote/units)
+		count0, bytes0, since, logSize = count1, bytes1, 0, size(persist.ElementsFile)
+	}
+	if len(ratios) < 10 {
+		t.Fatalf("only %d automatic checkpoints over the fixture", len(ratios))
+	}
+	third := len(ratios) / 3
+	early, late := mean(ratios[:third]), mean(ratios[len(ratios)-third:])
+	if late > 1.5*early {
+		t.Fatalf("bytes per (active + new) grew from %.0f in the first third of the stream's life to %.0f in the last", early, late)
+	}
+}
+
+func mean(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s / float64(len(v))
 }

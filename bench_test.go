@@ -200,16 +200,22 @@ func microSetup(b *testing.B) {
 	}
 }
 
+// benchQuery reports, besides time and allocations, how many marginal gains
+// Δ(e|S) one query computed — the unit of work the algorithms differ in.
 func benchQuery(b *testing.B, alg core.Algorithm) {
 	microSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	gainEvals := 0
 	for i := 0; i < b.N; i++ {
 		q := microQueries[i%len(microQueries)]
-		if _, err := microEngine.Query(core.Query{K: 10, X: q.X, Epsilon: 0.1, Algorithm: alg}); err != nil {
+		res, err := microEngine.Query(core.Query{K: 10, X: q.X, Epsilon: 0.1, Algorithm: alg})
+		if err != nil {
 			b.Fatal(err)
 		}
+		gainEvals += res.GainEvals
 	}
+	b.ReportMetric(float64(gainEvals)/float64(b.N), "gainevals/op")
 }
 
 // BenchmarkQueryMTTS measures one MTTS k-SIR query on a ~8K-element stream
@@ -227,11 +233,15 @@ func BenchmarkQueryCELF(b *testing.B) {
 	microSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	gainEvals := 0
 	for i := 0; i < b.N; i++ {
 		q := microQueries[i%len(microQueries)]
 		actives := experiments.Actives(microEngine)
-		baselines.CELF(microEngine.Scorer(), actives, q.X, 10)
+		// CELF scores every active once; the rest of Evaluated is lazy
+		// re-evaluations of a marginal gain.
+		gainEvals += baselines.CELF(microEngine.Scorer(), actives, q.X, 10).Evaluated - len(actives)
 	}
+	b.ReportMetric(float64(gainEvals)/float64(b.N), "gainevals/op")
 }
 
 // BenchmarkQuerySieve measures the SieveStreaming baseline.

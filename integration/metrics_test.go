@@ -32,6 +32,9 @@ var metricFamilies = map[string]string{
 	"ksir_engine_update_seconds_total":    "counter",
 	"ksir_engine_replay_seconds_total":    "counter",
 	"ksir_engine_query_duration_seconds":  "histogram",
+	"ksir_engine_query_evaluated_ratio":   "histogram",
+	"ksir_engine_query_retrieved":         "histogram",
+	"ksir_engine_query_gain_evals":        "histogram",
 	"ksir_engine_snapshot_pins":           "gauge",
 
 	"ksir_pipeline_ops_total":                 "counter",

@@ -1,0 +1,84 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/social-streams/ksir/internal/papertest"
+)
+
+// A warmed engine answers MTTS and MTTD at k = 10 from its pooled arena:
+// what still allocates is the result slice and the per-query view, with a
+// little headroom for a pool miss after a GC. The bound is the point of the
+// flat evaluation state — the map-based one allocated ~1 600 times here.
+func TestQueryAllocationsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g, xs := goldenEngine(t)
+	for _, alg := range []Algorithm{MTTS, MTTD} {
+		for qi, x := range xs {
+			q := Query{K: 10, X: x, Epsilon: 0.1, Algorithm: alg}
+			if _, err := g.Query(q); err != nil { // warm the pool
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := g.Query(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 16 {
+				t.Errorf("%s query %d: %.1f allocations per run, want ≤ 16", alg, qi, allocs)
+			}
+		}
+	}
+}
+
+// Evaluated counts distinct elements scored (Figure 10's numerator), so it
+// can exceed neither the descent depth nor the active set; the marginal-gain
+// computations are carried separately in GainEvals.
+func TestEvaluatedCountsDistinctElements(t *testing.T) {
+	g, xs := goldenEngine(t)
+	for _, alg := range []Algorithm{MTTS, MTTD, TopkRep} {
+		for qi, x := range xs {
+			res, err := g.Query(Query{K: 10, X: x, Epsilon: 0.1, Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Evaluated > res.Retrieved || res.Evaluated > res.ActiveAtQuery {
+				t.Errorf("%s query %d: evaluated %d of %d retrieved, %d active",
+					alg, qi, res.Evaluated, res.Retrieved, res.ActiveAtQuery)
+			}
+			switch {
+			case alg == TopkRep && res.GainEvals != 0:
+				t.Errorf("TopkRep query %d: %d gain evaluations, want 0", qi, res.GainEvals)
+			case alg != TopkRep && res.GainEvals < len(res.Elements):
+				t.Errorf("%s query %d: %d gain evaluations for %d results", alg, qi, res.GainEvals, len(res.Elements))
+			}
+		}
+	}
+}
+
+// Every answered query lands once in each per-algorithm Figure-10 histogram.
+func TestQueryObservesFigure10(t *testing.T) {
+	g := paperEngine(t)
+	for _, alg := range []Algorithm{MTTS, MTTD, TopkRep} {
+		o := obsQueryByAlg[alg]
+		before := [...]uint64{o.duration.Count(), o.evalRatio.Count(), o.retrieved.Count(), o.gainEvals.Count()}
+		if _, err := g.Query(Query{K: 2, X: papertest.QueryUniform(), Algorithm: alg}); err != nil {
+			t.Fatal(err)
+		}
+		after := [...]uint64{o.duration.Count(), o.evalRatio.Count(), o.retrieved.Count(), o.gainEvals.Count()}
+		for i := range before {
+			if after[i] != before[i]+1 {
+				t.Errorf("%s: histogram %d went %d → %d, want one observation", alg, i, before[i], after[i])
+			}
+		}
+		// A rejected query is not a data point.
+		if _, err := g.Query(Query{K: 0, X: papertest.QueryUniform(), Algorithm: alg}); err == nil {
+			t.Fatal("k = 0 accepted")
+		}
+		if o.retrieved.Count() != after[2] {
+			t.Errorf("%s: a rejected query was observed", alg)
+		}
+	}
+}

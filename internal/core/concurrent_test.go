@@ -270,7 +270,7 @@ func TestQueryPinsBucketAcrossIngest(t *testing.T) {
 	}
 	snap := g.acquire()
 	v := snap.view()
-	before, err := v.mtts(context.Background(), f.queries[0])
+	before, err := v.mtts(context.Background(), f.queries[0], new(arena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestQueryPinsBucketAcrossIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pinned snapshot still answers for bucket 1.
-	again, err := v.mtts(context.Background(), f.queries[0])
+	again, err := v.mtts(context.Background(), f.queries[0], new(arena))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 
-	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 )
 
@@ -22,14 +20,15 @@ import (
 //
 // Cancellation is polled between threshold descents (once per τ round): a
 // canceled ctx aborts with ctx.Err() before the next retrieve/evaluate pass.
-func (v *view) mttd(ctx context.Context, q Query) (Result, error) {
-	tr := newTraversalOpt(v, q.X, !q.DisableVisitedMarking)
+func (v *view) mttd(ctx context.Context, q Query, a *arena) (Result, error) {
+	tr := &a.tr
+	tr.start(v, q.X, !q.DisableVisitedMarking)
 	eps := q.Epsilon
 	k := q.K
 
-	s := score.NewCandidateSet(v.scorer, q.X)
-	buf := &gainHeap{}
-	evaluated := 0
+	s := a.newSet(v.scorer, q.X)
+	buf := &a.heap
+	evaluated, gainEvals := 0, 0
 
 	tau := tr.ub() // τ starts at the global upper bound (line 3)
 	tauEnd := 0.0
@@ -39,32 +38,36 @@ func (v *view) mttd(ctx context.Context, q Query) (Result, error) {
 		}
 		// retrieve(τ): pull elements whose upper bound reaches τ (lines
 		// 13–19). Their cached key is the exact singleton score δ(e, x),
-		// an upper bound on any future marginal gain.
+		// an upper bound on any future marginal gain; the probe it came
+		// from stays with the entry for the re-evaluations.
 		for q.DisableEarlyTermination || tr.ub() >= tau {
 			e, ok := tr.pop()
 			if !ok {
 				break
 			}
-			delta := v.scorer.Score(e, q.X)
+			p := v.scorer.Prepare(&a.buf, e, q.X)
 			evaluated++
-			heap.Push(buf, gainEntry{elem: e, gain: delta})
+			buf.push(gainEntry{gain: p.Delta, id: e.ID, probe: int32(len(a.probes))})
+			a.probes = append(a.probes, p)
 		}
 
 		// Evaluation round (lines 6–10): lazy-greedy drain at threshold τ.
-		for buf.Len() > 0 && (*buf)[0].gain >= tau {
-			top := heap.Pop(buf).(gainEntry)
-			if s.Contains(top.elem.ID) {
+		for len(*buf) > 0 && (*buf)[0].gain >= tau {
+			top := buf.pop()
+			if s.Contains(top.id) {
 				continue
 			}
-			gain := s.MarginalGain(top.elem)
-			evaluated++
+			p := &a.probes[top.probe]
+			gain := s.Gain(p)
+			gainEvals++
 			if gain >= tau {
-				s.Add(top.elem)
+				s.AddProbe(p)
 				if s.Len() == k {
-					return v.mttdResult(s, tr, evaluated), nil
+					return a.result(v, s, evaluated, gainEvals), nil
 				}
 			} else if gain > 0 {
-				heap.Push(buf, gainEntry{elem: top.elem, gain: gain})
+				top.gain = gain
+				buf.push(top)
 			}
 		}
 
@@ -73,47 +76,66 @@ func (v *view) mttd(ctx context.Context, q Query) (Result, error) {
 		// and the traversal exhausted, so we stop explicitly.
 		tauEnd = s.Value() * eps / float64(k)
 		tau *= 1 - eps
-		if buf.Len() == 0 && tr.exhausted() {
+		if len(*buf) == 0 && tr.exhausted() {
 			break
 		}
 	}
-	return v.mttdResult(s, tr, evaluated), nil
+	return a.result(v, s, evaluated, gainEvals), nil
 }
 
-func (v *view) mttdResult(s *score.CandidateSet, tr *traversal, evaluated int) Result {
-	return Result{
-		Elements:      s.Members(),
-		Score:         s.Value(),
-		Evaluated:     evaluated,
-		Retrieved:     tr.retrieved,
-		ActiveAtQuery: v.numActive,
-		BucketSeq:     v.seq,
-	}
-}
-
-// gainEntry is one buffered element with its lazily cached marginal gain.
+// gainEntry is one buffered element with its lazily cached marginal gain
+// and the index of its probe in the arena.
 type gainEntry struct {
-	elem *stream.Element
-	gain float64
+	gain  float64
+	id    stream.ElemID
+	probe int32
 }
 
-// gainHeap is a max-heap over cached gains (ties broken by ID for
-// determinism).
+// before orders the heap: larger cached gain first, ties broken by ID for
+// determinism.
+func (e gainEntry) before(o gainEntry) bool {
+	if e.gain != o.gain {
+		return e.gain > o.gain
+	}
+	return e.id < o.id
+}
+
+// gainHeap is a binary max-heap of gainEntry, typed so pushes and pops do
+// not box their operand.
 type gainHeap []gainEntry
 
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+func (h *gainHeap) push(e gainEntry) {
+	s := append(*h, e)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return h[i].elem.ID < h[j].elem.ID
 }
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainEntry)) }
-func (h *gainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *gainHeap) pop() gainEntry {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	return top
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/social-streams/ksir/internal/score"
@@ -117,36 +118,56 @@ func TestMTTSEvaluatesEachElementOnce(t *testing.T) {
 	}
 }
 
+// TestConcurrentQueries runs differently shaped queries from many goroutines
+// at once. They all draw their scratch arenas from one pool, so an arena
+// serves an MTTS query with k = 8, then an MTTD query with k = 2, then a
+// TopkRep one, on whichever goroutine picks it up; every answer must still
+// be identical — IDs, score bits, counters — to the one a serial run gave.
 func TestConcurrentQueries(t *testing.T) {
 	g, x := skewedEngine(t, 300)
-	const goroutines = 8
-	done := make(chan Result, goroutines)
-	for i := 0; i < goroutines; i++ {
-		alg := MTTS
-		if i%2 == 1 {
-			alg = MTTD
-		}
-		go func(a Algorithm) {
-			res, err := g.Query(Query{K: 4, X: x, Epsilon: 0.1, Algorithm: a})
-			if err != nil {
-				t.Error(err)
+	single := topicmodel.TopicVec{Topics: []int32{3}, Probs: []float64{1}}
+	var queries []Query
+	for _, alg := range []Algorithm{MTTS, MTTD, TopkRep} {
+		for _, k := range []int{2, 4, 8} {
+			for _, eps := range []float64{0.1, 0.4} {
+				queries = append(queries,
+					Query{K: k, X: x, Epsilon: eps, Algorithm: alg},
+					Query{K: k, X: single, Epsilon: eps, Algorithm: alg})
 			}
-			done <- res
-		}(alg)
-	}
-	var mttsScore, mttdScore float64
-	for i := 0; i < goroutines; i++ {
-		r := <-done
-		if len(r.Elements) == 0 {
-			t.Error("concurrent query returned empty result")
-		}
-		if i%2 == 0 {
-			mttsScore = r.Score
-		} else {
-			mttdScore = r.Score
 		}
 	}
-	if mttsScore <= 0 || mttdScore <= 0 {
-		t.Error("zero scores under concurrency")
+	serial := make([]resultKey, len(queries))
+	for i, q := range queries {
+		res, err := g.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Elements) == 0 || res.Score <= 0 {
+			t.Fatalf("serial query %d returned %d elements, score %v", i, len(res.Elements), res.Score)
+		}
+		serial[i] = keyOf(res)
 	}
+	const goroutines, rounds = 8, 6
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for j := range queries {
+					i := (j*7 + w*5 + r) % len(queries) // each goroutine its own order
+					res, err := g.Query(queries[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := keyOf(res); got != serial[i] {
+						t.Errorf("goroutine %d: query %d answered %+v, serial run %+v", w, i, got, serial[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/social-streams/ksir/internal/stream"
@@ -46,7 +47,7 @@ type Query struct {
 	K int
 	// X is the query vector over topics, normalized to sum to 1.
 	X topicmodel.TopicVec
-	// Epsilon is the approximation parameter ε ∈ (0,1) of MTTS/MTTD
+	// Epsilon is the approximation parameter ε ∈ [0.001,1) of MTTS/MTTD
 	// (default 0.1, the paper's default).
 	Epsilon float64
 	// Algorithm selects the processing algorithm (default MTTS).
@@ -65,6 +66,12 @@ type Query struct {
 	DisableVisitedMarking bool
 }
 
+// minEpsilon bounds the work a query can ask for: MTTS keeps log(2k)/ε
+// candidates and MTTD descends through log(τ₀/τ′)/ε thresholds, so an ε of
+// 1e-9 in a request body would be billions of either. The paper's range is
+// 0.05–0.5.
+const minEpsilon = 1e-3
+
 func (q *Query) validate() error {
 	if q.K <= 0 {
 		return fmt.Errorf("core: query k must be positive, got %d", q.K)
@@ -72,11 +79,16 @@ func (q *Query) validate() error {
 	if q.X.Len() == 0 {
 		return fmt.Errorf("core: query vector is empty")
 	}
+	for i, p := range q.X.Probs {
+		if !(p >= 0) || math.IsInf(p, 1) { // NaN fails every comparison
+			return fmt.Errorf("core: query weight of topic %d must be finite and non-negative, got %v", q.X.Topics[i], p)
+		}
+	}
 	if q.Epsilon == 0 {
 		q.Epsilon = 0.1
 	}
-	if q.Epsilon < 0 || q.Epsilon >= 1 {
-		return fmt.Errorf("core: epsilon must be in (0,1), got %v", q.Epsilon)
+	if !(q.Epsilon >= minEpsilon && q.Epsilon < 1) {
+		return fmt.Errorf("core: epsilon must be in [%v,1), got %v", minEpsilon, q.Epsilon)
 	}
 	return nil
 }
@@ -88,9 +100,13 @@ type Result struct {
 	Elements []*stream.Element
 	// Score is f(S, x).
 	Score float64
-	// Evaluated counts elements whose exact score or marginal gain was
-	// computed at least once — the numerator of Figure 10's ratio.
+	// Evaluated counts distinct elements whose exact score was computed at
+	// least once — the numerator of Figure 10's ratio. (With
+	// DisableVisitedMarking an element retrieved from two lists counts twice.)
 	Evaluated int
+	// GainEvals counts marginal-gain computations Δ(e|S): MTTS's per-sieve
+	// evaluations, MTTD's lazy re-evaluations; 0 for TopkRep.
+	GainEvals int
 	// Retrieved counts tuples pulled from the ranked lists.
 	Retrieved int
 	// ActiveAtQuery is n_t when the query ran (Figure 10's denominator).
@@ -140,24 +156,29 @@ func (g *Engine) QueryContext(ctx context.Context, q Query) (Result, error) {
 	defer snap.release()
 	v := snap.view()
 	descStart := time.Now()
+	// The arena is taken after the pin and released (deferred, so first)
+	// before the unpin: see arena.
+	a := getArena()
+	defer putArena(a)
 	var res Result
 	var err error
 	switch q.Algorithm {
 	case MTTD:
-		res, err = v.mttd(ctx, q)
+		res, err = v.mttd(ctx, q, a)
 	case TopkRep:
-		res, err = v.topkRep(ctx, q)
+		res, err = v.topkRep(ctx, q, a)
 	default:
-		res, err = v.mtts(ctx, q)
+		res, err = v.mtts(ctx, q, a)
 	}
-	obsQueryByAlg[q.Algorithm].ObserveSince(start)
+	obsQueryByAlg[q.Algorithm].observe(start, &res, err)
 	if op := trace.FromContext(ctx); op != nil {
 		pin := op.Child("snapshot.pin", start, time.Since(start),
 			trace.Int("bucket", res.BucketSeq))
 		op.ChildOf(pin, "query.descend", descStart, time.Since(descStart),
 			trace.String("algorithm", q.Algorithm.String()),
 			trace.Int("evaluated", int64(res.Evaluated)),
-			trace.Int("retrieved", int64(res.Retrieved)))
+			trace.Int("retrieved", int64(res.Retrieved)),
+			trace.Int("gain_evals", int64(res.GainEvals)))
 	}
 	return res, err
 }

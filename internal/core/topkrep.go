@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 
-	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 )
 
@@ -14,8 +13,9 @@ import (
 // and influence overlaps, so as a k-SIR answer it is only 1/k-approximate —
 // the experiments use it to show that classic top-k processing is not
 // enough for representativeness.
-func (v *view) topkRep(ctx context.Context, q Query) (Result, error) {
-	tr := newTraversalOpt(v, q.X, true)
+func (v *view) topkRep(ctx context.Context, q Query, a *arena) (Result, error) {
+	tr := &a.tr
+	tr.start(v, q.X, true)
 	top := &minScoreHeap{}
 	evaluated := 0
 
@@ -49,18 +49,13 @@ func (v *view) topkRep(ctx context.Context, q Query) (Result, error) {
 	for i := top.Len() - 1; i >= 0; i-- {
 		members[i] = heap.Pop(top).(scoredElem).elem
 	}
-	set := score.NewCandidateSet(v.scorer, q.X)
+	set := a.newSet(v.scorer, q.X)
 	for _, e := range members {
 		set.Add(e)
 	}
-	return Result{
-		Elements:      members,
-		Score:         set.Value(),
-		Evaluated:     evaluated,
-		Retrieved:     tr.retrieved,
-		ActiveAtQuery: v.numActive,
-		BucketSeq:     v.seq,
-	}, nil
+	res := a.result(v, nil, evaluated, 0)
+	res.Elements, res.Score = members, set.Value()
+	return res, nil
 }
 
 type scoredElem struct {

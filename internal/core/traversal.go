@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/social-streams/ksir/internal/flat"
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -21,10 +22,10 @@ type traversal struct {
 	win     *stream.ActiveWindow
 	topics  []int32   // query topics with x_i > 0
 	weights []float64 // corresponding x_i
-	iters   []*rankedlist.Iterator
+	iters   []rankedlist.Iterator
 	cur     []rankedlist.Item
 	has     []bool
-	visited map[stream.ElemID]struct{}
+	visited flat.Table // set of visited element IDs
 	// markVisited enables cross-list deduplication (§4.1); the ablation
 	// benches disable it to measure what it buys.
 	markVisited bool
@@ -36,33 +37,32 @@ type traversal struct {
 // snapshot (tests and diagnostics only — queries go through Engine.Query,
 // which pins the snapshot for the traversal's lifetime).
 func newTraversal(g *Engine, x topicmodel.TopicVec) *traversal {
-	return newTraversalOpt(g.front.Load().view(), x, true)
+	tr := new(traversal)
+	tr.start(g.front.Load().view(), x, true)
+	return tr
 }
 
-// newTraversalOpt positions a traversal at the head of each relevant list of
-// one immutable snapshot view (the RL_i.first calls of Algorithms 2 and 3,
-// line 2).
-func newTraversalOpt(v *view, x topicmodel.TopicVec, markVisited bool) *traversal {
-	tr := &traversal{
-		win:         v.win,
-		visited:     make(map[stream.ElemID]struct{}),
-		markVisited: markVisited,
-	}
+// start positions the traversal at the head of each relevant list of one
+// immutable snapshot view (the RL_i.first calls of Algorithms 2 and 3,
+// line 2), reusing whatever storage an earlier query left in it.
+func (tr *traversal) start(v *view, x topicmodel.TopicVec, markVisited bool) {
+	tr.win, tr.markVisited, tr.retrieved = v.win, markVisited, 0
+	tr.topics, tr.weights = tr.topics[:0], tr.weights[:0]
+	tr.iters, tr.cur, tr.has = tr.iters[:0], tr.cur[:0], tr.has[:0]
+	tr.visited.Reset(false)
 	for i, topic := range x.Topics {
 		if x.Probs[i] <= 0 {
 			continue
 		}
-		it := v.lists[topic].Iter()
 		tr.topics = append(tr.topics, topic)
 		tr.weights = append(tr.weights, x.Probs[i])
-		tr.iters = append(tr.iters, it)
+		tr.iters = append(tr.iters, *v.lists[topic].Iter())
 		tr.cur = append(tr.cur, rankedlist.Item{})
 		tr.has = append(tr.has, false)
 	}
 	for i := range tr.iters {
 		tr.advance(i)
 	}
-	return tr
 }
 
 // advance moves list i's cursor to its next unvisited tuple.
@@ -74,7 +74,7 @@ func (tr *traversal) advance(i int) {
 			return
 		}
 		tr.retrieved++
-		if _, seen := tr.visited[item.ID]; seen {
+		if tr.visited.Find(int64(item.ID), 0) >= 0 {
 			continue
 		}
 		tr.cur[i] = item
@@ -89,7 +89,7 @@ func (tr *traversal) skipVisited() {
 		if !tr.has[i] {
 			continue
 		}
-		if _, seen := tr.visited[tr.cur[i].ID]; seen {
+		if tr.visited.Find(int64(tr.cur[i].ID), 0) >= 0 {
 			tr.advance(i)
 		}
 	}
@@ -139,7 +139,7 @@ func (tr *traversal) pop() (*stream.Element, bool) {
 	}
 	id := tr.cur[best].ID
 	if tr.markVisited {
-		tr.visited[id] = struct{}{}
+		tr.visited.Insert(int64(id), 0)
 	}
 	tr.advance(best)
 	e, ok := tr.win.Get(id)

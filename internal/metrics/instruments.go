@@ -334,20 +334,27 @@ type HistogramVec struct {
 // NewDurationHistogramVec registers a latency histogram family keyed by one
 // label with a fixed value set.
 func NewDurationHistogramVec(name, help, label string, values []string, bounds ...time.Duration) *HistogramVec {
-	mustCheckName(label)
-	if len(values) == 0 {
-		panic(fmt.Sprintf("metrics: histogram vec %s needs at least one label value", name))
-	}
 	raw := make([]uint64, len(bounds))
 	for i, b := range bounds {
 		raw[i] = uint64(b)
+	}
+	return NewHistogramVec(name, help, label, values, 1e-9, raw)
+}
+
+// NewHistogramVec registers a histogram family over raw-unit bounds (scale
+// converts raw units to the exposed unit at scrape time) keyed by one label
+// with a fixed value set.
+func NewHistogramVec(name, help, label string, values []string, scale float64, bounds []uint64) *HistogramVec {
+	mustCheckName(label)
+	if len(values) == 0 {
+		panic(fmt.Sprintf("metrics: histogram vec %s needs at least one label value", name))
 	}
 	v := &HistogramVec{name: name, help: help, label: label, index: make(map[string]*Histogram, len(values))}
 	for _, val := range values {
 		if _, dup := v.index[val]; dup {
 			panic(fmt.Sprintf("metrics: histogram vec %s duplicate label value %q", name, val))
 		}
-		h := newHistogram(name, help, 1e-9, raw)
+		h := newHistogram(name, help, scale, bounds)
 		h.labels = []Label{{label, val}}
 		v.children = append(v.children, h)
 		v.index[val] = h

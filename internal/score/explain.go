@@ -1,6 +1,7 @@
 package score
 
 import (
+	"github.com/social-streams/ksir/internal/flat"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
@@ -31,36 +32,48 @@ func (s *Scorer) Explain(set []*stream.Element, x topicmodel.TopicVec) []Contrib
 	cs := NewCandidateSet(s, x)
 	out := make([]Contribution, 0, len(set))
 	params := s.params
+	var buf ProbeBuf
 	for _, e := range set {
 		c := Contribution{Elem: e, TopicGains: make(map[int32]float64)}
-		ec := s.ensureCached(e)
-		newWords := make(map[int32]struct{})
-		cs.forEachSharedTopic(e, func(qi, ej int, topic int32) {
-			xi := cs.x.Probs[qi]
+		buf.Reset()
+		p := s.Prepare(&buf, e, x)
+		fresh := make([]bool, len(e.Doc.Terms))
+		for pi, pr := range p.pairs {
+			xi := x.Probs[pr.qi]
 			var dSem float64
 			for k, tc := range e.Doc.Terms {
-				w := int32(tc.Word)
-				if sig := ec.wordWeights[ej][k]; sig > cs.covered[qi][w] {
-					dSem += sig - cs.covered[qi][w]
-					newWords[w] = struct{}{}
+				cov := entry(&cs.covered, int64(tc.Word), pr.qi)
+				if sig := p.ec.wordWeights[pr.ej][k]; sig > cov {
+					dSem += sig - cov
+					fresh[k] = true
 				}
 			}
 			var dInfl float64
-			pe := e.Topics.Probs[ej]
-			s.win.ForEachChild(e.ID, func(child *stream.Element) {
-				p := pe * child.Topics.Prob(topic)
-				dInfl += p * (1 - cs.inflProb[qi][child.ID])
-			})
+			for ci, child := range p.children {
+				dInfl += p.childP[pi*len(p.children)+ci] * (1 - entry(&cs.inflProb, int64(child.ID), pr.qi))
+			}
 			sem := xi * params.Lambda * dSem
 			infl := xi * params.inflFactor() * dInfl
 			c.Semantic += sem
 			c.Influence += infl
-			c.TopicGains[topic] += sem + infl
-		})
+			c.TopicGains[x.Topics[pr.qi]] += sem + infl
+		}
 		c.Gain = c.Semantic + c.Influence
-		c.NewWords = len(newWords)
-		cs.Add(e)
+		for _, f := range fresh {
+			if f {
+				c.NewWords++
+			}
+		}
+		cs.AddProbe(&p)
 		out = append(out, c)
 	}
 	return out
+}
+
+// entry returns the value t holds for (key, qi), 0 when the key is absent.
+func entry(t *flat.Table, key int64, qi int32) float64 {
+	if r := t.Find(key, qi); r >= 0 {
+		return *t.Val(r)
+	}
+	return 0
 }

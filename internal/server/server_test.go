@@ -16,7 +16,7 @@ import (
 	apiv1 "github.com/social-streams/ksir/api/v1"
 )
 
-func testStream(t *testing.T) *ksir.Stream {
+func testStream(t testing.TB) *ksir.Stream {
 	t.Helper()
 	soccer := []string{"goal", "striker", "keeper", "league", "derby", "penalty"}
 	basket := []string{"dunk", "rebound", "playoffs", "court", "buzzer", "triple"}

@@ -153,6 +153,12 @@ func (w *ActiveWindow) Children(id ElemID) []*Element {
 	return append([]*Element(nil), cs...)
 }
 
+// ChildrenView returns I_t(e) like Children but without copying: the
+// window's own slice, in ascending child-ID order. The caller must not
+// mutate it and must not use it across an Advance/ApplyDelta — queries read
+// it under their snapshot pin.
+func (w *ActiveWindow) ChildrenView(id ElemID) []*Element { return w.children[id] }
+
 // NumChildren returns |I_t(e)| without allocating.
 func (w *ActiveWindow) NumChildren(id ElemID) int { return len(w.children[id]) }
 

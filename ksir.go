@@ -536,7 +536,7 @@ func queryVector(m *Model, q Query) (topicmodel.TopicVec, error) {
 			if t < 0 || t >= m.tm.Z {
 				return topicmodel.TopicVec{}, fmt.Errorf("%w: topic %d out of range [0,%d)", ErrBadQuery, t, m.tm.Z)
 			}
-			if w < 0 {
+			if !(w >= 0) { // negative or NaN
 				return topicmodel.TopicVec{}, fmt.Errorf("%w: negative weight %v for topic %d", ErrBadQuery, w, t)
 			}
 			if w > 0 {
@@ -546,6 +546,9 @@ func queryVector(m *Model, q Query) (topicmodel.TopicVec, error) {
 		}
 		if sum == 0 {
 			return topicmodel.TopicVec{}, fmt.Errorf("%w: query vector is all zeros", ErrBadQuery)
+		}
+		if math.IsInf(sum, 1) {
+			return topicmodel.TopicVec{}, fmt.Errorf("%w: query vector weights are not finite", ErrBadQuery)
 		}
 		sort.Ints(idx)
 		v := topicmodel.TopicVec{

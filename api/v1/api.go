@@ -169,9 +169,9 @@ type PipelineInfo struct {
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	// Fsyncs counts WAL fsyncs issued for the stream (0 without -data-dir).
 	Fsyncs int64 `json:"fsyncs"`
-	// FsyncsPerOp is Fsyncs/Ops — the amortized durability cost; 1.0
-	// matches a serialized writer at fsync=always, and it falls toward
-	// 1/MeanBatchSize as concurrent producers coalesce.
+	// FsyncsPerOp is Fsyncs/Ops — the amortized durability cost; 1.0 is
+	// one fsync per operation (a lone producer at fsync=always), and it
+	// falls toward 1/MeanBatchSize as concurrent producers coalesce.
 	FsyncsPerOp float64 `json:"fsyncs_per_op"`
 }
 

@@ -212,7 +212,7 @@ func TestHibernateSDKErrors(t *testing.T) {
 	m := testClientModel(t)
 
 	// In-memory server: 409 persist_disabled.
-	mem := pipelineServer(t, m, false)
+	mem := pipelineServer(t, m)
 	if _, err := mem.CreateStream(ctx, apiv1.CreateStreamRequest{Name: "s"}); err != nil {
 		t.Fatal(err)
 	}

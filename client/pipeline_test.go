@@ -15,16 +15,11 @@ import (
 	"github.com/social-streams/ksir/internal/server"
 )
 
-// pipelineServer boots a hub-backed server (pipelined or serialized
-// writer) over the shared test model and returns an SDK client.
-func pipelineServer(t *testing.T, m *ksir.Model, serialized bool) *Client {
+// pipelineServer boots a hub-backed server over the shared test model and
+// returns an SDK client.
+func pipelineServer(t *testing.T, m *ksir.Model) *Client {
 	t.Helper()
-	var hub *ksir.Hub
-	if serialized {
-		hub = ksir.NewHub(ksir.WithSerializedWriter())
-	} else {
-		hub = ksir.NewHub()
-	}
+	hub := ksir.NewHub()
 	srv := httptest.NewServer(server.NewHub(hub, m,
 		ksir.Options{Window: time.Hour, Bucket: time.Minute, Eta: 2}))
 	t.Cleanup(srv.Close)
@@ -64,14 +59,14 @@ func producerOps(ctx context.Context, s *Stream, p int) error {
 // TestPipelineSDKEquivalence is the writer-pipeline contract seen from the
 // wire (run under -race): concurrent producers pushing through the SDK —
 // whose requests coalesce into commit batches server-side — observe
-// per-op results identical to the serialized writer path, and the final
-// stream state matches a serialized run of the same operations bit for
-// bit.
+// per-op results identical to a lone producer issuing the same operations
+// one at a time (every commit batch a single op), and the final stream
+// state matches that serial run bit for bit.
 func TestPipelineSDKEquivalence(t *testing.T) {
 	ctx := context.Background()
 	m := testClientModel(t)
-	piped := pipelineServer(t, m, false)
-	serial := pipelineServer(t, m, true)
+	piped := pipelineServer(t, m)
+	serial := pipelineServer(t, m)
 	const producers = 8
 
 	for _, c := range []*Client{piped, serial} {
@@ -98,10 +93,10 @@ func TestPipelineSDKEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Serialized reference: the same operations, one after another.
+	// Serial reference: the same operations, one after another.
 	for p := 0; p < producers; p++ {
 		if err := producerOps(ctx, serial.Stream("s"), p); err != nil {
-			t.Errorf("serialized reference: %v", err)
+			t.Errorf("serial reference: %v", err)
 		}
 	}
 
@@ -125,13 +120,13 @@ func TestPipelineSDKEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rp, rs) {
-			t.Errorf("query %+v diverges:\n pipelined %+v\nserialized %+v", req, rp, rs)
+			t.Errorf("query %+v diverges:\n pipelined %+v\n    serial %+v", req, rp, rs)
 		}
 	}
 
 	// The stats block surfaces the pipeline: every op committed, and the
-	// serialized twin reports batches == ops (no coalescing by
-	// construction).
+	// serial twin reports batches == ops (a lone producer's op is the
+	// whole in-flight population, so nothing coalesces).
 	ip, err := piped.Stream("s").Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +142,6 @@ func TestPipelineSDKEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if is.Pipeline == nil || is.Pipeline.Ops != is.Pipeline.Batches {
-		t.Errorf("serialized writer coalesced: %+v", is.Pipeline)
+		t.Errorf("lone producer's ops coalesced: %+v", is.Pipeline)
 	}
 }

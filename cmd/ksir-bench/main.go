@@ -29,9 +29,29 @@ import (
 	"github.com/social-streams/ksir/internal/experiments"
 )
 
+// experimentNames is every value -exp accepts: the flag's help string and
+// checkExperiment both read it, so a name cannot be listed without being
+// accepted or accepted without being listed.
+var experimentNames = []string{
+	"table3", "table5", "table6",
+	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+	"latency", "concurrent", "persist", "engine", "ingest", "tenancy", "all",
+}
+
+// checkExperiment rejects a name -exp does not know: a misspelt experiment
+// would otherwise match no branch of run and exit 0 having run nothing.
+func checkExperiment(exp string) error {
+	for _, n := range experimentNames {
+		if exp == n {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(experimentNames, ", "))
+}
+
 func main() {
 	var (
-		exp             = flag.String("exp", "all", "experiment: table3|table5|table6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|latency|concurrent|persist|engine|ingest|tenancy|all")
+		exp             = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		scale           = flag.String("scale", "default", "preset scale: small|default")
 		short           = flag.Bool("short", false, "CI smoke mode: small scale and reduced workloads")
 		elements        = flag.Int("elements", 0, "override stream size per dataset")
@@ -105,6 +125,9 @@ func main() {
 }
 
 func run(lab *experiments.Lab, exp string, w io.Writer, jsonDir string, short bool) error {
+	if err := checkExperiment(exp); err != nil {
+		return err
+	}
 	want := func(names ...string) bool {
 		if exp == "all" {
 			return true

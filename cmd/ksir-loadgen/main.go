@@ -133,19 +133,18 @@ func runBench(w io.Writer, ratesCSV string, cellSecs float64, streams int, short
 }
 
 // checkLoadBaseline gates the load trajectory on two stable cells: the
-// commit-window p50 at the lowest rate (dominated by the deliberate 2ms
-// window, so it moves only when the pipeline's latency floor moves) and
-// the commit-window fsyncs/op at the middle rate (the group-commit
-// amortization the window exists for). The p99 tails and the saturating
-// high-rate cells are deliberately not gated — short smoke cells have too
-// few samples for a stable tail, and an open-loop p99 under saturation
-// grows with schedule length by design.
+// add p50 at the lowest rate (the pipeline's latency floor: one commit,
+// one fsync) and the fsyncs/op at the middle rate (the group-commit
+// amortization open-loop arrivals get by themselves). The p99 tails and
+// the saturating high-rate cells are deliberately not gated — short smoke
+// cells have too few samples for a stable tail, and an open-loop p99 under
+// saturation grows with schedule length by design.
 func checkLoadBaseline(w io.Writer, jsonDir, baseline string, factor float64) error {
 	if jsonDir == "" {
 		return fmt.Errorf("-baseline requires -json <dir>")
 	}
 	freshPath := filepath.Join(jsonDir, "BENCH_load.json")
-	for _, metric := range []string{"load-add-p50-ms-poisson-r500-cw", "load-fsyncs-per-op-poisson-r1000-cw"} {
+	for _, metric := range []string{"load-add-p50-ms-poisson-r500", "load-fsyncs-per-op-poisson-r1000"} {
 		fresh, base, err := experiments.CompareBenchJSON(freshPath, baseline, metric, factor)
 		if err != nil {
 			return err

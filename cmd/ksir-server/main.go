@@ -80,7 +80,6 @@ func main() {
 
 		maxResident   = flag.Int("max-resident-streams", 0, "hot-tier budget: hibernate the coldest streams past this many resident (0 = unbounded)")
 		maxResidentB  = flag.Int64("max-resident-bytes", 0, "hot-tier budget: hibernate the coldest streams past this many summed resident bytes (0 = unbounded)")
-		evictLRU      = flag.Bool("evict-lru", false, "pin the pure last-touch LRU eviction baseline instead of the scan-resistant clock policy")
 		prefetchSweep = flag.Duration("prefetch-sweep", 0, "run the predictive prefetcher at this interval, reactivating streams ahead of their predicted next touch (0 disables)")
 		prefetchLook  = flag.Duration("prefetch-lookahead", 0, "how far around the predicted touch a stream counts as due (default 2x -prefetch-sweep)")
 	)
@@ -149,17 +148,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		eviction := ksir.EvictClock
-		if *evictLRU {
-			eviction = ksir.EvictLRU
-		}
 		hub, err = ksir.OpenHub(*dataDir, model, ksir.PersistOptions{
 			Fsync:              policy,
 			FsyncInterval:      *fsyncInt,
 			CheckpointEvery:    *ckptEvery,
 			MaxResidentStreams: *maxResident,
 			MaxResidentBytes:   *maxResidentB,
-			Eviction:           eviction,
 			PrefetchSweep:      *prefetchSweep,
 			PrefetchLookahead:  *prefetchLook,
 			Logger:             logger,

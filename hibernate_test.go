@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -520,67 +519,5 @@ func TestColdRecoveryUnderBudget(t *testing.T) {
 		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
 	if got := countResident(t, h2); got != 1 {
 		t.Fatalf("%d resident after touching one stream, want 1", got)
-	}
-}
-
-// The opt-in commit window coalesces concurrent producers into fewer
-// commit batches while leaving every result untouched: op-for-op
-// equivalence with a stream that never waited.
-func TestCommitWindowEquivalence(t *testing.T) {
-	m := trainTestModel(t)
-	h := openTestHub(t, t.TempDir(), m, PersistOptions{CommitWindow: 2 * time.Millisecond})
-	defer h.CloseAll()
-	hs, err := h.Create("feed", m, persistOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror := mirrorStream(t, m)
-
-	// Concurrent producers, disjoint IDs, one shared timestamp: acceptance
-	// is interleaving-independent, so the mirror can apply the union in ID
-	// order and still be the exact reference.
-	const producers, each = 4, 40
-	var wg sync.WaitGroup
-	errs := make(chan error, producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				post := Post{ID: int64(p*1000 + i + 1), Time: 60, Text: "goal striker derby league"}
-				if err := hs.Add(post); err != nil {
-					errs <- fmt.Errorf("producer %d post %d: %w", p, i, err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for p := 0; p < producers; p++ {
-		for i := 0; i < each; i++ {
-			if err := mirror.Add(Post{ID: int64(p*1000 + i + 1), Time: 60, Text: "goal striker derby league"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := hs.Flush(180); err != nil {
-		t.Fatal(err)
-	}
-	if err := mirror.Flush(180); err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "commit window",
-		persistQueries(t, func(q Query) (Result, error) { return hs.Query(nil, q) }),
-		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
-	ps := hs.Stats().Pipeline
-	if ps.Ops != producers*each+1 {
-		t.Fatalf("ops = %d, want %d", ps.Ops, producers*each+1)
-	}
-	if ps.MeanBatchSize() <= 1 {
-		t.Errorf("commit window achieved no coalescing: %+v", ps)
 	}
 }

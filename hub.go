@@ -48,9 +48,6 @@ type Hub struct {
 	streams map[string]*StreamHandle
 	// p is the durability configuration (nil for an in-memory hub).
 	p *hubPersist
-	// serialized selects the pre-pipeline writer path for every handle
-	// (see WithSerializedWriter).
-	serialized bool
 	// logger receives background warnings (residency sweep failures);
 	// nil means slog.Default() at call time.
 	logger *slog.Logger
@@ -61,10 +58,10 @@ type Hub struct {
 	hibDone chan struct{}
 	hibOnce sync.Once
 
-	// Ghost list (EvictClock only): names of recently hibernated streams,
-	// keyed to an eviction sequence so the oldest entries age out. A
-	// reactivation that finds its name here was evicted too eagerly — it
-	// re-admits protected (second-chance bit set) and counts a ghost hit.
+	// Ghost list: names of recently hibernated streams, keyed to an
+	// eviction sequence so the oldest entries age out. A reactivation that
+	// finds its name here was evicted too eagerly — it re-admits protected
+	// (second-chance bit set) and counts a ghost hit.
 	ghostMu  sync.Mutex
 	ghost    map[string]uint64
 	ghostSeq uint64
@@ -91,18 +88,6 @@ type Hub struct {
 
 // HubOption tunes a Hub created with NewHub.
 type HubOption func(*Hub)
-
-// WithSerializedWriter disables the per-stream writer pipeline: each write
-// operation is executed synchronously under a per-stream mutex and, on a
-// durable hub, appended (and under FsyncAlways fsynced) individually —
-// the pre-pipeline architecture. Results are identical to the pipelined
-// path op for op; only the batching of WAL writes and snapshot publishes
-// differs. It exists as the measured baseline of the `ingest` experiment
-// and as a compatibility escape hatch; production hubs should not use it.
-// For a durable hub, set PersistOptions.SerializedWriter instead.
-func WithSerializedWriter() HubOption {
-	return func(h *Hub) { h.serialized = true }
-}
 
 // WithLogger directs the hub's background warnings — residency sweep
 // failures, for now — to l instead of slog.Default(). For a durable hub,
@@ -245,19 +230,19 @@ func (h *Hub) registerCold(name string, m *Model, opts Options, cfg streamConfig
 	return hs, nil
 }
 
-// newHandle builds a handle and, unless the hub runs serialized writers,
-// starts its writer goroutine. st may be nil (registerCold): the handle
-// starts hibernated and every other field needed to bring the stream back
-// — model, resolved options, config — lives on the handle itself.
+// newHandle builds a handle and starts its writer goroutine. st may be nil
+// (registerCold): the handle starts hibernated and every other field needed
+// to bring the stream back — model, resolved options, config — lives on the
+// handle itself.
 func (h *Hub) newHandle(name string, st *Stream, m *Model, opts Options, cfg streamConfig, pers *streamPersist) *StreamHandle {
 	hs := &StreamHandle{
-		name:       name,
-		hub:        h,
-		opts:       opts,
-		cfg:        cfg,
-		pers:       pers,
-		done:       make(chan struct{}),
-		serialized: h.serialized,
+		name: name,
+		hub:  h,
+		opts: opts,
+		cfg:  cfg,
+		pers: pers,
+		done: make(chan struct{}),
+		ops:  make(chan *writeOp, writeQueueCap),
 	}
 	hs.stp.Store(st)
 	hs.model.Store(m)
@@ -265,13 +250,7 @@ func (h *Hub) newHandle(name string, st *Stream, m *Model, opts Options, cfg str
 	if st != nil {
 		hs.residentBytes.Store(st.approxResidentBytes())
 	}
-	if h.p != nil {
-		hs.commitWindow = h.p.opts.CommitWindow
-	}
-	if !hs.serialized {
-		hs.ops = make(chan *writeOp, writeQueueCap)
-		go hs.writerLoop()
-	}
+	go hs.writerLoop()
 	return hs
 }
 
@@ -317,20 +296,11 @@ func (h *Hub) stopHibernator() {
 	<-h.hibDone
 }
 
-// evictionPolicy resolves the hub's victim policy (EvictClock on
-// in-memory hubs, which never evict anyway).
-func (h *Hub) evictionPolicy() EvictionPolicy {
-	if h.p == nil {
-		return EvictClock
-	}
-	return h.p.opts.Eviction
-}
-
-// ghostRecord remembers a hibernated stream's name on the ghost list
-// (EvictClock under a residency budget only). The list is bounded at
+// ghostRecord remembers a hibernated stream's name on the ghost list (under
+// a residency budget only). The list is bounded at
 // max(32, 2×MaxResidentStreams); the oldest entry ages out first.
 func (h *Hub) ghostRecord(name string) {
-	if !h.residencyBudgeted() || h.evictionPolicy() != EvictClock {
+	if !h.residencyBudgeted() {
 		return
 	}
 	limit := 2 * h.p.opts.MaxResidentStreams
@@ -355,9 +325,6 @@ func (h *Hub) ghostRecord(name string) {
 // ghostTake consumes a ghost-list entry for name, reporting whether one
 // existed — the activation path's "evicted too eagerly" signal.
 func (h *Hub) ghostTake(name string) bool {
-	if h.p == nil || h.evictionPolicy() != EvictClock {
-		return false
-	}
 	h.ghostMu.Lock()
 	defer h.ghostMu.Unlock()
 	if _, ok := h.ghost[name]; !ok {
@@ -537,16 +504,15 @@ func (h *Hub) residentByCold(exclude *StreamHandle) ([]residencyCandidate, int64
 // EnforceResidency applies the residency budget once, synchronously:
 // resident streams are hibernated, coldest first by last touch, until the
 // resident count and summed approximate bytes fit the configured budget,
-// and the number hibernated is returned. Under EvictClock (the default) a
-// first pass skips protected streams — second-chance bit set (touched
-// again since admission) or prefetched-and-unconsumed — counting a save
-// per skip; if the protected set alone still overflows the budget, a
-// second pass demotes every remaining stream's bit (the clock hand has
-// swept full circle) and falls back to coldest-first LRU, still sparing
-// in-flight prefetches. Streams that are busy (standing queries) or
-// closing are skipped; other hibernation failures are joined into the
-// returned error. The background hibernator calls this every
-// ResidencySweep; callers may also invoke it directly (e.g. before a
+// and the number hibernated is returned. A first pass skips protected
+// streams — second-chance bit set (touched again since admission) or
+// prefetched-and-unconsumed — counting a save per skip; if the protected
+// set alone still overflows the budget, a second pass demotes every
+// remaining stream's bit (the clock hand has swept full circle) and evicts
+// coldest-first, still sparing in-flight prefetches. Streams that are busy
+// (standing queries) or closing are skipped; other hibernation failures
+// are joined into the returned error. The background hibernator calls this
+// every ResidencySweep; callers may also invoke it directly (e.g. before a
 // measurement that wants a settled hot tier). Without a budget it does
 // nothing.
 func (h *Hub) EnforceResidency() (int, error) {
@@ -555,7 +521,6 @@ func (h *Hub) EnforceResidency() (int, error) {
 	}
 	maxN, maxB := h.p.opts.MaxResidentStreams, h.p.opts.MaxResidentBytes
 	cands, totalB := h.residentByCold(nil)
-	clock := h.evictionPolicy() == EvictClock
 	var (
 		n    int
 		errs []error
@@ -580,14 +545,14 @@ func (h *Hub) EnforceResidency() (int, error) {
 		if !over() {
 			break
 		}
-		if clock && (c.hs.refBit.Load() || c.hs.prefetched.Load()) {
+		if c.hs.refBit.Load() || c.hs.prefetched.Load() {
 			c.hs.secondChanceSaves.Add(1)
 			obsResSecondChanceSaves.Inc()
 			continue
 		}
 		evict(c)
 	}
-	if clock && over() {
+	if over() {
 		// The hand swept full circle without finding enough unprotected
 		// victims: demote every survivor's bit (it must be re-earned by
 		// another touch) and evict coldest-first, sparing only streams a
@@ -609,19 +574,6 @@ func (h *Hub) EnforceResidency() (int, error) {
 	}
 	return n, errors.Join(errs...)
 }
-
-// errStaleEviction is the internal result of a policy eviction that was
-// obsolete by the time it committed (stream touched since, or budget
-// already met). Nobody awaits fire-and-forget ops, so it never escapes
-// the package; it exists so a skipped eviction is distinguishable from a
-// completed one in the serialized tryHibernateAsync path.
-var errStaleEviction = errors.New("ksir: stale eviction")
-
-// errStalePrefetch is its prefetch twin: a predictive activation that was
-// no longer admissible (hub full of warmer streams) or no longer needed
-// (demand got there first) when it drained. Fire-and-forget; never
-// escapes the package.
-var errStalePrefetch = errors.New("ksir: stale prefetch")
 
 // evictionWarranted reports whether a policy eviction still serves its
 // purpose, re-checked at eviction-commit time against the live resident
@@ -654,12 +606,12 @@ func (h *Hub) evictionWarranted() bool {
 // could each be waiting behind the other's backlog (deadlock). Eviction
 // is therefore best-effort TryLock + non-blocking send: a victim too busy
 // to take the op is skipped, the budget transiently overshoots, and the
-// background sweep settles it. Under EvictClock, protected victims —
-// second-chance bit or pending prefetch — are likewise skipped (counted
-// as saves) rather than demoted: admission alone never strips a hot
-// stream's protection, so a burst of one-shot admissions churns through
-// its own probationary streams and leaves the bit-carrying regulars
-// alone. Only the full-circle sweep (EnforceResidency) demotes bits.
+// background sweep settles it. Protected victims — second-chance bit or
+// pending prefetch — are likewise skipped (counted as saves) rather than
+// demoted: admission alone never strips a hot stream's protection, so a
+// burst of one-shot admissions churns through its own probationary streams
+// and leaves the bit-carrying regulars alone. Only the full-circle sweep
+// (EnforceResidency) demotes bits.
 //
 // A positive ceiling bounds the eviction to victims strictly colder than
 // it — the prefetch guarantee that an admission never evicts a stream
@@ -678,7 +630,6 @@ func (h *Hub) makeRoom(hs *StreamHandle, ceiling int64) {
 	if need == 0 && !(maxB > 0 && totalB > maxB) {
 		return
 	}
-	clock := h.evictionPolicy() == EvictClock
 	queued := false
 	for _, c := range cands {
 		if need <= 0 && !(maxB > 0 && totalB > maxB) {
@@ -687,7 +638,7 @@ func (h *Hub) makeRoom(hs *StreamHandle, ceiling int64) {
 		if ceiling > 0 && c.touch >= ceiling {
 			break // sorted coldest-first: only warmer victims remain
 		}
-		if clock && (c.hs.refBit.Load() || c.hs.prefetched.Load()) {
+		if c.hs.refBit.Load() || c.hs.prefetched.Load() {
 			c.hs.secondChanceSaves.Add(1)
 			obsResSecondChanceSaves.Inc()
 			continue
@@ -725,12 +676,11 @@ func (h *Hub) prefetchAdmissible(hs *StreamHandle) bool {
 		return true
 	}
 	ceiling := hs.lastTouch.Load()
-	clock := h.evictionPolicy() == EvictClock
 	for _, c := range cands {
 		if c.touch >= ceiling {
 			return false // sorted coldest-first: only warmer victims remain
 		}
-		if clock && (c.hs.refBit.Load() || c.hs.prefetched.Load()) {
+		if c.hs.refBit.Load() || c.hs.prefetched.Load() {
 			continue
 		}
 		return true
@@ -933,19 +883,17 @@ type writeOp struct {
 	// same happens-before edges that protect the result fields make the
 	// cross-goroutine span appends race-free without a lock.
 	tr         *trace.Op
-	enqueued   time.Time // queue entry (zero on the serialized path)
+	enqueued   time.Time // queue entry
 	applyStart time.Time // this op's apply slice of the commit pass
 	applyDur   time.Duration
 	committed  time.Time // stamped by commit just before done closes
 }
 
 // PipelineStats reports a stream's writer-pipeline counters (zero-valued
-// on a raw Stream, and with QueueDepth and Fsyncs pinned to 0 under
-// WithSerializedWriter and on in-memory hubs respectively).
+// on a raw Stream, and with Fsyncs pinned to 0 on in-memory hubs).
 type PipelineStats struct {
 	// QueueDepth is the number of write operations waiting in the
-	// handle's queue at the instant of the Stats call (0 on a
-	// serialized-writer hub, which has no queue).
+	// handle's queue at the instant of the Stats call.
 	QueueDepth int
 	// Ops counts write operations committed over the handle's lifetime.
 	Ops int64
@@ -956,8 +904,9 @@ type PipelineStats struct {
 	Batches int64
 	// Fsyncs counts WAL fsyncs issued for the stream (0 on in-memory
 	// hubs). Fsyncs/Ops is the per-operation durability cost group commit
-	// amortizes: 1.0 matches the serialized writer at FsyncAlways, and it
-	// falls toward 1/MeanBatchSize as concurrent producers coalesce.
+	// amortizes: 1.0 is one fsync per operation (a lone producer at
+	// FsyncAlways), and it falls toward 1/MeanBatchSize as concurrent
+	// producers coalesce.
 	Fsyncs int64
 }
 
@@ -990,12 +939,11 @@ func (p PipelineStats) FsyncsPerOp() float64 {
 // most one snapshot publish when no standing queries are registered — and,
 // on a durable hub, one WAL append whose fsync (under FsyncAlways) is
 // shared by the whole batch. Coalescing is invisible in the results: every
-// operation completes with exactly the outcome the serialized path would
-// have produced — the same accepted prefixes, the same typed sentinels —
-// because acceptance decisions are made per operation, in queue order, by
-// the same code. Checkpoint, SwapModel, Subscribe and Unsubscribe are
-// commit barriers: each executes alone, after every operation enqueued
-// before it has committed.
+// operation completes with exactly the outcome it would have had committed
+// alone — the same accepted prefixes, the same typed sentinels — because
+// acceptance decisions are made per operation, in queue order. Checkpoint,
+// SwapModel, Subscribe and Unsubscribe are commit barriers: each executes
+// alone, after every operation enqueued before it has committed.
 //
 // Backpressure: a full queue blocks producers until the writer drains.
 // PipelineStats (via Stats) reports the live queue depth and the realized
@@ -1024,10 +972,6 @@ type StreamHandle struct {
 	closed atomic.Bool   // fail-fast flag; reads must never contend with writers
 	done   chan struct{} // closed by Hub.Close; see Done
 
-	// commitWindow is the opt-in group-commit wait (see
-	// PersistOptions.CommitWindow); 0 on in-memory hubs.
-	commitWindow time.Duration
-
 	// Residency accounting. lastTouch orders eviction (stored by every
 	// operation except Hibernate itself — an eviction must not refresh its
 	// victim's warmth); evictPending dedupes policy evictions (at most one
@@ -1043,7 +987,7 @@ type StreamHandle struct {
 	residentBytes    atomic.Int64
 	lastStats        atomic.Pointer[StreamStats]
 
-	// Clock-eviction state (EvictClock). refBit is the second-chance bit:
+	// Clock-eviction state. refBit is the second-chance bit:
 	// set by every touch while resident, cleared at activation (a fresh
 	// admission is probationary until touched again) and by the
 	// full-circle demotion pass of EnforceResidency. An eviction pass
@@ -1072,26 +1016,19 @@ type StreamHandle struct {
 	secondChanceSaves    atomic.Int64
 	lazyMaterializations atomic.Int64
 
-	// serialized selects the pre-pipeline writer path: ops execute
-	// synchronously under smu, one commit batch each (the Hub's
-	// WithSerializedWriter / PersistOptions.SerializedWriter baseline).
-	serialized bool
-	smu        sync.Mutex
-
 	// pers is the stream's durability state (nil on an in-memory hub),
-	// mutated only by the writer goroutine (or under smu when
-	// serialized). The commit path is the WAL append point: every
-	// accepted write is logged before its operation completes.
+	// mutated only by the writer goroutine. The commit path is the WAL
+	// append point: every accepted write is logged before its operation
+	// completes.
 	pers *streamPersist
 
 	// recs is the writer-owned scratch buffer of WAL records for the
 	// current commit batch.
 	recs []persist.Record
 
-	// inflight counts producers currently inside do() on the pipelined
-	// path — enqueued or about to be. The writer reads it as herd
-	// evidence when deciding whether to wait a scheduling pass for a
-	// fuller commit batch.
+	// inflight counts producers currently inside do() — enqueued or about
+	// to be. The writer reads it as herd evidence when deciding whether to
+	// wait a scheduling pass for a fuller commit batch.
 	inflight atomic.Int64
 
 	statOps     atomic.Int64
@@ -1184,25 +1121,6 @@ func (hs *StreamHandle) Prefetch() {
 // send, and the committed op re-validates admissibility (the hub may have
 // filled up, or a demand op may have activated the stream first).
 func (hs *StreamHandle) tryActivateAsync() bool {
-	if hs.serialized {
-		if !hs.smu.TryLock() {
-			return false
-		}
-		defer hs.smu.Unlock()
-		if hs.closed.Load() || hs.stp.Load() != nil {
-			return false
-		}
-		if !hs.prefetched.CompareAndSwap(false, true) {
-			return false
-		}
-		op := &writeOp{kind: opActivate, prefetch: true}
-		hs.commit([]*writeOp{op})
-		if op.err != nil {
-			hs.prefetched.Store(false)
-			return false
-		}
-		return true
-	}
 	if !hs.prefetched.CompareAndSwap(false, true) {
 		return true // one already pending — that is this sweep's progress
 	}
@@ -1250,22 +1168,11 @@ func (hs *StreamHandle) materializeNow() {
 	}
 }
 
-// do executes op through the writer pipeline (or inline under smu on a
-// serialized-writer hub) and returns it with its result fields set.
+// do executes op through the writer pipeline and returns it with its
+// result fields set.
 func (hs *StreamHandle) do(op *writeOp) *writeOp {
 	if op.kind != opHibernate {
 		hs.touch()
-	}
-	if hs.serialized {
-		hs.smu.Lock()
-		if hs.closed.Load() {
-			hs.smu.Unlock()
-			op.err = fmt.Errorf("%w: %q", ErrStreamClosed, hs.name)
-			return op
-		}
-		hs.commit([]*writeOp{op})
-		hs.smu.Unlock()
-		return op
 	}
 	op.done = make(chan struct{})
 	hs.inflight.Add(1)
@@ -1324,8 +1231,7 @@ func (hs *StreamHandle) writerLoop() {
 			// degenerates into batches of one (pronounced at
 			// GOMAXPROCS=1, where the writer is never preempted between
 			// commits). A lone producer never trips the yield: its op is
-			// the whole in-flight population, preserving the serialized
-			// path's latency.
+			// the whole in-flight population, so it commits at once.
 			for tries := 0; len(batch) < maxCommitOps && carry == nil; {
 				var next *writeOp
 				select {
@@ -1345,32 +1251,6 @@ func (hs *StreamHandle) writerLoop() {
 				}
 				tries++
 				runtime.Gosched()
-			}
-			if w := hs.commitWindow; w > 0 && carry == nil && len(batch) < maxCommitOps {
-				// Opt-in group-commit window: hold the batch open up to w
-				// for more ingest ops before paying its WAL append (and,
-				// under FsyncAlways, its fsync) — the coalescing a lone
-				// open-loop producer never gets from the in-flight
-				// heuristic above. A barrier op ends the window early; it
-				// must run alone, after this batch commits.
-				obsPipeWindowWaits.Inc()
-				timer := time.NewTimer(w)
-				for len(batch) < maxCommitOps {
-					var next *writeOp
-					select {
-					case next = <-hs.ops:
-					case <-timer.C:
-					}
-					if next == nil {
-						break // window elapsed
-					}
-					if !next.kind.coalescable() {
-						carry = next
-						break
-					}
-					batch = append(batch, next)
-				}
-				timer.Stop()
 			}
 		}
 		hs.commit(batch)
@@ -1392,8 +1272,7 @@ func (hs *StreamHandle) writerLoop() {
 // result are decided individually (batch[i] failing never rolls back
 // batch[i-1]), and a WAL-append failure is joined into the result of
 // exactly the ops whose records were in the failed append — their effects
-// are in memory but not durable, the same contract the serialized path
-// reports per op.
+// are in memory but not durable.
 func (hs *StreamHandle) commit(batch []*writeOp) {
 	commitStart := time.Now()
 	batchSeq := hs.statBatches.Load() + 1
@@ -1423,7 +1302,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 		prefetch := len(batch) == 1 && batch[0].prefetch
 		if prefetch && !hs.hub.prefetchAdmissible(hs) {
 			hs.prefetched.Store(false)
-			batch[0].err = errStalePrefetch
 			if batch[0].done != nil {
 				close(batch[0].done)
 			}
@@ -1528,7 +1406,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 				hs.evictPending.Store(false)
 			}
 			if op.evict && (hs.lastTouch.Load() != op.evictTouch || !hs.hub.evictionWarranted()) {
-				op.err = errStaleEviction
 				obsResStaleEvictions.Inc()
 			} else if op.err = hs.hibernate(st); op.err == nil {
 				if op.evict {
@@ -1776,18 +1653,6 @@ func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, err
 // settled under budget), so a straggling eviction behind a writer backlog
 // can never hibernate a re-warmed stream.
 func (hs *StreamHandle) tryHibernateAsync(touch int64) bool {
-	if hs.serialized {
-		if !hs.smu.TryLock() {
-			return false
-		}
-		defer hs.smu.Unlock()
-		if hs.closed.Load() || hs.stp.Load() == nil {
-			return false
-		}
-		op := &writeOp{kind: opHibernate, evict: true, evictTouch: touch}
-		hs.commit([]*writeOp{op})
-		return op.err == nil
-	}
 	// One pending eviction per stream: the coldest candidate tends to stay
 	// coldest until its eviction drains, so back-to-back admissions would
 	// otherwise pile identical ops into its queue. A pending eviction
@@ -1846,17 +1711,6 @@ func postRecord(p Post) persist.Record {
 // finalizes persistence (final checkpoint + WAL release) and exits. Called
 // once, by Hub.Close, after the handle left the registry.
 func (hs *StreamHandle) shutdown() error {
-	if hs.serialized {
-		hs.smu.Lock()
-		hs.closed.Store(true)
-		var err error
-		if hs.pers != nil {
-			err = hs.pers.finalize(hs.stp.Load())
-		}
-		hs.smu.Unlock()
-		close(hs.done)
-		return err
-	}
 	op := &writeOp{kind: opClose, done: make(chan struct{})}
 	hs.qmu.Lock()
 	hs.closed.Store(true)
@@ -2043,11 +1897,9 @@ func (hs *StreamHandle) Stats() StreamStats {
 		s.Persist = hs.pers.stats()
 	}
 	s.Pipeline = PipelineStats{
-		Ops:     hs.statOps.Load(),
-		Batches: hs.statBatches.Load(),
-	}
-	if hs.ops != nil {
-		s.Pipeline.QueueDepth = len(hs.ops)
+		QueueDepth: len(hs.ops),
+		Ops:        hs.statOps.Load(),
+		Batches:    hs.statBatches.Load(),
 	}
 	if hs.pers != nil {
 		s.Pipeline.Fsyncs = hs.pers.fsyncs()

@@ -37,11 +37,10 @@ var metricFamilies = map[string]string{
 	"ksir_engine_query_gain_evals":        "histogram",
 	"ksir_engine_snapshot_pins":           "gauge",
 
-	"ksir_pipeline_ops_total":                 "counter",
-	"ksir_pipeline_commit_batches_total":      "counter",
-	"ksir_pipeline_commit_duration_seconds":   "histogram",
-	"ksir_pipeline_batch_size":                "histogram",
-	"ksir_pipeline_commit_window_waits_total": "counter",
+	"ksir_pipeline_ops_total":               "counter",
+	"ksir_pipeline_commit_batches_total":    "counter",
+	"ksir_pipeline_commit_duration_seconds": "histogram",
+	"ksir_pipeline_batch_size":              "histogram",
 
 	"ksir_wal_appends_total":           "counter",
 	"ksir_wal_appended_bytes_total":    "counter",

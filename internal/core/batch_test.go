@@ -118,41 +118,24 @@ func TestDeferredPublishBatchEquivalence(t *testing.T) {
 	}
 }
 
-// An empty bracket, and a bracket under CatchUpReapply (which does not
-// share writer state between the twin windows), must both degrade to
-// plain per-bucket publication rather than corrupt state.
+// An empty bracket publishes nothing and breaks nothing.
 func TestBatchBracketEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const z, v, windowT = 6, 40, 30
-	model := testutil.RandModel(rng, z, v)
-	g, err := NewEngine(Config{Model: model, WindowLength: windowT, Params: paperConfig().Params, CatchUp: CatchUpReapply})
+	g, err := NewEngine(Config{Model: testutil.RandModel(rng, z, v), WindowLength: windowT, Params: paperConfig().Params})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reapply mode: BeginBatch is a no-op, every Ingest publishes.
 	g.BeginBatch()
-	buckets := randomDeltaStream(rng, z, v, 10, windowT)
-	for i, b := range buckets {
-		if err := g.Ingest(b.now, cloneBatch(b.batch)); err != nil {
-			t.Fatal(err)
-		}
-		if got := g.front.Load().seq; got != int64(i+1) {
-			t.Fatalf("reapply bracket deferred publication: seq %d after %d buckets", got, i+1)
-		}
-	}
 	g.EndBatch()
-
-	// Empty bracket on a delta engine: publishes nothing, breaks nothing.
-	gd, err := NewEngine(Config{Model: model, WindowLength: windowT, Params: paperConfig().Params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd.BeginBatch()
-	gd.EndBatch()
-	if got := gd.front.Load().seq; got != 0 {
+	if got := g.front.Load().seq; got != 0 {
 		t.Fatalf("empty bracket published: seq %d", got)
 	}
-	if err := gd.Ingest(buckets[0].now, cloneBatch(buckets[0].batch)); err != nil {
+	b := randomDeltaStream(rng, z, v, 1, windowT)[0]
+	if err := g.Ingest(b.now, cloneBatch(b.batch)); err != nil {
 		t.Fatal(err)
+	}
+	if got := g.front.Load().seq; got != 1 {
+		t.Fatalf("ingest after an empty bracket: seq %d, want 1", got)
 	}
 }

@@ -6,23 +6,6 @@ import (
 	"github.com/social-streams/ksir/internal/stream"
 )
 
-// CatchUpMode selects how the recycled buffer catches up on the one bucket
-// it missed while it was published (DESIGN.md §9).
-type CatchUpMode uint8
-
-const (
-	// CatchUpDelta (the default) replays the structural delta the primary
-	// application recorded: spliced ranked-list tuples, shared scorer
-	// cache entries and a pre-decided window delta — no re-scoring, no
-	// reference-index re-derivation, no second pass through score.Scorer.
-	CatchUpDelta CatchUpMode = iota
-	// CatchUpReapply re-runs the full bucket application (window advance,
-	// rescoring, ranked-list maintenance) a second time. This is the
-	// pre-delta architecture, kept as the baseline the `engine` experiment
-	// measures the delta path against.
-	CatchUpReapply
-)
-
 // shardOp is one recorded ranked-list op tagged with its topic.
 type shardOp struct {
 	topic int32

@@ -104,13 +104,44 @@ func gobBytes(t *testing.T, st bufferState) []byte {
 	return buf.Bytes()
 }
 
+// singleBuffer is the delta suite's reference: Algorithm 1 applied once to
+// one buffer, composed from the window, scorer and list primitives — no
+// recording, no replay, no second copy.
+type singleBuffer struct {
+	buf        *buffer
+	ups, dels  int64
+	elems, seq int64
+}
+
+func (r *singleBuffer) ingest(g *Engine, now stream.Time, batch []*stream.Element) error {
+	cs, err := r.buf.win.Advance(now, batch)
+	if err != nil {
+		return err
+	}
+	r.buf.scorer.OnChange(cs)
+	for _, ops := range g.partition(r.buf, cs) {
+		for _, op := range ops {
+			if l := r.buf.lists[op.topic]; !op.del {
+				l.Upsert(op.e.ID, r.buf.scorer.TopicScore(op.e, op.topic), op.te)
+				r.ups++
+			} else if l.Delete(op.e.ID) {
+				r.dels++
+			}
+		}
+	}
+	r.elems += int64(len(batch))
+	r.seq++
+	return nil
+}
+
 // TestDeltaReplayEquivalence is the §9 correctness bar: after replay-on-
 // thaw, the recycled buffer is byte-identical — window export, ranked-list
 // tuples, reference index — to the published front, across randomized
 // bucket sequences, while concurrent queries run (-race covers the capture
-// path against the read path). A twin engine running the legacy
-// CatchUpReapply mode must publish the identical states, proving the delta
-// path changes cost, not semantics.
+// path against the read path). Every bucket, the published front must also
+// equal a single buffer maintained by plain Advance → OnChange → Upsert/
+// Delete, tuples and counters alike, proving record-and-replay changes
+// cost, not semantics.
 func TestDeltaReplayEquivalence(t *testing.T) {
 	seeds := int64(4)
 	if testing.Short() {
@@ -119,15 +150,16 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const z, v, windowT = 10, 80, 40
-		model := testutil.RandModel(rng, z, v)
-		mk := func(mode CatchUpMode) *Engine {
-			g, err := NewEngine(Config{Model: model, WindowLength: windowT, Params: paperConfig().Params, CatchUp: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
+		cfg := Config{Model: testutil.RandModel(rng, z, v), WindowLength: windowT, Params: paperConfig().Params}
+		g, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		gDelta, gReapply := mk(CatchUpDelta), mk(CatchUpReapply)
+		refBuf, err := newBuffer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &singleBuffer{buf: refBuf}
 
 		// Concurrent readers stress the snapshot pins while buckets are
 		// captured and replayed.
@@ -144,7 +176,7 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := gDelta.Query(Query{K: 4, X: x, Algorithm: MTTS}); err != nil {
+					if _, err := g.Query(Query{K: 4, X: x, Algorithm: MTTS}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -157,81 +189,54 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 		}
 
 		for b, bucket := range randomDeltaStream(rng, z, v, 60, windowT) {
-			if err := gDelta.Ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
+			if err := g.Ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
 				t.Fatalf("seed %d bucket %d: %v", seed, b, err)
 			}
-			if err := gReapply.Ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
-				t.Fatalf("seed %d bucket %d (reapply): %v", seed, b, err)
+			if err := ref.ingest(g, bucket.now, cloneBatch(bucket.batch)); err != nil {
+				t.Fatalf("seed %d bucket %d (reference): %v", seed, b, err)
 			}
 
 			// Force the catch-up that would otherwise run lazily at the
 			// next Ingest, then hold the writer lock while comparing the
-			// recycled buffer against the published front. The delta path
-			// is verified every bucket; the legacy path (unchanged
-			// semantics) is sampled.
-			engines := map[string]*Engine{"delta": gDelta}
-			if b%3 == 2 {
-				engines["reapply"] = gReapply
-			}
-			for name, g := range engines {
-				g.mu.Lock()
-				if err := g.recycle(); err != nil {
-					g.mu.Unlock()
-					t.Fatalf("seed %d bucket %d: recycle (%s): %v", seed, b, name, err)
-				}
-				back, front := stateOf(g.back), stateOf(g.front.Load().buf)
-				if !reflect.DeepEqual(back, front) {
-					g.mu.Unlock()
-					t.Fatalf("seed %d bucket %d (%s): recycled buffer diverges from front", seed, b, name)
-				}
-				// The gob pass makes "byte-identical" literal; it is
-				// costly, so sample it.
-				if b%7 == 6 && !bytes.Equal(gobBytes(t, back), gobBytes(t, front)) {
-					g.mu.Unlock()
-					t.Fatalf("seed %d bucket %d (%s): recycled buffer not byte-identical to front", seed, b, name)
-				}
-				// The reference index is derived state Export omits;
-				// compare it (and t_e) explicitly.
-				g.back.win.ForEachActive(func(e *stream.Element) {
-					if !reflect.DeepEqual(g.back.win.Children(e.ID), g.front.Load().buf.win.Children(e.ID)) {
-						t.Errorf("seed %d bucket %d (%s): children of %d diverge", seed, b, name, e.ID)
-					}
-				})
+			// recycled buffer against the published front, and the front
+			// against the reference.
+			g.mu.Lock()
+			if err := g.recycle(); err != nil {
 				g.mu.Unlock()
+				t.Fatalf("seed %d bucket %d: recycle: %v", seed, b, err)
 			}
+			frontBuf := g.front.Load().buf
+			back, front, want := stateOf(g.back), stateOf(frontBuf), stateOf(ref.buf)
+			if !reflect.DeepEqual(back, front) {
+				g.mu.Unlock()
+				t.Fatalf("seed %d bucket %d: recycled buffer diverges from front", seed, b)
+			}
+			if !reflect.DeepEqual(front, want) {
+				g.mu.Unlock()
+				t.Fatalf("seed %d bucket %d: published front diverges from the single-buffer reference", seed, b)
+			}
+			// The gob pass makes "byte-identical" literal; it is costly,
+			// so sample it.
+			if b%7 == 6 {
+				fb := gobBytes(t, front)
+				if !bytes.Equal(gobBytes(t, back), fb) || !bytes.Equal(fb, gobBytes(t, want)) {
+					g.mu.Unlock()
+					t.Fatalf("seed %d bucket %d: back, front and reference not byte-identical", seed, b)
+				}
+			}
+			// The reference index is derived state Export omits; compare
+			// it explicitly.
+			frontBuf.win.ForEachActive(func(e *stream.Element) {
+				kids := frontBuf.win.Children(e.ID)
+				if !reflect.DeepEqual(g.back.win.Children(e.ID), kids) || !reflect.DeepEqual(ref.buf.win.Children(e.ID), kids) {
+					t.Errorf("seed %d bucket %d: children of %d diverge", seed, b, e.ID)
+				}
+			})
+			g.mu.Unlock()
 
-			// Cross-mode: both engines publish identical states.
-			if b%3 == 2 {
-				dSt, rSt := stateOf(gDelta.front.Load().buf), stateOf(gReapply.front.Load().buf)
-				if !reflect.DeepEqual(dSt, rSt) {
-					t.Fatalf("seed %d bucket %d: delta and reapply engines diverge", seed, b)
-				}
-			}
-			ds, rs := gDelta.Stats(), gReapply.Stats()
-			if ds.Buckets != rs.Buckets || ds.ElementsIngested != rs.ElementsIngested ||
-				ds.ListUpserts != rs.ListUpserts || ds.ListDeletes != rs.ListDeletes {
-				t.Fatalf("seed %d bucket %d: counters diverge: %+v vs %+v", seed, b, ds, rs)
-			}
-		}
-
-		// Identical query answers, bit-exact scores included.
-		for _, x := range []topicmodel.TopicVec{
-			{Topics: []int32{0}, Probs: []float64{1}},
-			{Topics: []int32{2, 7}, Probs: []float64{0.6, 0.4}},
-		} {
-			for _, alg := range []Algorithm{MTTS, MTTD, TopkRep} {
-				a, err := gDelta.Query(Query{K: 5, X: x, Algorithm: alg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				b2, err := gReapply.Query(Query{K: 5, X: x, Algorithm: alg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a.Score != b2.Score || !reflect.DeepEqual(a.IDs(), b2.IDs()) ||
-					a.Evaluated != b2.Evaluated || a.Retrieved != b2.Retrieved {
-					t.Fatalf("seed %d: query answers diverge across modes: %+v vs %+v", seed, a, b2)
-				}
+			if st := g.Stats(); st.Buckets != ref.seq || st.ElementsIngested != ref.elems ||
+				st.ListUpserts != ref.ups || st.ListDeletes != ref.dels {
+				t.Fatalf("seed %d bucket %d: counters diverge: %+v vs reference %+v", seed, b, st, *ref)
 			}
 		}
 		close(stop)

@@ -17,9 +17,7 @@
 // window, scorer-cache and ranked-list operations it performed
 // (bucketDelta), and recycling replays them verbatim — no re-scoring, no
 // second pass through score.Scorer — leaving the recycled buffer
-// byte-identical to the published front. Config.CatchUp selects the
-// legacy full re-apply instead (CatchUpReapply), kept as the measured
-// baseline of the `engine` experiment.
+// byte-identical to the published front.
 package core
 
 import (
@@ -47,19 +45,6 @@ type Config struct {
 	// partitioned into for parallel maintenance; topic i belongs to shard
 	// i mod P. 0 picks min(GOMAXPROCS, Z). Results are independent of P.
 	Shards int
-	// CatchUp selects how the recycled buffer catches up on the bucket it
-	// missed: CatchUpDelta (default) replays the recorded structural
-	// delta; CatchUpReapply re-applies the bucket in full (the pre-delta
-	// baseline, kept for the `engine` experiment). Results are identical
-	// under either mode.
-	CatchUp CatchUpMode
-	// EagerRestore forces Restore to materialize both buffers before it
-	// returns — the pre-lazy baseline, kept for the equivalence tests. By
-	// default Restore builds only the front (query-serving) buffer and
-	// defers the back buffer to the first write or an explicit
-	// MaterializeBack call, roughly halving restore cost on the
-	// activation critical path. Results are identical either way.
-	EagerRestore bool
 }
 
 // Stats aggregates maintenance counters for the scalability experiments
@@ -75,8 +60,7 @@ type Stats struct {
 	// is counted nowhere.
 	UpdateTime time.Duration
 	// ReplayTime is the wall time spent bringing recycled buffers up to
-	// the published front: delta replay under CatchUpDelta, a full second
-	// application under CatchUpReapply. It lags UpdateTime by one bucket
+	// the published front by delta replay. It lags UpdateTime by one bucket
 	// (a bucket's catch-up runs at the start of the next Ingest).
 	ReplayTime  time.Duration
 	ListUpserts int64
@@ -95,7 +79,7 @@ func (s Stats) UpdateTimePerElement() time.Duration {
 // MaintenanceTimePerElement returns the average total maintenance time per
 // arriving element — primary application plus recycled-buffer catch-up —
 // the honest end-to-end cost of keeping both buffers current, and the
-// metric the `engine` experiment compares across CatchUp modes.
+// headline metric of the `engine` experiment.
 func (s Stats) MaintenanceTimePerElement() time.Duration {
 	if s.ElementsIngested == 0 {
 		return 0
@@ -153,13 +137,10 @@ func (b *buffer) thaw() {
 	b.frozen = nil
 }
 
-// pendingBucket is the last bucket applied to the published buffer but not
-// yet replayed onto the recycled one. Under CatchUpDelta it carries the
-// recorded structural delta; under CatchUpReapply delta is nil and the raw
-// bucket is re-applied in full.
+// pendingBucket is a bucket applied to one buffer but not yet replayed onto
+// the other: its boundary and the structural delta the application recorded.
 type pendingBucket struct {
 	now   stream.Time
-	batch []*stream.Element
 	delta *bucketDelta
 }
 
@@ -232,14 +213,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CatchUp == CatchUpDelta {
-		// The twin windows advance in lockstep (primary apply on one,
-		// delta replay on the other), so the writer-path-only structures —
-		// archive, last-ref times, expiry heap — exist once and replay
-		// skips maintaining them. CatchUpReapply re-runs the full Advance
-		// on the second buffer, which must own all of its state.
-		stream.ShareWriterState(a.win, b.win)
-	}
+	// The twin windows advance in lockstep (primary apply on one, delta
+	// replay on the other), so the writer-path-only structures — archive,
+	// last-ref times, expiry heap — exist once and replay skips
+	// maintaining them.
+	stream.ShareWriterState(a.win, b.win)
 	g := &Engine{cfg: cfg, numShards: p, back: b}
 	g.shardStats = make([]ShardStats, p)
 	for s := range g.shardStats {
@@ -311,11 +289,8 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	// inflated by the drain wait (reader latency, not maintenance) or the
 	// catch-up above (counted in ReplayTime).
 	start := time.Now()
-	var rec *bucketDelta
-	if g.cfg.CatchUp == CatchUpDelta {
-		rec = g.newBucketDelta()
-	}
-	if err := g.applyBucket(g.back, now, batch, true, rec); err != nil {
+	rec := g.newBucketDelta()
+	if err := g.applyBucket(g.back, now, batch, rec); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
@@ -325,7 +300,7 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	obsElements.Add(uint64(len(batch)))
 	obsBuckets.Inc()
 	obsUpdateTime.AddDuration(elapsed)
-	g.unpublished = append(g.unpublished, &pendingBucket{now: now, batch: batch, delta: rec})
+	g.unpublished = append(g.unpublished, &pendingBucket{now: now, delta: rec})
 	if g.batching {
 		// Deferred publish: the bucket is applied to the back buffer but
 		// readers keep the pre-batch snapshot until EndBatch publishes
@@ -346,19 +321,12 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 // snapshot, so a commit batch that crosses several bucket boundaries costs
 // one freeze/swap/drain cycle instead of one per bucket. Readers keep the
 // pre-batch snapshot for the duration (legal under the snapshot-visibility
-// contract — they observe a slightly older published bucket).
-//
-// The bracket requires CatchUpDelta (the default): duplicate detection
-// during the batch reads the writer-shared archive, which only the delta
-// mode shares between the twin windows. Under CatchUpReapply BeginBatch is
-// a no-op and every bucket publishes as usual. Writer-side only, like
-// Ingest.
+// contract — they observe a slightly older published bucket). Duplicate
+// detection during the batch reads the archive the twin windows share.
+// Writer-side only, like Ingest.
 func (g *Engine) BeginBatch() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.cfg.CatchUp != CatchUpDelta {
-		return
-	}
 	g.batching = true
 }
 
@@ -376,14 +344,12 @@ func (g *Engine) EndBatch() {
 
 // WriterResidentBytes approximates the heap bytes pinned by the engine's
 // window state — archived element payloads plus flat per-element
-// bookkeeping overhead (see stream.ActiveWindow.ApproxBytes). Under the
-// default CatchUpDelta the twin windows share one archive and the shared
-// copy is counted once; under CatchUpReapply the returned figure is one
-// buffer's copy (the element values themselves are shared between buffers
-// either way). It feeds the hub's residency accounting from the commit
-// path and is never part of exported state. Takes the writer lock: the
-// back buffer pointer can be swapped in by the background materializer
-// after a lazy restore, concurrently with the commit path.
+// bookkeeping overhead (see stream.ActiveWindow.ApproxBytes). The twin
+// windows share one archive and the shared copy is counted once. It feeds
+// the hub's residency accounting from the commit path and is never part of
+// exported state. Takes the writer lock: the back buffer pointer can be
+// swapped in by the background materializer after a lazy restore,
+// concurrently with the commit path.
 func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -408,9 +374,8 @@ func (g *Engine) WriterNow() stream.Time {
 
 // recycle readies the back buffer for the next bucket: wait until the
 // readers that pinned its retired snapshot have drained, thaw it, and
-// catch it up on the buckets it missed while published — by structural
-// delta replay (CatchUpDelta, no re-scoring) or by re-applying each bucket
-// in full (CatchUpReapply). Outside a deferred-publish batch the queue
+// catch it up on the buckets it missed while published by structural
+// delta replay (no re-scoring). Outside a deferred-publish batch the queue
 // holds exactly one bucket; after one it holds the whole batch, replayed
 // in ingest order.
 func (g *Engine) recycle() error {
@@ -434,15 +399,11 @@ func (g *Engine) recycle() error {
 	g.replayQ = nil
 	start := time.Now()
 	for _, p := range q {
-		if p.delta != nil {
-			g.replayDelta(g.back, p.delta)
-			// Recycle the ops slices into the next capture; drop the window
-			// and cache parts so their element references can be collected.
-			p.delta.win, p.delta.cache = nil, score.CacheDelta{}
-			g.spentDeltas = append(g.spentDeltas, p.delta)
-		} else if err := g.applyBucket(g.back, p.now, p.batch, false, nil); err != nil {
-			return fmt.Errorf("core: replaying bucket on recycled buffer: %w", err)
-		}
+		g.replayDelta(g.back, p.delta)
+		// Recycle the ops slices into the next capture; drop the window
+		// and cache parts so their element references can be collected.
+		p.delta.win, p.delta.cache = nil, score.CacheDelta{}
+		g.spentDeltas = append(g.spentDeltas, p.delta)
 	}
 	elapsed := time.Since(start)
 	g.stats.ReplayTime += elapsed
@@ -454,8 +415,8 @@ func (g *Engine) recycle() error {
 // copies can never diverge on an error path. Inside a deferred-publish
 // batch the published front lags the writer, so ordering is checked
 // against the last applied (possibly unpublished) bucket, and duplicate
-// detection against the back window — whose archive, shared under
-// CatchUpDelta (the only mode that defers), covers every ingested element.
+// detection against the back window — whose archive, shared between the
+// twins, covers every ingested element.
 func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 	prevNow := g.front.Load().now
 	win := g.front.Load().buf.win
@@ -485,49 +446,35 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 }
 
 // applyBucket advances one buffer's window by one bucket and maintains its
-// ranked lists, sharded across topics. With rec non-nil the structural
-// outcome — window delta, cache delta, net list ops — is recorded into it
-// for later replay onto the other buffer. With primary=false the same
-// bucket is being re-applied onto the recycled buffer (CatchUpReapply) and
-// the counters are not recounted.
-func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element, primary bool, rec *bucketDelta) error {
-	var cs stream.ChangeSet
-	var err error
-	if rec != nil {
-		cs, rec.win, err = b.win.AdvanceRecorded(now, batch)
-	} else {
-		cs, err = b.win.Advance(now, batch)
-	}
+// ranked lists, sharded across topics. The structural outcome — window
+// delta, cache delta, net list ops — is recorded into rec for replay onto
+// the other buffer.
+func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element, rec *bucketDelta) error {
+	cs, win, err := b.win.AdvanceRecorded(now, batch)
 	if err != nil {
 		return err
 	}
+	rec.win = win
 	// OnChange caches every inserted element's word weights and drops the
 	// expired ones. After this point the shard workers only read the
 	// scorer and window; all their writes go to disjoint shard lists.
-	if rec != nil {
-		rec.cache = b.scorer.OnChangeRecorded(cs)
-	} else {
-		b.scorer.OnChange(cs)
+	rec.cache = b.scorer.OnChangeRecorded(cs)
+	g.runShards(b, g.partition(b, cs), rec)
+	// Roll the per-shard counters up into the engine totals.
+	var ups, dels int64
+	for s := range g.shardStats {
+		ups += g.shardStats[s].ListUpserts
+		dels += g.shardStats[s].ListDeletes
 	}
-	ops := g.partition(b, cs)
-	g.runShards(b, ops, primary, rec)
-	if primary {
-		// Roll the per-shard counters up into the engine totals.
-		var ups, dels int64
-		for s := range g.shardStats {
-			ups += g.shardStats[s].ListUpserts
-			dels += g.shardStats[s].ListDeletes
-		}
-		g.stats.ListUpserts = ups
-		g.stats.ListDeletes = dels
-	}
+	g.stats.ListUpserts = ups
+	g.stats.ListDeletes = dels
 	return nil
 }
 
 // publish freezes the back buffer into an immutable snapshot, swaps it in as
 // the read path, and retires the old snapshot; its buffer becomes the next
-// back buffer once readers drain, with the unpublished buckets (and their
-// recorded deltas, under CatchUpDelta) queued for replay.
+// back buffer once readers drain, with the unpublished buckets' recorded
+// deltas queued for replay.
 func (g *Engine) publish() {
 	b := g.back
 	b.freeze()
@@ -546,9 +493,9 @@ func (g *Engine) publish() {
 // applyBucket), so the published front is still byte-identical to the
 // retained State — rebuilding from it, adopting the front scorer's
 // immutable cache entries, and sharing the front window's writer state
-// yields exactly the buffer an eager Restore would have built. With
-// record set the timing is parked for TakeMaterialize (the ingest path);
-// the explicit path reports its own timing and leaves the handoff alone.
+// yields a buffer byte-identical to the front. With record set the timing
+// is parked for TakeMaterialize (the ingest path); the explicit path
+// reports its own timing and leaves the handoff alone.
 func (g *Engine) materializeBack(record bool) error {
 	start := time.Now()
 	front := g.front.Load().buf
@@ -556,9 +503,7 @@ func (g *Engine) materializeBack(record bool) error {
 	if err != nil {
 		return fmt.Errorf("core: materializing back buffer: %w", err)
 	}
-	if g.cfg.CatchUp == CatchUpDelta {
-		stream.ShareWriterState(front.win, back.win) // see NewEngine
-	}
+	stream.ShareWriterState(front.win, back.win) // see NewEngine
 	g.back = back
 	g.lazy = nil // free the retained window/list state
 	if record {
@@ -571,8 +516,8 @@ func (g *Engine) materializeBack(record bool) error {
 // path — the hub's background materializer calls it right after a lazy
 // activation returns, so the first write usually finds the buffer already
 // built. It reports whether it did the work (false when the buffer exists
-// — already materialized by a write, or an eager restore) and how long
-// the build took. Safe to call concurrently with Ingest and queries; a
+// — a write or an earlier call already materialized it) and how long the
+// build took. Safe to call concurrently with Ingest and queries; a
 // write racing it simply loses the mu race and finds back non-nil.
 func (g *Engine) MaterializeBack() (bool, time.Duration, error) {
 	g.mu.Lock()

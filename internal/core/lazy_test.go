@@ -18,23 +18,24 @@ func maskTimes(st State) State {
 	return st
 }
 
-// lazyEagerPair restores two engines from the same export: one with the
-// default lazy back buffer, one with the eager baseline.
+// lazyEagerPair restores two engines from the same export: one left with
+// its back buffer deferred, one whose back buffer is built right away.
 func lazyEagerPair(t *testing.T, st State) (lazy, eager *Engine) {
 	t.Helper()
 	var err error
 	if lazy, err = Restore(paperConfig(), st); err != nil {
 		t.Fatal(err)
 	}
-	cfg := paperConfig()
-	cfg.EagerRestore = true
-	if eager, err = Restore(cfg, st); err != nil {
+	if eager, err = Restore(paperConfig(), st); err != nil {
 		t.Fatal(err)
+	}
+	if did, _, err := eager.MaterializeBack(); err != nil || !did {
+		t.Fatalf("MaterializeBack on a fresh restore did=%v err=%v", did, err)
 	}
 	return lazy, eager
 }
 
-// A default restore defers the back buffer; an explicit MaterializeBack
+// A restore defers the back buffer; an explicit MaterializeBack
 // builds it exactly once, off the write path, after which both engines
 // export byte-identical state.
 func TestLazyRestoreDefersBackBuffer(t *testing.T) {
@@ -45,7 +46,7 @@ func TestLazyRestoreDefersBackBuffer(t *testing.T) {
 		t.Fatal("lazy restore materialized the back buffer up front")
 	}
 	if !eager.BackMaterialized() {
-		t.Fatal("eager restore deferred the back buffer")
+		t.Fatal("eager twin has no back buffer")
 	}
 	// The front buffer alone answers queries identically.
 	if err := sameResults(engineQueries(t, lazy), engineQueries(t, eager)); err != nil {
@@ -100,7 +101,7 @@ func TestLazyMaterializeOnFirstWrite(t *testing.T) {
 		t.Fatal("TakeMaterialize did not clear the parked timing")
 	}
 	if start3, dur3 := eager.TakeMaterialize(); !start3.IsZero() || dur3 != 0 {
-		t.Fatal("eager restore parked a materialization timing")
+		t.Fatal("eager twin parked a materialization timing")
 	}
 	if err := sameResults(engineQueries(t, lazy), engineQueries(t, eager)); err != nil {
 		t.Fatalf("queries diverge after first post-restore write: %v", err)

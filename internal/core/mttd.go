@@ -22,7 +22,7 @@ import (
 // canceled ctx aborts with ctx.Err() before the next retrieve/evaluate pass.
 func (v *view) mttd(ctx context.Context, q Query, a *arena) (Result, error) {
 	tr := &a.tr
-	tr.start(v, q.X, !q.DisableVisitedMarking)
+	tr.start(v, q.X)
 	eps := q.Epsilon
 	k := q.K
 
@@ -40,7 +40,7 @@ func (v *view) mttd(ctx context.Context, q Query, a *arena) (Result, error) {
 		// 13–19). Their cached key is the exact singleton score δ(e, x),
 		// an upper bound on any future marginal gain; the probe it came
 		// from stays with the entry for the re-evaluations.
-		for q.DisableEarlyTermination || tr.ub() >= tau {
+		for tr.ub() >= tau {
 			e, ok := tr.pop()
 			if !ok {
 				break

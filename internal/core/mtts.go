@@ -39,7 +39,7 @@ type sieveCand struct {
 // with ctx.Err() instead of draining the remaining list descent.
 func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 	tr := &a.tr
-	tr.start(v, q.X, !q.DisableVisitedMarking)
+	tr.start(v, q.X)
 	eps := q.Epsilon
 	k := float64(q.K)
 	logBase := math.Log(1 + eps)
@@ -49,7 +49,7 @@ func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 
 	th := 0.0 // minimum admission threshold among unfilled candidates
 	ub := tr.ub()
-	for q.DisableEarlyTermination || ub >= th {
+	for ub >= th {
 		if evaluated%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err

@@ -17,7 +17,7 @@ var (
 	obsUpdateTime = metrics.NewDurationCounter("ksir_engine_update_seconds_total",
 		"Wall time spent in primary bucket application (the Figure-14 maintenance cost).")
 	obsReplayTime = metrics.NewDurationCounter("ksir_engine_replay_seconds_total",
-		"Wall time spent catching recycled buffers up (delta replay or full re-apply).")
+		"Wall time spent catching recycled buffers up by delta replay.")
 	obsQueryDuration = metrics.NewDurationHistogramVec("ksir_engine_query_duration_seconds",
 		"k-SIR query latency (snapshot pin to result) by algorithm.",
 		"algorithm", algNames, metrics.DefBuckets...)

@@ -52,18 +52,6 @@ type Query struct {
 	Epsilon float64
 	// Algorithm selects the processing algorithm (default MTTS).
 	Algorithm Algorithm
-
-	// Ablation knobs (DESIGN.md §5). Production queries leave both false;
-	// the ablation benches flip them to measure what each mechanism buys.
-	//
-	// DisableEarlyTermination ignores the UB(x) < TH cutoff so the
-	// traversal drains every ranked list (the algorithm degenerates to an
-	// index-ordered SieveStreaming / full threshold descend).
-	DisableEarlyTermination bool
-	// DisableVisitedMarking skips cross-list deduplication, so an element
-	// with mass on several query topics is retrieved and evaluated once
-	// per list rather than once per query.
-	DisableVisitedMarking bool
 }
 
 // minEpsilon bounds the work a query can ask for: MTTS keeps log(2k)/ε
@@ -101,8 +89,7 @@ type Result struct {
 	// Score is f(S, x).
 	Score float64
 	// Evaluated counts distinct elements whose exact score was computed at
-	// least once — the numerator of Figure 10's ratio. (With
-	// DisableVisitedMarking an element retrieved from two lists counts twice.)
+	// least once — the numerator of Figure 10's ratio.
 	Evaluated int
 	// GainEvals counts marginal-gain computations Δ(e|S): MTTS's per-sieve
 	// evaluations, MTTD's lazy re-evaluations; 0 for TopkRep.

@@ -57,13 +57,12 @@ func (g *Engine) ExportState() State {
 // byte-identical results to the engine st was exported from, and
 // subsequent Ingests continue deterministically.
 //
-// By default only the front (query-serving) buffer is materialized before
-// Restore returns — the activation critical path pays for one buffer, not
-// two. The back buffer is deferred: built by the first write (recycle) or
-// an explicit MaterializeBack, from the retained state, at which point it
-// is byte-identical to what an eager restore would have built (the front
-// cannot have advanced — every write materializes first). Set
-// Config.EagerRestore to build both up front (the measured baseline).
+// Only the front (query-serving) buffer is materialized before Restore
+// returns — the activation critical path pays for one buffer, not two.
+// The back buffer is deferred: built by the first write (recycle) or an
+// explicit MaterializeBack, from the retained state, at which point it is
+// byte-identical to the front (which cannot have advanced — every write
+// materializes first).
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -91,26 +90,9 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Engine{cfg: cfg, numShards: p, stats: st.Stats}
-	if cfg.EagerRestore {
-		// Both buffers rebuilt up front (they share the immutable
-		// *Element values, as in normal operation); the back buffer has
-		// no pending bucket to catch up on, and adopts the front's
-		// immutable scorer-cache entries by pointer instead of
-		// re-deriving every word weight a second time.
-		back, err := restoreBuffer(cfg, st, front.scorer)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.CatchUp == CatchUpDelta {
-			stream.ShareWriterState(front.win, back.win) // see NewEngine
-		}
-		g.back = back
-	} else {
-		// Lazy: retain the state; materializeBack rebuilds the back
-		// buffer from it before the first post-restore bucket applies.
-		g.lazy = &st
-	}
+	// Retain the state; materializeBack rebuilds the back buffer from it
+	// before the first post-restore bucket applies.
+	g := &Engine{cfg: cfg, numShards: p, stats: st.Stats, lazy: &st}
 	g.shardStats = make([]ShardStats, p)
 	for s := range g.shardStats {
 		g.shardStats[s].Shard = s

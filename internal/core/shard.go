@@ -63,9 +63,9 @@ func (g *Engine) partition(b *buffer, cs stream.ChangeSet) [][]listOp {
 // the recorded delta's per-shard op slices are written race-free; workers
 // share read-only access to the buffer's window and scorer (every element
 // they score is already cached by OnChange).
-func (g *Engine) runShards(b *buffer, ops [][]listOp, primary bool, rec *bucketDelta) {
+func (g *Engine) runShards(b *buffer, ops [][]listOp, rec *bucketDelta) {
 	g.runPool(func(s int) bool { return len(ops[s]) > 0 },
-		func(s int) { g.runShard(b, s, ops[s], primary, rec) })
+		func(s int) { g.runShard(b, s, ops[s], rec) })
 }
 
 // runPool runs fn(shard) for every shard hasWork reports busy, on a
@@ -119,20 +119,17 @@ const yieldEvery = 128
 
 // runShard applies one shard's ops: deletes drop expired tuples, upserts
 // recompute δ_i(e) and (re)position the tuple (Algorithm 1 lines 7–13).
-// With rec non-nil every structural outcome is appended to the delta's
-// op list for this shard — preallocated to the exact op count, owned by
-// this worker, so capture is race-free and allocation-flat — carrying the
-// computed score so replay never rescores.
-func (g *Engine) runShard(b *buffer, shard int, ops []listOp, primary bool, rec *bucketDelta) {
+// Every structural outcome is appended to the delta's op list for this
+// shard — preallocated to the exact op count, owned by this worker, so
+// capture is race-free and allocation-flat — carrying the computed score
+// so replay never rescores.
+func (g *Engine) runShard(b *buffer, shard int, ops []listOp, rec *bucketDelta) {
 	start := time.Now()
-	var out []shardOp
-	if rec != nil {
-		// Reuse the recycled slice when it is big enough (newBucketDelta
-		// hands back the previously replayed delta's storage).
-		out = rec.ops[shard]
-		if cap(out) < len(ops) {
-			out = make([]shardOp, 0, len(ops))
-		}
+	// Reuse the recycled slice when it is big enough (newBucketDelta
+	// hands back the previously replayed delta's storage).
+	out := rec.ops[shard]
+	if cap(out) < len(ops) {
+		out = make([]shardOp, 0, len(ops))
 	}
 	var ups, dels int64
 	for i, op := range ops {
@@ -140,31 +137,19 @@ func (g *Engine) runShard(b *buffer, shard int, ops []listOp, primary bool, rec 
 			runtime.Gosched()
 		}
 		if op.del {
-			if rec != nil {
-				if rop, ok := b.lists[op.topic].DeleteRecorded(op.e.ID); ok {
-					out = append(out, shardOp{topic: op.topic, op: rop})
-					dels++
-				}
-			} else if b.lists[op.topic].Delete(op.e.ID) {
+			if rop, ok := b.lists[op.topic].DeleteRecorded(op.e.ID); ok {
+				out = append(out, shardOp{topic: op.topic, op: rop})
 				dels++
 			}
 			continue
 		}
 		score := b.scorer.TopicScore(op.e, op.topic)
-		if rec != nil {
-			out = append(out, shardOp{topic: op.topic, op: b.lists[op.topic].UpsertRecorded(op.e.ID, score, op.te)})
-		} else {
-			b.lists[op.topic].Upsert(op.e.ID, score, op.te)
-		}
+		out = append(out, shardOp{topic: op.topic, op: b.lists[op.topic].UpsertRecorded(op.e.ID, score, op.te)})
 		ups++
 	}
-	if rec != nil {
-		rec.ops[shard] = out
-	}
-	if primary {
-		ss := &g.shardStats[shard]
-		ss.ListUpserts += ups
-		ss.ListDeletes += dels
-		ss.Busy += time.Since(start)
-	}
+	rec.ops[shard] = out
+	ss := &g.shardStats[shard]
+	ss.ListUpserts += ups
+	ss.ListDeletes += dels
+	ss.Busy += time.Since(start)
 }

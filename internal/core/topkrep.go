@@ -15,7 +15,7 @@ import (
 // enough for representativeness.
 func (v *view) topkRep(ctx context.Context, q Query, a *arena) (Result, error) {
 	tr := &a.tr
-	tr.start(v, q.X, true)
+	tr.start(v, q.X)
 	top := &minScoreHeap{}
 	evaluated := 0
 

@@ -26,9 +26,6 @@ type traversal struct {
 	cur     []rankedlist.Item
 	has     []bool
 	visited flat.Table // set of visited element IDs
-	// markVisited enables cross-list deduplication (§4.1); the ablation
-	// benches disable it to measure what it buys.
-	markVisited bool
 	// retrieved counts tuples pulled off the lists (Fig 10 bookkeeping).
 	retrieved int
 }
@@ -38,15 +35,15 @@ type traversal struct {
 // which pins the snapshot for the traversal's lifetime).
 func newTraversal(g *Engine, x topicmodel.TopicVec) *traversal {
 	tr := new(traversal)
-	tr.start(g.front.Load().view(), x, true)
+	tr.start(g.front.Load().view(), x)
 	return tr
 }
 
 // start positions the traversal at the head of each relevant list of one
 // immutable snapshot view (the RL_i.first calls of Algorithms 2 and 3,
 // line 2), reusing whatever storage an earlier query left in it.
-func (tr *traversal) start(v *view, x topicmodel.TopicVec, markVisited bool) {
-	tr.win, tr.markVisited, tr.retrieved = v.win, markVisited, 0
+func (tr *traversal) start(v *view, x topicmodel.TopicVec) {
+	tr.win, tr.retrieved = v.win, 0
 	tr.topics, tr.weights = tr.topics[:0], tr.weights[:0]
 	tr.iters, tr.cur, tr.has = tr.iters[:0], tr.cur[:0], tr.has[:0]
 	tr.visited.Reset(false)
@@ -138,9 +135,7 @@ func (tr *traversal) pop() (*stream.Element, bool) {
 		return nil, false
 	}
 	id := tr.cur[best].ID
-	if tr.markVisited {
-		tr.visited.Insert(int64(id), 0)
-	}
+	tr.visited.Insert(int64(id), 0)
 	tr.advance(best)
 	e, ok := tr.win.Get(id)
 	if !ok {

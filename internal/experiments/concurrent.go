@@ -132,24 +132,19 @@ type ConcurrentHarness struct {
 }
 
 // NewConcurrentHarness builds and warms a harness for the given mode:
-// "snapshot" (the engine's native model, delta catch-up), "reapply" (the
-// snapshot engine with the legacy double-apply catch-up — the `engine`
-// experiment's baseline) or "globallock" (the seed's single-mutex model).
+// "snapshot" (the engine's native model) or "globallock" (the seed's
+// single-mutex model).
 func NewConcurrentHarness(env *Env, mode string) (*ConcurrentHarness, error) {
 	var gate engineGate
-	catchUp := core.CatchUpDelta
 	switch mode {
-	case "snapshot", "delta": // "delta" is the engine experiment's name for the native mode
+	case "snapshot":
 		gate = snapshotGate{}
-	case "reapply":
-		gate = snapshotGate{}
-		catchUp = core.CatchUpReapply
 	case "globallock":
 		gate = &globalLockGate{}
 	default:
 		return nil, fmt.Errorf("experiments: unknown concurrency mode %q", mode)
 	}
-	g, err := env.NewEngineCatchUp(0, catchUp)
+	g, err := env.NewEngine(0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,78 +1,15 @@
 package experiments
 
-import (
-	"fmt"
+import "fmt"
 
-	"github.com/social-streams/ksir/internal/core"
-)
-
-// The engine-maintenance experiment quantifies what structural delta
-// replay (DESIGN.md §9) buys on the paper's Figure-14 metric. The
-// double-buffered engine has to keep two state copies current; the
-// baseline ("reapply") pays for the second copy by re-running the full
-// bucket application — window advance, re-scoring, ranked-list descents —
-// while the delta path ("delta") replays the recorded structural outcome:
-// spliced tuples, shared cache entries, pre-decided window ops. Both
-// modes publish byte-identical states (asserted by the core equivalence
-// suite), so the comparison is pure cost at equal semantics.
-
-// engineModeStats is the measured cost of one catch-up mode.
-type engineModeStats struct {
-	Mode string
-	// PerElem is the total maintenance time per arriving element —
-	// primary application plus recycled-buffer catch-up — the headline
-	// number, comparable across modes.
-	PerElem float64 // µs
-	// PrimaryPerElem and CatchUpPerElem split PerElem into the Figure-14
-	// primary cost and the second-buffer cost.
-	PrimaryPerElem float64 // µs
-	CatchUpPerElem float64 // µs
-	// QueryP99 is the concurrent-serving query tail under a live writer
-	// in this mode (delta replay must not buy ingest speed with reader
-	// latency).
-	QueryP99 float64 // ms
-}
-
-// measureEngineMode streams the full dataset through a fresh engine in
-// the given catch-up mode and reads the maintenance counters, then runs
-// the concurrent-serving workload for the query tail.
-func measureEngineMode(env *Env, mode string, workers, queries int) (engineModeStats, error) {
-	catchUp := core.CatchUpDelta
-	if mode == "reapply" {
-		catchUp = core.CatchUpReapply
-	}
-	g, err := env.NewEngineCatchUp(0, catchUp)
-	if err != nil {
-		return engineModeStats{}, err
-	}
-	if err := env.Replay(g, nil); err != nil {
-		return engineModeStats{}, err
-	}
-	// One empty trailing bucket absorbs the final catch-up, which
-	// otherwise runs lazily at the next Ingest and would go unmeasured.
-	if err := g.Ingest(g.Now()+1, nil); err != nil {
-		return engineModeStats{}, err
-	}
-	st := g.Stats()
-	out := engineModeStats{
-		Mode:           mode,
-		PerElem:        float64(st.MaintenanceTimePerElement().Nanoseconds()) / 1e3,
-		PrimaryPerElem: float64(st.UpdateTimePerElement().Nanoseconds()) / 1e3,
-	}
-	out.CatchUpPerElem = out.PerElem - out.PrimaryPerElem
-
-	cs, err := RunConcurrent(env, mode, workers, queries)
-	if err != nil {
-		return engineModeStats{}, err
-	}
-	out.QueryP99 = float64(cs.P99.Nanoseconds()) / 1e6
-	return out, nil
-}
-
-// EngineMaintenance runs the delta-replay ablation on the Twitter stream
-// (z=50): total update time per element (primary + catch-up) and
-// concurrent query p99 under both catch-up modes, reported as a table and
-// as BENCH_engine.json entries for the perf trajectory.
+// EngineMaintenance measures the paper's Figure-14 metric for the
+// double-buffered engine (DESIGN.md §9) on the Twitter stream (z=50): the
+// update time per element, split into the primary application of a bucket
+// — window advance, re-scoring, ranked-list descents — and the structural
+// delta replay that brings the recycled buffer up to the published front,
+// plus the query p99 of the concurrent-serving workload under a live
+// writer (maintenance must not buy ingest speed with reader latency). It
+// returns a table and the BENCH_engine.json entries of the perf trajectory.
 func (l *Lab) EngineMaintenance(workers, queries int) (*Table, []BenchEntry, error) {
 	env, err := l.Env("Twitter", 50)
 	if err != nil {
@@ -84,38 +21,41 @@ func (l *Lab) EngineMaintenance(workers, queries int) (*Table, []BenchEntry, err
 	if queries <= 0 {
 		queries = 400
 	}
+	g, err := env.NewEngine(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := env.Replay(g, nil); err != nil {
+		return nil, nil, err
+	}
+	// One empty trailing bucket absorbs the final catch-up, which
+	// otherwise runs lazily at the next Ingest and would go unmeasured.
+	if err := g.Ingest(g.Now()+1, nil); err != nil {
+		return nil, nil, err
+	}
+	st := g.Stats()
+	perElem := float64(st.MaintenanceTimePerElement().Nanoseconds()) / 1e3
+	primary := float64(st.UpdateTimePerElement().Nanoseconds()) / 1e3
+	catchUp := perElem - primary
+
+	cs, err := RunConcurrent(env, "snapshot", workers, queries)
+	if err != nil {
+		return nil, nil, err
+	}
+	queryP99 := float64(cs.P99.Nanoseconds()) / 1e6
 
 	t := &Table{
-		Title: fmt.Sprintf("Engine maintenance: delta replay vs double-apply catch-up (Twitter, z=50, %d elements)",
+		Title: fmt.Sprintf("Engine maintenance: primary apply + delta-replay catch-up (Twitter, z=50, %d elements)",
 			len(env.Data.Elements)),
-		Header: []string{"catch-up", "update/elem (µs)", "primary (µs)", "catch-up (µs)", "query p99 (ms)"},
+		Header: []string{"update/elem (µs)", "primary (µs)", "catch-up (µs)", "query p99 (ms)"},
 	}
-	var entries []BenchEntry
-	results := make(map[string]engineModeStats, 2)
-	for _, mode := range []string{"reapply", "delta"} {
-		st, err := measureEngineMode(env, mode, workers, queries)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[mode] = st
-		t.AddRow(st.Mode, fmtF(st.PerElem, 2), fmtF(st.PrimaryPerElem, 2), fmtF(st.CatchUpPerElem, 2), fmtF(st.QueryP99, 2))
-		entries = append(entries,
-			BenchEntry{Name: "engine-update-time-per-element-" + mode, Value: st.PerElem, Unit: "Microseconds",
-				Extra: "primary apply + recycled-buffer catch-up"},
-			BenchEntry{Name: "engine-primary-update-per-element-" + mode, Value: st.PrimaryPerElem, Unit: "Microseconds"},
-			BenchEntry{Name: "engine-catchup-per-element-" + mode, Value: st.CatchUpPerElem, Unit: "Microseconds"},
-			BenchEntry{Name: "engine-query-p99-" + mode, Value: st.QueryP99, Unit: "Milliseconds"},
-		)
-	}
-	if re, de := results["reapply"], results["delta"]; de.PerElem > 0 {
-		speedup := re.PerElem / de.PerElem
-		entries = append(entries, BenchEntry{
-			Name: "engine-update-speedup", Value: speedup, Unit: "x",
-			Extra: fmt.Sprintf("delta vs double-apply, query p99 %.2fms vs %.2fms", de.QueryP99, re.QueryP99),
-		})
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"delta replay cuts total update time per element %.2fx (%.2fµs → %.2fµs); catch-up cost %.2fµs → %.2fµs per element",
-			speedup, re.PerElem, de.PerElem, re.CatchUpPerElem, de.CatchUpPerElem))
+	t.AddRow(fmtF(perElem, 2), fmtF(primary, 2), fmtF(catchUp, 2), fmtF(queryP99, 2))
+	entries := []BenchEntry{
+		{Name: "engine-update-time-per-element-delta", Value: perElem, Unit: "Microseconds",
+			Extra: "primary apply + recycled-buffer catch-up"},
+		{Name: "engine-primary-update-per-element-delta", Value: primary, Unit: "Microseconds"},
+		{Name: "engine-catchup-per-element-delta", Value: catchUp, Unit: "Microseconds"},
+		{Name: "engine-query-p99-delta", Value: queryP99, Unit: "Milliseconds"},
 	}
 	return t, entries, nil
 }

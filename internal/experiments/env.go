@@ -240,13 +240,6 @@ func (env *Env) windowFor(hours float64) stream.Time {
 // NewEngine builds a fresh engine for the env with window length T
 // (defaults to env.WindowT when 0).
 func (env *Env) NewEngine(T stream.Time) (*core.Engine, error) {
-	return env.NewEngineCatchUp(T, core.CatchUpDelta)
-}
-
-// NewEngineCatchUp is NewEngine with an explicit buffer catch-up mode —
-// the knob the `engine` experiment flips to compare delta replay against
-// the double-apply baseline.
-func (env *Env) NewEngineCatchUp(T stream.Time, mode core.CatchUpMode) (*core.Engine, error) {
 	if T == 0 {
 		T = env.WindowT
 	}
@@ -254,7 +247,6 @@ func (env *Env) NewEngineCatchUp(T stream.Time, mode core.CatchUpMode) (*core.En
 		Model:        env.Model,
 		WindowLength: T,
 		Params:       env.Params,
-		CatchUp:      mode,
 	})
 }
 

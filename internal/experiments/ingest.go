@@ -12,18 +12,6 @@ import (
 	ksir "github.com/social-streams/ksir"
 )
 
-// ingestCommitWindow is the opt-in commit window the open-loop rows run
-// with: several inter-arrival gaps long, so a paced arrival stream lands
-// many posts in one batch (and one fsync), yet short enough that the
-// added commit latency stays in single-digit milliseconds.
-const ingestCommitWindow = 2 * time.Millisecond
-
-// ingestArrivalGap paces the open-loop cells: one post every gap from an
-// independent goroutine, arrivals never gated on completions. At 250µs
-// the offered load (~4k posts/s) is near the serialized FsyncAlways
-// capacity, the regime where amortizing the fsync pays.
-const ingestArrivalGap = 250 * time.Microsecond
-
 // ingestCellResult is one cell of the ingest matrix.
 type ingestCellResult struct {
 	wall        time.Duration
@@ -34,24 +22,19 @@ type ingestCellResult struct {
 
 // ingestCell runs one cell: n posts at one shared timestamp pushed by p
 // concurrent producers through a hub configured with the given fsync
-// policy (mem == no persistence) and writer mode.
+// policy (mem == no persistence).
 //
 // All measured posts share one timestamp, so acceptance never depends on
 // producer interleaving and no bucket boundary crosses the measurement:
-// the cell isolates the writer path (tokenize + infer + pend + WAL),
-// which is exactly what the serialized-vs-pipelined comparison is about.
-// A pre-seeded, flushed snapshot keeps concurrent readers honest when the
+// the cell isolates the writer path (tokenize + infer + pend + WAL). A
+// pre-seeded, flushed snapshot keeps concurrent readers honest when the
 // cell samples query latency.
-func (l *Lab) ingestCell(model *ksir.Model, policy string, producers, n int, serialized, measureP99 bool) (ingestCellResult, error) {
+func (l *Lab) ingestCell(model *ksir.Model, policy string, producers, n int, measureP99 bool) (ingestCellResult, error) {
 	var res ingestCellResult
 	var hub *ksir.Hub
 	switch policy {
 	case "mem":
-		if serialized {
-			hub = ksir.NewHub(ksir.WithSerializedWriter())
-		} else {
-			hub = ksir.NewHub()
-		}
+		hub = ksir.NewHub()
 	default:
 		fp, err := ksir.ParseFsyncPolicy(policy)
 		if err != nil {
@@ -63,7 +46,7 @@ func (l *Lab) ingestCell(model *ksir.Model, policy string, producers, n int, ser
 		}
 		defer os.RemoveAll(dir)
 		hub, err = ksir.OpenHub(dir, model, ksir.PersistOptions{
-			Fsync: fp, CheckpointEvery: 1 << 30, SerializedWriter: serialized,
+			Fsync: fp, CheckpointEvery: 1 << 30,
 		})
 		if err != nil {
 			return res, err
@@ -167,80 +150,14 @@ func (l *Lab) ingestCell(model *ksir.Model, policy string, producers, n int, ser
 	return res, nil
 }
 
-// ingestOpenLoopCell runs the commit-window cell: an open-loop arrival
-// process (one goroutine per post, issued every gap, arrivals never gated
-// on completions) against a pipelined FsyncAlways hub. This is the regime
-// PersistOptions.CommitWindow exists for — closed-loop producers can only
-// enqueue after the previous commit completes, so a window just adds its
-// own wait there, while paced independent arrivals land inside the open
-// window and share its fsync. p99 in the result is the post's completion
-// latency (submit to durable), the cost side of the trade.
-func (l *Lab) ingestOpenLoopCell(model *ksir.Model, gap time.Duration, n int, commitWindow time.Duration) (ingestCellResult, error) {
-	var res ingestCellResult
-	dir, err := os.MkdirTemp("", "ksir-ingest-*")
-	if err != nil {
-		return res, err
-	}
-	defer os.RemoveAll(dir)
-	hub, err := ksir.OpenHub(dir, model, ksir.PersistOptions{
-		Fsync: ksir.FsyncAlways, CheckpointEvery: 1 << 30, CommitWindow: commitWindow,
-	})
-	if err != nil {
-		return res, err
-	}
-	defer hub.CloseAll()
-	hs, err := hub.Create("bench", model, persistStreamOpts)
-	if err != nil {
-		return res, err
-	}
-	before := hs.Stats().Pipeline
-
-	lats := make([]time.Duration, n)
-	var wg sync.WaitGroup
-	var werrMu sync.Mutex
-	var werr error
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := hs.Add(ksir.Post{ID: int64(i + 1), Time: 700, Text: "goal striker derby dunk court"})
-			lats[i] = time.Since(t0)
-			if err != nil {
-				werrMu.Lock()
-				werr = err
-				werrMu.Unlock()
-			}
-		}(i)
-		time.Sleep(gap)
-	}
-	wg.Wait()
-	res.wall = time.Since(start)
-	if werr != nil {
-		return res, werr
-	}
-	after := hs.Stats().Pipeline
-	if dOps := after.Ops - before.Ops; dOps > 0 {
-		if dBatches := after.Batches - before.Batches; dBatches > 0 {
-			res.batchSize = float64(dOps) / float64(dBatches)
-		}
-		res.fsyncsPerOp = float64(after.Fsyncs-before.Fsyncs) / float64(dOps)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	res.p99 = lats[len(lats)*99/100]
-	return res, nil
-}
-
 // Ingest measures the writer pipeline (DESIGN.md §10): ingest throughput
-// by fsync policy and producer count, with the serialized (pre-pipeline)
-// writer as the baseline. The headline cell is fsync=always at the
-// highest producer count, where group commit amortizes one fsync over a
-// whole commit batch; the mem/never/interval rows bound how much of the
-// win is fsync sharing vs writer-convoy removal. At the headline cell
-// both modes also sample the p99 of queries issued concurrently with the
-// saturated writer (queries are lock-free, so the pipeline must leave
-// them untouched).
+// by fsync policy and producer count, with the realized commit-batch size
+// and fsyncs per op. The headline cell is fsync=always at the highest
+// producer count, where group commit amortizes one fsync over a whole
+// commit batch; the mem/never/interval rows bound how much of the cost is
+// the fsync itself. The headline cell also samples the p99 of queries
+// issued concurrently with the saturated writer (queries are lock-free, so
+// the pipeline must leave them untouched).
 func (l *Lab) Ingest(producerCounts []int, n int) (*Table, []BenchEntry, error) {
 	model, err := l.persistModel()
 	if err != nil {
@@ -255,94 +172,49 @@ func (l *Lab) Ingest(producerCounts []int, n int) (*Table, []BenchEntry, error) 
 	maxP := producerCounts[len(producerCounts)-1]
 
 	t := &Table{
-		Title: "Writer pipeline: ingest throughput (posts/sec), serialized vs group-commit",
-		Header: []string{"fsync", "producers", "serialized p/s", "pipelined p/s", "speedup",
-			"batch size", "fsyncs/op"},
+		Title:  "Writer pipeline: ingest throughput by fsync policy and producer count",
+		Header: []string{"fsync", "producers", "posts/sec", "µs/post", "batch size", "fsyncs/op"},
 		Notes: []string{
 			fmt.Sprintf("%d posts per cell, one shared timestamp (pure writer path, no bucket boundary mid-run)", n),
-			"batch size / fsyncs/op: realized pipeline coalescing at that concurrency (pipelined runs)",
-			"mem = in-memory hub (no WAL): isolates writer-convoy removal from fsync sharing",
-			fmt.Sprintf("open-loop rows: posts arrive every %v from independent goroutines (never gated on completions) at fsync=always; always+cw opts into the %v commit window, which holds the batch open so paced arrivals share one fsync — closed-loop producers would only pay the window's latency, so the window is measured here instead", ingestArrivalGap, ingestCommitWindow),
+			"batch size / fsyncs/op: realized pipeline coalescing at that concurrency",
+			"mem = in-memory hub (no WAL): the writer path without any durability cost",
 		},
 	}
 	var entries []BenchEntry
-	perSec := func(d time.Duration) float64 { return float64(n) / d.Seconds() }
-	usPerPost := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(n) / 1e3 }
-
 	for _, policy := range []string{"mem", "never", "interval", "always"} {
 		for _, p := range producerCounts {
 			headline := policy == "always" && p == maxP
-			ser, err := l.ingestCell(model, policy, p, n, true, headline)
+			res, err := l.ingestCell(model, policy, p, n, headline)
 			if err != nil {
 				return nil, nil, err
 			}
-			pip, err := l.ingestCell(model, policy, p, n, false, headline)
-			if err != nil {
-				return nil, nil, err
-			}
-			speedup := perSec(pip.wall) / perSec(ser.wall)
+			perSec := float64(n) / res.wall.Seconds()
+			usPerPost := float64(res.wall.Nanoseconds()) / float64(n) / 1e3
 			t.AddRow(policy, fmt.Sprint(p),
-				fmt.Sprintf("%.0f", perSec(ser.wall)),
-				fmt.Sprintf("%.0f", perSec(pip.wall)),
-				fmt.Sprintf("%.2fx", speedup),
-				fmt.Sprintf("%.1f", pip.batchSize),
-				fmt.Sprintf("%.3f", pip.fsyncsPerOp))
+				fmt.Sprintf("%.0f", perSec),
+				fmt.Sprintf("%.1f", usPerPost),
+				fmt.Sprintf("%.1f", res.batchSize),
+				fmt.Sprintf("%.3f", res.fsyncsPerOp))
 			suffix := fmt.Sprintf("-%s-p%d", policy, p)
 			entries = append(entries,
-				BenchEntry{Name: "ingest-serialized" + suffix, Value: perSec(ser.wall), Unit: "posts/sec"},
-				BenchEntry{Name: "ingest-pipelined" + suffix, Value: perSec(pip.wall), Unit: "posts/sec"},
-				BenchEntry{Name: "ingest-us-per-post-pipelined" + suffix, Value: usPerPost(pip.wall), Unit: "Microseconds/post"},
+				BenchEntry{Name: "ingest-pipelined" + suffix, Value: perSec, Unit: "posts/sec"},
+				BenchEntry{Name: "ingest-us-per-post-pipelined" + suffix, Value: usPerPost, Unit: "Microseconds/post"},
 			)
 			if policy == "always" {
+				entries = append(entries,
+					BenchEntry{Name: "ingest-batch-size-pipelined" + suffix, Value: res.batchSize, Unit: "ops/batch",
+						Extra: "realized mean commit-batch size"},
+					BenchEntry{Name: "ingest-fsyncs-per-op-pipelined" + suffix, Value: res.fsyncsPerOp, Unit: "fsyncs/post"},
+				)
+			}
+			if headline && res.p99 > 0 {
 				entries = append(entries, BenchEntry{
-					Name: "ingest-group-commit-speedup" + suffix, Value: speedup, Unit: "x",
-					Extra: "pipelined/serialized posts-per-second ratio",
+					Name:  fmt.Sprintf("ingest-query-p99-pipelined-always-p%d", p),
+					Value: float64(res.p99.Nanoseconds()) / 1e6, Unit: "Milliseconds",
+					Extra: "query p99 concurrent with saturated pipelined ingest",
 				})
 			}
-			if headline {
-				if pip.p99 > 0 {
-					entries = append(entries, BenchEntry{
-						Name:  fmt.Sprintf("ingest-query-p99-pipelined-always-p%d", p),
-						Value: float64(pip.p99.Nanoseconds()) / 1e6, Unit: "Milliseconds",
-						Extra: "query p99 concurrent with saturated pipelined ingest",
-					})
-				}
-				if ser.p99 > 0 {
-					entries = append(entries, BenchEntry{
-						Name:  fmt.Sprintf("ingest-query-p99-serialized-always-p%d", p),
-						Value: float64(ser.p99.Nanoseconds()) / 1e6, Unit: "Milliseconds",
-						Extra: "query p99 concurrent with saturated serialized ingest",
-					})
-				}
-			}
 		}
-	}
-
-	// The commit-window pair: the same paced open-loop arrival stream with
-	// the window off and on. The win shows up as fewer fsyncs per post and
-	// bigger batches; the price shows up as the completion-latency p99
-	// (a post can wait out the whole window before its shared fsync).
-	rate := fmt.Sprintf("%.0f/s", float64(time.Second)/float64(ingestArrivalGap))
-	for _, cw := range []time.Duration{0, ingestCommitWindow} {
-		res, err := l.ingestOpenLoopCell(model, ingestArrivalGap, n, cw)
-		if err != nil {
-			return nil, nil, err
-		}
-		label, suffix := "always open", "-openloop-always"
-		if cw > 0 {
-			label, suffix = "always+cw open", "-openloop-always+cw"
-		}
-		t.AddRow(label, rate, "-",
-			fmt.Sprintf("%.0f", perSec(res.wall)),
-			"-",
-			fmt.Sprintf("%.1f", res.batchSize),
-			fmt.Sprintf("%.3f", res.fsyncsPerOp))
-		entries = append(entries,
-			BenchEntry{Name: "ingest-fsyncs-per-op" + suffix, Value: res.fsyncsPerOp, Unit: "fsyncs/post",
-				Extra: "open-loop paced arrivals at fsync=always"},
-			BenchEntry{Name: "ingest-add-p99" + suffix, Value: float64(res.p99.Nanoseconds()) / 1e6, Unit: "Milliseconds",
-				Extra: "post completion latency p99 (submit to durable), open-loop arrivals"},
-		)
 	}
 	return t, entries, nil
 }

@@ -12,10 +12,6 @@ import (
 	"github.com/social-streams/ksir/internal/loadgen"
 )
 
-// loadCommitWindow matches ingestCommitWindow: the opt-in group-commit
-// window the "+cw" cells run with.
-const loadCommitWindow = 2 * time.Millisecond
-
 // loadSeedPosts pre-seeds each stream with flushed history so query ops
 // in the mixed cell read a published snapshot, mirroring ingestCell.
 const loadSeedPosts = 64
@@ -31,11 +27,11 @@ type loadCellResult struct {
 }
 
 // loadAddCell drives one open-loop add workload: n posts scheduled by the
-// arrival shape at the target rate against a pipelined FsyncAlways hub,
-// optionally with the commit window. Latency is measured from each post's
-// scheduled send time, so queueing during saturation or fsync stalls is
-// in the percentiles — the measurement closed-loop producers cannot make.
-func (l *Lab) loadAddCell(model *ksir.Model, shape loadgen.Shape, rate float64, n int, cw time.Duration) (loadCellResult, error) {
+// arrival shape at the target rate against an FsyncAlways hub. Latency is
+// measured from each post's scheduled send time, so queueing during
+// saturation or fsync stalls is in the percentiles — the measurement
+// closed-loop producers cannot make.
+func (l *Lab) loadAddCell(model *ksir.Model, shape loadgen.Shape, rate float64, n int) (loadCellResult, error) {
 	var res loadCellResult
 	dir, err := os.MkdirTemp("", "ksir-load-*")
 	if err != nil {
@@ -43,7 +39,7 @@ func (l *Lab) loadAddCell(model *ksir.Model, shape loadgen.Shape, rate float64, 
 	}
 	defer os.RemoveAll(dir)
 	hub, err := ksir.OpenHub(dir, model, ksir.PersistOptions{
-		Fsync: ksir.FsyncAlways, CheckpointEvery: 1 << 30, CommitWindow: cw,
+		Fsync: ksir.FsyncAlways, CheckpointEvery: 1 << 30,
 	})
 	if err != nil {
 		return res, err
@@ -93,7 +89,7 @@ type loadMixedResult struct {
 // Every op kind is measured from scheduled send time; the cell answers
 // whether a realistic multi-tenant mix keeps read latency flat while the
 // writer pipeline absorbs the skewed add load.
-func (l *Lab) loadMixedCell(model *ksir.Model, streams, n int, rate float64, cw time.Duration) (loadMixedResult, error) {
+func (l *Lab) loadMixedCell(model *ksir.Model, streams, n int, rate float64) (loadMixedResult, error) {
 	var res loadMixedResult
 	dir, err := os.MkdirTemp("", "ksir-load-*")
 	if err != nil {
@@ -101,7 +97,7 @@ func (l *Lab) loadMixedCell(model *ksir.Model, streams, n int, rate float64, cw 
 	}
 	defer os.RemoveAll(dir)
 	hub, err := ksir.OpenHub(dir, model, ksir.PersistOptions{
-		Fsync: ksir.FsyncAlways, CheckpointEvery: 1 << 30, CommitWindow: cw,
+		Fsync: ksir.FsyncAlways, CheckpointEvery: 1 << 30,
 	})
 	if err != nil {
 		return res, err
@@ -196,8 +192,8 @@ func (l *Lab) loadMixedCell(model *ksir.Model, streams, n int, rate float64, cw 
 
 // Load measures latency under open-loop load (DESIGN.md §14): the
 // latency-under-load frontier of the writer pipeline across target rates
-// and arrival shapes, with and without the commit window, plus one
-// tenant-skewed mixed workload over many streams. perCellSecs sizes each
+// and arrival shapes, plus one tenant-skewed mixed workload over many
+// streams. perCellSecs sizes each
 // cell's schedule (n = rate × perCellSecs, floored at 256 ops).
 func (l *Lab) Load(rates []float64, perCellSecs float64, mixedStreams int) (*Table, []BenchEntry, error) {
 	model, err := l.persistModel()
@@ -215,12 +211,12 @@ func (l *Lab) Load(rates []float64, perCellSecs float64, mixedStreams int) (*Tab
 	}
 
 	t := &Table{
-		Title: "Open-loop latency under load: arrival shape × target rate × commit window",
-		Header: []string{"shape", "rate/s", "window", "realized/s", "p50 ms", "p99 ms",
+		Title: "Open-loop latency under load: arrival shape × target rate",
+		Header: []string{"shape", "rate/s", "realized/s", "p50 ms", "p99 ms",
 			"fsyncs/op", "batch", "gen lag ms"},
 		Notes: []string{
 			"latency measured from each op's *scheduled* send time (coordinated-omission-free): queueing during stalls is in the percentiles",
-			fmt.Sprintf("fsync=always throughout; cw = %v opt-in group-commit window (PersistOptions.CommitWindow)", loadCommitWindow),
+			"fsync=always throughout",
 			"bursty = on/off bursts at 10× the nominal rate with rate-preserving idle gaps — the group-commit stress shape",
 			"gen lag = worst generator dispatch lag behind schedule; ms-scale values mean the harness itself saturated, not the server",
 		},
@@ -234,43 +230,38 @@ func (l *Lab) Load(rates []float64, perCellSecs float64, mixedStreams int) (*Tab
 			if n < 256 {
 				n = 256
 			}
-			for _, cw := range []time.Duration{0, loadCommitWindow} {
-				res, err := l.loadAddCell(model, shape, rate, n, cw)
-				if err != nil {
-					return nil, nil, err
-				}
-				if res.errors > 0 {
-					return nil, nil, fmt.Errorf("load cell %v r=%.0f cw=%v: %d op errors", shape, rate, cw, res.errors)
-				}
-				window, suffix := "off", fmt.Sprintf("-%s-r%.0f", shape, rate)
-				if cw > 0 {
-					window, suffix = "on", suffix+"-cw"
-				}
-				t.AddRow(shape.String(), fmt.Sprintf("%.0f", rate), window,
-					fmt.Sprintf("%.0f", res.realized),
-					fmt.Sprintf("%.2f", ms(res.p50)),
-					fmt.Sprintf("%.2f", ms(res.p99)),
-					fmt.Sprintf("%.3f", res.fsyncsPerOp),
-					fmt.Sprintf("%.1f", res.batchSize),
-					fmt.Sprintf("%.2f", ms(res.maxLag)))
-				entries = append(entries,
-					BenchEntry{Name: "load-add-p50-ms" + suffix, Value: ms(res.p50), Unit: "Milliseconds",
-						Extra: "open-loop add latency from scheduled send, p50"},
-					BenchEntry{Name: "load-add-p99-ms" + suffix, Value: ms(res.p99), Unit: "Milliseconds",
-						Extra: "open-loop add latency from scheduled send, p99"},
-					BenchEntry{Name: "load-fsyncs-per-op" + suffix, Value: res.fsyncsPerOp, Unit: "fsyncs/post"},
-				)
+			res, err := l.loadAddCell(model, shape, rate, n)
+			if err != nil {
+				return nil, nil, err
 			}
+			if res.errors > 0 {
+				return nil, nil, fmt.Errorf("load cell %v r=%.0f: %d op errors", shape, rate, res.errors)
+			}
+			suffix := fmt.Sprintf("-%s-r%.0f", shape, rate)
+			t.AddRow(shape.String(), fmt.Sprintf("%.0f", rate),
+				fmt.Sprintf("%.0f", res.realized),
+				fmt.Sprintf("%.2f", ms(res.p50)),
+				fmt.Sprintf("%.2f", ms(res.p99)),
+				fmt.Sprintf("%.3f", res.fsyncsPerOp),
+				fmt.Sprintf("%.1f", res.batchSize),
+				fmt.Sprintf("%.2f", ms(res.maxLag)))
+			entries = append(entries,
+				BenchEntry{Name: "load-add-p50-ms" + suffix, Value: ms(res.p50), Unit: "Milliseconds",
+					Extra: "open-loop add latency from scheduled send, p50"},
+				BenchEntry{Name: "load-add-p99-ms" + suffix, Value: ms(res.p99), Unit: "Milliseconds",
+					Extra: "open-loop add latency from scheduled send, p99"},
+				BenchEntry{Name: "load-fsyncs-per-op" + suffix, Value: res.fsyncsPerOp, Unit: "fsyncs/post"},
+			)
 		}
 	}
 
-	// The mixed cell runs at the middle rate with the window on.
+	// The mixed cell runs at the middle rate.
 	mixedRate := rates[len(rates)/2]
 	n := int(mixedRate * perCellSecs)
 	if n < 256 {
 		n = 256
 	}
-	mixed, err := l.loadMixedCell(model, mixedStreams, n, mixedRate, loadCommitWindow)
+	mixed, err := l.loadMixedCell(model, mixedStreams, n, mixedRate)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -278,7 +269,7 @@ func (l *Lab) Load(rates []float64, perCellSecs float64, mixedStreams int) (*Tab
 		return nil, nil, fmt.Errorf("load mixed cell: %d op errors", mixed.errors)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"mixed cell: %d streams, zipf tenant skew, ~80%%/15%%/5%% add/query/churn at %.0f/s poisson (cw on): add p99 %.2fms, query p99 %.2fms, %d subscription churns",
+		"mixed cell: %d streams, zipf tenant skew, ~80%%/15%%/5%% add/query/churn at %.0f/s poisson: add p99 %.2fms, query p99 %.2fms, %d subscription churns",
 		mixedStreams, mixedRate, ms(mixed.addP99), ms(mixed.queryP99), mixed.churns))
 	entries = append(entries,
 		BenchEntry{Name: "load-mixed-add-p99-ms", Value: ms(mixed.addP99), Unit: "Milliseconds",

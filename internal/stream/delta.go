@@ -1,7 +1,5 @@
 package stream
 
-import "container/heap"
-
 // RefAdd records one reference-index insertion: Child (in-window) was
 // wired as a referrer of Parent, bumping Parent's last-ref time to
 // Child.TS.
@@ -19,44 +17,35 @@ type RefAdd struct {
 // state without re-deriving any of it.
 type Delta struct {
 	Now Time
-	// Batch is the bucket's arrivals in order: appended to the arrival
-	// log and archive, activated, and given last-ref = own TS.
+	// Batch is the bucket's arrivals in order, activated on replay (the
+	// recording advance already logged and archived them).
 	Batch []*Element
 	// Resurrected are previously expired parents that re-entered A_t
 	// because a batch element refers to them.
 	Resurrected []*Element
 	// RefAdds are the reference-index insertions in wiring order (dangling
-	// references already dropped); replaying them in order reproduces the
-	// final last-ref times.
+	// references already dropped).
 	RefAdds []RefAdd
 	// Expired are the elements the advance removed from the active set.
 	Expired []*Element
 }
 
-// ApplyDelta replays a recorded advance onto this window. The contract
-// mirrors the engine's buffer recycling: the window is byte-identical to
-// the recording window just before its Advance, so replaying the delta —
-// same insertions, same wiring, the same window-exit scan, the recorded
-// expiries — leaves it byte-identical to the recording window just after.
-// No duplicate detection, resurrection lookup or expiry staleness check
-// runs: those decisions are already in the delta.
+// ApplyDelta replays a recorded advance onto this window, which must share
+// its writer-path state with the recording window (ShareWriterState). The
+// contract mirrors the engine's buffer recycling: the window is
+// byte-identical to the recording window just before its Advance, so
+// replaying the delta — same insertions, same wiring, the same window-exit
+// scan, the recorded expiries — leaves it byte-identical to the recording
+// window just after. No duplicate detection, resurrection lookup or expiry
+// staleness check runs: those decisions are already in the delta. The
+// archive, log, last-ref and heap writes are not repeated either: the
+// recording advance already made them in the shared structures.
 func (w *ActiveWindow) ApplyDelta(d *Delta) {
 	w.now = d.Now
 
 	// Phase 1: arrivals, resurrections and reference wiring, as recorded.
-	// A window sharing its writer-path state (ShareWriterState) skips the
-	// archive, log, last-ref and heap writes: the recording advance already
-	// made them in the shared structures.
-	shared := w.twinShared
 	for _, e := range d.Batch {
 		w.active[e.ID] = e
-		if !shared {
-			*w.log = append(*w.log, e)
-			w.archive[e.ID] = e
-			w.countArchived(e)
-			w.lastRef[e.ID] = e.TS
-			heap.Push(w.expiryQ, expiryEntry{at: e.TS, id: e.ID})
-		}
 	}
 	w.end += len(d.Batch)
 	for _, p := range d.Resurrected {
@@ -64,29 +53,14 @@ func (w *ActiveWindow) ApplyDelta(d *Delta) {
 	}
 	for _, ra := range d.RefAdds {
 		w.addChild(ra.Parent, ra.Child)
-		if !shared {
-			w.lastRef[ra.Parent] = ra.Child.TS
-			heap.Push(w.expiryQ, expiryEntry{at: ra.Child.TS, id: ra.Parent})
-		}
 	}
 
 	// Phase 2: the window-exit scan is pure state, shared with Advance.
-	cutoff := d.Now - w.T
-	w.slideOut(cutoff)
+	w.slideOut(d.Now - w.T)
 
-	// Phase 3: expiries as recorded; an unshared window then drains the
-	// same spent heap prefix Advance drained, so its pending multiset
-	// stays identical to the recording window's.
+	// Phase 3: expiries as recorded.
 	for _, e := range d.Expired {
 		delete(w.active, e.ID)
 		delete(w.children, e.ID)
-		if !shared {
-			delete(w.lastRef, e.ID)
-		}
-	}
-	if !shared {
-		for w.expiryQ.Len() > 0 && (*w.expiryQ)[0].at <= cutoff {
-			heap.Pop(w.expiryQ)
-		}
 	}
 }

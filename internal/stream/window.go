@@ -77,10 +77,6 @@ type ActiveWindow struct {
 	// and shared between twins like archive, so the shared copy of every
 	// element is counted exactly once.
 	bytes *int64
-	// twinShared marks a window whose archive, log, lastRef and expiryQ
-	// are shared with a lockstep twin (ShareWriterState); its delta replays
-	// skip maintaining them because the recording advance already did.
-	twinShared bool
 }
 
 // elemOverheadBytes is the flat per-archived-element bookkeeping estimate
@@ -350,9 +346,9 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 // engine's double buffer: the two windows' logical states are identical at
 // every hand-off and no concurrent reader dereferences these structures
 // (queries read only the active set and the reference index, which stay
-// per-window). A sharing window's delta replay then skips maintaining them
-// — the recording advance already did — and the archive, the largest map
-// in the system (it holds every element ever ingested), exists once
+// per-window). Delta replay (ApplyDelta) relies on it: it skips maintaining
+// them — the recording advance already did — and the archive, the largest
+// map in the system (it holds every element ever ingested), exists once
 // instead of twice.
 func ShareWriterState(a, b *ActiveWindow) {
 	b.archive = a.archive
@@ -360,7 +356,6 @@ func ShareWriterState(a, b *ActiveWindow) {
 	b.lastRef = a.lastRef
 	b.expiryQ = a.expiryQ
 	b.bytes = a.bytes
-	a.twinShared, b.twinShared = true, true
 }
 
 // slideOut moves the window head past the exits (arrival order, TS ≤

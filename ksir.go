@@ -240,8 +240,8 @@ func (s *Stream) Add(p Post) error {
 	// a post at or before it can never be ingested — reject it now as
 	// out-of-order instead of poisoning the bucket it would be batched
 	// into. WriterNow includes boundaries whose snapshot publication is
-	// deferred inside a commit batch (see beginApply), so the check is
-	// identical to the serialized path's.
+	// deferred inside a commit batch (see beginApply), so the check does
+	// not depend on how ops were batched.
 	if ingested := s.me.Load().engine.WriterNow(); ts <= ingested {
 		return fmt.Errorf("%w: post %d at %d is at or before the last ingested boundary %d", ErrOutOfOrder, p.ID, p.Time, int64(ingested))
 	}

@@ -21,8 +21,6 @@ var (
 	obsPipeCommitDuration = metrics.NewDurationHistogram("ksir_pipeline_commit_duration_seconds",
 		"Commit-batch latency: apply pass plus WAL append and shared fsync.",
 		metrics.DefBuckets...)
-	obsPipeWindowWaits = metrics.NewCounter("ksir_pipeline_commit_window_waits_total",
-		"Commit batches that held the opt-in group-commit window open for more ops.")
 
 	obsResHibernations = metrics.NewCounter("ksir_residency_hibernations_total",
 		"Hot-to-cold stream transitions (checkpoint, WAL release, memory drop).")

@@ -68,26 +68,6 @@ func (p FsyncPolicy) syncPolicy() persist.SyncPolicy {
 // String returns the flag-friendly name of the policy.
 func (p FsyncPolicy) String() string { return p.syncPolicy().String() }
 
-// EvictionPolicy selects how the residency budget picks hibernation
-// victims (see PersistOptions.Eviction and DESIGN.md §15).
-type EvictionPolicy int
-
-const (
-	// EvictClock (the default) is the scan-resistant policy: candidates
-	// are considered coldest-first by last touch, but a stream touched
-	// again since its admission carries a second-chance bit that saves it
-	// from one eviction pass, and recently evicted names sit on a ghost
-	// list whose hits re-admit the stream protected. A one-shot sweep
-	// touching many cold streams once cannot churn out the stable hot set:
-	// the scan's streams are admitted probationary (no bit until a second
-	// touch) and evict each other, not the bit-carrying regulars.
-	EvictClock EvictionPolicy = iota
-	// EvictLRU is pure last-touch LRU — the pre-clock baseline, kept for
-	// comparison and for the scan-churn regression test that demonstrates
-	// why it lost the default.
-	EvictLRU
-)
-
 // PersistOptions configures the durability subsystem of a Hub opened with
 // OpenHub. The zero value is a sensible production default: interval
 // fsync (1s), a checkpoint every 64 buckets.
@@ -101,27 +81,14 @@ type PersistOptions struct {
 	// one at any time). Smaller values shorten recovery, larger values
 	// shrink the steady-state write amplification.
 	CheckpointEvery int64
-	// SerializedWriter disables the per-stream writer pipeline on the
-	// opened hub: every write executes synchronously under a mutex with
-	// its own WAL append (and, under FsyncAlways, its own fsync) — the
-	// pre-pipeline baseline measured by the `ingest` experiment. See
-	// WithSerializedWriter for the in-memory equivalent. Leave false in
-	// production.
-	SerializedWriter bool
-	// CommitWindow, when positive, lets an idle writer loop wait up to
-	// this long for more ingest operations before committing a batch —
-	// trading that much added latency for fuller group commits (fewer WAL
-	// appends and, under FsyncAlways, fewer fsyncs). It closes the
-	// single-producer group-commit gap: a lone open-loop producer's
-	// appends coalesce into windowed batches instead of one fsync each.
-	// Opt-in (0 disables) because a closed-loop producer — one that waits
-	// for each op before sending the next — only loses latency to it.
-	// Results are identical with or without the window, op for op.
-	CommitWindow time.Duration
 	// MaxResidentStreams and MaxResidentBytes bound the hub's hot tier
 	// (see DESIGN.md §11): when either budget is exceeded, the coldest
-	// streams by last touch are hibernated — checkpointed and released
-	// from memory, transparently reactivated by their next operation.
+	// unprotected streams by last touch are hibernated — checkpointed and
+	// released from memory, transparently reactivated by their next
+	// operation. Victim selection is scan-resistant (DESIGN.md §15): a
+	// stream touched again since its admission carries a second-chance bit
+	// that saves it from one eviction pass, and recently evicted names sit
+	// on a ghost list whose hits re-admit the stream protected.
 	// MaxResidentStreams caps how many streams are resident at once;
 	// MaxResidentBytes caps their summed approximate resident bytes. Zero
 	// disables the respective bound; with both zero no background
@@ -137,10 +104,6 @@ type PersistOptions struct {
 	// Admission control additionally evicts the coldest streams inline
 	// whenever an activation would overshoot the budget.
 	ResidencySweep time.Duration
-	// Eviction selects the victim policy for the residency budget. The
-	// zero value is EvictClock (scan-resistant second-chance + ghost
-	// list); EvictLRU pins the pure last-touch baseline.
-	Eviction EvictionPolicy
 	// PrefetchSweep, when positive, runs the predictive prefetcher every
 	// PrefetchSweep: hibernated streams whose predicted next touch (from
 	// the per-stream inter-arrival EWMA) or standing hint
@@ -272,7 +235,6 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 		return nil, persistErr(err)
 	}
 	h := NewHub()
-	h.serialized = po.SerializedWriter
 	h.logger = po.Logger
 	h.p = &hubPersist{dir: dir, opts: po.withDefaults(), modelHash: m.persistHash()}
 	entries, err := os.ReadDir(dir)
@@ -448,8 +410,8 @@ func replayInto(st *Stream, opSeq uint64) func(persist.Record) error {
 
 // streamPersist is one stream's durability state, owned by its
 // StreamHandle and mutated only on the handle's commit path (the writer
-// goroutine, or under the serialized-writer mutex). The stat* atomics
-// mirror the counters for the lock-free Stats path.
+// goroutine). The stat* atomics mirror the counters for the lock-free
+// Stats path.
 type streamPersist struct {
 	hp    *hubPersist
 	name  string
@@ -635,24 +597,18 @@ func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error
 	return p, nil
 }
 
-// appendBatch stamps consecutive op sequence numbers onto recs, appends
-// them as one group commit — every record framed individually, one write,
-// one shared fsync under FsyncAlways — and refreshes the lock-free stat
-// mirrors. Called from the stream's commit path (the writer goroutine, or
-// under the serialized-writer mutex); it does not run the checkpoint
+// appendBatchTimed stamps consecutive op sequence numbers onto recs,
+// appends them as one group commit — every record framed individually, one
+// write, one shared fsync under FsyncAlways — and refreshes the lock-free
+// stat mirrors, filling bt with the append/fsync timing split so the commit
+// path can record WAL spans on traced operations. Called from the stream's
+// commit path (the writer goroutine); it does not run the checkpoint
 // trigger — the caller does, once the whole committed batch is logged (a
 // checkpoint taken with applied-but-unlogged posts would be followed by
 // their records past its watermark, which replay would then wrongly
 // re-apply). On error the batch's operations are in memory but not
 // durable — callers surface the error on each contributing op so
 // producers know durability is degraded.
-func (p *streamPersist) appendBatch(recs []persist.Record) error {
-	return p.appendBatchTimed(recs, nil)
-}
-
-// appendBatchTimed is appendBatch, filling bt (when non-nil) with the
-// append/fsync timing split so the commit path can record WAL spans on
-// traced operations.
 func (p *streamPersist) appendBatchTimed(recs []persist.Record, bt *persist.BatchTimings) error {
 	wal := p.walp.Load() // non-nil: the commit path activates before ingest
 	for i := range recs {

@@ -15,7 +15,7 @@ import (
 // an empty ghost list, then warms the hot set with two spaced touches
 // each (the second touch earns the second-chance bit) and runs a one-shot
 // scan over the cold five. Returns the reopened hub and the handles.
-func scanChurnHub(t *testing.T, po PersistOptions) (h *Hub, hot, scan []*StreamHandle) {
+func scanChurnHub(t *testing.T) (h *Hub, hot, scan []*StreamHandle) {
 	t.Helper()
 	m := trainTestModel(t)
 	dir := t.TempDir()
@@ -36,9 +36,10 @@ func scanChurnHub(t *testing.T, po PersistOptions) (h *Hub, hot, scan []*StreamH
 		t.Fatal(err)
 	}
 
-	po.MaxResidentStreams = 3
-	po.ResidencySweep = time.Hour // deterministic: the test sweeps by hand
-	h = openTestHub(t, dir, m, po)
+	h = openTestHub(t, dir, m, PersistOptions{
+		MaxResidentStreams: 3,
+		ResidencySweep:     time.Hour, // deterministic: the test sweeps by hand
+	})
 
 	q := Query{K: 3, Keywords: []string{"goal"}}
 	for _, name := range []string{"hot0", "hot1", "hot2"} {
@@ -74,7 +75,7 @@ func scanChurnHub(t *testing.T, po PersistOptions) (h *Hub, hot, scan []*StreamH
 // cold streams must churn through its own probationary admissions and
 // leave the bit-carrying hot set resident.
 func TestResidencyScanChurnClockKeepsHotSet(t *testing.T) {
-	h, hot, scan := scanChurnHub(t, PersistOptions{}) // Eviction: EvictClock (default)
+	h, hot, scan := scanChurnHub(t)
 	defer h.CloseAll()
 
 	if _, err := h.EnforceResidency(); err != nil {
@@ -96,37 +97,6 @@ func TestResidencyScanChurnClockKeepsHotSet(t *testing.T) {
 	}
 	if saves == 0 {
 		t.Error("no second-chance saves recorded while the scan churned")
-	}
-}
-
-// The pinned pure-LRU baseline demonstrably lacks scan resistance: the
-// same fixture under Eviction: EvictLRU recency-orders the one-shot scan
-// streams above the regulars and evicts the entire hot set.
-func TestResidencyScanChurnLRUBaselineEvictsHotSet(t *testing.T) {
-	h, hot, _ := scanChurnHub(t, PersistOptions{Eviction: EvictLRU})
-	defer h.CloseAll()
-
-	// Async admission evictions may still be in flight; enforcement is
-	// synchronous but a mid-hibernate victim is skipped, so settle by
-	// polling. Under LRU the hot set (touched before the scan) is coldest
-	// and must go first.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if !hot[0].Resident() && !hot[1].Resident() && !hot[2].Resident() {
-			break
-		}
-		if _, err := h.EnforceResidency(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for _, hs := range hot {
-		if hs.Resident() {
-			t.Errorf("%s survived the scan under pure LRU — baseline unexpectedly scan-resistant", hs.Name())
-		}
-		if saves := hs.Stats().Residency.SecondChanceSaves; saves != 0 {
-			t.Errorf("%s recorded %d second-chance saves under EvictLRU", hs.Name(), saves)
-		}
 	}
 }
 

@@ -1,17 +1,17 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	apiv1 "github.com/social-streams/ksir/api/v1"
 	"github.com/social-streams/ksir/connector/backoff"
+	"github.com/social-streams/ksir/connector/frame"
 )
 
 // Event is one Server-Sent Event from a standing query: a refresh of the
@@ -23,8 +23,10 @@ type Event struct {
 	// Subscribe returns nil).
 	Type string
 	// Bucket is the ingested-bucket sequence number the refresh observed
-	// (the SSE id field). With OnlyOnChange, consecutive Buckets can jump:
-	// suppressed refreshes leave no event.
+	// (the SSE id field — sticky, per the SSE spec, so the final "closed"
+	// event, which carries none, repeats the last refresh's). With
+	// OnlyOnChange, consecutive Buckets can jump: suppressed refreshes
+	// leave no event.
 	Bucket int64
 	// Result is the refreshed query answer; Result.Bucket equals Bucket.
 	Result apiv1.QueryResponse
@@ -67,9 +69,11 @@ func (s *Stream) Subscribe(ctx context.Context, req SubscribeRequest, fn func(Ev
 // SubscribeResume returns when ctx is cancelled (ctx.Err()), fn returns
 // an error (returned as-is; ErrStopSubscription maps to nil), the stream
 // is closed server-side (fn sees the final "closed" event, returns nil),
-// or the server rejects the subscription outright with a non-retryable
-// *APIError (4xx — e.g. a bad query or an unknown stream). It never
-// returns on transport errors alone: bound it with ctx.
+// the server rejects the subscription outright with a non-retryable
+// *APIError (4xx — e.g. a bad query or an unknown stream), or a refresh
+// exceeds the 4 MiB event cap (an error wrapping frame.ErrOversized:
+// resuming would be sent the same refresh again). It never returns on
+// transport errors alone: bound it with ctx.
 func (s *Stream) SubscribeResume(ctx context.Context, req SubscribeRequest, pol backoff.Policy, fn func(Event) error) error {
 	if fn == nil {
 		return fmt.Errorf("ksir client: nil handler")
@@ -107,6 +111,9 @@ func (s *Stream) SubscribeResume(ctx context.Context, req SubscribeRequest, pol 
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Status < 500 {
 			return err // the server refused the subscription; retrying cannot help
+		}
+		if errors.Is(err, frame.ErrOversized) {
+			return err // resuming would be sent the same oversized refresh again
 		}
 		// Anything else — a clean EOF from a dropped connection (err ==
 		// nil), a transport error, a 5xx — is the unreliable half of the
@@ -148,58 +155,35 @@ func (s *Stream) subscribeOnce(ctx context.Context, req SubscribeRequest, lastID
 		return decodeError(resp)
 	}
 
-	// Minimal SSE parser: accumulate event/id/data fields until a blank
-	// line dispatches the event. Comment lines (": ping") are ignored.
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	var typ, id string
-	var data []string
-	dispatch := func() error {
-		defer func() { typ, id, data = "", "", nil }()
-		if len(data) == 0 {
-			return nil
+	fr := frame.NewSSE(resp.Body, maxEventBytes)
+	for {
+		fev, err := fr.Next()
+		switch {
+		case err == nil:
+		case errors.Is(err, frame.ErrMalformed):
+			continue // lines that are no SSE field: ignored, as the spec says
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case errors.Is(err, io.EOF):
+			return nil // ended between events, or mid-event: nothing to deliver
+		default:
+			return fmt.Errorf("ksir client: reading event stream: %w", err)
 		}
-		ev := Event{Type: typ}
-		ev.Bucket, _ = strconv.ParseInt(id, 10, 64)
-		if err := json.Unmarshal([]byte(strings.Join(data, "\n")), &ev.Result); err != nil {
+		ev := Event{Type: fev.Type}
+		ev.Bucket, _ = strconv.ParseInt(fev.ID, 10, 64)
+		if err := json.Unmarshal(fev.Data, &ev.Result); err != nil {
 			return fmt.Errorf("ksir client: bad event payload: %w", err)
 		}
 		if err := fn(ev); err != nil {
 			if errors.Is(err, ErrStopSubscription) {
-				return errStopped
+				return nil
 			}
 			return err
 		}
-		return nil
 	}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if err := dispatch(); err != nil {
-				if err == errStopped {
-					return nil
-				}
-				return err
-			}
-		case strings.HasPrefix(line, ":"):
-			// comment / heartbeat
-		case strings.HasPrefix(line, "event:"):
-			typ = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "id:"):
-			id = strings.TrimSpace(strings.TrimPrefix(line, "id:"))
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		}
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("ksir client: reading event stream: %w", err)
-	}
-	return nil
 }
 
-// errStopped is the internal marker for a handler-requested stop.
-var errStopped = errors.New("stopped")
+// maxEventBytes caps one event's payload. A refresh over it ends the
+// subscription with an error wrapping frame.ErrOversized — reconnecting
+// would only be sent the same refresh again.
+const maxEventBytes = 1 << 22

@@ -35,7 +35,7 @@ import (
 var experimentNames = []string{
 	"table3", "table5", "table6",
 	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"latency", "concurrent", "persist", "engine", "ingest", "tenancy", "all",
+	"latency", "persist", "engine", "ingest", "tenancy", "all",
 }
 
 // checkExperiment rejects a name -exp does not know: a misspelt experiment
@@ -247,22 +247,6 @@ func run(lab *experiments.Lab, exp string, w io.Writer, jsonDir string, short bo
 		}
 		if err := render(f14t); err != nil {
 			return err
-		}
-	}
-	if want("concurrent") {
-		t, entries, err := lab.Concurrent(4, 0)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "BENCH_concurrent.json")
-			if err := experiments.WriteBenchJSON(path, entries); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s (%d entries)\n", path, len(entries))
 		}
 	}
 	if want("persist") {

@@ -1,23 +1,27 @@
 package connector
 
-import "io"
+import (
+	"io"
+
+	"github.com/social-streams/ksir/connector/frame"
+)
 
 // jsonlReader parses newline-delimited JSON: each non-empty line is one
 // event's payload. There is no protocol-level event id or type; the
 // mapper derives identity from the decoded post. Oversized lines are
 // counted and skipped without losing frame sync (the newline resyncs).
 type jsonlReader struct {
-	lr          *lineReader
+	lr          *frame.Lines
 	onOversized func()
 }
 
 func newJSONLReader(r io.Reader, maxBytes int, onOversized func()) *jsonlReader {
-	return &jsonlReader{lr: newLineReader(r, maxBytes), onOversized: onOversized}
+	return &jsonlReader{lr: frame.NewLines(r, maxBytes), onOversized: onOversized}
 }
 
 func (jr *jsonlReader) Next() (Event, error) {
 	for {
-		line, truncated, err := jr.lr.next()
+		line, truncated, err := jr.lr.Next()
 		if err != nil {
 			return Event{}, err
 		}

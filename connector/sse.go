@@ -1,9 +1,10 @@
 package connector
 
 import (
-	"bufio"
-	"bytes"
+	"errors"
 	"io"
+
+	"github.com/social-streams/ksir/connector/frame"
 )
 
 // frameReader yields complete upstream events from one connection's body.
@@ -15,185 +16,30 @@ type frameReader interface {
 	Next() (Event, error)
 }
 
-// lineReader reads newline-terminated lines with a hard per-line byte cap.
-// Lines over the cap are consumed to their terminator and reported as
-// truncated rather than returned partially — the connector skips them
-// instead of decoding garbage or buffering without bound.
-type lineReader struct {
-	br  *bufio.Reader
-	max int
-}
-
-func newLineReader(r io.Reader, max int) *lineReader {
-	bufSize := 4096
-	if max < bufSize {
-		bufSize = max + 1
-	}
-	return &lineReader{br: bufio.NewReaderSize(r, bufSize), max: max}
-}
-
-// next returns one line without its terminator. truncated means the line
-// exceeded max bytes; its content is discarded but the stream position is
-// past its newline, so reading can continue.
-func (lr *lineReader) next() (line []byte, truncated bool, err error) {
-	n := 0
-	for {
-		chunk, err := lr.br.ReadSlice('\n')
-		n += len(chunk)
-		switch err {
-		case nil:
-			if n > lr.max+1 { // +1: the terminator itself
-				return nil, true, nil
-			}
-			line = append(line, chunk...)
-			// Trim \n and a preceding \r (SSE allows CRLF).
-			line = line[:len(line)-1]
-			line = bytes.TrimSuffix(line, []byte{'\r'})
-			return line, false, nil
-		case bufio.ErrBufferFull:
-			if n > lr.max {
-				// Oversized: drain to the newline, then report truncation.
-				for {
-					_, derr := lr.br.ReadSlice('\n')
-					if derr == nil {
-						return nil, true, nil
-					}
-					if derr != bufio.ErrBufferFull {
-						return nil, true, derr
-					}
-				}
-			}
-			line = append(line, chunk...)
-		default:
-			if len(chunk) > 0 || len(line) > 0 {
-				// Stream died mid-line: a truncated frame. Surface the
-				// error; the partial content is never delivered.
-				return nil, true, errTruncated{err}
-			}
-			return nil, false, err
-		}
-	}
-}
-
-// errTruncated wraps the transport error that cut a line short, so callers
-// can distinguish "clean EOF" from "died mid-frame".
-type errTruncated struct{ err error }
-
-func (e errTruncated) Error() string { return "connector: stream truncated mid-line: " + e.err.Error() }
-func (e errTruncated) Unwrap() error { return e.err }
-
-// sseReader parses text/event-stream frames: "field: value" lines
-// accumulated until a blank line dispatches the event. Per the SSE spec
-// the id field is sticky across events; comment lines (leading ':') are
-// heartbeats and ignored. Unknown fields are ignored per spec; lines with
-// no colon that match no field name are counted malformed. Events whose
-// accumulated data exceeds the byte cap are counted oversized and skipped
-// in-stream — no reconnect, the frame boundary (blank line) resynchronizes
-// the parser.
+// sseReader reads text/event-stream events (frame.SSE). Events over the
+// byte cap are counted oversized, events made of no known field malformed,
+// and both are skipped in-stream — no reconnect, the frame boundary (blank
+// line) resynchronizes the parser.
 type sseReader struct {
-	lr          *lineReader
-	maxBytes    int
+	fr          *frame.SSE
 	onOversized func()
 	onMalformed func()
-
-	id      string // sticky last-seen id
-	typ     string
-	data    [][]byte
-	size    int
-	poison  bool // current event had an oversized line/payload: skip it
-	poisonM bool // current event had a malformed line (count once at dispatch)
 }
 
 func newSSEReader(r io.Reader, maxBytes int, onOversized, onMalformed func()) *sseReader {
-	return &sseReader{
-		lr:          newLineReader(r, maxBytes),
-		maxBytes:    maxBytes,
-		onOversized: onOversized,
-		onMalformed: onMalformed,
-	}
-}
-
-func (sr *sseReader) reset() {
-	sr.typ = ""
-	sr.data = sr.data[:0]
-	sr.size = 0
-	sr.poison = false
-	sr.poisonM = false
+	return &sseReader{fr: frame.NewSSE(r, maxBytes), onOversized: onOversized, onMalformed: onMalformed}
 }
 
 func (sr *sseReader) Next() (Event, error) {
 	for {
-		line, truncated, err := sr.lr.next()
-		if err != nil {
-			// Partial event at stream end is discarded: the cursor never
-			// advanced past it, resume re-delivers it.
-			sr.reset()
-			return Event{}, err
-		}
-		if truncated {
-			sr.poison = true
-			continue
-		}
-		if len(line) == 0 {
-			// Dispatch boundary.
-			if sr.poison {
-				sr.onOversized()
-				sr.reset()
-				continue
-			}
-			if len(sr.data) == 0 {
-				if sr.poisonM {
-					sr.onMalformed()
-				}
-				sr.reset()
-				continue
-			}
-			ev := Event{
-				ID:   sr.id,
-				Type: sr.typ,
-				Data: bytes.Join(sr.data, []byte{'\n'}),
-			}
-			sr.reset()
-			return ev, nil
-		}
-		if line[0] == ':' { // comment / heartbeat
-			continue
-		}
-		field, value := splitField(line)
-		switch field {
-		case "data":
-			sr.size += len(value) + 1
-			if sr.size > sr.maxBytes {
-				sr.poison = true
-				continue
-			}
-			sr.data = append(sr.data, append([]byte(nil), value...))
-		case "event":
-			sr.typ = string(value)
-		case "id":
-			// Per spec, ids containing NUL are ignored.
-			if !bytes.ContainsRune(value, 0) {
-				sr.id = string(value)
-			}
-		case "retry":
-			// Server-suggested reconnect delay; our backoff policy governs.
+		ev, err := sr.fr.Next()
+		switch {
+		case errors.Is(err, frame.ErrOversized):
+			sr.onOversized()
+		case errors.Is(err, frame.ErrMalformed):
+			sr.onMalformed()
 		default:
-			sr.poisonM = true
+			return Event(ev), err
 		}
 	}
-}
-
-// splitField splits "field: value", trimming the single optional space
-// after the colon per the SSE spec. A line without a colon is a field with
-// an empty value.
-func splitField(line []byte) (string, []byte) {
-	i := bytes.IndexByte(line, ':')
-	if i < 0 {
-		return string(line), nil
-	}
-	value := line[i+1:]
-	if len(value) > 0 && value[0] == ' ' {
-		value = value[1:]
-	}
-	return string(line[:i]), value
 }

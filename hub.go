@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/social-streams/ksir/internal/persist"
+	"github.com/social-streams/ksir/internal/residency"
 	"github.com/social-streams/ksir/internal/trace"
 )
 
@@ -38,9 +39,10 @@ import (
 // recovered on the next OpenHub (see persistence.go).
 //
 // Lifecycle: every registered stream owns a writer goroutine, released
-// only by Close/CloseAll. A hub that is dropped without being closed
-// leaks those goroutines (and the streams they pin) — close hubs you
-// abandon, in-memory ones included.
+// only by Close/CloseAll, and a durable hub with a residency budget or a
+// prefetch sweep runs one background sweeper until CloseAll. A hub that is
+// dropped without being closed leaks those goroutines (and the streams
+// they pin) — close hubs you abandon, in-memory ones included.
 //
 // All Hub methods are safe for concurrent use.
 type Hub struct {
@@ -52,38 +54,15 @@ type Hub struct {
 	// nil means slog.Default() at call time.
 	logger *slog.Logger
 
-	// Background hibernator (only running when a residency budget is
-	// configured; see PersistOptions.MaxResidentStreams).
-	hibStop chan struct{}
-	hibDone chan struct{}
-	hibOnce sync.Once
+	// ghosts is the policy's list of recently hibernated names (nil without
+	// a residency budget). ghostMu guards it: hibernations and activations
+	// of different streams run on different writer goroutines.
+	ghostMu sync.Mutex
+	ghosts  *residency.Ghosts
 
-	// Ghost list: names of recently hibernated streams, keyed to an
-	// eviction sequence so the oldest entries age out. A reactivation that
-	// finds its name here was evicted too eagerly — it re-admits protected
-	// (second-chance bit set) and counts a ghost hit.
-	ghostMu  sync.Mutex
-	ghost    map[string]uint64
-	ghostSeq uint64
-
-	// Background predictive prefetcher (PersistOptions.PrefetchSweep > 0).
-	pfStop chan struct{}
-	pfDone chan struct{}
-	pfOnce sync.Once
-
-	// Background back-buffer materializer (every durable hub): freshly
-	// activated streams are queued here so their lazily deferred back
-	// buffer is built off both the activation and the first-write path. A
-	// full queue just drops the handoff — the first write pays the build.
-	matq    chan matReq
-	matStop chan struct{}
-	matDone chan struct{}
-	matOnce sync.Once
-
-	// lastActivateNs is the hub-wide activation clock (UnixNano of the
-	// most recent stream activation); the materializer defers builds
-	// until it has been quiet for materializeDebounce.
-	lastActivateNs atomic.Int64
+	// stopSweeper ends the hub's one background goroutine and waits for it
+	// to exit; nil on a hub that runs none (see startSweeper).
+	stopSweeper func()
 }
 
 // HubOption tunes a Hub created with NewHub.
@@ -108,10 +87,7 @@ func (h *Hub) log() *slog.Logger {
 // NewHub creates an empty registry. Call CloseAll when done with it:
 // each stream's writer goroutine runs until its stream is closed.
 func NewHub(opts ...HubOption) *Hub {
-	h := &Hub{
-		streams: make(map[string]*StreamHandle),
-		ghost:   make(map[string]uint64),
-	}
+	h := &Hub{streams: make(map[string]*StreamHandle)}
 	for _, o := range opts {
 		o(h)
 	}
@@ -159,7 +135,7 @@ func (h *Hub) Create(name string, m *Model, opts Options, sopts ...StreamOption)
 	if err != nil {
 		return nil, err
 	}
-	return h.registerPersistent(name, st)
+	return h.register(name, st, st.Model(), st.opts, st.cfg, nil)
 }
 
 // Adopt registers an existing stream under name. The caller must stop
@@ -174,67 +150,31 @@ func (h *Hub) Adopt(name string, st *Stream) (*StreamHandle, error) {
 	if st == nil {
 		return nil, fmt.Errorf("%w: nil stream", ErrBadOptions)
 	}
-	return h.registerPersistent(name, st)
+	return h.register(name, st, st.Model(), st.opts, st.cfg, nil)
 }
 
-// registerPersistent registers the stream and, on a durable hub,
-// provisions its on-disk state first — directory, manifest, WAL, and the
-// initial checkpoint when the stream already has ingested state (Adopt).
-// Provisioning happens under the hub lock, before the handle is
-// reachable through Get: a concurrently created handle can never be
-// observed without its persistence attached (writes on it would bypass
-// the WAL).
-func (h *Hub) registerPersistent(name string, st *Stream) (*StreamHandle, error) {
+// register inserts a handle under name and starts its writer goroutine.
+// st may be nil (cold recovery under a residency budget): the handle starts
+// hibernated, and everything needed to bring the stream back — model,
+// resolved options, config — lives on the handle itself. Recovery brings
+// the stream's durability state along; Create and Adopt pass none, and on a
+// durable hub the on-disk state is provisioned here — directory, manifest,
+// WAL, and the initial checkpoint when the stream already has ingested
+// state (Adopt) — under the hub lock, before the handle is reachable
+// through Get: a concurrently created handle can never be observed without
+// its persistence attached (writes on it would bypass the WAL).
+func (h *Hub) register(name string, st *Stream, m *Model, opts Options, cfg streamConfig, pers *streamPersist) (*StreamHandle, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, ok := h.streams[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrStreamExists, name)
 	}
-	var pers *streamPersist
-	if h.p != nil {
+	if pers == nil && h.p != nil {
 		var err error
-		pers, err = h.p.initStream(name, st)
-		if err != nil {
+		if pers, err = h.p.initStream(name, st); err != nil {
 			return nil, err
 		}
 	}
-	hs := h.newHandle(name, st, st.Model(), st.opts, st.cfg, pers)
-	h.streams[name] = hs
-	return hs, nil
-}
-
-// registerWith inserts a handle with its persistence state already
-// attached (pers may be nil for in-memory streams).
-func (h *Hub) registerWith(name string, st *Stream, pers *streamPersist) (*StreamHandle, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.streams[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrStreamExists, name)
-	}
-	hs := h.newHandle(name, st, st.Model(), st.opts, st.cfg, pers)
-	h.streams[name] = hs
-	return hs, nil
-}
-
-// registerCold inserts a hibernated handle: no in-memory stream, the
-// durable state untouched on disk until the first touching operation
-// reactivates it (cold recovery under a residency budget).
-func (h *Hub) registerCold(name string, m *Model, opts Options, cfg streamConfig, pers *streamPersist) (*StreamHandle, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.streams[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrStreamExists, name)
-	}
-	hs := h.newHandle(name, nil, m, opts, cfg, pers)
-	h.streams[name] = hs
-	return hs, nil
-}
-
-// newHandle builds a handle and starts its writer goroutine. st may be nil
-// (registerCold): the handle starts hibernated and every other field needed
-// to bring the stream back — model, resolved options, config — lives on the
-// handle itself.
-func (h *Hub) newHandle(name string, st *Stream, m *Model, opts Options, cfg streamConfig, pers *streamPersist) *StreamHandle {
 	hs := &StreamHandle{
 		name: name,
 		hub:  h,
@@ -251,120 +191,87 @@ func (h *Hub) newHandle(name string, st *Stream, m *Model, opts Options, cfg str
 		hs.residentBytes.Store(st.approxResidentBytes())
 	}
 	go hs.writerLoop()
-	return hs
+	h.streams[name] = hs
+	return hs, nil
 }
 
-// residencyBudgeted reports whether the hub has a hot-tier budget to
-// enforce (see PersistOptions.MaxResidentStreams / MaxResidentBytes).
-func (h *Hub) residencyBudgeted() bool {
-	return h.p != nil && (h.p.opts.MaxResidentStreams > 0 || h.p.opts.MaxResidentBytes > 0)
+// budget is the hot-tier budget the residency policy enforces (see
+// PersistOptions.MaxResidentStreams / MaxResidentBytes); the zero Budget —
+// every in-memory hub's — bounds nothing.
+func (h *Hub) budget() residency.Budget {
+	if h.p == nil {
+		return residency.Budget{}
+	}
+	return residency.Budget{MaxStreams: h.p.opts.MaxResidentStreams, MaxBytes: h.p.opts.MaxResidentBytes}
 }
 
-// startHibernator launches the background residency sweep (no-op without
-// a budget). Called once, from OpenHub.
-func (h *Hub) startHibernator() {
-	if !h.residencyBudgeted() {
+// startSweeper launches the hub's one background goroutine, which
+// re-applies the residency budget every ResidencySweep (when a budget is
+// configured) and runs the predictive prefetcher every PrefetchSweep (when
+// set). A hub with neither starts nothing. Called once, from OpenHub.
+func (h *Hub) startSweeper() {
+	sweep, prefetch := h.p.opts.ResidencySweep, h.p.opts.PrefetchSweep
+	if !h.budget().Enabled() {
+		sweep = 0
+	}
+	if sweep <= 0 && prefetch <= 0 {
 		return
 	}
-	h.hibStop = make(chan struct{})
-	h.hibDone = make(chan struct{})
-	sweep := h.p.opts.ResidencySweep
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(h.hibDone)
-		t := time.NewTicker(sweep)
-		defer t.Stop()
+		defer close(done)
+		var sweepC, prefetchC <-chan time.Time // nil (never ready) when off
+		if sweep > 0 {
+			t := time.NewTicker(sweep)
+			defer t.Stop()
+			sweepC = t.C
+		}
+		if prefetch > 0 {
+			t := time.NewTicker(prefetch)
+			defer t.Stop()
+			prefetchC = t.C
+		}
 		for {
 			select {
-			case <-t.C:
+			case <-sweepC:
 				if _, err := h.EnforceResidency(); err != nil {
 					h.log().Warn("residency sweep failed", "error", err)
 				}
-			case <-h.hibStop:
+			case <-prefetchC:
+				h.prefetchSweep()
+			case <-stop:
 				return
 			}
 		}
 	}()
+	// Waiting for the exit means no hibernate or prefetch op can be
+	// enqueued after CloseAll starts draining.
+	h.stopSweeper = sync.OnceFunc(func() {
+		close(stop)
+		<-done
+	})
 }
 
-// stopHibernator ends the background sweep and waits for it to exit, so
-// no hibernate op can be enqueued after CloseAll starts draining.
-func (h *Hub) stopHibernator() {
-	if h.hibStop == nil {
-		return
-	}
-	h.hibOnce.Do(func() { close(h.hibStop) })
-	<-h.hibDone
-}
-
-// ghostRecord remembers a hibernated stream's name on the ghost list (under
-// a residency budget only). The list is bounded at
-// max(32, 2×MaxResidentStreams); the oldest entry ages out first.
+// ghostRecord remembers a hibernated stream's name on the ghost list
+// (under a residency budget only).
 func (h *Hub) ghostRecord(name string) {
-	if !h.residencyBudgeted() {
+	if h.ghosts == nil {
 		return
-	}
-	limit := 2 * h.p.opts.MaxResidentStreams
-	if limit < 32 {
-		limit = 32
 	}
 	h.ghostMu.Lock()
 	defer h.ghostMu.Unlock()
-	h.ghostSeq++
-	h.ghost[name] = h.ghostSeq
-	for len(h.ghost) > limit {
-		oldName, oldSeq := "", uint64(0)
-		for n, s := range h.ghost {
-			if oldName == "" || s < oldSeq {
-				oldName, oldSeq = n, s
-			}
-		}
-		delete(h.ghost, oldName)
-	}
+	h.ghosts.Record(name)
 }
 
 // ghostTake consumes a ghost-list entry for name, reporting whether one
 // existed — the activation path's "evicted too eagerly" signal.
 func (h *Hub) ghostTake(name string) bool {
-	h.ghostMu.Lock()
-	defer h.ghostMu.Unlock()
-	if _, ok := h.ghost[name]; !ok {
+	if h.ghosts == nil {
 		return false
 	}
-	delete(h.ghost, name)
-	return true
-}
-
-// startPrefetcher launches the background predictive prefetcher (no-op
-// unless PrefetchSweep is set). Called once, from OpenHub.
-func (h *Hub) startPrefetcher() {
-	if h.p == nil || h.p.opts.PrefetchSweep <= 0 {
-		return
-	}
-	h.pfStop = make(chan struct{})
-	h.pfDone = make(chan struct{})
-	sweep := h.p.opts.PrefetchSweep
-	go func() {
-		defer close(h.pfDone)
-		t := time.NewTicker(sweep)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				h.prefetchSweep()
-			case <-h.pfStop:
-				return
-			}
-		}
-	}()
-}
-
-// stopPrefetcher ends the prefetch sweep and waits for it to exit.
-func (h *Hub) stopPrefetcher() {
-	if h.pfStop == nil {
-		return
-	}
-	h.pfOnce.Do(func() { close(h.pfStop) })
-	<-h.pfDone
+	h.ghostMu.Lock()
+	defer h.ghostMu.Unlock()
+	return h.ghosts.Take(name)
 }
 
 // prefetchSweep scans the hibernated streams once and enqueues a
@@ -382,310 +289,129 @@ func (h *Hub) prefetchSweep() {
 		if hs.stp.Load() != nil || hs.pers == nil {
 			continue
 		}
-		if hs.prefetchDue(now, look) {
+		r := residency.Recurrence{
+			LastTouch: hs.lastTouch.Load(),
+			GapEWMA:   hs.touchGapEWMA.Load(),
+			HintUntil: hs.prefetchHintNs.Load(),
+		}
+		if r.Due(now, look) {
 			due = append(due, hs)
 		}
 	}
 	h.mu.RUnlock()
 	for _, hs := range due {
-		hs.tryActivateAsync()
+		hs.tryEnqueue(&writeOp{kind: opActivate, prefetch: true})
 	}
 }
 
-// matReq is one queued background build; at is the activation time the
-// debounce counts from.
-type matReq struct {
-	hs *StreamHandle
-	at time.Time
-}
-
-// startMaterializer launches the background back-buffer builder (every
-// durable hub: activations are lazy by default). Builds are debounced
-// against the hub's activation clock: a queued build waits until no
-// stream anywhere on the hub has activated for materializeDebounce. That
-// buys two things. A stream churned straight back out of the hot tier
-// (activated by one read, evicted by the next admission) never pays for a
-// back buffer nobody will write to — materializeNow skips streams
-// hibernated in the meantime. And during an activation storm (tenant
-// churn, cold restart) the builder stays silent instead of stealing CPU
-// from demand activations — a ~1ms build scheduled between two cold
-// touches shows up directly in their queue-wait tail on small hosts.
-// Streams that stay resident get their buffer built once the storm
-// subsides, well before a typical first write; if a write lands sooner,
-// it builds inline exactly as if there were no background task. Called
-// once, from OpenHub.
-func (h *Hub) startMaterializer() {
-	if h.p == nil {
-		return
+// candidates is what every walk of the residency policy starts from: the
+// budget, and a snapshot of the resident streams as the policy's
+// candidates, index-aligned with their handles. Without a budget no walk
+// can choose a victim, and the snapshot is skipped.
+func (h *Hub) candidates() (b residency.Budget, hss []*StreamHandle, cands []residency.Candidate) {
+	if b = h.budget(); !b.Enabled() {
+		return b, nil, nil
 	}
-	h.matq = make(chan matReq, materializeQueueCap)
-	h.matStop = make(chan struct{})
-	h.matDone = make(chan struct{})
-	go func() {
-		defer close(h.matDone)
-		timer := time.NewTimer(materializeDebounce)
-		defer timer.Stop()
-		for {
-			select {
-			case req := <-h.matq:
-				for {
-					due := req.at
-					if last := time.Unix(0, h.lastActivateNs.Load()); last.After(due) {
-						due = last
-					}
-					d := materializeDebounce - time.Since(due)
-					if d <= 0 {
-						break
-					}
-					timer.Reset(d)
-					select {
-					case <-timer.C:
-					case <-h.matStop:
-						return
-					}
-				}
-				req.hs.materializeNow()
-			case <-h.matStop:
-				return
-			}
-		}
-	}()
-}
-
-// stopMaterializer ends the background materializer and waits for it to
-// exit (any in-progress build completes first — it holds only the
-// engine's writer lock, never a hub lock).
-func (h *Hub) stopMaterializer() {
-	if h.matStop == nil {
-		return
-	}
-	h.matOnce.Do(func() { close(h.matStop) })
-	<-h.matDone
-}
-
-// queueMaterialize hands a freshly activated stream to the background
-// materializer, non-blocking: on a full queue the first write pays the
-// build instead, exactly as if there were no background task.
-func (h *Hub) queueMaterialize(hs *StreamHandle) {
-	if h.matq == nil {
-		return
-	}
-	select {
-	case h.matq <- matReq{hs: hs, at: time.Now()}:
-	default:
-	}
-}
-
-// residencyCandidate is one resident stream considered for eviction.
-type residencyCandidate struct {
-	hs           *StreamHandle
-	touch, bytes int64
-}
-
-// residentByCold snapshots the resident streams (except exclude), coldest
-// first by last touch, plus their summed approximate bytes.
-func (h *Hub) residentByCold(exclude *StreamHandle) ([]residencyCandidate, int64) {
 	h.mu.RLock()
-	cands := make([]residencyCandidate, 0, len(h.streams))
-	var total int64
+	defer h.mu.RUnlock()
 	for _, hs := range h.streams {
-		if hs == exclude || hs.stp.Load() == nil {
+		if hs.stp.Load() == nil {
 			continue
 		}
-		b := hs.residentBytes.Load()
-		total += b
-		cands = append(cands, residencyCandidate{hs, hs.lastTouch.Load(), b})
+		hss = append(hss, hs)
+		cands = append(cands, residency.Candidate{
+			Touch:        hs.lastTouch.Load(),
+			Bytes:        hs.residentBytes.Load(),
+			SecondChance: hs.refBit.Load(),
+			Prefetched:   hs.prefetched.Load(),
+		})
 	}
-	h.mu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].touch < cands[j].touch })
-	return cands, total
+	return b, hss, cands
 }
 
-// EnforceResidency applies the residency budget once, synchronously:
-// resident streams are hibernated, coldest first by last touch, until the
-// resident count and summed approximate bytes fit the configured budget,
-// and the number hibernated is returned. A first pass skips protected
-// streams — second-chance bit set (touched again since admission) or
-// prefetched-and-unconsumed — counting a save per skip; if the protected
-// set alone still overflows the budget, a second pass demotes every
-// remaining stream's bit (the clock hand has swept full circle) and evicts
-// coldest-first, still sparing in-flight prefetches. Streams that are busy
-// (standing queries) or closing are skipped; other hibernation failures
-// are joined into the returned error. The background hibernator calls this
-// every ResidencySweep; callers may also invoke it directly (e.g. before a
+// countSaves credits each stream an eviction pass skipped because its
+// second-chance bit or an in-flight prefetch protected it.
+func countSaves(hss []*StreamHandle, saves []int) {
+	for _, i := range saves {
+		hss[i].secondChanceSaves.Add(1)
+		obsResSecondChanceSaves.Inc()
+	}
+}
+
+// EnforceResidency applies the residency budget once, synchronously: the
+// policy's sweep walk (residency.Sweep) picks resident streams coldest
+// first by last touch and each is hibernated, until the resident count and
+// summed approximate bytes fit the configured budget; the number
+// hibernated is returned. Protected streams — second-chance bit set
+// (touched again since admission) or prefetched-and-unconsumed — are
+// skipped, counting a save each; if the protected set alone still
+// overflows the budget, bit-carrying streams go too and every survivor's
+// bit is demoted (the clock hand has swept full circle; it must be
+// re-earned by another touch), still sparing in-flight prefetches. Streams
+// that are busy (standing queries) or closing stay resident and the walk
+// moves on to the next-coldest; other hibernation failures are joined into
+// the returned error. The background sweeper calls this every
+// ResidencySweep; callers may also invoke it directly (e.g. before a
 // measurement that wants a settled hot tier). Without a budget it does
 // nothing.
 func (h *Hub) EnforceResidency() (int, error) {
-	if !h.residencyBudgeted() {
-		return 0, nil
-	}
-	maxN, maxB := h.p.opts.MaxResidentStreams, h.p.opts.MaxResidentBytes
-	cands, totalB := h.residentByCold(nil)
-	var (
-		n    int
-		errs []error
-	)
-	over := func() bool {
-		return (maxN > 0 && len(cands)-n > maxN) || (maxB > 0 && totalB > maxB)
-	}
-	gone := make(map[*StreamHandle]bool)
-	evict := func(c residencyCandidate) {
-		switch err := c.hs.Hibernate(); {
-		case err == nil:
-			n++
-			totalB -= c.bytes
-			gone[c.hs] = true
-		case errors.Is(err, ErrStreamBusy) || errors.Is(err, ErrStreamClosed):
-			// Busy or closing streams stay resident; try the next-coldest.
-		default:
-			errs = append(errs, fmt.Errorf("hibernating %q: %w", c.hs.name, err))
-		}
-	}
-	for _, c := range cands {
-		if !over() {
-			break
-		}
-		if c.hs.refBit.Load() || c.hs.prefetched.Load() {
-			c.hs.secondChanceSaves.Add(1)
-			obsResSecondChanceSaves.Inc()
-			continue
-		}
-		evict(c)
-	}
-	if over() {
-		// The hand swept full circle without finding enough unprotected
-		// victims: demote every survivor's bit (it must be re-earned by
-		// another touch) and evict coldest-first, sparing only streams a
-		// prefetch is mid-flight on.
-		for _, c := range cands {
-			if !gone[c.hs] {
-				c.hs.refBit.Store(false)
+	b, hss, cands := h.candidates()
+	var errs []error
+	plan := b.Walk(cands, residency.Sweep(), residency.Mechanism{
+		Evict: func(i int) bool {
+			err := hss[i].Hibernate()
+			if err != nil && !errors.Is(err, ErrStreamBusy) && !errors.Is(err, ErrStreamClosed) {
+				errs = append(errs, fmt.Errorf("hibernating %q: %w", hss[i].name, err))
 			}
-		}
-		for _, c := range cands {
-			if !over() {
-				break
+			return err == nil
+		},
+		Demote: func() {
+			for _, hs := range hss {
+				hs.refBit.Store(false)
 			}
-			if gone[c.hs] || c.hs.prefetched.Load() {
-				continue
-			}
-			evict(c)
-		}
-	}
-	return n, errors.Join(errs...)
+		},
+	})
+	countSaves(hss, plan.Saves)
+	return len(plan.Victims), errors.Join(errs...)
 }
 
-// evictionWarranted reports whether a policy eviction still serves its
-// purpose, re-checked at eviction-commit time against the live resident
-// set rather than the snapshot the eviction was decided on. Every such
-// eviction was queued by makeRoom on behalf of one pending admission, so
-// the tier must have headroom for that +1 stream: the eviction is
-// warranted while the resident count is at or above the cap (the
-// admission would push it over) or the byte budget is already exceeded.
-func (h *Hub) evictionWarranted() bool {
-	if h == nil || !h.residencyBudgeted() {
-		return false
-	}
-	maxN, maxB := h.p.opts.MaxResidentStreams, h.p.opts.MaxResidentBytes
-	h.mu.RLock()
-	n, total := 0, int64(0)
-	for _, s := range h.streams {
-		if s.stp.Load() != nil {
-			n++
-			total += s.residentBytes.Load()
-		}
-	}
-	h.mu.RUnlock()
-	return (maxN > 0 && n >= maxN) || (maxB > 0 && total > maxB)
-}
-
-// makeRoom nudges the hub back under its residency budget before hs
-// activates, by enqueueing fire-and-forget hibernate ops on the coldest
-// other resident streams. It runs on hs's commit path, so it must never
-// block on another stream's queue — two streams admitting concurrently
-// could each be waiting behind the other's backlog (deadlock). Eviction
-// is therefore best-effort TryLock + non-blocking send: a victim too busy
-// to take the op is skipped, the budget transiently overshoots, and the
-// background sweep settles it. Protected victims — second-chance bit or
-// pending prefetch — are likewise skipped (counted as saves) rather than
-// demoted: admission alone never strips a hot stream's protection, so a
-// burst of one-shot admissions churns through its own probationary streams
-// and leaves the bit-carrying regulars alone. Only the full-circle sweep
-// (EnforceResidency) demotes bits.
-//
-// A positive ceiling bounds the eviction to victims strictly colder than
-// it — the prefetch guarantee that an admission never evicts a stream
-// warmer than the one it admits.
-func (h *Hub) makeRoom(hs *StreamHandle, ceiling int64) {
-	if !h.residencyBudgeted() {
-		return
-	}
-	maxN, maxB := h.p.opts.MaxResidentStreams, h.p.opts.MaxResidentBytes
-	cands, totalB := h.residentByCold(hs)
-	// The stream about to activate counts against the budget too.
-	need := 0
-	if maxN > 0 && len(cands)+1 > maxN {
-		need = len(cands) + 1 - maxN
-	}
-	if need == 0 && !(maxB > 0 && totalB > maxB) {
-		return
-	}
-	queued := false
-	for _, c := range cands {
-		if need <= 0 && !(maxB > 0 && totalB > maxB) {
-			break
-		}
-		if ceiling > 0 && c.touch >= ceiling {
-			break // sorted coldest-first: only warmer victims remain
-		}
-		if c.hs.refBit.Load() || c.hs.prefetched.Load() {
-			c.hs.secondChanceSaves.Add(1)
-			obsResSecondChanceSaves.Inc()
-			continue
-		}
-		if c.hs.tryHibernateAsync(c.touch) {
-			queued = true
-			need--
-			totalB -= c.bytes
-		}
-	}
+// makeRoom nudges the hub back under its residency budget before a stream
+// activates, by enqueueing fire-and-forget hibernate ops on the victims of
+// the policy's admission walk (residency.Admit; a positive ceiling is the
+// prefetch guarantee that an admission never evicts a stream warmer than
+// the one it admits). It runs on the activating stream's commit path, so
+// it must never block on another stream's queue — two streams admitting
+// concurrently could each be waiting behind the other's backlog
+// (deadlock). Eviction is therefore best-effort (see tryEnqueue): a victim
+// too busy to take the op is passed over, the budget transiently
+// overshoots, and the background sweep settles it.
+func (h *Hub) makeRoom(ceiling int64) {
+	b, hss, cands := h.candidates()
+	plan := b.Walk(cands, residency.Admit(ceiling), residency.Mechanism{Evict: func(i int) bool {
+		return hss[i].tryEnqueue(&writeOp{kind: opHibernate, evict: true, evictTouch: cands[i].Touch})
+	}})
+	countSaves(hss, plan.Saves)
 	// Give the victims' writer goroutines a chance to drain the evictions
 	// before this activation loads more state: on a single-core host the
 	// activating writer and its caller otherwise monopolize the scheduler,
 	// queued evictions go stale behind fresh touches, and the hot tier
 	// balloons past the budget until the next blocking sweep.
-	if queued {
+	if len(plan.Victims) > 0 {
 		runtime.Gosched()
 	}
 }
 
-// prefetchAdmissible re-validates a prefetch decision at commit time: the
-// prefetch op may have sat behind a writer backlog, and activating now
-// must still not displace anything warmer than the stream it admits.
-// Admissible when the budget has room, or when at least one resident
-// victim is strictly colder than the prefetched stream's own last touch
-// and unprotected. Inadmissible prefetches quietly no-op — the demand
-// operation they anticipated will activate on its own terms.
-func (h *Hub) prefetchAdmissible(hs *StreamHandle) bool {
-	if !h.residencyBudgeted() {
-		return true
-	}
-	maxN, maxB := h.p.opts.MaxResidentStreams, h.p.opts.MaxResidentBytes
-	cands, totalB := h.residentByCold(hs)
-	if !(maxN > 0 && len(cands)+1 > maxN) && !(maxB > 0 && totalB > maxB) {
-		return true
-	}
-	ceiling := hs.lastTouch.Load()
-	for _, c := range cands {
-		if c.touch >= ceiling {
-			return false // sorted coldest-first: only warmer victims remain
-		}
-		if c.hs.refBit.Load() || c.hs.prefetched.Load() {
-			continue
-		}
-		return true
-	}
-	return false
+// admission re-runs the admission walk against the live resident set
+// without evicting anything. The two fire-and-forget ops decide from it at
+// commit time, because either may have sat behind a writer backlog since
+// the snapshot it was queued on: a policy eviction is still warranted only
+// while the tier is Full (it was queued on behalf of one pending
+// admission, so there must be no headroom for that +1 stream), and a
+// prefetch is still admissible only while there is room or a victim
+// strictly colder than the stream it admits.
+func (h *Hub) admission(ceiling int64) residency.Plan {
+	b, _, cands := h.candidates()
+	return b.Walk(cands, residency.Admit(ceiling), residency.Mechanism{})
 }
 
 // Get returns the handle registered under name, or ErrUnknownStream.
@@ -743,9 +469,9 @@ func (h *Hub) Close(name string) error {
 // other long-lived readers shut down. Errors are joined; streams close
 // regardless.
 func (h *Hub) CloseAll() error {
-	h.stopHibernator()
-	h.stopPrefetcher()
-	h.stopMaterializer()
+	if h.stopSweeper != nil {
+		h.stopSweeper()
+	}
 	var errs []error
 	for _, name := range h.List() {
 		if err := h.Close(name); err != nil && !errors.Is(err, ErrUnknownStream) {
@@ -765,27 +491,7 @@ const (
 	// maxCommitOps is the most queued operations one commit batch
 	// coalesces (one engine application pass, one WAL append, one fsync).
 	maxCommitOps = 128
-	// materializeQueueCap bounds the background materializer's handoff
-	// queue; a full queue drops the handoff (the first write builds the
-	// buffer instead).
-	materializeQueueCap = 64
-	// materializeDebounce is how long the hub must go without any stream
-	// activation before the background materializer runs a queued build:
-	// long enough that churned-out streams are hibernated again (and
-	// skipped) and that builds never contend with an activation storm,
-	// short enough that a stream which settles in has its back buffer
-	// ready before a typical first write.
-	materializeDebounce = 100 * time.Millisecond
 )
-
-// minTouchGapNs is the smallest inter-touch gap fed into the recurrence
-// EWMA: sub-millisecond gaps are one logical burst (a query fan-out, a
-// batch of adds), not a recurrence period worth predicting.
-const minTouchGapNs = int64(time.Millisecond)
-
-// prefetchHintTTL is how long a standing-signal hint (StreamHandle.
-// Prefetch) keeps a hibernated stream prefetch-eligible.
-const prefetchHintTTL = 30 * time.Second
 
 // opKind discriminates queued write operations.
 type opKind uint8
@@ -858,7 +564,7 @@ type writeOp struct {
 
 	// prefetch marks an opActivate queued fire-and-forget by the
 	// predictive prefetcher; its admissibility is re-validated at commit
-	// time (see Hub.prefetchAdmissible) and nobody awaits its result.
+	// time (see Hub.admission) and nobody awaits its result.
 	prefetch bool
 
 	// Results.
@@ -873,7 +579,7 @@ type writeOp struct {
 	nrecs int
 
 	// done is closed by the committing goroutine when the op's results are
-	// set; nil for fire-and-forget ops (tryHibernateAsync) nobody awaits.
+	// set; nil for fire-and-forget ops (tryEnqueue) nobody awaits.
 	done chan struct{}
 
 	// Tracing (all zero on untraced ops — the *Context methods populate tr
@@ -1060,20 +766,17 @@ func (hs *StreamHandle) Resident() bool { return hs.stp.Load() != nil }
 
 // touch refreshes the handle's eviction clock; it is also where the
 // residency machinery observes demand. The inter-touch gap feeds the
-// recurrence EWMA the prefetcher predicts from (α=¼; sub-millisecond
-// gaps are one logical burst and are not folded in), a touch on a
-// resident stream earns the second-chance bit, and the first demand
+// recurrence EWMA the prefetcher predicts from (residency.FoldGap), a touch
+// on a resident stream earns the second-chance bit, and the first demand
 // touch on a prefetched stream consumes the prefetch as a hit.
 func (hs *StreamHandle) touch() {
 	now := time.Now().UnixNano()
-	prev := hs.lastTouch.Swap(now)
-	if gap := now - prev; prev > 0 && gap >= minTouchGapNs {
+	if prev := hs.lastTouch.Swap(now); prev > 0 {
 		// Lost updates between racing touches are fine: the EWMA is a
 		// prediction signal, not an exact counter.
-		if old := hs.touchGapEWMA.Load(); old == 0 {
-			hs.touchGapEWMA.Store(gap)
-		} else {
-			hs.touchGapEWMA.Store(old + (gap-old)/4)
+		old := hs.touchGapEWMA.Load()
+		if ewma := residency.FoldGap(old, now-prev); ewma != old {
+			hs.touchGapEWMA.Store(ewma)
 		}
 	}
 	if hs.stp.Load() != nil {
@@ -1085,26 +788,6 @@ func (hs *StreamHandle) touch() {
 	}
 }
 
-// prefetchDue reports whether a hibernated stream should be reactivated
-// by this sweep: a standing hint is live, or the predicted next touch
-// (last touch + recurrence EWMA) falls within ±look of now. A prediction
-// already more than look stale means the recurrence broke — no prefetch
-// until the pattern re-establishes.
-func (hs *StreamHandle) prefetchDue(now, look int64) bool {
-	if hint := hs.prefetchHintNs.Load(); hint > 0 {
-		if now <= hint {
-			return true
-		}
-		hs.prefetchHintNs.CompareAndSwap(hint, 0) // expired: drop it
-	}
-	ewma := hs.touchGapEWMA.Load()
-	if ewma <= 0 {
-		return false
-	}
-	next := hs.lastTouch.Load() + ewma
-	return next-look <= now && now <= next+look
-}
-
 // Prefetch records a standing signal that this stream is expected to be
 // needed shortly — a reconnecting SubscribeResume cursor, a query
 // pattern, an application-level hint — keeping it prefetch-eligible for
@@ -1112,60 +795,44 @@ func (hs *StreamHandle) prefetchDue(now, look int64) bool {
 // it does nothing unless the hub runs a predictive prefetcher
 // (PersistOptions.PrefetchSweep) and never counts as a touch.
 func (hs *StreamHandle) Prefetch() {
-	hs.prefetchHintNs.Store(time.Now().Add(prefetchHintTTL).UnixNano())
+	hs.prefetchHintNs.Store(time.Now().UnixNano() + residency.HintTTL)
 }
 
-// tryActivateAsync enqueues a fire-and-forget prefetch activation without
-// ever blocking, mirroring tryHibernateAsync: the prefetched flag dedupes
-// (one pending prefetch per stream), the enqueue is TryLock + non-blocking
-// send, and the committed op re-validates admissibility (the hub may have
-// filled up, or a demand op may have activated the stream first).
-func (hs *StreamHandle) tryActivateAsync() bool {
-	if !hs.prefetched.CompareAndSwap(false, true) {
-		return true // one already pending — that is this sweep's progress
+// tryEnqueue offers the stream one of the two fire-and-forget ops — a
+// policy eviction (opHibernate, from makeRoom) or a prefetch activation
+// (opActivate, from prefetchSweep) — without ever blocking: TryLock on the
+// enqueue path, non-blocking channel send. At most one of each kind is
+// pending per stream (evictPending / prefetched dedupe: the coldest
+// candidate tends to stay coldest until its eviction drains, so
+// back-to-back admissions would otherwise pile identical ops into its
+// queue), and one already pending is reported as progress without
+// re-queueing. False means the stream was closed, already on the other
+// side of the transition, or too busy to take the op right now —
+// admission control treats that as "not cold after all" and moves on, and
+// a missed prefetch is picked up by the demand it anticipated. Nobody
+// awaits either op; each re-validates itself at commit time (see
+// Hub.admission).
+func (hs *StreamHandle) tryEnqueue(op *writeOp) bool {
+	evict := op.kind == opHibernate
+	pending := &hs.prefetched
+	if evict {
+		pending = &hs.evictPending
 	}
-	queued := false
-	defer func() {
-		if !queued {
-			hs.prefetched.Store(false)
-		}
-	}()
-	if !hs.qmu.TryLock() {
-		return false
-	}
-	defer hs.qmu.Unlock()
-	if hs.closed.Load() || hs.stp.Load() != nil {
-		return false
-	}
-	select {
-	case hs.ops <- &writeOp{kind: opActivate, prefetch: true}:
-		queued = true
+	if !pending.CompareAndSwap(false, true) {
 		return true
-	default:
-		return false // queue full: demand is already heading there
 	}
-}
-
-// materializeNow runs on the hub's background materializer goroutine:
-// build the freshly activated stream's deferred back buffer before the
-// first write has to. A stream that hibernated again in the meantime is
-// skipped; a write racing the build benignly loses the engine-lock race
-// and finds the buffer ready.
-func (hs *StreamHandle) materializeNow() {
-	st := hs.stp.Load()
-	if st == nil {
-		return
+	if hs.qmu.TryLock() {
+		defer hs.qmu.Unlock()
+		if !hs.closed.Load() && (hs.stp.Load() != nil) == evict {
+			select {
+			case hs.ops <- op:
+				return true
+			default: // queue full: the stream is anything but cold
+			}
+		}
 	}
-	did, _, err := st.materializeBack()
-	if err != nil {
-		hs.hub.log().Warn("background back-buffer materialization failed",
-			"stream", hs.name, "error", err)
-		return
-	}
-	if did {
-		hs.lazyMaterializations.Add(1)
-		obsResLazyMaterialize.Inc()
-	}
+	pending.Store(false)
+	return false
 }
 
 // do executes op through the writer pipeline and returns it with its
@@ -1297,15 +964,16 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 			}
 		}
 		// An opActivate is a commit barrier, so a prefetch is always alone
-		// in its batch: re-validate its admission before paying the load
-		// (see prefetchAdmissible). A stale prefetch quietly no-ops.
+		// in its batch: re-validate its admission before paying the load.
+		// Activating now must still not displace anything warmer than the
+		// stream it admits; a stale prefetch quietly no-ops — the demand
+		// operation it anticipated will activate on its own terms.
 		prefetch := len(batch) == 1 && batch[0].prefetch
-		if prefetch && !hs.hub.prefetchAdmissible(hs) {
-			hs.prefetched.Store(false)
-			if batch[0].done != nil {
-				close(batch[0].done)
+		if prefetch {
+			if plan := hs.hub.admission(hs.lastTouch.Load()); plan.Full && len(plan.Victims) == 0 {
+				hs.prefetched.Store(false)
+				return
 			}
-			return
 		}
 		if needs {
 			var err error
@@ -1405,7 +1073,7 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 			if op.evict {
 				hs.evictPending.Store(false)
 			}
-			if op.evict && (hs.lastTouch.Load() != op.evictTouch || !hs.hub.evictionWarranted()) {
+			if op.evict && (hs.lastTouch.Load() != op.evictTouch || !hs.hub.admission(0).Full) {
 				obsResStaleEvictions.Inc()
 			} else if op.err = hs.hibernate(st); op.err == nil {
 				if op.evict {
@@ -1590,11 +1258,12 @@ func (hs *StreamHandle) hibernate(st *Stream) error {
 // activate executes the cold→hot transition on the commit path: evict
 // colder streams first when a budget is configured (best-effort, see
 // Hub.makeRoom), then load checkpoint + WAL tail back into memory — the
-// front buffer only, by default; the deferred back buffer is handed to
-// the hub's background materializer so neither the activation nor the
-// first write pays for it. A prefetch activation bounds its evictions to
-// victims colder than this stream's own last touch, and the returned
-// phase breakdown feeds the stream.activate child spans.
+// front buffer only; the back buffer stays deferred until the first write
+// needs it. A prefetch activation bounds its evictions to victims colder
+// than this stream's own last touch and, being off the demand path by
+// construction, builds the back buffer itself once the activation has been
+// timed and published. The returned phase breakdown feeds the
+// stream.activate child spans.
 func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, error) {
 	if hs.pers == nil {
 		return nil, nil, fmt.Errorf("%w: stream %q has no durable state to reactivate", ErrPersistDisabled, hs.name)
@@ -1604,7 +1273,7 @@ func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, err
 	if prefetch {
 		ceiling = hs.lastTouch.Load()
 	}
-	hs.hub.makeRoom(hs, ceiling)
+	hs.hub.makeRoom(ceiling)
 	ph := &activationPhases{}
 	st, err := hs.pers.resume(hs.model.Load(), hs.opts, hs.cfg, ph)
 	if err != nil {
@@ -1621,15 +1290,13 @@ func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, err
 	// touch can only add protection, never lose it: a ghost hit (evicted
 	// recently, wanted again) re-admits protected, everything else starts
 	// probationary.
-	if hs.hub.ghostTake(hs.name) {
+	ghost := hs.hub.ghostTake(hs.name)
+	if ghost {
 		hs.ghostHits.Add(1)
 		obsResGhostHits.Inc()
-		hs.refBit.Store(true)
-	} else {
-		hs.refBit.Store(false)
 	}
+	hs.refBit.Store(ghost)
 	elapsed := time.Since(start)
-	hs.hub.lastActivateNs.Store(time.Now().UnixNano())
 	hs.stp.Store(st)
 	hs.residentBytes.Store(st.approxResidentBytes())
 	hs.activations.Add(1)
@@ -1639,47 +1306,15 @@ func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, err
 	if prefetch {
 		hs.prefetchActivations.Add(1)
 		obsResPrefetchActivations.Inc()
-	}
-	hs.hub.queueMaterialize(hs)
-	return st, ph, nil
-}
-
-// tryHibernateAsync enqueues a fire-and-forget hibernate op without ever
-// blocking: TryLock on the enqueue path, non-blocking channel send. False
-// means the stream was too busy to take the op right now — admission
-// control treats that as "not cold after all" and moves on. touch is the
-// lastTouch value the eviction decision was based on; the committed op
-// no-ops if the stream has been touched since (or the hub has meanwhile
-// settled under budget), so a straggling eviction behind a writer backlog
-// can never hibernate a re-warmed stream.
-func (hs *StreamHandle) tryHibernateAsync(touch int64) bool {
-	// One pending eviction per stream: the coldest candidate tends to stay
-	// coldest until its eviction drains, so back-to-back admissions would
-	// otherwise pile identical ops into its queue. A pending eviction
-	// already frees this slot; report it as progress without re-queueing.
-	if !hs.evictPending.CompareAndSwap(false, true) {
-		return true
-	}
-	queued := false
-	defer func() {
-		if !queued {
-			hs.evictPending.Store(false)
+		if did, _, err := st.me.Load().engine.MaterializeBack(); err != nil {
+			hs.hub.log().Warn("back-buffer materialization after prefetch failed",
+				"stream", hs.name, "error", err)
+		} else if did {
+			hs.lazyMaterializations.Add(1)
+			obsResLazyMaterialize.Inc()
 		}
-	}()
-	if !hs.qmu.TryLock() {
-		return false
 	}
-	defer hs.qmu.Unlock()
-	if hs.closed.Load() || hs.stp.Load() == nil {
-		return false
-	}
-	select {
-	case hs.ops <- &writeOp{kind: opHibernate, evict: true, evictTouch: touch}:
-		queued = true
-		return true
-	default:
-		return false // queue full: the stream is anything but cold
-	}
+	return st, ph, nil
 }
 
 // ensureResident reactivates a hibernated stream through the writer
@@ -1957,8 +1592,8 @@ type ResidencyStats struct {
 	// it — the clock policy's scan resistance at work.
 	SecondChanceSaves int64
 	// LazyMaterializations counts deferred back-buffer builds paid off
-	// the activation critical path (background task, first write, or WAL
-	// tail replay).
+	// the activation critical path (prefetch activation, first write, or
+	// WAL tail replay).
 	LazyMaterializations int64
 }
 

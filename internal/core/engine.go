@@ -347,9 +347,8 @@ func (g *Engine) EndBatch() {
 // bookkeeping overhead (see stream.ActiveWindow.ApproxBytes). The twin
 // windows share one archive and the shared copy is counted once. It feeds
 // the hub's residency accounting from the commit path and is never part of
-// exported state. Takes the writer lock: the back buffer pointer can be
-// swapped in by the background materializer after a lazy restore,
-// concurrently with the commit path.
+// exported state. Takes the writer lock: MaterializeBack may swap the back
+// buffer pointer in from any goroutine after a lazy restore.
 func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -513,9 +512,9 @@ func (g *Engine) materializeBack(record bool) error {
 }
 
 // MaterializeBack builds a lazily deferred back buffer now, off the write
-// path — the hub's background materializer calls it right after a lazy
-// activation returns, so the first write usually finds the buffer already
-// built. It reports whether it did the work (false when the buffer exists
+// path — the hub calls it at the end of a prefetch activation, so the
+// write the prefetch anticipated finds the buffer already built. It
+// reports whether it did the work (false when the buffer exists
 // — a write or an earlier call already materialized it) and how long the
 // build took. Safe to call concurrently with Ingest and queries; a
 // write racing it simply loses the mu race and finds back non-nil.

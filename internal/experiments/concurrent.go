@@ -11,42 +11,10 @@ import (
 	"github.com/social-streams/ksir/internal/stream"
 )
 
-// The concurrent-serving experiment measures the deployment shape §2
-// motivates — one writer streaming buckets while many readers query — and
-// quantifies what the sharded/snapshot engine (DESIGN.md §6) buys over the
-// seed architecture, emulated by a global read-write lock that makes every
-// ingest block every query, exactly like the original single-mutex engine.
-
-// engineGate abstracts how ingest and queries are interleaved so the same
-// workload runs against both concurrency models.
-type engineGate interface {
-	ingest(g *core.Engine, now stream.Time, batch []*stream.Element) error
-	query(g *core.Engine, q core.Query) (core.Result, error)
-}
-
-// snapshotGate is the engine's native model: no outer locking at all.
-type snapshotGate struct{}
-
-func (snapshotGate) ingest(g *core.Engine, now stream.Time, batch []*stream.Element) error {
-	return g.Ingest(now, batch)
-}
-func (snapshotGate) query(g *core.Engine, q core.Query) (core.Result, error) { return g.Query(q) }
-
-// globalLockGate reproduces the seed engine's concurrency model: one
-// RWMutex over the whole engine, write-held for every bucket, read-held for
-// every query — so queries serialize behind in-flight ingest.
-type globalLockGate struct{ mu sync.RWMutex }
-
-func (g2 *globalLockGate) ingest(g *core.Engine, now stream.Time, batch []*stream.Element) error {
-	g2.mu.Lock()
-	defer g2.mu.Unlock()
-	return g.Ingest(now, batch)
-}
-func (g2 *globalLockGate) query(g *core.Engine, q core.Query) (core.Result, error) {
-	g2.mu.RLock()
-	defer g2.mu.RUnlock()
-	return g.Query(q)
-}
+// The concurrent-serving harness drives the deployment shape §2 motivates —
+// one writer streaming buckets while many readers query the published
+// snapshot (DESIGN.md §6). The engine experiment and
+// BenchmarkConcurrentQueryDuringIngest run on it.
 
 // BucketCycler replays the dataset's bucket sequence forever, shifting IDs
 // and timestamps each pass so the writer never runs out of stream: cycle c
@@ -121,29 +89,15 @@ func (c *BucketCycler) Next() (stream.Time, []*stream.Element) {
 }
 
 // ConcurrentHarness is one prepared query-during-ingest setup: an engine
-// warmed with a full pass of the stream, an endless bucket source and a
-// concurrency gate ("snapshot" — the engine's native model — or
-// "globallock" — the seed's single-mutex model).
+// warmed with a full pass of the stream and an endless bucket source.
 type ConcurrentHarness struct {
-	env  *Env
-	gate engineGate
-	g    *core.Engine
-	cyc  *BucketCycler
+	env *Env
+	g   *core.Engine
+	cyc *BucketCycler
 }
 
-// NewConcurrentHarness builds and warms a harness for the given mode:
-// "snapshot" (the engine's native model) or "globallock" (the seed's
-// single-mutex model).
-func NewConcurrentHarness(env *Env, mode string) (*ConcurrentHarness, error) {
-	var gate engineGate
-	switch mode {
-	case "snapshot":
-		gate = snapshotGate{}
-	case "globallock":
-		gate = &globalLockGate{}
-	default:
-		return nil, fmt.Errorf("experiments: unknown concurrency mode %q", mode)
-	}
+// NewConcurrentHarness builds and warms a harness.
+func NewConcurrentHarness(env *Env) (*ConcurrentHarness, error) {
 	g, err := env.NewEngine(0)
 	if err != nil {
 		return nil, err
@@ -152,11 +106,11 @@ func NewConcurrentHarness(env *Env, mode string) (*ConcurrentHarness, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &ConcurrentHarness{env: env, gate: gate, g: g, cyc: cyc}
+	h := &ConcurrentHarness{env: env, g: g, cyc: cyc}
 	// Warm the window with one full pass so queries see a populated state.
 	for i := 0; i < cyc.BucketsPerCycle(); i++ {
 		now, batch := cyc.Next()
-		if err := gate.ingest(g, now, batch); err != nil {
+		if err := g.Ingest(now, batch); err != nil {
 			return nil, err
 		}
 	}
@@ -167,10 +121,10 @@ func NewConcurrentHarness(env *Env, mode string) (*ConcurrentHarness, error) {
 // assumes buckets arrive on a fixed cadence L with ingest finishing inside
 // the interval; a writer that ingests back-to-back with zero gap instead
 // measures CPU saturation (on one core, the scheduler's preemption quantum
-// dominates every latency percentile, in either concurrency model). These
+// dominates every latency percentile). These
 // constants keep the writer busy roughly a third of wall time and the
-// readers well below CPU saturation, so tail latency reflects how long a
-// query is *blocked by ingest* — the architectural property under test.
+// readers well below CPU saturation, so tail latency reflects what a query
+// costs *while ingest runs* — the architectural property under test.
 const (
 	// BucketScale coarsens the env's native bucket length so one bucket
 	// carries serving-scale traffic (hundreds of elements, tens of
@@ -196,7 +150,7 @@ func (h *ConcurrentHarness) StartWriter(pace time.Duration) (stop func() error) 
 		defer close(done)
 		for !halt.Load() {
 			now, batch := h.cyc.Next()
-			if e := h.gate.ingest(h.g, now, batch); e != nil {
+			if e := h.g.Ingest(now, batch); e != nil {
 				err = e
 				return
 			}
@@ -221,7 +175,7 @@ func (h *ConcurrentHarness) Query(n int) (time.Duration, error) {
 		alg = core.MTTD
 	}
 	t0 := time.Now()
-	_, err := h.gate.query(h.g, core.Query{K: 10, X: spec.X, Epsilon: 0.1, Algorithm: alg})
+	_, err := h.g.Query(core.Query{K: 10, X: spec.X, Epsilon: 0.1, Algorithm: alg})
 	return time.Since(t0), err
 }
 
@@ -230,7 +184,6 @@ func (h *ConcurrentHarness) Stats() core.Stats { return h.g.Stats() }
 
 // ConcurrentStats summarizes one concurrent-serving run.
 type ConcurrentStats struct {
-	Mode          string
 	Queries       int
 	P50, P99      time.Duration
 	QPS           float64
@@ -240,8 +193,8 @@ type ConcurrentStats struct {
 
 // RunConcurrent drives one harness: the writer streams buckets continuously
 // while `workers` readers issue `queries` k-SIR queries in total.
-func RunConcurrent(env *Env, mode string, workers, queries int) (ConcurrentStats, error) {
-	h, err := NewConcurrentHarness(env, mode)
+func RunConcurrent(env *Env, workers, queries int) (ConcurrentStats, error) {
+	h, err := NewConcurrentHarness(env)
 	if err != nil {
 		return ConcurrentStats{}, err
 	}
@@ -290,7 +243,6 @@ func RunConcurrent(env *Env, mode string, workers, queries int) (ConcurrentStats
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	st := h.Stats()
 	return ConcurrentStats{
-		Mode:          mode,
 		Queries:       len(latencies),
 		P50:           durPercentile(latencies, 0.50),
 		P99:           durPercentile(latencies, 0.99),
@@ -306,52 +258,4 @@ func durPercentile(sorted []time.Duration, q float64) time.Duration {
 	}
 	i := int(q * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-// Concurrent runs the query-during-ingest experiment on the Twitter stream
-// (z=50) under both concurrency models and reports the comparison plus the
-// machine-readable entries for the perf trajectory.
-func (l *Lab) Concurrent(workers, queries int) (*Table, []BenchEntry, error) {
-	env, err := l.Env("Twitter", 50)
-	if err != nil {
-		return nil, nil, err
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-	if queries <= 0 {
-		queries = 400
-	}
-
-	t := &Table{
-		Title:  fmt.Sprintf("Concurrent serving: %d readers vs 1 writer (Twitter, z=50, %d queries)", workers, queries),
-		Header: []string{"engine", "p50 (ms)", "p99 (ms)", "QPS", "buckets ingested", "update/elem (µs)"},
-	}
-	var entries []BenchEntry
-	results := make(map[string]ConcurrentStats, 2)
-	for _, mode := range []string{"globallock", "snapshot"} {
-		st, err := RunConcurrent(env, mode, workers, queries)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[mode] = st
-		t.AddRow(st.Mode,
-			fmtMS(float64(st.P50.Nanoseconds())),
-			fmtMS(float64(st.P99.Nanoseconds())),
-			fmtF(st.QPS, 1),
-			fmt.Sprint(st.Buckets),
-			fmtF(float64(st.UpdatePerElem.Nanoseconds())/1e3, 2))
-		entries = append(entries,
-			BenchEntry{Name: "concurrent-query-p50-" + mode, Value: float64(st.P50.Nanoseconds()) / 1e6, Unit: "Milliseconds", Extra: "P50"},
-			BenchEntry{Name: "concurrent-query-p99-" + mode, Value: float64(st.P99.Nanoseconds()) / 1e6, Unit: "Milliseconds", Extra: "P99"},
-			BenchEntry{Name: "concurrent-query-mean-interarrival-" + mode, Value: 1e3 / st.QPS, Unit: "Milliseconds", Extra: fmt.Sprintf("%.1f QPS", st.QPS)},
-			BenchEntry{Name: "update-time-per-element-" + mode, Value: float64(st.UpdatePerElem.Nanoseconds()) / 1e3, Unit: "Microseconds"},
-		)
-	}
-	if gl, sn := results["globallock"], results["snapshot"]; sn.P99 > 0 && sn.P50 > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"p99 speedup %.1fx, p50 speedup %.1fx over the seed single-mutex model (queries no longer serialize behind ingest)",
-			float64(gl.P99)/float64(sn.P99), float64(gl.P50)/float64(sn.P50)))
-	}
-	return t, entries, nil
 }

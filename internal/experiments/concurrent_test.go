@@ -56,27 +56,20 @@ func TestBucketCyclerFeedsEngineAcrossCycles(t *testing.T) {
 	}
 }
 
-// Both concurrency modes must complete a small run and report sane
-// statistics.
+// A small run must complete and report sane statistics.
 func TestRunConcurrentSmoke(t *testing.T) {
-	env := smallEnv(t)
-	for _, mode := range []string{"snapshot", "globallock"} {
-		st, err := RunConcurrent(env, mode, 2, 30)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if st.Queries != 30 {
-			t.Errorf("%s: completed %d queries, want 30", mode, st.Queries)
-		}
-		if st.P50 <= 0 || st.P99 < st.P50 {
-			t.Errorf("%s: implausible percentiles p50=%v p99=%v", mode, st.P50, st.P99)
-		}
-		if st.Buckets == 0 || st.QPS <= 0 {
-			t.Errorf("%s: writer made no progress: %+v", mode, st)
-		}
+	st, err := RunConcurrent(smallEnv(t), 2, 30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewConcurrentHarness(env, "bogus"); err == nil {
-		t.Error("unknown mode accepted")
+	if st.Queries != 30 {
+		t.Errorf("completed %d queries, want 30", st.Queries)
+	}
+	if st.P50 <= 0 || st.P99 < st.P50 {
+		t.Errorf("implausible percentiles p50=%v p99=%v", st.P50, st.P99)
+	}
+	if st.Buckets == 0 || st.QPS <= 0 {
+		t.Errorf("writer made no progress: %+v", st)
 	}
 }
 

@@ -38,7 +38,7 @@ func (l *Lab) EngineMaintenance(workers, queries int) (*Table, []BenchEntry, err
 	primary := float64(st.UpdateTimePerElement().Nanoseconds()) / 1e3
 	catchUp := perElem - primary
 
-	cs, err := RunConcurrent(env, "snapshot", workers, queries)
+	cs, err := RunConcurrent(env, workers, queries)
 	if err != nil {
 		return nil, nil, err
 	}

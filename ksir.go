@@ -399,14 +399,6 @@ func (s *Stream) approxResidentBytes() int64 {
 	return s.me.Load().engine.WriterResidentBytes() + s.pendingBytes
 }
 
-// materializeBack builds a lazily deferred back buffer now (the hub's
-// background materializer calls it right after activation returns, off
-// every critical path). Reports whether it did the work and the build
-// duration; a concurrent write materializing first makes it a no-op.
-func (s *Stream) materializeBack() (bool, time.Duration, error) {
-	return s.me.Load().engine.MaterializeBack()
-}
-
 // takeMaterialize returns and clears the timing of a write-path back
 // buffer materialization, for span attribution in the hub's commit path.
 func (s *Stream) takeMaterialize() (time.Time, time.Duration) {

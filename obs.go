@@ -45,7 +45,7 @@ var (
 	obsResSecondChanceSaves = metrics.NewCounter("ksir_hub_second_chance_saves_total",
 		"Eviction candidates skipped because their second-chance bit (or pending prefetch) protected them.")
 	obsResLazyMaterialize = metrics.NewCounter("ksir_hub_lazy_materialize_total",
-		"Deferred back-buffer materializations (background task, first write, or WAL tail replay).")
+		"Deferred back-buffer materializations (prefetch activation, first write, or WAL tail replay).")
 )
 
 // observeCommit records one commit batch on the pipeline families.

@@ -15,6 +15,7 @@ import (
 
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/persist"
+	"github.com/social-streams/ksir/internal/residency"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
@@ -92,14 +93,14 @@ type PersistOptions struct {
 	// MaxResidentStreams caps how many streams are resident at once;
 	// MaxResidentBytes caps their summed approximate resident bytes. Zero
 	// disables the respective bound; with both zero no background
-	// hibernator runs and streams only hibernate on explicit
+	// sweep runs and streams only hibernate on explicit
 	// StreamHandle.Hibernate calls. With a budget configured, OpenHub
 	// recovers existing streams cold (registered hibernated, loaded on
 	// first touch) so opening a massive-tenancy data dir stays within the
 	// budget.
 	MaxResidentStreams int
 	MaxResidentBytes   int64
-	// ResidencySweep is how often the background hibernator re-applies the
+	// ResidencySweep is how often the background sweeper re-applies the
 	// residency budget (default 1s; only consulted when a budget is set).
 	// Admission control additionally evicts the coldest streams inline
 	// whenever an activation would overshoot the budget.
@@ -237,6 +238,9 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 	h := NewHub()
 	h.logger = po.Logger
 	h.p = &hubPersist{dir: dir, opts: po.withDefaults(), modelHash: m.persistHash()}
+	if b := h.budget(); b.Enabled() {
+		h.ghosts = residency.NewGhosts(b)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, persistErr(err)
@@ -253,16 +257,18 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 			return nil, fmt.Errorf("recovering %s: %w", ent.Name(), err)
 		}
 	}
-	h.startHibernator()
-	h.startPrefetcher()
-	h.startMaterializer()
+	h.startSweeper()
 	return h, nil
 }
 
-// recoverStream rebuilds one stream directory: manifest → checkpoint →
-// WAL tail, then registers the handle. With a residency budget configured
-// the load is deferred instead — the stream registers hibernated and its
-// checkpoint + WAL tail are folded in by the first touching operation.
+// recoverStream registers one stream directory's handle from its manifest
+// and loads it the way a reactivation does (streamPersist.resume:
+// checkpoint → WAL tail). With a residency budget configured the load is
+// deferred instead: a massive data dir must not be loaded wholesale just
+// to open the hub, so only the manifests are read and each stream
+// registers hibernated with its checkpoint and WAL untouched on disk until
+// its first touching operation resumes it. Corruption in the deferred
+// state surfaces there, as that operation's error, instead of at OpenHub.
 func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
 	meta, err := persist.ReadMeta(sdir)
 	if err != nil {
@@ -278,47 +284,15 @@ func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
 	if err != nil {
 		return err
 	}
-	if h.residencyBudgeted() {
-		// Cold recovery: a massive data dir must not be loaded wholesale
-		// just to open the hub — only the manifests are read, and each
-		// stream registers hibernated with its checkpoint and WAL
-		// untouched on disk. Corruption in the deferred state surfaces on
-		// the first touching operation, as its error, instead of at
-		// OpenHub.
-		_, err := h.registerCold(meta.Name, m, opts, cfg, newColdStreamPersist(h.p, meta.Name, sdir))
-		return err
+	pers := newColdStreamPersist(h.p, meta.Name, sdir)
+	var st *Stream
+	if !h.budget().Enabled() {
+		if st, err = pers.resume(m, opts, cfg, &activationPhases{}); err != nil {
+			return err
+		}
 	}
-	ck, err := persist.LoadCheckpoint(sdir)
-	if err != nil {
-		return persistErr(err)
-	}
-	if ck != nil && ck.Name != meta.Name {
-		return persistErr(fmt.Errorf("%w: checkpoint names stream %q, manifest %q", persist.ErrCorrupt, ck.Name, meta.Name))
-	}
-	st, err := buildStream(m, opts, cfg, ck)
-	if err != nil {
-		return err
-	}
-	var opSeq uint64
-	if ck != nil {
-		opSeq = ck.OpSeq
-	}
-	wal, err := persist.OpenWAL(filepath.Join(sdir, persist.WALFile),
-		h.p.opts.Fsync.syncPolicy(), h.p.opts.FsyncInterval, replayInto(st, opSeq))
-	if err != nil {
-		return persistErr(err)
-	}
-	if wal.LastSeq() > opSeq {
-		opSeq = wal.LastSeq()
-	}
-	ckptBucket := int64(-1)
-	if ck != nil {
-		ckptBucket = ck.Core.Stats.Buckets
-	}
-	pers := newStreamPersist(h.p, meta.Name, sdir, wal, opSeq, ckptBucket)
-	pers.ckptCurrent = ck != nil && wal.Size() == 0
-	if _, err := h.registerWith(meta.Name, st, pers); err != nil {
-		wal.Close()
+	if _, err := h.register(meta.Name, st, m, opts, cfg, pers); err != nil {
+		_ = pers.releaseWAL() // the registration error is the one to report
 		return err
 	}
 	return nil
@@ -479,10 +453,11 @@ type activationPhases struct {
 	matDur       time.Duration
 }
 
-// resume loads the stream back into memory — the load half of
-// reactivation: checkpoint load, WAL open with tail replay, counter
-// refresh. Commit-path only; the caller owns the residency transition.
-// ph (non-nil) receives the phase timing breakdown.
+// resume loads the stream back into memory — the one loader behind both
+// reactivation and OpenHub's eager recovery: checkpoint load, WAL open with
+// tail replay, counter refresh. It runs on the commit path or before the
+// handle exists; the caller owns the residency transition. ph (non-nil)
+// receives the phase timing breakdown.
 func (p *streamPersist) resume(m *Model, opts Options, cfg streamConfig, ph *activationPhases) (*Stream, error) {
 	ph.ckptStart = time.Now()
 	ck, err := persist.LoadCheckpoint(p.dir)

@@ -214,7 +214,8 @@ func TestResidencyPrefetchHintHitAndMiss(t *testing.T) {
 	if r.PrefetchActivations != 1 || r.PrefetchHits != 0 || r.PrefetchMisses != 0 {
 		t.Fatalf("after prefetch: %+v, want exactly one activation, no hits/misses yet", r)
 	}
-	// The deferred back buffer is paid by the background materializer.
+	// The deferred back buffer is built by the prefetch activation itself,
+	// right after it publishes the stream.
 	waitFor(t, "background materialization", func() bool {
 		return hs.Stats().Residency.LazyMaterializations >= 1
 	})
@@ -311,11 +312,10 @@ func TestResidencyPrefetchRecurrencePrediction(t *testing.T) {
 	}
 }
 
-// Crash while the reactivated stream's back buffer is still lazy (or
-// being built in the background, racing fresh writes): recovery from a
-// crash snapshot of the data dir is byte-identical to a twin that never
-// hibernated, writes landed on either side of the materialization
-// included.
+// Crash after a lazily reactivated stream took writes (the first of them
+// built the deferred back buffer inline): recovery from a crash snapshot
+// of the data dir is byte-identical to a twin that never hibernated,
+// writes landed on either side of the materialization included.
 func TestResidencyLazyMaterializeCrashRecovery(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
@@ -339,8 +339,8 @@ func TestResidencyLazyMaterializeCrashRecovery(t *testing.T) {
 	}
 
 	// Reopen under a budget so recovery is cold, then reactivate lazily:
-	// the first query is served off the front buffer alone, and the writes
-	// after it race the background materializer.
+	// the first query is served off the front buffer alone, and the first
+	// write after it builds the back buffer.
 	h2 := openTestHub(t, dir, m, PersistOptions{MaxResidentStreams: 4, ResidencySweep: time.Hour})
 	defer h2.CloseAll()
 	hs2, err := h2.Get("feed")

@@ -2,6 +2,8 @@ package ksir
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -32,50 +34,70 @@ func benchPosts(n int) []Post {
 // BenchmarkWALAppend measures the durability overhead on the ingest hot
 // path: one accepted post = one in-memory Add + one WAL record, under
 // each fsync policy, with the in-memory hub as the zero-overhead
-// baseline. (fsync=always is bounded by the device's flush latency; the
-// other policies should track the baseline closely.)
+// baseline, from 1, 8 and 64 concurrent producers. (fsync=always is
+// bounded by the device's flush latency from one producer; from several,
+// group commit shares one fsync across a commit batch — batch-size > 1 and
+// fsyncs/op < 1 are the writer pipeline doing its job. The other policies
+// should track the baseline closely.)
+//
+// Every post carries one shared timestamp, so acceptance never depends on
+// how the producers interleave and no bucket boundary crosses the
+// measurement: the cell isolates tokenize + infer + pend + WAL.
 func BenchmarkWALAppend(b *testing.B) {
 	model := benchPersistModel(b)
 	opts := Options{Window: time.Hour, Bucket: time.Minute, Eta: 5}
-	run := func(b *testing.B, hs *StreamHandle) {
+	run := func(b *testing.B, hub *Hub, producers int) {
 		b.Helper()
-		posts := benchPosts(2048)
-		b.ReportAllocs()
-		b.ResetTimer()
-		ts := int64(0)
-		for i := 0; i < b.N; i++ {
-			p := posts[i%len(posts)]
-			p.ID = int64(i + 1)
-			p.Time += ts
-			if i%len(posts) == len(posts)-1 {
-				ts += posts[len(posts)-1].Time // keep time monotone across laps
-			}
-			if err := hs.Add(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("baseline-memory", func(b *testing.B) {
-		hub := NewHub()
+		defer hub.CloseAll()
 		hs, err := hub.Create("bench", model, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, hs)
-	})
-	for _, policy := range []FsyncPolicy{FsyncNever, FsyncInterval, FsyncAlways} {
-		b.Run("fsync-"+policy.String(), func(b *testing.B) {
-			hub, err := OpenHub(b.TempDir(), model, PersistOptions{Fsync: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hs, err := hub.Create("bench", model, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer hub.CloseAll()
-			run(b, hs)
+		posts := benchPosts(2048)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := next.Add(1)
+					if i > int64(b.N) {
+						return
+					}
+					p := posts[i%int64(len(posts))]
+					p.ID, p.Time = i, 700
+					if err := hs.Add(p); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		pipe := hs.Stats().Pipeline
+		b.ReportMetric(pipe.MeanBatchSize(), "batch-size")
+		b.ReportMetric(pipe.FsyncsPerOp(), "fsyncs/op")
+	}
+	producerCounts := []int{1, 8, 64}
+	for _, producers := range producerCounts {
+		b.Run(fmt.Sprintf("baseline-memory/producers=%d", producers), func(b *testing.B) {
+			run(b, NewHub(), producers)
 		})
+	}
+	for _, policy := range []FsyncPolicy{FsyncNever, FsyncInterval, FsyncAlways} {
+		for _, producers := range producerCounts {
+			b.Run(fmt.Sprintf("fsync-%s/producers=%d", policy, producers), func(b *testing.B) {
+				hub, err := OpenHub(b.TempDir(), model, PersistOptions{Fsync: policy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				run(b, hub, producers)
+			})
+		}
 	}
 }
 

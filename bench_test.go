@@ -11,9 +11,7 @@ package ksir_test
 
 import (
 	"io"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,62 +252,6 @@ func BenchmarkQuerySieve(b *testing.B) {
 		actives := experiments.Actives(microEngine)
 		baselines.SieveStreaming(microEngine.Scorer(), actives, q.X, 10, 0.1)
 	}
-}
-
-// BenchmarkConcurrentQueryDuringIngest measures query latency while a
-// writer goroutine streams buckets into the engine on the paced cadence of
-// Figure 4 — the §2 serving scenario: queries pin a published snapshot and
-// take no lock, so a query landing during a bucket does not wait for it.
-// Reported p50/p99 are per-query wall latencies.
-func BenchmarkConcurrentQueryDuringIngest(b *testing.B) {
-	const readers = 4
-	microSetup(b)
-	h, err := experiments.NewConcurrentHarness(microEnv)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stop := h.StartWriter(experiments.WriterPace)
-	var (
-		next atomic.Int64
-		mu   sync.Mutex
-		lat  = make([]time.Duration, 0, b.N)
-		wg   sync.WaitGroup
-	)
-	b.ResetTimer()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]time.Duration, 0, b.N/readers+1)
-			for {
-				i := next.Add(1)
-				if i > int64(b.N) {
-					break
-				}
-				time.Sleep(experiments.QueryThink)
-				d, err := h.Query(int(i))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				local = append(local, d)
-			}
-			mu.Lock()
-			lat = append(lat, local...)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	if err := stop(); err != nil {
-		b.Fatal(err)
-	}
-	if len(lat) == 0 {
-		return
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")
-	b.ReportMetric(float64(lat[int(0.99*float64(len(lat)-1))].Nanoseconds()), "p99-ns")
 }
 
 // BenchmarkIngest measures ranked-list maintenance per arriving element

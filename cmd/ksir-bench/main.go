@@ -2,19 +2,21 @@
 // synthetic datasets. Each experiment prints an aligned text table whose
 // rows/series match the corresponding table or figure in the paper; see
 // DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured comparisons.
+// paper-vs-measured comparisons. The service around the engine is measured
+// by benchmark/ (BENCHMARK.json), not here — with one exception, because it
+// is a gate benchmark/ has no counterpart for: -exp overhead, the cost of
+// metric+trace recording on the engine's hot paths.
 //
 // Usage:
 //
 //	ksir-bench -exp all
 //	ksir-bench -exp fig9 -elements 20000 -queries 200
 //	ksir-bench -exp table6 -scale small
-//	ksir-bench -exp engine -short -json . -baseline BENCH_engine.json
+//	ksir-bench -exp overhead -scale small -metrics-overhead-pct 2
 //
-// With -json the perf experiments additionally write machine-readable
-// BENCH_<exp>.json files; -baseline validates the fresh engine file
-// against a committed one and exits non-zero on a >-regress-factor
-// update-time regression (the CI bench smoke gate).
+// With -metrics-overhead-pct the overhead experiment exits non-zero when
+// recording costs more than that percent on engine add or query p99 (the
+// CI observability gate).
 package main
 
 import (
@@ -22,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -35,7 +36,7 @@ import (
 var experimentNames = []string{
 	"table3", "table5", "table6",
 	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"latency", "persist", "engine", "ingest", "tenancy", "all",
+	"latency", "overhead", "all",
 }
 
 // checkExperiment rejects a name -exp does not know: a misspelt experiment
@@ -51,25 +52,24 @@ func checkExperiment(exp string) error {
 
 func main() {
 	var (
-		exp             = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
-		scale           = flag.String("scale", "default", "preset scale: small|default")
-		short           = flag.Bool("short", false, "CI smoke mode: small scale and reduced workloads")
-		elements        = flag.Int("elements", 0, "override stream size per dataset")
-		queries         = flag.Int("queries", 0, "override workload size")
-		seed            = flag.Int64("seed", 42, "master seed")
-		out             = flag.String("out", "", "write output to file (default stdout)")
-		jsonDir         = flag.String("json", "", "also write machine-readable BENCH_<exp>.json files into this directory")
-		baseline        = flag.String("baseline", "", "committed BENCH_engine.json to regression-check the fresh engine run against (requires -exp engine and -json)")
-		ingestBaseline  = flag.String("ingest-baseline", "", "committed BENCH_ingest.json to regression-check the fresh ingest run against (requires -exp ingest and -json)")
-		tenancyBaseline = flag.String("tenancy-baseline", "", "committed BENCH_tenancy.json to regression-check the fresh tenancy run against (requires -exp tenancy and -json)")
-		regress         = flag.Float64("regress-factor", 3, "fail when the fresh gated metric exceeds baseline×factor")
-		overheadPct     = flag.Float64("metrics-overhead-pct", 0, "fail when metric+trace recording costs more than this percent on engine add or query p99 (0 = no gate; requires -exp engine and -json)")
+		exp         = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
+		scale       = flag.String("scale", "default", "preset scale: small|default")
+		elements    = flag.Int("elements", 0, "override stream size per dataset")
+		queries     = flag.Int("queries", 0, "override workload size")
+		seed        = flag.Int64("seed", 42, "master seed")
+		out         = flag.String("out", "", "write output to file (default stdout)")
+		overheadPct = flag.Float64("metrics-overhead-pct", 0, "-exp overhead: fail when metric+trace recording costs more than this percent on engine add or query p99 (0 = no gate)")
 	)
 	flag.Parse()
 
 	sc := experiments.DefaultScale
-	if *scale == "small" || *short {
+	overheadRounds := 5
+	if *scale == "small" {
 		sc = experiments.SmallScale
+		// Small-scale passes are tens of milliseconds, so single-round
+		// noise swamps the (near-zero) true recording cost; more rounds
+		// keep the median-of-rounds gate meaningful in CI.
+		overheadRounds = 7
 	}
 	if *elements > 0 {
 		sc.Elements = *elements
@@ -89,42 +89,16 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-
 	lab := experiments.NewLab(sc)
 	start := time.Now()
-	if err := run(lab, strings.ToLower(*exp), w, *jsonDir, *short); err != nil {
+	if err := run(lab, strings.ToLower(*exp), w, overheadRounds, *overheadPct); err != nil {
 		fatal(err)
-	}
-	if *baseline != "" {
-		if err := checkBaseline(w, *jsonDir, *baseline, *regress); err != nil {
-			fatal(err)
-		}
-	}
-	if *ingestBaseline != "" {
-		if err := checkIngestBaseline(w, *jsonDir, *ingestBaseline, *regress); err != nil {
-			fatal(err)
-		}
-	}
-	if *tenancyBaseline != "" {
-		if err := checkTenancyBaseline(w, *jsonDir, *tenancyBaseline, *regress); err != nil {
-			fatal(err)
-		}
-	}
-	if *overheadPct > 0 {
-		if err := checkMetricsOverhead(w, *jsonDir, *overheadPct); err != nil {
-			fatal(err)
-		}
 	}
 	fmt.Fprintf(w, "total wall time: %v (scale: %d elements, %d queries per dataset)\n",
 		time.Since(start).Round(time.Millisecond), sc.Elements, sc.Queries)
 }
 
-func run(lab *experiments.Lab, exp string, w io.Writer, jsonDir string, short bool) error {
+func run(lab *experiments.Lab, exp string, w io.Writer, overheadRounds int, overheadPct float64) error {
 	if err := checkExperiment(exp); err != nil {
 		return err
 	}
@@ -249,211 +223,47 @@ func run(lab *experiments.Lab, exp string, w io.Writer, jsonDir string, short bo
 			return err
 		}
 	}
-	if want("persist") {
-		t, entries, err := lab.Persist(nil)
-		if err != nil {
+	if want("overhead") {
+		if err := runOverhead(lab, w, overheadRounds, overheadPct); err != nil {
 			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "BENCH_persist.json")
-			if err := experiments.WriteBenchJSON(path, entries); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s (%d entries)\n", path, len(entries))
-		}
-	}
-	if want("ingest") {
-		producers := []int{1, 8, 64}
-		posts := 4096
-		if short {
-			producers = []int{1, 8}
-			posts = 768
-		}
-		t, entries, err := lab.Ingest(producers, posts)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "BENCH_ingest.json")
-			if err := experiments.WriteBenchJSON(path, entries); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s (%d entries)\n", path, len(entries))
-		}
-	}
-	if want("tenancy") {
-		streams, posts, touches := 64, 256, 200
-		if short {
-			streams, posts, touches = 32, 128, 120
-		}
-		t, entries, err := lab.Tenancy(streams, posts, touches)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "BENCH_tenancy.json")
-			if err := experiments.WriteBenchJSON(path, entries); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s (%d entries)\n", path, len(entries))
-		}
-	}
-	if want("engine") {
-		engineQueries := 400
-		overheadRounds := 5
-		if short {
-			// Short-scale passes are tens of milliseconds, so single-round
-			// noise swamps the (near-zero) true recording cost; more rounds
-			// keep the min-of-rounds gate meaningful in CI.
-			engineQueries = 120
-			overheadRounds = 7
-		}
-		t, entries, err := lab.EngineMaintenance(4, engineQueries)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		// The instrumented-vs-uninstrumented pair rides in the same
-		// experiment and json file: the observability subsystem's recording
-		// cost is part of the engine's perf trajectory. Best-of-3: the true
-		// recording cost is a floor under every measurement, so one clean
-		// attempt is proof of cheapness, while a real hot-path regression
-		// exceeds the ceiling in all three. Retrying only the polluted runs
-		// keeps the -metrics-overhead-pct gate stable on noisy shared CI
-		// runners without blunting it.
-		const overheadClean = 2.0 // matches the CI gate's -metrics-overhead-pct
-		var ot *experiments.Table
-		var oentries []experiments.BenchEntry
-		for attempt := 0; attempt < 3; attempt++ {
-			at, aentries, err := lab.MetricsOverhead(overheadRounds, engineQueries)
-			if err != nil {
-				return err
-			}
-			worse := func(es []experiments.BenchEntry) float64 {
-				worst := 0.0
-				for _, e := range es {
-					if strings.HasPrefix(e.Name, "engine-metrics-overhead-") && e.Value > worst {
-						worst = e.Value
-					}
-				}
-				return worst
-			}
-			if ot == nil || worse(aentries) < worse(oentries) {
-				ot, oentries = at, aentries
-			}
-			if worse(oentries) <= overheadClean {
-				break
-			}
-			fmt.Fprintf(w, "metrics overhead measurement polluted (%.2f%% worst); retrying\n", worse(aentries))
-		}
-		if err := render(ot); err != nil {
-			return err
-		}
-		entries = append(entries, oentries...)
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "BENCH_engine.json")
-			if err := experiments.WriteBenchJSON(path, entries); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s (%d entries)\n", path, len(entries))
 		}
 	}
 	return nil
 }
 
-// checkBaseline is the CI regression gate: schema-validate the freshly
-// written BENCH_engine.json and compare its delta-path update-time metric
-// against the committed baseline.
-func checkBaseline(w io.Writer, jsonDir, baseline string, factor float64) error {
-	if jsonDir == "" {
-		return fmt.Errorf("-baseline requires -json <dir>")
+// runOverhead prints the instrumented-vs-uninstrumented pair and, with
+// limitPct > 0, gates it. Best-of-3: the true recording cost is a floor
+// under every measurement, so one clean attempt is proof of cheapness,
+// while a real hot-path regression exceeds the ceiling in all three.
+// Retrying only the polluted runs keeps the gate stable on noisy shared CI
+// runners without blunting it.
+func runOverhead(lab *experiments.Lab, w io.Writer, rounds int, limitPct float64) error {
+	const clean = 2.0 // matches the CI gate's -metrics-overhead-pct
+	var best *experiments.Table
+	var o experiments.Overhead
+	for attempt := 0; attempt < 3; attempt++ {
+		at, ao, err := lab.MetricsOverhead(rounds)
+		if err != nil {
+			return err
+		}
+		if best == nil || ao.Worst() < o.Worst() {
+			best, o = at, ao
+		}
+		if o.Worst() <= clean {
+			break
+		}
+		fmt.Fprintf(w, "metrics overhead measurement polluted (%.2f%% worst); retrying\n", ao.Worst())
 	}
-	const metric = "engine-update-time-per-element-delta"
-	freshPath := filepath.Join(jsonDir, "BENCH_engine.json")
-	fresh, base, err := experiments.CompareBenchJSON(freshPath, baseline, metric, factor)
-	if err != nil {
+	if err := best.Render(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "baseline check ok: %s %.2fµs vs committed %.2fµs (limit %.1fx)\n", metric, fresh, base, factor)
-	return nil
-}
-
-// checkIngestBaseline gates the writer-pipeline trajectory: the pipelined
-// fsync=always per-post cost at 8 producers (a cell present in both the
-// short CI run and the committed full matrix) must not exceed the
-// committed baseline by more than the regression factor.
-func checkIngestBaseline(w io.Writer, jsonDir, baseline string, factor float64) error {
-	if jsonDir == "" {
-		return fmt.Errorf("-ingest-baseline requires -json <dir>")
+	if limitPct <= 0 {
+		return nil
 	}
-	const metric = "ingest-us-per-post-pipelined-always-p8"
-	freshPath := filepath.Join(jsonDir, "BENCH_ingest.json")
-	fresh, base, err := experiments.CompareBenchJSON(freshPath, baseline, metric, factor)
-	if err != nil {
+	if err := o.Check(limitPct); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "ingest baseline check ok: %s %.2fµs vs committed %.2fµs (limit %.1fx)\n", metric, fresh, base, factor)
-	return nil
-}
-
-// checkTenancyBaseline gates the hibernation trajectory on its budgets:
-// the lazy-reactivation median and tail (p50/p99 activation latency) and
-// the hot-tier footprint (resident bytes per stream). Any of them
-// exceeding the committed baseline by more than the regression factor
-// fails the run.
-func checkTenancyBaseline(w io.Writer, jsonDir, baseline string, factor float64) error {
-	if jsonDir == "" {
-		return fmt.Errorf("-tenancy-baseline requires -json <dir>")
-	}
-	freshPath := filepath.Join(jsonDir, "BENCH_tenancy.json")
-	for _, metric := range []string{"tenancy-activation-p50-ms", "tenancy-activation-p99-ms", "tenancy-resident-bytes-per-stream"} {
-		fresh, base, err := experiments.CompareBenchJSON(freshPath, baseline, metric, factor)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "tenancy baseline check ok: %s %.2f vs committed %.2f (limit %.1fx)\n", metric, fresh, base, factor)
-	}
-	return nil
-}
-
-// checkMetricsOverhead is the observability hot-path gate: an absolute
-// ceiling (not baseline-relative) on what metric recording may cost the
-// engine, read from the freshly written instrumented/uninstrumented pair.
-func checkMetricsOverhead(w io.Writer, jsonDir string, limitPct float64) error {
-	if jsonDir == "" {
-		return fmt.Errorf("-metrics-overhead-pct requires -json <dir>")
-	}
-	entries, err := experiments.ReadBenchJSON(filepath.Join(jsonDir, "BENCH_engine.json"))
-	if err != nil {
-		return err
-	}
-	for _, metric := range []string{"engine-metrics-overhead-add-pct", "engine-metrics-overhead-query-p99-pct"} {
-		found := false
-		for _, e := range entries {
-			if e.Name != metric {
-				continue
-			}
-			found = true
-			if e.Value > limitPct {
-				return fmt.Errorf("metrics recording too expensive: %s = %.2f%% (limit %.1f%%)", metric, e.Value, limitPct)
-			}
-			fmt.Fprintf(w, "metrics overhead ok: %s %.2f%% (limit %.1f%%)\n", metric, e.Value, limitPct)
-		}
-		if !found {
-			return fmt.Errorf("BENCH_engine.json missing %q (run with -exp engine)", metric)
-		}
-	}
+	fmt.Fprintf(w, "metrics overhead ok: add %.2f%%, query p99 %.2f%% (limit %.1f%%)\n", o.AddPct, o.QueryP99Pct, limitPct)
 	return nil
 }
 

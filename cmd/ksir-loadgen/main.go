@@ -3,14 +3,10 @@
 // scheduled send time so the percentiles are coordinated-omission-free
 // (internal/loadgen, DESIGN.md §14).
 //
-// Bench mode (default) runs the latency-under-load matrix in-process and
-// writes BENCH_load.json — the committed curves CI gates against:
-//
-//	ksir-loadgen -json .
-//	ksir-loadgen -short -json /tmp/out -baseline BENCH_load.json
-//
-// Remote mode drives a running ksir-server over the client SDK, with
-// synthetic traffic or a recorded JSONL stream (ksir-gen output):
+// It drives a running ksir-server over the client SDK, with synthetic
+// traffic or a recorded JSONL stream (ksir-gen output); the committed
+// latency-under-load numbers are benchmark/'s serve-mixed workload, which
+// runs on the same internal/loadgen:
 //
 //	ksir-loadgen -addr http://localhost:8080 -stream fire -create -rate 500 -shape bursty -ops 5000
 //	ksir-loadgen -addr http://localhost:8080 -stream fire -in stream.jsonl -rate 1000
@@ -25,43 +21,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	ksir "github.com/social-streams/ksir"
 	apiv1 "github.com/social-streams/ksir/api/v1"
 	"github.com/social-streams/ksir/client"
-	"github.com/social-streams/ksir/internal/experiments"
 	"github.com/social-streams/ksir/internal/jsonl"
 	"github.com/social-streams/ksir/internal/loadgen"
 )
 
 func main() {
 	var (
-		// Bench mode.
-		rates    = flag.String("rates", "500,1000,2000", "bench: comma-separated target rates (ops/sec)")
-		cellSecs = flag.Float64("cell-secs", 2, "bench: schedule length per cell in seconds")
-		streams  = flag.Int("streams", 16, "bench: stream count in the mixed-tenancy cell")
-		short    = flag.Bool("short", false, "bench: CI smoke mode (two rates, half-second cells)")
-		seed     = flag.Int64("seed", 42, "schedule seed")
-		out      = flag.String("out", "", "write output to file (default stdout)")
-		jsonDir  = flag.String("json", "", "bench: write machine-readable BENCH_load.json into this directory")
-		baseline = flag.String("baseline", "", "committed BENCH_load.json to regression-check the fresh run against (requires -json)")
-		regress  = flag.Float64("regress-factor", 3, "fail when a fresh gated metric exceeds baseline×factor")
-
-		// Remote mode.
-		addr    = flag.String("addr", "", "remote: base URL of a running ksir-server (enables remote mode)")
-		stream  = flag.String("stream", "load", "remote: stream name")
-		create  = flag.Bool("create", false, "remote: create the stream if it does not exist")
-		rate    = flag.Float64("rate", 500, "remote: target op rate per second")
-		shape   = flag.String("shape", "poisson", "remote: arrival shape (poisson|bursty|uniform)")
-		ops     = flag.Int("ops", 2000, "remote: synthetic ops to schedule")
-		in      = flag.String("in", "", "remote: replay this recorded JSONL stream (ksir-gen output) instead of synthetic posts")
-		flatten = flag.Bool("flatten-ts", false, "remote replay: collapse recorded timestamps onto one value (avoids out-of-order rejections from concurrent replay reordering)")
+		addr    = flag.String("addr", "", "base URL of a running ksir-server (required)")
+		stream  = flag.String("stream", "load", "stream name")
+		create  = flag.Bool("create", false, "create the stream if it does not exist")
+		rate    = flag.Float64("rate", 500, "target op rate per second")
+		shape   = flag.String("shape", "poisson", "arrival shape (poisson|bursty|uniform)")
+		ops     = flag.Int("ops", 2000, "synthetic ops to schedule")
+		in      = flag.String("in", "", "replay this recorded JSONL stream (ksir-gen output) instead of synthetic posts")
+		flatten = flag.Bool("flatten-ts", false, "replay: collapse recorded timestamps onto one value (avoids out-of-order rejections from concurrent replay reordering)")
+		seed    = flag.Int64("seed", 42, "schedule seed")
+		out     = flag.String("out", "", "write output to file (default stdout)")
 	)
 	flag.Parse()
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "ksir-loadgen: -addr is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -73,104 +61,9 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	if *addr != "" {
-		if err := runRemote(w, *addr, *stream, *in, *shape, *create, *flatten, *rate, *ops, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := runBench(w, *rates, *cellSecs, *streams, *short, *seed, *jsonDir, *baseline, *regress); err != nil {
+	if err := runRemote(w, *addr, *stream, *in, *shape, *create, *flatten, *rate, *ops, *seed); err != nil {
 		fatal(err)
 	}
-}
-
-// runBench runs the in-process latency-under-load matrix and optionally
-// gates it against a committed baseline (the CI smoke gate).
-func runBench(w io.Writer, ratesCSV string, cellSecs float64, streams int, short bool, seed int64, jsonDir, baseline string, regress float64) error {
-	rates, err := parseRates(ratesCSV)
-	if err != nil {
-		return err
-	}
-	sc := experiments.DefaultScale
-	if short {
-		sc = experiments.SmallScale
-		// Keep the gated cells (r500, r1000) and shrink everything else.
-		if len(rates) > 2 {
-			rates = rates[:2]
-		}
-		if cellSecs > 0.5 {
-			cellSecs = 0.5
-		}
-	}
-	sc.Seed = seed
-	lab := experiments.NewLab(sc)
-
-	start := time.Now()
-	t, entries, err := lab.Load(rates, cellSecs, streams)
-	if err != nil {
-		return err
-	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(jsonDir, "BENCH_load.json")
-		if err := experiments.WriteBenchJSON(path, entries); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s (%d entries)\n", path, len(entries))
-	}
-	if baseline != "" {
-		if err := checkLoadBaseline(w, jsonDir, baseline, regress); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// checkLoadBaseline gates the load trajectory on two stable cells: the
-// add p50 at the lowest rate (the pipeline's latency floor: one commit,
-// one fsync) and the fsyncs/op at the middle rate (the group-commit
-// amortization open-loop arrivals get by themselves). The p99 tails and
-// the saturating high-rate cells are deliberately not gated — short smoke
-// cells have too few samples for a stable tail, and an open-loop p99 under
-// saturation grows with schedule length by design.
-func checkLoadBaseline(w io.Writer, jsonDir, baseline string, factor float64) error {
-	if jsonDir == "" {
-		return fmt.Errorf("-baseline requires -json <dir>")
-	}
-	freshPath := filepath.Join(jsonDir, "BENCH_load.json")
-	for _, metric := range []string{"load-add-p50-ms-poisson-r500", "load-fsyncs-per-op-poisson-r1000"} {
-		fresh, base, err := experiments.CompareBenchJSON(freshPath, baseline, metric, factor)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "load baseline check ok: %s %.3f vs committed %.3f (limit %.1fx)\n", metric, fresh, base, factor)
-	}
-	return nil
-}
-
-func parseRates(csv string) ([]float64, error) {
-	var rates []float64
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q", f)
-		}
-		rates = append(rates, v)
-	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("no rates given")
-	}
-	return rates, nil
 }
 
 // runRemote drives a running server open-loop over the SDK and prints

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 
-	ksir "github.com/social-streams/ksir"
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/dataset"
 	"github.com/social-streams/ksir/internal/score"
@@ -63,9 +62,6 @@ type Env struct {
 type Lab struct {
 	scale Scale
 	cache map[string]*Env
-	// persistM is the compact model the durability experiment trains
-	// once (see persist.go).
-	persistM *ksir.Model
 }
 
 // NewLab returns a Lab at the given scale.

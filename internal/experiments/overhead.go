@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -223,6 +224,35 @@ func specTailP99(spec [][]float64) float64 {
 	return quantileSorted(weighted, 0.99)
 }
 
+// Overhead is what metric+trace recording costs on the engine's two hot
+// paths, in percent of the uninstrumented side.
+type Overhead struct {
+	AddPct      float64
+	QueryP99Pct float64
+}
+
+// Worst is the larger of the two percentages.
+func (o Overhead) Worst() float64 { return math.Max(o.AddPct, o.QueryP99Pct) }
+
+// Check is the gate: an absolute ceiling (not baseline-relative) on what
+// recording may cost either path.
+func (o Overhead) Check(limitPct float64) error {
+	if o.AddPct > limitPct {
+		return fmt.Errorf("metrics recording too expensive: add %.2f%% (limit %.1f%%)", o.AddPct, limitPct)
+	}
+	if o.QueryP99Pct > limitPct {
+		return fmt.Errorf("metrics recording too expensive: query p99 %.2f%% (limit %.1f%%)", o.QueryP99Pct, limitPct)
+	}
+	return nil
+}
+
+// overheadQueries is the query-sweep length per phase. A p99 needs depth
+// behind it: with n samples per side the estimate is the ~n/100-th largest
+// order statistic, and below a few hundred samples a single scheduler
+// spike owns it. Queries are ~0.2ms here, so a round costs well under a
+// second.
+const overheadQueries = 400
+
 // MetricsOverhead measures the recording cost of the observability
 // subsystem on the engine hot paths: `rounds` interleaved rounds (see
 // measureOverheadRound). The add overhead is the median of per-round
@@ -234,20 +264,13 @@ func specTailP99(spec [][]float64) float64 {
 // collections run between phases): background mark assists are the one
 // tail source that strict interleaving cannot split evenly. Recording is
 // re-enabled on return regardless of outcome.
-func (l *Lab) MetricsOverhead(rounds, queries int) (*Table, []BenchEntry, error) {
+func (l *Lab) MetricsOverhead(rounds int) (*Table, Overhead, error) {
 	env, err := l.Env("Twitter", 50)
 	if err != nil {
-		return nil, nil, err
+		return nil, Overhead{}, err
 	}
 	if rounds <= 0 {
 		rounds = 5
-	}
-	// A p99 needs depth behind it: with n samples per side the estimate is
-	// the ~n/100-th largest order statistic, and below a few hundred
-	// samples a single scheduler spike owns it. Queries are ~0.2ms here, so
-	// the floor costs well under a second per round.
-	if queries < 400 {
-		queries = 400
 	}
 	defer metrics.Enable()
 	defer trace.Enable()
@@ -261,8 +284,8 @@ func (l *Lab) MetricsOverhead(rounds, queries int) (*Table, []BenchEntry, error)
 
 	// Discarded warmup: the first replay pays one-time costs (page faults,
 	// branch/cache warmup, lazily grown runtime structures).
-	if _, _, _, _, err := measureOverheadRound(env, -1, queries); err != nil {
-		return nil, nil, err
+	if _, _, _, _, err := measureOverheadRound(env, -1, overheadQueries); err != nil {
+		return nil, Overhead{}, err
 	}
 
 	var bestWith, bestWithout overheadStats
@@ -270,9 +293,9 @@ func (l *Lab) MetricsOverhead(rounds, queries int) (*Table, []BenchEntry, error)
 	specOn := make([][]float64, len(env.Queries))
 	specOff := make([][]float64, len(env.Queries))
 	for r := 0; r < rounds; r++ {
-		with, without, on, off, err := measureOverheadRound(env, r, queries)
+		with, without, on, off, err := measureOverheadRound(env, r, overheadQueries)
 		if err != nil {
-			return nil, nil, err
+			return nil, Overhead{}, err
 		}
 		for si := range on {
 			specOn[si] = append(specOn[si], on[si]...)
@@ -288,8 +311,10 @@ func (l *Lab) MetricsOverhead(rounds, queries int) (*Table, []BenchEntry, error)
 	}
 	bestWith.QueryP99 = specTailP99(specOn) / 1e6
 	bestWithout.QueryP99 = specTailP99(specOff) / 1e6
-	addPct := medianPct(addPcts)
-	queryPct := medianPct([]float64{signedPct(bestWith.QueryP99, bestWithout.QueryP99)})
+	o := Overhead{
+		AddPct:      medianPct(addPcts),
+		QueryP99Pct: medianPct([]float64{signedPct(bestWith.QueryP99, bestWithout.QueryP99)}),
+	}
 
 	t := &Table{
 		Title: fmt.Sprintf("Metrics+tracing recording overhead: instrumented vs uninstrumented engine (Twitter, z=50, %d interleaved rounds)",
@@ -300,17 +325,6 @@ func (l *Lab) MetricsOverhead(rounds, queries int) (*Table, []BenchEntry, error)
 	t.AddRow("instrumented", fmtF(bestWith.AddPerElem, 2), fmtF(bestWith.QueryP99, 2))
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"metric+trace recording overhead: %.2f%% on add, %.2f%% on query p99 (CI gate: ksir-bench -metrics-overhead-pct)",
-		addPct, queryPct))
-
-	entries := []BenchEntry{
-		{Name: "engine-add-us-per-element-instrumented", Value: bestWith.AddPerElem, Unit: "Microseconds"},
-		{Name: "engine-add-us-per-element-uninstrumented", Value: bestWithout.AddPerElem, Unit: "Microseconds"},
-		{Name: "engine-query-p99-instrumented", Value: bestWith.QueryP99, Unit: "Milliseconds"},
-		{Name: "engine-query-p99-uninstrumented", Value: bestWithout.QueryP99, Unit: "Milliseconds"},
-		{Name: "engine-metrics-overhead-add-pct", Value: addPct, Unit: "Percent",
-			Extra: "ingest cost of metric+trace recording (default sample rate), median of per-round interleaved deltas"},
-		{Name: "engine-metrics-overhead-query-p99-pct", Value: queryPct, Unit: "Percent",
-			Extra: "query tail cost of metric+trace recording, weighted p99 over per-spec median latencies pooled across rounds"},
-	}
-	return t, entries, nil
+		o.AddPct, o.QueryP99Pct))
+	return t, o, nil
 }

@@ -1,16 +1,12 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per table/figure — see DESIGN.md §4), plus per-operation
-// micro-benchmarks of the core algorithms.
+// Per-operation micro-benchmarks of the core algorithms on a prepared
+// window state. The paper's tables and figures have one entry point,
+// `ksir-bench -exp <name>` (DESIGN.md §4); the service is measured by
+// benchmark/.
 //
-// The experiment benches run the full pipeline at a reduced scale; use
-// cmd/ksir-bench for the larger runs recorded in EXPERIMENTS.md:
-//
-//	go test -bench=. -benchmem
-//	go test -bench=BenchmarkFig9 -benchtime=1x
+//	go test -bench 'BenchmarkIngest|BenchmarkQuery' -run XXX -benchmem .
 package ksir_test
 
 import (
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -20,154 +16,6 @@ import (
 	"github.com/social-streams/ksir/internal/dataset"
 	"github.com/social-streams/ksir/internal/experiments"
 )
-
-// benchScale keeps each experiment bench in the low seconds.
-var benchScale = experiments.Scale{
-	Elements: 2500, Queries: 12, TopicIters: 15, Seed: 42, WindowHours: 24,
-}
-
-func benchLab() *experiments.Lab { return experiments.NewLab(benchScale) }
-
-func renderAll(b *testing.B, tables ...*experiments.Table) {
-	b.Helper()
-	for _, t := range tables {
-		if err := t.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3DatasetStats regenerates Table 3 (dataset statistics).
-func BenchmarkTable3DatasetStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := benchLab().Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, t)
-	}
-}
-
-// BenchmarkTable5UserStudy regenerates Table 5 (simulated user study).
-func BenchmarkTable5UserStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := benchLab().Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, t)
-	}
-}
-
-// BenchmarkTable6Effectiveness regenerates Table 6 (coverage/influence).
-func BenchmarkTable6Effectiveness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := benchLab().Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, t)
-	}
-}
-
-// BenchmarkFig7QueryTimeEps regenerates Figure 7 (query time vs ε).
-func BenchmarkFig7QueryTimeEps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f7, _, err := benchLab().EpsSweep([]float64{0.1, 0.3, 0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f7)
-	}
-}
-
-// BenchmarkFig8ScoreEps regenerates Figure 8 (score vs ε).
-func BenchmarkFig8ScoreEps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, f8, err := benchLab().EpsSweep([]float64{0.1, 0.3, 0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f8)
-	}
-}
-
-// BenchmarkFig9QueryTimeK regenerates Figure 9 (query time vs k, all five
-// methods).
-func BenchmarkFig9QueryTimeK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f9, _, _, err := benchLab().KSweep([]int{5, 15, 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f9...)
-	}
-}
-
-// BenchmarkFig10EvalRatio regenerates Figure 10 (evaluated-element ratio).
-func BenchmarkFig10EvalRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, f10, _, err := benchLab().KSweep([]int{5, 15, 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f10...)
-	}
-}
-
-// BenchmarkFig11ScoreK regenerates Figure 11 (score vs k).
-func BenchmarkFig11ScoreK(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, f11, err := benchLab().KSweep([]int{5, 15, 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f11...)
-	}
-}
-
-// BenchmarkFig12QueryTimeZ regenerates Figure 12 (query time vs z; retrains
-// the topic model per z).
-func BenchmarkFig12QueryTimeZ(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f12, _, err := benchLab().ZSweep([]int{25, 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f12...)
-	}
-}
-
-// BenchmarkFig13QueryTimeT regenerates Figure 13 (query time vs window
-// length T).
-func BenchmarkFig13QueryTimeT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f13, _, err := benchLab().TSweep([]float64{12, 24})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f13...)
-	}
-}
-
-// BenchmarkFig14UpdateTime regenerates Figure 14 (ranked-list update time
-// per arriving element, vs z and vs T).
-func BenchmarkFig14UpdateTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := benchLab()
-		_, f14z, err := lab.ZSweep([]int{25, 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, f14t, err := lab.TSweep([]float64{12, 24})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderAll(b, f14z, f14t)
-	}
-}
-
-// --- per-operation micro-benchmarks on a prepared window state ---
 
 var microOnce sync.Once
 var microEnv *experiments.Env

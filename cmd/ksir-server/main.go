@@ -60,7 +60,6 @@ func main() {
 		bucket    = flag.Duration("bucket", 15*time.Minute, "batch update interval L")
 		lambda    = flag.Float64("lambda", 0.5, "semantic/influence trade-off (0 = pure influence)")
 		eta       = flag.Float64("eta", 20, "influence rescale")
-		shards    = flag.Int("shards", 0, "topic shards for list maintenance (0 = GOMAXPROCS)")
 
 		metricsAddr = flag.String("metrics-addr", "", "also serve GET /metrics, GET /debug/traces and /debug/pprof/ on this separate listener (scrape/debug sidecar); /metrics and /debug/traces are always available on -addr")
 		pprofOn     = flag.Bool("pprof", false, "also expose /debug/pprof/ on the main -addr listener (the -metrics-addr sidecar always serves it)")
@@ -139,8 +138,8 @@ func main() {
 	defaults := ksir.Options{Window: *window, Bucket: *bucket, Lambda: *lambda, Eta: *eta}
 	// WithLambda keeps -lambda 0 (pure influence) expressible; passing the
 	// same options to NewHub makes streams created over POST /v1/streams
-	// inherit the deployment's tuning (λ and shard count included).
-	sopts := []ksir.StreamOption{ksir.WithLambda(*lambda), ksir.WithShards(*shards)}
+	// inherit the deployment's λ.
+	sopts := []ksir.StreamOption{ksir.WithLambda(*lambda)}
 
 	var hub *ksir.Hub
 	if *dataDir != "" {

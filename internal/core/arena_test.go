@@ -33,6 +33,38 @@ func TestQueryAllocationsPinned(t *testing.T) {
 	}
 }
 
+// The write-side twin: in steady state (window full, every bucket expiring
+// as many elements as it admits) a 25-element bucket of the golden stream
+// costs a bounded number of allocations — the window's delta and changeset,
+// the scorer's cache entries, list nodes, one snapshot: 600 as measured.
+// The per-bucket fan-out this pins the absence of (op lists per shard, an
+// expired-ID map, and a channel, wait group, closures and goroutines for
+// apply and again for replay) read 618 with one shard and 631 with two.
+func TestIngestAllocationsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	g, buckets, _ := goldenStream(t)
+	const runs = 19
+	warm := len(buckets) - (runs + 1) // AllocsPerRun calls f once more to warm up
+	for _, b := range buckets[:warm] {
+		if err := g.Ingest(b.End, b.Elems); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		b := buckets[next]
+		next++
+		if err := g.Ingest(b.End, b.Elems); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 610 {
+		t.Errorf("%.1f allocations per bucket, want ≤ 610", allocs)
+	}
+}
+
 // Evaluated counts distinct elements scored (Figure 10's numerator), so it
 // can exceed neither the descent depth nor the active set; the marginal-gain
 // computations are carried separately in GainEvals.

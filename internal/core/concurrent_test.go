@@ -53,13 +53,12 @@ func newConcurrentFixture(seed int64) concurrentFixture {
 	}
 }
 
-func (f concurrentFixture) newEngine(t testing.TB, shards int) *Engine {
+func (f concurrentFixture) newEngine(t testing.TB) *Engine {
 	t.Helper()
 	g, err := NewEngine(Config{
 		Model:        f.model,
 		WindowLength: f.windowT,
 		Params:       score.Params{Lambda: 0.5, Eta: 2},
-		Shards:       shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestConcurrentQueryConsistency(t *testing.T) {
 
 	// Golden pass: single-threaded, query after every bucket.
 	golden := make([]map[int]resultKey, len(f.buckets)+1)
-	gg := f.newEngine(t, 0)
+	gg := f.newEngine(t)
 	record := func(seq int64) {
 		m := make(map[int]resultKey, len(f.queries))
 		for qi, q := range f.queries {
@@ -125,7 +124,7 @@ func TestConcurrentQueryConsistency(t *testing.T) {
 	}
 
 	// Concurrent pass.
-	g := f.newEngine(t, 0)
+	g := f.newEngine(t)
 	var done atomic.Bool
 	var checked atomic.Int64
 	var wg sync.WaitGroup
@@ -161,19 +160,18 @@ func TestConcurrentQueryConsistency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !done.Load() {
-			// Stats and ShardStats must roll up when read from one
-			// consistent snapshot (separate Engine calls may straddle a
-			// publish, so pin once here).
+			// The list pass is part of the bucket application, so within
+			// one snapshot its wall time cannot exceed UpdateTime
+			// (separate Engine calls may straddle a publish, so pin once).
 			snap := g.acquire()
-			st, shards := snap.stats, snap.shards
+			st, busy := snap.stats, snap.listBusy
 			snap.release()
-			var ups, dels int64
-			for _, ss := range shards {
-				ups += ss.ListUpserts
-				dels += ss.ListDeletes
+			if busy > st.UpdateTime {
+				t.Errorf("list pass time %v exceeds update time %v", busy, st.UpdateTime)
+				return
 			}
-			if ups != st.ListUpserts || dels != st.ListDeletes {
-				t.Errorf("shard stats do not roll up: %d/%d vs %d/%d", ups, dels, st.ListUpserts, st.ListDeletes)
+			if ss := g.ShardStats(); len(ss) != 1 || ss[0].Busy < busy {
+				t.Errorf("ShardStats = %+v, want one entry with Busy >= %v", ss, busy)
 				return
 			}
 			for topic := 0; topic < f.model.Z; topic++ {
@@ -206,65 +204,12 @@ func TestConcurrentQueryConsistency(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariance: the ranked lists and query answers must be
-// bit-identical for any shard count — sharding is a scheduling decision,
-// not a semantic one.
-func TestShardCountInvariance(t *testing.T) {
-	f := newConcurrentFixture(31)
-	engines := map[string]*Engine{
-		"P=1": f.newEngine(t, 1),
-		"P=3": f.newEngine(t, 3),
-		"P=8": f.newEngine(t, 8),
-	}
-	for _, b := range f.buckets {
-		for name, g := range engines {
-			if err := g.Ingest(b.End, b.Elems); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-	}
-	ref := engines["P=1"]
-	for name, g := range engines {
-		if g.NumShards() > f.model.Z {
-			t.Errorf("%s: shards %d exceed topics %d", name, g.NumShards(), f.model.Z)
-		}
-		for topic := 0; topic < f.model.Z; topic++ {
-			a, b := ref.ListItems(topic), g.ListItems(topic)
-			if len(a) != len(b) {
-				t.Fatalf("%s: RL%d length %d, want %d", name, topic, len(b), len(a))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%s: RL%d[%d] = %+v, want %+v", name, topic, i, b[i], a[i])
-				}
-			}
-		}
-		st, rst := g.Stats(), ref.Stats()
-		if st.ListUpserts != rst.ListUpserts || st.ListDeletes != rst.ListDeletes {
-			t.Errorf("%s: counters %d/%d, want %d/%d", name, st.ListUpserts, st.ListDeletes, rst.ListUpserts, rst.ListDeletes)
-		}
-		for qi, q := range f.queries {
-			a, err := ref.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := g.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if keyOf(a) != keyOf(b) {
-				t.Errorf("%s: query %d diverged", name, qi)
-			}
-		}
-	}
-}
-
 // A pinned query must keep seeing its bucket even after later ingests
 // complete — and the engine must not deadlock waiting for it as long as at
 // most one further bucket is published before release.
 func TestQueryPinsBucketAcrossIngest(t *testing.T) {
 	f := newConcurrentFixture(47)
-	g := f.newEngine(t, 0)
+	g := f.newEngine(t)
 	if err := g.Ingest(f.buckets[0].End, f.buckets[0].Elems); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +249,7 @@ func TestQueryPinsBucketAcrossIngest(t *testing.T) {
 // buffer mutates, so the engine stays usable after the error.
 func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 	f := newConcurrentFixture(53)
-	g := f.newEngine(t, 0)
+	g := f.newEngine(t)
 	for _, b := range f.buckets[:3] {
 		if err := g.Ingest(b.End, b.Elems); err != nil {
 			t.Fatal(err)
@@ -334,7 +279,7 @@ func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 	if err := g.Ingest(now+10, []*stream.Element{&fresh}); err != nil {
 		t.Fatal(err)
 	}
-	ref := f.newEngine(t, 0)
+	ref := f.newEngine(t)
 	for _, b := range f.buckets[:3] {
 		if err := ref.Ingest(b.End, b.Elems); err != nil {
 			t.Fatal(err)
@@ -371,7 +316,7 @@ func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 // degraded variant.
 func TestConcurrentQueryBounds(t *testing.T) {
 	f := newConcurrentFixture(61)
-	g := f.newEngine(t, 0)
+	g := f.newEngine(t)
 	var wg sync.WaitGroup
 	var done atomic.Bool
 	wg.Add(1)

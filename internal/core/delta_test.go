@@ -113,20 +113,29 @@ type singleBuffer struct {
 	elems, seq int64
 }
 
-func (r *singleBuffer) ingest(g *Engine, now stream.Time, batch []*stream.Element) error {
+func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 	cs, err := r.buf.win.Advance(now, batch)
 	if err != nil {
 		return err
 	}
 	r.buf.scorer.OnChange(cs)
-	for _, ops := range g.partition(r.buf, cs) {
-		for _, op := range ops {
-			if l := r.buf.lists[op.topic]; !op.del {
-				l.Upsert(op.e.ID, r.buf.scorer.TopicScore(op.e, op.topic), op.te)
-				r.ups++
-			} else if l.Delete(op.e.ID) {
+	gone := make(map[stream.ElemID]bool, len(cs.Expired))
+	for _, e := range cs.Expired {
+		gone[e.ID] = true
+		for _, topic := range e.Topics.Topics {
+			if r.buf.lists[topic].Delete(e.ID) {
 				r.dels++
 			}
+		}
+	}
+	for _, e := range append(append([]*stream.Element(nil), cs.Inserted...), cs.Updated...) {
+		if gone[e.ID] {
+			continue // entered already out of window
+		}
+		te, _ := r.buf.win.LastRef(e.ID)
+		for _, topic := range e.Topics.Topics {
+			r.buf.lists[topic].Upsert(e.ID, r.buf.scorer.TopicScore(e, topic), te)
+			r.ups++
 		}
 	}
 	r.elems += int64(len(batch))
@@ -192,7 +201,7 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 			if err := g.Ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
 				t.Fatalf("seed %d bucket %d: %v", seed, b, err)
 			}
-			if err := ref.ingest(g, bucket.now, cloneBatch(bucket.batch)); err != nil {
+			if err := ref.ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
 				t.Fatalf("seed %d bucket %d (reference): %v", seed, b, err)
 			}
 

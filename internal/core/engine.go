@@ -6,11 +6,11 @@
 //
 // The engine separates an ingest path from a read path (DESIGN.md §6): the
 // writer maintains a private back buffer — window, scorer and the Z ranked
-// lists partitioned into topic shards updated by a worker pool — and at the
-// end of every bucket publishes an immutable snapshot through an atomic
-// pointer. Queries pin the published snapshot and traverse it with zero
-// locking, so they never block behind ingest and always observe exactly one
-// bucket boundary.
+// lists, updated in one sequential pass on the writer's own goroutine — and
+// at the end of every bucket publishes an immutable snapshot through an
+// atomic pointer. Queries pin the published snapshot and traverse it with
+// zero locking, so they never block behind ingest and always observe exactly
+// one bucket boundary.
 //
 // The retired buffer catches up on the bucket it missed by structural
 // delta replay (DESIGN.md §9): the primary application records the net
@@ -41,10 +41,6 @@ type Config struct {
 	WindowLength stream.Time
 	// Params are the scoring trade-offs λ and η.
 	Params score.Params
-	// Shards is the number of topic shards P the ranked lists are
-	// partitioned into for parallel maintenance; topic i belongs to shard
-	// i mod P. 0 picks min(GOMAXPROCS, Z). Results are independent of P.
-	Shards int
 }
 
 // Stats aggregates maintenance counters for the scalability experiments
@@ -76,25 +72,13 @@ func (s Stats) UpdateTimePerElement() time.Duration {
 	return s.UpdateTime / time.Duration(s.ElementsIngested)
 }
 
-// MaintenanceTimePerElement returns the average total maintenance time per
-// arriving element — primary application plus recycled-buffer catch-up —
-// the honest end-to-end cost of keeping both buffers current, and the
-// headline metric of the `engine` experiment.
-func (s Stats) MaintenanceTimePerElement() time.Duration {
-	if s.ElementsIngested == 0 {
-		return 0
-	}
-	return (s.UpdateTime + s.ReplayTime) / time.Duration(s.ElementsIngested)
-}
-
-// ShardStats counts the ranked-list maintenance done by one topic shard;
-// the per-shard counters roll up to the Stats list totals.
+// ShardStats is what is left of the per-shard counters of the deleted
+// worker pool: the frozen benchmark/ module sums Busy over
+// Engine.ShardStats() for core.shard_busy_share. Busy is the wall time of
+// the ranked-list pass (maintainLists), the share of UpdateTime that is
+// list work rather than window advance and rescoring.
 type ShardStats struct {
-	Shard       int
-	Topics      int // number of ranked lists owned by this shard
-	ListUpserts int64
-	ListDeletes int64
-	Busy        time.Duration // wall time this shard's worker spent applying ops
+	Busy time.Duration
 }
 
 // buffer is one complete copy of the mutable engine state. The engine keeps
@@ -149,8 +133,7 @@ type pendingBucket struct {
 // each query pins the engine snapshot published at the last bucket boundary
 // and never blocks behind the writer.
 type Engine struct {
-	cfg       Config
-	numShards int
+	cfg Config
 
 	mu    sync.Mutex // serializes Ingest (the writer side)
 	front atomic.Pointer[snapshot]
@@ -181,7 +164,7 @@ type Engine struct {
 	batching    bool           // inside a BeginBatch/EndBatch bracket
 	spentDeltas []*bucketDelta // replayed deltas, recycled by newBucketDelta
 	stats       Stats
-	shardStats  []ShardStats
+	listBusy    time.Duration // wall time spent in maintainLists
 }
 
 // NewEngine validates the configuration and returns an empty engine.
@@ -191,19 +174,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.WindowLength <= 0 {
 		return nil, fmt.Errorf("core: window length must be positive, got %d", cfg.WindowLength)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: shard count must be non-negative, got %d", cfg.Shards)
-	}
-	p := cfg.Shards
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > cfg.Model.Z {
-		p = cfg.Model.Z
-	}
-	if p < 1 {
-		p = 1
 	}
 	a, err := newBuffer(cfg)
 	if err != nil {
@@ -218,19 +188,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// last-ref times, expiry heap — exist once and replay skips
 	// maintaining them.
 	stream.ShareWriterState(a.win, b.win)
-	g := &Engine{cfg: cfg, numShards: p, back: b}
-	g.shardStats = make([]ShardStats, p)
-	for s := range g.shardStats {
-		g.shardStats[s].Shard = s
-		g.shardStats[s].Topics = (cfg.Model.Z - s + p - 1) / p
-	}
+	g := &Engine{cfg: cfg, back: b}
 	a.freeze()
-	g.front.Store(newSnapshot(a, g.stats, g.shardStats))
+	g.front.Store(newSnapshot(a, g.stats, g.listBusy))
 	return g, nil
 }
 
-// NumShards returns P, the number of topic shards.
-func (g *Engine) NumShards() int { return g.numShards }
+// NumShards is always 1: the ranked lists are maintained in one pass on the
+// writer goroutine. Kept, with ShardStats, only because the frozen
+// benchmark/ module divides by it; both go when a benchmark PR drops them.
+func (g *Engine) NumShards() int { return 1 }
 
 // Window exposes the published window for read-only use by baselines and
 // metrics. Callers must not mutate it, and must not retain it across more
@@ -253,21 +220,19 @@ func (g *Engine) Now() stream.Time { return g.front.Load().now }
 // Stats returns the maintenance counters as of the last published bucket.
 func (g *Engine) Stats() Stats { return g.front.Load().stats }
 
-// ShardStats returns the per-shard maintenance counters as of the last
-// published bucket; summing the list counters over shards reproduces the
-// Stats totals.
+// ShardStats returns one entry — the single pass — as of the last
+// published bucket (see the type, and NumShards, for why it still exists).
 func (g *Engine) ShardStats() []ShardStats {
-	return append([]ShardStats(nil), g.front.Load().shards...)
+	return []ShardStats{{Busy: g.front.Load().listBusy}}
 }
 
 // Ingest advances the window to now with one bucket of elements and
 // maintains the ranked lists (Algorithm 1): new elements are inserted into
 // the lists of every topic they have mass on; parents gaining references are
 // rescored and repositioned; expired elements are deleted. The work is
-// applied to the private back buffer — sharded across topics and executed
-// by a worker pool — and published atomically at the end, so concurrent
-// queries keep reading the previous bucket's snapshot until this one is
-// complete, then switch to it.
+// applied to the private back buffer and published atomically at the end,
+// so concurrent queries keep reading the previous bucket's snapshot until
+// this one is complete, then switch to it.
 func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -398,8 +363,8 @@ func (g *Engine) recycle() error {
 	g.replayQ = nil
 	start := time.Now()
 	for _, p := range q {
-		g.replayDelta(g.back, p.delta)
-		// Recycle the ops slices into the next capture; drop the window
+		g.back.replay(p.delta)
+		// Recycle the ops slice into the next capture; drop the window
 		// and cache parts so their element references can be collected.
 		p.delta.win, p.delta.cache = nil, score.CacheDelta{}
 		g.spentDeltas = append(g.spentDeltas, p.delta)
@@ -445,9 +410,8 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 }
 
 // applyBucket advances one buffer's window by one bucket and maintains its
-// ranked lists, sharded across topics. The structural outcome — window
-// delta, cache delta, net list ops — is recorded into rec for replay onto
-// the other buffer.
+// ranked lists. The structural outcome — window delta, cache delta, net
+// list ops — is recorded into rec for replay onto the other buffer.
 func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element, rec *bucketDelta) error {
 	cs, win, err := b.win.AdvanceRecorded(now, batch)
 	if err != nil {
@@ -455,19 +419,45 @@ func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element
 	}
 	rec.win = win
 	// OnChange caches every inserted element's word weights and drops the
-	// expired ones. After this point the shard workers only read the
-	// scorer and window; all their writes go to disjoint shard lists.
+	// expired ones, so the list pass below scores from the cache alone.
 	rec.cache = b.scorer.OnChangeRecorded(cs)
-	g.runShards(b, g.partition(b, cs), rec)
-	// Roll the per-shard counters up into the engine totals.
-	var ups, dels int64
-	for s := range g.shardStats {
-		ups += g.shardStats[s].ListUpserts
-		dels += g.shardStats[s].ListDeletes
-	}
-	g.stats.ListUpserts = ups
-	g.stats.ListDeletes = dels
+	g.maintainLists(b, cs, rec)
 	return nil
+}
+
+// maintainLists is the ranked-list half of Algorithm 1 (lines 7–13), one
+// sequential pass over the changeset: expired elements leave the lists of
+// their topics first, then every inserted and every updated element has
+// δ_i(e) recomputed and its tuple (re)positioned. Each structural outcome is
+// appended to rec.ops carrying the computed score, so replay never rescores.
+func (g *Engine) maintainLists(b *buffer, cs stream.ChangeSet, rec *bucketDelta) {
+	start := time.Now()
+	ops := rec.ops
+	for _, e := range cs.Expired {
+		for _, topic := range e.Topics.Topics {
+			if op, ok := b.lists[topic].DeleteRecorded(e.ID); ok {
+				ops = append(ops, topicOp{topic: topic, op: op})
+				g.stats.ListDeletes++
+			}
+		}
+	}
+	for _, es := range [2][]*stream.Element{cs.Inserted, cs.Updated} {
+		for _, e := range es {
+			// An element that entered already out of window expired in
+			// this same advance and must not linger in the lists.
+			te, active := b.win.LastRef(e.ID)
+			if !active {
+				continue
+			}
+			for _, topic := range e.Topics.Topics {
+				delta := b.scorer.TopicScore(e, topic)
+				ops = append(ops, topicOp{topic: topic, op: b.lists[topic].UpsertRecorded(e.ID, delta, te)})
+				g.stats.ListUpserts++
+			}
+		}
+	}
+	rec.ops = ops
+	g.listBusy += time.Since(start)
 }
 
 // publish freezes the back buffer into an immutable snapshot, swaps it in as
@@ -477,7 +467,7 @@ func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element
 func (g *Engine) publish() {
 	b := g.back
 	b.freeze()
-	snap := newSnapshot(b, g.stats, g.shardStats)
+	snap := newSnapshot(b, g.stats, g.listBusy)
 	old := g.front.Swap(snap)
 	g.backSnap = old
 	g.back = old.buf

@@ -34,12 +34,11 @@ type goldenRow struct {
 	Retrieved int     `json:"retrieved"`
 }
 
-// goldenEngine ingests a seeded stream of long, multi-topic, heavily
-// cross-referenced documents through a window shorter than the stream, so
-// the published state has expired elements, referenced-only actives and
-// children lists of every size — the shapes the evaluation state must
-// handle identically.
-func goldenEngine(t testing.TB) (*Engine, []topicmodel.TopicVec) {
+// goldenStream is the golden fixture before ingestion: an empty engine, a
+// seeded stream of long, multi-topic, heavily cross-referenced documents cut
+// into buckets, and the generator, left where goldenEngine draws the query
+// vectors from.
+func goldenStream(t testing.TB) (*Engine, []stream.Bucket, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20190326))
 	const (
@@ -95,12 +94,23 @@ func goldenEngine(t testing.TB) (*Engine, []topicmodel.TopicVec) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, buckets, rng
+}
+
+// goldenEngine ingests the golden stream through a window shorter than the
+// stream, so the published state has expired elements, referenced-only
+// actives and children lists of every size — the shapes the evaluation
+// state must handle identically.
+func goldenEngine(t testing.TB) (*Engine, []topicmodel.TopicVec) {
+	t.Helper()
+	g, buckets, rng := goldenStream(t)
 	for _, b := range buckets {
 		if err := g.Ingest(b.End, b.Elems); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Query vectors of 1, 3 and 6 topics plus a dense one.
+	z := g.cfg.Model.Z
 	var xs []topicmodel.TopicVec
 	for _, n := range []int{1, 3, 6, z} {
 		dense := make([]float64, z)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
@@ -24,9 +23,7 @@ import (
 // re-inserting the tuples rebuilds byte-identical traversals.
 type State struct {
 	Window stream.WindowState
-	// Lists[i] holds RL_i's tuples in ranked order. Per-shard counters
-	// are not part of the state: the shard count may differ across runs
-	// (it defaults to GOMAXPROCS), so only the totals in Stats survive.
+	// Lists[i] holds RL_i's tuples in ranked order.
 	Lists [][]rankedlist.Item
 	Stats Stats
 }
@@ -70,21 +67,8 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.WindowLength <= 0 {
 		return nil, fmt.Errorf("core: window length must be positive, got %d", cfg.WindowLength)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: shard count must be non-negative, got %d", cfg.Shards)
-	}
 	if len(st.Lists) != cfg.Model.Z {
 		return nil, fmt.Errorf("core: state has %d ranked lists for a %d-topic model", len(st.Lists), cfg.Model.Z)
-	}
-	p := cfg.Shards
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > cfg.Model.Z {
-		p = cfg.Model.Z
-	}
-	if p < 1 {
-		p = 1
 	}
 	front, err := restoreBuffer(cfg, st, nil)
 	if err != nil {
@@ -92,19 +76,9 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	}
 	// Retain the state; materializeBack rebuilds the back buffer from it
 	// before the first post-restore bucket applies.
-	g := &Engine{cfg: cfg, numShards: p, stats: st.Stats, lazy: &st}
-	g.shardStats = make([]ShardStats, p)
-	for s := range g.shardStats {
-		g.shardStats[s].Shard = s
-		g.shardStats[s].Topics = (cfg.Model.Z - s + p - 1) / p
-	}
-	// Per-shard counters cannot be restored faithfully across shard
-	// counts; park the lifetime totals on shard 0 so the roll-up in
-	// applyBucket keeps summing to the true totals.
-	g.shardStats[0].ListUpserts = st.Stats.ListUpserts
-	g.shardStats[0].ListDeletes = st.Stats.ListDeletes
+	g := &Engine{cfg: cfg, stats: st.Stats, lazy: &st}
 	front.freeze()
-	g.front.Store(newSnapshot(front, g.stats, g.shardStats))
+	g.front.Store(newSnapshot(front, g.stats, g.listBusy))
 	return g, nil
 }
 

@@ -153,22 +153,18 @@ func TestRestoreContinuesDeterministically(t *testing.T) {
 	}
 }
 
-// Restore works under any shard count (results are shard-independent) and
-// rejects states that do not fit the model.
+// Restore reproduces the exported engine's answers and rejects states
+// that do not fit the model.
 func TestRestoreValidation(t *testing.T) {
 	g := paperEngine(t)
 	st := g.ExportState()
 
-	for _, shards := range []int{1, 2, 7} {
-		cfg := paperConfig()
-		cfg.Shards = shards
-		r, err := Restore(cfg, st)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := sameResults(engineQueries(t, g), engineQueries(t, r)); err != nil {
-			t.Errorf("shards=%d: results diverge: %v", shards, err)
-		}
+	r, err := Restore(paperConfig(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameResults(engineQueries(t, g), engineQueries(t, r)); err != nil {
+		t.Errorf("results diverge: %v", err)
 	}
 
 	bad := st

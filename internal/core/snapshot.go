@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
@@ -26,7 +27,7 @@ type snapshot struct {
 	now       stream.Time
 	numActive int
 	stats     Stats
-	shards    []ShardStats
+	listBusy  time.Duration // Engine.listBusy at publish
 
 	// pins is read-locked by every reader of buf for the duration of the
 	// read. waitDrained write-locks it once, after the snapshot is
@@ -34,14 +35,14 @@ type snapshot struct {
 	pins sync.RWMutex
 }
 
-func newSnapshot(b *buffer, stats Stats, shards []ShardStats) *snapshot {
+func newSnapshot(b *buffer, stats Stats, listBusy time.Duration) *snapshot {
 	return &snapshot{
 		buf:       b,
 		seq:       stats.Buckets,
 		now:       b.win.Now(),
 		numActive: b.win.NumActive(),
 		stats:     stats,
-		shards:    append([]ShardStats(nil), shards...),
+		listBusy:  listBusy,
 	}
 }
 

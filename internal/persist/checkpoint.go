@@ -33,7 +33,6 @@ type Meta struct {
 	BucketNs int64
 	Lambda   float64
 	Eta      float64
-	Shards   int
 }
 
 // Checkpoint is the full serialized state of one stream at a bucket

@@ -135,7 +135,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 
 func TestMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	want := Meta{Name: "feed", ModelHash: 7, WindowNs: 1e9, BucketNs: 1e8, Lambda: 0.25, Eta: 20, Shards: 2}
+	want := Meta{Name: "feed", ModelHash: 7, WindowNs: 1e9, BucketNs: 1e8, Lambda: 0.25, Eta: 20}
 	if err := WriteMeta(dir, want); err != nil {
 		t.Fatal(err)
 	}

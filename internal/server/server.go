@@ -93,8 +93,8 @@ func New(st *ksir.Stream) *Server {
 
 // NewHub serves an existing Hub. model, defaults and sopts seed streams
 // created over POST /v1/streams (request fields override them; pass
-// ksir.WithLambda/ksir.WithShards here so wire-created streams inherit
-// the deployment's tuning, λ=0 included).
+// ksir.WithLambda here so wire-created streams inherit the deployment's
+// tuning, λ=0 included).
 func NewHub(hub *ksir.Hub, model *ksir.Model, defaults ksir.Options, sopts ...ksir.StreamOption) *Server {
 	s := &Server{hub: hub, model: model, defaults: defaults, sopts: sopts,
 		h: http.NewServeMux(), closing: make(chan struct{}),

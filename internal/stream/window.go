@@ -82,7 +82,7 @@ type ActiveWindow struct {
 // elemOverheadBytes is the flat per-archived-element bookkeeping estimate
 // rolled into the bytes counter: map entries (archive, active, lastRef,
 // children), the arrival-log slot, expiry-heap entries and the ranked-list
-// tuples the element occupies across topic shards.
+// tuples the element occupies in the lists of its topics.
 const elemOverheadBytes = 176
 
 // NewActiveWindow returns an empty window of length T. It panics if T ≤ 0

@@ -66,9 +66,6 @@ func (v SparseVec) Cosine(o SparseVec) float64 {
 	return v.Dot(o) / (nv * no)
 }
 
-// NNZ returns the number of stored (non-zero) entries.
-func (v SparseVec) NNZ() int { return len(v.Idx) }
-
 // TFIDF vectorizes documents with log-normalized TF-IDF weights
 // (1 + log tf) · log(N / df), the scheme the TF-IDF baseline in §5.1 uses.
 type TFIDF struct {

@@ -30,9 +30,6 @@ func (m *Model) TopicWord(topic int, w textproc.WordID) float64 {
 	return m.Phi[topic*m.V+int(w)]
 }
 
-// NumTopics returns z.
-func (m *Model) NumTopics() int { return m.Z }
-
 // Validate checks structural invariants: dimensions match and every topic
 // row is a probability distribution.
 func (m *Model) Validate() error {

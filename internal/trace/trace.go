@@ -27,7 +27,7 @@
 //
 // Like the metrics registry, recording is globally gated by
 // Enable/Disable so the instrumented/uninstrumented benchmark pair can
-// measure its cost (ksir-bench -exp engine, same 2% CI gate).
+// measure its cost (ksir-bench -exp overhead, same 2% CI gate).
 package trace
 
 import (

@@ -48,7 +48,6 @@ type StreamOption func(*streamConfig)
 type streamConfig struct {
 	lambda     float64
 	lambdaSet  bool
-	shards     int
 	onSubError func(*Subscription, error)
 }
 
@@ -57,13 +56,6 @@ type streamConfig struct {
 // overrides Options.Lambda.
 func WithLambda(l float64) StreamOption {
 	return func(c *streamConfig) { c.lambda, c.lambdaSet = l, true }
-}
-
-// WithShards sets the number of topic shards the engine's ranked lists are
-// partitioned into for parallel maintenance (0, the default, picks
-// min(GOMAXPROCS, topics)). Results are independent of the shard count.
-func WithShards(p int) StreamOption {
-	return func(c *streamConfig) { c.shards = p }
 }
 
 // WithSubscriptionErrorHandler installs the stream-wide fallback hook for
@@ -97,9 +89,6 @@ func (o *Options) fill(cfg *streamConfig) error {
 	}
 	if o.Eta <= 0 {
 		return fmt.Errorf("%w: eta must be positive, got %v", ErrBadOptions, o.Eta)
-	}
-	if cfg.shards < 0 {
-		return fmt.Errorf("%w: shard count must be non-negative, got %d", ErrBadOptions, cfg.shards)
 	}
 	return nil
 }
@@ -201,7 +190,7 @@ func New(m *Model, opts Options, sopts ...StreamOption) (*Stream, error) {
 	if err := opts.fill(&cfg); err != nil {
 		return nil, err
 	}
-	eng, err := newEngineForModel(m, opts, cfg.shards)
+	eng, err := newEngineForModel(m, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,36 +4,30 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
-	"time"
 )
 
-// liveElem pairs an active element with its retained raw text for
-// re-inference during SwapModel.
-type liveElem struct {
-	e    *stream.Element
-	text string
-}
-
-// newEngineForModel builds a core engine for a model under the stream's
-// options (shared by New and SwapModel).
-func newEngineForModel(m *Model, opts Options, shards int) (*core.Engine, error) {
-	return core.NewEngine(core.Config{
+// engineConfig is the core engine configuration of a model under the
+// stream's resolved options.
+func engineConfig(m *Model, opts Options) core.Config {
+	return core.Config{
 		Model:        m.tm,
 		WindowLength: stream.Time(opts.Window / time.Second),
 		Params:       score.Params{Lambda: opts.Lambda, Eta: opts.Eta},
-		Shards:       shards,
-	})
+	}
 }
 
-// docFromIDs builds a bag-of-words document from token IDs.
-func docFromIDs(ids []textproc.WordID) textproc.Document {
-	return textproc.NewDocument(ids)
+// newEngineForModel builds an empty core engine (shared by New, SwapModel
+// and recovery without a checkpoint).
+func newEngineForModel(m *Model, opts Options) (*core.Engine, error) {
+	return core.NewEngine(engineConfig(m, opts))
 }
 
 // This file implements the query paradigms §3.2 lists beyond
@@ -67,17 +61,8 @@ func (s *Stream) QueryPersonalized(ctx context.Context, k int, history []string,
 	if len(history) == 0 {
 		return Result{}, fmt.Errorf("%w: personalized query needs at least one history post", ErrBadQuery)
 	}
-	var all []string
-	all = append(all, history...)
 	// A pseudo-document concatenating the user's history.
-	joined := ""
-	for i, h := range all {
-		if i > 0 {
-			joined += " "
-		}
-		joined += h
-	}
-	return s.QueryByText(ctx, k, joined, opts...)
+	return s.QueryByText(ctx, k, strings.Join(history, " "), opts...)
 }
 
 // QueryOption tweaks paradigm helpers without widening their signatures.
@@ -138,31 +123,31 @@ func (s *Stream) SwapModel(m *Model) error {
 	}
 	// Collect the live elements (window order does not matter; Ingest
 	// replays them bucket-free at their original timestamps).
-	var actives []liveElem
+	var actives []*stream.Element
 	cur := s.me.Load().engine
 	cur.ReadSnapshot(func(win *stream.ActiveWindow, _ *score.Scorer) {
 		win.ForEachActive(func(e *stream.Element) {
-			actives = append(actives, liveElem{e: e, text: e.Text})
+			actives = append(actives, e)
 		})
 	})
 	now := cur.Now()
 
-	eng, err := newEngineForModel(m, s.opts, s.cfg.shards)
+	eng, err := newEngineForModel(m, s.opts)
 	if err != nil {
 		return err
 	}
 	// Re-ingest in timestamp order with re-inferred topic vectors.
 	sortLiveByTS(actives)
 	var batch []*stream.Element
-	for _, l := range actives {
-		ids := m.tokenIDs(l.text)
+	for _, e := range actives {
+		ids := m.tokenIDs(e.Text)
 		batch = append(batch, &stream.Element{
-			ID:     l.e.ID,
-			TS:     l.e.TS,
-			Doc:    docFromIDs(ids),
+			ID:     e.ID,
+			TS:     e.TS,
+			Doc:    textproc.NewDocument(ids),
 			Topics: m.inf.InferDoc(ids),
-			Refs:   l.e.Refs,
-			Text:   l.text,
+			Refs:   e.Refs,
+			Text:   e.Text,
 		})
 	}
 	if len(batch) > 0 {
@@ -192,11 +177,11 @@ func (s *Stream) SwapModel(m *Model) error {
 // sortLiveByTS orders elements by (TS, ID) so that re-ingestion preserves
 // reference order: IDs grow with time, so a same-timestamp parent always
 // precedes its referrer.
-func sortLiveByTS(actives []liveElem) {
+func sortLiveByTS(actives []*stream.Element) {
 	sort.Slice(actives, func(i, j int) bool {
-		if actives[i].e.TS != actives[j].e.TS {
-			return actives[i].e.TS < actives[j].e.TS
+		if actives[i].TS != actives[j].TS {
+			return actives[i].TS < actives[j].TS
 		}
-		return actives[i].e.ID < actives[j].e.ID
+		return actives[i].ID < actives[j].ID
 	})
 }

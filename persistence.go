@@ -16,7 +16,6 @@ import (
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/persist"
 	"github.com/social-streams/ksir/internal/residency"
-	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
 )
@@ -221,7 +220,7 @@ func persistErr(err error) error {
 // fails with ErrModelVersion otherwise); sopts carry the non-persistable
 // stream configuration — e.g. WithSubscriptionErrorHandler — applied to
 // every recovered stream, while each stream's core parameters (window,
-// bucket, λ, η, shards) come from its own manifest. A torn WAL tail (a
+// bucket, λ, η) come from its own manifest. A torn WAL tail (a
 // crash mid-append) is truncated silently; a checkpoint torn anywhere in
 // its write — element-log append, head replace — falls back to the
 // previous head plus the not-yet-truncated WAL (DESIGN.md §8).
@@ -308,7 +307,7 @@ func optionsFromMeta(meta persist.Meta, sopts []StreamOption) (Options, streamCo
 		Bucket: time.Duration(meta.BucketNs),
 		Eta:    meta.Eta,
 	}
-	all := append(append([]StreamOption{}, sopts...), WithLambda(meta.Lambda), WithShards(meta.Shards))
+	all := append(append([]StreamOption{}, sopts...), WithLambda(meta.Lambda))
 	var cfg streamConfig
 	for _, o := range all {
 		o(&cfg)
@@ -330,17 +329,12 @@ func buildStream(m *Model, opts Options, cfg streamConfig, ck *persist.Checkpoin
 		err error
 	)
 	if ck == nil {
-		eng, err = newEngineForModel(m, opts, cfg.shards)
+		eng, err = newEngineForModel(m, opts)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		eng, err = core.Restore(core.Config{
-			Model:        m.tm,
-			WindowLength: stream.Time(opts.Window / time.Second),
-			Params:       score.Params{Lambda: opts.Lambda, Eta: opts.Eta},
-			Shards:       cfg.shards,
-		}, ck.Core)
+		eng, err = core.Restore(engineConfig(m, opts), ck.Core)
 		if err != nil {
 			return nil, persistErr(err)
 		}
@@ -553,7 +547,6 @@ func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error
 		BucketNs:  int64(opts.Bucket),
 		Lambda:    opts.Lambda,
 		Eta:       opts.Eta,
-		Shards:    st.cfg.shards,
 	}); err != nil {
 		return nil, persistErr(err)
 	}

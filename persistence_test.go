@@ -3,9 +3,11 @@ package ksir
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/url"
 	"os"
@@ -226,6 +228,76 @@ func TestCleanCloseRecovery(t *testing.T) {
 	sameResults(t, "clean close",
 		persistQueries(t, func(q Query) (Result, error) { return hs2.Query(nil, q) }),
 		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
+}
+
+// Manifests written before the topic-shard pool was deleted carry a Shards
+// field (non-zero under -shards N or WithShards). Reading one skips the
+// field, and the stream reopens to byte-identical exported state.
+func TestRetiredShardsManifestReopens(t *testing.T) {
+	m := trainTestModel(t)
+	dir := t.TempDir()
+	h := openTestHub(t, dir, m, PersistOptions{})
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	posts := genPosts(120, 21)
+	if n, err := hs.AddBatch(posts); err != nil || n != len(posts) {
+		t.Fatalf("AddBatch = %d, %v", n, err)
+	}
+	if err := hs.Flush(posts[len(posts)-1].Time + 120); err != nil {
+		t.Fatal(err)
+	}
+	want := exportGob(t, hs.Stream())
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	sdir := filepath.Join(dir, "feed")
+	meta, err := persist.ReadMeta(sdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type legacyMeta struct {
+		Name               string
+		ModelHash          uint64
+		WindowNs, BucketNs int64
+		Lambda, Eta        float64
+		Shards             int
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(legacyMeta{meta.Name, meta.ModelHash,
+		meta.WindowNs, meta.BucketNs, meta.Lambda, meta.Eta, 2}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(sdir, persist.MetaFile)
+	cur, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same envelope: magic and version, then the payload's CRC-32C.
+	legacy := binary.LittleEndian.AppendUint32(cur[:12:12],
+		crc32.Checksum(payload.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	legacy = append(legacy, payload.Bytes()...)
+	if len(legacy) <= len(cur) {
+		t.Fatalf("legacy manifest is %d bytes, current %d: the retired field was not encoded", len(legacy), len(cur))
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := persist.ReadMeta(sdir); err != nil || got != meta {
+		t.Fatalf("ReadMeta of a legacy manifest = %+v, %v; want %+v", got, err, meta)
+	}
+
+	h2 := openTestHub(t, dir, m, PersistOptions{})
+	defer h2.CloseAll()
+	hs2, err := h2.Get("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exportGob(t, hs2.Stream()); !bytes.Equal(got, want) {
+		t.Errorf("export after reopening under a legacy manifest differs (%d vs %d bytes)", len(got), len(want))
+	}
 }
 
 // A torn write — the crash truncating the WAL's final record — recovers

@@ -3,6 +3,7 @@ package ksir
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -25,7 +26,7 @@ type Subscription struct {
 	// changedOnly suppresses refreshes whose result set is identical to
 	// the previous one.
 	changedOnly bool
-	lastIDs     string
+	lastIDs     []int64 // nil until the first delivery
 	failures    atomic.Int64
 	// gone is set by Unsubscribe so an in-flight fireSubscriptions sweep
 	// (which iterates a snapshot of the registration list) skips a
@@ -175,8 +176,8 @@ func (s *Stream) fireSubscriptions(now int64) {
 			continue
 		}
 		if sub.changedOnly {
-			ids := fmt.Sprint(resultIDs(res))
-			if ids == sub.lastIDs {
+			ids := resultIDs(res)
+			if sub.lastIDs != nil && slices.Equal(ids, sub.lastIDs) {
 				continue
 			}
 			sub.lastIDs = ids

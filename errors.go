@@ -48,7 +48,9 @@ var (
 	ErrNotActive = errors.New("ksir: post no longer active")
 	// ErrModelVersion reports an on-disk artifact — model file, checkpoint,
 	// WAL — written by an incompatible format version, or persisted stream
-	// state being opened against a different model than it was built with.
+	// state being opened against a different model than it was built with
+	// or by a build whose topic sampler infers different vectors from the
+	// same text (the directory is left untouched: re-ingest its source).
 	ErrModelVersion = errors.New("ksir: unsupported format version")
 	// ErrPersist reports a durability failure: the in-memory operation may
 	// have been applied, but it could not be made durable (WAL append or

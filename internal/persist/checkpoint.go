@@ -76,10 +76,11 @@ const (
 	WALFile      = "wal"
 )
 
-// checkpointVersion is the head version this package writes: 2, the flat
-// head + element log of codec.go. Version 1, one gob file holding the
-// elements too, is still read (checkpoint_v1.go) and is replaced by the
-// first checkpoint taken after it loads.
+// checkpointVersion is the head version this package writes and reads: 2,
+// the flat head + element log of codec.go. Version 1 was one gob file
+// holding the elements too; the last build that wrote it also inferred with
+// an older topic sampler, so no directory this build may open holds one and
+// a v1 head is ErrVersion like any other.
 const checkpointVersion = 2
 
 var (
@@ -186,46 +187,55 @@ func ReadMeta(dir string) (Meta, error) {
 	return m, nil
 }
 
-// currentHead returns the head a reader of dir must use — the current
-// file when its envelope is intact, else the .bak (whose WAL suffix is
-// still on disk, see WriteCheckpoint) — as its version and payload, and
-// whether it is the current file. A nil payload with a nil error means the
-// stream has never been checkpointed. Loader and writer both choose
-// through here, so the log prefix a writer extends is always the one a
-// loader would read. Only a missing or torn current file falls back: a
-// version from the future is ErrVersion even when a .bak exists, so
-// operators see incompatibility rather than a silent restore of older
-// state.
-func currentHead(dir string) (ver uint32, payload []byte, isCurrent bool, err error) {
-	open := func(name string) (uint32, []byte, error) {
+// openHead verifies a head file's envelope and version and returns its
+// payload: ErrCorrupt for a torn file, ErrVersion for any version but
+// checkpointVersion.
+func openHead(data []byte) ([]byte, error) {
+	ver, payload, err := openFile(ckptMagic, data)
+	if err != nil {
+		return nil, err
+	}
+	if ver != checkpointVersion {
+		return nil, fmt.Errorf("%w: checkpoint version %d (want %d)", ErrVersion, ver, checkpointVersion)
+	}
+	return payload, nil
+}
+
+// currentHead returns the payload of the head a reader of dir must use —
+// the current file when its envelope is intact, else the .bak (whose WAL
+// suffix is still on disk, see WriteCheckpoint) — and whether it is the
+// current file. A nil payload with a nil error means the stream has never
+// been checkpointed. Loader and writer both choose through here, so the log
+// prefix a writer extends is always the one a loader would read. Only a
+// missing or torn current file falls back: another version is ErrVersion
+// even when a .bak exists, so operators see incompatibility rather than a
+// silent restore of older state.
+func currentHead(dir string) (payload []byte, isCurrent bool, err error) {
+	open := func(name string) ([]byte, error) {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		ver, payload, err := openFile(ckptMagic, data)
-		if err == nil && ver != 1 && ver != checkpointVersion {
-			err = fmt.Errorf("%w: checkpoint version %d (want %d)", ErrVersion, ver, checkpointVersion)
-		}
-		return ver, payload, err
+		return openHead(data)
 	}
-	ver, payload, err = open(CheckpointFile)
+	payload, err = open(CheckpointFile)
 	switch {
 	case err == nil:
-		return ver, payload, true, nil
+		return payload, true, nil
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, ErrCorrupt):
-		bver, bpayload, berr := open(CheckpointBak)
+		bpayload, berr := open(CheckpointBak)
 		if berr == nil {
-			return bver, bpayload, false, nil
+			return bpayload, false, nil
 		}
 		if errors.Is(berr, fs.ErrNotExist) {
 			if errors.Is(err, ErrCorrupt) {
-				return 0, nil, false, err // corrupt current, nothing to fall back to
+				return nil, false, err // corrupt current, nothing to fall back to
 			}
-			return 0, nil, false, nil // never checkpointed
+			return nil, false, nil // never checkpointed
 		}
-		return 0, nil, false, berr
+		return nil, false, berr
 	default:
-		return 0, nil, false, err
+		return nil, false, err
 	}
 }
 
@@ -287,7 +297,7 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 // current file is overwritten in place instead — rotating it would destroy
 // the .bak that still loads).
 func durablePrefix(dir string, ck *Checkpoint) (base logPrefix, rotate bool, err error) {
-	ver, payload, isCurrent, err := currentHead(dir)
+	payload, isCurrent, err := currentHead(dir)
 	switch {
 	case errors.Is(err, ErrCorrupt):
 		return logPrefix{}, false, nil // nothing in dir loads: start over
@@ -295,9 +305,6 @@ func durablePrefix(dir string, ck *Checkpoint) (base logPrefix, rotate bool, err
 		return logPrefix{}, false, err
 	case payload == nil:
 		return logPrefix{}, false, nil // first checkpoint
-	case ver == 1:
-		// A v1 head holds its own elements; the log starts with this write.
-		return logPrefix{}, isCurrent, nil
 	}
 	prev, base, _, err := decodeHeadPrefix(payload)
 	if err != nil {
@@ -371,12 +378,9 @@ func appendElements(dir string, base logPrefix, log []*stream.Element) (logPrefi
 // ErrCorrupt with no fallback: the log is fsynced before its head is
 // written, so no crash produces that shape.
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	ver, payload, _, err := currentHead(dir)
+	payload, _, err := currentHead(dir)
 	if err != nil || payload == nil {
 		return nil, err
-	}
-	if ver == 1 {
-		return decodeCheckpointV1(payload)
 	}
 	ck, lp, err := decodeHead(payload)
 	if err != nil {

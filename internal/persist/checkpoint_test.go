@@ -124,12 +124,18 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] = 0x63 // version field
-	if err := os.WriteFile(cur, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(dir); !errors.Is(err, ErrVersion) {
-		t.Errorf("future-version load = %v, want ErrVersion", err)
+	// A version from the future, and the retired gob format's.
+	for _, ver := range []byte{0x63, 1} {
+		data[8] = ver // version field
+		if err := os.WriteFile(cur, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(dir); !errors.Is(err, ErrVersion) {
+			t.Errorf("version-%d load = %v, want ErrVersion", ver, err)
+		}
+		if err := WriteCheckpoint(dir, grown(1)); !errors.Is(err, ErrVersion) {
+			t.Errorf("checkpoint over a version-%d head = %v, want ErrVersion", ver, err)
+		}
 	}
 }
 

@@ -8,9 +8,8 @@
 //     length-prefixed CRC-checked WAL records (record.go), the fsync
 //     policy (wal.go), and checkpoints as an append-only element log plus
 //     an atomically-replaced versioned head with a .bak fallback
-//     (checkpoint.go for the protocol, codec.go for the flat encoding,
-//     checkpoint_v1.go for reading the gob files of format v1). It decodes
-//     state but never interprets it.
+//     (checkpoint.go for the protocol, codec.go for the flat encoding). It
+//     decodes state but never interprets it.
 //   - internal/stream and internal/core own what the state *means*: they
 //     export and restore window contents and ranked-list tuples.
 //   - The root ksir package glues the two together: ksir.OpenHub recovers

@@ -27,6 +27,35 @@ func synthCorpus(nDocs, docLen int, seed int64) [][]textproc.WordID {
 	return docs
 }
 
+// synthTopicalCorpus is synthCorpus at service scale: z true topics over a
+// vocabulary of v words, each topic owning a contiguous slice of it with
+// Zipf-like weights, and a document mixing one or two topics with a tenth of
+// its words drawn from the whole vocabulary — so that a model trained on it
+// has the shape fold-in meets in the service (φ far larger than L1, most
+// words likely under a few topics, some under none in particular).
+func synthTopicalCorpus(z, v, nDocs, docLen int, seed int64) [][]textproc.WordID {
+	rng := rand.New(rand.NewSource(seed))
+	per := v / z
+	zipf := rand.NewZipf(rng, 1.3, 4, uint64(per-1))
+	docs := make([][]textproc.WordID, nDocs)
+	for d := range docs {
+		topics := [2]int{rng.Intn(z), rng.Intn(z)}
+		if rng.Intn(2) == 0 {
+			topics[1] = topics[0]
+		}
+		doc := make([]textproc.WordID, docLen)
+		for j := range doc {
+			if rng.Intn(10) == 0 {
+				doc[j] = textproc.WordID(rng.Intn(v))
+				continue
+			}
+			doc[j] = textproc.WordID(topics[rng.Intn(2)]*per + int(zipf.Uint64()))
+		}
+		docs[d] = doc
+	}
+	return docs
+}
+
 func TestTrainLDARecoverstopics(t *testing.T) {
 	docs := synthCorpus(100, 20, 1)
 	m, vecs, err := TrainLDA(docs, LDAConfig{Topics: 2, VocabSize: 10, Iterations: 50, Seed: 1})

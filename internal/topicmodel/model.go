@@ -63,7 +63,16 @@ type TopicVec struct {
 // NewTopicVec builds a sorted TopicVec from a dense distribution, dropping
 // zero entries.
 func NewTopicVec(dense []float64) TopicVec {
-	var v TopicVec
+	n := 0
+	for _, p := range dense {
+		if p > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return TopicVec{}
+	}
+	v := TopicVec{Topics: make([]int32, 0, n), Probs: make([]float64, 0, n)}
 	for i, p := range dense {
 		if p > 0 {
 			v.Topics = append(v.Topics, int32(i))
@@ -130,34 +139,55 @@ func (v TopicVec) norm() float64 {
 // Truncate keeps at most maxTopics entries with probability ≥ minProb and
 // renormalizes the survivors to sum to 1. This reproduces the sparsity the
 // paper observes ("the average number of topics per element is less than
-// 2", §4) and that the ranked-list pruning relies on. If nothing survives
-// the thresholds, the single largest entry is kept.
+// 2", §4) and that the ranked-list pruning relies on. Larger probabilities
+// win, and the lower topic wins a tie. If nothing survives the thresholds,
+// the single largest entry is kept.
 func (v TopicVec) Truncate(maxTopics int, minProb float64) TopicVec {
-	if v.Len() == 0 {
-		return v
+	if v.Len() == 0 || maxTopics <= 0 {
+		return TopicVec{}
 	}
 	type tp struct {
 		t int32
 		p float64
 	}
-	all := make([]tp, v.Len())
-	for i := range v.Topics {
-		all[i] = tp{v.Topics[i], v.Probs[i]}
+	before := func(a, b tp) bool { return a.p > b.p || (a.p == b.p && a.t < b.t) }
+	// One pass keeps the survivors so far in kept, best first: every caller
+	// asks for a handful of topics, which fit the stack.
+	var stack [8]tp
+	kept := stack[:0]
+	if maxTopics > len(stack) {
+		kept = make([]tp, 0, min(maxTopics, v.Len()))
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].p != all[b].p {
-			return all[a].p > all[b].p
+	best := tp{v.Topics[0], v.Probs[0]}
+	for i, t := range v.Topics {
+		e := tp{t, v.Probs[i]}
+		if before(e, best) {
+			best = e
 		}
-		return all[a].t < all[b].t
-	})
-	kept := all[:0]
-	for i, e := range all {
-		if i >= maxTopics || (e.p < minProb && i > 0) {
-			break
+		if e.p < minProb || (len(kept) == maxTopics && !before(e, kept[len(kept)-1])) {
+			continue
 		}
-		kept = append(kept, e)
+		if len(kept) < maxTopics {
+			kept = append(kept, e)
+		}
+		j := len(kept) - 1
+		for ; j > 0 && before(e, kept[j-1]); j-- {
+			kept[j] = kept[j-1]
+		}
+		kept[j] = e
 	}
-	sort.Slice(kept, func(a, b int) bool { return kept[a].t < kept[b].t })
+	if len(kept) == 0 {
+		kept = append(kept, best)
+	}
+	// Back into topic order, summing in that order.
+	for i := 1; i < len(kept); i++ {
+		e := kept[i]
+		j := i
+		for ; j > 0 && kept[j-1].t > e.t; j-- {
+			kept[j] = kept[j-1]
+		}
+		kept[j] = e
+	}
 	out := TopicVec{
 		Topics: make([]int32, len(kept)),
 		Probs:  make([]float64, len(kept)),

@@ -3,6 +3,8 @@ package topicmodel
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +111,76 @@ func TestTruncateProperty(t *testing.T) {
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// truncateBySorting is Truncate as it was before it selected in one pass:
+// sort everything by (probability descending, topic ascending), cut, sort
+// the survivors back by topic. The reference for TestTruncateMatchesSorting.
+func truncateBySorting(v TopicVec, maxTopics int, minProb float64) TopicVec {
+	type tp struct {
+		t int32
+		p float64
+	}
+	all := make([]tp, v.Len())
+	for i := range v.Topics {
+		all[i] = tp{v.Topics[i], v.Probs[i]}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].p != all[b].p {
+			return all[a].p > all[b].p
+		}
+		return all[a].t < all[b].t
+	})
+	kept := all[:0]
+	for i, e := range all {
+		if i >= maxTopics || (e.p < minProb && i > 0) {
+			break
+		}
+		kept = append(kept, e)
+	}
+	sort.Slice(kept, func(a, b int) bool { return kept[a].t < kept[b].t })
+	var out TopicVec
+	var sum float64
+	for _, e := range kept {
+		sum += e.p
+	}
+	for _, e := range kept {
+		out.Topics = append(out.Topics, e.t)
+		out.Probs = append(out.Probs, e.p/sum)
+	}
+	return out
+}
+
+// Truncate's one-pass selection answers exactly as sorting did, float for
+// float, on random vectors: dense and sparse ones, probabilities drawn from
+// a few values so that ties are the rule (the lower topic wins), thresholds
+// nothing reaches (the largest entry is kept), more topics asked for than
+// the stack array or the vector holds.
+func TestTruncateMatchesSorting(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 5000; trial++ {
+		dense := make([]float64, 1+rng.Intn(60))
+		levels := 1 + rng.Intn(6)
+		for i := range dense {
+			switch rng.Intn(3) {
+			case 0: // absent
+			case 1:
+				dense[i] = float64(1+rng.Intn(levels)) / 64
+			default:
+				dense[i] = rng.Float64()
+			}
+		}
+		v := NewTopicVec(dense)
+		maxTopics := 1 + rng.Intn(12)
+		minProb := []float64{0, 1.0 / 64, 2.0 / 64, rng.Float64(), 2}[rng.Intn(5)]
+		got, want := v.Truncate(maxTopics, minProb), truncateBySorting(v, maxTopics, minProb)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Truncate(%d, %v) of %+v:\n got %+v\nwant %+v", maxTopics, minProb, v, got, want)
+		}
+		if got.Len() > 0 && math.Abs(got.Sum()-1) > 1e-12 {
+			t.Fatalf("Truncate(%d, %v) of %+v sums to %v", maxTopics, minProb, v, got.Sum())
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"github.com/social-streams/ksir/internal/residency"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
+	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
 // FsyncPolicy selects when a stream's write-ahead log is flushed to stable
@@ -166,9 +167,11 @@ type hubPersist struct {
 	modelHash uint64
 }
 
-// persistHash fingerprints the model so persisted state is never married
-// to a different model on recovery (word IDs and topic indexes would
-// silently disagree).
+// persistHash fingerprints the model and the sampler that infers with it, so
+// persisted state is never married to a different model on recovery (word
+// IDs and topic indexes would silently disagree) nor replayed by a different
+// sampler (WAL records and pending posts hold raw text, so their elements
+// would silently come back with different topic vectors).
 func (m *Model) persistHash() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -176,6 +179,7 @@ func (m *Model) persistHash() uint64 {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
+	w(topicmodel.InferVersion)
 	w(uint64(m.tm.Z))
 	w(uint64(m.tm.V))
 	w(uint64(m.seed))
@@ -277,7 +281,8 @@ func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
 		return err
 	}
 	if meta.ModelHash != h.p.modelHash {
-		return fmt.Errorf("%w: stream %q was persisted against a different model", ErrModelVersion, meta.Name)
+		return fmt.Errorf("%w: stream %q was persisted against a different model or topic-sampler version (this build infers with version %d); its directory is left untouched",
+			ErrModelVersion, meta.Name, topicmodel.InferVersion)
 	}
 	opts, cfg, err := optionsFromMeta(meta, sopts)
 	if err != nil {

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
+
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math/rand"
 	"net/url"
 	"os"
@@ -814,75 +815,54 @@ func TestAddBatchCheckpointBoundary(t *testing.T) {
 	}
 }
 
-// A data directory written before checkpoint format v2 — one gob file
-// holding every element (testdata/checkpoint_v1, written by the last
-// commit that produced the format, with the answers it gave) — still
-// opens, answers identically, and is upgraded by its next checkpoint: a
-// v2 head and element log, the v1 file kept as .bak until the checkpoint
-// after that.
-func TestCheckpointV1Upgrade(t *testing.T) {
+// A data directory written by an older topic sampler (testdata/checkpoint_v1:
+// the dense sampler of InferVersion 1, a checkpoint with a WAL tail behind
+// it, and the model it was built against) is refused at the manifest, before
+// anything is opened: its WAL holds raw text, so replaying it here would
+// bring the tail back with different topic vectors than the checkpointed
+// elements around it. The refusal names the stream and changes no byte of
+// the directory, which the build that wrote it can still open.
+func TestOldSamplerDataDirRefused(t *testing.T) {
 	const fixture = "testdata/checkpoint_v1"
 	m, err := LoadModelFile(filepath.Join(fixture, "model.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(fixture, "answers.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Result
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	copyStreamTree(t, filepath.Join(fixture, "data"), dir)
-	sdir := filepath.Join(dir, "feed")
-	v1, err := os.ReadFile(filepath.Join(sdir, persist.CheckpointFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	headVersion := func(name string) uint32 {
+	snapshot := func() map[string]string {
 		t.Helper()
-		data, err := os.ReadFile(filepath.Join(sdir, name))
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			files[path] = string(data)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return binary.LittleEndian.Uint32(data[8:])
+		return files
 	}
-
-	h := openTestHub(t, dir, m, PersistOptions{CheckpointEvery: 100000})
-	hs, err := h.Get("feed")
-	if err != nil {
-		t.Fatal(err)
+	before := snapshot()
+	if len(before) < 3 {
+		t.Fatalf("the fixture holds %d files, want at least meta, checkpoint and wal", len(before))
 	}
-	query := func(q Query) (Result, error) { return hs.Query(nil, q) }
-	sameResults(t, "v1 checkpoint + WAL tail", persistQueries(t, query), want)
-	if v := headVersion(persist.CheckpointFile); v != 1 {
-		t.Fatalf("opening rewrote the head to version %d", v)
+	for _, po := range []PersistOptions{{}, {MaxResidentStreams: 1}} { // eager and deferred recovery
+		h, err := OpenHub(dir, m, po)
+		if err == nil {
+			h.CloseAll()
+			t.Fatalf("OpenHub(%+v) opened a directory written by another sampler", po)
+		}
+		if !errors.Is(err, ErrModelVersion) || !strings.Contains(err.Error(), `"feed"`) {
+			t.Errorf("OpenHub(%+v) = %v, want ErrModelVersion naming the stream", po, err)
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Errorf("OpenHub(%+v) changed the refused directory", po)
+		}
 	}
-	if _, err := hs.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if v := headVersion(persist.CheckpointFile); v != 2 {
-		t.Fatalf("the checkpoint after a v1 load wrote version %d, want 2", v)
-	}
-	if bak, err := os.ReadFile(filepath.Join(sdir, persist.CheckpointBak)); err != nil || !bytes.Equal(bak, v1) {
-		t.Fatalf("the v1 file did not rotate to .bak intact (%v)", err)
-	}
-	if fi, err := os.Stat(filepath.Join(sdir, persist.ElementsFile)); err != nil || fi.Size() == 0 {
-		t.Fatalf("no element log after the upgrade: %v", err)
-	}
-	sameResults(t, "after the upgrading checkpoint", persistQueries(t, query), want)
-	if err := h.CloseAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	h = openTestHub(t, dir, m, PersistOptions{})
-	defer h.CloseAll()
-	if hs, err = h.Get("feed"); err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "reopened as v2", persistQueries(t, query), want)
 }
 
 // checkpointCounters reads the process-wide checkpoint metrics the way a

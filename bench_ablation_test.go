@@ -21,12 +21,12 @@ import (
 // full scan). The ns/op gap is what the ranked lists buy; the reported
 // eval-ratio metric is the Figure 10 story.
 func BenchmarkAblationEarlyTermination(b *testing.B) {
-	microSetup(b)
+	st := microSetup(b, "Twitter")
 	b.Run("MTTS-with-index", func(b *testing.B) {
 		var evaluated, active int64
 		for i := 0; i < b.N; i++ {
-			q := microQueries[i%len(microQueries)]
-			res, err := microEngine.Query(core.Query{K: 10, X: q.X, Epsilon: 0.1, Algorithm: core.MTTS})
+			q := st.queries[i%len(st.queries)]
+			res, err := st.engine.Query(core.Query{K: 10, X: q.X, Epsilon: 0.1, Algorithm: core.MTTS})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -40,9 +40,9 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 	b.Run("Sieve-full-scan", func(b *testing.B) {
 		var evaluated, active int64
 		for i := 0; i < b.N; i++ {
-			q := microQueries[i%len(microQueries)]
-			actives := activesOf(microEngine)
-			res := baselines.SieveStreaming(microEngine.Scorer(), actives, q.X, 10, 0.1)
+			q := st.queries[i%len(st.queries)]
+			actives := activesOf(st.engine)
+			res := baselines.SieveStreaming(st.engine.Scorer(), actives, q.X, 10, 0.1)
 			evaluated += int64(res.Evaluated)
 			active += int64(len(actives))
 		}
@@ -56,20 +56,20 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 // plain greedy that recomputes every candidate's marginal gain each round —
 // the classic CELF-vs-greedy gap, here on the k-SIR objective.
 func BenchmarkAblationLazyBuffer(b *testing.B) {
-	microSetup(b)
+	st := microSetup(b, "Twitter")
 	b.Run("MTTD-lazy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			q := microQueries[i%len(microQueries)]
-			if _, err := microEngine.Query(core.Query{K: 10, X: q.X, Epsilon: 0.1, Algorithm: core.MTTD}); err != nil {
+			q := st.queries[i%len(st.queries)]
+			if _, err := st.engine.Query(core.Query{K: 10, X: q.X, Epsilon: 0.1, Algorithm: core.MTTD}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("greedy-recompute-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			q := microQueries[i%len(microQueries)]
-			actives := activesOf(microEngine)
-			set := score.NewCandidateSet(microEngine.Scorer(), q.X)
+			q := st.queries[i%len(st.queries)]
+			actives := activesOf(st.engine)
+			set := score.NewCandidateSet(st.engine.Scorer(), q.X)
 			for set.Len() < 10 {
 				var best *stream.Element
 				var bestGain float64

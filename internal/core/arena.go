@@ -4,6 +4,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -29,6 +30,9 @@ type arena struct {
 	// sieves is Φ's candidates by ascending j; spare is the array a δmax
 	// re-anchor rebuilds them into before the two swap.
 	sieves, spare []sieveCand
+	// rejected holds the sieve runs that rejected MTTS's current element,
+	// the certificates of mtts's run loop.
+	rejected []rejection
 	// free holds reset candidate sets ready for reuse; live, the ones
 	// handed out since the arena was taken.
 	free, live []*score.CandidateSet
@@ -52,13 +56,23 @@ func getArena() *arena {
 	return new(arena)
 }
 
-// putArena resets a in O(what the query touched) — dropping every element,
-// window and ranked-list reference — and returns it to the pool.
+// putArena resets a and returns it to the pool unless it grew past
+// maxArenaBytes.
 func putArena(a *arena) {
+	a.reset()
+	if a.footprint() <= maxArenaBytes {
+		arenas.Put(a)
+	}
+}
+
+// reset empties a in O(what the query touched), dropping every element,
+// window and ranked-list reference.
+func (a *arena) reset() {
 	a.tr.win = nil
 	clear(a.tr.iters)
 	clear(a.probes)
-	a.probes, a.heap, a.sieves = a.probes[:0], a.heap[:0], a.sieves[:0]
+	clear(a.rejected)
+	a.probes, a.heap, a.sieves, a.rejected = a.probes[:0], a.heap[:0], a.sieves[:0], a.rejected[:0]
 	a.buf.Reset()
 	for _, cs := range a.live {
 		cs.Reset(nil, topicmodel.TopicVec{})
@@ -66,14 +80,23 @@ func putArena(a *arena) {
 	}
 	clear(a.live)
 	a.live = a.live[:0]
-	bytes := a.buf.Footprint() + a.tr.visited.Footprint() +
-		cap(a.probes)*int(unsafe.Sizeof(score.Probe{})) + cap(a.heap)*int(unsafe.Sizeof(gainEntry{}))
+}
+
+// footprint returns the bytes of storage a retains across reset.
+func (a *arena) footprint() int {
+	tr := &a.tr
+	bytes := a.buf.Footprint() + tr.visited.Footprint() +
+		cap(tr.topics)*int(unsafe.Sizeof(int32(0))) + cap(tr.weights)*int(unsafe.Sizeof(float64(0))) +
+		cap(tr.iters)*int(unsafe.Sizeof(rankedlist.Iterator{})) +
+		cap(tr.cur)*int(unsafe.Sizeof(rankedlist.Item{})) + cap(tr.has) +
+		cap(a.probes)*int(unsafe.Sizeof(score.Probe{})) + cap(a.heap)*int(unsafe.Sizeof(gainEntry{})) +
+		(cap(a.sieves)+cap(a.spare))*int(unsafe.Sizeof(sieveCand{})) +
+		cap(a.rejected)*int(unsafe.Sizeof(rejection{})) +
+		(cap(a.free)+cap(a.live))*int(unsafe.Sizeof((*score.CandidateSet)(nil)))
 	for _, cs := range a.free {
 		bytes += cs.Footprint()
 	}
-	if bytes <= maxArenaBytes {
-		arenas.Put(a)
-	}
+	return bytes
 }
 
 // newSet hands out an empty candidate set for the query.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
+	"unsafe"
 
 	"github.com/social-streams/ksir/internal/papertest"
 )
@@ -67,7 +69,8 @@ func TestIngestAllocationsPinned(t *testing.T) {
 
 // Evaluated counts distinct elements scored (Figure 10's numerator), so it
 // can exceed neither the descent depth nor the active set; the marginal-gain
-// computations are carried separately in GainEvals.
+// computations are carried separately in GainEvals, and MTTS's rejections by
+// certificate, which compute none, in Certified.
 func TestEvaluatedCountsDistinctElements(t *testing.T) {
 	g, xs := goldenEngine(t)
 	for _, alg := range []Algorithm{MTTS, MTTD, TopkRep} {
@@ -86,7 +89,37 @@ func TestEvaluatedCountsDistinctElements(t *testing.T) {
 			case alg != TopkRep && res.GainEvals < len(res.Elements):
 				t.Errorf("%s query %d: %d gain evaluations for %d results", alg, qi, res.GainEvals, len(res.Elements))
 			}
+			if alg != MTTS && res.Certified != 0 {
+				t.Errorf("%s query %d: %d runs rejected by certificate, want 0", alg, qi, res.Certified)
+			}
 		}
+	}
+}
+
+// putArena's cap sees the sieve array and its re-anchor double buffer. At
+// ε = 0.001, k = 20 they hold |Φ| = log(2k)/log(1+ε) ≈ 3 700 candidates of
+// 24 B each, twice: ≈ 178 KB of the 384 KB cap that used to go uncounted.
+func TestArenaFootprintCountsSieves(t *testing.T) {
+	g, xs := goldenEngine(t)
+	v := g.front.Load().view()
+	a := new(arena)
+	q := Query{K: 20, X: xs[0], Epsilon: 0.001, Algorithm: MTTS}
+	var phi int
+	// The second run re-anchors into the array the first one left.
+	for run := 0; run < 2; run++ {
+		if _, err := v.mtts(context.Background(), q, a); err != nil {
+			t.Fatal(err)
+		}
+		phi = len(a.sieves)
+		a.reset()
+	}
+	var sets int
+	for _, cs := range a.free {
+		sets += cs.Footprint()
+	}
+	if got, sieves := a.footprint(), 2*int(unsafe.Sizeof(sieveCand{}))*phi; got < sets+sieves {
+		t.Errorf("footprint %d B, want ≥ %d B of candidate sets + 2·24·|Φ| = %d B (|Φ| = %d)",
+			got, sets, sieves, phi)
 	}
 }
 

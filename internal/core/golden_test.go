@@ -40,12 +40,17 @@ type goldenRow struct {
 // vectors from.
 func goldenStream(t testing.TB) (*Engine, []stream.Bucket, *rand.Rand) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(20190326))
+	return seededStream(t, 20190326, 1500, 600)
+}
+
+// seededStream is goldenStream's generator for any seed, stream length and
+// window length T (one element per time unit, 25-unit buckets).
+func seededStream(t testing.TB, seed int64, elements int, windowT stream.Time) (*Engine, []stream.Bucket, *rand.Rand) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	const (
 		z, v      = 16, 400
-		elements  = 1500
 		bucketLen = 25
-		windowT   = 600
 	)
 	model := testutil.RandModel(rng, z, v)
 	elems := make([]*stream.Element, elements)
@@ -109,8 +114,11 @@ func goldenEngine(t testing.TB) (*Engine, []topicmodel.TopicVec) {
 			t.Fatal(err)
 		}
 	}
-	// Query vectors of 1, 3 and 6 topics plus a dense one.
-	z := g.cfg.Model.Z
+	return g, queryVectors(rng, g.cfg.Model.Z)
+}
+
+// queryVectors draws query vectors of 1, 3 and 6 topics plus a dense one.
+func queryVectors(rng *rand.Rand, z int) []topicmodel.TopicVec {
 	var xs []topicmodel.TopicVec
 	for _, n := range []int{1, 3, 6, z} {
 		dense := make([]float64, z)
@@ -124,7 +132,7 @@ func goldenEngine(t testing.TB) (*Engine, []topicmodel.TopicVec) {
 		}
 		xs = append(xs, topicmodel.NewTopicVec(dense))
 	}
-	return g, xs
+	return xs
 }
 
 func goldenRows(t testing.TB, g *Engine, xs []topicmodel.TopicVec) []goldenRow {

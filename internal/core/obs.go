@@ -36,7 +36,7 @@ var (
 		"Ranked-list tuples a query retrieved before terminating, by algorithm.",
 		"algorithm", algNames, 1, countBuckets)
 	obsQueryGainEvals = metrics.NewHistogramVec("ksir_engine_query_gain_evals",
-		"Marginal-gain computations per query (MTTS sieve evaluations, MTTD re-evaluations) by algorithm.",
+		"Marginal-gain computations per query (MTTS sieve evaluations, MTTD re-evaluations) by algorithm; MTTS rejections by certificate compute no gain and are not counted.",
 		"algorithm", algNames, 1, countBuckets)
 
 	// obsQueryByAlg pre-resolves the vec children so the query path indexes

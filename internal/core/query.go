@@ -94,6 +94,10 @@ type Result struct {
 	// GainEvals counts marginal-gain computations Δ(e|S): MTTS's per-sieve
 	// evaluations, MTTD's lazy re-evaluations; 0 for TopkRep.
 	GainEvals int
+	// Certified counts MTTS sieve runs that rejected an element by
+	// certificate — a visited subset's gain already below their threshold —
+	// without computing Δ(e|S); 0 for MTTD and TopkRep.
+	Certified int
 	// Retrieved counts tuples pulled from the ranked lists.
 	Retrieved int
 	// ActiveAtQuery is n_t when the query ran (Figure 10's denominator).
@@ -165,7 +169,8 @@ func (g *Engine) QueryContext(ctx context.Context, q Query) (Result, error) {
 			trace.String("algorithm", q.Algorithm.String()),
 			trace.Int("evaluated", int64(res.Evaluated)),
 			trace.Int("retrieved", int64(res.Retrieved)),
-			trace.Int("gain_evals", int64(res.GainEvals)))
+			trace.Int("gain_evals", int64(res.GainEvals)),
+			trace.Int("certified", int64(res.Certified)))
 	}
 	return res, err
 }

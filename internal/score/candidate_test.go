@@ -149,6 +149,114 @@ func TestSubmodularityProperty(t *testing.T) {
 	}
 }
 
+// The float premise of MTTS's rejection certificates: for T ⊆ S the
+// computed Δ(e|S) exceeds the computed Δ(e|T) by at most a relative 1e-12.
+// In exact arithmetic it never exceeds it. In floats it can: S folds its
+// members' influence into 1 − (1−old)(1−p) in another order than T does, so
+// an entry can round an ulp lower. The instances are dense in exactly that —
+// six references per element, so a child has several parents in a set, and
+// half the time S is T's members shuffled — plus repeated words (a 12-word
+// vocabulary), elements and children without mass on the query topics, and
+// λ ∈ {0, 0.5, 1}. The test fails if no excess shows up at all,
+// which would mean it no longer exercises the reordering.
+func TestGainMonotoneAcrossInsertionOrders(t *testing.T) {
+	const z, v, n = 3, 12, 24
+	rng := rand.New(rand.NewSource(23))
+	var worst float64
+	var excesses, trials int
+	for _, lambda := range []float64{0, 0.5, 1} {
+		for inst := 0; inst < 30; inst++ {
+			m := &topicmodel.Model{Z: z, V: v, Phi: make([]float64, z*v), PTopic: make([]float64, z)}
+			for i := 0; i < z; i++ {
+				var sum float64
+				for w := 0; w < v; w++ {
+					m.Phi[i*v+w] = rng.Float64()
+					sum += m.Phi[i*v+w]
+				}
+				for w := 0; w < v; w++ {
+					m.Phi[i*v+w] /= sum
+				}
+				m.PTopic[i] = 1.0 / z
+			}
+			win := stream.NewActiveWindow(stream.Time(n + 1))
+			scorer, err := NewScorer(m, win, Params{Lambda: lambda, Eta: 0.5 + 2*rng.Float64()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			elems := make([]*stream.Element, n)
+			for i := range elems {
+				words := make([]textproc.WordID, 1+rng.Intn(6))
+				for j := range words {
+					words[j] = textproc.WordID(rng.Intn(v))
+				}
+				// Three in four elements are on topics 0 and 1, which the
+				// query asks for; the rest are on topic 2 alone.
+				dense := make([]float64, z)
+				if rng.Intn(4) > 0 {
+					dense[0], dense[1] = 0.1+rng.Float64(), 0.1+rng.Float64()
+				} else {
+					dense[2] = 1
+				}
+				var sum float64
+				for _, d := range dense {
+					sum += d
+				}
+				for j := range dense {
+					dense[j] /= sum
+				}
+				e := &stream.Element{
+					ID:     stream.ElemID(i + 1),
+					TS:     stream.Time(i + 1),
+					Doc:    textproc.NewDocument(words),
+					Topics: topicmodel.NewTopicVec(dense),
+				}
+				for r := 0; r < 6 && i > 0; r++ {
+					e.Refs = append(e.Refs, stream.ElemID(1+rng.Intn(i)))
+				}
+				elems[i] = e
+				if _, err := win.Advance(e.TS, []*stream.Element{e}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			x := topicmodel.TopicVec{Topics: []int32{0}, Probs: []float64{1}}
+			if inst%2 == 1 {
+				x = topicmodel.TopicVec{Topics: []int32{0, 1}, Probs: []float64{0.6, 0.4}}
+			}
+
+			for trial := 0; trial < 200; trial++ {
+				perm := rng.Perm(n)
+				e := elems[perm[0]]
+				tSize := 1 + rng.Intn(10)
+				sSize := tSize + max(0, rng.Intn(6)-3)
+				tMembers := perm[1 : 1+tSize]
+				sMembers := append([]int(nil), perm[1:1+sSize]...)
+				rng.Shuffle(sSize, func(i, j int) { sMembers[i], sMembers[j] = sMembers[j], sMembers[i] })
+				small, big := NewCandidateSet(scorer, x), NewCandidateSet(scorer, x)
+				for _, i := range tMembers {
+					small.Add(elems[i])
+				}
+				for _, i := range sMembers {
+					big.Add(elems[i])
+				}
+				gt, gs := small.MarginalGain(e), big.MarginalGain(e)
+				trials++
+				if gs > gt*(1+1e-12) {
+					t.Fatalf("λ=%v instance %d trial %d: Δ(e|S) = %v > Δ(e|T)·(1+1e-12), Δ(e|T) = %v (|T|=%d |S|=%d)",
+						lambda, inst, trial, gs, gt, tSize, sSize)
+				}
+				if gs > gt {
+					excesses++
+					worst = math.Max(worst, (gs-gt)/gt)
+				}
+			}
+		}
+	}
+	if excesses == 0 {
+		t.Fatal("Δ(e|S) never exceeded Δ(e|T): the instances no longer exercise the reordered influence recurrence")
+	}
+	t.Logf("Δ(e|S) > Δ(e|T) in %d of %d trials, largest relative excess %.3g", excesses, trials, worst)
+}
+
 func TestAddDuplicateIsNoop(t *testing.T) {
 	win, elems := papertest.Window()
 	scorer, err := NewScorer(papertest.Model(), win, Params{Lambda: 0.5, Eta: 2})

@@ -120,18 +120,11 @@ type ResidencyInfo struct {
 	// ResidentBytes approximates the stream's in-memory footprint
 	// (0 while hibernated).
 	ResidentBytes int64 `json:"resident_bytes"`
-	// PrefetchActivations counts activations initiated by the predictive
-	// prefetcher; PrefetchHits of those were demand-touched while still
-	// resident, PrefetchMisses went back to sleep untouched (or arrived
-	// after demand already had the stream hot).
-	PrefetchActivations int64 `json:"prefetch_activations,omitempty"`
-	PrefetchHits        int64 `json:"prefetch_hits,omitempty"`
-	PrefetchMisses      int64 `json:"prefetch_misses,omitempty"`
 	// GhostHits counts reactivations that found the stream on the ghost
 	// list of recent evictions (evicted just before it was wanted again).
 	GhostHits int64 `json:"ghost_hits,omitempty"`
 	// SecondChanceSaves counts eviction passes the stream survived
-	// because its second-chance bit or an in-flight prefetch protected it.
+	// because its second-chance bit protected it.
 	SecondChanceSaves int64 `json:"second_chance_saves,omitempty"`
 	// LazyMaterializations counts deferred back-buffer builds paid off
 	// the activation critical path.

@@ -77,10 +77,8 @@ func main() {
 		ckptEvery = flag.Int64("checkpoint-every", 64, "buckets between automatic checkpoints")
 		drainWait = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown HTTP drain budget")
 
-		maxResident   = flag.Int("max-resident-streams", 0, "hot-tier budget: hibernate the coldest streams past this many resident (0 = unbounded)")
-		maxResidentB  = flag.Int64("max-resident-bytes", 0, "hot-tier budget: hibernate the coldest streams past this many summed resident bytes (0 = unbounded)")
-		prefetchSweep = flag.Duration("prefetch-sweep", 0, "run the predictive prefetcher at this interval, reactivating streams ahead of their predicted next touch (0 disables)")
-		prefetchLook  = flag.Duration("prefetch-lookahead", 0, "how far around the predicted touch a stream counts as due (default 2x -prefetch-sweep)")
+		maxResident  = flag.Int("max-resident-streams", 0, "hot-tier budget: hibernate the coldest streams past this many resident (0 = unbounded)")
+		maxResidentB = flag.Int64("max-resident-bytes", 0, "hot-tier budget: hibernate the coldest streams past this many summed resident bytes (0 = unbounded)")
 	)
 	flag.Parse()
 
@@ -153,8 +151,6 @@ func main() {
 			CheckpointEvery:    *ckptEvery,
 			MaxResidentStreams: *maxResident,
 			MaxResidentBytes:   *maxResidentB,
-			PrefetchSweep:      *prefetchSweep,
-			PrefetchLookahead:  *prefetchLook,
 			Logger:             logger,
 		}, sopts...)
 		if err != nil {

@@ -2,9 +2,15 @@ package ksir_test
 
 import (
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"regexp"
+	"strings"
 	"testing"
+
+	ksir "github.com/social-streams/ksir"
+	_ "github.com/social-streams/ksir/connector" // registers ksir_connector_*
+	"github.com/social-streams/ksir/internal/server"
 )
 
 // Every performance number the docs cite is written `metric`@`workload`
@@ -13,7 +19,9 @@ import (
 // harness — ksir-bench's service experiments, their BENCH_<x>.json files,
 // ksir-trajectory — is gone, and a doc that still points at it points at
 // nothing; README and the verify skill once cited a BENCH_concurrent.json
-// that was not in the repository.
+// that was not in the repository. testdata/docs_gone.txt lists it with
+// every other name retired with deleted code. Likewise every ksir_* metric
+// family the docs name must be in the process's /metrics exposition.
 func TestDocsNameLiveMetrics(t *testing.T) {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -41,11 +49,26 @@ func TestDocsNameLiveMetrics(t *testing.T) {
 	// Anything around an @ is taken as a citation, so a brace or wildcard
 	// shorthand fails as an unknown metric instead of going unchecked.
 	citation := regexp.MustCompile("([^\\s`(@]+)`?@`?([A-Za-z0-9_-]+)")
-	gone := []*regexp.Regexp{
-		regexp.MustCompile(`BENCH_\S*`),
-		regexp.MustCompile(`ksir-trajectory`),
-		regexp.MustCompile(`-exp\s+(persist|engine|ingest|tenancy|concurrent)\b`),
-		regexp.MustCompile("(?m)(^|[\\s`(])-(json|short|baseline|ingest-baseline|tenancy-baseline|regress-factor|rates|cell-secs|streams)\\b"),
+	gone := goneNames(t)
+	families := exposedFamilies(t)
+	// A family is named whole, as one of a histogram's series, or as a
+	// prefix written with a trailing _ or *.
+	familyRef := regexp.MustCompile(`ksir_[a-z_]+\*?`)
+	known := func(ref string) bool {
+		if prefix, ok := strings.CutSuffix(ref, "*"); ok || strings.HasSuffix(ref, "_") {
+			for fam := range families {
+				if strings.HasPrefix(fam, prefix) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, suffix := range []string{"", "_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(ref, suffix); ok && families[base] {
+				return true
+			}
+		}
+		return false
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -57,10 +80,52 @@ func TestDocsNameLiveMetrics(t *testing.T) {
 				t.Errorf("%s cites %s@%s: BENCHMARK.json has metric=%v workload=%v", doc, metric, workload, metrics[metric], workloads[workload])
 			}
 		}
+		for _, ref := range familyRef.FindAllString(string(text), -1) {
+			if !known(ref) {
+				t.Errorf("%s names metric family %s, which /metrics does not expose", doc, ref)
+			}
+		}
 		for _, re := range gone {
 			for _, m := range re.FindAll(text, -1) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, m)
 			}
 		}
 	}
+}
+
+// exposedFamilies scrapes the /metrics handler of a server over an empty
+// hub — every family registered by this process's packages plus the
+// server's scrape-time hub families — and returns the family names.
+func exposedFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	server.NewHub(ksir.NewHub(), nil, ksir.Options{}).MetricsHandler().
+		ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	families := map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+	if len(families) == 0 {
+		t.Fatalf("/metrics exposed no families:\n%s", rec.Body.String())
+	}
+	return families
+}
+
+// goneNames compiles the retired-name patterns of testdata/docs_gone.txt.
+func goneNames(t *testing.T) []*regexp.Regexp {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/docs_gone.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gone []*regexp.Regexp
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		gone = append(gone, regexp.MustCompile(line))
+	}
+	return gone
 }

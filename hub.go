@@ -39,10 +39,10 @@ import (
 // recovered on the next OpenHub (see persistence.go).
 //
 // Lifecycle: every registered stream owns a writer goroutine, released
-// only by Close/CloseAll, and a durable hub with a residency budget or a
-// prefetch sweep runs one background sweeper until CloseAll. A hub that is
-// dropped without being closed leaks those goroutines (and the streams
-// they pin) — close hubs you abandon, in-memory ones included.
+// only by Close/CloseAll, and a durable hub with a residency budget runs
+// one background sweeper until CloseAll. A hub that is dropped without
+// being closed leaks those goroutines (and the streams they pin) — close
+// hubs you abandon, in-memory ones included.
 //
 // All Hub methods are safe for concurrent use.
 type Hub struct {
@@ -206,46 +206,30 @@ func (h *Hub) budget() residency.Budget {
 }
 
 // startSweeper launches the hub's one background goroutine, which
-// re-applies the residency budget every ResidencySweep (when a budget is
-// configured) and runs the predictive prefetcher every PrefetchSweep (when
-// set). A hub with neither starts nothing. Called once, from OpenHub.
+// re-applies the residency budget every ResidencySweep. A hub without a
+// budget starts nothing. Called once, from OpenHub.
 func (h *Hub) startSweeper() {
-	sweep, prefetch := h.p.opts.ResidencySweep, h.p.opts.PrefetchSweep
 	if !h.budget().Enabled() {
-		sweep = 0
-	}
-	if sweep <= 0 && prefetch <= 0 {
 		return
 	}
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		var sweepC, prefetchC <-chan time.Time // nil (never ready) when off
-		if sweep > 0 {
-			t := time.NewTicker(sweep)
-			defer t.Stop()
-			sweepC = t.C
-		}
-		if prefetch > 0 {
-			t := time.NewTicker(prefetch)
-			defer t.Stop()
-			prefetchC = t.C
-		}
+		t := time.NewTicker(h.p.opts.ResidencySweep)
+		defer t.Stop()
 		for {
 			select {
-			case <-sweepC:
+			case <-t.C:
 				if _, err := h.EnforceResidency(); err != nil {
 					h.log().Warn("residency sweep failed", "error", err)
 				}
-			case <-prefetchC:
-				h.prefetchSweep()
 			case <-stop:
 				return
 			}
 		}
 	}()
-	// Waiting for the exit means no hibernate or prefetch op can be
-	// enqueued after CloseAll starts draining.
+	// Waiting for the exit means no hibernate op can be enqueued after
+	// CloseAll starts draining.
 	h.stopSweeper = sync.OnceFunc(func() {
 		close(stop)
 		<-done
@@ -274,36 +258,6 @@ func (h *Hub) ghostTake(name string) bool {
 	return h.ghosts.Take(name)
 }
 
-// prefetchSweep scans the hibernated streams once and enqueues a
-// fire-and-forget activation for each one that is due — by standing hint
-// (StreamHandle.Prefetch) or by its predicted next touch falling within
-// the lookahead. Everything is best-effort and non-blocking: a stream
-// whose queue is busy is simply picked up by a later sweep or by the
-// demand operation it was predicted for.
-func (h *Hub) prefetchSweep() {
-	look := int64(h.p.opts.PrefetchLookahead)
-	now := time.Now().UnixNano()
-	h.mu.RLock()
-	var due []*StreamHandle
-	for _, hs := range h.streams {
-		if hs.stp.Load() != nil || hs.pers == nil {
-			continue
-		}
-		r := residency.Recurrence{
-			LastTouch: hs.lastTouch.Load(),
-			GapEWMA:   hs.touchGapEWMA.Load(),
-			HintUntil: hs.prefetchHintNs.Load(),
-		}
-		if r.Due(now, look) {
-			due = append(due, hs)
-		}
-	}
-	h.mu.RUnlock()
-	for _, hs := range due {
-		hs.tryEnqueue(&writeOp{kind: opActivate, prefetch: true})
-	}
-}
-
 // candidates is what every walk of the residency policy starts from: the
 // budget, and a snapshot of the resident streams as the policy's
 // candidates, index-aligned with their handles. Without a budget no walk
@@ -323,14 +277,13 @@ func (h *Hub) candidates() (b residency.Budget, hss []*StreamHandle, cands []res
 			Touch:        hs.lastTouch.Load(),
 			Bytes:        hs.residentBytes.Load(),
 			SecondChance: hs.refBit.Load(),
-			Prefetched:   hs.prefetched.Load(),
 		})
 	}
 	return b, hss, cands
 }
 
 // countSaves credits each stream an eviction pass skipped because its
-// second-chance bit or an in-flight prefetch protected it.
+// second-chance bit protected it.
 func countSaves(hss []*StreamHandle, saves []int) {
 	for _, i := range saves {
 		hss[i].secondChanceSaves.Add(1)
@@ -343,17 +296,15 @@ func countSaves(hss []*StreamHandle, saves []int) {
 // first by last touch and each is hibernated, until the resident count and
 // summed approximate bytes fit the configured budget; the number
 // hibernated is returned. Protected streams — second-chance bit set
-// (touched again since admission) or prefetched-and-unconsumed — are
-// skipped, counting a save each; if the protected set alone still
-// overflows the budget, bit-carrying streams go too and every survivor's
-// bit is demoted (the clock hand has swept full circle; it must be
-// re-earned by another touch), still sparing in-flight prefetches. Streams
-// that are busy (standing queries) or closing stay resident and the walk
-// moves on to the next-coldest; other hibernation failures are joined into
-// the returned error. The background sweeper calls this every
-// ResidencySweep; callers may also invoke it directly (e.g. before a
-// measurement that wants a settled hot tier). Without a budget it does
-// nothing.
+// (touched again since admission) — are skipped, counting a save each; if
+// the protected set alone still overflows the budget, they go too and every
+// survivor's bit is demoted (the clock hand has swept full circle; it must
+// be re-earned by another touch). Streams that are busy (standing queries)
+// or closing stay resident and the walk moves on to the next-coldest;
+// other hibernation failures are joined into the returned error. The
+// background sweeper calls this every ResidencySweep; callers may also
+// invoke it directly (e.g. before a measurement that wants a settled hot
+// tier). Without a budget it does nothing.
 func (h *Hub) EnforceResidency() (int, error) {
 	b, hss, cands := h.candidates()
 	var errs []error
@@ -377,18 +328,16 @@ func (h *Hub) EnforceResidency() (int, error) {
 
 // makeRoom nudges the hub back under its residency budget before a stream
 // activates, by enqueueing fire-and-forget hibernate ops on the victims of
-// the policy's admission walk (residency.Admit; a positive ceiling is the
-// prefetch guarantee that an admission never evicts a stream warmer than
-// the one it admits). It runs on the activating stream's commit path, so
-// it must never block on another stream's queue — two streams admitting
-// concurrently could each be waiting behind the other's backlog
-// (deadlock). Eviction is therefore best-effort (see tryEnqueue): a victim
-// too busy to take the op is passed over, the budget transiently
-// overshoots, and the background sweep settles it.
-func (h *Hub) makeRoom(ceiling int64) {
+// the policy's admission walk (residency.Admit). It runs on the activating
+// stream's commit path, so it must never block on another stream's queue —
+// two streams admitting concurrently could each be waiting behind the
+// other's backlog (deadlock). Eviction is therefore best-effort (see
+// tryEvict): a victim too busy to take the op is passed over, the budget
+// transiently overshoots, and the background sweep settles it.
+func (h *Hub) makeRoom() {
 	b, hss, cands := h.candidates()
-	plan := b.Walk(cands, residency.Admit(ceiling), residency.Mechanism{Evict: func(i int) bool {
-		return hss[i].tryEnqueue(&writeOp{kind: opHibernate, evict: true, evictTouch: cands[i].Touch})
+	plan := b.Walk(cands, residency.Admit(), residency.Mechanism{Evict: func(i int) bool {
+		return hss[i].tryEvict(cands[i].Touch)
 	}})
 	countSaves(hss, plan.Saves)
 	// Give the victims' writer goroutines a chance to drain the evictions
@@ -401,17 +350,15 @@ func (h *Hub) makeRoom(ceiling int64) {
 	}
 }
 
-// admission re-runs the admission walk against the live resident set
-// without evicting anything. The two fire-and-forget ops decide from it at
-// commit time, because either may have sat behind a writer backlog since
-// the snapshot it was queued on: a policy eviction is still warranted only
-// while the tier is Full (it was queued on behalf of one pending
-// admission, so there must be no headroom for that +1 stream), and a
-// prefetch is still admissible only while there is room or a victim
-// strictly colder than the stream it admits.
-func (h *Hub) admission(ceiling int64) residency.Plan {
+// admissionFull re-runs the admission walk against the live resident set
+// without evicting anything. A policy eviction decides from it at commit
+// time, because it may have sat behind a writer backlog since the snapshot
+// it was queued on: it is still warranted only while the tier is Full (it
+// was queued on behalf of one pending admission, so there must be no
+// headroom for that +1 stream).
+func (h *Hub) admissionFull() bool {
 	b, _, cands := h.candidates()
-	return b.Walk(cands, residency.Admit(ceiling), residency.Mechanism{})
+	return b.Walk(cands, residency.Admit(), residency.Mechanism{}).Full
 }
 
 // Get returns the handle registered under name, or ErrUnknownStream.
@@ -562,11 +509,6 @@ type writeOp struct {
 	evict      bool
 	evictTouch int64
 
-	// prefetch marks an opActivate queued fire-and-forget by the
-	// predictive prefetcher; its admissibility is re-validated at commit
-	// time (see Hub.admission) and nobody awaits its result.
-	prefetch bool
-
 	// Results.
 	err      error
 	accepted int          // opAddBatch
@@ -579,7 +521,7 @@ type writeOp struct {
 	nrecs int
 
 	// done is closed by the committing goroutine when the op's results are
-	// set; nil for fire-and-forget ops (tryEnqueue) nobody awaits.
+	// set; nil for fire-and-forget ops (tryEvict) nobody awaits.
 	done chan struct{}
 
 	// Tracing (all zero on untraced ops — the *Context methods populate tr
@@ -702,22 +644,7 @@ type StreamHandle struct {
 	// own admissions and leaves the established hot set resident.
 	refBit atomic.Bool
 
-	// Prefetch state. prefetched is set when the prefetcher queues an
-	// activation (doubling as the one-pending-per-stream dedupe) and
-	// consumed by the first demand touch while resident (a hit) or by
-	// hibernation / a late arrival (a miss); while set it also protects
-	// the stream from eviction, so a prefetch is never undone before the
-	// touch it anticipated. prefetchHintNs is the expiry of a standing
-	// hint (Prefetch); touchGapEWMA tracks the stream's inter-touch
-	// recurrence for the predictive sweep.
-	prefetched     atomic.Bool
-	prefetchHintNs atomic.Int64
-	touchGapEWMA   atomic.Int64
-
 	// Residency observability counters (see ResidencyStats).
-	prefetchActivations  atomic.Int64
-	prefetchHits         atomic.Int64
-	prefetchMisses       atomic.Int64
 	ghostHits            atomic.Int64
 	secondChanceSaves    atomic.Int64
 	lazyMaterializations atomic.Int64
@@ -764,74 +691,41 @@ func (hs *StreamHandle) Model() *Model { return hs.model.Load() }
 // hibernated stream.
 func (hs *StreamHandle) Resident() bool { return hs.stp.Load() != nil }
 
-// touch refreshes the handle's eviction clock; it is also where the
-// residency machinery observes demand. The inter-touch gap feeds the
-// recurrence EWMA the prefetcher predicts from (residency.FoldGap), a touch
-// on a resident stream earns the second-chance bit, and the first demand
-// touch on a prefetched stream consumes the prefetch as a hit.
+// touch refreshes the handle's eviction clock, and a touch on a resident
+// stream earns the second-chance bit.
 func (hs *StreamHandle) touch() {
-	now := time.Now().UnixNano()
-	if prev := hs.lastTouch.Swap(now); prev > 0 {
-		// Lost updates between racing touches are fine: the EWMA is a
-		// prediction signal, not an exact counter.
-		old := hs.touchGapEWMA.Load()
-		if ewma := residency.FoldGap(old, now-prev); ewma != old {
-			hs.touchGapEWMA.Store(ewma)
-		}
-	}
+	hs.lastTouch.Store(time.Now().UnixNano())
 	if hs.stp.Load() != nil {
 		hs.refBit.Store(true)
-		if hs.prefetched.CompareAndSwap(true, false) {
-			hs.prefetchHits.Add(1)
-			obsResPrefetchHits.Inc()
-		}
 	}
 }
 
-// Prefetch records a standing signal that this stream is expected to be
-// needed shortly — a reconnecting SubscribeResume cursor, a query
-// pattern, an application-level hint — keeping it prefetch-eligible for
-// the next ~30s even without EWMA evidence. Advisory and non-blocking;
-// it does nothing unless the hub runs a predictive prefetcher
-// (PersistOptions.PrefetchSweep) and never counts as a touch.
-func (hs *StreamHandle) Prefetch() {
-	hs.prefetchHintNs.Store(time.Now().UnixNano() + residency.HintTTL)
-}
-
-// tryEnqueue offers the stream one of the two fire-and-forget ops — a
-// policy eviction (opHibernate, from makeRoom) or a prefetch activation
-// (opActivate, from prefetchSweep) — without ever blocking: TryLock on the
-// enqueue path, non-blocking channel send. At most one of each kind is
-// pending per stream (evictPending / prefetched dedupe: the coldest
+// tryEvict offers the stream a policy eviction (an opHibernate from
+// makeRoom, stamped with the victim's last touch as the walk saw it)
+// without ever blocking: TryLock on the enqueue path, non-blocking channel
+// send. At most one is pending per stream (evictPending: the coldest
 // candidate tends to stay coldest until its eviction drains, so
 // back-to-back admissions would otherwise pile identical ops into its
 // queue), and one already pending is reported as progress without
-// re-queueing. False means the stream was closed, already on the other
-// side of the transition, or too busy to take the op right now —
-// admission control treats that as "not cold after all" and moves on, and
-// a missed prefetch is picked up by the demand it anticipated. Nobody
-// awaits either op; each re-validates itself at commit time (see
-// Hub.admission).
-func (hs *StreamHandle) tryEnqueue(op *writeOp) bool {
-	evict := op.kind == opHibernate
-	pending := &hs.prefetched
-	if evict {
-		pending = &hs.evictPending
-	}
-	if !pending.CompareAndSwap(false, true) {
+// re-queueing. False means the stream was closed, already hibernated, or
+// too busy to take the op right now — admission control treats that as
+// "not cold after all" and moves on. Nobody awaits the op; it re-validates
+// itself at commit time (see Hub.admissionFull).
+func (hs *StreamHandle) tryEvict(touch int64) bool {
+	if !hs.evictPending.CompareAndSwap(false, true) {
 		return true
 	}
 	if hs.qmu.TryLock() {
 		defer hs.qmu.Unlock()
-		if !hs.closed.Load() && (hs.stp.Load() != nil) == evict {
+		if !hs.closed.Load() && hs.stp.Load() != nil {
 			select {
-			case hs.ops <- op:
+			case hs.ops <- &writeOp{kind: opHibernate, evict: true, evictTouch: touch}:
 				return true
 			default: // queue full: the stream is anything but cold
 			}
 		}
 	}
-	pending.Store(false)
+	hs.evictPending.Store(false)
 	return false
 }
 
@@ -963,28 +857,13 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 				break
 			}
 		}
-		// An opActivate is a commit barrier, so a prefetch is always alone
-		// in its batch: re-validate its admission before paying the load.
-		// Activating now must still not displace anything warmer than the
-		// stream it admits; a stale prefetch quietly no-ops — the demand
-		// operation it anticipated will activate on its own terms.
-		prefetch := len(batch) == 1 && batch[0].prefetch
-		if prefetch {
-			if plan := hs.hub.admission(hs.lastTouch.Load()); plan.Full && len(plan.Victims) == 0 {
-				hs.prefetched.Store(false)
-				return
-			}
-		}
 		if needs {
 			var err error
 			actStart = time.Now()
-			if st, actPh, err = hs.activate(prefetch); err != nil {
+			if st, actPh, err = hs.activate(); err != nil {
 				err = fmt.Errorf("reactivating %q: %w", hs.name, err)
 				for _, op := range batch {
 					op.err = err
-					if op.prefetch {
-						hs.prefetched.Store(false)
-					}
 					if op.done != nil {
 						close(op.done)
 					}
@@ -1073,7 +952,7 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 			if op.evict {
 				hs.evictPending.Store(false)
 			}
-			if op.evict && (hs.lastTouch.Load() != op.evictTouch || !hs.hub.admission(0).Full) {
+			if op.evict && (hs.lastTouch.Load() != op.evictTouch || !hs.hub.admissionFull()) {
 				obsResStaleEvictions.Inc()
 			} else if op.err = hs.hibernate(st); op.err == nil {
 				if op.evict {
@@ -1086,15 +965,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 				op.stats = hs.Stats()
 			}
 		case opActivate:
-			if op.prefetch && actDur == 0 {
-				// The stream was already resident when the prefetch
-				// drained: demand beat the prediction there. Count the
-				// wasted prefetch and release its protection.
-				if hs.prefetched.CompareAndSwap(true, false) {
-					hs.prefetchMisses.Add(1)
-					obsResPrefetchMisses.Inc()
-				}
-			}
 			op.stOut = st
 		}
 		if op.tr != nil {
@@ -1247,11 +1117,6 @@ func (hs *StreamHandle) hibernate(st *Stream) error {
 	hs.hibernations.Add(1)
 	obsResHibernations.Inc()
 	hs.hub.ghostRecord(hs.name)
-	if hs.prefetched.CompareAndSwap(true, false) {
-		// Prefetched but never demand-touched: the prediction overshot.
-		hs.prefetchMisses.Add(1)
-		obsResPrefetchMisses.Inc()
-	}
 	return err
 }
 
@@ -1259,21 +1124,14 @@ func (hs *StreamHandle) hibernate(st *Stream) error {
 // colder streams first when a budget is configured (best-effort, see
 // Hub.makeRoom), then load checkpoint + WAL tail back into memory — the
 // front buffer only; the back buffer stays deferred until the first write
-// needs it. A prefetch activation bounds its evictions to victims colder
-// than this stream's own last touch and, being off the demand path by
-// construction, builds the back buffer itself once the activation has been
-// timed and published. The returned phase breakdown feeds the
-// stream.activate child spans.
-func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, error) {
+// needs it. The returned phase breakdown feeds the stream.activate child
+// spans.
+func (hs *StreamHandle) activate() (*Stream, *activationPhases, error) {
 	if hs.pers == nil {
 		return nil, nil, fmt.Errorf("%w: stream %q has no durable state to reactivate", ErrPersistDisabled, hs.name)
 	}
 	start := time.Now()
-	ceiling := int64(0)
-	if prefetch {
-		ceiling = hs.lastTouch.Load()
-	}
-	hs.hub.makeRoom(ceiling)
+	hs.hub.makeRoom()
 	ph := &activationPhases{}
 	st, err := hs.pers.resume(hs.model.Load(), hs.opts, hs.cfg, ph)
 	if err != nil {
@@ -1303,17 +1161,6 @@ func (hs *StreamHandle) activate(prefetch bool) (*Stream, *activationPhases, err
 	hs.lastActivationNs.Store(elapsed.Nanoseconds())
 	obsResActivations.Inc()
 	obsResActivationDuration.ObserveDuration(elapsed)
-	if prefetch {
-		hs.prefetchActivations.Add(1)
-		obsResPrefetchActivations.Inc()
-		if did, _, err := st.me.Load().engine.MaterializeBack(); err != nil {
-			hs.hub.log().Warn("back-buffer materialization after prefetch failed",
-				"stream", hs.name, "error", err)
-		} else if did {
-			hs.lazyMaterializations.Add(1)
-			obsResLazyMaterialize.Inc()
-		}
-	}
 	return st, ph, nil
 }
 
@@ -1545,9 +1392,6 @@ func (hs *StreamHandle) Stats() StreamStats {
 		Activations:          hs.activations.Load(),
 		LastActivation:       time.Duration(hs.lastActivationNs.Load()),
 		ResidentBytes:        hs.residentBytes.Load(),
-		PrefetchActivations:  hs.prefetchActivations.Load(),
-		PrefetchHits:         hs.prefetchHits.Load(),
-		PrefetchMisses:       hs.prefetchMisses.Load(),
 		GhostHits:            hs.ghostHits.Load(),
 		SecondChanceSaves:    hs.secondChanceSaves.Load(),
 		LazyMaterializations: hs.lazyMaterializations.Load(),
@@ -1575,25 +1419,17 @@ type ResidencyStats struct {
 	// excluded from exported state, so it never perturbs checkpoint
 	// equality.
 	ResidentBytes int64
-	// PrefetchActivations counts activations initiated by the predictive
-	// prefetcher; PrefetchHits of those were demand-touched while still
-	// resident (the caller skipped the activation latency entirely),
-	// PrefetchMisses were hibernated again untouched or arrived after
-	// demand already had the stream hot.
-	PrefetchActivations int64
-	PrefetchHits        int64
-	PrefetchMisses      int64
 	// GhostHits counts reactivations that found the stream's name on the
 	// ghost list of recent evictions — each one a stream the policy let
 	// go just before it was wanted again (eviction regret).
 	GhostHits int64
 	// SecondChanceSaves counts eviction passes that skipped this stream
-	// because its second-chance bit (or an in-flight prefetch) protected
-	// it — the clock policy's scan resistance at work.
+	// because its second-chance bit protected it — the clock policy's scan
+	// resistance at work.
 	SecondChanceSaves int64
 	// LazyMaterializations counts deferred back-buffer builds paid off
-	// the activation critical path (prefetch activation, first write, or
-	// WAL tail replay).
+	// the activation critical path (by the first write or by WAL tail
+	// replay).
 	LazyMaterializations int64
 }
 

@@ -38,7 +38,7 @@ func goroutineBaseline() int {
 
 // Nothing a hub starts outlives CloseAll, and what it starts is one writer
 // per stream plus at most one background sweeper — none at all on a hub
-// with neither a residency budget nor a prefetch sweep.
+// without a residency budget.
 func TestHubLeavesNothingRunning(t *testing.T) {
 	m := trainTestModel(t)
 	posts := genPosts(30, 57)
@@ -74,29 +74,34 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		}
 	}
 
-	t.Run("budget and prefetch sweep", func(t *testing.T) {
+	t.Run("budget sweep", func(t *testing.T) {
 		before := goroutineBaseline()
 		h := openTestHub(t, t.TempDir(), m, PersistOptions{
-			MaxResidentStreams: 8, // sweeping, never binding
+			MaxResidentStreams: 2,
 			ResidencySweep:     2 * time.Millisecond,
-			PrefetchSweep:      2 * time.Millisecond,
 		})
 		wantGoroutines(t, "OpenHub: the one sweeper", before+1)
 		hss := fill(t, h, 4, before, 1)
-		for _, hs := range hss[:2] {
-			if err := hs.Hibernate(); err != nil {
+		// Nobody calls EnforceResidency: the sweeper alone brings the four
+		// streams Create left resident down to the budget.
+		waitFor(t, "the sweeper to enforce the budget", func() bool {
+			resident := 0
+			for _, hs := range hss {
+				if hs.Resident() {
+					resident++
+				}
+			}
+			return resident <= 2
+		})
+		for _, hs := range hss {
+			if _, err := hs.Query(nil, q); err != nil {
 				t.Fatal(err)
 			}
-		}
-		hss[0].Prefetch()
-		waitFor(t, "hinted prefetch activation", hss[0].Resident)
-		if _, err := hss[1].Query(nil, q); err != nil {
-			t.Fatal(err)
 		}
 		closeAll(t, h, before)
 	})
 
-	t.Run("durable, no budget, no prefetch", func(t *testing.T) {
+	t.Run("durable, no budget", func(t *testing.T) {
 		dir := t.TempDir()
 		before := goroutineBaseline()
 		h := openTestHub(t, dir, m, PersistOptions{})

@@ -58,12 +58,9 @@ var metricFamilies = map[string]string{
 	"ksir_residency_evictions_total":             "counter",
 	"ksir_residency_stale_evictions_total":       "counter",
 
-	"ksir_hub_prefetch_activations_total": "counter",
-	"ksir_hub_prefetch_hits_total":        "counter",
-	"ksir_hub_prefetch_misses_total":      "counter",
-	"ksir_hub_ghost_hits_total":           "counter",
-	"ksir_hub_second_chance_saves_total":  "counter",
-	"ksir_hub_lazy_materialize_total":     "counter",
+	"ksir_hub_ghost_hits_total":          "counter",
+	"ksir_hub_second_chance_saves_total": "counter",
+	"ksir_hub_lazy_materialize_total":    "counter",
 
 	"ksir_http_requests_total":           "counter",
 	"ksir_http_request_duration_seconds": "histogram",

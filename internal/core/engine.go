@@ -147,10 +147,9 @@ type Engine struct {
 	// post-restore bucket application — the published front is still
 	// byte-identical to the state the buffer is rebuilt from.
 	lazy *State
-	// matStart/matDur hand the ingest-path materialization timing to the
-	// hub's commit path for span attribution (TakeMaterialize). Written
-	// only under mu on the ingest path; an explicit MaterializeBack (the
-	// background path) leaves them untouched — its caller owns the timing.
+	// matStart/matDur hand the materialization timing to the hub's commit
+	// path for span attribution (TakeMaterialize). Written only under mu,
+	// by the first write after a lazy Restore.
 	matStart time.Time
 	matDur   time.Duration
 	// replayQ holds the buckets applied to the published buffer but not
@@ -312,8 +311,8 @@ func (g *Engine) EndBatch() {
 // bookkeeping overhead (see stream.ActiveWindow.ApproxBytes). The twin
 // windows share one archive and the shared copy is counted once. It feeds
 // the hub's residency accounting from the commit path and is never part of
-// exported state. Takes the writer lock: MaterializeBack may swap the back
-// buffer pointer in from any goroutine after a lazy restore.
+// exported state. Takes the writer lock: the first write after a lazy
+// restore swaps the back buffer pointer in.
 func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -349,7 +348,7 @@ func (g *Engine) recycle() error {
 		// been applied yet (any earlier Ingest would have materialized),
 		// so the replay queue is empty and the front still equals the
 		// restored state the buffer is rebuilt from.
-		return g.materializeBack(true)
+		return g.buildBack()
 	}
 	if g.backSnap != nil {
 		g.backSnap.waitDrained()
@@ -475,17 +474,15 @@ func (g *Engine) publish() {
 	g.unpublished = nil
 }
 
-// materializeBack builds the deferred back buffer from the retained
-// restore state. Caller holds mu. Correctness rests on one invariant: no
-// bucket has been applied since Restore (back is nil exactly until the
-// first recycle or MaterializeBack, and both run before any post-restore
-// applyBucket), so the published front is still byte-identical to the
-// retained State — rebuilding from it, adopting the front scorer's
-// immutable cache entries, and sharing the front window's writer state
-// yields a buffer byte-identical to the front. With record set the timing
-// is parked for TakeMaterialize (the ingest path); the explicit path
-// reports its own timing and leaves the handoff alone.
-func (g *Engine) materializeBack(record bool) error {
+// buildBack builds the deferred back buffer from the retained restore
+// state and parks its timing for TakeMaterialize. Caller holds mu.
+// Correctness rests on one invariant: no bucket has been applied since
+// Restore (back is nil exactly until the first recycle, which runs before
+// any post-restore applyBucket), so the published front is still
+// byte-identical to the retained State — rebuilding from it, adopting the
+// front scorer's immutable cache entries, and sharing the front window's
+// writer state yields a buffer byte-identical to the front.
+func (g *Engine) buildBack() error {
 	start := time.Now()
 	front := g.front.Load().buf
 	back, err := restoreBuffer(g.cfg, *g.lazy, front.scorer)
@@ -495,44 +492,12 @@ func (g *Engine) materializeBack(record bool) error {
 	stream.ShareWriterState(front.win, back.win) // see NewEngine
 	g.back = back
 	g.lazy = nil // free the retained window/list state
-	if record {
-		g.matStart, g.matDur = start, time.Since(start)
-	}
+	g.matStart, g.matDur = start, time.Since(start)
 	return nil
 }
 
-// MaterializeBack builds a lazily deferred back buffer now, off the write
-// path — the hub calls it at the end of a prefetch activation, so the
-// write the prefetch anticipated finds the buffer already built. It
-// reports whether it did the work (false when the buffer exists
-// — a write or an earlier call already materialized it) and how long the
-// build took. Safe to call concurrently with Ingest and queries; a
-// write racing it simply loses the mu race and finds back non-nil.
-func (g *Engine) MaterializeBack() (bool, time.Duration, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.back != nil {
-		return false, 0, nil
-	}
-	start := time.Now()
-	if err := g.materializeBack(false); err != nil {
-		return false, 0, err
-	}
-	return true, time.Since(start), nil
-}
-
-// BackMaterialized reports whether the back buffer currently exists (it
-// does not on a lazily restored engine until the first write or an
-// explicit MaterializeBack). Diagnostic; races with a concurrent write's
-// materialization benignly.
-func (g *Engine) BackMaterialized() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.back != nil
-}
-
-// TakeMaterialize returns and clears the timing of an ingest-path back
-// buffer materialization (zero when none happened since the last call).
+// TakeMaterialize returns and clears the timing of a back-buffer
+// materialization (zero when none happened since the last call).
 // The hub's commit path polls it after each apply pass to attribute a
 // backbuffer.materialize span to the op that paid the build.
 func (g *Engine) TakeMaterialize() (time.Time, time.Duration) {

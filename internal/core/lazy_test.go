@@ -19,7 +19,8 @@ func maskTimes(st State) State {
 }
 
 // lazyEagerPair restores two engines from the same export: one left with
-// its back buffer deferred, one whose back buffer is built right away.
+// its back buffer deferred, one whose back buffer is built right away (its
+// build timing discarded, as no write paid for it).
 func lazyEagerPair(t *testing.T, st State) (lazy, eager *Engine) {
 	t.Helper()
 	var err error
@@ -29,50 +30,36 @@ func lazyEagerPair(t *testing.T, st State) (lazy, eager *Engine) {
 	if eager, err = Restore(paperConfig(), st); err != nil {
 		t.Fatal(err)
 	}
-	if did, _, err := eager.MaterializeBack(); err != nil || !did {
-		t.Fatalf("MaterializeBack on a fresh restore did=%v err=%v", did, err)
+	eager.mu.Lock()
+	err = eager.buildBack()
+	eager.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
+	eager.TakeMaterialize()
 	return lazy, eager
 }
 
-// A restore defers the back buffer; an explicit MaterializeBack
-// builds it exactly once, off the write path, after which both engines
-// export byte-identical state.
+// A restore defers the back buffer, and the front buffer alone answers
+// queries and exports state exactly like an eagerly restored twin.
 func TestLazyRestoreDefersBackBuffer(t *testing.T) {
 	g := paperEngine(t)
 	lazy, eager := lazyEagerPair(t, g.ExportState())
 
-	if lazy.BackMaterialized() {
+	if lazy.back != nil {
 		t.Fatal("lazy restore materialized the back buffer up front")
 	}
-	if !eager.BackMaterialized() {
+	if eager.back == nil {
 		t.Fatal("eager twin has no back buffer")
 	}
-	// The front buffer alone answers queries identically.
 	if err := sameResults(engineQueries(t, lazy), engineQueries(t, eager)); err != nil {
 		t.Fatalf("pre-materialization queries diverge: %v", err)
 	}
-
-	did, dur, err := lazy.MaterializeBack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !did || dur <= 0 {
-		t.Fatalf("MaterializeBack did=%v dur=%v, want a measured build", did, dur)
-	}
-	if !lazy.BackMaterialized() {
-		t.Fatal("back buffer still missing after MaterializeBack")
-	}
-	if did, _, err := lazy.MaterializeBack(); err != nil || did {
-		t.Fatalf("second MaterializeBack did=%v err=%v, want idempotent no-op", did, err)
-	}
-	// An explicit (off-write-path) build must not be reported to the
-	// ingest-path timing seam.
-	if start, d := lazy.TakeMaterialize(); !start.IsZero() || d != 0 {
-		t.Fatalf("TakeMaterialize returned %v/%v after an explicit build", start, d)
-	}
 	if !reflect.DeepEqual(maskTimes(lazy.ExportState()), maskTimes(eager.ExportState())) {
-		t.Fatal("exports diverge after explicit materialization")
+		t.Fatal("exports diverge before materialization")
+	}
+	if start, d := lazy.TakeMaterialize(); !start.IsZero() || d != 0 {
+		t.Fatalf("TakeMaterialize returned %v/%v before any write", start, d)
 	}
 }
 
@@ -90,7 +77,7 @@ func TestLazyMaterializeOnFirstWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !lazy.BackMaterialized() {
+	if lazy.back == nil {
 		t.Fatal("first write did not materialize the back buffer")
 	}
 	start, dur := lazy.TakeMaterialize()
@@ -111,10 +98,10 @@ func TestLazyMaterializeOnFirstWrite(t *testing.T) {
 	}
 }
 
-// Randomized interleavings of ingest, query, export and explicit
-// materialization keep a lazy restore in exact lockstep with its eager
-// twin — same elements, same bit-for-bit scores, same exported state —
-// regardless of when (or whether) the back buffer gets built explicitly.
+// Randomized interleavings of ingest, query and export keep a lazy restore
+// in exact lockstep with its eager twin — same elements, same bit-for-bit
+// scores, same exported state — before and after the first write builds
+// the back buffer.
 func TestLazyEagerInterleavedEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		base := paperEngine(t)
@@ -124,7 +111,7 @@ func TestLazyEagerInterleavedEquivalence(t *testing.T) {
 		ts := stream.Time(9)
 		nextID := stream.ElemID(100)
 		for step := 0; step < 60; step++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0: // ingest the same fresh element into both
 				ts += stream.Time(1 + rng.Intn(2))
 				id := nextID
@@ -143,15 +130,11 @@ func TestLazyEagerInterleavedEquivalence(t *testing.T) {
 						t.Fatalf("seed %d step %d: %v", seed, step, err)
 					}
 				}
-			case 1: // explicit materialization at an arbitrary point
-				if _, _, err := lazy.MaterializeBack(); err != nil {
-					t.Fatalf("seed %d step %d: MaterializeBack: %v", seed, step, err)
-				}
-			case 2: // full query battery
+			case 1: // full query battery
 				if err := sameResults(engineQueries(t, lazy), engineQueries(t, eager)); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-			case 3: // exported state (what a checkpoint would persist)
+			case 2: // exported state (what a checkpoint would persist)
 				if !reflect.DeepEqual(maskTimes(lazy.ExportState()), maskTimes(eager.ExportState())) {
 					t.Fatalf("seed %d step %d: exports diverge", seed, step)
 				}

@@ -176,7 +176,7 @@ func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 
 // certSlack is the relative margin a rejection certificate must clear. Exact
 // arithmetic needs none: Δ(e|S) ≤ Δ(e|T) for T ⊆ S. The computed gains are
-// monotone in the set except for one step, the influence recurrence
+// monotone in the set except for one step, the influence update
 // 1 − (1−old)(1−p), which S accumulates over its members in another order
 // than T and may round an ulp lower. That moves Δ(e|S) by about n·u·δ(e,x)
 // for n children and unit roundoff u, against a threshold of at least

@@ -56,10 +56,9 @@ func (g *Engine) ExportState() State {
 //
 // Only the front (query-serving) buffer is materialized before Restore
 // returns — the activation critical path pays for one buffer, not two.
-// The back buffer is deferred: built by the first write (recycle) or an
-// explicit MaterializeBack, from the retained state, at which point it is
-// byte-identical to the front (which cannot have advanced — every write
-// materializes first).
+// The back buffer is deferred: built by the first write (recycle) from the
+// retained state, at which point it is byte-identical to the front (which
+// cannot have advanced — every write materializes first).
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -74,7 +73,7 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Retain the state; materializeBack rebuilds the back buffer from it
+	// Retain the state; buildBack rebuilds the back buffer from it
 	// before the first post-restore bucket applies.
 	g := &Engine{cfg: cfg, stats: st.Stats, lazy: &st}
 	front.freeze()

@@ -1,12 +1,11 @@
 // Package residency is the hub's hot-tier policy as plain values (DESIGN.md
-// §11, §15): who may stay resident under a budget, which recently evicted
-// names deserve a protected re-admission, and when a hibernated stream is
-// due back. Like connector/backoff it holds no goroutine, no lock and no
-// clock — times are int64 nanoseconds the caller passes in — so every
-// decision is a deterministic function of its inputs that tests enumerate
-// instead of scheduling. The hub keeps the mechanism: the per-handle
-// atomics these values are snapshotted from, the queues, and every
-// hibernate and activate call.
+// §11, §15): who may stay resident under a budget, and which recently
+// evicted names deserve a protected re-admission. Like connector/backoff
+// it holds no goroutine, no lock and no clock — times are int64
+// nanoseconds the caller passes in — so every decision is a deterministic
+// function of its inputs that tests enumerate instead of scheduling. The
+// hub keeps the mechanism: the per-handle atomics these values are
+// snapshotted from, the queues, and every hibernate and activate call.
 package residency
 
 import (
@@ -33,25 +32,18 @@ type Candidate struct {
 	Bytes int64
 	// SecondChance is the clock bit: touched again since admission.
 	SecondChance bool
-	// Prefetched marks a prefetch activation still queued or not yet
-	// consumed by the demand it anticipated; such a stream is never a
-	// victim.
-	Prefetched bool
 }
 
 // Mode selects what a walk is deciding for.
 type Mode struct {
 	incoming int
-	ceiling  int64
 	demote   bool
 }
 
 // Admit is the walk on behalf of one stream about to activate: it counts
-// against the budget too, a positive ceiling restricts victims to streams
-// touched strictly before it (a prefetch never displaces anything warmer
-// than what it admits), and protection is never stripped — a burst of
+// against the budget too, and protection is never stripped — a burst of
 // one-shot admissions churns through its own probationary streams.
-func Admit(ceiling int64) Mode { return Mode{incoming: 1, ceiling: ceiling} }
+func Admit() Mode { return Mode{incoming: 1} }
 
 // Sweep is the walk that makes the budget hold: when the unprotected
 // candidates do not suffice, the clock hand has come full circle and
@@ -90,10 +82,9 @@ type Mechanism struct {
 }
 
 // Walk visits cands coldest first and picks victims until the budget
-// holds. The first pass skips protected candidates — second-chance or
-// prefetched — recording a save for each; only a Sweep that is still over
-// budget afterwards takes a second pass through the second-chance ones.
-// An in-flight prefetch is spared by both.
+// holds. The first pass skips second-chance candidates, recording a save
+// for each; only a Sweep that is still over budget afterwards takes a
+// second pass through them.
 func (b Budget) Walk(cands []Candidate, m Mode, mech Mechanism) Plan {
 	n, bytes := len(cands)+m.incoming, int64(0)
 	for _, c := range cands {
@@ -114,10 +105,10 @@ func (b Budget) Walk(cands []Candidate, m Mode, mech Mechanism) Plan {
 	pass := func(protected bool) {
 		for _, i := range order {
 			c := cands[i]
-			if !over() || (m.ceiling > 0 && c.Touch >= m.ceiling) {
-				return // sorted coldest-first: only warmer candidates remain
+			if !over() {
+				return
 			}
-			if c.Prefetched || c.SecondChance != protected {
+			if c.SecondChance != protected {
 				if !protected {
 					p.Saves = append(p.Saves, i)
 				}
@@ -180,50 +171,3 @@ func (g *Ghosts) Take(name string) bool {
 
 // Len returns the number of names on the list.
 func (g *Ghosts) Len() int { return g.order.Len() }
-
-const (
-	// MinTouchGap is the smallest inter-touch gap (ns) folded into the
-	// recurrence estimate: sub-millisecond gaps are one logical burst (a
-	// query fan-out, a batch of adds), not a period worth predicting.
-	MinTouchGap = int64(1e6)
-	// HintTTL is how long (ns) a standing hint keeps a hibernated stream
-	// prefetch-eligible.
-	HintTTL = int64(30e9)
-)
-
-// FoldGap returns the touch-gap EWMA (α=¼) after observing gap; a gap
-// below MinTouchGap leaves it unchanged and the first one seeds it.
-func FoldGap(ewma, gap int64) int64 {
-	switch {
-	case gap < MinTouchGap:
-		return ewma
-	case ewma == 0:
-		return gap
-	}
-	return ewma + (gap-ewma)/4
-}
-
-// Recurrence is what predicts a hibernated stream's next touch.
-type Recurrence struct {
-	// LastTouch is the stream's last-touch clock.
-	LastTouch int64
-	// GapEWMA is its FoldGap estimate; 0 means no recurrence evidence.
-	GapEWMA int64
-	// HintUntil is the expiry of a standing hint; 0 means none.
-	HintUntil int64
-}
-
-// Due reports whether the stream should be prefetched at now: a standing
-// hint is live, or the predicted next touch (LastTouch + GapEWMA) lies
-// within ±look of now. A prediction more than look stale means the
-// recurrence broke — nothing is due until the pattern re-establishes.
-func (r Recurrence) Due(now, look int64) bool {
-	if r.HintUntil > 0 && now <= r.HintUntil {
-		return true
-	}
-	if r.GapEWMA <= 0 {
-		return false
-	}
-	next := r.LastTouch + r.GapEWMA
-	return next-look <= now && now <= next+look
-}

@@ -9,24 +9,14 @@ import (
 	"testing"
 )
 
-// c builds a candidate: flags "s" = second chance, "p" = prefetched.
+// c builds a candidate; flags "s" sets the second-chance bit.
 func c(touch, bytes int64, flags string) Candidate {
-	out := Candidate{Touch: touch, Bytes: bytes}
-	for _, f := range flags {
-		switch f {
-		case 's':
-			out.SecondChance = true
-		case 'p':
-			out.Prefetched = true
-		}
-	}
-	return out
+	return Candidate{Touch: touch, Bytes: bytes, SecondChance: flags == "s"}
 }
 
-// Every branch the hub's four call sites used to carry on their own:
-// EnforceResidency (Sweep), makeRoom (Admit, with and without a prefetch
-// ceiling), the stale-eviction re-check (Admit(0).Full) and the prefetch
-// admission re-check (Admit(ceiling): !Full or a victim).
+// Every branch the hub's three call sites used to carry on their own:
+// EnforceResidency (Sweep), makeRoom (Admit) and the stale-eviction
+// re-check (Admit().Full).
 func TestWalkTable(t *testing.T) {
 	n2 := Budget{MaxStreams: 2}
 	for _, tc := range []struct {
@@ -38,7 +28,7 @@ func TestWalkTable(t *testing.T) {
 		want   Plan
 	}{
 		{name: "no budget, sweep", cands: []Candidate{c(1, 9, ""), c(2, 9, "")}, mode: Sweep()},
-		{name: "no budget, admit", cands: []Candidate{c(1, 9, ""), c(2, 9, "")}, mode: Admit(0)},
+		{name: "no budget, admit", cands: []Candidate{c(1, 9, ""), c(2, 9, "")}, mode: Admit()},
 		{name: "no candidates", b: n2, mode: Sweep()},
 
 		{name: "sweep under budget", b: n2, cands: []Candidate{c(1, 1, ""), c(2, 1, "")}, mode: Sweep()},
@@ -52,7 +42,7 @@ func TestWalkTable(t *testing.T) {
 			cands: []Candidate{c(1, 3, ""), c(2, 3, "")}, mode: Sweep(),
 			want: Plan{Full: true, Victims: []int{0}}},
 		{name: "sweep skips protected while unprotected suffice", b: n2,
-			cands: []Candidate{c(1, 1, "s"), c(2, 1, "p"), c(3, 1, ""), c(4, 1, ""), c(5, 1, "")}, mode: Sweep(),
+			cands: []Candidate{c(1, 1, "s"), c(2, 1, "s"), c(3, 1, ""), c(4, 1, ""), c(5, 1, "")}, mode: Sweep(),
 			want: Plan{Full: true, Victims: []int{2, 3, 4}, Saves: []int{0, 1}}},
 		{name: "sweep stops saving once the budget holds", b: n2,
 			cands: []Candidate{c(1, 1, ""), c(2, 1, "s"), c(3, 1, "s")}, mode: Sweep(),
@@ -63,9 +53,6 @@ func TestWalkTable(t *testing.T) {
 		{name: "sweep takes unprotected first, then second-chance", b: Budget{MaxStreams: 1},
 			cands: []Candidate{c(1, 1, "s"), c(2, 1, ""), c(3, 1, "s")}, mode: Sweep(),
 			want: Plan{Full: true, Victims: []int{1, 0}, Saves: []int{0, 2}, Demoted: true}},
-		{name: "sweep never evicts an in-flight prefetch", b: Budget{MaxStreams: 1},
-			cands: []Candidate{c(1, 1, "p"), c(2, 1, "sp"), c(3, 1, "s")}, mode: Sweep(),
-			want: Plan{Full: true, Victims: []int{2}, Saves: []int{0, 1, 2}, Demoted: true}},
 		{name: "sweep moves on past a refused victim", b: n2,
 			cands: []Candidate{c(1, 1, ""), c(2, 1, ""), c(3, 1, "")}, mode: Sweep(), refuse: []int{0},
 			want: Plan{Full: true, Victims: []int{1}}},
@@ -73,47 +60,33 @@ func TestWalkTable(t *testing.T) {
 			cands: []Candidate{c(7, 1, ""), c(7, 1, ""), c(7, 1, "")}, mode: Sweep(),
 			want: Plan{Full: true, Victims: []int{0, 1}}},
 
-		{name: "admit with room for one more", b: n2, cands: []Candidate{c(1, 1, "")}, mode: Admit(0)},
+		{name: "admit with room for one more", b: n2, cands: []Candidate{c(1, 1, "")}, mode: Admit()},
 		{name: "admit at the cap evicts the coldest", b: n2,
-			cands: []Candidate{c(2, 1, ""), c(1, 1, "")}, mode: Admit(0),
+			cands: []Candidate{c(2, 1, ""), c(1, 1, "")}, mode: Admit(),
 			want: Plan{Full: true, Victims: []int{1}}},
 		{name: "admit over the cap evicts one per missing slot", b: n2,
-			cands: []Candidate{c(3, 1, ""), c(1, 1, ""), c(2, 1, "")}, mode: Admit(0),
+			cands: []Candidate{c(3, 1, ""), c(1, 1, ""), c(2, 1, "")}, mode: Admit(),
 			want: Plan{Full: true, Victims: []int{1, 2}}},
 		{name: "admit over bytes", b: Budget{MaxBytes: 4},
-			cands: []Candidate{c(1, 3, ""), c(2, 3, "")}, mode: Admit(0),
+			cands: []Candidate{c(1, 3, ""), c(2, 3, "")}, mode: Admit(),
 			want: Plan{Full: true, Victims: []int{0}}},
 		{name: "admit never demotes", b: n2,
-			cands: []Candidate{c(1, 1, "s"), c(2, 1, "p")}, mode: Admit(0),
+			cands: []Candidate{c(1, 1, "s"), c(2, 1, "s")}, mode: Admit(),
 			want: Plan{Full: true, Saves: []int{0, 1}}},
 		{name: "admit skips the protected for the coldest probationary", b: Budget{MaxStreams: 3},
-			cands: []Candidate{c(1, 1, "s"), c(3, 1, ""), c(2, 1, "")}, mode: Admit(0),
+			cands: []Candidate{c(1, 1, "s"), c(3, 1, ""), c(2, 1, "")}, mode: Admit(),
 			want: Plan{Full: true, Victims: []int{2}, Saves: []int{0}}},
 		{name: "admit moves on past a refused victim", b: n2,
-			cands: []Candidate{c(1, 1, ""), c(2, 1, "")}, mode: Admit(0), refuse: []int{0},
+			cands: []Candidate{c(1, 1, ""), c(2, 1, "")}, mode: Admit(), refuse: []int{0},
 			want: Plan{Full: true, Victims: []int{1}}},
 
-		{name: "prefetch with room ignores its ceiling", b: n2, cands: []Candidate{c(9, 1, "")}, mode: Admit(5)},
-		{name: "prefetch evicts only strictly colder than itself", b: n2,
-			cands: []Candidate{c(4, 1, ""), c(6, 1, ""), c(5, 1, "")}, mode: Admit(5),
-			want: Plan{Full: true, Victims: []int{0}}},
-		{name: "prefetch with nothing colder is inadmissible", b: n2,
-			cands: []Candidate{c(5, 1, ""), c(6, 1, "")}, mode: Admit(5),
-			want: Plan{Full: true}},
-		{name: "prefetch with only protected colder is inadmissible", b: n2,
-			cands: []Candidate{c(1, 1, "s"), c(2, 1, "p"), c(8, 1, "")}, mode: Admit(5),
-			want: Plan{Full: true, Saves: []int{0, 1}}},
-		{name: "prefetch finds the victim behind a protected one", b: n2,
-			cands: []Candidate{c(1, 1, "s"), c(2, 1, "")}, mode: Admit(5),
-			want: Plan{Full: true, Victims: []int{1}, Saves: []int{0}}},
-
 		{name: "stale eviction: below the cap again", b: Budget{MaxStreams: 3},
-			cands: []Candidate{c(1, 1, ""), c(2, 1, "")}, mode: Admit(0)},
+			cands: []Candidate{c(1, 1, ""), c(2, 1, "")}, mode: Admit()},
 		{name: "stale eviction: still at the cap", b: Budget{MaxStreams: 3},
-			cands: []Candidate{c(1, 1, "s"), c(2, 1, "s"), c(3, 1, "s")}, mode: Admit(0),
+			cands: []Candidate{c(1, 1, "s"), c(2, 1, "s"), c(3, 1, "s")}, mode: Admit(),
 			want: Plan{Full: true, Saves: []int{0, 1, 2}}},
 		{name: "stale eviction: bytes still over", b: Budget{MaxStreams: 9, MaxBytes: 4},
-			cands: []Candidate{c(1, 5, "s")}, mode: Admit(0),
+			cands: []Candidate{c(1, 5, "s")}, mode: Admit(),
 			want: Plan{Full: true, Saves: []int{0}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,7 +139,6 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 	over := func(n int, bytes int64) bool {
 		return (b.MaxStreams > 0 && n > b.MaxStreams) || (b.MaxBytes > 0 && bytes > b.MaxBytes)
 	}
-	protected := func(i int) bool { return cands[i].SecondChance || cands[i].Prefetched }
 	n, bytes := len(cands)+m.incoming, int64(0)
 	for _, cd := range cands {
 		bytes += cd.Bytes
@@ -185,20 +157,16 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 		fail("only a sweep demotes")
 	}
 
-	// Victims: distinct, never an in-flight prefetch, colder than the
-	// ceiling, the unprotected ones first and each group coldest-first.
+	// Victims: distinct, the unprotected ones first and each group
+	// coldest-first.
 	victim := make(map[int]bool)
 	for k, i := range p.Victims {
 		cd := cands[i]
 		switch {
 		case victim[i]:
 			fail("victim %d chosen twice", i)
-		case cd.Prefetched:
-			fail("victim %d has a prefetch in flight", i)
 		case cd.SecondChance && !p.Demoted:
 			fail("second-chance victim %d without a full-circle sweep", i)
-		case m.ceiling > 0 && cd.Touch >= m.ceiling:
-			fail("victim %d is no colder than the ceiling", i)
 		}
 		victim[i] = true
 		if k > 0 {
@@ -212,7 +180,7 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 		}
 	}
 	for i, cd := range cands {
-		if victim[i] || cd.Prefetched || (cd.SecondChance && !p.Demoted) {
+		if victim[i] || (cd.SecondChance && !p.Demoted) {
 			continue
 		}
 		for v := range victim {
@@ -235,9 +203,7 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 	}
 	if over(vn, vbytes) {
 		for i, cd := range cands {
-			eligible := !victim[i] && !cd.Prefetched && (m.demote || !cd.SecondChance) &&
-				(m.ceiling == 0 || cd.Touch < m.ceiling)
-			if eligible {
+			if !victim[i] && (m.demote || !cd.SecondChance) {
 				fail("still over budget with eligible candidate %d left resident", i)
 			}
 		}
@@ -245,8 +211,8 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 
 	// Demotion only when every unprotected candidate going was not enough.
 	un, ubytes := n, bytes
-	for i, cd := range cands {
-		if !protected(i) {
+	for _, cd := range cands {
+		if !cd.SecondChance {
 			un--
 			ubytes -= cd.Bytes
 		}
@@ -256,8 +222,8 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 	}
 
 	// Saves: exactly the protected candidates the first pass walked past —
-	// colder than the ceiling, and reached while the unprotected candidates
-	// ahead of them had not yet brought the tier under budget.
+	// reached while the unprotected candidates ahead of them had not yet
+	// brought the tier under budget.
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i
@@ -266,10 +232,10 @@ func checkPlan(t *testing.T, b Budget, cands []Candidate, m Mode, p Plan) {
 	var wantSaves []int
 	pn, pbytes := n, bytes
 	for _, i := range order {
-		if !over(pn, pbytes) || (m.ceiling > 0 && cands[i].Touch >= m.ceiling) {
+		if !over(pn, pbytes) {
 			break
 		}
-		if protected(i) {
+		if cands[i].SecondChance {
 			wantSaves = append(wantSaves, i)
 		} else {
 			pn--
@@ -291,7 +257,6 @@ func TestWalkProperties(t *testing.T) {
 				Touch:        1 + rng.Int63n(16),
 				Bytes:        rng.Int63n(100),
 				SecondChance: rng.Intn(3) == 0,
-				Prefetched:   rng.Intn(6) == 0,
 			}
 		}
 		var b Budget
@@ -301,28 +266,27 @@ func TestWalkProperties(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			b.MaxBytes = rng.Int63n(500)
 		}
-		for _, m := range []Mode{Sweep(), Admit(0), Admit(1 + rng.Int63n(18))} {
+		for _, m := range []Mode{Sweep(), Admit()} {
 			checkPlan(t, b, cands, m, b.Walk(cands, m, Mechanism{}))
 		}
 	}
 }
 
 func FuzzVictims(f *testing.F) {
-	f.Add(uint8(2), uint16(0), true, uint8(0), []byte{1, 1, 0, 2, 1, 1, 3, 1, 2, 4, 1, 0})
-	f.Add(uint8(1), uint16(9), false, uint8(3), []byte{5, 4, 0, 2, 4, 0, 2, 4, 1})
-	f.Add(uint8(0), uint16(0), false, uint8(0), []byte{1, 1, 3})
-	f.Fuzz(func(t *testing.T, maxStreams uint8, maxBytes uint16, sweep bool, ceiling uint8, data []byte) {
+	f.Add(uint8(2), uint16(0), true, []byte{1, 1, 0, 2, 1, 1, 3, 1, 0, 4, 1, 0})
+	f.Add(uint8(1), uint16(9), false, []byte{5, 4, 0, 2, 4, 0, 2, 4, 1})
+	f.Add(uint8(0), uint16(0), false, []byte{1, 1, 1})
+	f.Fuzz(func(t *testing.T, maxStreams uint8, maxBytes uint16, sweep bool, data []byte) {
 		var cands []Candidate
 		for ; len(data) >= 3 && len(cands) < 64; data = data[3:] {
 			cands = append(cands, Candidate{
 				Touch:        int64(data[0]),
 				Bytes:        int64(data[1]),
 				SecondChance: data[2]&1 != 0,
-				Prefetched:   data[2]&2 != 0,
 			})
 		}
 		b := Budget{MaxStreams: int(maxStreams), MaxBytes: int64(maxBytes)}
-		m := Admit(int64(ceiling))
+		m := Admit()
 		if sweep {
 			m = Sweep()
 		}
@@ -373,63 +337,6 @@ func TestGhostsBoundAndOrder(t *testing.T) {
 		}
 		if g.Len() != 0 {
 			t.Fatalf("Len = %d after draining", g.Len())
-		}
-	}
-}
-
-func TestFoldGap(t *testing.T) {
-	for _, tc := range []struct{ ewma, gap, want int64 }{
-		{0, MinTouchGap - 1, 0},       // same burst: not a period
-		{0, MinTouchGap, MinTouchGap}, // the first real gap seeds it
-		{4e6, 8e6, 5e6},               // α = ¼ towards the new gap
-		{8e6, 4e6, 7e6},               // and back down
-		{8e6, MinTouchGap - 1, 8e6},   // bursts leave an estimate alone
-		{8e6, -5, 8e6},                // so does a clock that stepped back
-	} {
-		if got := FoldGap(tc.ewma, tc.gap); got != tc.want {
-			t.Errorf("FoldGap(%d, %d) = %d, want %d", tc.ewma, tc.gap, got, tc.want)
-		}
-	}
-}
-
-func TestRecurrenceDue(t *testing.T) {
-	const ms = int64(1e6)
-	pred := Recurrence{LastTouch: 100 * ms, GapEWMA: 50 * ms} // next touch at 150ms
-	for _, tc := range []struct {
-		name      string
-		r         Recurrence
-		now, look int64
-		want      bool
-	}{
-		{"no evidence, no hint", Recurrence{LastTouch: 100 * ms}, 150 * ms, 10 * ms, false},
-		{"before the window", pred, 139 * ms, 10 * ms, false},
-		{"window opens", pred, 140 * ms, 10 * ms, true},
-		{"on the prediction", pred, 150 * ms, 10 * ms, true},
-		{"window closes", pred, 160 * ms, 10 * ms, true},
-		{"stale: the recurrence broke", pred, 161 * ms, 10 * ms, false},
-		{"zero lookahead is the instant itself", pred, 150 * ms, 0, true},
-		{"zero lookahead misses by one", pred, 150*ms + 1, 0, false},
-		{"live hint, no evidence", Recurrence{LastTouch: 1, HintUntil: 200 * ms}, 200 * ms, 0, true},
-		{"live hint beats a stale prediction", Recurrence{LastTouch: 1, GapEWMA: ms, HintUntil: 200 * ms}, 190 * ms, ms, true},
-		{"expired hint is no hint", Recurrence{LastTouch: 1, HintUntil: 200 * ms}, 200*ms + 1, 0, false},
-		{"expired hint leaves the prediction in charge", Recurrence{LastTouch: 100 * ms, GapEWMA: 50 * ms, HintUntil: 120 * ms}, 150 * ms, ms, true},
-	} {
-		if got := tc.r.Due(tc.now, tc.look); got != tc.want {
-			t.Errorf("%s: Due(%d, %d) = %v, want %v", tc.name, tc.now, tc.look, got, tc.want)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		r := Recurrence{LastTouch: rng.Int63n(1e12), GapEWMA: 1 + rng.Int63n(1e10)}
-		look, now := rng.Int63n(1e10), rng.Int63n(2e12)
-		next := r.LastTouch + r.GapEWMA
-		if got, want := r.Due(now, look), now >= next-look && now <= next+look; got != want {
-			t.Fatalf("%+v.Due(%d, %d) = %v, want %v", r, now, look, got, want)
-		}
-		r.HintUntil = now + rng.Int63n(HintTTL)
-		if !r.Due(now, look) {
-			t.Fatalf("%+v.Due(%d, %d) = false under a live hint", r, now, look)
 		}
 	}
 }

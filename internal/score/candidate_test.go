@@ -252,7 +252,7 @@ func TestGainMonotoneAcrossInsertionOrders(t *testing.T) {
 		}
 	}
 	if excesses == 0 {
-		t.Fatal("Δ(e|S) never exceeded Δ(e|T): the instances no longer exercise the reordered influence recurrence")
+		t.Fatal("Δ(e|S) never exceeded Δ(e|T): the instances no longer exercise the reordered influence update")
 	}
 	t.Logf("Δ(e|S) > Δ(e|T) in %d of %d trials, largest relative excess %.3g", excesses, trials, worst)
 }

@@ -305,9 +305,6 @@ func (s *Server) streamInfoFrom(hs *ksir.StreamHandle, st ksir.StreamStats) apiv
 		Activations:          st.Residency.Activations,
 		LastActivationUs:     st.Residency.LastActivation.Microseconds(),
 		ResidentBytes:        st.Residency.ResidentBytes,
-		PrefetchActivations:  st.Residency.PrefetchActivations,
-		PrefetchHits:         st.Residency.PrefetchHits,
-		PrefetchMisses:       st.Residency.PrefetchMisses,
 		GhostHits:            st.Residency.GhostHits,
 		SecondChanceSaves:    st.Residency.SecondChanceSaves,
 		LazyMaterializations: st.Residency.LazyMaterializations,

@@ -167,11 +167,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, hs *ksi
 		return
 	}
 	defer hs.Unsubscribe(sub)
-	// A consumer that drops off usually reconnects with its resume cursor
-	// shortly after; the standing hint keeps the stream prefetch-eligible
-	// across the gap so the resumed subscription finds it already hot
-	// (no-op unless the hub runs a predictive prefetcher).
-	defer hs.Prefetch()
 	c.subscribers.Add(1)
 	obsSSESubscribers.Inc()
 	defer func() {

@@ -84,6 +84,14 @@ func (o *Options) fill(cfg *streamConfig) error {
 	if o.Window <= 0 || o.Bucket <= 0 || o.Bucket > o.Window {
 		return fmt.Errorf("%w: need 0 < Bucket <= Window, got %v / %v", ErrBadOptions, o.Bucket, o.Window)
 	}
+	// Stream time counts whole seconds: a fraction would be truncated, and
+	// a sub-second bucket truncates to a zero-length one.
+	if o.Window%time.Second != 0 {
+		return fmt.Errorf("%w: Window must be a whole number of seconds, got %v", ErrBadOptions, o.Window)
+	}
+	if o.Bucket%time.Second != 0 {
+		return fmt.Errorf("%w: Bucket must be a whole number of seconds, got %v", ErrBadOptions, o.Bucket)
+	}
 	if math.IsNaN(o.Lambda) || o.Lambda < 0 || o.Lambda > 1 {
 		return fmt.Errorf("%w: lambda must be in [0,1], got %v", ErrBadOptions, o.Lambda)
 	}

@@ -34,18 +34,12 @@ var (
 	obsResStaleEvictions = metrics.NewCounter("ksir_residency_stale_evictions_total",
 		"Policy evictions that no-opped at commit-time re-validation (stream re-warmed or budget already met).")
 
-	obsResPrefetchActivations = metrics.NewCounter("ksir_hub_prefetch_activations_total",
-		"Stream activations initiated by the predictive prefetcher rather than a demand operation.")
-	obsResPrefetchHits = metrics.NewCounter("ksir_hub_prefetch_hits_total",
-		"Prefetched streams touched by a demand operation while still resident (the activation latency the caller never saw).")
-	obsResPrefetchMisses = metrics.NewCounter("ksir_hub_prefetch_misses_total",
-		"Prefetched streams hibernated again (or found already resident) before any demand touch consumed the prefetch.")
 	obsResGhostHits = metrics.NewCounter("ksir_hub_ghost_hits_total",
 		"Reactivations of streams on the ghost list (recently evicted and wanted again: eviction-policy regret).")
 	obsResSecondChanceSaves = metrics.NewCounter("ksir_hub_second_chance_saves_total",
-		"Eviction candidates skipped because their second-chance bit (or pending prefetch) protected them.")
+		"Eviction candidates skipped because their second-chance bit protected them.")
 	obsResLazyMaterialize = metrics.NewCounter("ksir_hub_lazy_materialize_total",
-		"Deferred back-buffer materializations (prefetch activation, first write, or WAL tail replay).")
+		"Deferred back-buffer materializations (first write after activation, or WAL tail replay).")
 )
 
 // observeCommit records one commit batch on the pipeline families.

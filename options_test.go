@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -164,5 +165,53 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	if _, err := New(m, Options{Window: time.Minute, Bucket: time.Hour}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("bad options err = %v, want ErrBadOptions", err)
+	}
+}
+
+// Stream time counts whole seconds, so a Window or Bucket with a fraction of
+// a second is refused up front: a sub-second bucket used to truncate to a
+// zero-length one and panic the writer with a divide by zero on the second
+// Add. A subscription's refresh interval is held to the same unit instead
+// of being silently truncated.
+func TestFractionalSecondsRejected(t *testing.T) {
+	m := trainTestModel(t)
+	h := NewHub()
+	defer h.CloseAll()
+	for _, v := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 90*time.Second + 500*time.Millisecond} {
+		for _, tc := range []struct {
+			opts Options
+			bad  time.Duration
+		}{
+			{Options{Window: time.Hour, Bucket: v}, v},
+			{Options{Window: 2*time.Hour + v, Bucket: time.Minute}, 2*time.Hour + v},
+		} {
+			opts := tc.opts
+			if _, err := New(m, opts); !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), tc.bad.String()) {
+				t.Errorf("New(%+v) err = %v, want ErrBadOptions naming %v", opts, err, tc.bad)
+			}
+			if _, err := h.Create("s", m, opts); !errors.Is(err, ErrBadOptions) {
+				t.Errorf("Create(%+v) err = %v, want ErrBadOptions", opts, err)
+			}
+		}
+	}
+	if n := h.Len(); n != 0 {
+		t.Fatalf("hub registered %d streams with fractional-second options", n)
+	}
+
+	hs, err := h.Create("ok", m, Options{Window: time.Hour, Bucket: time.Second, Eta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{K: 3, Keywords: []string{"goal"}}
+	for _, every := range []time.Duration{1500 * time.Millisecond, 90*time.Second + 500*time.Millisecond} {
+		if _, err := hs.Subscribe(context.Background(), q, every, func(Result) {}); !errors.Is(err, ErrBadSubscription) {
+			t.Errorf("Subscribe(every=%v) err = %v, want ErrBadSubscription", every, err)
+		}
+	}
+	for i, p := range genPosts(5, 58) {
+		p.Time = int64(i + 1)
+		if err := hs.Add(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -105,21 +105,6 @@ type PersistOptions struct {
 	// Admission control additionally evicts the coldest streams inline
 	// whenever an activation would overshoot the budget.
 	ResidencySweep time.Duration
-	// PrefetchSweep, when positive, runs the predictive prefetcher every
-	// PrefetchSweep: hibernated streams whose predicted next touch (from
-	// the per-stream inter-arrival EWMA) or standing hint
-	// (StreamHandle.Prefetch) falls within PrefetchLookahead are
-	// reactivated in the background, so the demand operation that was
-	// about to pay the activation finds the stream already hot. Prefetch
-	// is budget-aware: it never evicts a stream warmer than the one it
-	// admits, and it skips entirely when no colder victim exists. 0 (the
-	// default) disables prefetching.
-	PrefetchSweep time.Duration
-	// PrefetchLookahead is how far around the predicted next touch a
-	// stream counts as "due" (default 2×PrefetchSweep). Larger values
-	// prefetch earlier and tolerate sloppier periodicity; too large and
-	// prefetched streams idle in the hot tier before their touch arrives.
-	PrefetchLookahead time.Duration
 	// Logger receives the hub's background warnings (residency sweep
 	// failures). Nil means slog.Default() resolved at log time.
 	Logger *slog.Logger
@@ -134,9 +119,6 @@ func (o PersistOptions) withDefaults() PersistOptions {
 	}
 	if o.ResidencySweep <= 0 {
 		o.ResidencySweep = time.Second
-	}
-	if o.PrefetchSweep > 0 && o.PrefetchLookahead <= 0 {
-		o.PrefetchLookahead = 2 * o.PrefetchSweep
 	}
 	return o
 }

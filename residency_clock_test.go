@@ -12,8 +12,8 @@ import (
 // scanChurnHub builds the scan-resistance fixture: eight durable streams
 // (three "hot" regulars, five one-shot "scan" targets), closed and
 // reopened under a 3-stream budget so every stream starts hibernated with
-// an empty ghost list, then warms the hot set with two spaced touches
-// each (the second touch earns the second-chance bit) and runs a one-shot
+// an empty ghost list, then warms the hot set with two touches each (the
+// second touch earns the second-chance bit) and runs a one-shot
 // scan over the cold five. Returns the reopened hub and the handles.
 func scanChurnHub(t *testing.T) (h *Hub, hot, scan []*StreamHandle) {
 	t.Helper()
@@ -47,13 +47,12 @@ func scanChurnHub(t *testing.T) (h *Hub, hot, scan []*StreamHandle) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// First touch activates (probationary); the second, spaced past the
-		// touch-gap floor, is the "touched again since admission" signal.
+		// First touch activates (probationary); the second is the "touched
+		// again since admission" signal.
 		for i := 0; i < 2; i++ {
 			if _, err := hs.Query(nil, q); err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
 		hot = append(hot, hs)
 	}
@@ -169,146 +168,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// The standing-hint prefetch path end to end: Prefetch marks a hibernated
-// stream, the sweep reactivates it in the background (a prefetch
-// activation, with the deferred back buffer built off the critical path),
-// a demand touch while still resident counts a hit, and a prefetch the
-// demand never consumes counts a miss when the stream hibernates again.
-func TestResidencyPrefetchHintHitAndMiss(t *testing.T) {
-	m := trainTestModel(t)
-	h := openTestHub(t, t.TempDir(), m, PersistOptions{
-		PrefetchSweep:     time.Hour, // deterministic: the test sweeps by hand
-		PrefetchLookahead: time.Hour,
-	})
-	defer h.CloseAll()
-	hs, err := h.Create("feed", m, persistOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range genPosts(40, 53) {
-		if err := hs.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := hs.Hibernate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sweep without a signal: nothing is due, the stream stays cold. The
-	// ingest loop above may have run slowly enough to train the EWMA;
-	// clear it so this control case really has no recurrence evidence.
-	hs.touchGapEWMA.Store(0)
-	h.prefetchSweep()
-	time.Sleep(10 * time.Millisecond)
-	if hs.Resident() {
-		t.Fatal("sweep activated a stream with no hint and no recurrence")
-	}
-
-	hs.Prefetch()
-	h.prefetchSweep()
-	waitFor(t, "hinted prefetch activation", hs.Resident)
-	r := hs.Stats().Residency
-	if r.PrefetchActivations != 1 || r.PrefetchHits != 0 || r.PrefetchMisses != 0 {
-		t.Fatalf("after prefetch: %+v, want exactly one activation, no hits/misses yet", r)
-	}
-	// The deferred back buffer is built by the prefetch activation itself,
-	// right after it publishes the stream.
-	waitFor(t, "background materialization", func() bool {
-		return hs.Stats().Residency.LazyMaterializations >= 1
-	})
-
-	// The demand touch the prefetch anticipated: a hit, charged once.
-	if _, err := hs.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
-		t.Fatal(err)
-	}
-	if r := hs.Stats().Residency; r.PrefetchHits != 1 {
-		t.Fatalf("prefetch hits = %d, want 1", r.PrefetchHits)
-	}
-	if _, err := hs.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
-		t.Fatal(err)
-	}
-	if r := hs.Stats().Residency; r.PrefetchHits != 1 {
-		t.Fatalf("second demand touch double-counted the hit: %+v", r)
-	}
-
-	// A prefetch nobody touches is a miss, charged at re-hibernation.
-	if err := hs.Hibernate(); err != nil {
-		t.Fatal(err)
-	}
-	hs.Prefetch()
-	h.prefetchSweep()
-	waitFor(t, "second prefetch activation", hs.Resident)
-	if err := hs.Hibernate(); err != nil {
-		t.Fatal(err)
-	}
-	r = hs.Stats().Residency
-	if r.PrefetchActivations != 2 || r.PrefetchHits != 1 || r.PrefetchMisses != 1 {
-		t.Fatalf("after untouched prefetch: %+v, want 2 activations / 1 hit / 1 miss", r)
-	}
-}
-
-// The recurrence-driven prefetch path: spaced demand touches train the
-// inter-arrival EWMA, and the sweep reactivates a hibernated stream whose
-// predicted next touch falls within the lookahead — no hint required —
-// while skipping streams with no recurrence or a stale prediction.
-func TestResidencyPrefetchRecurrencePrediction(t *testing.T) {
-	m := trainTestModel(t)
-	h := openTestHub(t, t.TempDir(), m, PersistOptions{
-		PrefetchSweep:     time.Hour,
-		PrefetchLookahead: time.Hour,
-	})
-	defer h.CloseAll()
-	posts := genPosts(40, 54)
-	mk := func(name string) *StreamHandle {
-		hs, err := h.Create(name, m, persistOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range posts {
-			if err := hs.Add(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return hs
-	}
-	rec, flat, stale := mk("recurring"), mk("flat"), mk("stale")
-
-	// Train the recurring stream's EWMA with touches spaced past the
-	// touch-gap floor.
-	for i := 0; i < 4; i++ {
-		time.Sleep(3 * time.Millisecond)
-		if _, err := rec.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rec.touchGapEWMA.Load() <= 0 {
-		t.Fatal("spaced touches did not train the inter-arrival EWMA")
-	}
-	for _, hs := range []*StreamHandle{rec, flat, stale} {
-		if err := hs.Hibernate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// White-box control cases: no recurrence evidence at all, and a
-	// prediction staler than the lookahead (the pattern broke).
-	flat.touchGapEWMA.Store(0)
-	stale.touchGapEWMA.Store(int64(time.Millisecond))
-	stale.lastTouch.Store(time.Now().Add(-3 * time.Hour).UnixNano())
-
-	h.prefetchSweep()
-	waitFor(t, "predicted prefetch activation", rec.Resident)
-	if got := rec.Stats().Residency.PrefetchActivations; got != 1 {
-		t.Fatalf("recurring stream prefetch activations = %d, want 1", got)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if flat.Resident() {
-		t.Error("sweep prefetched a stream with no recurrence evidence")
-	}
-	if stale.Resident() {
-		t.Error("sweep prefetched a stream whose prediction went stale")
 	}
 }
 

@@ -87,6 +87,9 @@ func (s *Stream) Subscribe(ctx context.Context, q Query, every time.Duration, ha
 	if every < s.opts.Bucket {
 		return nil, fmt.Errorf("%w: refresh interval %v shorter than the bucket %v (results only change per bucket)", ErrBadSubscription, every, s.opts.Bucket)
 	}
+	if every%time.Second != 0 {
+		return nil, fmt.Errorf("%w: refresh interval %v is not a whole number of seconds", ErrBadSubscription, every)
+	}
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrBadSubscription)
 	}

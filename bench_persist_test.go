@@ -2,10 +2,13 @@ package ksir
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/social-streams/ksir/internal/dataset"
 )
 
 // benchModel caches one trained model across the persistence benchmarks
@@ -99,6 +102,88 @@ func BenchmarkWALAppend(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkAddBatchBuckets measures the one write path whose commit batch
+// crosses many bucket boundaries: 256-post AddBatch calls on a durable hub
+// at FsyncInterval, at 7 posts per bucket over a 96-bucket window — the
+// shape of tenant-churn's preload — with a 20-topic model trained on a
+// Twitter-like synthetic corpus. Every completed bucket is published, so
+// buckets/op (≈ 36.6) is also the number of snapshot publishes per call.
+func BenchmarkAddBatchBuckets(b *testing.B) {
+	const (
+		call      = 256
+		perBucket = 7
+		calls     = 16 // distinct calls in the timeline; later rounds shift it
+		warmCalls = 4  // ingested before timing: fills the window
+	)
+	d, err := dataset.Generate(dataset.TwitterLike(call*calls), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	posts := make([]Post, len(d.Elements))
+	texts := make([]string, len(posts))
+	for i, e := range d.Elements {
+		words := make([]string, len(d.Docs[i]))
+		for j, w := range d.Docs[i] {
+			words[j] = d.Vocab.Word(w)
+		}
+		texts[i] = strings.Join(words, " ")
+		refs := make([]int64, len(e.Refs))
+		for j, r := range e.Refs {
+			refs[j] = int64(r)
+		}
+		// One post per second, so a bucket of perBucket seconds holds
+		// perBucket posts.
+		posts[i] = Post{ID: int64(e.ID), Time: int64(i + 1), Text: texts[i], Refs: refs}
+	}
+	model, err := TrainModel(texts, WithTopics(20), WithIterations(20), WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hub, err := OpenHub(b.TempDir(), model, PersistOptions{Fsync: FsyncInterval})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer hub.CloseAll()
+	bucket := perBucket * time.Second
+	hs, err := hub.Create("bench", model, Options{Window: 96 * bucket, Bucket: bucket, Eta: d.Profile.Eta})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// add sends call i: chunk i mod calls of the timeline, its IDs, refs
+	// and times shifted past every earlier round.
+	batch := make([]Post, call)
+	add := func(i int) {
+		shift := int64(i/calls) * int64(len(posts))
+		for j, p := range posts[i%calls*call : (i%calls+1)*call] {
+			p.ID += shift
+			p.Time += shift
+			if len(p.Refs) > 0 {
+				refs := make([]int64, len(p.Refs))
+				for k, r := range p.Refs {
+					refs[k] = r + shift
+				}
+				p.Refs = refs
+			}
+			batch[j] = p
+		}
+		if n, err := hs.AddBatch(batch); err != nil || n != call {
+			b.Fatalf("AddBatch = %d, %v", n, err)
+		}
+	}
+	for i := 0; i < warmCalls; i++ {
+		add(i)
+	}
+	before := hs.Stats().Bucket
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add(warmCalls + i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(hs.Stats().Bucket-before)/float64(b.N), "buckets/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*call), "ns/post")
 }
 
 // BenchmarkRecovery measures OpenHub over a crashed directory, by window

@@ -583,10 +583,10 @@ func (p PipelineStats) FsyncsPerOp() float64 {
 // published snapshot, as on a raw Stream.
 //
 // The writer coalesces adjacent queued ingest operations (Add, AddBatch,
-// Flush) into a commit batch: one pass of engine application — crossing at
-// most one snapshot publish when no standing queries are registered — and,
-// on a durable hub, one WAL append whose fsync (under FsyncAlways) is
-// shared by the whole batch. Coalescing is invisible in the results: every
+// Flush) into a commit batch: one pass of engine application — one snapshot
+// publish per bucket the batch completes — and, on a durable hub, one WAL
+// append whose fsync (under FsyncAlways) is shared by the whole batch.
+// Coalescing is invisible in the results: every
 // operation completes with exactly the outcome it would have had committed
 // alone — the same accepted prefixes, the same typed sentinels — because
 // acceptance decisions are made per operation, in queue order. Checkpoint,
@@ -789,10 +789,11 @@ func (hs *StreamHandle) writerLoop() {
 			// commit's completions — yield once to let them, so the
 			// batch (and its shared fsync) covers the whole herd. The
 			// writer otherwise outruns producer wake-up and group commit
-			// degenerates into batches of one (pronounced at
-			// GOMAXPROCS=1, where the writer is never preempted between
-			// commits). A lone producer never trips the yield: its op is
-			// the whole in-flight population, so it commits at once.
+			// shrinks toward batches of one (≈ 2 instead of ≈ 5.5 at 8
+			// producers, DESIGN.md §10; pronounced at GOMAXPROCS=1, where
+			// the writer is never preempted between commits). A lone
+			// producer never trips the yield: its op is the whole
+			// in-flight population, so it commits at once.
 			for tries := 0; len(batch) < maxCommitOps && carry == nil; {
 				var next *writeOp
 				select {
@@ -823,8 +824,7 @@ func (hs *StreamHandle) writerLoop() {
 }
 
 // commit applies one batch of operations and makes it durable: an apply
-// pass in queue order (snapshot publication deferred across the batch, so
-// it crosses at most one publish when no standing queries are registered),
+// pass in queue order (each bucket it completes is published on the spot),
 // then — on a durable hub — one WAL append covering every accepted
 // operation, with one fsync shared by the batch, then the auto-checkpoint
 // trigger, and finally the completion of every caller's op.
@@ -886,14 +886,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 		}
 	}
 	recs := hs.recs[:0]
-	// Bracket the apply pass when it can span more than one engine
-	// application (several ops, or one multi-post batch). A nil st here
-	// means the whole batch is residency-independent ops (hibernate on a
-	// cold stream, checkpoint, unsubscribe) — never ingest.
-	bracket := st != nil && (len(batch) > 1 || (batch[0].kind == opAddBatch && len(batch[0].posts) > 1))
-	if bracket {
-		st.beginApply()
-	}
 	for _, op := range batch {
 		if op.tr != nil {
 			op.applyStart = time.Now()
@@ -970,9 +962,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 		if op.tr != nil {
 			op.applyDur = time.Since(op.applyStart)
 		}
-	}
-	if bracket {
-		st.endApply()
 	}
 
 	// A write in this batch may have been the one that paid a deferred

@@ -28,12 +28,8 @@ type bucketDelta struct {
 // churning ~100 bytes per ranked-list op per bucket through the garbage
 // collector.
 func (g *Engine) newBucketDelta() *bucketDelta {
-	d := &bucketDelta{}
-	if n := len(g.spentDeltas); n > 0 {
-		d.ops = g.spentDeltas[n-1].ops[:0]
-		g.spentDeltas[n-1] = nil
-		g.spentDeltas = g.spentDeltas[:n-1]
-	}
+	d := &bucketDelta{ops: g.spentOps[:0]}
+	g.spentOps = nil
 	return d
 }
 

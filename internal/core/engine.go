@@ -121,17 +121,12 @@ func (b *buffer) thaw() {
 	b.frozen = nil
 }
 
-// pendingBucket is a bucket applied to one buffer but not yet replayed onto
-// the other: its boundary and the structural delta the application recorded.
-type pendingBucket struct {
-	now   stream.Time
-	delta *bucketDelta
-}
-
 // Engine is the k-SIR query processor (Figure 4). Ingest is serialized (one
 // writer); queries may run concurrently with each other and with Ingest —
 // each query pins the engine snapshot published at the last bucket boundary
-// and never blocks behind the writer.
+// and never blocks behind the writer. Every Ingest publishes, so the back
+// buffer is behind the front by at most one bucket, replayed at the start
+// of the next Ingest.
 type Engine struct {
 	cfg Config
 
@@ -152,18 +147,12 @@ type Engine struct {
 	// by the first write after a lazy Restore.
 	matStart time.Time
 	matDur   time.Duration
-	// replayQ holds the buckets applied to the published buffer but not
-	// yet replayed onto back — exactly one outside a deferred-publish
-	// batch, up to the whole batch inside one.
-	replayQ []*pendingBucket
-	// unpublished holds buckets already applied to back but not yet
-	// visible to readers (non-empty only between BeginBatch and the
-	// publish in EndBatch).
-	unpublished []*pendingBucket
-	batching    bool           // inside a BeginBatch/EndBatch bracket
-	spentDeltas []*bucketDelta // replayed deltas, recycled by newBucketDelta
-	stats       Stats
-	listBusy    time.Duration // wall time spent in maintainLists
+	// pending is the bucket applied to the published buffer but not yet
+	// replayed onto back (nil before the first bucket and after recycle).
+	pending  *bucketDelta
+	spentOps []topicOp // op slice of the last replayed delta, reused by newBucketDelta
+	stats    Stats
+	listBusy time.Duration // wall time spent in maintainLists
 }
 
 // NewEngine validates the configuration and returns an empty engine.
@@ -239,13 +228,8 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	if err := g.validate(now, batch); err != nil {
 		return err
 	}
-	// Inside a deferred-publish batch the back buffer is already current
-	// after the first bucket (nothing was published, so there is nothing
-	// to catch up on); recycling again would double-apply the replay queue.
-	if len(g.unpublished) == 0 {
-		if err := g.recycle(); err != nil {
-			return err
-		}
+	if err := g.recycle(); err != nil {
+		return err
 	}
 
 	// The timer starts here so UpdateTime measures one application of the
@@ -264,46 +248,13 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	obsElements.Add(uint64(len(batch)))
 	obsBuckets.Inc()
 	obsUpdateTime.AddDuration(elapsed)
-	g.unpublished = append(g.unpublished, &pendingBucket{now: now, delta: rec})
-	if g.batching {
-		// Deferred publish: the bucket is applied to the back buffer but
-		// readers keep the pre-batch snapshot until EndBatch publishes
-		// once for the whole commit batch.
-		return nil
-	}
-	g.publish()
+	g.publish(rec)
 	// A bucket boundary is the natural scheduling point of the whole
 	// design: the new snapshot is out, so let queries that arrived during
 	// the bucket observe it now instead of waiting out a saturating
 	// writer's preemption slice (this matters most at GOMAXPROCS=1).
 	runtime.Gosched()
 	return nil
-}
-
-// BeginBatch opens a deferred-publish bracket: buckets ingested until
-// EndBatch are applied to the writer's buffer without publishing a
-// snapshot, so a commit batch that crosses several bucket boundaries costs
-// one freeze/swap/drain cycle instead of one per bucket. Readers keep the
-// pre-batch snapshot for the duration (legal under the snapshot-visibility
-// contract — they observe a slightly older published bucket). Duplicate
-// detection during the batch reads the archive the twin windows share.
-// Writer-side only, like Ingest.
-func (g *Engine) BeginBatch() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.batching = true
-}
-
-// EndBatch closes the deferred-publish bracket, publishing the buckets
-// ingested since BeginBatch as one snapshot (a no-op when none were).
-func (g *Engine) EndBatch() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.batching = false
-	if len(g.unpublished) > 0 {
-		g.publish()
-		runtime.Gosched()
-	}
 }
 
 // WriterResidentBytes approximates the heap bytes pinned by the engine's
@@ -324,30 +275,17 @@ func (g *Engine) WriterResidentBytes() int64 {
 	return g.back.win.ApproxBytes()
 }
 
-// WriterNow returns the stream time as the writer sees it: the last
-// applied bucket boundary, including buckets deferred inside an open
-// BeginBatch bracket that readers cannot observe yet. Equal to Now outside
-// a bracket. Writer-side only, like Ingest.
-func (g *Engine) WriterNow() stream.Time {
-	if n := len(g.unpublished); n > 0 {
-		return g.unpublished[n-1].now
-	}
-	return g.front.Load().now
-}
-
 // recycle readies the back buffer for the next bucket: wait until the
 // readers that pinned its retired snapshot have drained, thaw it, and
-// catch it up on the buckets it missed while published by structural
-// delta replay (no re-scoring). Outside a deferred-publish batch the queue
-// holds exactly one bucket; after one it holds the whole batch, replayed
-// in ingest order.
+// catch it up on the one bucket it missed while published by structural
+// delta replay (no re-scoring).
 func (g *Engine) recycle() error {
 	if g.back == nil {
 		// Lazy restore: the back buffer was deferred off the activation
 		// critical path and this is the first write since. No bucket has
 		// been applied yet (any earlier Ingest would have materialized),
-		// so the replay queue is empty and the front still equals the
-		// restored state the buffer is rebuilt from.
+		// so nothing is pending and the front still equals the restored
+		// state the buffer is rebuilt from.
 		return g.buildBack()
 	}
 	if g.backSnap != nil {
@@ -355,19 +293,14 @@ func (g *Engine) recycle() error {
 		g.backSnap = nil
 	}
 	g.back.thaw()
-	if len(g.replayQ) == 0 {
+	if g.pending == nil {
 		return nil
 	}
-	q := g.replayQ
-	g.replayQ = nil
 	start := time.Now()
-	for _, p := range q {
-		g.back.replay(p.delta)
-		// Recycle the ops slice into the next capture; drop the window
-		// and cache parts so their element references can be collected.
-		p.delta.win, p.delta.cache = nil, score.CacheDelta{}
-		g.spentDeltas = append(g.spentDeltas, p.delta)
-	}
+	g.back.replay(g.pending)
+	// Keep only the ops slice for the next capture; the window and cache
+	// parts go with the delta so their element references can be collected.
+	g.spentOps, g.pending = g.pending.ops, nil
 	elapsed := time.Since(start)
 	g.stats.ReplayTime += elapsed
 	obsReplayTime.AddDuration(elapsed)
@@ -375,18 +308,12 @@ func (g *Engine) recycle() error {
 }
 
 // validate rejects a bad bucket before either buffer is touched, so the two
-// copies can never diverge on an error path. Inside a deferred-publish
-// batch the published front lags the writer, so ordering is checked
-// against the last applied (possibly unpublished) bucket, and duplicate
-// detection against the back window — whose archive, shared between the
-// twins, covers every ingested element.
+// copies can never diverge on an error path. Duplicate detection reads the
+// published window's archive, which the twin buffers share, so it covers
+// every ingested element.
 func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
-	prevNow := g.front.Load().now
-	win := g.front.Load().buf.win
-	if n := len(g.unpublished); n > 0 {
-		prevNow = g.unpublished[n-1].now
-		win = g.back.win
-	}
+	front := g.front.Load()
+	prevNow, win := front.now, front.buf.win
 	if now < prevNow {
 		return fmt.Errorf("core: time moved backwards %d → %d", prevNow, now)
 	}
@@ -461,17 +388,16 @@ func (g *Engine) maintainLists(b *buffer, cs stream.ChangeSet, rec *bucketDelta)
 
 // publish freezes the back buffer into an immutable snapshot, swaps it in as
 // the read path, and retires the old snapshot; its buffer becomes the next
-// back buffer once readers drain, with the unpublished buckets' recorded
-// deltas queued for replay.
-func (g *Engine) publish() {
+// back buffer once readers drain, with rec — the bucket just applied —
+// pending replay onto it.
+func (g *Engine) publish(rec *bucketDelta) {
 	b := g.back
 	b.freeze()
 	snap := newSnapshot(b, g.stats, g.listBusy)
 	old := g.front.Swap(snap)
 	g.backSnap = old
 	g.back = old.buf
-	g.replayQ = g.unpublished
-	g.unpublished = nil
+	g.pending = rec
 }
 
 // buildBack builds the deferred back buffer from the retained restore

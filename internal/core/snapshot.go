@@ -31,7 +31,7 @@ type snapshot struct {
 
 	// pins is read-locked by every reader of buf for the duration of the
 	// read. waitDrained write-locks it once, after the snapshot is
-	// unpublished, to establish that all those readers have finished.
+	// retired, to establish that all those readers have finished.
 	pins sync.RWMutex
 }
 
@@ -70,7 +70,7 @@ func (s *snapshot) release() {
 
 // waitDrained blocks until every reader that pinned the snapshot has
 // released it. Only the writer calls it, after the snapshot has been
-// unpublished, before mutating its buffer; the write-lock/unlock pair is a
+// retired, before mutating its buffer; the write-lock/unlock pair is a
 // pure barrier establishing the RCU grace period.
 func (s *snapshot) waitDrained() {
 	s.pins.Lock()

@@ -236,10 +236,8 @@ func (s *Stream) Add(p Post) error {
 	// A bucket boundary that has been ingested (e.g. by Flush) is closed:
 	// a post at or before it can never be ingested — reject it now as
 	// out-of-order instead of poisoning the bucket it would be batched
-	// into. WriterNow includes boundaries whose snapshot publication is
-	// deferred inside a commit batch (see beginApply), so the check does
-	// not depend on how ops were batched.
-	if ingested := s.me.Load().engine.WriterNow(); ts <= ingested {
+	// into.
+	if ingested := s.me.Load().engine.Now(); ts <= ingested {
 		return fmt.Errorf("%w: post %d at %d is at or before the last ingested boundary %d", ErrOutOfOrder, p.ID, p.Time, int64(ingested))
 	}
 	// Complete buckets before this post's bucket.
@@ -349,7 +347,7 @@ func (s *Stream) Flush(now int64) error {
 	if err := s.advanceTo(ts + 1); err != nil {
 		return err
 	}
-	if len(s.pending) > 0 || ts > s.me.Load().engine.WriterNow() {
+	if len(s.pending) > 0 || ts > s.me.Load().engine.Now() {
 		batch := s.pending
 		s.pending = nil
 		s.forgetPending(batch)
@@ -360,32 +358,6 @@ func (s *Stream) Flush(now int64) error {
 	}
 	s.lastTime = ts
 	return nil
-}
-
-// beginApply opens a deferred-publish bracket around the application of
-// one coalesced commit batch (see StreamHandle's writer pipeline): buckets
-// completed inside the bracket are applied to the writer's buffer but
-// published as one snapshot at endApply, so a batch crossing several
-// bucket boundaries costs one freeze/swap/drain cycle instead of one per
-// bucket. Per-op results are unaffected — acceptance decisions read
-// writer-side state (WriterNow, the shared archive), not the published
-// snapshot.
-//
-// The bracket is skipped when standing queries are registered:
-// subscription refreshes fire at each bucket boundary and query the
-// published snapshot, so deferring publication would hand them stale
-// results. Writer-side only, like Add and Flush.
-func (s *Stream) beginApply() {
-	if s.Subscriptions() > 0 {
-		return
-	}
-	s.me.Load().engine.BeginBatch()
-}
-
-// endApply closes the bracket opened by beginApply, publishing any
-// deferred buckets (a no-op when beginApply skipped the bracket).
-func (s *Stream) endApply() {
-	s.me.Load().engine.EndBatch()
 }
 
 // approxResidentBytes estimates the heap bytes this stream pins while

@@ -595,8 +595,8 @@ func (p *streamPersist) maybeCheckpoint(st *Stream) error {
 // its arrival log by reference — has persist append the elements the disk
 // does not hold yet and atomically replace the checkpoint head, and
 // truncates the WAL. Called on the handle's commit path, where checkpoints
-// are commit barriers (no other op is mid-apply and every deferred publish
-// has completed, so the published engine snapshot IS the latest state).
+// are commit barriers (no other op is mid-apply, so the published engine
+// snapshot IS the latest state).
 func (p *streamPersist) checkpoint(st *Stream) error {
 	ck := &persist.Checkpoint{
 		Name:      p.name,

@@ -780,7 +780,9 @@ func TestModelFileVersionSentinel(t *testing.T) {
 // to checkpoint mid-prefix — the snapshot already contained posts whose
 // WAL records were then written past its watermark, and replay re-applied
 // them, making the directory unrecoverable. The checkpoint trigger now
-// runs only after the whole accepted prefix is logged.
+// runs only after the whole accepted prefix is logged. Before the crash the
+// live handle, which applied the whole multi-bucket batch in one commit,
+// must be byte-identical to a raw Stream fed the same posts.
 func TestAddBatchCheckpointBoundary(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
@@ -796,6 +798,12 @@ func TestAddBatchCheckpointBoundary(t *testing.T) {
 	}
 	if _, err := mirror.AddBatch(posts); err != nil {
 		t.Fatal(err)
+	}
+	if a, b := hs.Stats(), mirror.Stats(); a.Bucket != b.Bucket || a.Bucket < 2 {
+		t.Fatalf("live handle at bucket %d, mirror at %d (want equal, ≥ 2)", a.Bucket, b.Bucket)
+	}
+	if got, want := exportGob(t, hs.Stream()), exportGob(t, mirror); !bytes.Equal(got, want) {
+		t.Fatal("live handle state after a multi-bucket AddBatch not byte-identical to the raw stream")
 	}
 	// Crash and recover: the whole batch must be there exactly once.
 	h2, err := OpenHub(dir, m, PersistOptions{Fsync: FsyncNever})

@@ -126,9 +126,6 @@ type ResidencyInfo struct {
 	// SecondChanceSaves counts eviction passes the stream survived
 	// because its second-chance bit protected it.
 	SecondChanceSaves int64 `json:"second_chance_saves,omitempty"`
-	// LazyMaterializations counts deferred back-buffer builds paid off
-	// the activation critical path.
-	LazyMaterializations int64 `json:"lazy_materializations,omitempty"`
 }
 
 // PersistInfo reports a durable stream's WAL and checkpoint counters (the

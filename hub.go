@@ -645,9 +645,8 @@ type StreamHandle struct {
 	refBit atomic.Bool
 
 	// Residency observability counters (see ResidencyStats).
-	ghostHits            atomic.Int64
-	secondChanceSaves    atomic.Int64
-	lazyMaterializations atomic.Int64
+	ghostHits         atomic.Int64
+	secondChanceSaves atomic.Int64
 
 	// pers is the stream's durability state (nil on an in-memory hub),
 	// mutated only by the writer goroutine. The commit path is the WAL
@@ -964,18 +963,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 		}
 	}
 
-	// A write in this batch may have been the one that paid a deferred
-	// back-buffer build (lazy restore, first post-activation ingest);
-	// collect its timing for the span and the lazy-materialize counter.
-	var matStart time.Time
-	var matDur time.Duration
-	if st != nil {
-		if matStart, matDur = st.takeMaterialize(); matDur > 0 {
-			hs.lazyMaterializations.Add(1)
-			obsResLazyMaterialize.Inc()
-		}
-	}
-
 	var walT persist.BatchTimings
 	if hs.pers != nil && len(recs) > 0 {
 		// One append, one shared fsync, for the whole batch. The Bucket
@@ -1044,16 +1031,10 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 				if ph.replayDur > 0 {
 					t.ChildOf(act, "wal.replay", ph.replayStart, ph.replayDur)
 				}
-				if ph.matDur > 0 {
-					t.ChildOf(act, "backbuffer.materialize", ph.matStart, ph.matDur)
-				}
 			}
 		}
 		if !op.applyStart.IsZero() {
 			t.ChildOf(cb, "engine.apply", op.applyStart, op.applyDur)
-		}
-		if matDur > 0 {
-			t.ChildOf(cb, "backbuffer.materialize", matStart, matDur)
 		}
 		if walT.AppendDur > 0 && op.nrecs > 0 {
 			t.ChildOf(cb, "wal.append", walT.AppendStart, walT.AppendDur,
@@ -1111,10 +1092,8 @@ func (hs *StreamHandle) hibernate(st *Stream) error {
 
 // activate executes the cold→hot transition on the commit path: evict
 // colder streams first when a budget is configured (best-effort, see
-// Hub.makeRoom), then load checkpoint + WAL tail back into memory — the
-// front buffer only; the back buffer stays deferred until the first write
-// needs it. The returned phase breakdown feeds the stream.activate child
-// spans.
+// Hub.makeRoom), then load checkpoint + WAL tail back into memory. The
+// returned phase breakdown feeds the stream.activate child spans.
 func (hs *StreamHandle) activate() (*Stream, *activationPhases, error) {
 	if hs.pers == nil {
 		return nil, nil, fmt.Errorf("%w: stream %q has no durable state to reactivate", ErrPersistDisabled, hs.name)
@@ -1125,13 +1104,6 @@ func (hs *StreamHandle) activate() (*Stream, *activationPhases, error) {
 	st, err := hs.pers.resume(hs.model.Load(), hs.opts, hs.cfg, ph)
 	if err != nil {
 		return nil, nil, err
-	}
-	// A non-empty WAL tail replays through the ingest path, whose first
-	// write materializes the back buffer — that build belongs to this
-	// activation's breakdown, not to a later commit batch.
-	if ph.matStart, ph.matDur = st.takeMaterialize(); ph.matDur > 0 {
-		hs.lazyMaterializations.Add(1)
-		obsResLazyMaterialize.Inc()
 	}
 	// Admission state, settled before the stream publishes so a racing
 	// touch can only add protection, never lose it: a ghost hit (evicted
@@ -1376,14 +1348,13 @@ func (hs *StreamHandle) Stats() StreamStats {
 		s.Pipeline.Fsyncs = hs.pers.fsyncs()
 	}
 	s.Residency = ResidencyStats{
-		Resident:             st != nil,
-		Hibernations:         hs.hibernations.Load(),
-		Activations:          hs.activations.Load(),
-		LastActivation:       time.Duration(hs.lastActivationNs.Load()),
-		ResidentBytes:        hs.residentBytes.Load(),
-		GhostHits:            hs.ghostHits.Load(),
-		SecondChanceSaves:    hs.secondChanceSaves.Load(),
-		LazyMaterializations: hs.lazyMaterializations.Load(),
+		Resident:          st != nil,
+		Hibernations:      hs.hibernations.Load(),
+		Activations:       hs.activations.Load(),
+		LastActivation:    time.Duration(hs.lastActivationNs.Load()),
+		ResidentBytes:     hs.residentBytes.Load(),
+		GhostHits:         hs.ghostHits.Load(),
+		SecondChanceSaves: hs.secondChanceSaves.Load(),
 	}
 	return s
 }
@@ -1416,10 +1387,6 @@ type ResidencyStats struct {
 	// because its second-chance bit protected it — the clock policy's scan
 	// resistance at work.
 	SecondChanceSaves int64
-	// LazyMaterializations counts deferred back-buffer builds paid off
-	// the activation critical path (by the first write or by WAL tail
-	// replay).
-	LazyMaterializations int64
 }
 
 // Done returns a channel closed when the stream is closed out of the Hub

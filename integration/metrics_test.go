@@ -60,7 +60,6 @@ var metricFamilies = map[string]string{
 
 	"ksir_hub_ghost_hits_total":          "counter",
 	"ksir_hub_second_chance_saves_total": "counter",
-	"ksir_hub_lazy_materialize_total":    "counter",
 
 	"ksir_http_requests_total":           "counter",
 	"ksir_http_request_duration_seconds": "histogram",

@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/social-streams/ksir/internal/rankedlist"
+	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/testutil"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -113,6 +116,20 @@ type singleBuffer struct {
 	elems, seq int64
 }
 
+func newSingleBuffer(t *testing.T, cfg Config) *singleBuffer {
+	t.Helper()
+	win := stream.NewActiveWindow(cfg.WindowLength)
+	scorer, err := score.NewScorer(cfg.Model, win, cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := make([]*rankedlist.List, cfg.Model.Z)
+	for i := range lists {
+		lists[i] = rankedlist.New()
+	}
+	return &singleBuffer{buf: &buffer{win: win, scorer: scorer, lists: lists}}
+}
+
 func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 	cs, err := r.buf.win.Advance(now, batch)
 	if err != nil {
@@ -143,6 +160,49 @@ func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 	return nil
 }
 
+// checkLockstep forces the catch-up that would otherwise run at g's next
+// Ingest, then, holding the writer lock, compares the recycled buffer
+// against the published front, and the front against the reference. The
+// gob pass makes "byte-identical" literal; it is costly, so the caller
+// samples it.
+func checkLockstep(t *testing.T, g *Engine, ref *singleBuffer, gobPass bool) error {
+	t.Helper()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.recycle()
+	frontBuf := g.front.Load().buf
+	back, front, want := stateOf(g.back), stateOf(frontBuf), stateOf(ref.buf)
+	if !reflect.DeepEqual(back, front) {
+		return fmt.Errorf("recycled buffer diverges from front")
+	}
+	if !reflect.DeepEqual(front, want) {
+		return fmt.Errorf("published front diverges from the single-buffer reference")
+	}
+	if gobPass {
+		fb := gobBytes(t, front)
+		if !bytes.Equal(gobBytes(t, back), fb) || !bytes.Equal(fb, gobBytes(t, want)) {
+			return fmt.Errorf("back, front and reference not byte-identical")
+		}
+	}
+	// The reference index is derived state Export omits; compare it
+	// explicitly.
+	var err error
+	frontBuf.win.ForEachActive(func(e *stream.Element) {
+		kids := frontBuf.win.Children(e.ID)
+		if err == nil && (!reflect.DeepEqual(g.back.win.Children(e.ID), kids) || !reflect.DeepEqual(ref.buf.win.Children(e.ID), kids)) {
+			err = fmt.Errorf("children of %d diverge", e.ID)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if st := g.front.Load().stats; st.Buckets != ref.seq || st.ElementsIngested != ref.elems ||
+		st.ListUpserts != ref.ups || st.ListDeletes != ref.dels {
+		return fmt.Errorf("counters diverge: %+v vs reference %+v", st, *ref)
+	}
+	return nil
+}
+
 // TestDeltaReplayEquivalence is the §9 correctness bar: after replay-on-
 // thaw, the recycled buffer is byte-identical — window export, ranked-list
 // tuples, reference index — to the published front, across randomized
@@ -150,7 +210,10 @@ func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 // path against the read path). Every bucket, the published front must also
 // equal a single buffer maintained by plain Advance → OnChange → Upsert/
 // Delete, tuples and counters alike, proving record-and-replay changes
-// cost, not semantics.
+// cost, not semantics. Halfway through, an engine restored from the
+// original's export joins the lockstep — checked once before its first
+// Ingest, then every bucket — so Restore's two buffers are held to the same
+// bar.
 func TestDeltaReplayEquivalence(t *testing.T) {
 	seeds := int64(4)
 	if testing.Short() {
@@ -164,11 +227,9 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refBuf, err := newBuffer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := &singleBuffer{buf: refBuf}
+		ref := newSingleBuffer(t, cfg)
+		var engines atomic.Pointer[[]*Engine]
+		engines.Store(&[]*Engine{g})
 
 		// Concurrent readers stress the snapshot pins while buckets are
 		// captured and replayed.
@@ -185,9 +246,11 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := g.Query(Query{K: 4, X: x, Algorithm: MTTS}); err != nil {
-						t.Error(err)
-						return
+					for _, e := range *engines.Load() {
+						if _, err := e.Query(Query{K: 4, X: x, Algorithm: MTTS}); err != nil {
+							t.Error(err)
+							return
+						}
 					}
 					// Pace the reader so a single-core host still gets the
 					// writer scheduled (the race coverage needs overlap,
@@ -197,55 +260,30 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 			}(w)
 		}
 
-		for b, bucket := range randomDeltaStream(rng, z, v, 60, windowT) {
-			if err := g.Ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
-				t.Fatalf("seed %d bucket %d: %v", seed, b, err)
+		buckets := randomDeltaStream(rng, z, v, 60, windowT)
+		for b, bucket := range buckets {
+			if b == len(buckets)/2 {
+				r, err := Restore(cfg, g.ExportState())
+				if err != nil {
+					t.Fatalf("seed %d bucket %d: restore: %v", seed, b, err)
+				}
+				if err := checkLockstep(t, r, ref, true); err != nil {
+					t.Fatalf("seed %d bucket %d: restored engine before its first Ingest: %v", seed, b, err)
+				}
+				engines.Store(&[]*Engine{g, r})
+			}
+			for _, e := range *engines.Load() {
+				if err := e.Ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
+					t.Fatalf("seed %d bucket %d: %v", seed, b, err)
+				}
 			}
 			if err := ref.ingest(bucket.now, cloneBatch(bucket.batch)); err != nil {
 				t.Fatalf("seed %d bucket %d (reference): %v", seed, b, err)
 			}
-
-			// Force the catch-up that would otherwise run lazily at the
-			// next Ingest, then hold the writer lock while comparing the
-			// recycled buffer against the published front, and the front
-			// against the reference.
-			g.mu.Lock()
-			if err := g.recycle(); err != nil {
-				g.mu.Unlock()
-				t.Fatalf("seed %d bucket %d: recycle: %v", seed, b, err)
-			}
-			frontBuf := g.front.Load().buf
-			back, front, want := stateOf(g.back), stateOf(frontBuf), stateOf(ref.buf)
-			if !reflect.DeepEqual(back, front) {
-				g.mu.Unlock()
-				t.Fatalf("seed %d bucket %d: recycled buffer diverges from front", seed, b)
-			}
-			if !reflect.DeepEqual(front, want) {
-				g.mu.Unlock()
-				t.Fatalf("seed %d bucket %d: published front diverges from the single-buffer reference", seed, b)
-			}
-			// The gob pass makes "byte-identical" literal; it is costly,
-			// so sample it.
-			if b%7 == 6 {
-				fb := gobBytes(t, front)
-				if !bytes.Equal(gobBytes(t, back), fb) || !bytes.Equal(fb, gobBytes(t, want)) {
-					g.mu.Unlock()
-					t.Fatalf("seed %d bucket %d: back, front and reference not byte-identical", seed, b)
+			for i, e := range *engines.Load() {
+				if err := checkLockstep(t, e, ref, b%7 == 6); err != nil {
+					t.Fatalf("seed %d bucket %d engine %d: %v", seed, b, i, err)
 				}
-			}
-			// The reference index is derived state Export omits; compare
-			// it explicitly.
-			frontBuf.win.ForEachActive(func(e *stream.Element) {
-				kids := frontBuf.win.Children(e.ID)
-				if !reflect.DeepEqual(g.back.win.Children(e.ID), kids) || !reflect.DeepEqual(ref.buf.win.Children(e.ID), kids) {
-					t.Errorf("seed %d bucket %d: children of %d diverge", seed, b, e.ID)
-				}
-			})
-			g.mu.Unlock()
-
-			if st := g.Stats(); st.Buckets != ref.seq || st.ElementsIngested != ref.elems ||
-				st.ListUpserts != ref.ups || st.ListDeletes != ref.dels {
-				t.Fatalf("seed %d bucket %d: counters diverge: %+v vs reference %+v", seed, b, st, *ref)
 			}
 		}
 		close(stop)

@@ -91,19 +91,6 @@ type buffer struct {
 	frozen []*rankedlist.Snapshot // set while this buffer is published
 }
 
-func newBuffer(cfg Config) (*buffer, error) {
-	win := stream.NewActiveWindow(cfg.WindowLength)
-	scorer, err := score.NewScorer(cfg.Model, win, cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([]*rankedlist.List, cfg.Model.Z)
-	for i := range lists {
-		lists[i] = rankedlist.New()
-	}
-	return &buffer{win: win, scorer: scorer, lists: lists}, nil
-}
-
 // freeze publishes the buffer's lists as immutable snapshots.
 func (b *buffer) freeze() {
 	b.frozen = make([]*rankedlist.Snapshot, len(b.lists))
@@ -134,19 +121,8 @@ type Engine struct {
 	front atomic.Pointer[snapshot]
 
 	// Writer-owned state (guarded by mu):
-	back     *buffer   // working copy; nil after a lazy Restore until materialized
+	back     *buffer   // working copy; never nil
 	backSnap *snapshot // retired snapshot whose buffer is back; drained before reuse
-	// lazy is the retained restore state of an unmaterialized back buffer
-	// (non-nil exactly while back is nil). It is safe to rebuild from
-	// later because materialization always runs before the first
-	// post-restore bucket application — the published front is still
-	// byte-identical to the state the buffer is rebuilt from.
-	lazy *State
-	// matStart/matDur hand the materialization timing to the hub's commit
-	// path for span attribution (TakeMaterialize). Written only under mu,
-	// by the first write after a lazy Restore.
-	matStart time.Time
-	matDur   time.Duration
 	// pending is the bucket applied to the published buffer but not yet
 	// replayed onto back (nil before the first bucket and after recycle).
 	pending  *bucketDelta
@@ -155,31 +131,13 @@ type Engine struct {
 	listBusy time.Duration // wall time spent in maintainLists
 }
 
-// NewEngine validates the configuration and returns an empty engine.
+// NewEngine validates the configuration and returns an empty engine: the
+// Restore of an empty state.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
 	}
-	if cfg.WindowLength <= 0 {
-		return nil, fmt.Errorf("core: window length must be positive, got %d", cfg.WindowLength)
-	}
-	a, err := newBuffer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	b, err := newBuffer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The twin windows advance in lockstep (primary apply on one, delta
-	// replay on the other), so the writer-path-only structures — archive,
-	// last-ref times, expiry heap — exist once and replay skips
-	// maintaining them.
-	stream.ShareWriterState(a.win, b.win)
-	g := &Engine{cfg: cfg, back: b}
-	a.freeze()
-	g.front.Store(newSnapshot(a, g.stats, g.listBusy))
-	return g, nil
+	return Restore(cfg, State{Lists: make([][]rankedlist.Item, cfg.Model.Z)})
 }
 
 // NumShards is always 1: the ranked lists are maintained in one pass on the
@@ -228,9 +186,7 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	if err := g.validate(now, batch); err != nil {
 		return err
 	}
-	if err := g.recycle(); err != nil {
-		return err
-	}
+	g.recycle()
 
 	// The timer starts here so UpdateTime measures one application of the
 	// bucket — the paper's Figure-14 maintenance cost — and is not
@@ -262,16 +218,11 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 // bookkeeping overhead (see stream.ActiveWindow.ApproxBytes). The twin
 // windows share one archive and the shared copy is counted once. It feeds
 // the hub's residency accounting from the commit path and is never part of
-// exported state. Takes the writer lock: the first write after a lazy
-// restore swaps the back buffer pointer in.
+// exported state. Takes the writer lock: publish swaps the back buffer
+// pointer.
 func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.back == nil {
-		// Lazily restored and not yet written to: the front window owns
-		// all window state (sharing only begins at materialization).
-		return g.front.Load().buf.win.ApproxBytes()
-	}
 	return g.back.win.ApproxBytes()
 }
 
@@ -279,22 +230,14 @@ func (g *Engine) WriterResidentBytes() int64 {
 // readers that pinned its retired snapshot have drained, thaw it, and
 // catch it up on the one bucket it missed while published by structural
 // delta replay (no re-scoring).
-func (g *Engine) recycle() error {
-	if g.back == nil {
-		// Lazy restore: the back buffer was deferred off the activation
-		// critical path and this is the first write since. No bucket has
-		// been applied yet (any earlier Ingest would have materialized),
-		// so nothing is pending and the front still equals the restored
-		// state the buffer is rebuilt from.
-		return g.buildBack()
-	}
+func (g *Engine) recycle() {
 	if g.backSnap != nil {
 		g.backSnap.waitDrained()
 		g.backSnap = nil
 	}
 	g.back.thaw()
 	if g.pending == nil {
-		return nil
+		return
 	}
 	start := time.Now()
 	g.back.replay(g.pending)
@@ -304,7 +247,6 @@ func (g *Engine) recycle() error {
 	elapsed := time.Since(start)
 	g.stats.ReplayTime += elapsed
 	obsReplayTime.AddDuration(elapsed)
-	return nil
 }
 
 // validate rejects a bad bucket before either buffer is touched, so the two
@@ -398,40 +340,6 @@ func (g *Engine) publish(rec *bucketDelta) {
 	g.backSnap = old
 	g.back = old.buf
 	g.pending = rec
-}
-
-// buildBack builds the deferred back buffer from the retained restore
-// state and parks its timing for TakeMaterialize. Caller holds mu.
-// Correctness rests on one invariant: no bucket has been applied since
-// Restore (back is nil exactly until the first recycle, which runs before
-// any post-restore applyBucket), so the published front is still
-// byte-identical to the retained State — rebuilding from it, adopting the
-// front scorer's immutable cache entries, and sharing the front window's
-// writer state yields a buffer byte-identical to the front.
-func (g *Engine) buildBack() error {
-	start := time.Now()
-	front := g.front.Load().buf
-	back, err := restoreBuffer(g.cfg, *g.lazy, front.scorer)
-	if err != nil {
-		return fmt.Errorf("core: materializing back buffer: %w", err)
-	}
-	stream.ShareWriterState(front.win, back.win) // see NewEngine
-	g.back = back
-	g.lazy = nil // free the retained window/list state
-	g.matStart, g.matDur = start, time.Since(start)
-	return nil
-}
-
-// TakeMaterialize returns and clears the timing of a back-buffer
-// materialization (zero when none happened since the last call).
-// The hub's commit path polls it after each apply pass to attribute a
-// backbuffer.materialize span to the op that paid the build.
-func (g *Engine) TakeMaterialize() (time.Time, time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	start, dur := g.matStart, g.matDur
-	g.matStart, g.matDur = time.Time{}, 0
-	return start, dur
 }
 
 // ListLen returns the size of RL_i as of the last published bucket (for

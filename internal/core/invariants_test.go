@@ -81,10 +81,8 @@ func listInvariants(model *topicmodel.Model, windowT stream.Time, buckets []delt
 			}
 		}
 		g.mu.Lock()
-		err := g.recycle()
-		if err == nil {
-			err = checkLists(g.front.Load().buf, touched)
-		}
+		g.recycle()
+		err := checkLists(g.front.Load().buf, touched)
 		if err == nil {
 			err = checkLists(g.back, touched)
 		}

@@ -54,11 +54,9 @@ func (g *Engine) ExportState() State {
 // byte-identical results to the engine st was exported from, and
 // subsequent Ingests continue deterministically.
 //
-// Only the front (query-serving) buffer is materialized before Restore
-// returns — the activation critical path pays for one buffer, not two.
-// The back buffer is deferred: built by the first write (recycle) from the
-// retained state, at which point it is byte-identical to the front (which
-// cannot have advanced — every write materializes first).
+// Both buffers are built before Restore returns; the back buffer adopts
+// the front scorer's cache entries and shares the front window's writer
+// state, so it is byte-identical to the front.
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -73,9 +71,16 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Retain the state; buildBack rebuilds the back buffer from it
-	// before the first post-restore bucket applies.
-	g := &Engine{cfg: cfg, stats: st.Stats, lazy: &st}
+	back, err := restoreBuffer(cfg, st, front.scorer)
+	if err != nil {
+		return nil, err
+	}
+	// The twin windows advance in lockstep (primary apply on one, delta
+	// replay on the other), so the writer-path-only structures — archive,
+	// last-ref times, expiry heap — exist once and replay skips
+	// maintaining them.
+	stream.ShareWriterState(front.win, back.win)
+	g := &Engine{cfg: cfg, back: back, stats: st.Stats}
 	front.freeze()
 	g.front.Store(newSnapshot(front, g.stats, g.listBusy))
 	return g, nil

@@ -95,7 +95,7 @@ func (l *List) resolve(h posHint, lvl int, item Item, preds *[hintLevels]*node) 
 // UpsertRecorded is Upsert returning the structural Op it performed, for
 // replay onto a replica via ApplyDelta.
 func (l *List) UpsertRecorded(id stream.ElemID, score float64, lastRef stream.Time) Op {
-	l.detach()
+	l.mustBeThawed()
 	item := Item{ID: id, Score: score, LastRef: lastRef}
 	if n, ok := l.index[id]; ok {
 		if n.item.Score == score {
@@ -116,7 +116,7 @@ func (l *List) UpsertRecorded(id stream.ElemID, score float64, lastRef stream.Ti
 // DeleteRecorded is Delete returning the structural Op it performed; ok
 // reports whether the tuple was present.
 func (l *List) DeleteRecorded(id stream.ElemID) (Op, bool) {
-	l.detach()
+	l.mustBeThawed()
 	n, ok := l.index[id]
 	if !ok {
 		return Op{}, false
@@ -142,7 +142,7 @@ func (l *List) ApplyDelta(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	l.detach()
+	l.mustBeThawed()
 	for i := range ops {
 		l.applyOp(&ops[i])
 	}
@@ -151,7 +151,7 @@ func (l *List) ApplyDelta(ops []Op) {
 // Apply replays one recorded op (see ApplyDelta). The op is read, never
 // retained.
 func (l *List) Apply(op *Op) {
-	l.detach()
+	l.mustBeThawed()
 	l.applyOp(op)
 }
 

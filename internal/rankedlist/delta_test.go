@@ -88,8 +88,9 @@ func TestRecordedOpKindsAndHints(t *testing.T) {
 	}
 }
 
-// ApplyDelta on a list whose snapshot is still shared must copy-on-write
-// like every other mutation: the snapshot keeps the old tuples.
+// The engine's recycle cycle: a replica whose nodes back a published
+// snapshot refuses the bucket's delta until Thaw, then splices it in place
+// onto the nodes it shared, and its next snapshot equals the primary.
 func TestApplyDeltaDetachesSharedNodes(t *testing.T) {
 	primary, replica := New(), New()
 	for _, l := range []*List{primary, replica} {
@@ -103,12 +104,15 @@ func TestApplyDeltaDetachesSharedNodes(t *testing.T) {
 	ops = append(ops, primary.UpsertRecorded(3, 1, 2))
 	op, _ := primary.DeleteRecorded(1)
 	ops = append(ops, op)
-	replica.ApplyDelta(ops)
-
+	if !mustPanic(func() { replica.ApplyDelta(ops) }) {
+		t.Fatal("ApplyDelta on a frozen replica did not panic")
+	}
 	if !reflect.DeepEqual(snap.Items(), before) {
 		t.Fatalf("snapshot mutated through ApplyDelta: %v vs %v", snap.Items(), before)
 	}
-	if !reflect.DeepEqual(replica.Items(), primary.Items()) {
-		t.Fatalf("replica diverged: %v vs %v", replica.Items(), primary.Items())
+	replica.Thaw()
+	replica.ApplyDelta(ops)
+	if got := replica.Freeze().Items(); !reflect.DeepEqual(got, primary.Items()) {
+		t.Fatalf("replica diverged: %v vs %v", got, primary.Items())
 	}
 }

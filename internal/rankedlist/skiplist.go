@@ -11,9 +11,8 @@
 // architecture (DESIGN.md §6, §9):
 //
 //   - Freeze publishes an O(1) immutable Snapshot sharing the list's
-//     nodes; a mutation while the snapshot is still shared detaches the
-//     list copy-on-write, and Thaw re-enables in-place mutation once the
-//     engine's readers have drained.
+//     nodes and makes the list read-only; Thaw re-enables in-place
+//     mutation once the engine's readers have drained.
 //   - UpsertRecorded/DeleteRecorded return the structural Op each
 //     mutation performed — final tuple, kind, per-level position hints —
 //     and ApplyDelta replays such ops onto a replica list, splicing
@@ -69,18 +68,15 @@ func newNode(item Item, lvl int) *node {
 // List is one ranked list RL_i.
 //
 // A list can be frozen into an immutable Snapshot (see Freeze) that shares
-// its nodes. Mutating a list whose last snapshot has not been released with
-// Thaw detaches the list first (copy-on-write), so snapshots stay valid at
-// the cost of one O(n) clone; the engine's buffer recycling always thaws
-// after readers drain, keeping every update O(log n).
+// its nodes. A frozen list panics on mutation until Thaw releases it; the
+// engine's buffer recycling thaws only after readers drain.
 type List struct {
 	head  *node
 	index map[stream.ElemID]*node
 	level int // highest level in use
 	size  int
-	// shared is true while the current nodes back a live Snapshot; the
-	// next mutation must detach (clone) before touching them.
-	shared bool
+	// frozen is true while the current nodes back a live Snapshot.
+	frozen bool
 }
 
 // New returns an empty ranked list.
@@ -127,7 +123,7 @@ func (l *List) findPredecessors(target Item, pred *[maxLevel]*node) {
 // Upsert inserts the tuple for id or repositions it if already present
 // (Algorithm 1 lines 7 and 11).
 func (l *List) Upsert(id stream.ElemID, score float64, lastRef stream.Time) {
-	l.detach()
+	l.mustBeThawed()
 	if n, ok := l.index[id]; ok {
 		if n.item.Score == score {
 			n.item.LastRef = lastRef // position unchanged
@@ -165,7 +161,7 @@ func (l *List) insert(item Item) posHint {
 // Delete removes the tuple for id, reporting whether it was present
 // (Algorithm 1 line 13).
 func (l *List) Delete(id stream.ElemID) bool {
-	l.detach()
+	l.mustBeThawed()
 	n, ok := l.index[id]
 	if !ok {
 		return false
@@ -219,8 +215,8 @@ func (l *List) First() (Item, bool) {
 
 // Iterator walks the list in ranked (descending score) order. The list must
 // not be mutated while an iterator is live; the query engine guarantees this
-// by iterating only over frozen Snapshots, whose nodes mutations never
-// touch.
+// by iterating only over frozen Snapshots, which no mutation can reach
+// before Thaw.
 type Iterator struct {
 	cur *node
 }

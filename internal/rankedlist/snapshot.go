@@ -7,58 +7,35 @@ import "github.com/social-streams/ksir/internal/stream"
 // (First/Iter/Next) plus the lookup and dump helpers, and is safe for use by
 // any number of concurrent readers without locking.
 //
-// A snapshot shares the list's nodes. It stays valid as long as either
-// (a) the list is not mutated before Thaw — the engine's contract: a buffer
-// is only recycled after every reader of its snapshot has finished — or
-// (b) the list is mutated while still shared, in which case the mutation
-// detaches the list onto fresh nodes (copy-on-write) and the snapshot keeps
-// the old ones. The one illegal sequence is Thaw followed by mutation while
-// a snapshot is still being read: Thaw is the caller's statement that no
-// such reader exists.
+// A snapshot shares the list's nodes, so the list refuses every mutation
+// (it panics) between Freeze and Thaw. Thaw is the caller's statement that
+// no reader still uses the snapshot — the engine's contract: a buffer is
+// only thawed and recycled after every reader of its snapshot has
+// finished. A snapshot read after Thaw and a later mutation sees the
+// mutated nodes.
 type Snapshot struct {
 	head  *node
 	index map[stream.ElemID]*node
 	size  int
 }
 
-// Freeze marks the list's current nodes as shared and returns an immutable
-// Snapshot over them in O(1). The list remains fully usable: its next
-// mutation transparently detaches it from the snapshot (O(n) clone) unless
-// Thaw is called first.
+// Freeze returns an immutable Snapshot over the list's current nodes in
+// O(1) and makes the list read-only until Thaw.
 func (l *List) Freeze() *Snapshot {
-	l.shared = true
+	l.frozen = true
 	return &Snapshot{head: l.head, index: l.index, size: l.size}
 }
 
 // Thaw declares that no reader still uses the snapshot taken by the last
-// Freeze, re-enabling in-place O(log n) mutation without a detach.
-func (l *List) Thaw() { l.shared = false }
+// Freeze, re-enabling in-place O(log n) mutation.
+func (l *List) Thaw() { l.frozen = false }
 
-// detach clones every node so that mutations cannot be observed through a
-// live Snapshot. It is a no-op unless the list is shared.
-func (l *List) detach() {
-	if !l.shared {
-		return
+// mustBeThawed panics on a mutation of a frozen list, which would change
+// what the snapshot's readers see.
+func (l *List) mustBeThawed() {
+	if l.frozen {
+		panic("rankedlist: mutation of a frozen list (Thaw it first)")
 	}
-	head := &node{next: make([]*node, maxLevel)}
-	index := make(map[stream.ElemID]*node, len(l.index))
-	// last[lv] is the most recent clone reaching level lv; linking each
-	// clone to it rebuilds all forward pointers in one level-0 walk.
-	var last [maxLevel]*node
-	for lv := range last {
-		last[lv] = head
-	}
-	for n := l.head.next[0]; n != nil; n = n.next[0] {
-		c := newNode(n.item, len(n.next))
-		for lv := range c.next {
-			last[lv].next[lv] = c
-			last[lv] = c
-		}
-		index[c.item.ID] = c
-	}
-	l.head = head
-	l.index = index
-	l.shared = false
 }
 
 // Len returns the number of tuples in the snapshot.

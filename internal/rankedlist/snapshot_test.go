@@ -54,39 +54,77 @@ func TestSnapshotMatchesListAtFreeze(t *testing.T) {
 	}
 }
 
-// Copy-on-write: mutating a frozen list must not change what the snapshot
-// sees — upserts, repositions, same-score LastRef updates and deletes all
-// detach first.
+// mustPanic reports whether f panicked.
+func mustPanic(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// A frozen list refuses every mutator — plain, recorded and replayed — and
+// the refused call leaves both the list and its snapshot untouched.
+func TestFrozenListPanicsOnMutation(t *testing.T) {
+	l := New()
+	for i := 1; i <= 10; i++ {
+		l.Upsert(stream.ElemID(i), float64(i), 1)
+	}
+	replica := New()
+	op := replica.UpsertRecorded(99, 5.5, 2)
+	s := l.Freeze()
+	want := s.Items()
+	for name, f := range map[string]func(){
+		"Upsert":         func() { l.Upsert(99, 5.5, 2) },
+		"Upsert(touch)":  func() { l.Upsert(7, 7, 9) },
+		"Delete":         func() { l.Delete(10) },
+		"UpsertRecorded": func() { l.UpsertRecorded(3, 20, 3) },
+		"DeleteRecorded": func() { l.DeleteRecorded(10) },
+		"Apply":          func() { l.Apply(&op) },
+		"ApplyDelta":     func() { l.ApplyDelta([]Op{op}) },
+	} {
+		if !mustPanic(f) {
+			t.Errorf("%s on a frozen list did not panic", name)
+		}
+		if !equalItems(s.Items(), want) || !equalItems(l.Items(), want) {
+			t.Fatalf("%s changed a frozen list", name)
+		}
+	}
+}
+
+// Freeze → thaw cycles, the engine's buffer discipline: each snapshot shows
+// exactly the tuples of its freeze point — upserts, repositions, same-score
+// LastRef updates and deletes made while thawed included.
 func TestSnapshotIsImmutableUnderMutation(t *testing.T) {
 	l := New()
 	for i := 1; i <= 10; i++ {
 		l.Upsert(stream.ElemID(i), float64(i), 1)
 	}
 	s := l.Freeze()
-	want := s.Items()
+	if first, _ := s.First(); first.ID != 10 || s.Len() != 10 {
+		t.Fatalf("first snapshot: First = e%d, Len = %d; want e10, 10", first.ID, s.Len())
+	}
+	l.Thaw()
 
 	l.Upsert(99, 5.5, 2) // fresh insert
 	l.Upsert(3, 20, 3)   // reposition to the top
 	l.Upsert(7, 7, 9)    // same score, LastRef-only update
 	l.Delete(10)         // delete the old maximum
+	want := l.Items()
+	s = l.Freeze()
 
 	if !equalItems(s.Items(), want) {
-		t.Fatalf("snapshot changed under mutation:\n got %+v\nwant %+v", s.Items(), want)
+		t.Fatalf("snapshot diverges from its freeze point:\n got %+v\nwant %+v", s.Items(), want)
 	}
-	if s.Len() != 10 {
+	if s.Len() != 10 { // 10 − delete + insert
 		t.Errorf("snapshot Len = %d, want 10", s.Len())
 	}
-	if item, ok := s.Get(7); !ok || item.LastRef != 1 {
-		t.Errorf("snapshot Get(7) = %+v, %v; want LastRef 1", item, ok)
+	if item, ok := s.Get(7); !ok || item.LastRef != 9 {
+		t.Errorf("snapshot Get(7) = %+v, %v; want LastRef 9", item, ok)
 	}
-	if _, ok := s.Get(99); ok {
-		t.Error("snapshot sees element inserted after Freeze")
+	if _, ok := s.Get(10); ok {
+		t.Error("snapshot sees element deleted before Freeze")
 	}
-	if first, _ := l.First(); first.ID != 3 {
-		t.Errorf("live list First = e%d, want e3 after reposition", first.ID)
-	}
-	if l.Len() != 10 { // 10 − delete + insert
-		t.Errorf("live Len = %d, want 10", l.Len())
+	if first, _ := s.First(); first.ID != 3 {
+		t.Errorf("snapshot First = e%d, want e3 after reposition", first.ID)
 	}
 }
 
@@ -107,40 +145,49 @@ func TestThawReusesNodes(t *testing.T) {
 	_ = s.Items()
 }
 
-// Property: under a random mix of upserts/deletes with freezes sprinkled
-// in, every snapshot equals the reference state captured at its freeze
-// point, and the live list stays correct.
+// Property: under a random mix of upserts/deletes with freeze → thaw
+// cycles sprinkled in, every snapshot equals the state captured at its
+// freeze point for as long as it stays frozen — mutations wait, reads go
+// on — and the live list stays correct.
 func TestSnapshotPropertyUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := New()
-	type frozen struct {
-		snap *Snapshot
-		want []Item
-	}
-	var snaps []frozen
+	var snap *Snapshot
+	var want []Item
+	cycles := 0
 	for op := 0; op < 4000; op++ {
 		id := stream.ElemID(rng.Intn(200))
+		if snap != nil {
+			// Frozen: check a lookup against the freeze point, and thaw
+			// after a while.
+			got, ok := snap.Get(id)
+			live, liveOK := l.Get(id)
+			if ok != liveOK || got != live {
+				t.Fatalf("op %d: snapshot Get(%d) = %v/%v, frozen list %v/%v", op, id, got, ok, live, liveOK)
+			}
+			if rng.Intn(8) == 0 {
+				if !equalItems(snap.Items(), want) || snap.Len() != len(want) {
+					t.Fatalf("op %d: snapshot diverged from its freeze-point state", op)
+				}
+				l.Thaw()
+				snap = nil
+			}
+			continue
+		}
 		switch rng.Intn(5) {
 		case 0, 1, 2:
 			l.Upsert(id, float64(rng.Intn(50))/5, stream.Time(op))
 		case 3:
 			l.Delete(id)
 		case 4:
-			if op%37 == 0 && len(snaps) < 24 {
-				snaps = append(snaps, frozen{l.Freeze(), l.Items()})
+			if op%37 == 0 {
+				want, snap = l.Items(), l.Freeze()
+				cycles++
 			}
 		}
 	}
-	if len(snaps) < 5 {
-		t.Fatalf("only %d snapshots taken", len(snaps))
-	}
-	for i, f := range snaps {
-		if !equalItems(f.snap.Items(), f.want) {
-			t.Errorf("snapshot %d diverged from its freeze-point state", i)
-		}
-		if f.snap.Len() != len(f.want) {
-			t.Errorf("snapshot %d Len = %d, want %d", i, f.snap.Len(), len(f.want))
-		}
+	if cycles < 5 {
+		t.Fatalf("only %d freeze → thaw cycles", cycles)
 	}
 	// The live list still matches a from-scratch rebuild.
 	rebuilt := New()
@@ -160,18 +207,22 @@ func TestSnapshotIterator(t *testing.T) {
 		l.Upsert(stream.ElemID(i), float64((i*7)%11), stream.Time(i))
 	}
 	want := l.Items()
-	s := l.Freeze()
-	l.Upsert(100, 99, 1) // force a detach mid-iteration setup
-	it := s.Iter()
-	var got []Item
-	for {
-		item, ok := it.Next()
-		if !ok {
-			break
+	for cycle := 0; cycle < 2; cycle++ {
+		it := l.Freeze().Iter()
+		var got []Item
+		for {
+			item, ok := it.Next()
+			if !ok {
+				break
+			}
+			got = append(got, item)
 		}
-		got = append(got, item)
-	}
-	if !equalItems(got, want) {
-		t.Fatalf("iterator order %v, want %v", itemIDs(got), itemIDs(want))
+		if !equalItems(got, want) {
+			t.Fatalf("cycle %d: iterator order %v, want %v", cycle, itemIDs(got), itemIDs(want))
+		}
+		// Thaw and add a new maximum: the next snapshot leads with it.
+		l.Thaw()
+		l.Upsert(100, 99, 1)
+		want = append([]Item{{ID: 100, Score: 99, LastRef: 1}}, want...)
 	}
 }

@@ -86,6 +86,7 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	w.log, w.head, w.end = &log, n-st.InWindow, n
 	cutoff := st.Now - T
 
+	var refs []RefAdd // the references of window-queue elements, wired below
 	for i, e := range log {
 		if e == nil {
 			return nil, fmt.Errorf("stream: nil element at index %d in window state", i)
@@ -107,6 +108,16 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 			// replay window exits in the wrong order.
 			return nil, fmt.Errorf("stream: window queue out of order at element %d", e.ID)
 		}
+		if i < w.head {
+			continue
+		}
+		// Only a parent archived before e arrived was wired at ingest; a
+		// reference to an ID that arrived later stayed dangling for good.
+		for _, pid := range e.Refs {
+			if _, known := w.archive[pid]; known {
+				refs = append(refs, RefAdd{Parent: pid, Child: e})
+			}
+		}
 	}
 
 	for _, a := range st.Active {
@@ -127,22 +138,19 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	heap.Init(w.expiryQ)
 
 	// Rebuild the reverse reference index I_t from the window queue: the
-	// index holds exactly the in-window referrers of known parents, and
-	// every such parent is active (an element with an in-window child has
-	// last-ref past the cutoff by definition).
+	// index holds exactly the in-window referrers of parents known when
+	// they arrived, and every such parent is active (an element with an
+	// in-window child has last-ref past the cutoff by definition).
 	for _, c := range log[w.head:] {
 		if _, active := w.active[c.ID]; !active {
 			return nil, fmt.Errorf("stream: window-queue element %d not marked active", c.ID)
 		}
-		for _, pid := range c.Refs {
-			if _, known := w.archive[pid]; !known {
-				continue // dangling reference, ignored at ingest too
-			}
-			if _, active := w.active[pid]; !active {
-				return nil, fmt.Errorf("stream: element %d referenced by in-window %d but not active", pid, c.ID)
-			}
-			w.addChild(pid, c)
+	}
+	for _, r := range refs {
+		if _, active := w.active[r.Parent]; !active {
+			return nil, fmt.Errorf("stream: element %d referenced by in-window %d but not active", r.Parent, r.Child.ID)
 		}
+		w.addChild(r.Parent, r.Child)
 	}
 	return w, nil
 }

@@ -111,6 +111,37 @@ func TestWindowExportRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// A reference to an ID that had not arrived yet is dangling at ingest and
+// stays dangling after the parent arrives; a restored window must not wire
+// it either, or the parent's influence would differ across a restart.
+func TestRestoreKeepsForwardReferencesDangling(t *testing.T) {
+	const T = 100
+	w := NewActiveWindow(T)
+	steps := []struct {
+		now   Time
+		batch []*Element
+	}{
+		{10, []*Element{{ID: 1, TS: 5, Refs: []ElemID{2}}, {ID: 2, TS: 7}}}, // same bucket
+		{20, []*Element{{ID: 3, TS: 15, Refs: []ElemID{4, 2}}}},
+		{30, []*Element{{ID: 4, TS: 25}}}, // a later bucket
+	}
+	for _, s := range steps {
+		if _, err := w.Advance(s.now, s.batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.NumChildren(2) != 1 || w.NumChildren(4) != 0 {
+		t.Fatalf("live window: %d children of e2, %d of e4; want 1, 0", w.NumChildren(2), w.NumChildren(4))
+	}
+	r, err := Restore(T, w.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snapshotFacts(w), snapshotFacts(r)) {
+		t.Fatalf("restored window wires forward references:\n got %v\nwant %v", snapshotFacts(r), snapshotFacts(w))
+	}
+}
+
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	base := func() WindowState {
 		e0 := &Element{ID: 7, TS: -200}

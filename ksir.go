@@ -368,12 +368,6 @@ func (s *Stream) approxResidentBytes() int64 {
 	return s.me.Load().engine.WriterResidentBytes() + s.pendingBytes
 }
 
-// takeMaterialize returns and clears the timing of a write-path back
-// buffer materialization, for span attribution in the hub's commit path.
-func (s *Stream) takeMaterialize() (time.Time, time.Duration) {
-	return s.me.Load().engine.TakeMaterialize()
-}
-
 // Now returns the stream's current time (the end of the last ingested
 // bucket).
 func (s *Stream) Now() int64 { return int64(s.me.Load().engine.Now()) }

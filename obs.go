@@ -38,8 +38,6 @@ var (
 		"Reactivations of streams on the ghost list (recently evicted and wanted again: eviction-policy regret).")
 	obsResSecondChanceSaves = metrics.NewCounter("ksir_hub_second_chance_saves_total",
 		"Eviction candidates skipped because their second-chance bit protected them.")
-	obsResLazyMaterialize = metrics.NewCounter("ksir_hub_lazy_materialize_total",
-		"Deferred back-buffer materializations (first write after activation, or WAL tail replay).")
 )
 
 // observeCommit records one commit batch on the pipeline families.

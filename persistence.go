@@ -430,8 +430,6 @@ type activationPhases struct {
 	restoreDur   time.Duration
 	replayStart  time.Time // wal.replay: open the WAL, fold in the tail
 	replayDur    time.Duration
-	matStart     time.Time // backbuffer.materialize: lazy build paid here
-	matDur       time.Duration
 }
 
 // resume loads the stream back into memory — the one loader behind both

@@ -171,11 +171,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// Crash after a lazily reactivated stream took writes (the first of them
-// built the deferred back buffer inline): recovery from a crash snapshot
-// of the data dir is byte-identical to a twin that never hibernated,
-// writes landed on either side of the materialization included.
-func TestResidencyLazyMaterializeCrashRecovery(t *testing.T) {
+// Crash after a stream reactivated by a query took writes: recovery from a
+// crash snapshot of the data dir is byte-identical to a twin that never
+// hibernated, the writes on the restored engine included.
+func TestResidencyQueryFirstActivationCrashRecovery(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
 	h := openTestHub(t, dir, m, PersistOptions{})
@@ -197,9 +196,8 @@ func TestResidencyLazyMaterializeCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen under a budget so recovery is cold, then reactivate lazily:
-	// the first query is served off the front buffer alone, and the first
-	// write after it builds the back buffer.
+	// Reopen under a budget so recovery is cold, then reactivate by a
+	// query before the first write.
 	h2 := openTestHub(t, dir, m, PersistOptions{MaxResidentStreams: 4, ResidencySweep: time.Hour})
 	defer h2.CloseAll()
 	hs2, err := h2.Get("feed")
@@ -240,16 +238,17 @@ func TestResidencyLazyMaterializeCrashRecovery(t *testing.T) {
 	if got, want := exportGob(t, hs3.Stream()), exportGob(t, mirror); !bytes.Equal(got, want) {
 		t.Fatal("crash-recovered state not byte-identical to the never-hibernated twin")
 	}
-	// The survivor hub agrees too (its writes were never lost to laziness).
+	// The survivor hub agrees too.
 	sameResults(t, "pre-crash survivor",
 		persistQueries(t, func(q Query) (Result, error) { return hs2.Query(nil, q) }),
 		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
 }
 
-// Cold recovery under a budget with hibernation cycles mixed in keeps the
-// lazy default byte-identical at every step for several streams at once —
-// the multi-tenant version of the core-level lazy/eager lockstep test.
-func TestResidencyLazyActivationEquivalence(t *testing.T) {
+// Cold recovery under a budget with hibernation cycles mixed in keeps
+// several streams at once byte-identical to never-hibernated twins at
+// every step — the multi-tenant version of the core-level restore lockstep
+// test.
+func TestResidencyActivationCycleEquivalence(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
 	h := openTestHub(t, dir, m, PersistOptions{})
@@ -277,7 +276,7 @@ func TestResidencyLazyActivationEquivalence(t *testing.T) {
 
 	h2 := openTestHub(t, dir, m, PersistOptions{MaxResidentStreams: 2, ResidencySweep: time.Hour})
 	defer h2.CloseAll()
-	// Touch every stream (forcing budget churn across lazy activations),
+	// Touch every stream (forcing budget churn across activations),
 	// then compare each against its never-hibernated twin.
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("s%d", i)
@@ -304,7 +303,7 @@ func TestResidencyLazyActivationEquivalence(t *testing.T) {
 			persistQueries(t, func(q Query) (Result, error) { return hs.Query(nil, q) }),
 			persistQueries(t, func(q Query) (Result, error) { return mirrors[name].Query(nil, q) }))
 		if got, want := exportGob(t, hs.Stream()), exportGob(t, mirrors[name]); !bytes.Equal(got, want) {
-			t.Fatalf("%s: state diverged across lazy activation cycles", name)
+			t.Fatalf("%s: state diverged across activation cycles", name)
 		}
 	}
 }

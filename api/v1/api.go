@@ -120,12 +120,6 @@ type ResidencyInfo struct {
 	// ResidentBytes approximates the stream's in-memory footprint
 	// (0 while hibernated).
 	ResidentBytes int64 `json:"resident_bytes"`
-	// GhostHits counts reactivations that found the stream on the ghost
-	// list of recent evictions (evicted just before it was wanted again).
-	GhostHits int64 `json:"ghost_hits,omitempty"`
-	// SecondChanceSaves counts eviction passes the stream survived
-	// because its second-chance bit protected it.
-	SecondChanceSaves int64 `json:"second_chance_saves,omitempty"`
 }
 
 // PersistInfo reports a durable stream's WAL and checkpoint counters (the

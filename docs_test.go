@@ -2,9 +2,12 @@ package ksir_test
 
 import (
 	"encoding/json"
+	"io/fs"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +15,10 @@ import (
 	_ "github.com/social-streams/ksir/connector" // registers ksir_connector_*
 	"github.com/social-streams/ksir/internal/server"
 )
+
+// docFiles are the documents whose references the docs tests hold to the
+// code.
+var docFiles = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
 
 // Every performance number the docs cite is written `metric`@`workload`
 // and must name something benchmark/ reports: a metric and a workload
@@ -70,7 +77,7 @@ func TestDocsNameLiveMetrics(t *testing.T) {
 		}
 		return false
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range docFiles {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -88,6 +95,48 @@ func TestDocsNameLiveMetrics(t *testing.T) {
 		for _, re := range gone {
 			for _, m := range re.FindAll(text, -1) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, m)
+			}
+		}
+	}
+}
+
+// Every test, fuzz target and benchmark the docs name must be defined in a
+// _test.go file of the repository, or be the prefix of one — the docs
+// write run patterns such as BenchmarkQuery(MTTS|MTTD|CELF) or a -run
+// prefix. A deleted test therefore needs no entry in testdata/docs_gone.txt.
+func TestDocsNameLiveTests(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	var defined []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			defined = append(defined, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no test definitions")
+	}
+	ref := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	for _, doc := range docFiles {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range ref.FindAllString(string(text), -1) {
+			if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
+				t.Errorf("%s names %s, which no _test.go file defines", doc, name)
 			}
 		}
 	}

@@ -403,20 +403,19 @@ func TestTornHibernateCrashRecovery(t *testing.T) {
 	}
 }
 
-// The residency budget: EnforceResidency hibernates the coldest streams
-// down to the configured count, touching a cold stream reactivates it,
-// and admission control evicts to make room for the newly hot stream.
-func TestResidencyBudget(t *testing.T) {
+// budgetHub opens a hub under a budget of two resident streams, swept by
+// hand, and creates n streams with some state, each touched strictly after
+// the one before.
+func budgetHub(t *testing.T, n int) (*Hub, []*StreamHandle) {
+	t.Helper()
 	m := trainTestModel(t)
 	h := openTestHub(t, t.TempDir(), m, PersistOptions{
 		MaxResidentStreams: 2,
 		ResidencySweep:     time.Hour, // deterministic: the test sweeps by hand
 	})
-	defer h.CloseAll()
-
-	const streams = 6
 	posts := genPosts(40, 45)
-	for i := 0; i < streams; i++ {
+	var hss []*StreamHandle
+	for i := 0; i < n; i++ {
 		hs, err := h.Create(fmt.Sprintf("s%d", i), m, persistOpts())
 		if err != nil {
 			t.Fatal(err)
@@ -427,40 +426,84 @@ func TestResidencyBudget(t *testing.T) {
 			}
 		}
 		time.Sleep(time.Millisecond) // strictly ordered last-touch clocks
+		hss = append(hss, hs)
 	}
+	return h, hss
+}
+
+// enforce runs one sweep and checks that ksir_residency_evictions_total
+// moved by exactly the count it returned.
+func enforce(t *testing.T, h *Hub) int {
+	t.Helper()
+	before := obsResEvictions.Value()
 	n, err := h.EnforceResidency()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != streams-2 {
+	if got := obsResEvictions.Value() - before; got != uint64(n) {
+		t.Fatalf("evictions counter moved by %d, EnforceResidency returned %d", got, n)
+	}
+	return n
+}
+
+// The residency budget: EnforceResidency hibernates the coldest streams
+// down to the configured count, touching a cold stream reactivates it even
+// over the budget, and the next sweep takes the coldest resident instead.
+func TestResidencyBudget(t *testing.T) {
+	const streams = 6
+	h, hss := budgetHub(t, streams)
+	defer h.CloseAll()
+	if n := enforce(t, h); n != streams-2 {
 		t.Fatalf("EnforceResidency hibernated %d, want %d", n, streams-2)
 	}
 	if got := countResident(t, h); got != 2 {
 		t.Fatalf("%d resident after enforcement, want 2", got)
 	}
 	// The two warmest (most recently created) streams survived.
-	for _, name := range []string{"s4", "s5"} {
-		hs, _ := h.Get(name)
+	for _, hs := range hss[4:] {
 		if !hs.Resident() {
-			t.Fatalf("%s was evicted despite being warmest", name)
+			t.Fatalf("%s was evicted despite being warmest", hs.Name())
 		}
 	}
 
-	// Touching the coldest stream reactivates it; admission evicts one of
-	// the residents (asynchronously) to stay at the budget.
-	cold, _ := h.Get("s0")
-	if _, err := cold.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
+	// Touching the coldest stream reactivates it over the budget; the sweep
+	// then takes s4, now the coldest resident.
+	if _, err := hss[0].Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
 		t.Fatal(err)
 	}
-	if !cold.Resident() {
-		t.Fatal("query did not reactivate s0")
+	if got := countResident(t, h); !hss[0].Resident() || got != 3 {
+		t.Fatalf("query left s0 resident=%v with %d resident, want true with 3", hss[0].Resident(), got)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for countResident(t, h) > 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if n := enforce(t, h); n != 1 {
+		t.Fatalf("EnforceResidency hibernated %d, want 1", n)
 	}
-	if got := countResident(t, h); got > 2 {
-		t.Fatalf("%d resident after admission, want ≤ 2", got)
+	if hss[4].Resident() || !hss[5].Resident() || !hss[0].Resident() {
+		t.Fatalf("resident s4=%v s5=%v s0=%v after the sweep, want false true true",
+			hss[4].Resident(), hss[5].Resident(), hss[0].Resident())
+	}
+}
+
+// A stream holding a standing query cannot hibernate: the sweep leaves the
+// coldest stream resident when it is busy, takes the next-coldest instead,
+// and counts only what it hibernated.
+func TestResidencySweepSkipsBusyStream(t *testing.T) {
+	h, hss := budgetHub(t, 3)
+	defer h.CloseAll()
+	busy := hss[0]
+	sub, err := busy.Subscribe(context.Background(), Query{K: 3, Keywords: []string{"goal"}},
+		persistOpts().Bucket, func(Result) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Unsubscribe(sub)
+	busy.lastTouch.Store(1) // subscribing touched s0: make it the coldest again
+
+	if n := enforce(t, h); n != 1 {
+		t.Fatalf("EnforceResidency hibernated %d, want 1", n)
+	}
+	if !hss[0].Resident() || hss[1].Resident() || !hss[2].Resident() {
+		t.Fatalf("resident s0=%v s1=%v s2=%v after the sweep, want true false true",
+			hss[0].Resident(), hss[1].Resident(), hss[2].Resident())
 	}
 }
 

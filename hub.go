@@ -54,12 +54,6 @@ type Hub struct {
 	// nil means slog.Default() at call time.
 	logger *slog.Logger
 
-	// ghosts is the policy's list of recently hibernated names (nil without
-	// a residency budget). ghostMu guards it: hibernations and activations
-	// of different streams run on different writer goroutines.
-	ghostMu sync.Mutex
-	ghosts  *residency.Ghosts
-
 	// stopSweeper ends the hub's one background goroutine and waits for it
 	// to exit; nil on a hub that runs none (see startSweeper).
 	stopSweeper func()
@@ -236,129 +230,39 @@ func (h *Hub) startSweeper() {
 	})
 }
 
-// ghostRecord remembers a hibernated stream's name on the ghost list
-// (under a residency budget only).
-func (h *Hub) ghostRecord(name string) {
-	if h.ghosts == nil {
-		return
-	}
-	h.ghostMu.Lock()
-	defer h.ghostMu.Unlock()
-	h.ghosts.Record(name)
-}
-
-// ghostTake consumes a ghost-list entry for name, reporting whether one
-// existed — the activation path's "evicted too eagerly" signal.
-func (h *Hub) ghostTake(name string) bool {
-	if h.ghosts == nil {
-		return false
-	}
-	h.ghostMu.Lock()
-	defer h.ghostMu.Unlock()
-	return h.ghosts.Take(name)
-}
-
-// candidates is what every walk of the residency policy starts from: the
-// budget, and a snapshot of the resident streams as the policy's
-// candidates, index-aligned with their handles. Without a budget no walk
-// can choose a victim, and the snapshot is skipped.
-func (h *Hub) candidates() (b residency.Budget, hss []*StreamHandle, cands []residency.Candidate) {
-	if b = h.budget(); !b.Enabled() {
-		return b, nil, nil
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for _, hs := range h.streams {
-		if hs.stp.Load() == nil {
-			continue
-		}
-		hss = append(hss, hs)
-		cands = append(cands, residency.Candidate{
-			Touch:        hs.lastTouch.Load(),
-			Bytes:        hs.residentBytes.Load(),
-			SecondChance: hs.refBit.Load(),
-		})
-	}
-	return b, hss, cands
-}
-
-// countSaves credits each stream an eviction pass skipped because its
-// second-chance bit protected it.
-func countSaves(hss []*StreamHandle, saves []int) {
-	for _, i := range saves {
-		hss[i].secondChanceSaves.Add(1)
-		obsResSecondChanceSaves.Inc()
-	}
-}
-
-// EnforceResidency applies the residency budget once, synchronously: the
-// policy's sweep walk (residency.Sweep) picks resident streams coldest
-// first by last touch and each is hibernated, until the resident count and
-// summed approximate bytes fit the configured budget; the number
-// hibernated is returned. Protected streams — second-chance bit set
-// (touched again since admission) — are skipped, counting a save each; if
-// the protected set alone still overflows the budget, they go too and every
-// survivor's bit is demoted (the clock hand has swept full circle; it must
-// be re-earned by another touch). Streams that are busy (standing queries)
-// or closing stay resident and the walk moves on to the next-coldest;
-// other hibernation failures are joined into the returned error. The
-// background sweeper calls this every ResidencySweep; callers may also
-// invoke it directly (e.g. before a measurement that wants a settled hot
-// tier). Without a budget it does nothing.
+// EnforceResidency applies the residency budget once, synchronously: it
+// snapshots the resident streams, and the policy's walk
+// (residency.Budget.Walk) hibernates them coldest first by last touch
+// until the resident count and summed approximate bytes fit the
+// configured budget; the number hibernated is returned. Streams that are
+// busy (standing queries) or closing stay resident and the walk moves on
+// to the next-coldest; other hibernation failures are joined into the
+// returned error. The background sweeper calls this every ResidencySweep
+// — it is the only place the hub evicts, so between two sweeps
+// activations may take the tier over its budget; callers may also invoke
+// it directly (e.g. before a measurement that wants a settled hot tier).
+// Without a budget it hibernates nothing.
 func (h *Hub) EnforceResidency() (int, error) {
-	b, hss, cands := h.candidates()
-	var errs []error
-	plan := b.Walk(cands, residency.Sweep(), residency.Mechanism{
-		Evict: func(i int) bool {
-			err := hss[i].Hibernate()
-			if err != nil && !errors.Is(err, ErrStreamBusy) && !errors.Is(err, ErrStreamClosed) {
-				errs = append(errs, fmt.Errorf("hibernating %q: %w", hss[i].name, err))
-			}
-			return err == nil
-		},
-		Demote: func() {
-			for _, hs := range hss {
-				hs.refBit.Store(false)
-			}
-		},
-	})
-	countSaves(hss, plan.Saves)
-	return len(plan.Victims), errors.Join(errs...)
-}
-
-// makeRoom nudges the hub back under its residency budget before a stream
-// activates, by enqueueing fire-and-forget hibernate ops on the victims of
-// the policy's admission walk (residency.Admit). It runs on the activating
-// stream's commit path, so it must never block on another stream's queue —
-// two streams admitting concurrently could each be waiting behind the
-// other's backlog (deadlock). Eviction is therefore best-effort (see
-// tryEvict): a victim too busy to take the op is passed over, the budget
-// transiently overshoots, and the background sweep settles it.
-func (h *Hub) makeRoom() {
-	b, hss, cands := h.candidates()
-	plan := b.Walk(cands, residency.Admit(), residency.Mechanism{Evict: func(i int) bool {
-		return hss[i].tryEvict(cands[i].Touch)
-	}})
-	countSaves(hss, plan.Saves)
-	// Give the victims' writer goroutines a chance to drain the evictions
-	// before this activation loads more state: on a single-core host the
-	// activating writer and its caller otherwise monopolize the scheduler,
-	// queued evictions go stale behind fresh touches, and the hot tier
-	// balloons past the budget until the next blocking sweep.
-	if len(plan.Victims) > 0 {
-		runtime.Gosched()
+	var hss []*StreamHandle
+	var cands []residency.Candidate
+	h.mu.RLock()
+	for _, hs := range h.streams {
+		if hs.stp.Load() != nil {
+			hss = append(hss, hs)
+			cands = append(cands, residency.Candidate{Touch: hs.lastTouch.Load(), Bytes: hs.residentBytes.Load()})
+		}
 	}
-}
-
-// admissionFull re-runs the admission walk against the live resident set
-// without evicting anything. A policy eviction decides from it at commit
-// time, because it may have sat behind a writer backlog since the snapshot
-// it was queued on: it is still warranted only while the tier is Full (it
-// was queued on behalf of one pending admission, so there must be no
-// headroom for that +1 stream).
-func (h *Hub) admissionFull() bool {
-	b, _, cands := h.candidates()
-	return b.Walk(cands, residency.Admit(), residency.Mechanism{}).Full
+	h.mu.RUnlock()
+	var errs []error
+	victims := h.budget().Walk(cands, func(i int) bool {
+		err := hss[i].Hibernate()
+		if err != nil && !errors.Is(err, ErrStreamBusy) && !errors.Is(err, ErrStreamClosed) {
+			errs = append(errs, fmt.Errorf("hibernating %q: %w", hss[i].name, err))
+		}
+		return err == nil
+	})
+	obsResEvictions.Add(uint64(len(victims)))
+	return len(victims), errors.Join(errs...)
 }
 
 // Get returns the handle registered under name, or ErrUnknownStream.
@@ -500,15 +404,6 @@ type writeOp struct {
 	sopts   []SubscribeOption // opSubscribe
 	sub     *Subscription     // opUnsubscribe in; opSubscribe out
 
-	// evict marks an opHibernate queued fire-and-forget by the residency
-	// policy (makeRoom) rather than requested by a caller. evictTouch is
-	// the victim's lastTouch observed when the eviction was decided: the
-	// op may sit behind a writer backlog, and by the time it commits the
-	// stream may have been touched again or the hub may have settled
-	// under budget — a stale eviction is a no-op (see commit).
-	evict      bool
-	evictTouch int64
-
 	// Results.
 	err      error
 	accepted int          // opAddBatch
@@ -520,8 +415,7 @@ type writeOp struct {
 	// contributing op.
 	nrecs int
 
-	// done is closed by the committing goroutine when the op's results are
-	// set; nil for fire-and-forget ops (tryEvict) nobody awaits.
+	// done is closed by the committing goroutine when the op's results are set.
 	done chan struct{}
 
 	// Tracing (all zero on untraced ops — the *Context methods populate tr
@@ -622,31 +516,14 @@ type StreamHandle struct {
 
 	// Residency accounting. lastTouch orders eviction (stored by every
 	// operation except Hibernate itself — an eviction must not refresh its
-	// victim's warmth); evictPending dedupes policy evictions (at most one
-	// queued per stream — repeated makeRoom passes over the same coldest
-	// candidate must not pile identical ops into its queue); lastStats
-	// preserves the final counters of a hibernated stream so Stats never
-	// has to reload one.
+	// victim's warmth); lastStats preserves the final counters of a
+	// hibernated stream so Stats never has to reload one.
 	lastTouch        atomic.Int64
-	evictPending     atomic.Bool
 	hibernations     atomic.Int64
 	activations      atomic.Int64
 	lastActivationNs atomic.Int64
 	residentBytes    atomic.Int64
 	lastStats        atomic.Pointer[StreamStats]
-
-	// Clock-eviction state. refBit is the second-chance bit:
-	// set by every touch while resident, cleared at activation (a fresh
-	// admission is probationary until touched again) and by the
-	// full-circle demotion pass of EnforceResidency. An eviction pass
-	// skips bit-carrying streams, so a one-shot scan over cold streams —
-	// each admitted probationary, none touched twice — churns through its
-	// own admissions and leaves the established hot set resident.
-	refBit atomic.Bool
-
-	// Residency observability counters (see ResidencyStats).
-	ghostHits         atomic.Int64
-	secondChanceSaves atomic.Int64
 
 	// pers is the stream's durability state (nil on an in-memory hub),
 	// mutated only by the writer goroutine. The commit path is the WAL
@@ -690,43 +567,8 @@ func (hs *StreamHandle) Model() *Model { return hs.model.Load() }
 // hibernated stream.
 func (hs *StreamHandle) Resident() bool { return hs.stp.Load() != nil }
 
-// touch refreshes the handle's eviction clock, and a touch on a resident
-// stream earns the second-chance bit.
-func (hs *StreamHandle) touch() {
-	hs.lastTouch.Store(time.Now().UnixNano())
-	if hs.stp.Load() != nil {
-		hs.refBit.Store(true)
-	}
-}
-
-// tryEvict offers the stream a policy eviction (an opHibernate from
-// makeRoom, stamped with the victim's last touch as the walk saw it)
-// without ever blocking: TryLock on the enqueue path, non-blocking channel
-// send. At most one is pending per stream (evictPending: the coldest
-// candidate tends to stay coldest until its eviction drains, so
-// back-to-back admissions would otherwise pile identical ops into its
-// queue), and one already pending is reported as progress without
-// re-queueing. False means the stream was closed, already hibernated, or
-// too busy to take the op right now — admission control treats that as
-// "not cold after all" and moves on. Nobody awaits the op; it re-validates
-// itself at commit time (see Hub.admissionFull).
-func (hs *StreamHandle) tryEvict(touch int64) bool {
-	if !hs.evictPending.CompareAndSwap(false, true) {
-		return true
-	}
-	if hs.qmu.TryLock() {
-		defer hs.qmu.Unlock()
-		if !hs.closed.Load() && hs.stp.Load() != nil {
-			select {
-			case hs.ops <- &writeOp{kind: opHibernate, evict: true, evictTouch: touch}:
-				return true
-			default: // queue full: the stream is anything but cold
-			}
-		}
-	}
-	hs.evictPending.Store(false)
-	return false
-}
+// touch refreshes the handle's eviction clock.
+func (hs *StreamHandle) touch() { hs.lastTouch.Store(time.Now().UnixNano()) }
 
 // do executes op through the writer pipeline and returns it with its
 // result fields set.
@@ -863,9 +705,7 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 				err = fmt.Errorf("reactivating %q: %w", hs.name, err)
 				for _, op := range batch {
 					op.err = err
-					if op.done != nil {
-						close(op.done)
-					}
+					close(op.done)
 				}
 				return
 			}
@@ -933,22 +773,7 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 				op.ps = hs.pers.stats()
 			}
 		case opHibernate:
-			// A policy eviction re-validates at commit time: it was queued
-			// fire-and-forget and may have drained long after the admission
-			// decision behind it. If the stream has been touched since, or
-			// the hub is no longer over budget (a blocking EnforceResidency
-			// pass may have already trimmed the tier), acting on the stale
-			// decision would hibernate a warm stream and drag the hot tier
-			// below the budget — so the eviction quietly no-ops instead.
-			if op.evict {
-				hs.evictPending.Store(false)
-			}
-			if op.evict && (hs.lastTouch.Load() != op.evictTouch || !hs.hub.admissionFull()) {
-				obsResStaleEvictions.Inc()
-			} else if op.err = hs.hibernate(st); op.err == nil {
-				if op.evict {
-					obsResEvictions.Inc()
-				}
+			if op.err = hs.hibernate(st); op.err == nil {
 				st = nil // barrier: alone in its batch, nothing else uses it
 				// Read here, on the writer goroutine: a reactivation is an
 				// op behind this one, so these are the stats of the
@@ -1047,9 +872,7 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 	}
 
 	for _, op := range batch {
-		if op.done != nil {
-			close(op.done)
-		}
+		close(op.done)
 	}
 }
 
@@ -1086,35 +909,23 @@ func (hs *StreamHandle) hibernate(st *Stream) error {
 	hs.residentBytes.Store(0)
 	hs.hibernations.Add(1)
 	obsResHibernations.Inc()
-	hs.hub.ghostRecord(hs.name)
 	return err
 }
 
-// activate executes the cold→hot transition on the commit path: evict
-// colder streams first when a budget is configured (best-effort, see
-// Hub.makeRoom), then load checkpoint + WAL tail back into memory. The
+// activate executes the cold→hot transition on the commit path: load
+// checkpoint + WAL tail back into memory. It evicts nothing — the tier may
+// run over its budget until the next sweep (Hub.EnforceResidency). The
 // returned phase breakdown feeds the stream.activate child spans.
 func (hs *StreamHandle) activate() (*Stream, *activationPhases, error) {
 	if hs.pers == nil {
 		return nil, nil, fmt.Errorf("%w: stream %q has no durable state to reactivate", ErrPersistDisabled, hs.name)
 	}
 	start := time.Now()
-	hs.hub.makeRoom()
 	ph := &activationPhases{}
 	st, err := hs.pers.resume(hs.model.Load(), hs.opts, hs.cfg, ph)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Admission state, settled before the stream publishes so a racing
-	// touch can only add protection, never lose it: a ghost hit (evicted
-	// recently, wanted again) re-admits protected, everything else starts
-	// probationary.
-	ghost := hs.hub.ghostTake(hs.name)
-	if ghost {
-		hs.ghostHits.Add(1)
-		obsResGhostHits.Inc()
-	}
-	hs.refBit.Store(ghost)
 	elapsed := time.Since(start)
 	hs.stp.Store(st)
 	hs.residentBytes.Store(st.approxResidentBytes())
@@ -1348,13 +1159,11 @@ func (hs *StreamHandle) Stats() StreamStats {
 		s.Pipeline.Fsyncs = hs.pers.fsyncs()
 	}
 	s.Residency = ResidencyStats{
-		Resident:          st != nil,
-		Hibernations:      hs.hibernations.Load(),
-		Activations:       hs.activations.Load(),
-		LastActivation:    time.Duration(hs.lastActivationNs.Load()),
-		ResidentBytes:     hs.residentBytes.Load(),
-		GhostHits:         hs.ghostHits.Load(),
-		SecondChanceSaves: hs.secondChanceSaves.Load(),
+		Resident:       st != nil,
+		Hibernations:   hs.hibernations.Load(),
+		Activations:    hs.activations.Load(),
+		LastActivation: time.Duration(hs.lastActivationNs.Load()),
+		ResidentBytes:  hs.residentBytes.Load(),
 	}
 	return s
 }
@@ -1379,14 +1188,6 @@ type ResidencyStats struct {
 	// excluded from exported state, so it never perturbs checkpoint
 	// equality.
 	ResidentBytes int64
-	// GhostHits counts reactivations that found the stream's name on the
-	// ghost list of recent evictions — each one a stream the policy let
-	// go just before it was wanted again (eviction regret).
-	GhostHits int64
-	// SecondChanceSaves counts eviction passes that skipped this stream
-	// because its second-chance bit protected it — the clock policy's scan
-	// resistance at work.
-	SecondChanceSaves int64
 }
 
 // Done returns a channel closed when the stream is closed out of the Hub

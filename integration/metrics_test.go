@@ -56,10 +56,6 @@ var metricFamilies = map[string]string{
 	"ksir_residency_activation_duration_seconds": "histogram",
 	"ksir_residency_hibernations_total":          "counter",
 	"ksir_residency_evictions_total":             "counter",
-	"ksir_residency_stale_evictions_total":       "counter",
-
-	"ksir_hub_ghost_hits_total":          "counter",
-	"ksir_hub_second_chance_saves_total": "counter",
 
 	"ksir_http_requests_total":           "counter",
 	"ksir_http_request_duration_seconds": "histogram",

@@ -301,12 +301,10 @@ func (s *Server) streamInfoFrom(hs *ksir.StreamHandle, st ksir.StreamStats) apiv
 		info.State = apiv1.StateHibernated
 	}
 	info.Residency = &apiv1.ResidencyInfo{
-		Hibernations:      st.Residency.Hibernations,
-		Activations:       st.Residency.Activations,
-		LastActivationUs:  st.Residency.LastActivation.Microseconds(),
-		ResidentBytes:     st.Residency.ResidentBytes,
-		GhostHits:         st.Residency.GhostHits,
-		SecondChanceSaves: st.Residency.SecondChanceSaves,
+		Hibernations:     st.Residency.Hibernations,
+		Activations:      st.Residency.Activations,
+		LastActivationUs: st.Residency.LastActivation.Microseconds(),
+		ResidentBytes:    st.Residency.ResidentBytes,
 	}
 	if st.Persist.Enabled {
 		info.Persist = &apiv1.PersistInfo{

@@ -30,14 +30,7 @@ var (
 		"Reactivation latency of hibernated streams.",
 		metrics.DefBuckets...)
 	obsResEvictions = metrics.NewCounter("ksir_residency_evictions_total",
-		"Policy evictions committed by the residency budget (makeRoom / sweep).")
-	obsResStaleEvictions = metrics.NewCounter("ksir_residency_stale_evictions_total",
-		"Policy evictions that no-opped at commit-time re-validation (stream re-warmed or budget already met).")
-
-	obsResGhostHits = metrics.NewCounter("ksir_hub_ghost_hits_total",
-		"Reactivations of streams on the ghost list (recently evicted and wanted again: eviction-policy regret).")
-	obsResSecondChanceSaves = metrics.NewCounter("ksir_hub_second_chance_saves_total",
-		"Eviction candidates skipped because their second-chance bit protected them.")
+		"Streams hibernated by the residency sweep to bring the hot tier back within its budget.")
 )
 
 // observeCommit records one commit batch on the pipeline families.

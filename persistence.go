@@ -15,7 +15,6 @@ import (
 
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/persist"
-	"github.com/social-streams/ksir/internal/residency"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -83,13 +82,12 @@ type PersistOptions struct {
 	// shrink the steady-state write amplification.
 	CheckpointEvery int64
 	// MaxResidentStreams and MaxResidentBytes bound the hub's hot tier
-	// (see DESIGN.md §11): when either budget is exceeded, the coldest
-	// unprotected streams by last touch are hibernated — checkpointed and
-	// released from memory, transparently reactivated by their next
-	// operation. Victim selection is scan-resistant (DESIGN.md §15): a
-	// stream touched again since its admission carries a second-chance bit
-	// that saves it from one eviction pass, and recently evicted names sit
-	// on a ghost list whose hits re-admit the stream protected.
+	// (see DESIGN.md §11): each residency sweep hibernates the coldest
+	// streams by last touch — checkpointed and released from memory,
+	// transparently reactivated by their next operation — until both
+	// budgets hold. Only the sweep evicts: between two sweeps activations
+	// may take the tier over its budget, and a one-shot scan over cold
+	// streams displaces warmer ones like any other touch (DESIGN.md §15).
 	// MaxResidentStreams caps how many streams are resident at once;
 	// MaxResidentBytes caps their summed approximate resident bytes. Zero
 	// disables the respective bound; with both zero no background
@@ -102,8 +100,7 @@ type PersistOptions struct {
 	MaxResidentBytes   int64
 	// ResidencySweep is how often the background sweeper re-applies the
 	// residency budget (default 1s; only consulted when a budget is set).
-	// Admission control additionally evicts the coldest streams inline
-	// whenever an activation would overshoot the budget.
+	// It bounds how long the tier can stay over budget.
 	ResidencySweep time.Duration
 	// Logger receives the hub's background warnings (residency sweep
 	// failures). Nil means slog.Default() resolved at log time.
@@ -223,9 +220,6 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 	h := NewHub()
 	h.logger = po.Logger
 	h.p = &hubPersist{dir: dir, opts: po.withDefaults(), modelHash: m.persistHash()}
-	if b := h.budget(); b.Enabled() {
-		h.ghosts = residency.NewGhosts(b)
-	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, persistErr(err)

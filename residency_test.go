@@ -9,156 +9,6 @@ import (
 	"time"
 )
 
-// scanChurnHub builds the scan-resistance fixture: eight durable streams
-// (three "hot" regulars, five one-shot "scan" targets), closed and
-// reopened under a 3-stream budget so every stream starts hibernated with
-// an empty ghost list, then warms the hot set with two touches each (the
-// second touch earns the second-chance bit) and runs a one-shot
-// scan over the cold five. Returns the reopened hub and the handles.
-func scanChurnHub(t *testing.T) (h *Hub, hot, scan []*StreamHandle) {
-	t.Helper()
-	m := trainTestModel(t)
-	dir := t.TempDir()
-	seed := openTestHub(t, dir, m, PersistOptions{})
-	posts := genPosts(40, 51)
-	for _, name := range []string{"scan0", "scan1", "scan2", "scan3", "scan4", "hot0", "hot1", "hot2"} {
-		hs, err := seed.Create(name, m, persistOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range posts {
-			if err := hs.Add(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := seed.CloseAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	h = openTestHub(t, dir, m, PersistOptions{
-		MaxResidentStreams: 3,
-		ResidencySweep:     time.Hour, // deterministic: the test sweeps by hand
-	})
-
-	q := Query{K: 3, Keywords: []string{"goal"}}
-	for _, name := range []string{"hot0", "hot1", "hot2"} {
-		hs, err := h.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// First touch activates (probationary); the second is the "touched
-		// again since admission" signal.
-		for i := 0; i < 2; i++ {
-			if _, err := hs.Query(nil, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		hot = append(hot, hs)
-	}
-	for _, name := range []string{"scan0", "scan1", "scan2", "scan3", "scan4"} {
-		hs, err := h.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hs.Query(nil, q); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(2 * time.Millisecond) // strictly ordered last-touch clocks
-		scan = append(scan, hs)
-	}
-	return h, hot, scan
-}
-
-// Scan resistance, the clock policy's contract: a one-shot scan over many
-// cold streams must churn through its own probationary admissions and
-// leave the bit-carrying hot set resident.
-func TestResidencyScanChurnClockKeepsHotSet(t *testing.T) {
-	h, hot, scan := scanChurnHub(t)
-	defer h.CloseAll()
-
-	if _, err := h.EnforceResidency(); err != nil {
-		t.Fatal(err)
-	}
-	for _, hs := range hot {
-		if !hs.Resident() {
-			t.Errorf("%s evicted by the scan despite its second-chance bit", hs.Name())
-		}
-	}
-	for _, hs := range scan {
-		if hs.Resident() {
-			t.Errorf("one-shot %s survived enforcement over the hot regulars", hs.Name())
-		}
-	}
-	var saves int64
-	for _, hs := range hot {
-		saves += hs.Stats().Residency.SecondChanceSaves
-	}
-	if saves == 0 {
-		t.Error("no second-chance saves recorded while the scan churned")
-	}
-}
-
-// A stream evicted by the sweep and wanted again shortly after hits the
-// ghost list on reactivation: the hit is counted as eviction regret and
-// readmits the stream protected (bit set), so the next enforcement spares
-// it and evicts an unprotected stream instead.
-func TestResidencyGhostHitProtectsReadmission(t *testing.T) {
-	m := trainTestModel(t)
-	h := openTestHub(t, t.TempDir(), m, PersistOptions{
-		MaxResidentStreams: 1,
-		ResidencySweep:     time.Hour,
-	})
-	defer h.CloseAll()
-	posts := genPosts(30, 52)
-	var handles []*StreamHandle
-	for _, name := range []string{"a", "b"} {
-		hs, err := h.Create(name, m, persistOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range posts {
-			if err := hs.Add(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-		handles = append(handles, hs)
-	}
-	a, b := handles[0], handles[1]
-	if _, err := h.EnforceResidency(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Resident() || !b.Resident() {
-		t.Fatalf("enforcement kept a=%v b=%v resident, want only b", a.Resident(), b.Resident())
-	}
-
-	// Touch a again: the reactivation consumes its ghost entry.
-	if _, err := a.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats().Residency.GhostHits; got != 1 {
-		t.Fatalf("ghost hits = %d, want 1", got)
-	}
-	// The regret-readmitted a is protected; unprotected b goes instead.
-	if _, err := h.EnforceResidency(); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Resident() {
-		t.Error("ghost-hit readmission did not protect a from the next sweep")
-	}
-	if b.Resident() {
-		t.Error("enforcement failed to evict the unprotected b")
-	}
-	// A second reactivation finds the entry consumed: no double counting.
-	if _, err := b.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats().Residency.GhostHits; got != 1 {
-		t.Fatalf("ghost hits after unrelated activity = %d, want 1", got)
-	}
-}
-
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -291,8 +141,7 @@ func TestResidencyActivationCycleEquivalence(t *testing.T) {
 	if _, err := h2.EnforceResidency(); err != nil {
 		t.Fatal(err)
 	}
-	// Round two after enforcement: re-activations (some from the ghost
-	// list) must still be exact.
+	// Round two after enforcement: re-activations must still be exact.
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("s%d", i)
 		hs, err := h2.Get(name)

@@ -21,13 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	ksir "github.com/social-streams/ksir"
 	apiv1 "github.com/social-streams/ksir/api/v1"
 	"github.com/social-streams/ksir/client"
-	"github.com/social-streams/ksir/internal/jsonl"
 	"github.com/social-streams/ksir/internal/loadgen"
 )
 
@@ -133,8 +131,8 @@ func runRemote(w io.Writer, addr, stream, in, shapeName string, create, flatten 
 	return nil
 }
 
-// readRecorded loads a ksir-gen JSONL stream as wire posts (words joined
-// into text; timestamps preserved, so replay order follows the recording).
+// readRecorded loads a ksir-gen JSONL stream of api/v1 posts (timestamps
+// preserved, so replay order follows the recording).
 func readRecorded(path string) ([]apiv1.Post, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -150,13 +148,11 @@ func readRecorded(path string) ([]apiv1.Post, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var e jsonl.Elem
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+		var p apiv1.Post
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
 		}
-		posts = append(posts, apiv1.Post{
-			ID: e.ID, Time: e.TS, Text: strings.Join(e.Words, " "), Refs: e.Refs,
-		})
+		posts = append(posts, p)
 	}
 	return posts, sc.Err()
 }

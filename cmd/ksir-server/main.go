@@ -160,7 +160,7 @@ func main() {
 			logger.Info("recovered streams", "count", len(names), "dir", *dataDir, "streams", names)
 		}
 	} else {
-		hub = ksir.NewHub(ksir.WithLogger(logger))
+		hub = ksir.NewHub()
 	}
 	if _, err := hub.Get(server.DefaultStream); err != nil {
 		if _, err := hub.Create(server.DefaultStream, model, defaults, sopts...); err != nil {

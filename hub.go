@@ -40,7 +40,9 @@ import (
 //
 // Lifecycle: every registered stream owns a writer goroutine, released
 // only by Close/CloseAll, and a durable hub with a residency budget runs
-// one background sweeper until CloseAll. A hub that is dropped without
+// one background sweeper until CloseAll. Nothing else runs, at any fsync
+// policy: the writer also owns its stream's WAL and runs the FsyncInterval
+// idle sync itself while it waits for work. A hub that is dropped without
 // being closed leaks those goroutines (and the streams they pin) — close
 // hubs you abandon, in-memory ones included.
 //
@@ -50,42 +52,16 @@ type Hub struct {
 	streams map[string]*StreamHandle
 	// p is the durability configuration (nil for an in-memory hub).
 	p *hubPersist
-	// logger receives background warnings (residency sweep failures);
-	// nil means slog.Default() at call time.
-	logger *slog.Logger
 
 	// stopSweeper ends the hub's one background goroutine and waits for it
 	// to exit; nil on a hub that runs none (see startSweeper).
 	stopSweeper func()
 }
 
-// HubOption tunes a Hub created with NewHub.
-type HubOption func(*Hub)
-
-// WithLogger directs the hub's background warnings — residency sweep
-// failures, for now — to l instead of slog.Default(). For a durable hub,
-// set PersistOptions.Logger instead.
-func WithLogger(l *slog.Logger) HubOption {
-	return func(h *Hub) { h.logger = l }
-}
-
-// log returns the hub's logger, resolving nil to the process default so a
-// logger installed with slog.SetDefault after NewHub is still honored.
-func (h *Hub) log() *slog.Logger {
-	if h.logger != nil {
-		return h.logger
-	}
-	return slog.Default()
-}
-
 // NewHub creates an empty registry. Call CloseAll when done with it:
 // each stream's writer goroutine runs until its stream is closed.
-func NewHub(opts ...HubOption) *Hub {
-	h := &Hub{streams: make(map[string]*StreamHandle)}
-	for _, o := range opts {
-		o(h)
-	}
-	return h
+func NewHub() *Hub {
+	return &Hub{streams: make(map[string]*StreamHandle)}
 }
 
 // validName rejects names that cannot round-trip through a URL path
@@ -215,7 +191,13 @@ func (h *Hub) startSweeper() {
 			select {
 			case <-t.C:
 				if _, err := h.EnforceResidency(); err != nil {
-					h.log().Warn("residency sweep failed", "error", err)
+					// Resolved now, so a logger installed with
+					// slog.SetDefault after OpenHub is still honored.
+					logger := h.p.opts.Logger
+					if logger == nil {
+						logger = slog.Default()
+					}
+					logger.Warn("residency sweep failed", "error", err)
 				}
 			case <-stop:
 				return
@@ -613,7 +595,7 @@ func (hs *StreamHandle) writerLoop() {
 		if carry != nil {
 			op, carry = carry, nil
 		} else {
-			op = <-hs.ops
+			op = hs.next()
 		}
 		if op.kind == opClose {
 			if hs.pers != nil {
@@ -661,6 +643,29 @@ func (hs *StreamHandle) writerLoop() {
 		// would otherwise pin a big batch's posts (and handlers, and
 		// contexts) across an arbitrarily long run of small batches.
 		clear(batch)
+	}
+}
+
+// next waits for the writer's next op. While it waits, the live WAL's
+// tick (nil under FsyncAlways and FsyncNever, and with no WAL open: an
+// in-memory, hibernated or closed stream) fires the idle sync: the
+// writer is the WAL's only owner, so it syncs the tail an append left
+// dirty. A sync failure is left to the next append or to Close.
+func (hs *StreamHandle) next() *writeOp {
+	for {
+		var wal *persist.WAL
+		var tick <-chan time.Time
+		if hs.pers != nil {
+			if wal = hs.pers.walp.Load(); wal != nil {
+				tick = wal.Tick()
+			}
+		}
+		select {
+		case op := <-hs.ops:
+			return op
+		case <-tick:
+			_ = wal.Sync()
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func goroutineBaseline() int {
 
 // Nothing a hub starts outlives CloseAll, and what it starts is one writer
 // per stream plus at most one background sweeper — none at all on a hub
-// without a residency budget.
+// without a residency budget — whatever the fsync policy.
 func TestHubLeavesNothingRunning(t *testing.T) {
 	m := trainTestModel(t)
 	posts := genPosts(30, 57)
@@ -101,10 +101,20 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		closeAll(t, h, before)
 	})
 
+	// At the default policy, FsyncInterval: the writer syncs its own WAL,
+	// so the interval sync adds no goroutine.
+	openDefault := func(t *testing.T, dir string) *Hub {
+		t.Helper()
+		h, err := OpenHub(dir, m, PersistOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
 	t.Run("durable, no budget", func(t *testing.T) {
 		dir := t.TempDir()
 		before := goroutineBaseline()
-		h := openTestHub(t, dir, m, PersistOptions{})
+		h := openDefault(t, dir)
 		wantGoroutines(t, "OpenHub: nothing of its own", before)
 		hss := fill(t, h, 2, before, 0)
 		if err := hss[0].Hibernate(); err != nil {
@@ -116,7 +126,7 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		closeAll(t, h, before)
 
 		// Eager recovery: the same two writers and nothing else.
-		h = openTestHub(t, dir, m, PersistOptions{})
+		h = openDefault(t, dir)
 		wantGoroutines(t, "reopened: 2 writers", before+2)
 		closeAll(t, h, before)
 	})

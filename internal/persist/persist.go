@@ -25,6 +25,12 @@
 // crash at any point leaves at least one loadable head over an intact log
 // prefix, and its op-sequence number tells replay exactly which WAL
 // records are already folded in.
+//
+// Ownership: a WAL belongs to one goroutine — in the service, its
+// stream's writer — which makes every call on it. The package starts no
+// goroutine and takes no lock; under SyncInterval the owner syncs an idle
+// tail by calling Sync when WAL.Tick fires while it waits for work.
+// Syncs alone may be read from any goroutine.
 package persist
 
 import "errors"
@@ -52,9 +58,9 @@ type SyncPolicy int
 
 const (
 	// SyncInterval (the default) fsyncs at most once per interval: appends
-	// past the deadline sync inline, a background flusher covers idle
-	// streams (a tail write reaches stable storage within the interval
-	// even when no further append ever comes), and Close/checkpoint
+	// past the deadline sync inline, the owner's Sync on WAL.Tick covers
+	// idle streams (a tail write reaches stable storage within the
+	// interval even when no further append ever comes), and Close/checkpoint
 	// boundaries always sync. Bounds power-loss exposure to the interval
 	// at a small fraction of SyncAlways' cost.
 	SyncInterval SyncPolicy = iota

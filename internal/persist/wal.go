@@ -3,17 +3,14 @@ package persist
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // WAL is one stream's write-ahead log: an append-only file of framed
-// records (record.go). The ksir layer serializes all appends per stream
-// (the Hub's StreamHandle mutex); the WAL's own mutex exists only to
-// coordinate those appends with the background interval-sync goroutine.
+// records (record.go). It has one owner goroutine, which makes every call
+// but Syncs (see the package comment).
 type WAL struct {
-	mu       sync.Mutex
 	f        *os.File
 	path     string
 	size     int64
@@ -22,11 +19,11 @@ type WAL struct {
 	lastSync time.Time
 	dirty    bool // bytes appended since the last fsync
 	buf      []byte
-	lastSeq  uint64        // highest Seq ever appended or replayed
-	stopc    chan struct{} // stops the interval-sync goroutine (nil unless SyncInterval)
-	// syncs counts fsyncs issued over the WAL's lifetime. Atomic, not
-	// mu-guarded: Syncs backs the lock-free stats path, which must never
-	// wait out an in-flight group commit's fsync.
+	lastSeq  uint64       // highest Seq ever appended or replayed
+	ticker   *time.Ticker // idle-sync cadence; nil unless SyncInterval
+	// syncs counts fsyncs issued over the WAL's lifetime. Atomic: Syncs
+	// backs the lock-free stats path, which reads it off the owner
+	// goroutine, even while an append's fsync is in flight.
 	syncs atomic.Int64
 }
 
@@ -35,8 +32,8 @@ type WAL struct {
 // normal shape of a crash mid-append — is truncated away so new records
 // append cleanly after the last valid one; it is not an error. replay may
 // be nil. interval is only consulted under SyncInterval (0 means 1s);
-// under that policy a background goroutine syncs dirty bytes every
-// interval, so an idle stream's tail writes reach stable storage within
+// under that policy Tick fires every interval, and an owner that calls
+// Sync on it gets an idle stream's tail writes to stable storage within
 // the interval even when no further append ever comes.
 func OpenWAL(path string, policy SyncPolicy, interval time.Duration, replay func(Record) error) (*WAL, error) {
 	if interval <= 0 {
@@ -79,28 +76,19 @@ func OpenWAL(path string, policy SyncPolicy, interval time.Duration, replay func
 	}
 	w.size = valid
 	if policy == SyncInterval {
-		w.stopc = make(chan struct{})
-		go w.syncLoop(w.stopc)
+		w.ticker = time.NewTicker(interval)
 	}
 	return w, nil
 }
 
-// syncLoop flushes dirty bytes every interval until Close (stop is passed
-// in rather than read from the struct — Close nils the field under the
-// mutex while this select polls it).
-func (w *WAL) syncLoop(stop <-chan struct{}) {
-	t := time.NewTicker(w.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			_ = w.syncLocked() // next append or Close will surface a persistent failure
-			w.mu.Unlock()
-		}
+// Tick returns the channel on which the idle-sync cadence fires, every
+// interval under SyncInterval; nil (which blocks forever in a select)
+// under the other policies. The owner calls Sync when it fires.
+func (w *WAL) Tick() <-chan time.Time {
+	if w.ticker == nil {
+		return nil
 	}
+	return w.ticker.C
 }
 
 // Append writes one record and applies the sync policy: a one-record
@@ -147,8 +135,6 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 		return nil
 	}
 	start := time.Now()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("persist: append to closed WAL")
 	}
@@ -182,10 +168,10 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 	var err error
 	switch w.policy {
 	case SyncAlways:
-		err = w.syncLocked()
+		err = w.Sync()
 	case SyncInterval:
 		if time.Since(w.lastSync) >= w.interval {
-			err = w.syncLocked()
+			err = w.Sync()
 		}
 	}
 	if t != nil && w.syncs.Load() > preSyncs {
@@ -200,14 +186,8 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 }
 
 // Sync flushes appended records to stable storage (a no-op when nothing
-// is dirty).
+// is dirty or the log is closed).
 func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
 	if !w.dirty || w.f == nil {
 		return nil
 	}
@@ -224,17 +204,16 @@ func (w *WAL) syncLocked() error {
 }
 
 // Syncs returns how many fsyncs the WAL has issued over its lifetime
-// (inline policy syncs, the background interval flusher, Reset and Close
-// all count). The pipeline's fsyncs-per-op metric is built on it.
-// Lock-free: safe to call while an append's fsync is in flight.
+// (inline policy syncs, the owner's idle syncs, Reset and Close all
+// count). The pipeline's fsyncs-per-op metric is built on it. The one
+// method safe to call off the owner goroutine, even while an append's
+// fsync is in flight.
 func (w *WAL) Syncs() int64 { return w.syncs.Load() }
 
 // Reset empties the log — called after a checkpoint has captured every
 // record's effect. Sequence numbers keep counting up across resets, so a
 // record can never be confused with a pre-checkpoint one.
 func (w *WAL) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("persist: truncating WAL: %w", err)
 	}
@@ -243,35 +222,24 @@ func (w *WAL) Reset() error {
 	}
 	w.size = 0
 	w.dirty = true
-	return w.syncLocked()
+	return w.Sync()
 }
 
 // Size returns the log's current byte length.
-func (w *WAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
+func (w *WAL) Size() int64 { return w.size }
 
 // LastSeq returns the highest record sequence appended or replayed.
-func (w *WAL) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastSeq
-}
+func (w *WAL) LastSeq() uint64 { return w.lastSeq }
 
-// Close syncs and closes the log file. Safe to call twice.
+// Close syncs and closes the log file and stops Tick. Safe to call twice.
 func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	if w.stopc != nil {
-		close(w.stopc)
-		w.stopc = nil
+	if w.ticker != nil {
+		w.ticker.Stop()
 	}
-	serr := w.syncLocked()
+	serr := w.Sync()
 	cerr := w.f.Close()
 	w.f = nil
 	if serr != nil {

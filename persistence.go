@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"log/slog"
 	"math"
 	"net/url"
@@ -26,9 +27,10 @@ type FsyncPolicy int
 
 const (
 	// FsyncInterval (the default) syncs at most once per FsyncInterval
-	// duration — inline on appends past the deadline, via a background
-	// flusher on idle streams — so data loss after a power failure is
-	// bounded by the interval at a small fraction of FsyncAlways' cost.
+	// duration — inline on appends past the deadline, and on an idle
+	// stream by its writer goroutine while it waits for work — so data
+	// loss after a power failure is bounded by the interval at a small
+	// fraction of FsyncAlways' cost.
 	// Process crashes lose nothing under any policy — the OS holds the
 	// writes.
 	FsyncInterval FsyncPolicy = iota
@@ -218,7 +220,6 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 		return nil, persistErr(err)
 	}
 	h := NewHub()
-	h.logger = po.Logger
 	h.p = &hubPersist{dir: dir, opts: po.withDefaults(), modelHash: m.persistHash()}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -250,6 +251,11 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 // state surfaces there, as that operation's error, instead of at OpenHub.
 func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
 	meta, err := persist.ReadMeta(sdir)
+	if errors.Is(err, fs.ErrNotExist) && unborn(sdir) {
+		// A crash inside Create, between its Mkdir and the manifest's
+		// rename: no write ever reached the stream.
+		return persistErr(os.RemoveAll(sdir))
+	}
 	if err != nil {
 		return persistErr(err)
 	}
@@ -276,6 +282,13 @@ func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
 		return err
 	}
 	return nil
+}
+
+// unborn reports whether a stream directory without a manifest holds
+// nothing but, at most, WriteMeta's temp file.
+func unborn(sdir string) bool {
+	ents, err := os.ReadDir(sdir)
+	return err == nil && (len(ents) == 0 || len(ents) == 1 && ents[0].Name() == persist.MetaFile+".tmp")
 }
 
 // optionsFromMeta resolves a persisted stream's options and config:
@@ -359,13 +372,15 @@ func replayInto(st *Stream, opSeq uint64) func(persist.Record) error {
 
 // streamPersist is one stream's durability state, owned by its
 // StreamHandle and mutated only on the handle's commit path (the writer
-// goroutine). The stat* atomics mirror the counters for the lock-free
-// Stats path.
+// goroutine). The counters are atomics because the lock-free Stats path
+// reads them.
 type streamPersist struct {
-	hp    *hubPersist
-	name  string
-	dir   string
-	opSeq uint64
+	hp   *hubPersist
+	name string
+	dir  string
+	// opSeq is the last operation sequence number given to a WAL record
+	// (or recovered from the checkpoint and WAL).
+	opSeq atomic.Uint64
 	// walp is the live WAL — nil while the stream is hibernated (or
 	// cold-recovered and never yet touched). An atomic pointer because the
 	// lock-free Stats path reads it while the commit path swaps it across
@@ -376,10 +391,12 @@ type streamPersist struct {
 	// handle's lifetime.
 	syncsBase atomic.Int64
 	// ckptBucket is the bucket sequence covered by the latest checkpoint
-	// (-1 before the first one); the auto-checkpoint trigger compares the
-	// live bucket sequence against it.
-	ckptBucket  int64
-	checkpoints int64
+	// (-1 before the first one or while unknown); the auto-checkpoint
+	// trigger compares the live bucket sequence against it.
+	ckptBucket  atomic.Int64
+	checkpoints atomic.Int64
+	// walBytes is the live WAL's size as of the last append or checkpoint.
+	walBytes atomic.Int64
 	// ckptCurrent records that the on-disk checkpoint covers every durable
 	// operation — no ingest has committed since it was written. Hibernation
 	// and the closing checkpoint short-circuit on it instead of rewriting
@@ -387,30 +404,16 @@ type streamPersist struct {
 	// stream just to do so). Cleared by the commit path before any ingest
 	// op applies, set by checkpoint.
 	ckptCurrent bool
-
-	statSeq        atomic.Uint64
-	statBytes      atomic.Int64
-	statCkptBucket atomic.Int64
-	statCkpts      atomic.Int64
 }
 
-func newStreamPersist(hp *hubPersist, name, dir string, wal *persist.WAL, opSeq uint64, ckptBucket int64) *streamPersist {
-	p := &streamPersist{hp: hp, name: name, dir: dir, opSeq: opSeq, ckptBucket: ckptBucket}
-	p.walp.Store(wal)
-	p.statSeq.Store(opSeq)
-	p.statBytes.Store(wal.Size())
-	p.statCkptBucket.Store(ckptBucket)
-	return p
-}
-
-// newColdStreamPersist is the durability state of a cold-recovered stream:
-// no WAL is open, no checkpoint has been read — everything on disk is
-// authoritative and untouched until the first reactivation loads it
-// through resume. Until then the counters report the checkpoint bucket as
-// unknown (-1).
+// newColdStreamPersist is a stream's durability state with no WAL open
+// and no checkpoint read: a cold-recovered stream's, whose files stay
+// untouched until its first reactivation loads them through resume, and a
+// new stream's until initStream opens its WAL. The checkpoint bucket reads
+// as unknown (-1) until a checkpoint is loaded or taken.
 func newColdStreamPersist(hp *hubPersist, name, dir string) *streamPersist {
-	p := &streamPersist{hp: hp, name: name, dir: dir, ckptBucket: -1}
-	p.statCkptBucket.Store(-1)
+	p := &streamPersist{hp: hp, name: name, dir: dir}
+	p.ckptBucket.Store(-1)
 	return p
 }
 
@@ -461,19 +464,17 @@ func (p *streamPersist) resume(m *Model, opts Options, cfg streamConfig, ph *act
 	if wal.LastSeq() > opSeq {
 		opSeq = wal.LastSeq()
 	}
-	p.opSeq = opSeq
-	p.ckptBucket = -1
+	p.opSeq.Store(opSeq)
+	p.ckptBucket.Store(-1)
 	if ck != nil {
-		p.ckptBucket = ck.Core.Stats.Buckets
+		p.ckptBucket.Store(ck.Core.Stats.Buckets)
 	}
 	// A clean hibernation leaves a current checkpoint and an empty WAL; a
 	// WAL tail (crash between the last appends and the next hibernation)
 	// means the checkpoint is stale until retaken.
 	p.ckptCurrent = ck != nil && wal.Size() == 0
 	p.walp.Store(wal)
-	p.statSeq.Store(opSeq)
-	p.statBytes.Store(wal.Size())
-	p.statCkptBucket.Store(p.ckptBucket)
+	p.walBytes.Store(wal.Size())
 	return st, nil
 }
 
@@ -534,7 +535,8 @@ func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error
 	if err != nil {
 		return nil, persistErr(err)
 	}
-	p := newStreamPersist(hp, name, sdir, wal, 0, -1)
+	p := newColdStreamPersist(hp, name, sdir)
+	p.walp.Store(wal)
 	if st.Stats().Elements > 0 || st.Stats().Now != 0 || len(st.pending) > 0 {
 		if err := p.checkpoint(st); err != nil {
 			wal.Close()
@@ -558,22 +560,23 @@ func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error
 // producers know durability is degraded.
 func (p *streamPersist) appendBatchTimed(recs []persist.Record, bt *persist.BatchTimings) error {
 	wal := p.walp.Load() // non-nil: the commit path activates before ingest
+	seq := p.opSeq.Load()
 	for i := range recs {
-		p.opSeq++
-		recs[i].Seq = p.opSeq
+		seq++
+		recs[i].Seq = seq
 	}
+	p.opSeq.Store(seq) // consumed even if the append fails: never reused
 	if err := wal.AppendBatchTimed(recs, bt); err != nil {
 		return persistErr(err)
 	}
-	p.statSeq.Store(p.opSeq)
-	p.statBytes.Store(wal.Size())
+	p.walBytes.Store(wal.Size())
 	return nil
 }
 
 // maybeCheckpoint fires the automatic checkpoint once CheckpointEvery
 // buckets have been ingested past the last one.
 func (p *streamPersist) maybeCheckpoint(st *Stream) error {
-	base := p.ckptBucket
+	base := p.ckptBucket.Load()
 	if base < 0 {
 		base = 0
 	}
@@ -593,7 +596,7 @@ func (p *streamPersist) checkpoint(st *Stream) error {
 	ck := &persist.Checkpoint{
 		Name:      p.name,
 		ModelHash: p.hp.modelHash,
-		OpSeq:     p.opSeq,
+		OpSeq:     p.opSeq.Load(),
 		LastTime:  int64(st.lastTime),
 		Core:      st.me.Load().engine.ExportState(),
 	}
@@ -611,12 +614,10 @@ func (p *streamPersist) checkpoint(st *Stream) error {
 	if err := p.walp.Load().Reset(); err != nil {
 		return persistErr(err)
 	}
-	p.ckptBucket = ck.Core.Stats.Buckets
-	p.checkpoints++
+	p.ckptBucket.Store(ck.Core.Stats.Buckets)
+	p.checkpoints.Add(1)
 	p.ckptCurrent = true
-	p.statCkptBucket.Store(p.ckptBucket)
-	p.statCkpts.Store(p.checkpoints)
-	p.statBytes.Store(0)
+	p.walBytes.Store(0)
 	return nil
 }
 
@@ -642,9 +643,9 @@ func (p *streamPersist) finalize(st *Stream) error {
 func (p *streamPersist) stats() PersistStats {
 	return PersistStats{
 		Enabled:          true,
-		WALSeq:           p.statSeq.Load(),
-		WALBytes:         p.statBytes.Load(),
-		CheckpointBucket: p.statCkptBucket.Load(),
-		Checkpoints:      p.statCkpts.Load(),
+		WALSeq:           p.opSeq.Load(),
+		WALBytes:         p.walBytes.Load(),
+		CheckpointBucket: p.ckptBucket.Load(),
+		Checkpoints:      p.checkpoints.Load(),
 	}
 }

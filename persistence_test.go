@@ -621,6 +621,76 @@ func TestRecoveryRejectsDifferentModel(t *testing.T) {
 	h2.CloseAll()
 }
 
+// A crash inside Create, between its Mkdir and the manifest's rename,
+// leaves a stream directory holding nothing but, at most, the manifest's
+// temp file. No write ever reached that stream, so OpenHub removes the
+// directory and recovers the others; a directory with anything else and
+// no manifest is still refused.
+func TestCrashInsideCreateLeavesNoStream(t *testing.T) {
+	m := trainTestModel(t)
+	dir := t.TempDir()
+	h := openTestHub(t, dir, m, PersistOptions{})
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range genPosts(40, 63) {
+		if err := hs.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := persistQueries(t, func(q Query) (Result, error) { return hs.Query(nil, q) })
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "empty"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	half := filepath.Join(dir, "half")
+	if err := os.Mkdir(half, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(half, persist.MetaFile+".tmp"), []byte("KSIRME"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	h = openTestHub(t, dir, m, PersistOptions{})
+	if got := h.List(); !reflect.DeepEqual(got, []string{"feed"}) {
+		t.Fatalf("recovered %v, want [feed]", got)
+	}
+	for _, name := range []string{"empty", "half"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("half-created %s left on disk: %v", name, err)
+		}
+	}
+	hs, err = h.Get("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "after dropping half-created streams",
+		persistQueries(t, func(q Query) (Result, error) { return hs.Query(nil, q) }), want)
+	if _, err := h.Create("half", m, persistOpts()); err != nil {
+		t.Fatalf("re-creating the half-created name: %v", err)
+	}
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	orphan := filepath.Join(dir, "orphan")
+	if err := os.Mkdir(orphan, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(orphan, persist.WALFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenHub(dir, m, PersistOptions{Fsync: FsyncNever}); err == nil {
+		t.Fatal("a stream directory with a WAL but no manifest was accepted")
+	}
+	if _, err := os.Stat(filepath.Join(orphan, persist.WALFile)); err != nil {
+		t.Errorf("refused directory was touched: %v", err)
+	}
+}
+
 // Durability API edges: checkpoints need a durable hub; SwapModel is
 // rejected on durable streams; a closed stream's name stays reserved on
 // disk; names with escaping round-trip through their directory.
@@ -971,4 +1041,36 @@ func mean(v []float64) float64 {
 		s += x
 	}
 	return s / float64(len(v))
+}
+
+// Under FsyncInterval an idle stream's WAL tail reaches stable storage
+// within the interval with no further op: the writer syncs it while it
+// waits for work.
+func TestHubIdleWALSyncedWithinInterval(t *testing.T) {
+	m := trainTestModel(t)
+	h, err := OpenHub(t.TempDir(), m, PersistOptions{FsyncInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.CloseAll()
+	hs, err := h.Create("idle", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An Add past the interval syncs inline and leaves nothing dirty;
+	// the next one, well inside the fresh interval, leaves a dirty tail.
+	var synced int64
+	for _, p := range genPosts(20, 67) {
+		synced = hs.Stats().Pipeline.Fsyncs
+		if err := hs.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		if hs.Stats().Pipeline.Fsyncs == synced {
+			break
+		}
+	}
+	if hs.Stats().Pipeline.Fsyncs != synced {
+		t.Fatal("every Add synced inline; no dirty tail to observe")
+	}
+	waitFor(t, "the idle tail to be synced", func() bool { return hs.Stats().Pipeline.Fsyncs > synced })
 }

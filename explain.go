@@ -32,13 +32,12 @@ type Explanation struct {
 // is safe to call concurrently with ingestion: it pins the last published
 // snapshot for the whole computation.
 func (s *Stream) Explain(res Result, q Query) ([]Explanation, error) {
-	me := s.me.Load()
-	x, err := queryVector(me.model, q)
+	x, err := queryVector(s.model, q)
 	if err != nil {
 		return nil, err
 	}
 	var contribs []score.Contribution
-	me.engine.ReadSnapshot(func(win *stream.ActiveWindow, scorer *score.Scorer) {
+	s.engine.ReadSnapshot(func(win *stream.ActiveWindow, scorer *score.Scorer) {
 		set := make([]*stream.Element, 0, len(res.Posts))
 		for _, p := range res.Posts {
 			e, ok := win.Get(stream.ElemID(p.ID))

@@ -25,7 +25,7 @@ func exportGob(t *testing.T, st *Stream) []byte {
 	if st == nil {
 		t.Fatal("exportGob: nil stream")
 	}
-	state := st.me.Load().engine.ExportState()
+	state := st.engine.ExportState()
 	state.Stats.UpdateTime, state.Stats.ReplayTime = 0, 0
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(state); err != nil {

@@ -25,7 +25,7 @@ import (
 //
 // Hub also moves the single-writer discipline into the library: every
 // stream is wrapped in a StreamHandle whose write operations (Add,
-// AddBatch, Flush, Checkpoint, SwapModel, Subscribe, Unsubscribe) are
+// AddBatch, Flush, Checkpoint, Subscribe, Unsubscribe) are
 // executed by one writer goroutine per stream, fed through a bounded
 // operation queue — so wire servers and multi-goroutine producers stop
 // hand-rolling their own locks, and adjacent operations from concurrent
@@ -146,16 +146,16 @@ func (h *Hub) register(name string, st *Stream, m *Model, opts Options, cfg stre
 		}
 	}
 	hs := &StreamHandle{
-		name: name,
-		hub:  h,
-		opts: opts,
-		cfg:  cfg,
-		pers: pers,
-		done: make(chan struct{}),
-		ops:  make(chan *writeOp, writeQueueCap),
+		name:  name,
+		hub:   h,
+		model: m,
+		opts:  opts,
+		cfg:   cfg,
+		pers:  pers,
+		done:  make(chan struct{}),
+		ops:   make(chan *writeOp, writeQueueCap),
 	}
 	hs.stp.Store(st)
-	hs.model.Store(m)
 	hs.lastTouch.Store(time.Now().UnixNano())
 	if st != nil {
 		hs.residentBytes.Store(st.approxResidentBytes())
@@ -334,7 +334,6 @@ const (
 	opAddBatch
 	opFlush
 	opCheckpoint
-	opSwapModel
 	opSubscribe
 	opUnsubscribe
 	opClose
@@ -346,8 +345,7 @@ const (
 // Only the ingest ops coalesce: they are the high-rate path and their
 // durability records can share one WAL append. The others are barriers —
 // each runs in its own batch, after everything enqueued before it has
-// committed (so Checkpoint captures a fully drained prefix, and SwapModel
-// never swaps an engine mid-batch).
+// committed (so Checkpoint captures a fully drained prefix).
 func (k opKind) coalescable() bool {
 	return k == opAdd || k == opAddBatch || k == opFlush
 }
@@ -378,7 +376,6 @@ type writeOp struct {
 	post    Post              // opAdd
 	posts   []Post            // opAddBatch
 	now     int64             // opFlush
-	model   *Model            // opSwapModel
 	ctx     context.Context   // opSubscribe
 	q       Query             // opSubscribe
 	every   time.Duration     // opSubscribe
@@ -466,8 +463,8 @@ func (p PipelineStats) FsyncsPerOp() float64 {
 // operation completes with exactly the outcome it would have had committed
 // alone — the same accepted prefixes, the same typed sentinels — because
 // acceptance decisions are made per operation, in queue order. Checkpoint,
-// SwapModel, Subscribe and Unsubscribe are commit barriers: each executes
-// alone, after every operation enqueued before it has committed.
+// Subscribe and Unsubscribe are commit barriers: each executes alone,
+// after every operation enqueued before it has committed.
 //
 // Backpressure: a full queue blocks producers until the writer drains.
 // PipelineStats (via Stats) reports the live queue depth and the realized
@@ -482,9 +479,8 @@ type StreamHandle struct {
 	// through the query's own pointer until it finishes.
 	stp atomic.Pointer[Stream]
 	// model, opts and cfg are everything needed to rebuild the stream
-	// from its durable state; model is swappable (in-memory hubs only),
-	// opts/cfg are immutable after registration.
-	model atomic.Pointer[Model]
+	// from its durable state; all three are fixed at registration.
+	model *Model
 	opts  Options
 	cfg   streamConfig
 
@@ -542,7 +538,7 @@ func (hs *StreamHandle) Options() Options { return hs.opts }
 
 // Model returns the model the stream runs against, without touching its
 // residency.
-func (hs *StreamHandle) Model() *Model { return hs.model.Load() }
+func (hs *StreamHandle) Model() *Model { return hs.model }
 
 // Resident reports whether the stream is currently loaded in memory.
 // Operations work either way — the first touching one reactivates a
@@ -761,12 +757,6 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 			if st != nil { // a hibernated stream has no live subscriptions
 				st.Unsubscribe(op.sub)
 			}
-		case opSwapModel:
-			if hs.pers != nil {
-				op.err = fmt.Errorf("%w: SwapModel on persisted stream %q (re-open the hub with the new model)", ErrPersist, hs.name)
-			} else if op.err = st.SwapModel(op.model); op.err == nil {
-				hs.model.Store(op.model)
-			}
 		case opCheckpoint:
 			if hs.pers == nil {
 				op.err = fmt.Errorf("%w: stream %q", ErrPersistDisabled, hs.name)
@@ -927,7 +917,7 @@ func (hs *StreamHandle) activate() (*Stream, *activationPhases, error) {
 	}
 	start := time.Now()
 	ph := &activationPhases{}
-	st, err := hs.pers.resume(hs.model.Load(), hs.opts, hs.cfg, ph)
+	st, err := hs.pers.resume(hs.model, hs.opts, hs.cfg, ph)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1023,15 +1013,6 @@ func (hs *StreamHandle) Flush(now int64) error {
 // FlushContext is Flush with trace propagation (see AddContext).
 func (hs *StreamHandle) FlushContext(ctx context.Context, now int64) error {
 	return hs.do(&writeOp{kind: opFlush, now: now, tr: trace.FromContext(ctx)}).err
-}
-
-// SwapModel replaces the topic model. It is a commit barrier: it runs
-// alone, after every operation enqueued before it. It is rejected on a
-// durable stream: persisted state is fingerprinted against one model, and
-// recovery would re-open the swapped stream with the original — restart
-// the hub (OpenHub) with the new model instead.
-func (hs *StreamHandle) SwapModel(m *Model) error {
-	return hs.do(&writeOp{kind: opSwapModel, model: m}).err
 }
 
 // Checkpoint forces an immediate checkpoint: the stream's full state is

@@ -44,18 +44,17 @@ func FuzzQueryBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	st := testStream(f)
-	srv := New(st)
+	srv, hs := defaultServer(f)
 	for i := 0; i < 12; i++ {
 		text := "goal striker derby"
 		if i%2 == 1 {
 			text = "dunk rebound court"
 		}
-		if err := st.Add(ksir.Post{ID: int64(i + 1), Time: int64(90 * (i + 1)), Text: text}); err != nil {
+		if err := hs.Add(ksir.Post{ID: int64(i + 1), Time: int64(90 * (i + 1)), Text: text}); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := st.Flush(2000); err != nil {
+	if err := hs.Flush(2000); err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

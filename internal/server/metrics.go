@@ -40,13 +40,15 @@ var (
 // route wraps a handler with the per-route request counter, latency
 // histogram and the in-flight gauge, plus — for the routes in
 // tracedRoutes — the traceparent-propagating span recorder middleware
-// (trace.go). name must be one of routeNames.
+// (trace.go). It also caps the request body at maxBodyBytes. name must be
+// one of routeNames.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := obsHTTPRequests.With(name)
 	dur := obsHTTPDuration.With(name)
 	traced := tracedRoutes[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		obsHTTPInFlight.Inc()
 		if traced {
 			s.serveTraced(name, h, w, r)

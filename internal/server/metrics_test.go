@@ -38,8 +38,8 @@ func scrape(t *testing.T, srv *httptest.Server) string {
 // GET /metrics exposes the registered process families plus the hub
 // collector's aggregate and per-stream series, in text format 0.0.4.
 func TestMetricsEndpoint(t *testing.T) {
-	st := testStream(t)
-	srv := httptest.NewServer(New(st))
+	s, _ := defaultServer(t)
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	for i := 0; i < 10; i++ {
@@ -73,8 +73,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // keeps only the newest refreshes, and the shed count surfaces both in the
 // per-stream counters and in the StreamInfo wire block.
 func TestSSEDropOldestCountsDrops(t *testing.T) {
-	st := testStream(t)
-	s := New(st)
+	s, _ := defaultServer(t)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -122,8 +121,8 @@ func TestSSEDropOldestCountsDrops(t *testing.T) {
 // A live SSE subscription is visible in stats while connected and gone
 // after disconnect.
 func TestSSESubscriberCountOnWire(t *testing.T) {
-	st := testStream(t)
-	srv := httptest.NewServer(New(st))
+	s, _ := defaultServer(t)
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/streams/default/subscribe?k=3&keywords=goal", nil)
@@ -164,8 +163,7 @@ func TestSSESubscriberCountOnWire(t *testing.T) {
 // lastStats captured at hibernation. (A query then proves the activation
 // counter does move when reactivation is real.)
 func TestMetricsScrapeResidencyNoReactivation(t *testing.T) {
-	st := testStream(t)
-	m := st.Model()
+	m := testModel(t)
 	hub, err := ksir.OpenHub(t.TempDir(), m, ksir.PersistOptions{
 		Fsync:              ksir.FsyncNever,
 		MaxResidentStreams: 1,
@@ -174,7 +172,7 @@ func TestMetricsScrapeResidencyNoReactivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.CloseAll()
-	srv := httptest.NewServer(NewHub(hub, m, ksir.Options{Window: time.Hour, Bucket: time.Minute, Eta: 2}))
+	srv := httptest.NewServer(NewHub(hub, m, testOpts))
 	defer srv.Close()
 
 	doJSON(t, http.MethodPost, srv.URL+"/v1/streams", apiv1.CreateStreamRequest{Name: "cold"})

@@ -22,7 +22,7 @@ func durableServer(t *testing.T, dir string, m *ksir.Model) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHub(hub, m, ksir.Options{Window: time.Hour, Bucket: time.Minute, Eta: 2}))
+	srv := httptest.NewServer(NewHub(hub, m, testOpts))
 	t.Cleanup(srv.Close)
 	return srv, hub
 }
@@ -32,8 +32,7 @@ func durableServer(t *testing.T, dir string, m *ksir.Model) (*httptest.Server, *
 // data directory — the stream is back with identical query answers and
 // bucket sequence, and stats carry the persistence block.
 func TestServerRecoversStreamsAcrossRestart(t *testing.T) {
-	st := testStream(t)
-	m := st.Model()
+	m := testModel(t)
 	dir := t.TempDir()
 	srv, _ := durableServer(t, dir, m)
 
@@ -87,8 +86,7 @@ func TestServerRecoversStreamsAcrossRestart(t *testing.T) {
 // POST /v1/streams/{name}/checkpoint forces a checkpoint (WAL truncates,
 // counters advance); on a memoryless hub it answers 409/persist_disabled.
 func TestCheckpointEndpoint(t *testing.T) {
-	st := testStream(t)
-	m := st.Model()
+	m := testModel(t)
 	srv, hub := durableServer(t, t.TempDir(), m)
 	defer hub.CloseAll()
 
@@ -118,7 +116,8 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 
 	// In-memory server: typed 409.
-	plain := httptest.NewServer(New(testStream(t)))
+	s, _ := defaultServer(t)
+	plain := httptest.NewServer(s)
 	defer plain.Close()
 	resp, body = doJSON(t, http.MethodPost, plain.URL+"/v1/streams/default/checkpoint", nil)
 	if resp.StatusCode != http.StatusConflict || errCode(t, body) != apiv1.CodePersistDisabled {
@@ -130,8 +129,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 // keeps serving; DELETE on the durable server checkpoints and keeps the
 // on-disk state for the next boot.
 func TestServerCloseKeepsDurableState(t *testing.T) {
-	st := testStream(t)
-	m := st.Model()
+	m := testModel(t)
 	dir := t.TempDir()
 	srv, hub := durableServer(t, dir, m)
 

@@ -24,13 +24,13 @@
 // queryable at /debug/traces.
 //
 // Errors use the structured envelope {"error":{"code","message"}} with
-// the typed ksir errors mapped to stable codes and status codes.
+// the typed ksir errors mapped to stable codes and status codes. A request
+// body over maxBodyBytes is refused with 413 and code bad_request.
 //
 // The deprecated pre-/v1 routes (/posts, /flush, /query, /stats — thin
 // aliases onto the stream named "default") have been removed; /v1 is the
-// only wire surface. Single-tenant deployments keep working through New,
-// which registers the wrapped stream as "default" and serves it at
-// /v1/streams/default/....
+// only wire surface. A single-tenant deployment creates one stream named
+// DefaultStream in its hub and serves it at /v1/streams/default/....
 package server
 
 import (
@@ -47,10 +47,13 @@ import (
 	apiv1 "github.com/social-streams/ksir/api/v1"
 )
 
-// DefaultStream is the hub name New registers its wrapped stream under —
-// the single-tenant deployment's one stream, served at
-// /v1/streams/default/....
+// DefaultStream is the name of a single-tenant deployment's one stream
+// (ksir-server creates it), served at /v1/streams/default/....
 const DefaultStream = "default"
+
+// maxBodyBytes caps every request body. The largest body an in-repo client
+// sends, a batch of 256 short posts, is over 100 times smaller.
+const maxBodyBytes = 32 << 20
 
 // Server is an http.Handler serving a Hub of streams. Ingestion is
 // serialized per stream by the Hub's handles (the library owns the
@@ -77,18 +80,6 @@ type Server struct {
 	// logger receives per-request debug lines (trace.go); nil means
 	// slog.Default() at call time.
 	logger *slog.Logger
-}
-
-// New wraps a single stream, registered in a fresh Hub as "default" — the
-// legacy single-tenant constructor. New streams created over /v1 share
-// the wrapped stream's model and default options (λ inherited literally,
-// so a λ=0 default stream seeds λ=0 tenants).
-func New(st *ksir.Stream) *Server {
-	hub := ksir.NewHub()
-	if _, err := hub.Adopt(DefaultStream, st); err != nil {
-		panic(err) // fresh hub, valid constant name: unreachable
-	}
-	return NewHub(hub, st.Model(), st.Options(), ksir.WithLambda(st.Options().Lambda))
 }
 
 // NewHub serves an existing Hub. model, defaults and sopts seed streams
@@ -154,8 +145,7 @@ func (s *Server) named(fn streamHandler) http.HandlerFunc {
 
 func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
 	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		httpError(w, http.StatusBadRequest, apiv1.CodeBadRequest, "invalid JSON: %v", err)
+	if !decodeBody(w, r, &raw) {
 		return
 	}
 	// Accept either a single object or an array.
@@ -192,8 +182,7 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request, hs *ksir.St
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
 	var req apiv1.FlushRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, apiv1.CodeBadRequest, "invalid JSON: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := hs.FlushContext(r.Context(), req.Now); err != nil {
@@ -206,8 +195,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, hs *ksir.St
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
 	var req apiv1.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, apiv1.CodeBadRequest, "invalid JSON: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, err := toQuery(req)
@@ -328,6 +316,23 @@ func (s *Server) streamInfoFrom(hs *ksir.StreamHandle, st ksir.StreamStats) apiv
 		info.SSE.Dropped = c.dropped.Load()
 	}
 	return info
+}
+
+// decodeBody decodes the request's JSON body into v. On failure it answers
+// the request itself — 413 for a body over maxBodyBytes (route caps every
+// body), 400 for malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, apiv1.CodeBadRequest, "request body over %d bytes", tooBig.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, apiv1.CodeBadRequest, "invalid JSON: %v", err)
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

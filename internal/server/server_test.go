@@ -16,7 +16,11 @@ import (
 	apiv1 "github.com/social-streams/ksir/api/v1"
 )
 
-func testStream(t testing.TB) *ksir.Stream {
+// testOpts are the options every fixture stream runs under.
+var testOpts = ksir.Options{Window: time.Hour, Bucket: time.Minute, Eta: 2}
+
+// testModel trains the fixtures' two-topic (soccer, basketball) model.
+func testModel(t testing.TB) *ksir.Model {
 	t.Helper()
 	soccer := []string{"goal", "striker", "keeper", "league", "derby", "penalty"}
 	basket := []string{"dunk", "rebound", "playoffs", "court", "buzzer", "triple"}
@@ -38,11 +42,30 @@ func testStream(t testing.TB) *ksir.Stream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ksir.New(m, ksir.Options{Window: time.Hour, Bucket: time.Minute, Eta: 2})
+	return m
+}
+
+func testStream(t testing.TB) *ksir.Stream {
+	t.Helper()
+	st, err := ksir.New(testModel(t), testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// defaultServer serves a fresh in-memory hub holding one stream,
+// DefaultStream, over testModel under testOpts.
+func defaultServer(t testing.TB) (*Server, *ksir.StreamHandle) {
+	t.Helper()
+	m := testModel(t)
+	hub := ksir.NewHub()
+	t.Cleanup(func() { hub.CloseAll() })
+	hs, err := hub.Create(DefaultStream, m, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewHub(hub, m, testOpts), hs
 }
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body any) (*http.Response, []byte) {
@@ -62,7 +85,8 @@ func postJSON(t *testing.T, srv *httptest.Server, path string, body any) (*http.
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	srv := httptest.NewServer(New(testStream(t)))
+	s, _ := defaultServer(t)
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	// Health.
@@ -130,7 +154,8 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 func TestServerValidation(t *testing.T) {
-	srv := httptest.NewServer(New(testStream(t)))
+	s, _ := defaultServer(t)
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	// Wrong methods (the method-qualified /v1 patterns answer 405).
@@ -176,23 +201,52 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// A body over maxBodyBytes is refused with 413 before anything reaches
+// the stream, even one that decodes to an empty batch: a client cannot
+// make the server read more than the cap.
+func TestOversizedBodyRefused(t *testing.T) {
+	s, hs := defaultServer(t)
+	if err := hs.Add(ksir.Post{ID: 1, Time: 10, Text: "late goal wins the derby"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.Flush(60); err != nil {
+		t.Fatal(err)
+	}
+	before := hs.Stats()
+
+	body := strings.NewReader("[" + strings.Repeat(" ", maxBodyBytes) + "]")
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams/default/posts", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized posts body = %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	if code := errCode(t, rec.Body.Bytes()); code != apiv1.CodeBadRequest {
+		t.Errorf("error code = %q, want %q", code, apiv1.CodeBadRequest)
+	}
+	after := hs.Stats()
+	if after.Elements != before.Elements || after.Pipeline.Ops != before.Pipeline.Ops {
+		t.Errorf("oversized body reached the stream: elements %d -> %d, ops %d -> %d",
+			before.Elements, after.Elements, before.Pipeline.Ops, after.Pipeline.Ops)
+	}
+}
+
 // Concurrent queries against a live server must all succeed — the paper's
 // many-readers deployment shape.
 func TestServerConcurrentQueries(t *testing.T) {
-	st := testStream(t)
+	s, hs := defaultServer(t)
 	for i := 0; i < 60; i++ {
 		text := "goal striker league"
 		if i%2 == 1 {
 			text = "dunk rebound playoffs"
 		}
-		if err := st.Add(ksir.Post{ID: int64(i + 1), Time: int64(1 + i*10), Text: text}); err != nil {
+		if err := hs.Add(ksir.Post{ID: int64(i + 1), Time: int64(1 + i*10), Text: text}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Flush(700); err != nil {
+	if err := hs.Flush(700); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(st))
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -234,8 +288,8 @@ func postJSONQuiet(srv *httptest.Server, path string, body any) (*http.Response,
 // actively ingesting buckets over HTTP — the deployment §2 motivates: one
 // writer, many readers, no reader ever blocked behind ingest.
 func TestServerQueryDuringIngest(t *testing.T) {
-	st := testStream(t)
-	srv := httptest.NewServer(New(st))
+	s, _ := defaultServer(t)
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	var wg sync.WaitGroup

@@ -17,8 +17,7 @@ import (
 // (pure influence) is expressible on the wire.
 func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.CreateStreamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, apiv1.CodeBadRequest, "invalid JSON: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	opts := s.defaults

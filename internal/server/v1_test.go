@@ -16,9 +16,8 @@ import (
 // v1Server builds a hub-backed server with no pre-registered streams.
 func v1Server(t *testing.T) (*httptest.Server, *ksir.Hub) {
 	t.Helper()
-	st := testStream(t) // reuse the legacy fixture's model via its stream
 	hub := ksir.NewHub()
-	srv := httptest.NewServer(NewHub(hub, st.Model(), st.Options()))
+	srv := httptest.NewServer(NewHub(hub, testModel(t), testOpts))
 	t.Cleanup(srv.Close)
 	return srv, hub
 }
@@ -184,41 +183,6 @@ func TestV1IngestQueryStats(t *testing.T) {
 	}
 	if info.Active != 3 || info.Now != 60 || info.Elements != 3 || info.Bucket != fr.Bucket {
 		t.Errorf("stats = %+v", info)
-	}
-}
-
-// New registers its wrapped stream as "default", reachable only through
-// the /v1 surface.
-func TestNewRegistersDefaultStream(t *testing.T) {
-	srv := httptest.NewServer(New(testStream(t)))
-	defer srv.Close()
-
-	r, _ := doJSON(t, http.MethodPost, srv.URL+"/v1/streams/default/posts", apiv1.Post{ID: 1, Time: 10, Text: "late goal wins the derby"})
-	if r.StatusCode != http.StatusAccepted {
-		t.Fatalf("post: %d", r.StatusCode)
-	}
-	r, _ = doJSON(t, http.MethodPost, srv.URL+"/v1/streams/default/flush", apiv1.FlushRequest{Now: 60})
-	if r.StatusCode != 200 {
-		t.Fatalf("v1 flush: %d", r.StatusCode)
-	}
-	// The v1 listing includes exactly "default".
-	_, body := doJSON(t, http.MethodGet, srv.URL+"/v1/streams", nil)
-	var list apiv1.ListStreamsResponse
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Streams) != 1 || list.Streams[0].Name != DefaultStream {
-		t.Errorf("list = %+v", list)
-	}
-	if list.Streams[0].Active != 1 {
-		t.Errorf("active = %d, want 1", list.Streams[0].Active)
-	}
-	// The removed pre-/v1 aliases are plain 404s.
-	for _, path := range []string{"/posts", "/flush", "/query", "/stats"} {
-		r, _ := doJSON(t, http.MethodGet, srv.URL+path, nil)
-		if r.StatusCode != http.StatusNotFound {
-			t.Errorf("legacy %s = %d, want 404", path, r.StatusCode)
-		}
 	}
 }
 

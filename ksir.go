@@ -148,19 +148,17 @@ type Result struct {
 
 // Stream is a live k-SIR query processor over one social stream. Add posts
 // in timestamp order; query at any time. Stream is safe for concurrent
-// queries — including while Add/Flush is ingesting or SwapModel is
-// rebuilding — because the engine publishes an immutable snapshot at every
-// bucket boundary, queries run against the pinned snapshot without
-// locking, and the (model, engine) pair itself is swapped atomically.
-// Add/Flush/SwapModel themselves must be called from one goroutine (one
-// writer, many readers).
+// queries — including while Add/Flush is ingesting — because the engine
+// publishes an immutable snapshot at every bucket boundary and queries run
+// against the pinned snapshot without locking. Add/Flush themselves must
+// be called from one goroutine (one writer, many readers).
 type Stream struct {
-	// me is the atomically-published (model, engine) pair: the writer
-	// replaces it wholesale on SwapModel, readers load it once per
-	// operation so a query never mixes an old model with a new engine.
-	me   atomic.Pointer[modelEngine]
-	opts Options
-	cfg  streamConfig
+	// model and engine are fixed at construction: elements and queries
+	// live in one topic space for the stream's whole life (§3).
+	model  *Model
+	engine *core.Engine
+	opts   Options
+	cfg    streamConfig
 
 	bucketLen stream.Time
 	pending   []*stream.Element
@@ -179,12 +177,6 @@ type Stream struct {
 	nsubs  atomic.Int64 // len(subs), readable off the writer goroutine
 }
 
-// modelEngine binds a topic model to the engine built over it.
-type modelEngine struct {
-	model  *Model
-	engine *core.Engine
-}
-
 // New creates a Stream over a trained model. StreamOptions refine the core
 // Options (and WithLambda overrides Options.Lambda, including to zero).
 func New(m *Model, opts Options, sopts ...StreamOption) (*Stream, error) {
@@ -198,23 +190,29 @@ func New(m *Model, opts Options, sopts ...StreamOption) (*Stream, error) {
 	if err := opts.fill(&cfg); err != nil {
 		return nil, err
 	}
-	eng, err := newEngineForModel(m, opts)
+	eng, err := core.NewEngine(engineConfig(m, opts))
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{
+	return newStream(m, eng, opts, cfg), nil
+}
+
+// newStream wraps an engine built over m under resolved options (New
+// builds an empty one, buildStream restores one).
+func newStream(m *Model, eng *core.Engine, opts Options, cfg streamConfig) *Stream {
+	return &Stream{
+		model:      m,
+		engine:     eng,
 		opts:       opts,
 		cfg:        cfg,
 		bucketLen:  stream.Time(opts.Bucket / time.Second),
 		pendingIDs: make(map[stream.ElemID]struct{}),
 	}
-	s.me.Store(&modelEngine{model: m, engine: eng})
-	return s, nil
 }
 
-// Model returns the stream's current topic model (the one queries are
-// inferred against; SwapModel replaces it).
-func (s *Stream) Model() *Model { return s.me.Load().model }
+// Model returns the stream's topic model (the one posts and queries are
+// inferred against).
+func (s *Stream) Model() *Model { return s.model }
 
 // Options returns the stream's resolved options — every defaulted field
 // filled in, and Lambda as actually configured (so WithLambda(0) reads
@@ -237,20 +235,18 @@ func (s *Stream) Add(p Post) error {
 	// a post at or before it can never be ingested — reject it now as
 	// out-of-order instead of poisoning the bucket it would be batched
 	// into.
-	if ingested := s.me.Load().engine.Now(); ts <= ingested {
+	if ingested := s.engine.Now(); ts <= ingested {
 		return fmt.Errorf("%w: post %d at %d is at or before the last ingested boundary %d", ErrOutOfOrder, p.ID, p.Time, int64(ingested))
 	}
 	// Complete buckets before this post's bucket.
 	if err := s.advanceTo(ts); err != nil {
 		return err
 	}
-	me := s.me.Load()
 	id := stream.ElemID(p.ID)
-	if _, dup := s.pendingIDs[id]; dup || me.engine.Window().Known(id) {
+	if _, dup := s.pendingIDs[id]; dup || s.engine.Window().Known(id) {
 		return fmt.Errorf("%w: duplicate post ID %d", ErrBadPost, p.ID)
 	}
-	m := me.model
-	ids := m.tokenIDs(p.Text)
+	ids := s.model.tokenIDs(p.Text)
 	refs := make([]stream.ElemID, len(p.Refs))
 	for i, r := range p.Refs {
 		refs[i] = stream.ElemID(r)
@@ -259,7 +255,7 @@ func (s *Stream) Add(p Post) error {
 		ID:     stream.ElemID(p.ID),
 		TS:     ts,
 		Doc:    textproc.NewDocument(ids),
-		Topics: m.inf.InferDoc(ids),
+		Topics: s.model.inf.InferDoc(ids),
 		Refs:   refs,
 		Text:   p.Text,
 	}
@@ -319,7 +315,7 @@ func (s *Stream) flushBucket(end stream.Time) error {
 	}
 	s.pending = rest
 	s.forgetPending(batch)
-	if err := s.me.Load().engine.Ingest(end, batch); err != nil {
+	if err := s.engine.Ingest(end, batch); err != nil {
 		// Ordering and duplicates are pre-checked in Add, so an engine
 		// rejection here is an internal invariant violation.
 		return fmt.Errorf("%w: %v", ErrBadPost, err)
@@ -347,11 +343,11 @@ func (s *Stream) Flush(now int64) error {
 	if err := s.advanceTo(ts + 1); err != nil {
 		return err
 	}
-	if len(s.pending) > 0 || ts > s.me.Load().engine.Now() {
+	if len(s.pending) > 0 || ts > s.engine.Now() {
 		batch := s.pending
 		s.pending = nil
 		s.forgetPending(batch)
-		if err := s.me.Load().engine.Ingest(ts, batch); err != nil {
+		if err := s.engine.Ingest(ts, batch); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadPost, err)
 		}
 		s.fireSubscriptions(int64(ts))
@@ -365,15 +361,15 @@ func (s *Stream) Flush(now int64) error {
 // O(1) — both parts are maintained incrementally. Writer-side only, like
 // Add; the hub's commit path mirrors it into a lock-free handle counter.
 func (s *Stream) approxResidentBytes() int64 {
-	return s.me.Load().engine.WriterResidentBytes() + s.pendingBytes
+	return s.engine.WriterResidentBytes() + s.pendingBytes
 }
 
 // Now returns the stream's current time (the end of the last ingested
 // bucket).
-func (s *Stream) Now() int64 { return int64(s.me.Load().engine.Now()) }
+func (s *Stream) Now() int64 { return int64(s.engine.Now()) }
 
 // Active returns the number of active elements n_t.
-func (s *Stream) Active() int { return s.me.Load().engine.NumActive() }
+func (s *Stream) Active() int { return s.engine.NumActive() }
 
 // StreamStats is a point-in-time summary of one stream, consistent with the
 // last published bucket (the same snapshot queries observe).
@@ -407,11 +403,10 @@ type StreamStats struct {
 // Stats reports the stream's current counters. Like Query it reads the
 // published snapshot and is safe to call concurrently with ingestion.
 func (s *Stream) Stats() StreamStats {
-	eng := s.me.Load().engine
-	es := eng.Stats()
+	es := s.engine.Stats()
 	return StreamStats{
-		Active:        eng.NumActive(),
-		Now:           int64(eng.Now()),
+		Active:        s.engine.NumActive(),
+		Now:           int64(s.engine.Now()),
 		Bucket:        es.Buckets,
 		Subscriptions: s.Subscriptions(),
 		Elements:      es.ElementsIngested,
@@ -440,8 +435,7 @@ func (s *Stream) Query(ctx context.Context, q Query) (Result, error) {
 	if q.K <= 0 {
 		return Result{}, fmt.Errorf("%w: query needs K > 0", ErrBadQuery)
 	}
-	me := s.me.Load()
-	x, err := queryVector(me.model, q)
+	x, err := queryVector(s.model, q)
 	if err != nil {
 		return Result{}, err
 	}
@@ -456,7 +450,7 @@ func (s *Stream) Query(ctx context.Context, q Query) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("%w: unknown algorithm %d", ErrBadQuery, q.Algorithm)
 	}
-	res, err := me.engine.QueryContext(ctx, core.Query{K: q.K, X: x, Epsilon: q.Epsilon, Algorithm: alg})
+	res, err := s.engine.QueryContext(ctx, core.Query{K: q.K, X: x, Epsilon: q.Epsilon, Algorithm: alg})
 	if err != nil {
 		if ctx.Err() != nil {
 			return Result{}, ctx.Err()
@@ -481,8 +475,7 @@ func (s *Stream) Query(ctx context.Context, q Query) (Result, error) {
 }
 
 // queryVector builds the normalized topic vector from Keywords or Vector
-// against one consistent model (callers load the Stream's pair once so a
-// concurrent SwapModel cannot mix models mid-query).
+// against the stream's model.
 func queryVector(m *Model, q Query) (topicmodel.TopicVec, error) {
 	if len(q.Vector) > 0 {
 		idx := make([]int, 0, len(q.Vector))

@@ -10,8 +10,9 @@ import (
 // Model bundles everything needed to turn raw text into topic space: the
 // tokenizer, the vocabulary, the trained topic model and the fold-in
 // inferencer. Train one offline on a representative corpus, then share it
-// across streams and queries; retrain when topic drift makes it stale
-// (§3.1 of the paper).
+// across streams and queries. A stream keeps the model it was created
+// with; a model retrained when topic drift makes the old one stale (§3.1
+// of the paper) serves the streams created over it.
 type Model struct {
 	tok   *textproc.Tokenizer
 	vocab *textproc.Vocabulary

@@ -147,6 +147,17 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := st.Flush(300); err != nil {
 		t.Fatalf("flush after rejected duplicates: %v", err)
 	}
+	// An ID stays taken after its post leaves the window: the archive
+	// remembers every ID the stream ever ingested.
+	if err := st.Flush(5000); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Active(); n != 0 {
+		t.Fatalf("%d posts still active after the window passed", n)
+	}
+	if err := st.Add(Post{ID: 1, Time: 5100, Text: "goal"}); !errors.Is(err, ErrBadPost) {
+		t.Errorf("expired-duplicate err = %v, want ErrBadPost", err)
+	}
 
 	ctx := context.Background()
 	for _, q := range []Query{

@@ -3,7 +3,6 @@ package ksir
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
-	"github.com/social-streams/ksir/internal/textproc"
 )
 
 // engineConfig is the core engine configuration of a model under the
@@ -24,14 +22,8 @@ func engineConfig(m *Model, opts Options) core.Config {
 	}
 }
 
-// newEngineForModel builds an empty core engine (shared by New, SwapModel
-// and recovery without a checkpoint).
-func newEngineForModel(m *Model, opts Options) (*core.Engine, error) {
-	return core.NewEngine(engineConfig(m, opts))
-}
-
 // This file implements the query paradigms §3.2 lists beyond
-// query-by-keyword, plus batch query processing and online model swap.
+// query-by-keyword, plus batch query processing.
 
 // QueryByText answers a k-SIR query whose vector is inferred from a whole
 // document — the query-by-document paradigm of [39] (e.g., "find posts
@@ -41,9 +33,8 @@ func (s *Stream) QueryByText(ctx context.Context, k int, text string, opts ...Qu
 	for _, opt := range opts {
 		opt(&q)
 	}
-	m := s.me.Load().model
-	ids := m.tokenIDs(text)
-	x := m.inf.InferDense(ids).Truncate(8, 0.02)
+	ids := s.model.tokenIDs(text)
+	x := s.model.inf.InferDense(ids).Truncate(8, 0.02)
 	if x.Len() == 0 {
 		return Result{}, fmt.Errorf("%w: no word of the query document is in the model vocabulary", ErrBadQuery)
 	}
@@ -106,82 +97,4 @@ func (s *Stream) QueryMany(ctx context.Context, queries []Query, parallelism int
 		}
 	}
 	return results, nil
-}
-
-// SwapModel replaces the topic model while keeping the stream's window
-// contents: every active element is re-tokenized against the new model's
-// vocabulary, re-inferred, and the ranked lists are rebuilt. This is the
-// paper's future-work item ("supporting the incremental updates of topic
-// models over streams", §6) in its practical retrain-and-swap form: train a
-// fresh model on recent history in the background, then swap atomically
-// with respect to queries.
-//
-// SwapModel must be called from the same goroutine as Add/Flush.
-func (s *Stream) SwapModel(m *Model) error {
-	if m == nil {
-		return fmt.Errorf("%w: nil model", ErrBadOptions)
-	}
-	// Collect the live elements (window order does not matter; Ingest
-	// replays them bucket-free at their original timestamps).
-	var actives []*stream.Element
-	cur := s.me.Load().engine
-	cur.ReadSnapshot(func(win *stream.ActiveWindow, _ *score.Scorer) {
-		win.ForEachActive(func(e *stream.Element) {
-			actives = append(actives, e)
-		})
-	})
-	now := cur.Now()
-
-	eng, err := newEngineForModel(m, s.opts)
-	if err != nil {
-		return err
-	}
-	// Re-ingest in timestamp order with re-inferred topic vectors.
-	sortLiveByTS(actives)
-	var batch []*stream.Element
-	for _, e := range actives {
-		ids := m.tokenIDs(e.Text)
-		batch = append(batch, &stream.Element{
-			ID:     e.ID,
-			TS:     e.TS,
-			Doc:    textproc.NewDocument(ids),
-			Topics: m.inf.InferDoc(ids),
-			Refs:   e.Refs,
-			Text:   e.Text,
-		})
-	}
-	if len(batch) > 0 {
-		// Feed one element at a time grouped by timestamp so the window
-		// reconstructs the exact reference/expiry state.
-		i := 0
-		for i < len(batch) {
-			j := i
-			for j < len(batch) && batch[j].TS == batch[i].TS {
-				j++
-			}
-			if err := eng.Ingest(batch[i].TS, batch[i:j]); err != nil {
-				return fmt.Errorf("ksir: rebuilding window after model swap: %w", err)
-			}
-			i = j
-		}
-	}
-	if now > eng.Now() {
-		if err := eng.Ingest(now, nil); err != nil {
-			return err
-		}
-	}
-	s.me.Store(&modelEngine{model: m, engine: eng})
-	return nil
-}
-
-// sortLiveByTS orders elements by (TS, ID) so that re-ingestion preserves
-// reference order: IDs grow with time, so a same-timestamp parent always
-// precedes its referrer.
-func sortLiveByTS(actives []*stream.Element) {
-	sort.Slice(actives, func(i, j int) bool {
-		if actives[i].TS != actives[j].TS {
-			return actives[i].TS < actives[j].TS
-		}
-		return actives[i].ID < actives[j].ID
-	})
 }

@@ -118,71 +118,3 @@ func TestQueryMany(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSwapModelKeepsWindow(t *testing.T) {
-	st := newTwoTopicStream(t)
-	before := st.Active()
-	resBefore, err := st.Query(context.Background(), Query{K: 3, Keywords: []string{"goal"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Retrain (same corpus, different seed ⇒ different but equivalent
-	// model) and swap.
-	m2, err := TrainModel(corpus(200), WithTopics(2), WithIterations(40), WithSeed(99),
-		WithPriors(0.5, 0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SwapModel(m2); err != nil {
-		t.Fatal(err)
-	}
-	if st.Active() != before {
-		t.Errorf("active count changed by swap: %d → %d", before, st.Active())
-	}
-	res, err := st.Query(context.Background(), Query{K: 3, Keywords: []string{"goal"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Posts) != len(resBefore.Posts) {
-		t.Errorf("result size changed: %d → %d", len(resBefore.Posts), len(res.Posts))
-	}
-	for _, p := range res.Posts {
-		if !strings.Contains(p.Text, "goal") {
-			t.Errorf("off-topic post after swap: %q", p.Text)
-		}
-	}
-	// Stream continues to accept posts after the swap.
-	if err := st.Add(Post{ID: 999, Time: 1100, Text: "goal league goal"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(1200); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SwapModel(nil); err == nil {
-		t.Error("nil model accepted")
-	}
-}
-
-func TestSwapModelPreservesReferences(t *testing.T) {
-	st := newTwoTopicStream(t)
-	// Influence contributes to scores; after swap, the heavily referenced
-	// posts should still be retrievable and the engine must know their
-	// children. Count influence via the result of a query on the dominant
-	// topic before and after.
-	m2, err := TrainModel(corpus(200), WithTopics(2), WithIterations(40), WithSeed(5),
-		WithPriors(0.5, 0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SwapModel(m2); err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.Query(context.Background(), Query{K: 5, Keywords: []string{"goal", "dunk"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Score <= 0 {
-		t.Error("zero score after swap")
-	}
-}

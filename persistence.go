@@ -318,36 +318,24 @@ func optionsFromMeta(meta persist.Meta, sopts []StreamOption) (Options, streamCo
 // byte-identical), from scratch otherwise. It is the load half of both
 // recovery and reactivation.
 func buildStream(m *Model, opts Options, cfg streamConfig, ck *persist.Checkpoint) (*Stream, error) {
-	var (
-		eng *core.Engine
-		err error
-	)
 	if ck == nil {
-		eng, err = newEngineForModel(m, opts)
+		eng, err := core.NewEngine(engineConfig(m, opts))
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		eng, err = core.Restore(engineConfig(m, opts), ck.Core)
-		if err != nil {
-			return nil, persistErr(err)
+		return newStream(m, eng, opts, cfg), nil
+	}
+	eng, err := core.Restore(engineConfig(m, opts), ck.Core)
+	if err != nil {
+		return nil, persistErr(err)
+	}
+	s := newStream(m, eng, opts, cfg)
+	for _, p := range ck.Pending {
+		if err := s.Add(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs}); err != nil {
+			return nil, persistErr(fmt.Errorf("%w: re-ingesting pending post %d: %v", persist.ErrCorrupt, p.ID, err))
 		}
 	}
-	s := &Stream{
-		opts:       opts,
-		cfg:        cfg,
-		bucketLen:  stream.Time(opts.Bucket / time.Second),
-		pendingIDs: make(map[stream.ElemID]struct{}),
-	}
-	s.me.Store(&modelEngine{model: m, engine: eng})
-	if ck != nil {
-		for _, p := range ck.Pending {
-			if err := s.Add(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs}); err != nil {
-				return nil, persistErr(fmt.Errorf("%w: re-ingesting pending post %d: %v", persist.ErrCorrupt, p.ID, err))
-			}
-		}
-		s.lastTime = stream.Time(ck.LastTime)
-	}
+	s.lastTime = stream.Time(ck.LastTime)
 	return s, nil
 }
 
@@ -598,7 +586,7 @@ func (p *streamPersist) checkpoint(st *Stream) error {
 		ModelHash: p.hp.modelHash,
 		OpSeq:     p.opSeq.Load(),
 		LastTime:  int64(st.lastTime),
-		Core:      st.me.Load().engine.ExportState(),
+		Core:      st.engine.ExportState(),
 	}
 	for _, e := range st.pending {
 		ck.Pending = append(ck.Pending, persist.PostRec{

@@ -691,9 +691,9 @@ func TestCrashInsideCreateLeavesNoStream(t *testing.T) {
 	}
 }
 
-// Durability API edges: checkpoints need a durable hub; SwapModel is
-// rejected on durable streams; a closed stream's name stays reserved on
-// disk; names with escaping round-trip through their directory.
+// Durability API edges: checkpoints need a durable hub; a closed stream's
+// name stays reserved on disk; names with escaping round-trip through
+// their directory.
 func TestPersistenceAPIEdges(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
@@ -718,9 +718,6 @@ func TestPersistenceAPIEdges(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, url.PathEscape(name))); err != nil {
 		t.Errorf("escaped stream directory missing: %v", err)
-	}
-	if err := hs.SwapModel(m); !errors.Is(err, ErrPersist) {
-		t.Errorf("SwapModel on durable stream = %v, want ErrPersist", err)
 	}
 	if err := hs.Add(genPosts(1, 1)[0]); err != nil {
 		t.Fatal(err)

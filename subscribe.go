@@ -100,7 +100,7 @@ func (s *Stream) Subscribe(ctx context.Context, q Query, every time.Duration, ha
 		query:   q,
 		every:   every,
 		handler: handler,
-		nextAt:  int64(s.me.Load().engine.Now()) + int64(every/time.Second),
+		nextAt:  int64(s.engine.Now()) + int64(every/time.Second),
 	}
 	for _, opt := range opts {
 		opt(sub)

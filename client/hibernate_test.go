@@ -43,9 +43,9 @@ func durableServer(t *testing.T, dir string, m *ksir.Model, po ksir.PersistOptio
 // history) and the arrival order of same-timestamp posts inside the window
 // queue, which concurrent producers racing over HTTP make nondeterministic
 // even on a server that never hibernates (the pipeline equivalence test
-// compares query answers for the same reason). The queue segment of the
-// arrival log and the active list are re-sorted by ID; scores, counters
-// and the rest stay exact.
+// compares query answers for the same reason). The window queue and the
+// active list are re-sorted by ID; the archive, scores, counters and the
+// rest stay exact.
 func loadLogicalCheckpoint(t *testing.T, dir string) *persist.Checkpoint {
 	t.Helper()
 	ck, err := persist.LoadCheckpoint(filepath.Join(dir, "s"))
@@ -57,7 +57,7 @@ func loadLogicalCheckpoint(t *testing.T, dir string) *persist.Checkpoint {
 	}
 	ck.Core.Stats.UpdateTime, ck.Core.Stats.ReplayTime = 0, 0
 	win := &ck.Core.Window
-	queue := win.Log[len(win.Log)-win.InWindow:]
+	queue := win.Window
 	sort.Slice(queue, func(i, j int) bool { return queue[i].ID < queue[j].ID })
 	sort.Slice(win.Active, func(i, j int) bool { return win.Active[i].ID < win.Active[j].ID })
 	return ck

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
@@ -191,13 +190,7 @@ func (h *Hub) startSweeper() {
 			select {
 			case <-t.C:
 				if _, err := h.EnforceResidency(); err != nil {
-					// Resolved now, so a logger installed with
-					// slog.SetDefault after OpenHub is still honored.
-					logger := h.p.opts.Logger
-					if logger == nil {
-						logger = slog.Default()
-					}
-					logger.Warn("residency sweep failed", "error", err)
+					h.p.logger().Warn("residency sweep failed", "error", err)
 				}
 			case <-stop:
 				return
@@ -646,7 +639,9 @@ func (hs *StreamHandle) writerLoop() {
 // tick (nil under FsyncAlways and FsyncNever, and with no WAL open: an
 // in-memory, hibernated or closed stream) fires the idle sync: the
 // writer is the WAL's only owner, so it syncs the tail an append left
-// dirty. A sync failure is left to the next append or to Close.
+// dirty. A failed sync fails the WAL — every later append reports it,
+// wrapped in ErrPersist, until a checkpoint resets the log — and is
+// logged here, where no caller is waiting for it.
 func (hs *StreamHandle) next() *writeOp {
 	for {
 		var wal *persist.WAL
@@ -660,7 +655,10 @@ func (hs *StreamHandle) next() *writeOp {
 		case op := <-hs.ops:
 			return op
 		case <-tick:
-			_ = wal.Sync()
+			if err := wal.Sync(); err != nil {
+				hs.pers.hp.logger().Warn("idle WAL sync failed; appends fail until the next checkpoint",
+					"stream", hs.name, "error", err)
+			}
 		}
 	}
 }

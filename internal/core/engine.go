@@ -214,12 +214,12 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 }
 
 // WriterResidentBytes approximates the heap bytes pinned by the engine's
-// window state — archived element payloads plus flat per-element
-// bookkeeping overhead (see stream.ActiveWindow.ApproxBytes). The twin
-// windows share one archive and the shared copy is counted once. It feeds
-// the hub's residency accounting from the commit path and is never part of
-// exported state. Takes the writer lock: publish swaps the back buffer
-// pointer.
+// elements: the archive's records and index, every text, and the active
+// elements with their bookkeeping in both buffers (see
+// stream.ActiveWindow.ApproxBytes). The twin windows share one archive,
+// counted once. It feeds the hub's residency accounting from the commit
+// path and is never part of exported state. Takes the writer lock:
+// publish swaps the back buffer pointer.
 func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -251,7 +251,7 @@ func (g *Engine) recycle() {
 
 // validate rejects a bad bucket before either buffer is touched, so the two
 // copies can never diverge on an error path. Duplicate detection reads the
-// published window's archive, which the twin buffers share, so it covers
+// published window's ID index, which the twin buffers share, so it covers
 // every ingested element.
 func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 	front := g.front.Load()
@@ -269,6 +269,9 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 			return fmt.Errorf("core: element %d at %d arrives after later timestamp %d", e.ID, e.TS, prevTS)
 		}
 		prevTS = e.TS
+		if len(e.Topics.Probs) != len(e.Topics.Topics) {
+			return fmt.Errorf("core: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
+		}
 		if _, dup := ids[e.ID]; dup || win.Known(e.ID) {
 			return fmt.Errorf("core: duplicate element ID %d", e.ID)
 		}

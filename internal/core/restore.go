@@ -54,9 +54,10 @@ func (g *Engine) ExportState() State {
 // byte-identical results to the engine st was exported from, and
 // subsequent Ingests continue deterministically.
 //
-// Both buffers are built before Restore returns; the back buffer adopts
-// the front scorer's cache entries and shares the front window's writer
-// state, so it is byte-identical to the front.
+// Both buffers are built before Restore returns: the back buffer's window
+// is a replica of the front's, sharing its writer state (the archive and
+// its index are built once), and its scorer adopts the front scorer's
+// cache entries, so it is byte-identical to the front.
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -67,36 +68,35 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if len(st.Lists) != cfg.Model.Z {
 		return nil, fmt.Errorf("core: state has %d ranked lists for a %d-topic model", len(st.Lists), cfg.Model.Z)
 	}
-	front, err := restoreBuffer(cfg, st, nil)
+	win, err := stream.Restore(cfg.WindowLength, st.Window)
 	if err != nil {
 		return nil, err
 	}
-	back, err := restoreBuffer(cfg, st, front.scorer)
+	front, err := restoreBuffer(cfg, win, st.Lists, nil)
 	if err != nil {
 		return nil, err
 	}
 	// The twin windows advance in lockstep (primary apply on one, delta
 	// replay on the other), so the writer-path-only structures — archive,
-	// last-ref times, expiry heap — exist once and replay skips
+	// ID index, last-ref times, expiry heap — exist once and replay skips
 	// maintaining them.
-	stream.ShareWriterState(front.win, back.win)
+	back, err := restoreBuffer(cfg, win.Replica(), st.Lists, front.scorer)
+	if err != nil {
+		return nil, err
+	}
 	g := &Engine{cfg: cfg, back: back, stats: st.Stats}
 	front.freeze()
 	g.front.Store(newSnapshot(front, g.stats, g.listBusy))
 	return g, nil
 }
 
-// restoreBuffer rebuilds one buffer copy from the state: restore the
-// window, warm the scorer cache for every active element (queries read the
-// cache without locking, so it must be complete before publication), and
-// re-insert the ranked-list tuples. A non-nil warmFrom supplies an
-// already-warmed scorer over the same state whose immutable cache entries
-// are adopted by pointer instead of recomputed.
-func restoreBuffer(cfg Config, st State, warmFrom *score.Scorer) (*buffer, error) {
-	win, err := stream.Restore(cfg.WindowLength, st.Window)
-	if err != nil {
-		return nil, err
-	}
+// restoreBuffer builds one buffer copy over a restored window: warm the
+// scorer cache for every active element (queries read the cache without
+// locking, so it must be complete before publication), and re-insert the
+// ranked-list tuples. A non-nil warmFrom supplies an already-warmed scorer
+// over the same state whose immutable cache entries are adopted by pointer
+// instead of recomputed.
+func restoreBuffer(cfg Config, win *stream.ActiveWindow, tuples [][]rankedlist.Item, warmFrom *score.Scorer) (*buffer, error) {
 	scorer, err := score.NewScorer(cfg.Model, win, cfg.Params)
 	if err != nil {
 		return nil, err
@@ -115,7 +115,7 @@ func restoreBuffer(cfg Config, st State, warmFrom *score.Scorer) (*buffer, error
 	for i := range lists {
 		lists[i] = rankedlist.New()
 	}
-	for topic, items := range st.Lists {
+	for topic, items := range tuples {
 		for _, it := range items {
 			if _, active := win.Get(it.ID); !active {
 				return nil, fmt.Errorf("core: ranked list %d holds inactive element %d", topic, it.ID)

@@ -88,9 +88,9 @@ func (s *snapshot) waitDrained() {
 // Snapshot stability covers the per-buffer state queries read: the active
 // set (Get/NumActive/ForEachActive/ActiveIDs), the reference index
 // (Children/ForEachChild) and the scorer. It does NOT cover the window's
-// writer-shared structures — Known, LastRef and Export read the archive
-// and last-ref maps, which the twin buffers share under the default delta
-// catch-up (stream.ShareWriterState) and a concurrent Ingest mutates.
+// writer-shared structures — Known, LastRef and Export read the archive,
+// its index and the last-ref map, which the twin buffers share
+// (stream.ActiveWindow.Replica) and a concurrent Ingest mutates.
 // Callers needing those must serialize against Ingest, as ExportState's
 // callers already do.
 func (g *Engine) ReadSnapshot(fn func(win *stream.ActiveWindow, scorer *score.Scorer)) {

@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -256,30 +258,79 @@ func TestFormatValue(t *testing.T) {
 	}
 }
 
+// defreg holds the families TestDefaultRegistryConstructors registers into
+// Default. Default lives as long as the process and refuses a family
+// twice, so they are registered once however often the test runs
+// (go test -count=N).
+var (
+	defregOnce sync.Once
+	defreg     struct {
+		c, d *Counter
+		g    *Gauge
+		h    *Histogram
+		cv   *CounterVec
+		hv   *HistogramVec
+	}
+)
+
 func TestDefaultRegistryConstructors(t *testing.T) {
-	// Constructors register into Default; just exercise each once with
-	// unique names and confirm they show up in the default exposition.
-	c := NewCounter("test_defreg_ops_total", "x")
-	d := NewDurationCounter("test_defreg_busy_seconds_total", "x")
-	g := NewGauge("test_defreg_gauge", "x")
-	NewGaugeFunc("test_defreg_fn", "x", func() float64 { return 1 })
-	h := NewDurationHistogram("test_defreg_seconds", "x", DefBuckets...)
-	cv := NewCounterVec("test_defreg_vec_total", "x", "kind", "a", "b")
-	hv := NewDurationHistogramVec("test_defreg_vec_seconds", "x", "kind", []string{"a"}, DefBuckets...)
-	c.Inc()
-	d.AddDuration(time.Millisecond)
-	g.Set(2)
-	h.ObserveSince(time.Now().Add(-time.Millisecond))
-	cv.With("a").Inc()
-	hv.With("a").ObserveDuration(time.Millisecond)
-	got := expoString(t, Default())
-	for _, name := range []string{
-		"test_defreg_ops_total 1", "test_defreg_gauge 2", "test_defreg_fn 1",
-		`test_defreg_vec_total{kind="a"} 1`, `test_defreg_vec_seconds_count{kind="a"} 1`,
-		"test_defreg_seconds_count 1",
-	} {
-		if !strings.Contains(got, name+"\n") {
-			t.Fatalf("missing %q in default exposition", name)
+	// Constructors register into Default; exercise each with unique names
+	// and confirm they show up in the default exposition, each series
+	// moved by what this run did.
+	defregOnce.Do(func() {
+		defreg.c = NewCounter("test_defreg_ops_total", "x")
+		defreg.d = NewDurationCounter("test_defreg_busy_seconds_total", "x")
+		defreg.g = NewGauge("test_defreg_gauge", "x")
+		NewGaugeFunc("test_defreg_fn", "x", func() float64 { return 1 })
+		defreg.h = NewDurationHistogram("test_defreg_seconds", "x", DefBuckets...)
+		defreg.cv = NewCounterVec("test_defreg_vec_total", "x", "kind", "a", "b")
+		defreg.hv = NewDurationHistogramVec("test_defreg_vec_seconds", "x", "kind", []string{"a"}, DefBuckets...)
+	})
+	series := []string{
+		"test_defreg_ops_total", "test_defreg_gauge", "test_defreg_fn",
+		`test_defreg_vec_total{kind="a"}`, `test_defreg_vec_seconds_count{kind="a"}`,
+		"test_defreg_seconds_count",
+	}
+	before := seriesValues(t, expoString(t, Default()), series)
+	defreg.c.Inc()
+	defreg.d.AddDuration(time.Millisecond)
+	defreg.g.Set(int64(before["test_defreg_gauge"]) + 2)
+	defreg.h.ObserveSince(time.Now().Add(-time.Millisecond))
+	defreg.cv.With("a").Inc()
+	defreg.hv.With("a").ObserveDuration(time.Millisecond)
+	after := seriesValues(t, expoString(t, Default()), series)
+	want := map[string]float64{"test_defreg_gauge": 2, "test_defreg_fn": 0}
+	for _, name := range series {
+		w, ok := want[name]
+		if !ok {
+			w = 1
+		}
+		if got := after[name] - before[name]; got != w {
+			t.Errorf("%s moved by %v, want %v", name, got, w)
 		}
 	}
+}
+
+// seriesValues reads the values of the named series from an exposition,
+// failing the test on one that is missing.
+func seriesValues(t *testing.T, expo string, series []string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64, len(series))
+	for _, name := range series {
+		var v float64
+		found := false
+		for _, line := range strings.Split(expo, "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				if _, err := fmt.Sscan(rest, &v); err != nil {
+					t.Fatalf("series %q: %v", name, err)
+				}
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("missing %q in default exposition", name)
+		}
+		out[name] = v
+	}
+	return out
 }

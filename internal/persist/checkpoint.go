@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"github.com/social-streams/ksir/internal/core"
@@ -48,11 +49,13 @@ type Checkpoint struct {
 	// LastTime is the stream's last accepted post/flush time (the
 	// ordering watermark for future Adds).
 	LastTime int64
-	// Core is the engine state: the arrival log and window facts, per-topic
-	// ranked-list tuples (serialized, not recomputed — list scores may
-	// legitimately lag the live scorer, and recovery must reproduce them
-	// exactly), and maintenance counters. On disk the log lives in its own
-	// append-only file (ElementsFile); everything else is the head.
+	// Core is the engine state: the archive and the window queue — on
+	// disk, in that order, the element log — and the window facts,
+	// per-topic ranked-list tuples (serialized, not recomputed — list
+	// scores may legitimately lag the live scorer, and recovery must
+	// reproduce them exactly), and maintenance counters. On disk the log
+	// lives in its own append-only file (ElementsFile); everything else is
+	// the head.
 	Core core.State
 	// Pending are the buffered posts of the current, incomplete bucket in
 	// arrival order. They are stored raw and re-ingested through the
@@ -145,15 +148,19 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
+// syncDir makes dir's entries durable. A filesystem that does not support
+// fsync on a directory says so with EINVAL or ENOTSUP; a rename is still
+// atomic there, so that is not an error. Any other failure is: the entry
+// a rename or a create just made may not survive a power cut.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	// Some filesystems refuse fsync on directories; the rename itself is
-	// still atomic there, so degrade silently.
-	_ = d.Sync()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("persist: syncing directory %s: %w", dir, err)
+	}
 	return nil
 }
 
@@ -240,8 +247,9 @@ func currentHead(dir string) (payload []byte, isCurrent bool, err error) {
 }
 
 // WriteCheckpoint makes ck the stream's checkpoint. The elements of
-// ck.Core.Window.Log that the head already in dir does not cover are
-// appended to the element log — each element is written once in its life,
+// ck.Core.Window — its archive, then its window queue, in arrival order —
+// that the head already in dir does not cover are appended to the element
+// log — each element is written once in its life,
 // so a checkpoint costs the live state plus the new arrivals, not the
 // history — and then the head is atomically replaced, the previous one
 // rotating to .bak. The order is what makes every crash window safe:
@@ -264,11 +272,11 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	lp, err := appendElements(dir, base, ck.Core.Window.Log)
+	lp, err := appendElements(dir, base, &ck.Core.Window)
 	if err != nil {
 		return err
 	}
-	head := sealFile(ckptMagic, checkpointVersion, appendHead(nil, ck, lp))
+	head := sealFile(ckptMagic, checkpointVersion, appendHead(nil, ck, lp, uint64(len(ck.Core.Window.Window))))
 	tmp := filepath.Join(dir, checkpointTmp)
 	if err := writeFileSync(tmp, head); err != nil {
 		return err
@@ -310,31 +318,56 @@ func durablePrefix(dir string, ck *Checkpoint) (base logPrefix, rotate bool, err
 	if err != nil {
 		return logPrefix{}, false, err
 	}
-	if prev.Name != ck.Name || prev.ModelHash != ck.ModelHash || base.count > uint64(len(ck.Core.Window.Log)) {
+	if n := logLen(&ck.Core.Window); prev.Name != ck.Name || prev.ModelHash != ck.ModelHash || base.count > n {
 		return logPrefix{}, false, fmt.Errorf("persist: checkpoint of %q (%d elements) does not extend the one in %s (%q, %d elements)",
-			ck.Name, len(ck.Core.Window.Log), dir, prev.Name, base.count)
+			ck.Name, n, dir, prev.Name, base.count)
 	}
 	return base, isCurrent, nil
 }
 
-// appendElements brings dir's element log from the durable prefix base to
-// cover all of log, and returns the new prefix. With nothing to append the
-// file is left alone: whatever follows the prefix is invisible to loaders
-// and is cut by the next append.
-func appendElements(dir string, base logPrefix, log []*stream.Element) (logPrefix, error) {
-	if uint64(len(log)) == base.count {
-		return base, nil
-	}
+// logLen is the number of elements win's log holds.
+func logLen(win *stream.WindowState) uint64 {
+	return uint64(win.Archive.Len() + len(win.Window))
+}
+
+// encodeFrames encodes the frames of win's log from element first on: the
+// archived elements framed from their records, then the window queue.
+func encodeFrames(win *stream.WindowState, first int) ([]byte, error) {
+	arch := &win.Archive
 	size := 0
-	for _, e := range log[base.count:] {
-		size += elementFrameSize(e)
+	for i := first; i < arch.Len(); i++ {
+		size += 8 + len(arch.Record(i)) + len(arch.Texts[i])
+	}
+	queue := win.Window[max(first-arch.Len(), 0):]
+	for _, e := range queue {
+		size += 8 + stream.RecordSize(e) + len(e.Text)
 	}
 	buf := make([]byte, 0, size)
-	for _, e := range log[base.count:] {
-		var err error
-		if buf, err = appendElement(buf, e); err != nil {
-			return logPrefix{}, err
+	var err error
+	for i := first; i < arch.Len(); i++ {
+		if buf, err = appendArchivedFrame(buf, arch.Record(i), arch.Texts[i]); err != nil {
+			return nil, err
 		}
+	}
+	for _, e := range queue {
+		if buf, err = appendElementFrame(buf, e); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// appendElements brings dir's element log from the durable prefix base to
+// cover all of win's log and returns the new prefix. With nothing to
+// append the file is left alone: whatever follows the prefix is invisible
+// to loaders and is cut by the next append.
+func appendElements(dir string, base logPrefix, win *stream.WindowState) (logPrefix, error) {
+	if logLen(win) == base.count {
+		return base, nil
+	}
+	buf, err := encodeFrames(win, int(base.count))
+	if err != nil {
+		return logPrefix{}, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, ElementsFile), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
@@ -367,7 +400,7 @@ func appendElements(dir string, base logPrefix, log []*stream.Element) (logPrefi
 			return logPrefix{}, err
 		}
 	}
-	return logPrefix{count: uint64(len(log)), bytes: base.bytes + int64(len(buf))}, nil
+	return logPrefix{count: logLen(win), bytes: base.bytes + int64(len(buf))}, nil
 }
 
 // LoadCheckpoint loads the stream's latest valid checkpoint: the head
@@ -382,25 +415,37 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if err != nil || payload == nil {
 		return nil, err
 	}
-	ck, lp, err := decodeHead(payload)
+	ck, lp, inWindow, err := decodeHead(payload)
 	if err != nil {
 		return nil, err
 	}
-	if ck.Core.Window.Log, err = readElements(dir, lp); err != nil {
+	win := &ck.Core.Window
+	if win.Archive, win.Window, err = readElements(dir, lp, inWindow); err != nil {
 		return nil, err
 	}
 	return ck, nil
 }
 
-// readElements reads and decodes the durable prefix lp of dir's element log.
-func readElements(dir string, lp logPrefix) ([]*stream.Element, error) {
+// readElements reads the durable prefix lp of dir's element log and
+// decodes it into the archive and the window queue, its last inWindow
+// elements (decodeElements).
+func readElements(dir string, lp logPrefix, inWindow uint64) (stream.Archive, []*stream.Element, error) {
 	if lp.count == 0 && lp.bytes == 0 {
-		return nil, nil
+		return stream.Archive{}, nil, nil
 	}
-	f, err := os.Open(filepath.Join(dir, ElementsFile))
+	data, err := readPrefix(filepath.Join(dir, ElementsFile), lp.bytes)
+	if err != nil {
+		return stream.Archive{}, nil, err
+	}
+	return decodeElements(data, lp.count, inWindow)
+}
+
+// readPrefix reads the first n bytes of the element log at path.
+func readPrefix(path string, n int64) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: checkpoint head names %d log bytes but there is no element log", ErrCorrupt, lp.bytes)
+			return nil, fmt.Errorf("%w: checkpoint head names %d log bytes but there is no element log", ErrCorrupt, n)
 		}
 		return nil, err
 	}
@@ -409,12 +454,12 @@ func readElements(dir string, lp logPrefix) ([]*stream.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size() < lp.bytes {
-		return nil, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), lp.bytes)
+	if fi.Size() < n {
+		return nil, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), n)
 	}
-	data := make([]byte, lp.bytes)
+	data := make([]byte, n)
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, err
 	}
-	return decodeElements(data, lp.count)
+	return data, nil
 }

@@ -4,19 +4,28 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/stream"
+	"github.com/social-streams/ksir/internal/testutil"
 	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
 func testCheckpoint() *Checkpoint {
+	e0 := &stream.Element{
+		ID: 5, TS: 20,
+		Doc:    textproc.NewDocument([]textproc.WordID{2}),
+		Topics: topicmodel.TopicVec{Topics: []int32{0}, Probs: []float64{1}},
+		Text:   "archived post",
+	}
 	e1 := &stream.Element{
 		ID: 1, TS: 100,
 		Doc:    textproc.NewDocument([]textproc.WordID{0, 1, 0}),
@@ -30,17 +39,16 @@ func testCheckpoint() *Checkpoint {
 		Refs:   []stream.ElemID{1},
 		Text:   "second post",
 	}
-	return &Checkpoint{
+	ck := &Checkpoint{
 		Name:      "feed",
 		ModelHash: 0xfeedbeef,
 		OpSeq:     42,
 		LastTime:  170,
 		Core: core.State{
 			Window: stream.WindowState{
-				Now:      180,
-				Log:      []*stream.Element{e1, e2},
-				InWindow: 2,
-				Active:   []stream.ActiveRef{{ID: 1, LastRef: 160}, {ID: 2, LastRef: 160}},
+				Now:    180,
+				Window: []*stream.Element{e1, e2},
+				Active: []stream.ActiveRef{{ID: 1, LastRef: 160}, {ID: 2, LastRef: 160}},
 			},
 			Lists: [][]rankedlist.Item{
 				{{ID: 1, Score: 0.9, LastRef: 160}, {ID: 2, Score: 0.4, LastRef: 160}},
@@ -50,6 +58,8 @@ func testCheckpoint() *Checkpoint {
 		},
 		Pending: []PostRec{{ID: 3, Time: 175, Text: "buffered", Refs: []int64{2}}},
 	}
+	ck.Core.Window.Archive.Append(e0)
+	return ck
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -178,11 +188,10 @@ func grown(extra int) *Checkpoint {
 			Refs:   []stream.ElemID{id - 1, 1},
 			Text:   fmt.Sprintf("later post %d", i),
 		}
-		win.Log = append(win.Log, e)
+		win.Window = append(win.Window, e)
 		win.Active = append(win.Active, stream.ActiveRef{ID: id, LastRef: e.TS})
 	}
 	win.Now += stream.Time(extra)
-	win.InWindow += extra
 	ck.OpSeq += uint64(extra)
 	return ck
 }
@@ -337,5 +346,72 @@ func TestWriteCheckpointKeepsBakOverTornHead(t *testing.T) {
 	got, err := LoadCheckpoint(dir)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("load after healing a torn head: %v", err)
+	}
+}
+
+// Every element comes back bit for bit through its element-log frame,
+// whether archived — framed from its record — or in the window — encoded
+// from the element; and the archive read back holds exactly the records
+// and texts it was written from.
+func TestElementFrameRoundTrip(t *testing.T) {
+	elems := testutil.EdgeElements(rand.New(rand.NewSource(3)), 200)
+	win := &stream.WindowState{Window: elems[len(elems)/2:]}
+	for _, e := range elems[:len(elems)/2] {
+		win.Archive.Append(e)
+	}
+	data, err := encodeFrames(win, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, window, err := decodeElements(data, logLen(win), uint64(len(win.Window)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(arch, win.Archive) {
+		t.Fatal("the archive read back differs from the one written")
+	}
+	for i, e := range win.Window {
+		testutil.SameElement(t, window[i], e)
+	}
+}
+
+// The largest element a frame carries — a text filling the payload limit
+// beside four topics and a reference — round-trips archived and in the
+// window; one byte more is refused when the frame is written.
+func TestElementFrameMaximalText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes two 64 MiB frames")
+	}
+	e := &stream.Element{ID: 9, TS: 9,
+		Doc:    textproc.NewDocument([]textproc.WordID{1, 2, 2}),
+		Topics: topicmodel.TopicVec{Topics: []int32{0, 1, 2, 3}, Probs: []float64{0.4, 0.3, 0.2, 0.1}},
+		Refs:   []stream.ElemID{8},
+	}
+	e.Text = strings.Repeat("x", maxRecordSize-stream.RecordSize(e))
+	for _, archived := range []bool{true, false} {
+		win := &stream.WindowState{Window: []*stream.Element{e}}
+		if archived {
+			win.Archive.Append(e)
+			win.Window = nil
+		}
+		data, err := encodeFrames(win, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arch, window, err := decodeElements(data, 1, uint64(len(win.Window)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if archived {
+			if !reflect.DeepEqual(arch, win.Archive) {
+				t.Fatal("the maximal archived element does not round-trip")
+			}
+		} else {
+			testutil.SameElement(t, window[0], e)
+		}
+	}
+	e.Text += "x"
+	if _, err := encodeFrames(&stream.WindowState{Window: []*stream.Element{e}}, 0); err == nil {
+		t.Fatal("a frame one byte over the limit was written")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/stream"
-	"github.com/social-streams/ksir/internal/textproc"
 )
 
 // Checkpoint format v2 (DESIGN.md §8) is two files of flat little-endian
@@ -23,10 +22,16 @@ import (
 // once in the element's life:
 //
 //	| payload len u32 | CRC32C(payload) u32 | payload |
-//	payload = | id i64 | ts i64 | doc len u32
+//	payload = | record | text (the rest) |
+//	record  = | id i64 | ts i64 | doc len u32
 //	          | nterms u32 | (word u32, count u32)...
 //	          | ntopics u32 | topic u32... | prob f64...
-//	          | nrefs u32 | ref i64... | text (the rest) |
+//	          | nrefs u32 | ref i64... |
+//
+// The record is internal/stream's archive record: the window archives an
+// element in exactly the bytes its frame carries, so a checkpoint frames
+// an archived element without decoding it and a load adopts it without
+// decoding it.
 //
 // The head is one enveloped payload (sealFile):
 //
@@ -38,45 +43,34 @@ import (
 //	| npending u32 | per post: id i64 | time i64 | nrefs u32 | ref i64... | text len u32 | text |
 
 // elemFrameMin is the smallest possible element frame: the 8-byte frame
-// header plus a payload with every count zero and no text.
-const elemFrameMin = 8 + 8 + 8 + 4 + 4 + 4 + 4
+// header plus a record with every count zero and no text.
+const elemFrameMin = 8 + stream.RecordMin
 
-// elementFrameSize is the exact size of e's frame.
-func elementFrameSize(e *stream.Element) int {
-	return elemFrameMin + 8*len(e.Doc.Terms) + (4+8)*len(e.Topics.Topics) + 8*len(e.Refs) + len(e.Text)
-}
-
-// appendElement appends e's frame to buf.
-func appendElement(buf []byte, e *stream.Element) ([]byte, error) {
+// appendArchivedFrame appends the frame of an archived element: its record
+// as the archive holds it, then its text. Nothing is decoded.
+func appendArchivedFrame(buf, rec []byte, text string) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // len + crc placeholders
-	p := len(buf)
-	buf = appendI64(buf, int64(e.ID))
-	buf = appendI64(buf, int64(e.TS))
-	buf = appendU32(buf, uint32(e.Doc.Len))
-	buf = appendU32(buf, uint32(len(e.Doc.Terms)))
-	for _, t := range e.Doc.Terms {
-		buf = appendU32(buf, uint32(t.Word))
-		buf = appendU32(buf, uint32(t.Count))
-	}
-	if len(e.Topics.Topics) != len(e.Topics.Probs) {
-		return nil, fmt.Errorf("persist: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
-	}
-	buf = appendU32(buf, uint32(len(e.Topics.Topics)))
-	for _, t := range e.Topics.Topics {
-		buf = appendU32(buf, uint32(t))
-	}
-	for _, pr := range e.Topics.Probs {
-		buf = appendU64(buf, math.Float64bits(pr))
-	}
-	buf = appendU32(buf, uint32(len(e.Refs)))
-	for _, r := range e.Refs {
-		buf = appendI64(buf, int64(r))
-	}
-	buf = append(buf, e.Text...)
-	payload := buf[p:]
+	buf = append(buf, rec...)
+	return sealFrame(append(buf, text...), start)
+}
+
+// appendElementFrame appends the frame of a window element, encoding its
+// record with the archive's encoder.
+func appendElementFrame(buf []byte, e *stream.Element) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // len + crc placeholders
+	buf = stream.AppendRecord(buf, e)
+	return sealFrame(append(buf, e.Text...), start)
+}
+
+// sealFrame fills in the header of the frame that starts at start and
+// runs to the end of buf.
+func sealFrame(buf []byte, start int) ([]byte, error) {
+	payload := buf[start+8:]
 	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("persist: element %d of %d bytes exceeds the %d byte limit", e.ID, len(payload), maxRecordSize)
+		id := int64(binary.LittleEndian.Uint64(payload))
+		return nil, fmt.Errorf("persist: element %d of %d bytes exceeds the %d byte limit", id, len(payload), maxRecordSize)
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
@@ -84,99 +78,81 @@ func appendElement(buf []byte, e *stream.Element) ([]byte, error) {
 }
 
 // decodeElements decodes exactly count element frames that together fill
-// data — a head's durable log prefix. Unlike a WAL tail, nothing here may
-// be torn: the prefix was fsynced before the head naming it was written,
-// so any short, oversized or CRC-failing frame is ErrCorrupt.
+// data — a head's durable log prefix — of which the last inWindow are the
+// window queue. Unlike a WAL tail, nothing here may be torn: the prefix
+// was fsynced before the head naming it was written, so any short,
+// oversized or CRC-failing frame is ErrCorrupt.
 //
-// It runs two passes. The first checks every frame and sums what the
-// elements hold; the second decodes into one allocation per kind of field
-// — the archive never drops an element, so nothing is lost by their
-// sharing storage, and a cold touch of a long-lived stream costs a dozen
-// allocations instead of several per element ever ingested. Every size
+// The archived frames are adopted as records, not decoded: their records
+// are copied into one archive allocation and their texts, like the window
+// elements', into one string. Only the window queue is decoded into
+// elements (stream.DecodeRecords), so a cold touch of a long-lived stream
+// costs a dozen allocations and the window, not the history. Every size
 // comes from bytes already checked, so a count never allocates beyond what
 // the bytes that remain could encode.
-func decodeElements(data []byte, count uint64) ([]*stream.Element, error) {
-	if count > uint64(len(data)/elemFrameMin) {
-		return nil, fmt.Errorf("%w: element log of %d bytes cannot hold %d elements", ErrCorrupt, len(data), count)
+func decodeElements(data []byte, count, inWindow uint64) (stream.Archive, []*stream.Element, error) {
+	if count > uint64(len(data)/elemFrameMin) || inWindow > count {
+		return stream.Archive{}, nil, fmt.Errorf("%w: element log of %d bytes cannot hold %d elements", ErrCorrupt, len(data), count)
 	}
-	var nTerms, nTopics, nRefs, nText int
+	archived := int(count - inWindow)
+	var recBytes, textBytes int
 	rest := data
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		if len(rest) < 8 {
-			return nil, fmt.Errorf("%w: element log ends inside frame %d", ErrCorrupt, i)
+			return stream.Archive{}, nil, fmt.Errorf("%w: element log ends inside frame %d", ErrCorrupt, i)
 		}
 		n := int(binary.LittleEndian.Uint32(rest))
 		if n > maxRecordSize || n > len(rest)-8 {
-			return nil, fmt.Errorf("%w: element frame %d claims %d bytes, %d remain", ErrCorrupt, i, n, len(rest)-8)
+			return stream.Archive{}, nil, fmt.Errorf("%w: element frame %d claims %d bytes, %d remain", ErrCorrupt, i, n, len(rest)-8)
 		}
 		payload := rest[8 : 8+n]
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:]) {
-			return nil, fmt.Errorf("%w: element frame %d checksum mismatch", ErrCorrupt, i)
+			return stream.Archive{}, nil, fmt.Errorf("%w: element frame %d checksum mismatch", ErrCorrupt, i)
 		}
-		r := reader{b: payload}
-		r.bytes(8 + 8 + 4) // id, ts, doc len
-		terms := r.count(8)
-		r.bytes(8 * terms)
-		topics := r.count(4 + 8)
-		r.bytes((4 + 8) * topics)
-		refs := r.count(8)
-		r.bytes(8 * refs)
-		if r.short {
-			return nil, fmt.Errorf("%w: element frame %d of %d bytes is too short for its counts", ErrCorrupt, i, n)
+		rec, ok := stream.RecordLen(payload)
+		if !ok {
+			return stream.Archive{}, nil, fmt.Errorf("%w: element frame %d of %d bytes is too short for its counts", ErrCorrupt, i, n)
 		}
-		nTerms, nTopics, nRefs, nText = nTerms+terms, nTopics+topics, nRefs+refs, nText+len(r.b)
+		if i < archived {
+			recBytes += rec
+		}
+		textBytes += n - rec
 		rest = rest[8+n:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d stray bytes after %d element frames", ErrCorrupt, len(rest), count)
+		return stream.Archive{}, nil, fmt.Errorf("%w: %d stray bytes after %d element frames", ErrCorrupt, len(rest), count)
 	}
 
-	elems := make([]stream.Element, count)
-	log := make([]*stream.Element, count)
-	terms := make([]textproc.TermCount, nTerms)
-	topics := make([]int32, nTopics)
-	probs := make([]float64, nTopics)
-	refs := make([]stream.ElemID, nRefs)
+	var arch stream.Archive
+	if archived > 0 {
+		arch = stream.Archive{Records: make([]byte, 0, recBytes), Ends: make([]int, archived), Texts: make([]string, archived)}
+	}
+	winRecs := make([][]byte, inWindow)
+	winTexts := make([]string, inWindow)
 	var text strings.Builder
-	text.Grow(nText)
-	for i := range elems {
+	text.Grow(textBytes)
+	for i := 0; i < int(count); i++ {
 		n := int(binary.LittleEndian.Uint32(data))
-		r := reader{b: data[8 : 8+n]}
+		payload := data[8 : 8+n]
 		data = data[8+n:]
-		e := &elems[i]
-		log[i] = e
-		e.ID = stream.ElemID(r.i64())
-		e.TS = stream.Time(r.i64())
-		e.Doc.Len = int(r.u32())
-		if n := int(r.u32()); n > 0 {
-			e.Doc.Terms, terms = terms[:n:n], terms[n:]
-			for j := range e.Doc.Terms {
-				e.Doc.Terms[j] = textproc.TermCount{Word: textproc.WordID(r.u32()), Count: int32(r.u32())}
-			}
-		}
-		if n := int(r.u32()); n > 0 {
-			e.Topics.Topics, topics = topics[:n:n], topics[n:]
-			for j := range e.Topics.Topics {
-				e.Topics.Topics[j] = int32(r.u32())
-			}
-			e.Topics.Probs, probs = probs[:n:n], probs[n:]
-			for j := range e.Topics.Probs {
-				e.Topics.Probs[j] = math.Float64frombits(r.u64())
-			}
-		}
-		if n := int(r.u32()); n > 0 {
-			e.Refs, refs = refs[:n:n], refs[n:]
-			for j := range e.Refs {
-				e.Refs[j] = stream.ElemID(r.i64())
-			}
-		}
+		rec, _ := stream.RecordLen(payload)
 		// The builder was grown to the total, so it never moves and each
 		// String call is a view of the one buffer, not a copy.
 		start := text.Len()
-		text.Write(r.b)
-		e.Text = text.String()[start:]
+		text.Write(payload[rec:])
+		t := text.String()[start:]
+		if i < archived {
+			arch.Records = append(arch.Records, payload[:rec]...)
+			arch.Ends[i], arch.Texts[i] = len(arch.Records), t
+		} else {
+			winRecs[i-archived], winTexts[i-archived] = payload[:rec], t
+		}
 	}
-	return log, nil
+	window, err := stream.DecodeRecords(winRecs, winTexts)
+	if err != nil {
+		return stream.Archive{}, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return arch, window, nil
 }
 
 // logPrefix names the durable part of an element log: the first count
@@ -186,8 +162,9 @@ type logPrefix struct {
 	bytes int64
 }
 
-// appendHead appends the head payload of ck over the given log prefix.
-func appendHead(buf []byte, ck *Checkpoint, lp logPrefix) []byte {
+// appendHead appends the head payload of ck over the given log prefix, of
+// which the last inWindow elements are the window queue.
+func appendHead(buf []byte, ck *Checkpoint, lp logPrefix, inWindow uint64) []byte {
 	size := 128 + len(ck.Name) + 16*len(ck.Core.Window.Active)
 	for _, items := range ck.Core.Lists {
 		size += 4 + 24*len(items)
@@ -205,7 +182,7 @@ func appendHead(buf []byte, ck *Checkpoint, lp logPrefix) []byte {
 	buf = append(buf, ck.Name...)
 	win := &ck.Core.Window
 	buf = appendI64(buf, int64(win.Now))
-	buf = appendU64(buf, uint64(win.InWindow))
+	buf = appendU64(buf, inWindow)
 	buf = appendU32(buf, uint32(len(win.Active)))
 	for _, a := range win.Active {
 		buf = appendI64(buf, int64(a.ID))
@@ -251,20 +228,21 @@ func decodeHeadPrefix(payload []byte) (*Checkpoint, logPrefix, reader, error) {
 	return ck, lp, r, nil
 }
 
-// decodeHead decodes a whole head payload. The returned checkpoint has no
-// Core.Window.Log yet: the caller reads the named log prefix.
-func decodeHead(payload []byte) (*Checkpoint, logPrefix, error) {
+// decodeHead decodes a whole head payload and returns how many of the
+// named log prefix's elements are the window queue. The returned
+// checkpoint has no archive or window queue yet: the caller reads them
+// from the log prefix.
+func decodeHead(payload []byte) (*Checkpoint, logPrefix, uint64, error) {
 	ck, lp, r, err := decodeHeadPrefix(payload)
 	if err != nil {
-		return nil, logPrefix{}, err
+		return nil, logPrefix{}, 0, err
 	}
 	win := &ck.Core.Window
 	win.Now = stream.Time(r.i64())
 	inWindow := r.u64()
 	if inWindow > lp.count {
-		return nil, logPrefix{}, fmt.Errorf("%w: checkpoint head has %d in-window elements in a log of %d", ErrCorrupt, inWindow, lp.count)
+		return nil, logPrefix{}, 0, fmt.Errorf("%w: checkpoint head has %d in-window elements in a log of %d", ErrCorrupt, inWindow, lp.count)
 	}
-	win.InWindow = int(inWindow)
 	if n := r.count(16); n > 0 {
 		win.Active = make([]stream.ActiveRef, n)
 		for i := range win.Active {
@@ -302,9 +280,9 @@ func decodeHead(payload []byte) (*Checkpoint, logPrefix, error) {
 		}
 	}
 	if r.short || len(r.b) != 0 {
-		return nil, logPrefix{}, fmt.Errorf("%w: checkpoint head payload is malformed (%d stray bytes)", ErrCorrupt, len(r.b))
+		return nil, logPrefix{}, 0, fmt.Errorf("%w: checkpoint head payload is malformed (%d stray bytes)", ErrCorrupt, len(r.b))
 	}
-	return ck, lp, nil
+	return ck, lp, inWindow, nil
 }
 
 // reader consumes flat little-endian fields from b. A read past the end

@@ -34,8 +34,10 @@ func benchCheckpoint(history, active int) *Checkpoint {
 		if i > 0 && rng.Intn(3) == 0 {
 			e.Refs = []stream.ElemID{stream.ElemID(1 + rng.Intn(i))}
 		}
-		win.Log = append(win.Log, e)
-		if i >= history-active {
+		if i < history-active {
+			win.Archive.Append(e)
+		} else {
+			win.Window = append(win.Window, e)
 			win.Active = append(win.Active, stream.ActiveRef{ID: e.ID, LastRef: e.TS})
 			for _, t := range e.Topics.Topics {
 				ck.Core.Lists[t] = append(ck.Core.Lists[t], rankedlist.Item{ID: e.ID, Score: rng.Float64(), LastRef: e.TS})
@@ -43,7 +45,6 @@ func benchCheckpoint(history, active int) *Checkpoint {
 		}
 	}
 	win.Now = stream.Time(history)
-	win.InWindow = active
 	return ck
 }
 
@@ -54,7 +55,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	const history, active = 100_000, 10_000
 	ck := benchCheckpoint(history, active)
 	older := *ck
-	older.Core.Window.Log = ck.Core.Window.Log[:history-history/100]
+	older.Core.Window.Window = ck.Core.Window.Window[:active-history/100]
 	root, dir := b.TempDir(), ""
 	b.Run("steady", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

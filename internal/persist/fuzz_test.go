@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"github.com/social-streams/ksir/internal/stream"
 )
 
 // The decoders of checkpoint format v2 read bytes a crash, a bad disk or a
@@ -21,8 +23,7 @@ import (
 
 func FuzzCheckpointHead(f *testing.F) {
 	ck := grown(3)
-	ck.Core.Window.InWindow = 2
-	payload := appendHead(nil, ck, logPrefix{count: uint64(len(ck.Core.Window.Log)), bytes: 4096})
+	payload := appendHead(nil, ck, logPrefix{count: logLen(&ck.Core.Window), bytes: 4096}, 2)
 	f.Add(payload, true)
 	f.Add(sealFile(ckptMagic, checkpointVersion, payload), false)
 	f.Add(sealFile(ckptMagic, checkpointVersion+1, payload), false)
@@ -40,30 +41,32 @@ func FuzzCheckpointHead(f *testing.F) {
 			}
 			return
 		}
-		ck, lp, err := decodeHead(payload)
+		ck, lp, inWindow, err := decodeHead(payload)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("head error %v is not ErrCorrupt", err)
 			}
 			return
 		}
-		if again := appendHead(nil, ck, lp); !bytes.Equal(again, payload) {
+		if again := appendHead(nil, ck, lp, inWindow); !bytes.Equal(again, payload) {
 			t.Fatalf("accepted head re-encodes to %d bytes that differ from the %d read", len(again), len(payload))
 		}
 	})
 }
 
+// FuzzElementLog decodes the first half of count frames (rounded down) as
+// archived records and the rest as the window queue, and re-encodes each
+// part with its own encoder.
 func FuzzElementLog(f *testing.F) {
-	var log []byte
 	ck := grown(3)
-	for _, e := range ck.Core.Window.Log {
-		log, _ = appendElement(log, e)
-	}
+	win := &ck.Core.Window
+	log, _ := encodeFrames(win, 0)
+	n := logLen(win)
 	first := int(binary.LittleEndian.Uint32(log)) + 8
-	f.Add(log, uint64(len(ck.Core.Window.Log)), false)
-	f.Add(log[:len(log)-3], uint64(len(ck.Core.Window.Log)), false) // torn inside the last frame
-	f.Add(log, uint64(2), false)                                    // stray frames after the count
-	f.Add(log[8:first], uint64(1), true)                            // one payload, framed by the target
+	f.Add(log, n, false)
+	f.Add(log[:len(log)-3], n, false)    // torn inside the last frame
+	f.Add(log, uint64(2), false)         // stray frames after the count
+	f.Add(log[8:first], uint64(1), true) // one payload, framed by the target
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint64(1<<40), false)
 	f.Add([]byte{}, uint64(0), false)
 	f.Fuzz(func(t *testing.T, data []byte, count uint64, frame bool) {
@@ -73,21 +76,19 @@ func FuzzElementLog(f *testing.F) {
 			binary.LittleEndian.PutUint32(framed[4:], crc32.Checksum(data, crcTable))
 			data, count = append(framed, data...), 1
 		}
-		elems, err := decodeElements(data, count)
+		arch, elems, err := decodeElements(data, count, count-count/2)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("element log error %v is not ErrCorrupt", err)
 			}
 			return
 		}
-		if uint64(len(elems)) != count {
-			t.Fatalf("decoded %d elements of %d", len(elems), count)
+		if uint64(arch.Len()) != count/2 || uint64(len(elems)) != count-count/2 {
+			t.Fatalf("decoded %d archived and %d window elements of %d", arch.Len(), len(elems), count)
 		}
-		var again []byte
-		for _, e := range elems {
-			if again, err = appendElement(again, e); err != nil {
-				t.Fatalf("accepted element %d does not re-encode: %v", e.ID, err)
-			}
+		again, err := encodeFrames(&stream.WindowState{Archive: arch, Window: elems}, 0)
+		if err != nil {
+			t.Fatalf("accepted log does not re-encode: %v", err)
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted log re-encodes to %d bytes that differ from the %d read", len(again), len(data))

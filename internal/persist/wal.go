@@ -7,11 +7,27 @@ import (
 	"time"
 )
 
+// walFile is the part of *os.File a WAL uses.
+type walFile interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // WAL is one stream's write-ahead log: an append-only file of framed
 // records (record.go). It has one owner goroutine, which makes every call
 // but Syncs (see the package comment).
+//
+// A failed write or fsync fails the log: a short write leaves a partial
+// frame at the file's end, behind which a later acknowledged record would
+// be cut away as a torn tail at the next open, and a failed fsync may
+// have dropped writes it was meant to make durable. From then on every
+// append fails with the first error until Reset — run after a checkpoint
+// has captured everything the log held — succeeds.
 type WAL struct {
-	f        *os.File
+	f        walFile
 	path     string
 	size     int64
 	policy   SyncPolicy
@@ -21,6 +37,7 @@ type WAL struct {
 	buf      []byte
 	lastSeq  uint64       // highest Seq ever appended or replayed
 	ticker   *time.Ticker // idle-sync cadence; nil unless SyncInterval
+	failed   error        // the write or fsync error that failed the log
 	// syncs counts fsyncs issued over the WAL's lifetime. Atomic: Syncs
 	// backs the lock-free stats path, which reads it off the owner
 	// goroutine, even while an append's fsync is in flight.
@@ -138,6 +155,9 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 	if w.f == nil {
 		return fmt.Errorf("persist: append to closed WAL")
 	}
+	if w.failed != nil {
+		return fmt.Errorf("persist: WAL failed earlier, a checkpoint must reset it: %w", w.failed)
+	}
 	buf := w.buf[:0]
 	last := w.lastSeq
 	for i := range recs {
@@ -153,7 +173,8 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 	}
 	w.buf = buf[:0] // recycle the scratch buffer
 	if err := writeFull(w.f, buf); err != nil {
-		return fmt.Errorf("persist: appending WAL batch: %w", err)
+		w.failed = fmt.Errorf("persist: appending WAL batch: %w", err)
+		return w.failed
 	}
 	w.size += int64(len(buf))
 	w.lastSeq = last
@@ -186,14 +207,17 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 }
 
 // Sync flushes appended records to stable storage (a no-op when nothing
-// is dirty or the log is closed).
+// is dirty or the log is closed). A failure fails the log; a failed log is
+// not synced again — a later fsync that succeeds would not prove the
+// writes the failed one dropped durable — until Reset.
 func (w *WAL) Sync() error {
-	if !w.dirty || w.f == nil {
+	if !w.dirty || w.f == nil || w.failed != nil {
 		return nil
 	}
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing WAL: %w", err)
+		w.failed = fmt.Errorf("persist: syncing WAL: %w", err)
+		return w.failed
 	}
 	w.syncs.Add(1)
 	obsWALFsyncs.Inc()
@@ -211,8 +235,10 @@ func (w *WAL) Sync() error {
 func (w *WAL) Syncs() int64 { return w.syncs.Load() }
 
 // Reset empties the log — called after a checkpoint has captured every
-// record's effect. Sequence numbers keep counting up across resets, so a
-// record can never be confused with a pre-checkpoint one.
+// record's effect — and clears a failure unless making the empty log
+// durable fails again.
+// Sequence numbers keep counting up across resets, so a record can never
+// be confused with a pre-checkpoint one.
 func (w *WAL) Reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("persist: truncating WAL: %w", err)
@@ -221,8 +247,17 @@ func (w *WAL) Reset() error {
 		return fmt.Errorf("persist: rewinding WAL: %w", err)
 	}
 	w.size = 0
-	w.dirty = true
+	w.dirty, w.failed = true, nil
 	return w.Sync()
+}
+
+// SwapFileForTest makes w write through f and returns the file it wrote
+// through until now. It is the seam for tests of the layers above that
+// need a log whose writes or fsyncs fail; nothing else calls it.
+func (w *WAL) SwapFileForTest(f walFile) walFile {
+	old := w.f
+	w.f = f
+	return old
 }
 
 // Size returns the log's current byte length.

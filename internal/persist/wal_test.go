@@ -426,3 +426,90 @@ func fixCRC(buf []byte) {
 	n := binary.LittleEndian.Uint32(buf)
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:8+n], crcTable))
 }
+
+// faultyFile passes through to a WAL's file except for the faults armed
+// on it: the next write stores only half its bytes and reports no error
+// (a short write, as on a full disk), the next fsync fails.
+type faultyFile struct {
+	walFile
+	shortWrite, failSync bool
+}
+
+func (f *faultyFile) Write(b []byte) (int, error) {
+	if f.shortWrite {
+		f.shortWrite = false
+		return f.walFile.Write(b[:len(b)/2])
+	}
+	return f.walFile.Write(b)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errors.New("injected fsync failure")
+	}
+	return f.walFile.Sync()
+}
+
+// replayIDs reopens the log at path and returns the post IDs it replays.
+func replayIDs(t *testing.T, path string) []int64 {
+	t.Helper()
+	var ids []int64
+	w := openTestWAL(t, path, func(r Record) error {
+		ids = append(ids, r.Post.ID)
+		return nil
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// A write or an fsync that fails fails the log: every later append is
+// refused — after a short write it would land behind a partial frame and
+// be cut away with it at the next open, after a failed fsync it would be
+// acknowledged on a file that may have dropped earlier writes — until a
+// Reset after a checkpoint starts the log over.
+func TestWALFailureFailsLogUntilReset(t *testing.T) {
+	for _, fault := range []string{"short write", "fsync"} {
+		t.Run(fault, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal")
+			w, err := OpenWAL(path, SyncAlways, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append(postRecord(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			ff := &faultyFile{shortWrite: fault == "short write", failSync: fault == "fsync"}
+			ff.walFile = w.SwapFileForTest(ff)
+			if err := w.Append(postRecord(2, 2)); err == nil {
+				t.Fatal("the faulty append succeeded")
+			}
+			// The file works again, but the log stays failed, and it is
+			// not synced again: a sync now would not make the dropped
+			// writes durable.
+			for seq := uint64(3); seq < 5; seq++ {
+				if err := w.Append(postRecord(seq, int64(seq))); err == nil {
+					t.Fatalf("append %d after a failed %s succeeded", seq, fault)
+				}
+			}
+			if syncs := w.Syncs(); w.Sync() != nil || w.Syncs() != syncs {
+				t.Fatal("a failed log was synced again")
+			}
+			if got := replayIDs(t, path); len(got) == 0 || got[0] != 1 || len(got) > 2 {
+				t.Fatalf("the failed log replays posts %v, want 1 and at most the faulty 2", got)
+			}
+			if err := w.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(postRecord(5, 5)); err != nil {
+				t.Fatalf("append after Reset: %v", err)
+			}
+			if got := replayIDs(t, path); !reflect.DeepEqual(got, []int64{5}) {
+				t.Fatalf("after Reset the log replays posts %v, want [5]", got)
+			}
+		})
+	}
+}

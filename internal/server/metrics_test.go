@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
+	// The request counters are process-wide and count every earlier test
+	// (and every earlier run under go test -count=N): read what this test
+	// adds.
+	const postsSeries = `ksir_http_requests_total{route="posts"}`
+	postsBefore := seriesValue(scrape(t, srv), postsSeries)
 	for i := 0; i < 10; i++ {
 		postJSON(t, srv, "/v1/streams/default/posts",
 			apiv1.Post{ID: int64(i + 1), Time: int64(90 * (i + 1)), Text: "goal striker derby"})
@@ -55,7 +61,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE ksir_engine_query_duration_seconds histogram",
 		`ksir_engine_query_duration_seconds_bucket{algorithm="MTTD",le="+Inf"}`,
 		"# TYPE ksir_http_requests_total counter",
-		`ksir_http_requests_total{route="posts"} 10`,
 		"# TYPE ksir_hub_streams gauge",
 		"ksir_hub_resident_streams 1",
 		// 9, not 10: the newest post is still pending in the incomplete
@@ -67,6 +72,20 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+	if n := seriesValue(got, postsSeries) - postsBefore; n != 10 {
+		t.Errorf("%s rose by %v over 10 posts", postsSeries, n)
+	}
+}
+
+// seriesValue reads one series' value from an exposition (0 when absent).
+func seriesValue(expo, series string) float64 {
+	for _, line := range strings.Split(expo, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, _ := strconv.ParseFloat(rest, 64)
+			return v
+		}
+	}
+	return 0
 }
 
 // The drop-oldest SSE shed path counts every dropped refresh: the channel

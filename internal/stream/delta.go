@@ -17,11 +17,12 @@ type RefAdd struct {
 // state without re-deriving any of it.
 type Delta struct {
 	Now Time
-	// Batch is the bucket's arrivals in order, activated on replay (the
-	// recording advance already logged and archived them).
+	// Batch is the bucket's arrivals in order, queued and activated on
+	// replay (the recording advance already indexed them).
 	Batch []*Element
 	// Resurrected are previously expired parents that re-entered A_t
-	// because a batch element refers to them.
+	// because a batch element refers to them, decoded from the archive by
+	// the recording advance; replay adopts the same values.
 	Resurrected []*Element
 	// RefAdds are the reference-index insertions in wiring order (dangling
 	// references already dropped).
@@ -31,14 +32,14 @@ type Delta struct {
 }
 
 // ApplyDelta replays a recorded advance onto this window, which must share
-// its writer-path state with the recording window (ShareWriterState). The
+// its writer-path state with the recording window (Replica). The
 // contract mirrors the engine's buffer recycling: the window is
 // byte-identical to the recording window just before its Advance, so
 // replaying the delta — same insertions, same wiring, the same window-exit
 // scan, the recorded expiries — leaves it byte-identical to the recording
 // window just after. No duplicate detection, resurrection lookup or expiry
 // staleness check runs: those decisions are already in the delta. The
-// archive, log, last-ref and heap writes are not repeated either: the
+// index, archive, last-ref and heap writes are not repeated either: the
 // recording advance already made them in the shared structures.
 func (w *ActiveWindow) ApplyDelta(d *Delta) {
 	w.now = d.Now
@@ -47,7 +48,7 @@ func (w *ActiveWindow) ApplyDelta(d *Delta) {
 	for _, e := range d.Batch {
 		w.active[e.ID] = e
 	}
-	w.end += len(d.Batch)
+	w.queue = append(w.queue, d.Batch...)
 	for _, p := range d.Resurrected {
 		w.active[p.ID] = p
 	}

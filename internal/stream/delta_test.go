@@ -56,8 +56,8 @@ func TestApplyDeltaMirrorsAdvance(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const T = 20
-		primary, replica := NewActiveWindow(T), NewActiveWindow(T)
-		ShareWriterState(primary, replica)
+		primary := NewActiveWindow(T)
+		replica := primary.Replica()
 
 		for b, step := range randomBuckets(rng, 40) {
 			now, batch := step[0].(Time), step[1].([]*Element)

@@ -3,6 +3,7 @@ package stream
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,135 +14,163 @@ type ActiveRef struct {
 	LastRef Time
 }
 
-// WindowState is a serializable dump of an ActiveWindow: the arrival log
-// (the archive backs duplicate detection and resurrection, so it is part
-// of the state, not an optimization), how much of its tail is the window,
-// and the active set. Everything else — the reverse reference index, the
-// expiry queue — is derivable and rebuilt on restore.
+// WindowState is a serializable dump of an ActiveWindow: every element
+// ever ingested — the archive backs duplicate detection and resurrection,
+// so it is part of the state, not an optimization — split into the
+// archived ones and the window queue, plus the active set. Everything
+// else — the ID index, the reverse reference index, the expiry queue — is
+// derivable and rebuilt on restore.
 type WindowState struct {
 	Now Time
-	// Log is every element ever ingested, in arrival order. Export shares
-	// the window's own log (capped, never copied): a prefix of an
-	// append-only sequence of immutable elements is itself immutable, so
-	// the slice stays valid while the window moves on.
-	Log []*Element
-	// InWindow says how many trailing entries of Log form the window queue
-	// W_t (the order future window exits replay in).
-	InWindow int
+	// Archive holds the elements that left the window, in arrival order,
+	// as records. Export shares the window's own archive (a capped prefix,
+	// never copied): the archive only grows, so the prefix stays valid
+	// while the window moves on.
+	Archive Archive
+	// Window is the window queue W_t: the elements that arrived after the
+	// archived ones, in arrival order (the order future window exits
+	// replay in).
+	Window []*Element
 	// Active lists A_t: the in-window elements in arrival order, then the
 	// out-of-window ones (kept alive by an in-window referrer) by ID, so
 	// equal windows export equal states. Restore accepts any order.
 	Active []ActiveRef
 }
 
-// Export dumps the window's full state in O(|A_t|): the log is shared, not
-// walked. The caller must serialize Export against Advance, as with all
-// window mutation.
+// Export dumps the window's full state in O(|A_t|): the archive is shared,
+// not walked. The caller must serialize Export against Advance, as with
+// all window mutation.
 func (w *ActiveWindow) Export() WindowState {
-	log := (*w.log)[:w.end:w.end]
 	st := WindowState{
-		Now:      w.now,
-		Log:      log,
-		InWindow: w.end - w.head,
-		Active:   make([]ActiveRef, 0, len(w.active)),
+		Now:     w.now,
+		Archive: w.ws.archive.Prefix(w.head),
+		Window:  slices.Clone(w.queue),
+		Active:  make([]ActiveRef, 0, len(w.active)),
 	}
-	for _, e := range log[w.head:] {
-		st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.lastRef[e.ID]})
+	for _, e := range w.queue {
+		st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.ws.lastRef[e.ID]})
 	}
-	// The log is timestamp-ordered, so the window queue holds exactly the
-	// actives past the cutoff; the rest are the referenced survivors.
+	// Arrivals are timestamp-ordered, so the window queue holds exactly
+	// the actives past the cutoff; the rest are the referenced survivors.
 	cutoff := w.now - w.T
 	for id, e := range w.active {
 		if e.TS <= cutoff {
-			st.Active = append(st.Active, ActiveRef{ID: id, LastRef: w.lastRef[id]})
+			st.Active = append(st.Active, ActiveRef{ID: id, LastRef: w.ws.lastRef[id]})
 		}
 	}
-	rest := st.Active[st.InWindow:]
+	rest := st.Active[len(w.queue):]
 	sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
 	return st
 }
 
 // Restore rebuilds a window of length T from an exported state. The
-// derived structures (reverse reference index, expiry queue) are
-// reconstructed from the window queue, and invariants are checked so a
-// corrupt or hand-edited snapshot fails loudly instead of corrupting the
-// stream: a restored window followed by the same Advances behaves
-// identically to the original. The window adopts st.Log without copying
-// it (capped, so its first append reallocates instead of writing into the
-// caller's backing array).
+// derived structures (ID index, reverse reference index, expiry queue) are
+// reconstructed, and invariants are checked so a corrupt or hand-edited
+// snapshot fails loudly instead of corrupting the stream: a restored
+// window followed by the same Advances behaves identically to the
+// original. The window adopts st.Archive without copying it (capped, so
+// its first append reallocates instead of writing into the caller's
+// storage) and decodes only the archived elements that are still active.
 func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("stream: window length must be positive, got %d", T)
 	}
-	n := len(st.Log)
-	if st.InWindow < 0 || st.InWindow > n {
-		return nil, fmt.Errorf("stream: window queue length %d outside [0, %d]", st.InWindow, n)
+	if err := st.Archive.check(); err != nil {
+		return nil, err
 	}
+	arch := st.Archive.Prefix(st.Archive.Len())
+	n := arch.Len()
 	w := NewActiveWindow(T)
+	ws := w.ws
 	w.now = st.Now
-	w.archive = make(map[ElemID]*Element, n)
+	ws.archive = arch
+	ws.index.sorted = make([]ElemID, 0, n+len(st.Window))
 	w.active = make(map[ElemID]*Element, len(st.Active))
-	w.lastRef = make(map[ElemID]Time, len(st.Active))
-	log := st.Log[:n:n]
-	w.log, w.head, w.end = &log, n-st.InWindow, n
+	ws.lastRef = make(map[ElemID]Time, len(st.Active))
+	w.queue, w.head = slices.Clone(st.Window), n
 	cutoff := st.Now - T
 
+	for i := 0; i < n; i++ {
+		rec := arch.Record(i)
+		id, ts := recordID(rec), recordTS(rec)
+		if _, dup := ws.index.lookup(id); dup {
+			return nil, fmt.Errorf("stream: duplicate element %d in window state", id)
+		}
+		if ts > cutoff {
+			return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", id, ts)
+		}
+		ws.index.add(id)
+		ws.textBytes += int64(len(arch.Texts[i]))
+	}
 	var refs []RefAdd // the references of window-queue elements, wired below
-	for i, e := range log {
-		if e == nil {
-			return nil, fmt.Errorf("stream: nil element at index %d in window state", i)
-		}
-		if _, dup := w.archive[e.ID]; dup {
-			return nil, fmt.Errorf("stream: duplicate element %d in window state", e.ID)
-		}
-		w.archive[e.ID] = e
-		w.countArchived(e)
+	for i, e := range w.queue {
 		switch {
-		case i < w.head:
-			if e.TS > cutoff {
-				return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", e.ID, e.TS)
-			}
+		case e == nil:
+			return nil, fmt.Errorf("stream: nil element at index %d in window state", n+i)
 		case e.TS <= cutoff || e.TS > st.Now:
 			return nil, fmt.Errorf("stream: window-queue element %d at %d outside (%d, %d]", e.ID, e.TS, cutoff, st.Now)
-		case i > w.head && e.TS < log[i-1].TS:
+		case i > 0 && e.TS < w.queue[i-1].TS:
 			// Arrival order is non-decreasing in TS; anything else would
 			// replay window exits in the wrong order.
 			return nil, fmt.Errorf("stream: window queue out of order at element %d", e.ID)
+		case len(e.Topics.Probs) != len(e.Topics.Topics):
+			return nil, fmt.Errorf("stream: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
 		}
-		if i < w.head {
-			continue
+		if _, dup := ws.index.lookup(e.ID); dup {
+			return nil, fmt.Errorf("stream: duplicate element %d in window state", e.ID)
 		}
-		// Only a parent archived before e arrived was wired at ingest; a
+		ws.index.add(e.ID)
+		ws.textBytes += int64(len(e.Text))
+		// Only a parent that arrived before e was wired at ingest; a
 		// reference to an ID that arrived later stayed dangling for good.
 		for _, pid := range e.Refs {
-			if _, known := w.archive[pid]; known {
+			if _, known := ws.index.lookup(pid); known {
 				refs = append(refs, RefAdd{Parent: pid, Child: e})
 			}
 		}
 	}
 
+	var archived []int // archived arrivals that are still active
 	for _, a := range st.Active {
-		e, known := w.archive[a.ID]
+		seq, known := ws.index.lookup(a.ID)
 		if !known {
 			return nil, fmt.Errorf("stream: active element %d is not in the log", a.ID)
 		}
-		if _, dup := w.active[a.ID]; dup {
+		if _, dup := ws.lastRef[a.ID]; dup {
 			return nil, fmt.Errorf("stream: element %d listed active twice", a.ID)
 		}
-		if a.LastRef < e.TS || a.LastRef <= cutoff {
-			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d, cutoff %d)", a.ID, a.LastRef, e.TS, cutoff)
+		var ts Time
+		if seq < n {
+			ts = recordTS(arch.Record(seq))
+			archived = append(archived, seq)
+		} else {
+			e := w.queue[seq-n]
+			ts = e.TS
+			w.active[a.ID] = e
 		}
-		w.active[a.ID] = e
-		w.lastRef[a.ID] = a.LastRef
-		*w.expiryQ = append(*w.expiryQ, expiryEntry{at: a.LastRef, id: a.ID})
+		if a.LastRef < ts || a.LastRef <= cutoff {
+			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d, cutoff %d)", a.ID, a.LastRef, ts, cutoff)
+		}
+		ws.lastRef[a.ID] = a.LastRef
+		ws.expiryQ = append(ws.expiryQ, expiryEntry{at: a.LastRef, id: a.ID})
 	}
-	heap.Init(w.expiryQ)
+	heap.Init(&ws.expiryQ)
+	survivors, err := arch.Elements(archived...)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range survivors {
+		w.active[e.ID] = e
+	}
+	for _, e := range w.active {
+		ws.liveBytes += liveElemBytes(e)
+	}
 
 	// Rebuild the reverse reference index I_t from the window queue: the
 	// index holds exactly the in-window referrers of parents known when
 	// they arrived, and every such parent is active (an element with an
 	// in-window child has last-ref past the cutoff by definition).
-	for _, c := range log[w.head:] {
+	for _, c := range w.queue {
 		if _, active := w.active[c.ID]; !active {
 			return nil, fmt.Errorf("stream: window-queue element %d not marked active", c.ID)
 		}

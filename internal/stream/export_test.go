@@ -147,30 +147,52 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		e0 := &Element{ID: 7, TS: -200}
 		e1 := &Element{ID: 1, TS: 100}
 		e2 := &Element{ID: 2, TS: 150, Refs: []ElemID{1, 7}}
-		return WindowState{
-			Now:      180,
-			Log:      []*Element{e0, e1, e2},
-			InWindow: 2,
-			Active:   []ActiveRef{{ID: 1, LastRef: 150}, {ID: 2, LastRef: 150}, {ID: 7, LastRef: 150}},
+		st := WindowState{
+			Now:    180,
+			Window: []*Element{e1, e2},
+			Active: []ActiveRef{{ID: 1, LastRef: 150}, {ID: 2, LastRef: 150}, {ID: 7, LastRef: 150}},
 		}
+		st.Archive.Append(e0)
+		return st
 	}
 	if _, err := Restore(300, base()); err != nil {
 		t.Fatalf("baseline state rejected: %v", err)
 	}
+	// Each case is the arrival log of three corrupted one way; the log is
+	// the archive (e0) followed by the window queue (e1, e2).
 	cases := map[string]func(*WindowState){
-		"nil element":        func(st *WindowState) { st.Log[0] = nil },
-		"duplicate id":       func(st *WindowState) { st.Log[2].ID = 1 },
-		"window not active":  func(st *WindowState) { st.Active = st.Active[1:] },
-		"bad window len":     func(st *WindowState) { st.InWindow = 4 },
-		"negative window":    func(st *WindowState) { st.InWindow = -1 },
-		"lastref below ts":   func(st *WindowState) { st.Active[1].LastRef = 10 },
-		"lastref expired":    func(st *WindowState) { st.Active[2].LastRef = -150 },
-		"ts beyond now":      func(st *WindowState) { st.Log[2].TS = 999 },
-		"active unknown":     func(st *WindowState) { st.Active[2].ID = 99 },
-		"active twice":       func(st *WindowState) { st.Active = append(st.Active, st.Active[0]) },
-		"window outside":     func(st *WindowState) { st.InWindow = 1 },
-		"expired in queue":   func(st *WindowState) { st.InWindow = 3 },
-		"queue out of order": func(st *WindowState) { st.Log[1].TS, st.Active[0].LastRef = 170, 170 },
+		"nil element":       func(st *WindowState) { st.Window[0] = nil },
+		"duplicate id":      func(st *WindowState) { st.Window[1].ID = 1 },
+		"archived twice":    func(st *WindowState) { st.Window[1].ID = 7 },
+		"window not active": func(st *WindowState) { st.Active = st.Active[1:] },
+		// The archive claims a record past its bytes, or one that ends
+		// before it starts.
+		"bad window len":   func(st *WindowState) { st.Archive.Ends = append(st.Archive.Ends, 999) },
+		"negative window":  func(st *WindowState) { st.Archive.Ends[0] = -1 },
+		"record counts":    func(st *WindowState) { st.Archive.Records[20] = 1 },
+		"stray bytes":      func(st *WindowState) { st.Archive.Records = append(st.Archive.Records, 0) },
+		"text per record":  func(st *WindowState) { st.Archive.Texts = nil },
+		"lastref below ts": func(st *WindowState) { st.Active[1].LastRef = 10 },
+		"lastref expired":  func(st *WindowState) { st.Active[2].LastRef = -150 },
+		"ts beyond now":    func(st *WindowState) { st.Window[1].TS = 999 },
+		"active unknown":   func(st *WindowState) { st.Active[2].ID = 99 },
+		"active twice":     func(st *WindowState) { st.Active = append(st.Active, st.Active[0]) },
+		"topics vs probs":  func(st *WindowState) { st.Window[0].Topics.Topics = []int32{1} },
+		// An in-window element archived: the queue starts one too late.
+		"window outside": func(st *WindowState) {
+			st.Archive.Append(st.Window[0])
+			st.Window = st.Window[1:]
+		},
+		// An expired element in the queue: it starts one too early.
+		"expired in queue": func(st *WindowState) {
+			e0, err := st.Archive.Elements(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Window = append(e0, st.Window...)
+			st.Archive = Archive{}
+		},
+		"queue out of order": func(st *WindowState) { st.Window[0].TS, st.Active[0].LastRef = 170, 170 },
 		"referenced inactive": func(st *WindowState) {
 			st.Active = st.Active[:2]
 		},
@@ -187,30 +209,30 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// Export must cost the active set, not the history: it shares the arrival
-// log instead of walking it, and the shared prefix must stay intact while
-// the window keeps ingesting.
+// Export must cost the active set, not the history: it shares the archive
+// instead of walking it, and the shared prefix must stay intact while the
+// window keeps ingesting.
 func TestExportSharesLogPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := NewActiveWindow(120)
 	next := randomAdvance(t, w, rng, 40, 1)
 	st := w.Export()
-	if len(st.Log) != int(next-1) || st.InWindow >= len(st.Log) || len(st.Active) != w.NumActive() {
-		t.Fatalf("export of %d elements: log %d, window %d, active %d/%d",
-			next-1, len(st.Log), st.InWindow, len(st.Active), w.NumActive())
+	if n := st.Archive.Len() + len(st.Window); n != int(next-1) || st.Archive.Len() == 0 || len(st.Active) != w.NumActive() {
+		t.Fatalf("export of %d elements: archive %d, window %d, active %d/%d",
+			next-1, st.Archive.Len(), len(st.Window), len(st.Active), w.NumActive())
 	}
-	if cap(st.Log) != len(st.Log) {
-		t.Fatalf("exported log has spare capacity %d: an append through it could reach the window's log", cap(st.Log)-len(st.Log))
+	a := st.Archive
+	if cap(a.Records) != len(a.Records) || cap(a.Ends) != len(a.Ends) || cap(a.Texts) != len(a.Texts) {
+		t.Fatal("exported archive has spare capacity: an append through it could reach the window's archive")
 	}
-	ids := make([]ElemID, len(st.Log))
-	for i, e := range st.Log {
-		ids[i] = e.ID
+	if &a.Records[0] != &w.ws.archive.Records[0] {
+		t.Fatal("export copied the archive instead of sharing it")
 	}
+	records := string(a.Records)
+	ends := append([]int(nil), a.Ends...)
 	randomAdvance(t, w, rng, 40, next)
-	for i, e := range st.Log {
-		if e.ID != ids[i] {
-			t.Fatalf("exported log entry %d changed under later advances", i)
-		}
+	if string(a.Records) != records || !reflect.DeepEqual(a.Ends, ends) {
+		t.Fatal("exported archive changed under later advances")
 	}
 	if _, err := Restore(120, st); err != nil {
 		t.Fatalf("earlier export no longer restores: %v", err)

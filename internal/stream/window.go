@@ -3,6 +3,8 @@ package stream
 import (
 	"container/heap"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -31,10 +33,14 @@ type ChangeSet struct {
 // arrival after they expired are resurrected from an internal archive, so
 // the active set is always exactly the paper's A_t.
 //
-// Every element ever ingested sits once in an append-only arrival-order
-// log; the window W_t is by construction the log's suffix, so window exit
-// is a head index moving forward and a state export (Export) costs the
-// active set, not the history.
+// Only the window queue W_t and the active set A_t hold elements as Go
+// values. An element leaving the window is encoded once, in arrival
+// order, into the archive's append-only records (record.go) and stays
+// there for the stream's life behind an ID → arrival-number index: the paper
+// drops it (Algorithm 1, lines 12–13), but a later reference resurrects
+// it, and a duplicate ID must still be refused. A state export (Export)
+// shares the archive instead of walking it, so it costs the active set,
+// not the history.
 //
 // ActiveWindow is not safe for concurrent mutation; the engine serializes
 // Advance calls and allows concurrent reads between them.
@@ -43,47 +49,60 @@ type ActiveWindow struct {
 	now Time
 
 	active map[ElemID]*Element
-	// archive holds every element ever ingested, for duplicate detection
-	// and resurrection. It is consulted only from the serialized writer
-	// path (Advance, Known, Export), never by concurrent readers, so twin
-	// windows share one copy (see ShareWriterState).
-	archive map[ElemID]*Element
-
 	// children[p] = I_t(p): the in-window elements that refer to p, kept
 	// sorted by child ID. The slice (rather than a map) makes every
 	// iteration deterministic, so float sums over I_t(e) — the influence
 	// scores — are bit-reproducible across runs and across restores.
 	children map[ElemID][]*Element
-	// lastRef is t_e: max(e.TS, TS of latest in-window referrer). Writer-
-	// path only, shareable between twins like archive.
-	lastRef map[ElemID]Time
-
-	// log holds every element ever ingested in arrival order — the
-	// archive as a sequence. It is append-only and only the serialized
-	// writer path appends, so twin windows share one copy like the archive
-	// (ShareWriterState) and an exported prefix stays immutable. The window
-	// queue W_t is log[head:end]: end counts the arrivals this window has
-	// applied (a replaying twin trails the shared log by the deltas it has
-	// not replayed yet), head is the oldest in-window arrival.
-	log       *[]*Element
-	head, end int
-	// expiryQ is a lazy min-heap over (lastRef, id) for active-set expiry.
-	// Mutation-path only, shareable between twins like archive.
-	expiryQ *expiryHeap
-	// bytes approximates the heap footprint of the archive — element
-	// payloads plus a flat per-element bookkeeping overhead. It grows with
-	// every archive insert and never shrinks (the archive never drops
-	// elements), feeding the hub's residency accounting. Writer-path only
-	// and shared between twins like archive, so the shared copy of every
-	// element is counted exactly once.
-	bytes *int64
+	// queue is W_t, oldest first; head counts the arrivals that have left
+	// it, so queue[0] is arrival number head. Each window keeps its own:
+	// a replica replaying deltas (ApplyDelta) trails the recording window
+	// and must still find its in-window elements when its own exits come.
+	queue []*Element
+	head  int
+	// ws is the state only the serialized writer path touches, shared
+	// by twin windows (Replica).
+	ws *writerState
 }
 
-// elemOverheadBytes is the flat per-archived-element bookkeeping estimate
-// rolled into the bytes counter: map entries (archive, active, lastRef,
-// children), the arrival-log slot, expiry-heap entries and the ranked-list
-// tuples the element occupies in the lists of its topics.
-const elemOverheadBytes = 176
+// writerState is the part of a window that only the serialized writer
+// path reads or writes — never a concurrent reader — so the engine's twin
+// windows share one copy (Replica) and delta replay skips maintaining it:
+// the recording advance already did.
+type writerState struct {
+	// archive holds, in arrival order, every element that has left the
+	// window of the leading twin: the first window whose head passes an
+	// arrival archives it (slideOut).
+	archive Archive
+	// index maps every element ever ingested to its arrival number: an
+	// index into archive once archived, a queue position before.
+	index idIndex
+	// lastRef is t_e of every active element: max(e.TS, TS of the latest
+	// in-window referrer).
+	lastRef map[ElemID]Time
+	// expiryQ is a lazy min-heap over (lastRef, id) for active-set expiry.
+	expiryQ expiryHeap
+	// slab is the storage resurrected elements are carved from.
+	slab *slab
+	// textBytes sums the texts of every element ever ingested and
+	// liveBytes the rest of the footprint of the elements held as Go
+	// values (liveElemBytes); ApproxBytes adds the archive's storage.
+	textBytes, liveBytes int64
+}
+
+// Per-entry heap costs for ApproxBytes, measured on amd64 with Go 1.24;
+// TestResidentBytesTrackHeap holds the total to the live heap.
+// mapEntryBytes is one entry of a map keyed by element ID, growth slack
+// included. An element held as a Go value costs, beyond its own fields,
+// liveBaseBytes — its entries in both twins' active maps, the last-ref map
+// and the expiry heap, its scorer-cache entries, its share of the pending
+// delta — plus, for each of its topics, liveTopicBytes — its tuples in
+// both buffers' ranked lists — and a cached weight per term.
+const (
+	mapEntryBytes  = 32
+	liveBaseBytes  = 500
+	liveTopicBytes = 200
+)
 
 // NewActiveWindow returns an empty window of length T. It panics if T ≤ 0
 // (a programming error, not a data error).
@@ -94,23 +113,51 @@ func NewActiveWindow(T Time) *ActiveWindow {
 	return &ActiveWindow{
 		T:        T,
 		active:   make(map[ElemID]*Element),
-		archive:  make(map[ElemID]*Element),
 		children: make(map[ElemID][]*Element),
-		lastRef:  make(map[ElemID]Time),
-		expiryQ:  new(expiryHeap),
-		bytes:    new(int64),
-		log:      new([]*Element),
+		ws:       &writerState{lastRef: make(map[ElemID]Time)},
 	}
 }
 
-// ApproxBytes reports the approximate heap bytes held by the window's
-// archive (see the bytes field). Like Known it reads writer-shared state:
-// callers must serialize it with Advance/ApplyDelta.
-func (w *ActiveWindow) ApproxBytes() int64 { return *w.bytes }
+// Replica returns a window equal to w that shares w's writer state: the
+// engine's twin. Both must from then on advance in lockstep over the same
+// stream with all mutation serialized — one by Advance/AdvanceRecorded,
+// the other by ApplyDelta of the recorded deltas, the roles free to swap
+// at any hand-off — and no concurrent reader may touch the writer state
+// (queries read only the active set and the reference index, which stay
+// per window).
+func (w *ActiveWindow) Replica() *ActiveWindow {
+	r := &ActiveWindow{
+		T:        w.T,
+		now:      w.now,
+		active:   maps.Clone(w.active),
+		children: make(map[ElemID][]*Element, len(w.children)),
+		queue:    slices.Clone(w.queue),
+		head:     w.head,
+		ws:       w.ws,
+	}
+	for id, cs := range w.children {
+		r.children[id] = slices.Clone(cs)
+	}
+	return r
+}
 
-// countArchived charges one newly archived element to the byte estimate.
-func (w *ActiveWindow) countArchived(e *Element) {
-	*w.bytes += e.ApproxBytes() + elemOverheadBytes
+// ApproxBytes reports the approximate heap bytes held by the window's
+// elements: the archive's storage and index, every text, and the elements
+// held as Go values with their bookkeeping across both twins. Like Known
+// it reads writer-shared state: callers must serialize it with
+// Advance/ApplyDelta.
+func (w *ActiveWindow) ApproxBytes() int64 {
+	ws := w.ws
+	a := &ws.archive
+	return int64(cap(a.Records)) + 8*int64(cap(a.Ends)) + 16*int64(cap(a.Texts)) +
+		ws.index.bytes() + ws.textBytes + ws.liveBytes
+}
+
+// liveElemBytes is what e costs while held as a Go value, its text
+// aside (textBytes counts every text once, archived or not).
+func liveElemBytes(e *Element) int64 {
+	perTopic := liveTopicBytes + termCountBytes*len(e.Doc.Terms)
+	return e.ApproxBytes() - int64(len(e.Text)) + liveBaseBytes + int64(perTopic*len(e.Topics.Topics))
 }
 
 // Now returns the current window time t.
@@ -127,11 +174,10 @@ func (w *ActiveWindow) Get(id ElemID) (*Element, bool) {
 
 // Known reports whether id was ever ingested into this window (active,
 // expired or archived). Producers must never reuse a known ID. Known
-// reads the archive — writer-shared under ShareWriterState — so callers
-// must serialize it with Advance/ApplyDelta (the engine's writer path
-// does).
+// reads the writer-shared index (Replica), so callers must serialize it
+// with Advance/ApplyDelta (the engine's writer path does).
 func (w *ActiveWindow) Known(id ElemID) bool {
-	_, ok := w.archive[id]
+	_, ok := w.ws.index.lookup(id)
 	return ok
 }
 
@@ -195,7 +241,7 @@ func (w *ActiveWindow) removeChild(parent, child ElemID) {
 // inactive elements. Like Known, it reads writer-shared state and must be
 // serialized with Advance/ApplyDelta.
 func (w *ActiveWindow) LastRef(id ElemID) (Time, bool) {
-	t, ok := w.lastRef[id]
+	t, ok := w.ws.lastRef[id]
 	return t, ok
 }
 
@@ -254,6 +300,7 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	cs := ChangeSet{Now: now}
 	prevNow := w.now
 	w.now = now
+	ws := w.ws
 
 	// Phase 1: insert arrivals and wire references.
 	updated := make(map[ElemID]*Element)
@@ -266,26 +313,32 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 			return ChangeSet{}, fmt.Errorf("stream: element %d at %d arrives after later timestamp %d", e.ID, e.TS, prevTS)
 		}
 		prevTS = e.TS
-		if _, dup := w.archive[e.ID]; dup {
+		if len(e.Topics.Probs) != len(e.Topics.Topics) {
+			return ChangeSet{}, fmt.Errorf("stream: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
+		}
+		if _, dup := ws.index.lookup(e.ID); dup {
 			return ChangeSet{}, fmt.Errorf("stream: duplicate element ID %d", e.ID)
 		}
-		w.archive[e.ID] = e
-		w.countArchived(e)
+		ws.index.add(e.ID)
+		ws.textBytes += int64(len(e.Text))
+		ws.liveBytes += liveElemBytes(e)
 		w.active[e.ID] = e
-		w.lastRef[e.ID] = e.TS
-		*w.log = append(*w.log, e)
-		w.end++
-		heap.Push(w.expiryQ, expiryEntry{at: e.TS, id: e.ID})
+		ws.lastRef[e.ID] = e.TS
+		w.queue = append(w.queue, e)
+		heap.Push(&ws.expiryQ, expiryEntry{at: e.TS, id: e.ID})
 		cs.Inserted = append(cs.Inserted, e)
 
 		for _, pid := range e.Refs {
-			parent, known := w.archive[pid]
+			seq, known := ws.index.lookup(pid)
 			if !known {
 				continue // dangling reference: producer referenced an element we never saw
 			}
-			if _, isActive := w.active[pid]; !isActive {
+			parent, isActive := w.active[pid]
+			if !isActive {
 				// Resurrect: the parent re-enters A_t because a window
-				// element now refers to it.
+				// element now refers to it. Only an element that left
+				// the window can be inactive, so it is archived.
+				parent = w.resurrect(seq)
 				w.active[pid] = parent
 				cs.Inserted = append(cs.Inserted, parent)
 				if rec != nil {
@@ -293,8 +346,8 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 				}
 			}
 			w.addChild(pid, e)
-			w.lastRef[pid] = e.TS
-			heap.Push(w.expiryQ, expiryEntry{at: e.TS, id: pid})
+			ws.lastRef[pid] = e.TS
+			heap.Push(&ws.expiryQ, expiryEntry{at: e.TS, id: pid})
 			if rec != nil {
 				rec.RefAdds = append(rec.RefAdds, RefAdd{Parent: pid, Child: e})
 			}
@@ -310,16 +363,17 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	w.slideOut(cutoff)
 
 	// Phase 3: expire actives never referred to after the cutoff.
-	for w.expiryQ.Len() > 0 && (*w.expiryQ)[0].at <= cutoff {
-		entry := heap.Pop(w.expiryQ).(expiryEntry)
+	for ws.expiryQ.Len() > 0 && ws.expiryQ[0].at <= cutoff {
+		entry := heap.Pop(&ws.expiryQ).(expiryEntry)
 		e, isActive := w.active[entry.id]
-		if !isActive || w.lastRef[entry.id] > cutoff {
+		if !isActive || ws.lastRef[entry.id] > cutoff {
 			continue // stale heap entry (element was re-referenced or already gone)
 		}
 		delete(w.active, entry.id)
-		delete(w.lastRef, entry.id)
+		delete(ws.lastRef, entry.id)
 		delete(w.children, entry.id)
 		delete(updated, entry.id)
+		ws.liveBytes -= liveElemBytes(e)
 		cs.Expired = append(cs.Expired, e)
 	}
 
@@ -338,33 +392,40 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	return cs, nil
 }
 
-// ShareWriterState makes two windows share the state that only the
-// serialized writer path ever touches: the archive and its arrival-order
-// log (duplicate detection, resurrection, export), the last-ref times and
-// the expiry heap. It is only legal for windows the caller advances in
-// lockstep over the same logical stream with all mutation serialized — the
-// engine's double buffer: the two windows' logical states are identical at
-// every hand-off and no concurrent reader dereferences these structures
-// (queries read only the active set and the reference index, which stay
-// per-window). Delta replay (ApplyDelta) relies on it: it skips maintaining
-// them — the recording advance already did — and the archive, the largest
-// map in the system (it holds every element ever ingested), exists once
-// instead of twice.
-func ShareWriterState(a, b *ActiveWindow) {
-	b.archive = a.archive
-	b.log = a.log
-	b.lastRef = a.lastRef
-	b.expiryQ = a.expiryQ
-	b.bytes = a.bytes
+// resurrectChunk is how many resurrected elements of the size of the one
+// at hand the storage they are carved from holds: a resurrection allocates
+// once in every few, and the storage stays small because it lives as long
+// as any element carved from it.
+const resurrectChunk = 8
+
+// resurrect decodes archived arrival seq into a fresh element and charges
+// it to the live bytes. Archived records were checked when they were
+// written or restored, so they decode.
+func (w *ActiveWindow) resurrect(seq int) *Element {
+	ws := w.ws
+	rec := ws.archive.Record(seq)
+	if ws.slab == nil || !ws.slab.fits(rec) {
+		n := counts(rec)
+		ws.slab = newSlab(slabSize{resurrectChunk, resurrectChunk * n.terms, resurrectChunk * max(n.topics, 1), resurrectChunk * max(n.refs, 1)})
+	}
+	e := ws.slab.decode(rec, ws.archive.Texts[seq])
+	ws.liveBytes += liveElemBytes(e)
+	return e
 }
 
 // slideOut moves the window head past the exits (arrival order, TS ≤
-// cutoff), dropping each exiting child from the reference index. Shared
-// verbatim between Advance and ApplyDelta so the two paths cannot drift.
+// cutoff), dropping each exiting child from the reference index. The
+// first twin whose head passes an arrival archives it; the other finds
+// it still in its own queue. Shared verbatim between Advance and
+// ApplyDelta so the two paths cannot drift.
 func (w *ActiveWindow) slideOut(cutoff Time) {
-	log := *w.log
-	for w.head < w.end && log[w.head].TS <= cutoff {
-		child := log[w.head]
+	for len(w.queue) > 0 && w.queue[0].TS <= cutoff {
+		child := w.queue[0]
+		w.queue[0] = nil // the queue must not keep an exited element alive
+		w.queue = w.queue[1:]
+		if w.head == w.ws.archive.Len() {
+			w.ws.archive.Append(child)
+		}
 		w.head++
 		for _, pid := range child.Refs {
 			w.removeChild(pid, child.ID)

@@ -4,7 +4,10 @@
 package testutil
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"testing"
 
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
@@ -156,4 +159,88 @@ func BruteForceOPT(s *score.Scorer, elems []*stream.Element, x topicmodel.TopicV
 	}
 	rec(0, nil)
 	return best
+}
+
+// edgeProbs are probabilities whose bits a decimal or float32 detour would
+// change: the subnormals, the smallest normal, values one ulp apart,
+// negative zero and a NaN with a payload.
+var edgeProbs = []float64{
+	math.SmallestNonzeroFloat64, 0x1p-1060, 0x1p-1022, 0x1p-1022 - 0x1p-1074,
+	math.Nextafter(0.5, 1), 1, math.Copysign(0, -1), math.Float64frombits(0x7ff8dead00000001),
+}
+
+// EdgeElements returns elements covering every shape an archive record and
+// an element-log frame must carry — no terms, no refs, no topics, four
+// topics, edge probabilities, extreme IDs, times and counts — followed by
+// n random ones with texts of up to 400 random bytes.
+func EdgeElements(rng *rand.Rand, n int) []*stream.Element {
+	out := []*stream.Element{
+		{ID: 1, TS: 1}, // nothing but the header
+		{ID: math.MinInt64, TS: math.MaxInt64, Text: "x"}, // extreme header
+		{
+			ID: 2, TS: 3,
+			Doc:    textproc.Document{Terms: []textproc.TermCount{{Word: math.MaxInt32, Count: math.MaxInt32}}, Len: math.MaxInt32},
+			Topics: topicmodel.TopicVec{Topics: []int32{0, 1, 2, 3}, Probs: edgeProbs[:4]},
+		},
+		{
+			ID: 4, TS: 5, Refs: []stream.ElemID{-1, 0, math.MaxInt64},
+			Topics: topicmodel.TopicVec{Topics: []int32{4, 5, 6, 7}, Probs: edgeProbs[4:]},
+			Text:   "späte Tore ⚽",
+		},
+	}
+	for i := 0; i < n; i++ {
+		e := &stream.Element{ID: stream.ElemID(rng.Int63()), TS: stream.Time(rng.Int63n(1 << 40))}
+		words := make([]textproc.WordID, rng.Intn(12))
+		for j := range words {
+			words[j] = textproc.WordID(rng.Intn(50))
+		}
+		e.Doc = textproc.NewDocument(words)
+		for j := rng.Intn(5); j > 0; j-- {
+			e.Topics.Topics = append(e.Topics.Topics, int32(rng.Intn(100)))
+			p := rng.Float64()
+			if rng.Intn(4) == 0 {
+				p = edgeProbs[rng.Intn(len(edgeProbs))]
+			}
+			e.Topics.Probs = append(e.Topics.Probs, p)
+		}
+		for j := rng.Intn(3); j > 0; j-- {
+			e.Refs = append(e.Refs, stream.ElemID(rng.Int63()))
+		}
+		text := make([]byte, rng.Intn(400))
+		rng.Read(text)
+		e.Text = string(text)
+		out = append(out, e)
+	}
+	return out
+}
+
+// SameElement fails t unless got equals want field by field, the
+// probabilities bit for bit (a NaN is not DeepEqual to itself).
+func SameElement(t testing.TB, got, want *stream.Element) {
+	t.Helper()
+	if len(got.Topics.Probs) != len(want.Topics.Probs) {
+		t.Fatalf("element %d: %d probabilities, want %d", want.ID, len(got.Topics.Probs), len(want.Topics.Probs))
+	}
+	for i, p := range want.Topics.Probs {
+		if math.Float64bits(got.Topics.Probs[i]) != math.Float64bits(p) {
+			t.Fatalf("element %d: probability %d has bits %x, want %x", want.ID, i, math.Float64bits(got.Topics.Probs[i]), math.Float64bits(p))
+		}
+	}
+	g, w := *got, *want
+	g.Topics.Probs, w.Topics.Probs = nil, nil
+	// An empty slice and a nil one encode alike.
+	for _, e := range []*stream.Element{&g, &w} {
+		if len(e.Doc.Terms) == 0 {
+			e.Doc.Terms = nil
+		}
+		if len(e.Topics.Topics) == 0 {
+			e.Topics.Topics = nil
+		}
+		if len(e.Refs) == 0 {
+			e.Refs = nil
+		}
+	}
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("element round trip diverges:\n got %+v\nwant %+v", g, w)
+	}
 }

@@ -357,7 +357,8 @@ func (s *Stream) Flush(now int64) error {
 }
 
 // approxResidentBytes estimates the heap bytes this stream pins while
-// resident: the engine's archived window state plus the pending buffer.
+// resident: the engine's elements, archived and live, plus the pending
+// buffer.
 // O(1) — both parts are maintained incrementally. Writer-side only, like
 // Add; the hub's commit path mirrors it into a lock-free handle counter.
 func (s *Stream) approxResidentBytes() int64 {

@@ -105,7 +105,8 @@ type PersistOptions struct {
 	// It bounds how long the tier can stay over budget.
 	ResidencySweep time.Duration
 	// Logger receives the hub's background warnings (residency sweep
-	// failures). Nil means slog.Default() resolved at log time.
+	// failures, failed idle WAL syncs). Nil means slog.Default() resolved
+	// at log time.
 	Logger *slog.Logger
 }
 
@@ -146,6 +147,16 @@ type hubPersist struct {
 	dir       string
 	opts      PersistOptions
 	modelHash uint64
+}
+
+// logger is where the hub's background warnings go, resolved at each
+// call so a logger installed with slog.SetDefault after OpenHub is still
+// honored.
+func (hp *hubPersist) logger() *slog.Logger {
+	if hp.opts.Logger != nil {
+		return hp.opts.Logger
+	}
+	return slog.Default()
 }
 
 // persistHash fingerprints the model and the sampler that infers with it, so
@@ -575,7 +586,7 @@ func (p *streamPersist) maybeCheckpoint(st *Stream) error {
 }
 
 // checkpoint exports the stream's state — O(active): the engine hands out
-// its arrival log by reference — has persist append the elements the disk
+// its archive by reference — has persist append the elements the disk
 // does not hold yet and atomically replace the checkpoint head, and
 // truncates the WAL. Called on the handle's commit path, where checkpoints
 // are commit barriers (no other op is mid-apply, so the published engine

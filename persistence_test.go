@@ -2,8 +2,11 @@ package ksir
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
 
 	"errors"
 	"fmt"
@@ -940,6 +943,90 @@ func TestOldSamplerDataDirRefused(t *testing.T) {
 	}
 }
 
+// A data directory written by the build before archived elements became
+// records in memory (testdata/checkpoint_v2, checkpoint format v2: a head
+// over an element log, the previous head as .bak, and a WAL tail whose
+// posts cite posts 3 and 7, archived long before, so its replay
+// resurrects them) opens with this build and answers as the build that
+// wrote it did; and one more checkpoint leaves the element log exactly as
+// that build's next checkpoint left it. answers.json holds that build's
+// answers, stream stats and element-log size and SHA-256.
+func TestCheckpointV2DataDirStillOpens(t *testing.T) {
+	const fixture = "testdata/checkpoint_v2"
+	m, err := LoadModelFile(filepath.Join(fixture, "model.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(fixture, "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Results               []Result
+		Active                int
+		Now, Bucket, Elements int64
+		ElementsBytes         int64
+		ElementsSHA256        string
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyStreamTree(t, filepath.Join(fixture, "data"), dir)
+
+	// The fixture still has the shape it was made for: 3 and 7 archived
+	// and inactive at the checkpoint.
+	ck, err := persist.LoadCheckpoint(filepath.Join(dir, "feed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	archived := map[int64]bool{}
+	for i := 0; i < ck.Core.Window.Archive.Len(); i++ {
+		e, err := ck.Core.Window.Archive.Elements(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archived[int64(e[0].ID)] = true
+	}
+	for _, a := range ck.Core.Window.Active {
+		delete(archived, int64(a.ID))
+	}
+	if !archived[3] || !archived[7] {
+		t.Fatal("posts 3 and 7 are not archived and inactive in the fixture's checkpoint")
+	}
+
+	h, err := OpenHub(dir, m, PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.CloseAll()
+	hs, err := h.Get("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(persistQueries(t, func(q Query) (Result, error) { return hs.Query(nil, q) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp, _ := json.Marshal(want.Results); !bytes.Equal(got, exp) {
+		t.Errorf("answers differ from the writing build's:\n got %s\nwant %s", got, exp)
+	}
+	if st := hs.Stats(); st.Active != want.Active || st.Now != want.Now || st.Bucket != want.Bucket || st.Elements != want.Elements {
+		t.Errorf("stats %+v, want active %d, now %d, bucket %d, elements %d", st, want.Active, want.Now, want.Bucket, want.Elements)
+	}
+	if _, err := hs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "feed", persist.ElementsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(log); int64(len(log)) != want.ElementsBytes || hex.EncodeToString(sum[:]) != want.ElementsSHA256 {
+		t.Errorf("element log after one more checkpoint: %d bytes, SHA-256 %x; the writing build left %d bytes, %s",
+			len(log), sum, want.ElementsBytes, want.ElementsSHA256)
+	}
+}
+
 // checkpointCounters reads the process-wide checkpoint metrics the way a
 // scrape would: checkpoints taken and bytes written.
 func checkpointCounters(t *testing.T) (count, written float64) {
@@ -1070,4 +1157,101 @@ func TestHubIdleWALSyncedWithinInterval(t *testing.T) {
 		t.Fatal("every Add synced inline; no dirty tail to observe")
 	}
 	waitFor(t, "the idle tail to be synced", func() bool { return hs.Stats().Pipeline.Fsyncs > synced })
+}
+
+// shortWriteWALFile stands between a stream's WAL and its file and makes
+// the first write store only half its bytes, reporting no error — a full
+// disk's short write.
+type shortWriteWALFile struct {
+	inner interface {
+		Write(b []byte) (int, error)
+		Sync() error
+		Truncate(size int64) error
+		Seek(offset int64, whence int) (int64, error)
+		Close() error
+	}
+	fired bool
+}
+
+func (f *shortWriteWALFile) Write(b []byte) (int, error) {
+	if !f.fired {
+		f.fired = true
+		return f.inner.Write(b[:len(b)/2])
+	}
+	return f.inner.Write(b)
+}
+func (f *shortWriteWALFile) Sync() error                          { return f.inner.Sync() }
+func (f *shortWriteWALFile) Truncate(size int64) error            { return f.inner.Truncate(size) }
+func (f *shortWriteWALFile) Seek(off int64, w int) (int64, error) { return f.inner.Seek(off, w) }
+func (f *shortWriteWALFile) Close() error                         { return f.inner.Close() }
+
+// A failed WAL write fails the stream's durability, not just the post it
+// carried: that Add and every later one report ErrPersist — applied in
+// memory, not durable — until a checkpoint captures the in-memory state
+// and resets the log. From then on Adds are durable again, and a crash
+// loses none of the posts, not even those that were refused durability.
+func TestFailedWALWriteFailsAddsUntilCheckpoint(t *testing.T) {
+	m := trainTestModel(t)
+	dir := t.TempDir()
+	h, err := OpenHub(dir, m, PersistOptions{Fsync: FsyncAlways, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.CloseAll()
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := mirrorStream(t, m)
+	posts := genPosts(80, 29)
+	add := func(p Post) error {
+		if err := mirror.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		return hs.Add(p)
+	}
+	for _, p := range posts[:30] {
+		if err := add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Under FsyncAlways the writer is idle between ops and the WAL has no
+	// idle tick: the swap happens before the next op reaches the writer.
+	wal := hs.pers.walp.Load()
+	faulty := &shortWriteWALFile{}
+	faulty.inner = wal.SwapFileForTest(faulty)
+	for i, p := range posts[30:33] {
+		if err := add(p); !errors.Is(err, ErrPersist) {
+			t.Fatalf("Add %d after the short write = %v, want ErrPersist", i, err)
+		}
+	}
+	if _, err := hs.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint of a stream whose WAL failed: %v", err)
+	}
+	for _, p := range posts[33:] {
+		if err := add(p); err != nil {
+			t.Fatalf("Add after the healing checkpoint: %v", err)
+		}
+	}
+	last := posts[len(posts)-1].Time + 1
+	if err := hs.Flush(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.Flush(last); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: reopen the directory with the hub still open.
+	h2 := openTestHub(t, dir, m, PersistOptions{})
+	defer h2.CloseAll()
+	hs2, err := h2.Get("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "recovered after a failed WAL write",
+		persistQueries(t, func(q Query) (Result, error) { return hs2.Query(nil, q) }),
+		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
+	if a, b := hs2.Stats(), mirror.Stats(); a.Elements != b.Elements || a.Bucket != b.Bucket {
+		t.Errorf("stats diverge: %+v vs %+v", a, b)
+	}
 }

@@ -1,0 +1,96 @@
+package ksir
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// residentHeapFactor is how far a stream's resident-byte estimate may stray
+// from the live heap the stream really holds, either way. The estimate
+// steers the residency budget (PersistOptions.MaxResidentBytes), so a
+// budget set from it must mean about what it says whatever the stream's
+// shape: the cases below cover a window that holds most of the stream and
+// an archive that holds most of it.
+const residentHeapFactor = 1.5
+
+// liveHeap is the live heap after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// Engine.WriterResidentBytes, and the hub's ResidentBytes that adds the
+// pending buffer to it, stay within residentHeapFactor of the live-heap
+// delta of building one stream, across window lengths (how much of the
+// stream is held as elements) and archive ages (how much of it has left
+// the window and is held as records).
+func TestResidentBytesTrackHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds streams of up to 40 000 posts")
+	}
+	m := trainTestModel(t)
+	words := []string{"goal", "striker", "keeper", "league", "derby", "penalty",
+		"dunk", "rebound", "playoffs", "court", "buzzer", "triple"}
+	for _, c := range []struct {
+		window time.Duration
+		posts  int
+	}{
+		{time.Hour, 5000},        // all in the window
+		{5 * time.Minute, 5000},  // young archive
+		{5 * time.Minute, 40000}, // old archive
+		{30 * time.Minute, 40000},
+	} {
+		t.Run(fmt.Sprintf("window=%s/posts=%d", c.window, c.posts), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(c.posts)))
+			base := liveHeap()
+			h := NewHub()
+			hs, err := h.Create("s", m, Options{Window: c.window, Bucket: time.Minute, Eta: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const batch = 500
+			for start := 0; start < c.posts; start += batch {
+				posts := make([]Post, batch)
+				for i := range posts {
+					id := int64(start + i + 1)
+					text := make([]byte, 0, 64)
+					for w := 0; w < 4+rng.Intn(5); w++ {
+						text = append(append(text, words[rng.Intn(len(words))]...), ' ')
+					}
+					posts[i] = Post{ID: id, Time: id, Text: string(text)}
+					if id > 1 && rng.Intn(3) == 0 {
+						// Mostly recent parents, some long gone: both
+						// in-window influence and resurrection.
+						back := 1 + rng.Int63n(min(id-1, int64(rng.Intn(2)*20000+50)))
+						posts[i].Refs = []int64{id - back}
+					}
+				}
+				if _, err := hs.AddBatch(posts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The last bucket stays pending, as in a live stream.
+			heap := liveHeap() - base
+			resident := hs.Stats().Residency.ResidentBytes
+			st := hs.Stream()
+			writer := st.engine.WriterResidentBytes()
+			runtime.KeepAlive(h)
+			t.Logf("live heap %d B, resident %d B (%.2f×), writer %d B, active %d",
+				heap, resident, float64(resident)/float64(heap), writer, st.Active())
+			for name, v := range map[string]int64{"hub ResidentBytes": resident, "WriterResidentBytes": writer} {
+				if r := float64(v) / float64(heap); r > residentHeapFactor || r < 1/residentHeapFactor {
+					t.Errorf("%s = %d B is %.2f× the stream's %d B of live heap, want within %.1f×", name, v, r, heap, residentHeapFactor)
+				}
+			}
+			if err := h.CloseAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

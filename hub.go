@@ -796,10 +796,15 @@ func (hs *StreamHandle) commit(batch []*writeOp) {
 					op.err = errors.Join(op.err, err)
 				}
 			}
-		} else if err := hs.pers.maybeCheckpoint(st); err != nil {
-			// The trigger runs once per committed batch (never with
-			// applied-but-unlogged posts); a failure surfaces on the last
-			// op that contributed records.
+		}
+		// The trigger runs once per committed batch, after its append
+		// (appendBatchTimed says why not before), and also when the
+		// append failed: the failed batch's records are not in the log —
+		// the checkpoint captures their effect and its Reset truncates
+		// any partial frame — and a checkpoint is what heals a failed
+		// WAL. A failure surfaces on the last op that contributed
+		// records.
+		if err := hs.pers.maybeCheckpoint(st); err != nil {
 			for i := len(batch) - 1; i >= 0; i-- {
 				if batch[i].nrecs > 0 {
 					batch[i].err = errors.Join(batch[i].err, err)

@@ -146,13 +146,6 @@ func newSlab(n slabSize) *slab {
 	}
 }
 
-// fits reports whether s has room for the valid record rec's element.
-func (s *slab) fits(rec []byte) bool {
-	c := counts(rec)
-	return len(s.elems) < cap(s.elems) && c.terms <= cap(s.terms)-len(s.terms) &&
-		c.topics <= cap(s.topics)-len(s.topics) && c.refs <= cap(s.refs)-len(s.refs)
-}
-
 // decode decodes a valid record and its text into an element carved from
 // s, which must have room for it.
 func (s *slab) decode(rec []byte, text string) *Element {

@@ -82,8 +82,6 @@ type writerState struct {
 	lastRef map[ElemID]Time
 	// expiryQ is a lazy min-heap over (lastRef, id) for active-set expiry.
 	expiryQ expiryHeap
-	// slab is the storage resurrected elements are carved from.
-	slab *slab
 	// textBytes sums the texts of every element ever ingested and
 	// liveBytes the rest of the footprint of the elements held as Go
 	// values (liveElemBytes); ApproxBytes adds the archive's storage.
@@ -302,6 +300,26 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	w.now = now
 	ws := w.ws
 
+	// The elements this advance resurrects are decoded into storage sized
+	// for exactly them, so a bucket allocates for its resurrections once
+	// and keeps no spare room alive: every known reference to an inactive
+	// element is a resurrection in phase 1 (one referred to twice is
+	// counted twice).
+	var resurrected slabSize
+	for _, e := range batch {
+		for _, pid := range e.Refs {
+			if seq, known := ws.index.lookup(pid); known {
+				if _, isActive := w.active[pid]; !isActive {
+					resurrected.add(ws.archive.Record(seq))
+				}
+			}
+		}
+	}
+	var storage *slab
+	if resurrected.elems > 0 {
+		storage = newSlab(resurrected)
+	}
+
 	// Phase 1: insert arrivals and wire references.
 	updated := make(map[ElemID]*Element)
 	prevTS := prevNow
@@ -338,7 +356,7 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 				// Resurrect: the parent re-enters A_t because a window
 				// element now refers to it. Only an element that left
 				// the window can be inactive, so it is archived.
-				parent = w.resurrect(seq)
+				parent = w.resurrect(seq, storage)
 				w.active[pid] = parent
 				cs.Inserted = append(cs.Inserted, parent)
 				if rec != nil {
@@ -392,23 +410,12 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	return cs, nil
 }
 
-// resurrectChunk is how many resurrected elements of the size of the one
-// at hand the storage they are carved from holds: a resurrection allocates
-// once in every few, and the storage stays small because it lives as long
-// as any element carved from it.
-const resurrectChunk = 8
-
-// resurrect decodes archived arrival seq into a fresh element and charges
-// it to the live bytes. Archived records were checked when they were
-// written or restored, so they decode.
-func (w *ActiveWindow) resurrect(seq int) *Element {
+// resurrect decodes archived arrival seq into a fresh element carved from
+// storage and charges it to the live bytes. Archived records were checked
+// when they were written or restored, so they decode.
+func (w *ActiveWindow) resurrect(seq int, storage *slab) *Element {
 	ws := w.ws
-	rec := ws.archive.Record(seq)
-	if ws.slab == nil || !ws.slab.fits(rec) {
-		n := counts(rec)
-		ws.slab = newSlab(slabSize{resurrectChunk, resurrectChunk * n.terms, resurrectChunk * max(n.topics, 1), resurrectChunk * max(n.refs, 1)})
-	}
-	e := ws.slab.decode(rec, ws.archive.Texts[seq])
+	e := storage.decode(ws.archive.Record(seq), ws.archive.Texts[seq])
 	ws.liveBytes += liveElemBytes(e)
 	return e
 }

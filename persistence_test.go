@@ -1255,3 +1255,85 @@ func TestFailedWALWriteFailsAddsUntilCheckpoint(t *testing.T) {
 		t.Errorf("stats diverge: %+v vs %+v", a, b)
 	}
 }
+
+// The automatic checkpoint heals a failed WAL too: with no explicit
+// Checkpoint, the first commit that crosses CheckpointEvery buckets after
+// the failure checkpoints the stream, and the Adds after it are durable.
+func TestFailedWALHealedByAutomaticCheckpoint(t *testing.T) {
+	m := trainTestModel(t)
+	dir := t.TempDir()
+	h, err := OpenHub(dir, m, PersistOptions{Fsync: FsyncAlways, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.CloseAll()
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := mirrorStream(t, m)
+	posts := genPosts(80, 31)
+	add := func(p Post) error {
+		if err := mirror.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		return hs.Add(p)
+	}
+	for _, p := range posts[:30] {
+		if err := add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal := hs.pers.walp.Load()
+	faulty := &shortWriteWALFile{}
+	faulty.inner = wal.SwapFileForTest(faulty)
+	before := hs.Stats().Persist.Checkpoints
+	if err := add(posts[30]); !errors.Is(err, ErrPersist) {
+		t.Fatalf("Add after the short write = %v, want ErrPersist", err)
+	}
+	// Posts 30.. span several 60 s buckets, so some commit among the next
+	// few crosses CheckpointEvery and heals the log.
+	healed := -1
+	for i, p := range posts[31:] {
+		err := add(p)
+		if err == nil {
+			healed = 31 + i
+			break
+		}
+		if !errors.Is(err, ErrPersist) {
+			t.Fatalf("Add %d while the WAL is failed = %v, want ErrPersist", 31+i, err)
+		}
+	}
+	if healed < 0 {
+		t.Fatal("no Add succeeded after the failure: the automatic checkpoint never healed the WAL")
+	}
+	if got := hs.Stats().Persist.Checkpoints; got <= before {
+		t.Fatalf("checkpoints %d -> %d: the healing came from no checkpoint", before, got)
+	}
+	for _, p := range posts[healed+1:] {
+		if err := add(p); err != nil {
+			t.Fatalf("Add after the automatic healing checkpoint: %v", err)
+		}
+	}
+	last := posts[len(posts)-1].Time + 1
+	if err := hs.Flush(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.Flush(last); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: reopen the directory with the hub still open.
+	h2 := openTestHub(t, dir, m, PersistOptions{})
+	defer h2.CloseAll()
+	hs2, err := h2.Get("feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "recovered after an automatic healing checkpoint",
+		persistQueries(t, func(q Query) (Result, error) { return hs2.Query(nil, q) }),
+		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
+	if a, b := hs2.Stats(), mirror.Stats(); a.Elements != b.Elements || a.Bucket != b.Bucket {
+		t.Errorf("stats diverge: %+v vs %+v", a, b)
+	}
+}

@@ -12,9 +12,9 @@ import (
 
 // arena is the scratch state of one query: the traversal cursors and
 // visited set, MTTD's gain heap and probes, MTTS's sieve array, and the
-// candidate sets with their coverage tables. The arenas pool recycles it, so
-// a warmed process answers a query without allocating any of it again
-// (DESIGN.md §6, "Query evaluation state").
+// candidate sets with their coverage and the word numbering they share. The
+// arenas pool recycles it, so a warmed process answers a query without
+// allocating any of it again (DESIGN.md §6, "Query evaluation state").
 //
 // An arena lives strictly inside its query's snapshot pin: it is taken
 // after the pin and released — every element reference dropped — before
@@ -36,6 +36,8 @@ type arena struct {
 	// free holds reset candidate sets ready for reuse; live, the ones
 	// handed out since the arena was taken.
 	free, live []*score.CandidateSet
+	// words numbers the words the live sets cover.
+	words score.Words
 }
 
 // arenas recycles arenas across queries and across engines: an arena holds
@@ -80,12 +82,13 @@ func (a *arena) reset() {
 	}
 	clear(a.live)
 	a.live = a.live[:0]
+	a.words.Reset()
 }
 
 // footprint returns the bytes of storage a retains across reset.
 func (a *arena) footprint() int {
 	tr := &a.tr
-	bytes := a.buf.Footprint() + tr.visited.Footprint() +
+	bytes := a.buf.Footprint() + tr.visited.Footprint() + a.words.Footprint() +
 		cap(tr.topics)*int(unsafe.Sizeof(int32(0))) + cap(tr.weights)*int(unsafe.Sizeof(float64(0))) +
 		cap(tr.iters)*int(unsafe.Sizeof(rankedlist.Iterator{})) +
 		cap(tr.cur)*int(unsafe.Sizeof(rankedlist.Item{})) + cap(tr.has) +
@@ -99,15 +102,16 @@ func (a *arena) footprint() int {
 	return bytes
 }
 
-// newSet hands out an empty candidate set for the query.
+// newSet hands out an empty candidate set for the query, numbering its
+// words in the arena's numbering.
 func (a *arena) newSet(s *score.Scorer, x topicmodel.TopicVec) *score.CandidateSet {
 	var cs *score.CandidateSet
 	if n := len(a.free); n > 0 {
 		cs, a.free = a.free[n-1], a.free[:n-1]
-		cs.Reset(s, x)
 	} else {
-		cs = score.NewCandidateSet(s, x)
+		cs = new(score.CandidateSet)
 	}
+	cs.ResetShared(s, x, &a.words)
 	a.live = append(a.live, cs)
 	return cs
 }

@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"unsafe"
 
 	"github.com/social-streams/ksir/internal/papertest"
+	"github.com/social-streams/ksir/internal/score"
+	"github.com/social-streams/ksir/internal/stream"
+	"github.com/social-streams/ksir/internal/testutil"
+	"github.com/social-streams/ksir/internal/textproc"
 )
 
 // A warmed engine answers MTTS and MTTD at k = 10 from its pooled arena:
@@ -121,6 +126,63 @@ func TestArenaFootprintCountsSieves(t *testing.T) {
 		t.Errorf("footprint %d B, want ≥ %d B of candidate sets + 2·24·|Φ| = %d B (|Φ| = %d)",
 			got, sets, sieves, phi)
 	}
+}
+
+// A pooled arena retains what its queries touched, not the vocabulary: the
+// word numbering its candidate sets share holds pages of the words of
+// admitted elements. Warmed by MTTS and MTTD queries at k = 10 on one and
+// three query topics, over documents of AMiner's length drawn uniformly
+// from 71 000 words (the paper's pruned AMiner vocabulary), it still fits
+// under maxArenaBytes after reset, so putArena keeps it. A numbering indexed
+// by word ID would hold at least 284 KB here by itself. Heavier queries on
+// this window (six and more topics at k = 20, sixteen at k = 10) outgrow
+// the cap, as they did with per-(word, topic) coverage tables, and are
+// dropped by design.
+func TestArenaFitsPaperVocabulary(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const z, v = 16, 71000
+	g, err := NewEngine(Config{
+		Model:        testutil.RandModel(rng, z, v),
+		WindowLength: 600,
+		Params:       score.Params{Lambda: 0.5, Eta: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems := make([]*stream.Element, 1500)
+	for i := range elems {
+		elems[i] = testutil.RandElement(rng, i+1, z, v, 4)
+		words := make([]textproc.WordID, 30+rng.Intn(40)) // AMiner averages 49 tokens
+		for j := range words {
+			words[j] = textproc.WordID(rng.Intn(v))
+		}
+		elems[i].Doc = textproc.NewDocument(words)
+	}
+	buckets, err := stream.Partition(elems, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range buckets {
+		if err := g.Ingest(b.End, b.Elems); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := g.front.Load().view()
+	a := new(arena)
+	for qi, x := range queryVectors(rng, z)[:2] { // one and three query topics
+		q := Query{K: 10, X: x, Epsilon: 0.1}
+		for _, alg := range []func(context.Context, Query, *arena) (Result, error){view.mtts, view.mttd} {
+			if _, err := alg(context.Background(), q, a); err != nil {
+				t.Fatal(err)
+			}
+			a.reset()
+			if got := a.footprint(); got > maxArenaBytes {
+				t.Errorf("query %d: arena retains %d B after reset (numbering %d B), past the %d B pool cap",
+					qi, got, a.words.Footprint(), maxArenaBytes)
+			}
+		}
+	}
+	t.Logf("arena %d B after reset, numbering %d B of it", a.footprint(), a.words.Footprint())
 }
 
 // Every answered query lands once in each per-algorithm Figure-10 histogram.

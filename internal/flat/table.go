@@ -1,11 +1,11 @@
 // Package flat holds the open-addressed table the query path keeps its
 // per-query state in (DESIGN.md §6, "Query evaluation state"): visited
-// marks, candidate-set membership, word coverage and influence
-// probabilities. A Table replaces a Go map where the map's hashing,
-// bucket chasing and per-query allocation were the cost: a lookup is one
-// multiplicative hash and (at load ≤ ½) usually one probe, and Reset hands
-// the storage to the next query without touching more than the last one
-// wrote.
+// marks, candidate-set membership and influence probabilities. (Word
+// coverage is dense columns indexed by score.Words numbers.) A Table
+// replaces a Go map where the map's hashing, bucket chasing and per-query
+// allocation were the cost: a lookup is one multiplicative hash and (at
+// load ≤ ½) usually one probe, and Reset hands the storage to the next
+// query without touching more than the last one wrote.
 package flat
 
 // Table maps (int64, int32) keys — an ID and a small qualifier such as a

@@ -95,3 +95,72 @@ func FuzzElementLog(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWALFrames feeds the WAL scanner raw bytes, or one payload wrapped in
+// a valid length and CRC frame. Whatever it is given, the scan stops on a
+// frame boundary within the data, fails with nothing but ErrVersion (a
+// record kind from the future), and every record it accepts re-encodes to
+// exactly the bytes it consumed. decodeFrom alone, on the same bytes, keeps
+// the same promises for its one frame.
+func FuzzWALFrames(f *testing.F) {
+	var log []byte
+	for _, r := range []Record{
+		{Seq: 1, Kind: KindPost, Post: PostRec{ID: 1, Time: 60, Text: "late goal wins the derby"}},
+		{Seq: 2, Bucket: 1, Kind: KindPost, Post: PostRec{ID: 2, Time: 61, Text: "dunk", Refs: []int64{1}}},
+		{Seq: 3, Bucket: 1, Kind: KindFlush, FlushNow: 120},
+	} {
+		var err error
+		if log, err = r.encode(log); err != nil {
+			f.Fatal(err)
+		}
+	}
+	first := int(binary.LittleEndian.Uint32(log)) + 8
+	future := append([]byte(nil), log[8:first]...)
+	future[16] = 9 // the kind byte
+	f.Add(log, false)
+	f.Add(log[:len(log)-3], false) // torn inside the last frame
+	f.Add(log[8:first], true)      // one payload, framed by the target
+	f.Add(future, true)
+	f.Add([]byte{}, false)
+	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
+		if frame {
+			framed := make([]byte, 8, 8+len(data))
+			binary.LittleEndian.PutUint32(framed, uint32(len(data)))
+			binary.LittleEndian.PutUint32(framed[4:], crc32.Checksum(data, crcTable))
+			data = append(framed, data...)
+		}
+		// reencodes checks that r is the frame at data[at:] and returns its length.
+		reencodes := func(r Record, at int) int {
+			again, err := r.encode(nil)
+			if err != nil {
+				t.Fatalf("accepted record at %d does not re-encode: %v", at, err)
+			}
+			if !bytes.HasPrefix(data[at:], again) {
+				t.Fatalf("accepted record at %d re-encodes to %d bytes that differ from the ones read", at, len(again))
+			}
+			return len(again)
+		}
+
+		r, n, err := decodeFrom(data)
+		switch {
+		case err == nil:
+			if got := reencodes(r, 0); got != n {
+				t.Fatalf("decodeFrom consumed %d bytes of a %d byte frame", n, got)
+			}
+		case err != errTorn && !errors.Is(err, ErrVersion):
+			t.Fatalf("decodeFrom error %v is neither a torn frame nor ErrVersion", err)
+		}
+
+		var boundary int
+		off, err := scan(data, func(r Record) error {
+			boundary += reencodes(r, boundary)
+			return nil
+		})
+		if err != nil && !errors.Is(err, ErrVersion) {
+			t.Fatalf("scan error %v is not ErrVersion", err)
+		}
+		if off != int64(boundary) || off > int64(len(data)) {
+			t.Fatalf("scan stopped at %d, want the frame boundary %d within %d bytes", off, boundary, len(data))
+		}
+	})
+}

@@ -3,6 +3,7 @@ package score
 import (
 	"github.com/social-streams/ksir/internal/flat"
 	"github.com/social-streams/ksir/internal/stream"
+	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
@@ -76,11 +77,86 @@ func (s *Scorer) Prepare(b *ProbeBuf, e *stream.Element, x topicmodel.TopicVec) 
 	return p
 }
 
+// Words numbers the words candidate sets cover, 0, 1, 2, … in the order a
+// set first covers them at commit (never when a probe is prepared), so a
+// set's word coverage is a column per query position indexed by number
+// rather than a table keyed by (word, query position), and the number
+// space is the distinct words of admitted elements. The candidate sets of
+// one query share one numbering, reset by its owner once none of them is
+// used any more; a set made by NewCandidateSet numbers its words on its own.
+//
+// A lookup is two loads and no hashing: a directory entry per page of
+// wordPage consecutive word IDs, and the word's entry in its page. A page
+// exists only once one of its words has a number, so the storage follows
+// the words the query numbered rather than the vocabulary.
+type Words struct {
+	// dir[w/wordPage] is the offset in pages of word w's page, 0 (the zero
+	// page, never written) while no word of that page has a number.
+	dir []uint32
+	// pages holds 1 + a word's number at its entry, 0 for none.
+	pages []int32
+	n     int32 // numbers given
+}
+
+// wordPage is the number of word IDs per page: one 64-byte cache line.
+const wordPage = 16
+
+// Reset forgets every number, keeping the storage.
+func (w *Words) Reset() {
+	clear(w.dir)
+	clear(w.pages)
+	w.pages, w.n = w.pages[:min(len(w.pages), wordPage)], 0
+}
+
+// copyFrom makes w an independent copy of src, reusing w's storage.
+func (w *Words) copyFrom(src *Words) {
+	w.dir = append(w.dir[:0], src.dir...)
+	w.pages = append(w.pages[:0], src.pages...)
+	w.n = src.n
+}
+
+// Footprint returns the bytes of storage the numbering retains across Reset.
+func (w *Words) Footprint() int { return 4*cap(w.dir) + 4*cap(w.pages) }
+
+// find returns word's number, −1 if it has none.
+func (w *Words) find(word textproc.WordID) int32 { return lookup(w.dir, w.pages, word) }
+
+// lookup is find on a numbering's directory and pages, which eval holds in
+// locals across a term loop.
+func lookup(dir []uint32, pages []int32, word textproc.WordID) int32 {
+	if d := uint(word) / wordPage; d < uint(len(dir)) {
+		return pages[dir[d]+uint32(word)%wordPage] - 1
+	}
+	return -1
+}
+
+// number returns word's number, giving it the next one if it has none.
+func (w *Words) number(word textproc.WordID) int32 {
+	if len(w.pages) == 0 {
+		w.pages = append(w.pages, make([]int32, wordPage)...) // the zero page
+	}
+	d := int(word) / wordPage
+	if d >= len(w.dir) {
+		w.dir = append(w.dir, make([]uint32, d+1-len(w.dir))...)
+	}
+	if w.dir[d] == 0 {
+		w.dir[d] = uint32(len(w.pages))
+		w.pages = append(w.pages, make([]int32, wordPage)...)
+	}
+	e := &w.pages[w.dir[d]+uint32(word)%wordPage]
+	if *e == 0 {
+		w.n++
+		*e = w.n
+	}
+	return *e - 1
+}
+
 // CandidateSet is the incremental evaluation state for one candidate result
 // set S of a query vector x. It supports marginal-gain queries Δ(e|S) and
 // additions in O(d·(|V_e| + |I_t(e)|)) where d is the number of non-zero
 // query entries, exactly the per-evaluation cost the paper's complexity
-// analysis assumes (§4.2), each step one probe of a flat table.
+// analysis assumes (§4.2): a word-coverage step reads a column, an
+// influence step probes a flat table.
 //
 // MTTS keeps O(log k / ε) of these per query; MTTD and the submodular
 // baselines keep one. A set is owned by one goroutine: MarginalGain does not
@@ -92,52 +168,120 @@ type CandidateSet struct {
 	inSet   flat.Table // member IDs
 	value   float64
 
-	// Keyed by (word w, query position i): max_{e∈S} σ_i(w,e), the
-	// word-coverage maxima. Keyed by (child c, query position i): p_i(S ⇝ c)
-	// for c ∈ I_t(S). Only non-zero values have an entry — a row of x.Len()
-	// per word or child would be mostly zeros, elements carrying fewer than
-	// two topics on average.
-	covered  flat.Table
+	// words numbers the words S covers: &own, or the numbering the sets of
+	// one query share.
+	words *Words
+	own   Words
+	// covered[i][n] = max_{e∈S} σ_i(w,e) for query position i and the word w
+	// numbered n, the word-coverage maxima: one column per query position,
+	// so a column grows only where S covers a word on that topic. Zero
+	// means uncovered, and so does an index past a column's end: a column
+	// grows zero-filled to the largest number it covers.
+	covered [][]float64
+	// Keyed by (child c, query position i): p_i(S ⇝ c) for c ∈ I_t(S). Only
+	// non-zero values have an entry — a row of x.Len() per child would be
+	// mostly zeros, elements carrying fewer than two topics on average.
 	inflProb flat.Table
 
 	buf ProbeBuf // backs the probe of MarginalGain(e) / Add(e)
 }
 
-// NewCandidateSet returns an empty candidate set for query vector x.
+// NewCandidateSet returns an empty candidate set for query vector x that
+// numbers its words on its own.
 func NewCandidateSet(s *Scorer, x topicmodel.TopicVec) *CandidateSet {
 	cs := new(CandidateSet)
 	cs.Reset(s, x)
 	return cs
 }
 
-// Reset empties the set and rebinds it to scorer s and query vector x in
-// O(what the previous use touched), keeping its storage. It drops every
-// element reference, so a reset set pins nothing of the window it last read.
+// Reset empties the set and rebinds it to scorer s, query vector x and a
+// numbering of its own in O(what the previous use touched), keeping its
+// storage. It drops every element reference, so a reset set pins nothing of
+// the window it last read.
 func (cs *CandidateSet) Reset(s *Scorer, x topicmodel.TopicVec) {
-	cs.scorer, cs.x, cs.value = s, x, 0
+	cs.own.Reset()
+	cs.ResetShared(s, x, &cs.own)
+}
+
+// ResetShared is Reset for a set that numbers its words in w, which the
+// other candidate sets of the same query vector share.
+func (cs *CandidateSet) ResetShared(s *Scorer, x topicmodel.TopicVec, w *Words) {
+	cs.scorer, cs.x, cs.value, cs.words = s, x, 0, w
 	clear(cs.members)
 	cs.members = cs.members[:0]
 	cs.inSet.Reset(false)
-	cs.covered.Reset(true)
+	cs.columns(len(x.Topics))
 	cs.inflProb.Reset(true)
 	cs.buf.Reset()
 }
 
 // CopyFrom makes cs an independent copy of src — same scorer, query vector,
 // members and coverage — reusing cs's storage. MTTS forks a candidate this
-// way when only some of the sieves sharing it admit an element.
+// way when only some of the sieves sharing it admit an element. The copy
+// shares src's numbering, or copies it if src numbers on its own.
 func (cs *CandidateSet) CopyFrom(src *CandidateSet) {
-	cs.scorer, cs.x, cs.value = src.scorer, src.x, src.value
+	cs.scorer, cs.x, cs.value, cs.words = src.scorer, src.x, src.value, src.words
+	if src.words == &src.own {
+		cs.own.copyFrom(&src.own)
+		cs.words = &cs.own
+	}
 	cs.members = append(cs.members[:0], src.members...)
 	cs.inSet.CopyFrom(&src.inSet)
-	cs.covered.CopyFrom(&src.covered)
+	cs.columns(len(src.covered))
+	for i, col := range src.covered {
+		cs.covered[i] = append(cs.covered[i], col...)
+	}
 	cs.inflProb.CopyFrom(&src.inflProb)
 }
 
 // Footprint returns the bytes of storage the set retains across Reset.
 func (cs *CandidateSet) Footprint() int {
-	return 8*cap(cs.members) + cs.buf.Footprint() +
-		cs.inSet.Footprint() + cs.covered.Footprint() + cs.inflProb.Footprint()
+	bytes := 8*cap(cs.members) + cs.buf.Footprint() + cs.inSet.Footprint() +
+		cs.own.Footprint() + 24*cap(cs.covered) + cs.inflProb.Footprint()
+	for _, col := range cs.covered[:cap(cs.covered)] {
+		bytes += 8 * cap(col)
+	}
+	return bytes
+}
+
+// columns makes covered nx empty columns, reusing the storage of earlier
+// ones.
+func (cs *CandidateSet) columns(nx int) {
+	if nx > cap(cs.covered) {
+		cs.covered = append(cs.covered[:cap(cs.covered)], make([][]float64, nx-cap(cs.covered))...)
+	}
+	cs.covered = cs.covered[:nx]
+	for i := range cs.covered {
+		cs.covered[i] = cs.covered[i][:0]
+	}
+}
+
+// coverage returns a coverage column's entry for the word numbered n, 0 if
+// n is −1 (no number) or past the column's end.
+func coverage(col []float64, n int32) float64 {
+	if i := uint(n); i < uint(len(col)) {
+		return col[i]
+	}
+	return 0
+}
+
+// coverAll raises the coverage at query position qi of each term's word to
+// its weight σ, numbering the words that had none.
+func (cs *CandidateSet) coverAll(terms []textproc.TermCount, weights []float64, qi int32) {
+	col := cs.covered[qi]
+	for k, tc := range terms {
+		n := cs.words.find(tc.Word)
+		if sig := weights[k]; sig > coverage(col, n) {
+			if n < 0 {
+				n = cs.words.number(tc.Word)
+			}
+			if int(n) >= len(col) {
+				col = append(col, make([]float64, int(n)+1-len(col))...)
+			}
+			col[n] = sig
+		}
+	}
+	cs.covered[qi] = col
 }
 
 // Len returns |S|.
@@ -200,22 +344,19 @@ func (cs *CandidateSet) eval(p *Probe, commit bool) float64 {
 	for pi, pr := range p.pairs {
 		// Semantic gain: the uncovered portions of e's word weights.
 		var dSem float64
-		weights := p.ec.wordWeights[pr.ej]
-		for k, tc := range p.Elem.Doc.Terms {
-			r := cs.covered.Find(int64(tc.Word), pr.qi)
-			var cov float64
-			if r >= 0 {
-				cov = *cs.covered.Val(r)
-			}
-			if sig := weights[k]; sig > cov {
+		// The loop makes no call, so the numbering and the column stay in
+		// registers; a commit folds e's weights in afterwards (its words are
+		// distinct, so no term reads another's update).
+		terms := p.Elem.Doc.Terms
+		weights := p.ec.wordWeights[pr.ej][:len(terms)]
+		dir, pages, col := cs.words.dir, cs.words.pages, cs.covered[pr.qi]
+		for k, tc := range terms {
+			if sig, cov := weights[k], coverage(col, lookup(dir, pages, tc.Word)); sig > cov {
 				dSem += sig - cov
-				if commit {
-					if r < 0 {
-						r = cs.covered.Insert(int64(tc.Word), pr.qi)
-					}
-					*cs.covered.Val(r) = sig
-				}
 			}
+		}
+		if commit {
+			cs.coverAll(terms, weights, pr.qi)
 		}
 		// Influence gain: Σ_c p_i(e⇝c)·(1 − p_i(S⇝c)).
 		var dInfl float64

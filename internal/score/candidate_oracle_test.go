@@ -156,6 +156,74 @@ func TestCandidateSetMatchesMapOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// The same with the sets of a query sharing one word numbering, as an
+	// arena's do. Every probe is prepared before the trial's first
+	// admission and evaluated to its end, as MTTD's live for the whole
+	// query, so other sets' commits number its words after it was first
+	// evaluated. Every tenth step forks the set with the shortest coverage
+	// into the recycled set with the longest, whose re-exposed tail must
+	// read as uncovered when the fork's coverage grows again.
+	var words Words
+	shared := make([]*CandidateSet, 4)
+	for i := range shared {
+		shared[i] = new(CandidateSet)
+	}
+	for trial := 0; trial < 40; trial++ {
+		scorer, elems, x := randInstance(t, rng, 40)
+		words.Reset()
+		oracles := make([]*mapCandidateSet, len(shared))
+		for i, cs := range shared {
+			cs.ResetShared(scorer, x, &words)
+			oracles[i] = newMapCandidateSet(scorer, x)
+		}
+		var buf ProbeBuf
+		probes := make([]Probe, len(elems))
+		for i, e := range elems {
+			probes[i] = scorer.Prepare(&buf, e, x)
+		}
+		for step := 0; step < 80; step++ {
+			ei := rng.Intn(len(elems))
+			e, p := elems[ei], &probes[ei]
+			for si, cs := range shared {
+				if got, want := cs.Gain(p), oracles[si].gain(e, false); !sameBits(got, want) {
+					t.Fatalf("trial %d step %d: shared set %d Gain(e%d) = %v, oracle %v", trial, step, si, e.ID, got, want)
+				}
+			}
+			if step%10 == 9 {
+				extent := func(cs *CandidateSet) (n int) {
+					for _, col := range cs.covered {
+						n += len(col)
+					}
+					return n
+				}
+				long, short := 0, -1
+				for si, cs := range shared {
+					if extent(cs) > extent(shared[long]) {
+						long = si
+					}
+				}
+				for si, cs := range shared {
+					if si != long && (short < 0 || extent(cs) < extent(shared[short])) {
+						short = si
+					}
+				}
+				shared[long].CopyFrom(shared[short])
+				oracles[long] = newMapCandidateSet(scorer, x)
+				for _, m := range shared[short].Members() {
+					oracles[long].gain(m, true)
+				}
+				continue
+			}
+			si := rng.Intn(len(shared))
+			if got, want := shared[si].AddProbe(p), oracles[si].gain(e, true); !sameBits(got, want) {
+				t.Fatalf("trial %d step %d: shared set %d AddProbe(e%d) = %v, oracle %v", trial, step, si, e.ID, got, want)
+			}
+			if !sameBits(shared[si].Value(), oracles[si].value) {
+				t.Fatalf("trial %d step %d: shared set %d value %v, oracle %v", trial, step, si, shared[si].Value(), oracles[si].value)
+			}
+		}
+	}
 }
 
 // A reset set holds no element of the window it last read: pooled arenas

@@ -42,7 +42,7 @@ func (s *Scorer) Explain(set []*stream.Element, x topicmodel.TopicVec) []Contrib
 			xi := x.Probs[pr.qi]
 			var dSem float64
 			for k, tc := range e.Doc.Terms {
-				cov := entry(&cs.covered, int64(tc.Word), pr.qi)
+				cov := coverage(cs.covered[pr.qi], cs.words.find(tc.Word))
 				if sig := p.ec.wordWeights[pr.ej][k]; sig > cov {
 					dSem += sig - cov
 					fresh[k] = true

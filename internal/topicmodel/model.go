@@ -8,7 +8,6 @@ package topicmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/social-streams/ksir/internal/textproc"
 )
@@ -82,11 +81,17 @@ func NewTopicVec(dense []float64) TopicVec {
 	return v
 }
 
-// Prob returns p_i(e) for topic i (0 if absent).
+// Prob returns p_i(e) for topic i (0 if absent). It scans the ascending
+// topics up to the first one ≥ i: an element's vector holds a handful
+// (≤ 4), where the scan beats a binary search's calls.
 func (v TopicVec) Prob(topic int32) float64 {
-	j := sort.Search(len(v.Topics), func(j int) bool { return v.Topics[j] >= topic })
-	if j < len(v.Topics) && v.Topics[j] == topic {
-		return v.Probs[j]
+	for j, t := range v.Topics {
+		if t >= topic {
+			if t == topic {
+				return v.Probs[j]
+			}
+			break
+		}
 	}
 	return 0
 }

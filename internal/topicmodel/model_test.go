@@ -28,6 +28,38 @@ func TestTopicVecProb(t *testing.T) {
 	}
 }
 
+// Prob's scan returns what a binary search for the topic returns, bit for
+// bit, on empty vectors, absent topics below, between and above the present
+// ones, and a vector as wide as a dense query.
+func TestTopicVecProbMatchesBinarySearch(t *testing.T) {
+	search := func(v TopicVec, topic int32) float64 {
+		j := sort.Search(len(v.Topics), func(j int) bool { return v.Topics[j] >= topic })
+		if j < len(v.Topics) && v.Topics[j] == topic {
+			return v.Probs[j]
+		}
+		return 0
+	}
+	wide := make([]float64, 250)
+	for i := range wide {
+		wide[i] = float64(i%7) / 7 // every seventh topic absent
+	}
+	for _, c := range []struct {
+		name string
+		v    TopicVec
+	}{
+		{"empty", TopicVec{}},
+		{"one topic", NewTopicVec([]float64{0, 0, 1})},
+		{"four topics", NewTopicVec([]float64{0, 0.1, 0, 0.2, 0.3, 0, 0, 0.4})},
+		{"250 topics", NewTopicVec(wide)},
+	} {
+		for topic := int32(-1); topic <= 251; topic++ {
+			if got, want := c.v.Prob(topic), search(c.v, topic); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: Prob(%d) = %v, binary search %v", c.name, topic, got, want)
+			}
+		}
+	}
+}
+
 func TestTopicVecCosine(t *testing.T) {
 	a := NewTopicVec([]float64{1, 0})
 	b := NewTopicVec([]float64{0, 1})

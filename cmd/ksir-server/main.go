@@ -133,11 +133,9 @@ func main() {
 		fatal(fmt.Errorf("need -model or -corpus"))
 	}
 
-	defaults := ksir.Options{Window: *window, Bucket: *bucket, Lambda: *lambda, Eta: *eta}
-	// WithLambda keeps -lambda 0 (pure influence) expressible; passing the
-	// same options to NewHub makes streams created over POST /v1/streams
-	// inherit the deployment's λ.
-	sopts := []ksir.StreamOption{ksir.WithLambda(*lambda)}
+	// Passing the same options to NewHub makes streams created over
+	// POST /v1/streams inherit the deployment's λ, -lambda 0 included.
+	defaults := ksir.Options{Window: *window, Bucket: *bucket, Lambda: lambda, Eta: *eta}
 
 	var hub *ksir.Hub
 	if *dataDir != "" {
@@ -152,7 +150,7 @@ func main() {
 			MaxResidentStreams: *maxResident,
 			MaxResidentBytes:   *maxResidentB,
 			Logger:             logger,
-		}, sopts...)
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -163,12 +161,12 @@ func main() {
 		hub = ksir.NewHub()
 	}
 	if _, err := hub.Get(server.DefaultStream); err != nil {
-		if _, err := hub.Create(server.DefaultStream, model, defaults, sopts...); err != nil {
+		if _, err := hub.Create(server.DefaultStream, model, defaults); err != nil {
 			fatal(err)
 		}
 	}
 
-	handler := server.NewHub(hub, model, defaults, sopts...)
+	handler := server.NewHub(hub, model, defaults)
 	handler.SetLogger(logger)
 	if *pprofOn {
 		handler.EnablePprof()

@@ -36,8 +36,9 @@ var (
 	ErrMalformed = errors.New("frame: malformed event")
 )
 
-// Lines reads newline-terminated lines with a hard per-line byte cap.
-// Lines over the cap are consumed to their terminator and reported as
+// Lines reads newline-terminated lines with a hard per-line byte cap. The
+// cap counts a line's content, not its LF or CRLF terminator. Lines over
+// the cap are consumed to their terminator and reported as
 // truncated rather than returned partially — consumers skip them instead
 // of decoding garbage or buffering without bound.
 type Lines struct {
@@ -64,16 +65,17 @@ func (lr *Lines) Next() (line []byte, truncated bool, err error) {
 		n += len(chunk)
 		switch err {
 		case nil:
-			if n > lr.max+1 { // +1: the terminator itself
-				return nil, true, nil
-			}
 			line = append(line, chunk...)
 			// Trim \n and a preceding \r (SSE allows CRLF).
 			line = line[:len(line)-1]
 			line = bytes.TrimSuffix(line, []byte{'\r'})
+			if len(line) > lr.max {
+				return nil, true, nil
+			}
 			return line, false, nil
 		case bufio.ErrBufferFull:
-			if n > lr.max {
+			// +1: the last byte read may be the \r of a CRLF.
+			if n > lr.max+1 {
 				// Oversized: drain to the newline, then report truncation.
 				for {
 					_, derr := lr.br.ReadSlice('\n')

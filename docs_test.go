@@ -2,6 +2,9 @@ package ksir_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"net/http/httptest"
 	"os"
@@ -140,6 +143,99 @@ func TestDocsNameLiveTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Every identifier of the root package the docs name must be declared in
+// its non-test files: each ksir.Name, and each Type.Member — a field or a
+// method — of an exported root type. A deleted or renamed API therefore
+// cannot live on in the docs; testdata/docs_gone.txt keeps the retired
+// names out even where they no longer parse as either form.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	decls := rootDecls(t)
+	qualified := regexp.MustCompile(`\bksir\.([A-Z]\w*)`)
+	// A Type.Member not qualified by another package (persist.Meta.Lambda
+	// names persist's Meta, not a root type).
+	member := regexp.MustCompile(`(?m)(?:^|[^\w.])(?:ksir\.)?([A-Z]\w*)\.(\w+)`)
+	for _, doc := range docFiles {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range qualified.FindAllSubmatch(text, -1) {
+			if _, ok := decls[string(m[1])]; !ok {
+				t.Errorf("%s names ksir.%s, which the root package does not declare", doc, m[1])
+			}
+		}
+		for _, m := range member.FindAllSubmatch(text, -1) {
+			typ, name := string(m[1]), string(m[2])
+			if members, ok := decls[typ]; ok && members != nil && !members[name] {
+				t.Errorf("%s names %s.%s, which %s does not declare", doc, typ, name, typ)
+			}
+		}
+	}
+}
+
+// rootDecls reads the root package's non-test files and maps every
+// top-level name it declares to its members: the fields and methods of a
+// struct type, nil for anything else.
+func rootDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	add := func(typ, name string) {
+		if decls[typ] == nil {
+			decls[typ] = map[string]bool{}
+		}
+		decls[typ][name] = true
+	}
+	for _, f := range pkgs["ksir"].Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					decls[d.Name.Name] = nil
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				add(recv.(*ast.Ident).Name, d.Name.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if _, ok := decls[spec.Name.Name]; !ok {
+							decls[spec.Name.Name] = nil
+						}
+						st, ok := spec.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, field := range st.Fields.List {
+							for _, name := range field.Names {
+								add(spec.Name.Name, name.Name)
+							}
+						}
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							decls[name.Name] = nil
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no root package declarations")
+	}
+	return decls
 }
 
 // exposedFamilies scrapes the /metrics handler of a server over an empty

@@ -33,7 +33,7 @@ var (
 	// ErrUnknownStream reports a Hub lookup of a name that is not
 	// registered (or was already closed).
 	ErrUnknownStream = errors.New("ksir: unknown stream")
-	// ErrStreamExists reports a Hub.Create/Adopt of a name already in use.
+	// ErrStreamExists reports a Hub.Create of a name already in use.
 	ErrStreamExists = errors.New("ksir: stream already exists")
 	// ErrStreamClosed reports an operation on a stream handle whose stream
 	// has been closed out of the Hub.

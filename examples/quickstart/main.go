@@ -56,7 +56,6 @@ func main() {
 	st, err := ksir.New(model, ksir.Options{
 		Window: time.Hour,
 		Bucket: time.Minute,
-		Lambda: 0.5,
 		Eta:    2,
 	})
 	if err != nil {

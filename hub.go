@@ -96,43 +96,27 @@ func validName(name string) error {
 // stream's directory, manifest and WAL are provisioned before Create
 // returns (and a leftover directory for the name is ErrStreamExists —
 // closed streams keep their durable state).
-func (h *Hub) Create(name string, m *Model, opts Options, sopts ...StreamOption) (*StreamHandle, error) {
+func (h *Hub) Create(name string, m *Model, opts Options) (*StreamHandle, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	st, err := New(m, opts, sopts...)
+	st, err := New(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	return h.register(name, st, st.Model(), st.opts, st.cfg, nil)
-}
-
-// Adopt registers an existing stream under name. The caller must stop
-// writing to st directly: after Adopt, all writes go through the returned
-// handle (which owns the stream's writer goroutine). On a durable hub the
-// adopted stream's current state is checkpointed immediately, so it is
-// durable from the moment Adopt returns.
-func (h *Hub) Adopt(name string, st *Stream) (*StreamHandle, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	if st == nil {
-		return nil, fmt.Errorf("%w: nil stream", ErrBadOptions)
-	}
-	return h.register(name, st, st.Model(), st.opts, st.cfg, nil)
+	return h.register(name, st, st.Model(), st.opts, nil)
 }
 
 // register inserts a handle under name and starts its writer goroutine.
 // st may be nil (cold recovery under a residency budget): the handle starts
-// hibernated, and everything needed to bring the stream back — model,
-// resolved options, config — lives on the handle itself. Recovery brings
-// the stream's durability state along; Create and Adopt pass none, and on a
-// durable hub the on-disk state is provisioned here — directory, manifest,
-// WAL, and the initial checkpoint when the stream already has ingested
-// state (Adopt) — under the hub lock, before the handle is reachable
-// through Get: a concurrently created handle can never be observed without
-// its persistence attached (writes on it would bypass the WAL).
-func (h *Hub) register(name string, st *Stream, m *Model, opts Options, cfg streamConfig, pers *streamPersist) (*StreamHandle, error) {
+// hibernated, and everything needed to bring the stream back — model and
+// resolved options — lives on the handle itself. Recovery brings the
+// stream's durability state along; Create passes none, and on a durable
+// hub the on-disk state is provisioned here — directory, manifest and WAL —
+// under the hub lock, before the handle is reachable through Get: a
+// concurrently created handle can never be observed without its
+// persistence attached (writes on it would bypass the WAL).
+func (h *Hub) register(name string, st *Stream, m *Model, opts Options, pers *streamPersist) (*StreamHandle, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, ok := h.streams[name]; ok {
@@ -140,7 +124,7 @@ func (h *Hub) register(name string, st *Stream, m *Model, opts Options, cfg stre
 	}
 	if pers == nil && h.p != nil {
 		var err error
-		if pers, err = h.p.initStream(name, st); err != nil {
+		if pers, err = h.p.initStream(name, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -149,7 +133,6 @@ func (h *Hub) register(name string, st *Stream, m *Model, opts Options, cfg stre
 		hub:   h,
 		model: m,
 		opts:  opts,
-		cfg:   cfg,
 		pers:  pers,
 		done:  make(chan struct{}),
 		ops:   make(chan *writeOp, writeQueueCap),
@@ -471,11 +454,10 @@ type StreamHandle struct {
 	// out from under an in-flight query stays reachable (and thus alive)
 	// through the query's own pointer until it finishes.
 	stp atomic.Pointer[Stream]
-	// model, opts and cfg are everything needed to rebuild the stream
-	// from its durable state; all three are fixed at registration.
+	// model and opts are everything needed to rebuild the stream from its
+	// durable state; both are fixed at registration.
 	model *Model
 	opts  Options
-	cfg   streamConfig
 
 	// qmu serializes enqueues with shutdown: the closed flag and the
 	// channel send are checked-and-done under it, so no operation can
@@ -526,8 +508,8 @@ func (hs *StreamHandle) Name() string { return hs.name }
 func (hs *StreamHandle) Stream() *Stream { return hs.stp.Load() }
 
 // Options returns the stream's resolved options, without touching its
-// residency.
-func (hs *StreamHandle) Options() Options { return hs.opts }
+// residency. Lambda points at a copy of the stream's λ.
+func (hs *StreamHandle) Options() Options { return hs.opts.clone() }
 
 // Model returns the model the stream runs against, without touching its
 // residency.
@@ -920,7 +902,7 @@ func (hs *StreamHandle) activate() (*Stream, *activationPhases, error) {
 	}
 	start := time.Now()
 	ph := &activationPhases{}
-	st, err := hs.pers.resume(hs.model, hs.opts, hs.cfg, ph)
+	st, err := hs.pers.resume(hs.model, hs.opts, ph)
 	if err != nil {
 		return nil, nil, err
 	}

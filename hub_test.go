@@ -91,25 +91,6 @@ func TestHubClosedHandleRejectsOperations(t *testing.T) {
 	}
 }
 
-func TestHubAdoptSerializesExistingStream(t *testing.T) {
-	st := newTwoTopicStream(t)
-	h := NewHub()
-	hs, err := h.Adopt("legacy", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Stream() != st {
-		t.Error("handle does not wrap the adopted stream")
-	}
-	stats := hs.Stats()
-	if stats.Active == 0 || stats.Now == 0 || stats.Bucket == 0 {
-		t.Errorf("stats not carried over: %+v", stats)
-	}
-	if _, err := h.Adopt("legacy2", nil); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("nil adopt err = %v", err)
-	}
-}
-
 // The Hub's reason to exist: many goroutines ingest into and query several
 // streams at once with no caller-side locking, and every observation stays
 // consistent (run under -race).

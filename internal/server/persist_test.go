@@ -164,19 +164,17 @@ func TestServerCloseKeepsDurableState(t *testing.T) {
 // StopSubscriptions ends live SSE connections with a closed event so the
 // graceful-shutdown HTTP drain only waits on ordinary requests.
 func TestStopSubscriptionsEndsSSE(t *testing.T) {
-	st := testStream(t)
+	m := testModel(t)
 	hub := ksir.NewHub()
-	if _, err := hub.Adopt("feed", st); err != nil {
-		t.Fatal(err)
-	}
-	s := NewHub(hub, st.Model(), st.Options())
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	hs, err := hub.Get("feed")
+	defer hub.CloseAll()
+	hs, err := hub.Create("feed", m, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewHub(hub, m, testOpts)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
 	if err := hs.Add(ksir.Post{ID: 1, Time: 60, Text: "late goal wins the derby"}); err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,6 @@ type Server struct {
 	hub      *ksir.Hub
 	model    *ksir.Model
 	defaults ksir.Options
-	sopts    []ksir.StreamOption
 	h        *http.ServeMux
 	// closing ends long-lived SSE connections during graceful shutdown
 	// (see StopSubscriptions): SSE would otherwise hold http.Server.
@@ -82,12 +81,10 @@ type Server struct {
 	logger *slog.Logger
 }
 
-// NewHub serves an existing Hub. model, defaults and sopts seed streams
-// created over POST /v1/streams (request fields override them; pass
-// ksir.WithLambda here so wire-created streams inherit the deployment's
-// tuning, λ=0 included).
-func NewHub(hub *ksir.Hub, model *ksir.Model, defaults ksir.Options, sopts ...ksir.StreamOption) *Server {
-	s := &Server{hub: hub, model: model, defaults: defaults, sopts: sopts,
+// NewHub serves an existing Hub. model and defaults seed streams created
+// over POST /v1/streams; request fields override them.
+func NewHub(hub *ksir.Hub, model *ksir.Model, defaults ksir.Options) *Server {
+	s := &Server{hub: hub, model: model, defaults: defaults,
 		h: http.NewServeMux(), closing: make(chan struct{}),
 		sse: make(map[string]*sseCounters)}
 
@@ -281,7 +278,7 @@ func (s *Server) streamInfoFrom(hs *ksir.StreamHandle, st ksir.StreamStats) apiv
 		Elements:      st.Elements,
 		WindowSec:     int64(opts.Window.Seconds()),
 		BucketSec:     int64(opts.Bucket.Seconds()),
-		Lambda:        opts.Lambda,
+		Lambda:        *opts.Lambda,
 		Eta:           opts.Eta,
 		State:         apiv1.StateResident,
 	}

@@ -27,16 +27,13 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	if req.BucketSec != 0 {
 		opts.Bucket = time.Duration(req.BucketSec) * time.Second
 	}
+	if req.Lambda != nil {
+		opts.Lambda = req.Lambda
+	}
 	if req.Eta != 0 {
 		opts.Eta = req.Eta
 	}
-	// Server-wide defaults first, request overrides last (a later
-	// WithLambda wins).
-	sopts := append([]ksir.StreamOption(nil), s.sopts...)
-	if req.Lambda != nil {
-		sopts = append(sopts, ksir.WithLambda(*req.Lambda))
-	}
-	hs, err := s.hub.Create(req.Name, s.model, opts, sopts...)
+	hs, err := s.hub.Create(req.Name, s.model, opts)
 	if err != nil {
 		writeError(w, err)
 		return

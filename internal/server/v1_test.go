@@ -217,7 +217,7 @@ func TestV1MultiTenantIsolation(t *testing.T) {
 func TestStreamOptionsRoundTrip(t *testing.T) {
 	st := testStream(t)
 	opts := st.Options()
-	if opts.Bucket != time.Minute || opts.Window != time.Hour || opts.Lambda != 0.5 {
+	if opts.Bucket != time.Minute || opts.Window != time.Hour || *opts.Lambda != 0.5 {
 		t.Errorf("resolved options = %+v", opts)
 	}
 }

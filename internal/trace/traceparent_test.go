@@ -60,3 +60,36 @@ func TestParseTraceparentRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTraceparent: parsing never panics at any length, an accepted value
+// carries non-zero ids, and every valid context survives a format-parse
+// round trip — the accepted ones and ones built from the input's bytes.
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		roundTrip := func(sc SpanContext) {
+			if got, ok := ParseTraceparent(FormatTraceparent(sc)); !ok || got != sc {
+				t.Fatalf("round trip of %+v: got %+v ok=%v", sc, got, ok)
+			}
+		}
+		if sc, ok := ParseTraceparent(s); ok {
+			if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+				t.Fatalf("%q accepted with a zero id: %+v", s, sc)
+			}
+			roundTrip(sc)
+		}
+		var sc SpanContext
+		if n := copy(sc.TraceID[:], s); n == len(sc.TraceID) {
+			copy(sc.SpanID[:], s[n:])
+		}
+		sc.Sampled = len(s)%2 == 1
+		if sc.Valid() {
+			roundTrip(sc)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/social-streams/ksir/internal/core"
+	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -30,54 +31,27 @@ type Options struct {
 	Window time.Duration
 	// Bucket is the batch-update interval L (default 15min).
 	Bucket time.Duration
-	// Lambda ∈ [0,1] trades semantic vs influence score (default 0.5).
-	//
-	// Historical quirk: the zero value of this field means "use the
-	// default", which makes the paper's pure-influence setting λ=0
-	// unreachable through it. Pass WithLambda(0) to New to set λ
-	// explicitly, including to zero.
-	Lambda float64
+	// Lambda ∈ [0,1] trades semantic vs influence score; nil means the
+	// default 0.5, so the paper's pure-influence setting is a pointer to 0.
+	Lambda *float64
 	// Eta > 0 rescales the influence score (default 20; use larger values
 	// for retweet-heavy streams, the paper uses 200 for Twitter).
 	Eta float64
 }
 
-// StreamOption tunes a Stream beyond the core paper parameters of Options.
-type StreamOption func(*streamConfig)
-
-type streamConfig struct {
-	lambda     float64
-	lambdaSet  bool
-	onSubError func(*Subscription, error)
-}
-
-// WithLambda sets λ explicitly, distinguishing λ=0 (pure influence) from
-// "unset" — the Options.Lambda field cannot express that difference. It
-// overrides Options.Lambda.
-func WithLambda(l float64) StreamOption {
-	return func(c *streamConfig) { c.lambda, c.lambdaSet = l, true }
-}
-
-// WithSubscriptionErrorHandler installs the stream-wide fallback hook for
-// standing-query failures: any subscription refresh that errors and has no
-// per-subscription OnError hook reports here. Failures never abort
-// ingestion (see Subscribe).
-func WithSubscriptionErrorHandler(h func(*Subscription, error)) StreamOption {
-	return func(c *streamConfig) { c.onSubError = h }
-}
-
-func (o *Options) fill(cfg *streamConfig) error {
+func (o *Options) fill() error {
 	if o.Window == 0 {
 		o.Window = 24 * time.Hour
 	}
 	if o.Bucket == 0 {
 		o.Bucket = 15 * time.Minute
 	}
-	if cfg.lambdaSet {
-		o.Lambda = cfg.lambda
-	} else if o.Lambda == 0 {
-		o.Lambda = 0.5
+	// A fresh pointer: the stream never shares λ with the caller's variable.
+	lambda := 0.5
+	if o.Lambda != nil {
+		lambda = *o.Lambda
 	}
+	o.Lambda = &lambda
 	if o.Eta == 0 {
 		o.Eta = 20
 	}
@@ -92,8 +66,8 @@ func (o *Options) fill(cfg *streamConfig) error {
 	if o.Bucket%time.Second != 0 {
 		return fmt.Errorf("%w: Bucket must be a whole number of seconds, got %v", ErrBadOptions, o.Bucket)
 	}
-	if math.IsNaN(o.Lambda) || o.Lambda < 0 || o.Lambda > 1 {
-		return fmt.Errorf("%w: lambda must be in [0,1], got %v", ErrBadOptions, o.Lambda)
+	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
+		return fmt.Errorf("%w: lambda must be in [0,1], got %v", ErrBadOptions, lambda)
 	}
 	if o.Eta <= 0 {
 		return fmt.Errorf("%w: eta must be positive, got %v", ErrBadOptions, o.Eta)
@@ -116,9 +90,10 @@ const (
 	TopK
 )
 
-// Query is a k-SIR query. Provide either Keywords (inferred into topic
-// space, the paper's query-by-keyword paradigm) or an explicit topic-space
-// Vector (query-by-document / personalized paradigms).
+// Query is a k-SIR query. Provide either Keywords, inferred into topic
+// space, or an explicit topic-space Vector. Keywords serve every query
+// paradigm of §3.2: a few keywords, a whole document's text, or a user's
+// recent posts (personalized search) are all just words to infer from.
 type Query struct {
 	K        int
 	Keywords []string
@@ -158,7 +133,6 @@ type Stream struct {
 	model  *Model
 	engine *core.Engine
 	opts   Options
-	cfg    streamConfig
 
 	bucketLen stream.Time
 	pending   []*stream.Element
@@ -177,34 +151,28 @@ type Stream struct {
 	nsubs  atomic.Int64 // len(subs), readable off the writer goroutine
 }
 
-// New creates a Stream over a trained model. StreamOptions refine the core
-// Options (and WithLambda overrides Options.Lambda, including to zero).
-func New(m *Model, opts Options, sopts ...StreamOption) (*Stream, error) {
+// New creates a Stream over a trained model.
+func New(m *Model, opts Options) (*Stream, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrBadOptions)
 	}
-	var cfg streamConfig
-	for _, o := range sopts {
-		o(&cfg)
-	}
-	if err := opts.fill(&cfg); err != nil {
+	if err := opts.fill(); err != nil {
 		return nil, err
 	}
 	eng, err := core.NewEngine(engineConfig(m, opts))
 	if err != nil {
 		return nil, err
 	}
-	return newStream(m, eng, opts, cfg), nil
+	return newStream(m, eng, opts), nil
 }
 
 // newStream wraps an engine built over m under resolved options (New
 // builds an empty one, buildStream restores one).
-func newStream(m *Model, eng *core.Engine, opts Options, cfg streamConfig) *Stream {
+func newStream(m *Model, eng *core.Engine, opts Options) *Stream {
 	return &Stream{
 		model:      m,
 		engine:     eng,
 		opts:       opts,
-		cfg:        cfg,
 		bucketLen:  stream.Time(opts.Bucket / time.Second),
 		pendingIDs: make(map[stream.ElemID]struct{}),
 	}
@@ -214,10 +182,27 @@ func newStream(m *Model, eng *core.Engine, opts Options, cfg streamConfig) *Stre
 // inferred against).
 func (s *Stream) Model() *Model { return s.model }
 
-// Options returns the stream's resolved options — every defaulted field
-// filled in, and Lambda as actually configured (so WithLambda(0) reads
-// back as 0).
-func (s *Stream) Options() Options { return s.opts }
+// Options returns the stream's resolved options, every defaulted field
+// filled in. Lambda is never nil, and points at a copy of the stream's λ.
+func (s *Stream) Options() Options { return s.opts.clone() }
+
+// clone copies resolved options, λ included, so writing through the
+// copy's Lambda cannot reach the original.
+func (o Options) clone() Options {
+	lambda := *o.Lambda
+	o.Lambda = &lambda
+	return o
+}
+
+// engineConfig is the core engine configuration of a model under the
+// stream's resolved options.
+func engineConfig(m *Model, opts Options) core.Config {
+	return core.Config{
+		Model:        m.tm,
+		WindowLength: stream.Time(opts.Window / time.Second),
+		Params:       score.Params{Lambda: *opts.Lambda, Eta: opts.Eta},
+	}
+}
 
 // Add appends one post to the stream. Posts must arrive in non-decreasing
 // time order. The post is buffered and ingested when its bucket completes
@@ -480,7 +465,6 @@ func (s *Stream) Query(ctx context.Context, q Query) (Result, error) {
 func queryVector(m *Model, q Query) (topicmodel.TopicVec, error) {
 	if len(q.Vector) > 0 {
 		idx := make([]int, 0, len(q.Vector))
-		var sum float64
 		for t, w := range q.Vector {
 			if t < 0 || t >= m.tm.Z {
 				return topicmodel.TopicVec{}, fmt.Errorf("%w: topic %d out of range [0,%d)", ErrBadQuery, t, m.tm.Z)
@@ -490,8 +474,14 @@ func queryVector(m *Model, q Query) (topicmodel.TopicVec, error) {
 			}
 			if w > 0 {
 				idx = append(idx, t)
-				sum += w
 			}
+		}
+		// Sum in topic order, not map order: float addition is not
+		// associative, and x must be the same bits on every call.
+		sort.Ints(idx)
+		var sum float64
+		for _, t := range idx {
+			sum += q.Vector[t]
 		}
 		if sum == 0 {
 			return topicmodel.TopicVec{}, fmt.Errorf("%w: query vector is all zeros", ErrBadQuery)
@@ -499,7 +489,6 @@ func queryVector(m *Model, q Query) (topicmodel.TopicVec, error) {
 		if math.IsInf(sum, 1) {
 			return topicmodel.TopicVec{}, fmt.Errorf("%w: query vector weights are not finite", ErrBadQuery)
 		}
-		sort.Ints(idx)
 		v := topicmodel.TopicVec{
 			Topics: make([]int32, len(idx)),
 			Probs:  make([]float64, len(idx)),

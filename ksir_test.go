@@ -2,7 +2,9 @@ package ksir
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -195,6 +197,140 @@ func TestStreamQueryByVector(t *testing.T) {
 	}
 	if _, err := st.Query(context.Background(), Query{K: 3, Vector: map[int]float64{0: 0}}); err == nil {
 		t.Error("zero vector accepted")
+	}
+}
+
+// feedTwoTopicStream loads a stream with soccer/basketball posts and some
+// references, flushed to time 1000.
+func feedTwoTopicStream(t *testing.T, st *Stream) {
+	t.Helper()
+	for i := 0; i < 80; i++ {
+		text := "goal striker league derby"
+		if i%2 == 1 {
+			text = "dunk rebound playoffs court"
+		}
+		p := Post{ID: int64(i + 1), Time: int64(1 + i*12), Text: text}
+		if i > 4 && i%4 == 0 {
+			p.Refs = []int64{int64(i - 3)}
+		}
+		if err := st.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(1000); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newTwoTopicStream(t *testing.T) *Stream {
+	t.Helper()
+	st, err := New(trainTestModel(t), Options{Window: time.Hour, Bucket: time.Minute, Eta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedTwoTopicStream(t, st)
+	return st
+}
+
+// Query by document (§3.2): a whole document's text goes in as Keywords;
+// the tokenizer splits it into the same words a keyword list would give.
+func TestQueryByText(t *testing.T) {
+	st := newTwoTopicStream(t)
+	article := "an article about the league title race and a dramatic goal"
+	res, err := st.Query(context.Background(), Query{K: 3, Keywords: []string{article}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Posts) == 0 {
+		t.Fatal("empty result")
+	}
+	if !strings.Contains(res.Posts[0].Text, "goal") {
+		t.Errorf("top post off-topic for soccer article: %q", res.Posts[0].Text)
+	}
+	// The document's text and its words, one keyword each, are the same
+	// query.
+	words, err := st.Query(context.Background(), Query{K: 3, Keywords: strings.Fields(article)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if words.Score != res.Score {
+		t.Errorf("document score %v, its words' score %v", res.Score, words.Score)
+	}
+	if _, err := st.Query(context.Background(), Query{K: 3, Keywords: []string{"zzz qqq www"}}); !errors.Is(err, ErrBadQuery) {
+		t.Error("out-of-vocabulary document accepted")
+	}
+}
+
+// Personalized search (§3.2): a user's recent posts are the Keywords.
+func TestQueryPersonalized(t *testing.T) {
+	st := newTwoTopicStream(t)
+	history := []string{
+		"watched the playoffs last night",
+		"that dunk was incredible",
+		"rebound stats are wild",
+	}
+	res, err := st.Query(context.Background(), Query{K: 3, Keywords: history, Algorithm: MTTS, Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Posts) == 0 {
+		t.Fatal("empty result")
+	}
+	if !strings.Contains(res.Posts[0].Text, "dunk") {
+		t.Errorf("top post off-topic for basketball fan: %q", res.Posts[0].Text)
+	}
+	if _, err := st.Query(context.Background(), Query{K: 3}); !errors.Is(err, ErrBadQuery) {
+		t.Error("empty history accepted")
+	}
+}
+
+// A Vector query is the same bits on every call: its weights are summed
+// in topic order, never in map-iteration order.
+func TestVectorQueryDeterministic(t *testing.T) {
+	m, err := TrainModel(corpus(200), WithTopics(6), WithIterations(40), WithSeed(1), WithPriors(0.5, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := New(m, Options{Window: time.Hour, Bucket: time.Minute, Eta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Posts mixing both vocabularies spread over many topics, so the
+	// score feels the last bit of every weight.
+	posts := genPosts(120, 5)
+	if _, err := st.AddBatch(posts); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(posts[len(posts)-1].Time); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{K: 5, Vector: map[int]float64{0: .1, 1: .2, 2: .3, 3: .7, 4: 1e-3, 5: .13}}
+	var sum float64
+	for topic := 0; topic < 6; topic++ {
+		sum += q.Vector[topic]
+	}
+
+	first, err := st.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		x, err := queryVector(m, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, topic := range x.Topics {
+			if want := q.Vector[int(topic)] / sum; topic != int32(j) || math.Float64bits(x.Probs[j]) != math.Float64bits(want) {
+				t.Fatalf("call %d: x[%d] = topic %d, %v; want topic %d, %v", i, j, topic, x.Probs[j], j, want)
+			}
+		}
+		res, err := st.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Score) != math.Float64bits(first.Score) {
+			t.Fatalf("call %d: score %v, first call %v", i, res.Score, first.Score)
+		}
 	}
 }
 

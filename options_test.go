@@ -11,46 +11,56 @@ import (
 
 // The paper's λ knob must be configurable at both extremes: λ=0 (pure
 // influence) was historically impossible because Options.fill treated the
-// zero value as "unset". WithLambda distinguishes the two.
+// zero value as "unset". A nil Lambda is unset; a pointer to 0 is λ=0.
 func TestLambdaExtremesConfigurable(t *testing.T) {
 	m := trainTestModel(t)
 	base := Options{Window: time.Hour, Bucket: time.Minute, Eta: 2}
+	withLambda := func(l float64) Options {
+		o := base
+		o.Lambda = &l
+		return o
+	}
 
-	zero, err := New(m, base, WithLambda(0))
+	zero, err := New(m, withLambda(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := zero.Options().Lambda; got != 0 {
-		t.Fatalf("WithLambda(0) resolved to %v, want 0", got)
+	if got := *zero.Options().Lambda; got != 0 {
+		t.Fatalf("Lambda 0 resolved to %v, want 0", got)
 	}
-	one, err := New(m, base, WithLambda(1))
+	one, err := New(m, withLambda(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := one.Options().Lambda; got != 1 {
-		t.Fatalf("WithLambda(1) resolved to %v, want 1", got)
+	if got := *one.Options().Lambda; got != 1 {
+		t.Fatalf("Lambda 1 resolved to %v, want 1", got)
 	}
-	// Back-compat: an unset Lambda still defaults to 0.5.
+	// An unset Lambda defaults to 0.5.
 	def, err := New(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := def.Options().Lambda; got != 0.5 {
+	if got := *def.Options().Lambda; got != 0.5 {
 		t.Fatalf("default lambda = %v, want 0.5", got)
 	}
-	// WithLambda overrides the Options field.
-	over, err := New(m, Options{Window: time.Hour, Bucket: time.Minute, Lambda: 0.9, Eta: 2}, WithLambda(0.25))
+
+	// The stream shares λ with nobody: neither the caller's variable nor
+	// a copy handed out by Options can write through to it.
+	l := 0.25
+	alias, err := New(m, Options{Window: time.Hour, Bucket: time.Minute, Lambda: &l, Eta: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := over.Options().Lambda; got != 0.25 {
-		t.Fatalf("override lambda = %v, want 0.25", got)
+	l = 0.75
+	*alias.Options().Lambda = 0.9
+	if got := *alias.Options().Lambda; got != 0.25 {
+		t.Fatalf("lambda after writes through aliases = %v, want 0.25", got)
 	}
 
 	// Out-of-range and NaN are typed errors.
 	for _, bad := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := New(m, base, WithLambda(bad)); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("WithLambda(%v) err = %v, want ErrBadOptions", bad, err)
+		if _, err := New(m, withLambda(bad)); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Lambda %v err = %v, want ErrBadOptions", bad, err)
 		}
 	}
 

@@ -206,21 +206,19 @@ func persistErr(err error) error {
 // OpenHub opens a durable Hub over dir: every stream subdirectory found
 // there is recovered — the latest valid checkpoint is loaded and the WAL
 // tail replayed through the normal ingest path — and every stream created
-// afterwards (Create/Adopt) is persisted there. Recovery is exact: a
+// afterwards (Create) is persisted there. Recovery is exact: a
 // recovered stream answers queries with the same top-k elements and the
 // same bucket sequence as the stream at the moment of its last durable
 // write, and replaying a WAL twice is a no-op (records at or below the
 // checkpoint's operation watermark are skipped).
 //
 // m must be the model the persisted streams were built against (recovery
-// fails with ErrModelVersion otherwise); sopts carry the non-persistable
-// stream configuration — e.g. WithSubscriptionErrorHandler — applied to
-// every recovered stream, while each stream's core parameters (window,
-// bucket, λ, η) come from its own manifest. A torn WAL tail (a
+// fails with ErrModelVersion otherwise); each stream's parameters
+// (window, bucket, λ, η) come from its own manifest. A torn WAL tail (a
 // crash mid-append) is truncated silently; a checkpoint torn anywhere in
 // its write — element-log append, head replace — falls back to the
 // previous head plus the not-yet-truncated WAL (DESIGN.md §8).
-func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*Hub, error) {
+func OpenHub(dir string, m *Model, po PersistOptions) (*Hub, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrBadOptions)
 	}
@@ -240,7 +238,7 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 		if !ent.IsDir() {
 			continue
 		}
-		if err := h.recoverStream(filepath.Join(dir, ent.Name()), m, sopts); err != nil {
+		if err := h.recoverStream(filepath.Join(dir, ent.Name()), m); err != nil {
 			// Unwind the streams already recovered so their WALs close.
 			for _, name := range h.List() {
 				_ = h.Close(name)
@@ -260,7 +258,7 @@ func OpenHub(dir string, m *Model, po PersistOptions, sopts ...StreamOption) (*H
 // registers hibernated with its checkpoint and WAL untouched on disk until
 // its first touching operation resumes it. Corruption in the deferred
 // state surfaces there, as that operation's error, instead of at OpenHub.
-func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
+func (h *Hub) recoverStream(sdir string, m *Model) error {
 	meta, err := persist.ReadMeta(sdir)
 	if errors.Is(err, fs.ErrNotExist) && unborn(sdir) {
 		// A crash inside Create, between its Mkdir and the manifest's
@@ -277,18 +275,18 @@ func (h *Hub) recoverStream(sdir string, m *Model, sopts []StreamOption) error {
 		return fmt.Errorf("%w: stream %q was persisted against a different model or topic-sampler version (this build infers with version %d); its directory is left untouched",
 			ErrModelVersion, meta.Name, topicmodel.InferVersion)
 	}
-	opts, cfg, err := optionsFromMeta(meta, sopts)
+	opts, err := optionsFromMeta(meta)
 	if err != nil {
 		return err
 	}
 	pers := newColdStreamPersist(h.p, meta.Name, sdir)
 	var st *Stream
 	if !h.budget().Enabled() {
-		if st, err = pers.resume(m, opts, cfg, &activationPhases{}); err != nil {
+		if st, err = pers.resume(m, opts, &activationPhases{}); err != nil {
 			return err
 		}
 	}
-	if _, err := h.register(meta.Name, st, m, opts, cfg, pers); err != nil {
+	if _, err := h.register(meta.Name, st, m, opts, pers); err != nil {
 		_ = pers.releaseWAL() // the registration error is the one to report
 		return err
 	}
@@ -302,25 +300,18 @@ func unborn(sdir string) bool {
 	return err == nil && (len(ents) == 0 || len(ents) == 1 && ents[0].Name() == persist.MetaFile+".tmp")
 }
 
-// optionsFromMeta resolves a persisted stream's options and config:
-// caller-supplied options first (subscription error handlers and other
-// non-persistable configuration), the manifest's core parameters last so
-// they always win.
-func optionsFromMeta(meta persist.Meta, sopts []StreamOption) (Options, streamConfig, error) {
+// optionsFromMeta resolves a persisted stream's options from its manifest.
+func optionsFromMeta(meta persist.Meta) (Options, error) {
 	opts := Options{
 		Window: time.Duration(meta.WindowNs),
 		Bucket: time.Duration(meta.BucketNs),
+		Lambda: &meta.Lambda,
 		Eta:    meta.Eta,
 	}
-	all := append(append([]StreamOption{}, sopts...), WithLambda(meta.Lambda))
-	var cfg streamConfig
-	for _, o := range all {
-		o(&cfg)
+	if err := opts.fill(); err != nil {
+		return Options{}, err
 	}
-	if err := opts.fill(&cfg); err != nil {
-		return Options{}, streamConfig{}, err
-	}
-	return opts, cfg, nil
+	return opts, nil
 }
 
 // buildStream rebuilds a Stream from resolved options: from a checkpoint
@@ -328,19 +319,19 @@ func optionsFromMeta(meta persist.Meta, sopts []StreamOption) (Options, streamCo
 // re-ingested through Add — per-document-seeded inference makes that
 // byte-identical), from scratch otherwise. It is the load half of both
 // recovery and reactivation.
-func buildStream(m *Model, opts Options, cfg streamConfig, ck *persist.Checkpoint) (*Stream, error) {
+func buildStream(m *Model, opts Options, ck *persist.Checkpoint) (*Stream, error) {
 	if ck == nil {
 		eng, err := core.NewEngine(engineConfig(m, opts))
 		if err != nil {
 			return nil, err
 		}
-		return newStream(m, eng, opts, cfg), nil
+		return newStream(m, eng, opts), nil
 	}
 	eng, err := core.Restore(engineConfig(m, opts), ck.Core)
 	if err != nil {
 		return nil, persistErr(err)
 	}
-	s := newStream(m, eng, opts, cfg)
+	s := newStream(m, eng, opts)
 	for _, p := range ck.Pending {
 		if err := s.Add(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs}); err != nil {
 			return nil, persistErr(fmt.Errorf("%w: re-ingesting pending post %d: %v", persist.ErrCorrupt, p.ID, err))
@@ -433,7 +424,7 @@ type activationPhases struct {
 // tail replay, counter refresh. It runs on the commit path or before the
 // handle exists; the caller owns the residency transition. ph (non-nil)
 // receives the phase timing breakdown.
-func (p *streamPersist) resume(m *Model, opts Options, cfg streamConfig, ph *activationPhases) (*Stream, error) {
+func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*Stream, error) {
 	ph.ckptStart = time.Now()
 	ck, err := persist.LoadCheckpoint(p.dir)
 	if err != nil {
@@ -444,7 +435,7 @@ func (p *streamPersist) resume(m *Model, opts Options, cfg streamConfig, ph *act
 		return nil, persistErr(fmt.Errorf("%w: checkpoint names stream %q, manifest %q", persist.ErrCorrupt, ck.Name, p.name))
 	}
 	ph.restoreStart = time.Now()
-	st, err := buildStream(m, opts, cfg, ck)
+	st, err := buildStream(m, opts, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -503,14 +494,13 @@ func (p *streamPersist) fsyncs() int64 {
 	return n
 }
 
-// initStream provisions the on-disk home of a newly created (or adopted)
-// stream: directory, manifest, empty WAL, and — when the stream already
-// carries ingested or pending state (Adopt) — the initial checkpoint.
-// Called under the hub lock, before the handle becomes reachable. The
+// initStream provisions the on-disk home of a newly created stream, whose
+// resolved options are opts: directory, manifest and empty WAL. Called
+// under the hub lock, before the handle becomes reachable. The
 // directory must not already exist: a leftover directory for this name
 // means an earlier incarnation's durable state would be silently mixed
 // with the new stream's, so it surfaces as ErrStreamExists.
-func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error) {
+func (hp *hubPersist) initStream(name string, opts Options) (*streamPersist, error) {
 	sdir := filepath.Join(hp.dir, url.PathEscape(name))
 	if err := os.Mkdir(sdir, 0o755); err != nil {
 		if os.IsExist(err) {
@@ -518,13 +508,12 @@ func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error
 		}
 		return nil, persistErr(err)
 	}
-	opts := st.Options()
 	if err := persist.WriteMeta(sdir, persist.Meta{
 		Name:      name,
 		ModelHash: hp.modelHash,
 		WindowNs:  int64(opts.Window),
 		BucketNs:  int64(opts.Bucket),
-		Lambda:    opts.Lambda,
+		Lambda:    *opts.Lambda,
 		Eta:       opts.Eta,
 	}); err != nil {
 		return nil, persistErr(err)
@@ -536,12 +525,6 @@ func (hp *hubPersist) initStream(name string, st *Stream) (*streamPersist, error
 	}
 	p := newColdStreamPersist(hp, name, sdir)
 	p.walp.Store(wal)
-	if st.Stats().Elements > 0 || st.Stats().Now != 0 || len(st.pending) > 0 {
-		if err := p.checkpoint(st); err != nil {
-			wal.Close()
-			return nil, err
-		}
-	}
 	return p, nil
 }
 

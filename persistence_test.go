@@ -29,7 +29,8 @@ import (
 // persistOpts are the stream options used across the recovery suite:
 // short buckets so a modest post count crosses many boundaries.
 func persistOpts() Options {
-	return Options{Window: 300 * time.Second, Bucket: 60 * time.Second, Lambda: 0.4, Eta: 5}
+	lambda := 0.4
+	return Options{Window: 300 * time.Second, Bucket: 60 * time.Second, Lambda: &lambda, Eta: 5}
 }
 
 // genPosts builds n posts over the test model's vocabulary with reference
@@ -741,32 +742,6 @@ func TestPersistenceAPIEdges(t *testing.T) {
 	if hs2.Stats().Persist.CheckpointBucket < 0 {
 		t.Error("final checkpoint missing after Close")
 	}
-}
-
-// Adopt makes a pre-existing stream durable immediately: its current
-// state is checkpointed before Adopt returns.
-func TestAdoptCheckpointsExistingState(t *testing.T) {
-	m := trainTestModel(t)
-	dir := t.TempDir()
-	st := mirrorStream(t, m)
-	posts := genPosts(60, 71)
-	if _, err := st.AddBatch(posts); err != nil {
-		t.Fatal(err)
-	}
-	h := openTestHub(t, dir, m, PersistOptions{})
-	if _, err := h.Adopt("adopted", st); err != nil {
-		t.Fatal(err)
-	}
-	// Crash without a single further write.
-	h2 := openTestHub(t, dir, m, PersistOptions{})
-	defer h2.CloseAll()
-	hs2, err := h2.Get("adopted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "adopted",
-		persistQueries(t, func(q Query) (Result, error) { return hs2.Query(nil, q) }),
-		persistQueries(t, func(q Query) (Result, error) { return st.Query(nil, q) }))
 }
 
 // The race e2e of the issue: concurrent queries run against a stream

@@ -19,8 +19,8 @@ type Subscription struct {
 	query   Query
 	every   time.Duration
 	handler func(Result)
-	// onError receives this subscription's refresh failures; when nil they
-	// fall through to the stream-wide WithSubscriptionErrorHandler hook.
+	// onError receives this subscription's refresh failures; when nil
+	// they are only counted in failures.
 	onError func(error)
 	nextAt  int64 // stream time of the next refresh
 	// changedOnly suppresses refreshes whose result set is identical to
@@ -50,10 +50,10 @@ func OnlyOnChange() SubscribeOption {
 	return func(s *Subscription) { s.changedOnly = true }
 }
 
-// OnError installs a per-subscription error hook. A refresh that fails
-// reports here (or, without this option, to the stream's
-// WithSubscriptionErrorHandler hook) and is dropped; ingestion continues
-// and the other subscriptions still fire.
+// OnError installs the subscription's error hook. A refresh that fails
+// reports here and is dropped; ingestion continues and the other
+// subscriptions still fire. Without the hook the failure is only counted
+// in Failures.
 func OnError(h func(error)) SubscribeOption {
 	return func(s *Subscription) { s.onError = h }
 }
@@ -68,8 +68,8 @@ func OnError(h func(error)) SubscribeOption {
 // bucket sequence it was computed at in Result.Bucket.
 //
 // A refresh that fails does not abort the Add/Flush that triggered it: the
-// error is reported through the OnError hook (falling back to the stream's
-// WithSubscriptionErrorHandler) and counted in Failures.
+// error is reported through the OnError hook, if any, and counted in
+// Failures.
 //
 // Subscribe and Unsubscribe are writer-side operations: call them from the
 // ingest goroutine, or go through a Hub handle, which serializes them with
@@ -175,7 +175,9 @@ func (s *Stream) fireSubscriptions(now int64) {
 				continue
 			}
 			sub.failures.Add(1)
-			s.reportSubError(sub, err)
+			if sub.onError != nil {
+				sub.onError(fmt.Errorf("ksir: subscription %d: %w", sub.id, err))
+			}
 			continue
 		}
 		if sub.changedOnly {
@@ -189,17 +191,6 @@ func (s *Stream) fireSubscriptions(now int64) {
 	}
 	for _, sub := range expired {
 		s.Unsubscribe(sub)
-	}
-}
-
-// reportSubError routes one refresh failure to the most specific hook.
-func (s *Stream) reportSubError(sub *Subscription, err error) {
-	err = fmt.Errorf("ksir: subscription %d: %w", sub.id, err)
-	switch {
-	case sub.onError != nil:
-		sub.onError(err)
-	case s.cfg.onSubError != nil:
-		s.cfg.onSubError(sub, err)
 	}
 }
 

@@ -229,10 +229,10 @@ func BenchmarkRecovery(b *testing.B) {
 					if err != nil || hs2.Stats().Elements == 0 {
 						b.Fatalf("recovery lost the stream: %v", err)
 					}
-					// Release the WAL handle without Close's final
+					// Release the WAL and element log without Close's final
 					// checkpoint: the directory must stay byte-identical
 					// for the next iteration.
-					_ = hs2.pers.releaseWAL()
+					_ = hs2.pers.release()
 					b.StartTimer()
 				}
 			})

@@ -2,6 +2,7 @@ package ksir_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -170,6 +171,68 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			typ, name := string(m[1]), string(m[2])
 			if members, ok := decls[typ]; ok && members != nil && !members[name] {
 				t.Errorf("%s names %s.%s, which %s does not declare", doc, typ, name, typ)
+			}
+		}
+	}
+}
+
+// Every repository path the docs write in backticks — a span whose first
+// segment is a top-level directory of the repository, such as
+// `internal/stream/record.go` — must name a file or directory that
+// exists, and every file.go:NN they cite, backticked or not, must name a
+// Go file of the repository at least NN lines long (a bare file name may
+// be any of the repository's files of that name).
+func TestDocsNameLivePaths(t *testing.T) {
+	top := map[string]bool{}
+	ents, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.IsDir() {
+			top[e.Name()] = true
+		}
+	}
+	lines := map[string]int{} // every Go file's line count, by path
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		lines[filepath.ToSlash(path)] = strings.Count(string(src), "\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`([^`\\s]+)`")
+	lineRef := regexp.MustCompile(`([\w./-]*\w\.go):(\d+)`)
+	for _, doc := range docFiles {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllSubmatch(text, -1) {
+			path, _, _ := strings.Cut(string(m[1]), ":")
+			first, _, nested := strings.Cut(path, "/")
+			if !nested || !top[first] {
+				continue
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s names %s, which is not in the repository", doc, m[1])
+			}
+		}
+		for _, m := range lineRef.FindAllSubmatch(text, -1) {
+			file, line := string(m[1]), 0
+			fmt.Sscan(string(m[2]), &line)
+			found := false
+			for path, n := range lines {
+				if (path == file || !strings.Contains(file, "/") && filepath.Base(path) == file) && line >= 1 && line <= n {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("%s cites %s:%d, which names no repository Go file that long", doc, file, line)
 			}
 		}
 	}

@@ -54,7 +54,9 @@ var (
 	ErrModelVersion = errors.New("ksir: unsupported format version")
 	// ErrPersist reports a durability failure: the in-memory operation may
 	// have been applied, but it could not be made durable (WAL append or
-	// checkpoint write failed), or persisted state could not be recovered.
+	// checkpoint write failed), or persisted state could not be recovered
+	// — including an archived element a new post's reference resurrects,
+	// whose bucket is then dropped with the stream left as it was.
 	ErrPersist = errors.New("ksir: persistence error")
 	// ErrPersistDisabled reports a durability operation (e.g.
 	// StreamHandle.Checkpoint) on a stream that has no persistence — a Hub

@@ -19,7 +19,10 @@ import (
 // stream driven across residency transitions must export byte-identical
 // state (exact floats included) to a twin that never hibernated. The only
 // masked fields are the two wall-clock maintenance timers, which measure
-// this run's hardware, not the logical state.
+// this run's hardware, not the logical state. The archive is encoded as
+// the records and texts it holds (stream.Archive.Materialize), read back
+// from the element log where a checkpoint moved them there, so a stream
+// compares equal to a memory-only twin byte for byte.
 func exportGob(t *testing.T, st *Stream) []byte {
 	t.Helper()
 	if st == nil {
@@ -27,6 +30,11 @@ func exportGob(t *testing.T, st *Stream) []byte {
 	}
 	state := st.engine.ExportState()
 	state.Stats.UpdateTime, state.Stats.ReplayTime = 0, 0
+	arch, err := state.Window.Archive.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state.Window.Archive = arch
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
 		t.Fatal(err)

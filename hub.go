@@ -879,7 +879,7 @@ func (hs *StreamHandle) hibernate(st *Stream) error {
 			return err
 		}
 	}
-	err := hs.pers.releaseWAL()
+	err := hs.pers.release()
 	// Publish the final counters before the stream pointer goes nil, so a
 	// Stats racing the transition never sees a hibernated stream without
 	// its last-known numbers.

@@ -2,7 +2,9 @@ package ksir
 
 import (
 	"fmt"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -137,4 +139,70 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		fill(t, h, 2, before, 0)
 		closeAll(t, h, before)
 	})
+}
+
+// openFiles counts the process's open file descriptors.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(ents)
+}
+
+// A resident durable stream holds exactly two files open — its WAL and,
+// once a checkpoint has written one, its element log, which its archive
+// reads back from — and a hibernated or closed one none: hibernation,
+// reactivation and CloseAll leak no descriptor.
+func TestHubLeavesNoFileOpen(t *testing.T) {
+	m := trainTestModel(t)
+	// Files an earlier test dropped unclosed are closed by their
+	// finalizers: run those now, then keep the collector — and with it
+	// any finalizer that would close a file this test leaks — off.
+	runtime.GC()
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := openFiles(t)
+	want := func(what string, n int) {
+		t.Helper()
+		if got := openFiles(t); got != before+n {
+			t.Fatalf("%s: %d files open, want %d", what, got, before+n)
+		}
+	}
+	dir := t.TempDir()
+	h := openTestHub(t, dir, m, PersistOptions{CheckpointEvery: 1})
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("a new stream", 1) // its WAL; no checkpoint has written a log yet
+	for _, p := range genPosts(60, 59) {
+		if err := hs.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want("after automatic checkpoints", 2)
+	for round := 0; round < 3; round++ {
+		if err := hs.Hibernate(); err != nil {
+			t.Fatal(err)
+		}
+		want("hibernated", 0)
+		if _, err := hs.Query(nil, Query{K: 3, Keywords: []string{"goal"}}); err != nil {
+			t.Fatal(err)
+		}
+		want("reactivated", 2)
+	}
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+	want("after CloseAll", 0)
+
+	h = openTestHub(t, dir, m, PersistOptions{})
+	want("recovered", 2)
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+	want("recovered, then closed", 0)
 }

@@ -48,6 +48,8 @@ var metricFamilies = map[string]string{
 	"ksir_wal_fsyncs_total":            "counter",
 	"ksir_wal_fsync_duration_seconds":  "histogram",
 	"ksir_wal_replay_seconds_total":    "counter",
+	"ksir_wal_failures_total":          "counter",
+	"ksir_element_log_reads_total":     "counter",
 	"ksir_checkpoints_total":           "counter",
 	"ksir_checkpoint_bytes_total":      "counter",
 	"ksir_checkpoint_duration_seconds": "histogram",

@@ -214,8 +214,8 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 }
 
 // WriterResidentBytes approximates the heap bytes pinned by the engine's
-// elements: the archive's records and index, every text, and the active
-// elements with their bookkeeping in both buffers (see
+// elements: the archive's frame ends and in-memory records, the ID index,
+// and the active elements with their bookkeeping in both buffers (see
 // stream.ActiveWindow.ApproxBytes). The twin windows share one archive,
 // counted once. It feeds the hub's residency accounting from the commit
 // path and is never part of exported state. Takes the writer lock:
@@ -224,6 +224,18 @@ func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.back.win.ApproxBytes()
+}
+
+// AdoptLog hands the engine the frames a checkpoint just wrote to the
+// stream's element log — arrivals first, first+1, …, ending at ends — and
+// the log to read them back through (stream.ActiveWindow.AdoptLog): the
+// archive drops its in-memory records of those elements and keeps where
+// their frames end. The twin windows share one archive, so adopting once
+// covers both. Takes the writer lock.
+func (g *Engine) AdoptLog(log stream.ElementLog, first int, ends []int64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.back.win.AdoptLog(log, first, ends)
 }
 
 // recycle readies the back buffer for the next bucket: wait until the

@@ -7,10 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"time"
 
@@ -62,6 +62,10 @@ type Checkpoint struct {
 	// normal Add path on recovery (per-document-seeded inference makes
 	// that byte-identical).
 	Pending []PostRec
+	// Log is the element log LoadCheckpoint opened for the archive to read
+	// its elements back through (nil when the head names no log). Whoever
+	// keeps the loaded state closes it; WriteCheckpoint ignores it.
+	Log *ElementLog
 }
 
 // File names inside one stream's directory.
@@ -265,38 +269,60 @@ func currentHead(dir string) (payload []byte, isCurrent bool, err error) {
 // After it returns, the caller may Reset the WAL: every crash window leaves
 // either the new head, or the previous one plus the still-untruncated WAL.
 // ck must extend the state the head in dir describes (same stream, a log
-// that only grew); with no head in dir everything is written.
+// that only grew); with no head in dir everything is written. Archived
+// elements the log must hold again are read back through their archive's
+// log and checked: after a fall back to the .bak's shorter prefix (or to
+// none), those the archive already reads from dir's own log stay where
+// they are (adoptedPrefix); into another directory they are rewritten byte
+// for byte.
 func WriteCheckpoint(dir string, ck *Checkpoint) error {
+	_, err := WriteCheckpointFrames(dir, ck)
+	return err
+}
+
+// Appended names the frames a checkpoint appended to the element log: the
+// frames of arrivals First, First+1, …, ending at Ends.
+type Appended struct {
+	First int
+	Ends  []int64
+}
+
+// WriteCheckpointFrames is WriteCheckpoint returning the frames it
+// appended, which the stream's archive adopts (stream.ActiveWindow.AdoptLog).
+func WriteCheckpointFrames(dir string, ck *Checkpoint) (Appended, error) {
 	start := time.Now()
 	base, rotate, err := durablePrefix(dir, ck)
 	if err != nil {
-		return err
+		return Appended{}, err
 	}
-	lp, err := appendElements(dir, base, &ck.Core.Window)
+	if base, err = adoptedPrefix(dir, base, &ck.Core.Window.Archive); err != nil {
+		return Appended{}, err
+	}
+	lp, ends, err := appendElements(dir, base, &ck.Core.Window)
 	if err != nil {
-		return err
+		return Appended{}, err
 	}
 	head := sealFile(ckptMagic, checkpointVersion, appendHead(nil, ck, lp, uint64(len(ck.Core.Window.Window))))
 	tmp := filepath.Join(dir, checkpointTmp)
 	if err := writeFileSync(tmp, head); err != nil {
-		return err
+		return Appended{}, err
 	}
 	cur := filepath.Join(dir, CheckpointFile)
 	if rotate {
 		if err := os.Rename(cur, filepath.Join(dir, CheckpointBak)); err != nil {
-			return err
+			return Appended{}, err
 		}
 	}
 	if err := os.Rename(tmp, cur); err != nil {
-		return err
+		return Appended{}, err
 	}
 	if err := syncDir(dir); err != nil {
-		return err
+		return Appended{}, err
 	}
 	obsCkpts.Inc()
 	obsCkptBytes.Add(uint64(len(head)) + uint64(lp.bytes-base.bytes))
 	obsCkptDuration.ObserveSince(start)
-	return nil
+	return Appended{First: int(base.count), Ends: ends}, nil
 }
 
 // durablePrefix finds the part of dir's element log that ck's log extends:
@@ -325,91 +351,163 @@ func durablePrefix(dir string, ck *Checkpoint) (base logPrefix, rotate bool, err
 	return base, isCurrent, nil
 }
 
+// adoptedPrefix extends base over the frames arch has adopted from dir's
+// own element log — past base only after a fall back to the .bak's shorter
+// prefix, or to none. Those frames are the only copy of the archived
+// elements among them, so the append must not cut them off and write them
+// again: a failed write would lose them. They are already in place, so
+// they are read back to check them (a stretch at a time, never the whole
+// history at once) and kept as they are.
+func adoptedPrefix(dir string, base logPrefix, arch *stream.Archive) (logPrefix, error) {
+	adopted := uint64(len(arch.Frames))
+	log, ok := arch.Log.(*ElementLog)
+	if adopted <= base.count || !ok || !log.inDir(dir) {
+		return base, nil
+	}
+	if base.count > 0 && arch.Frames[base.count-1] != base.bytes {
+		return logPrefix{}, fmt.Errorf("persist: the element log's head prefix ends at %d, the archive's frame %d at %d", base.bytes, base.count-1, arch.Frames[base.count-1])
+	}
+	start, ends := base.bytes, arch.Frames[base.count:]
+	for len(ends) > 0 {
+		n := 1
+		for n < len(ends) && ends[n]-start <= checkStretch {
+			n++
+		}
+		if _, err := log.readFrames(start, ends[:n]); err != nil {
+			return logPrefix{}, err
+		}
+		start, ends = ends[n-1], ends[n:]
+	}
+	return logPrefix{count: adopted, bytes: start}, nil
+}
+
+// checkStretch bounds the bytes adoptedPrefix reads back at once.
+const checkStretch = 1 << 20
+
 // logLen is the number of elements win's log holds.
 func logLen(win *stream.WindowState) uint64 {
 	return uint64(win.Archive.Len() + len(win.Window))
 }
 
-// encodeFrames encodes the frames of win's log from element first on: the
-// archived elements framed from their records, then the window queue.
-func encodeFrames(win *stream.WindowState, first int) ([]byte, error) {
+// encodeFrames encodes the frames of win's log from element first on and
+// returns them with where each ends in the returned bytes: the archived
+// elements — the durable ones read back through the archive's log, the
+// rest framed from their records — then the window queue.
+func encodeFrames(win *stream.WindowState, first int) ([]byte, []int64, error) {
 	arch := &win.Archive
-	size := 0
-	for i := first; i < arch.Len(); i++ {
-		size += 8 + len(arch.Record(i)) + len(arch.Texts[i])
+	durable := min(arch.Len(), len(arch.Frames))
+	var buf []byte
+	ends := make([]int64, 0, logLen(win)-uint64(first))
+	if first < durable {
+		log, ok := arch.Log.(*ElementLog)
+		if !ok {
+			return nil, nil, fmt.Errorf("persist: archived elements %d to %d are in an element log this package cannot read", first, durable)
+		}
+		start := int64(0)
+		if first > 0 {
+			start = arch.Frames[first-1]
+		}
+		var err error
+		if buf, err = log.readFrames(start, arch.Frames[first:durable]); err != nil {
+			return nil, nil, err
+		}
+		for _, end := range arch.Frames[first:durable] {
+			ends = append(ends, end-start)
+		}
+	}
+	// Past the durable prefix the archive's records are in memory, and
+	// Record cannot fail.
+	size := len(buf)
+	for i := max(first, durable); i < arch.Len(); i++ {
+		rec, text, _ := arch.Record(i)
+		size += 8 + len(rec) + len(text)
 	}
 	queue := win.Window[max(first-arch.Len(), 0):]
 	for _, e := range queue {
 		size += 8 + stream.RecordSize(e) + len(e.Text)
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size-len(buf))
 	var err error
-	for i := first; i < arch.Len(); i++ {
-		if buf, err = appendArchivedFrame(buf, arch.Record(i), arch.Texts[i]); err != nil {
-			return nil, err
+	for i := max(first, durable); i < arch.Len(); i++ {
+		rec, text, _ := arch.Record(i)
+		if buf, err = appendArchivedFrame(buf, rec, text); err != nil {
+			return nil, nil, err
 		}
+		ends = append(ends, int64(len(buf)))
 	}
 	for _, e := range queue {
 		if buf, err = appendElementFrame(buf, e); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		ends = append(ends, int64(len(buf)))
 	}
-	return buf, nil
+	return buf, ends, nil
 }
 
+// writeAt is the element log's one write, a variable so tests can fail it.
+var writeAt = (*os.File).WriteAt
+
 // appendElements brings dir's element log from the durable prefix base to
-// cover all of win's log and returns the new prefix. With nothing to
-// append the file is left alone: whatever follows the prefix is invisible
-// to loaders and is cut by the next append.
-func appendElements(dir string, base logPrefix, win *stream.WindowState) (logPrefix, error) {
+// cover all of win's log and returns the new prefix with where each frame
+// it appended ends in the log. With nothing to append the file is left
+// alone: whatever follows the prefix is invisible to loaders and is cut by
+// the next append.
+func appendElements(dir string, base logPrefix, win *stream.WindowState) (logPrefix, []int64, error) {
 	if logLen(win) == base.count {
-		return base, nil
+		return base, nil, nil
 	}
-	buf, err := encodeFrames(win, int(base.count))
+	buf, ends, err := encodeFrames(win, int(base.count))
 	if err != nil {
-		return logPrefix{}, err
+		return logPrefix{}, nil, err
+	}
+	for i := range ends {
+		ends[i] += base.bytes
 	}
 	f, err := os.OpenFile(filepath.Join(dir, ElementsFile), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return logPrefix{}, err
+		return logPrefix{}, nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return logPrefix{}, err
+		return logPrefix{}, nil, err
 	}
 	if fi.Size() < base.bytes {
-		return logPrefix{}, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), base.bytes)
+		return logPrefix{}, nil, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), base.bytes)
 	}
 	if err := f.Truncate(base.bytes); err != nil {
-		return logPrefix{}, err
+		return logPrefix{}, nil, err
 	}
-	if _, err := f.WriteAt(buf, base.bytes); err != nil {
-		return logPrefix{}, err
+	if _, err := writeAt(f, buf, base.bytes); err != nil {
+		return logPrefix{}, nil, err
 	}
 	if err := f.Sync(); err != nil {
-		return logPrefix{}, err
+		return logPrefix{}, nil, err
 	}
 	if err := f.Close(); err != nil {
-		return logPrefix{}, err
+		return logPrefix{}, nil, err
 	}
 	if fi.Size() == 0 {
 		// Possibly just created: make the directory entry durable before
 		// a head can name the file.
 		if err := syncDir(dir); err != nil {
-			return logPrefix{}, err
+			return logPrefix{}, nil, err
 		}
 	}
-	return logPrefix{count: logLen(win), bytes: base.bytes + int64(len(buf))}, nil
+	return logPrefix{count: logLen(win), bytes: base.bytes + int64(len(buf))}, ends, nil
 }
 
 // LoadCheckpoint loads the stream's latest valid checkpoint: the head
 // chosen by currentHead plus the element-log prefix it names, ignoring
 // whatever a crashed or later checkpoint appended past it. It returns
-// (nil, nil) when the stream has never been checkpointed. A head whose
-// envelope is intact but whose payload or log prefix does not decode is
-// ErrCorrupt with no fallback: the log is fsynced before its head is
-// written, so no crash produces that shape.
+// (nil, nil) when the stream has never been checkpointed. Every frame of
+// the prefix is checked, but only the window queue is decoded: the
+// archive comes back as where its frames end, with their IDs
+// (stream.WindowState.ArchivedIDs), over the log left open in ck.Log for
+// it to read its elements back through. A head whose envelope is intact
+// but whose payload or log prefix does not decode is ErrCorrupt with no
+// fallback: the log is fsynced before its head is written, so no crash
+// produces that shape.
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	payload, _, err := currentHead(dir)
 	if err != nil || payload == nil {
@@ -419,47 +517,16 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	win := &ck.Core.Window
-	if win.Archive, win.Window, err = readElements(dir, lp, inWindow); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// readElements reads the durable prefix lp of dir's element log and
-// decodes it into the archive and the window queue, its last inWindow
-// elements (decodeElements).
-func readElements(dir string, lp logPrefix, inWindow uint64) (stream.Archive, []*stream.Element, error) {
 	if lp.count == 0 && lp.bytes == 0 {
-		return stream.Archive{}, nil, nil
+		return ck, nil
 	}
-	data, err := readPrefix(filepath.Join(dir, ElementsFile), lp.bytes)
-	if err != nil {
-		return stream.Archive{}, nil, err
-	}
-	return decodeElements(data, lp.count, inWindow)
-}
-
-// readPrefix reads the first n bytes of the element log at path.
-func readPrefix(path string, n int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: checkpoint head names %d log bytes but there is no element log", ErrCorrupt, n)
-		}
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
+	log, s, err := loadElements(dir, lp, inWindow)
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size() < n {
-		return nil, fmt.Errorf("%w: element log holds %d bytes, the checkpoint head names %d", ErrCorrupt, fi.Size(), n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	win := &ck.Core.Window
+	win.Archive = stream.Archive{Count: int(lp.count - inWindow), Log: log, Frames: s.ends}
+	win.ArchivedIDs, win.ArchivedMaxTS, win.Window = s.ids, s.maxTS, s.window
+	ck.Log = log
+	return ck, nil
 }

@@ -62,13 +62,37 @@ func testCheckpoint() *Checkpoint {
 	return ck
 }
 
+// loadFlat is LoadCheckpoint with the archive read back into memory
+// (stream.Archive.Materialize) and the log closed: the form a checkpoint
+// is written from, so comparing the two compares every record and text
+// byte for byte.
+func loadFlat(t *testing.T, dir string) (*Checkpoint, error) {
+	t.Helper()
+	ck, err := LoadCheckpoint(dir)
+	if err != nil || ck == nil {
+		return ck, err
+	}
+	win := &ck.Core.Window
+	arch, err := win.Archive.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Log != nil {
+		if err := ck.Log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	win.Archive, win.ArchivedIDs, win.ArchivedMaxTS, ck.Log = arch, nil, 0, nil
+	return ck, nil
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := testCheckpoint()
 	if err := WriteCheckpoint(dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(dir)
+	got, err := loadFlat(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +132,7 @@ func TestLoadCheckpointFallsBackToBak(t *testing.T) {
 	if err := os.WriteFile(cur, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(dir)
+	got, err := loadFlat(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +253,7 @@ func TestCheckpointAppendsOnlyNewElements(t *testing.T) {
 	if third := readFile(t, dir, ElementsFile); !bytes.Equal(third, second) {
 		t.Fatalf("a checkpoint without new elements changed the log (%d → %d bytes)", len(second), len(third))
 	}
-	got, err := LoadCheckpoint(dir)
+	got, err := loadFlat(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +293,7 @@ func TestElementLogTornAppendEveryByte(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := LoadCheckpoint(dir)
+		got, err := loadFlat(t, dir)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -282,7 +306,7 @@ func TestElementLogTornAppendEveryByte(t *testing.T) {
 		if log := readFile(t, dir, ElementsFile); !bytes.Equal(log, newLog) {
 			t.Fatalf("cut %d: the next checkpoint left a log of %d bytes, want the %d of an undisturbed one", cut, len(log), len(newLog))
 		}
-		if got, err = LoadCheckpoint(dir); err != nil || !reflect.DeepEqual(got, niu) {
+		if got, err = loadFlat(t, dir); err != nil || !reflect.DeepEqual(got, niu) {
 			t.Fatalf("cut %d: reload after the next checkpoint: %v", cut, err)
 		}
 	}
@@ -343,7 +367,7 @@ func TestWriteCheckpointKeepsBakOverTornHead(t *testing.T) {
 	if !bytes.Equal(readFile(t, dir, CheckpointBak), bak) {
 		t.Error("the torn head was rotated over the loadable .bak")
 	}
-	got, err := LoadCheckpoint(dir)
+	got, err := loadFlat(t, dir)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("load after healing a torn head: %v", err)
 	}
@@ -359,20 +383,33 @@ func TestElementFrameRoundTrip(t *testing.T) {
 	for _, e := range elems[:len(elems)/2] {
 		win.Archive.Append(e)
 	}
-	data, err := encodeFrames(win, 0)
+	data, _, err := encodeFrames(win, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, window, err := decodeElements(data, logLen(win), uint64(len(win.Window)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	arch, window := scanFlat(t, data, logLen(win), uint64(len(win.Window)))
 	if !reflect.DeepEqual(arch, win.Archive) {
 		t.Fatal("the archive read back differs from the one written")
 	}
 	for i, e := range win.Window {
 		testutil.SameElement(t, window[i], e)
 	}
+}
+
+// scanFlat scans a log of count frames, the last inWindow the window
+// queue, from memory and reads the archived elements back through it.
+func scanFlat(t *testing.T, data []byte, count, inWindow uint64) (stream.Archive, []*stream.Element) {
+	t.Helper()
+	s, err := scanElements(bytes.NewReader(data), logPrefix{count: count, bytes: int64(len(data))}, inWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := stream.Archive{Count: int(count - inWindow), Log: &ElementLog{r: bytes.NewReader(data)}, Frames: s.ends}
+	arch, err := logged.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arch, s.window
 }
 
 // The largest element a frame carries — a text filling the payload limit
@@ -394,14 +431,11 @@ func TestElementFrameMaximalText(t *testing.T) {
 			win.Archive.Append(e)
 			win.Window = nil
 		}
-		data, err := encodeFrames(win, 0)
+		data, _, err := encodeFrames(win, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, window, err := decodeElements(data, 1, uint64(len(win.Window)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		arch, window := scanFlat(t, data, 1, uint64(len(win.Window)))
 		if archived {
 			if !reflect.DeepEqual(arch, win.Archive) {
 				t.Fatal("the maximal archived element does not round-trip")
@@ -411,7 +445,131 @@ func TestElementFrameMaximalText(t *testing.T) {
 		}
 	}
 	e.Text += "x"
-	if _, err := encodeFrames(&stream.WindowState{Window: []*stream.Element{e}}, 0); err == nil {
+	if _, _, err := encodeFrames(&stream.WindowState{Window: []*stream.Element{e}}, 0); err == nil {
 		t.Fatal("a frame one byte over the limit was written")
+	}
+}
+
+// An archived element reads back through the element log only as the
+// frame it was written as: a flipped bit or a cut log is ErrCorrupt, as is
+// a read whose bounds are not one frame's, and ksir_element_log_reads_total
+// counts each read by its outcome.
+func TestElementLogReadsCheckFrames(t *testing.T) {
+	dir := t.TempDir()
+	want := grown(4)
+	if err := WriteCheckpoint(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Log.Close()
+	arch := ck.Core.Window.Archive
+	if arch.Len() != 1 || len(arch.Frames) != 1+len(want.Core.Window.Window) || !reflect.DeepEqual(ck.Core.Window.ArchivedIDs, []stream.ElemID{5}) || ck.Core.Window.ArchivedMaxTS != 20 {
+		t.Fatalf("loaded archive of %d elements, %d frames, IDs %v, latest at %d", arch.Len(), len(arch.Frames), ck.Core.Window.ArchivedIDs, ck.Core.Window.ArchivedMaxTS)
+	}
+	okReads, errReads := obsLogReads.With("ok").Value(), obsLogReads.With("error").Value()
+	counted := func(what string, ok, bad uint64) {
+		t.Helper()
+		if gotOK, gotBad := obsLogReads.With("ok").Value()-okReads, obsLogReads.With("error").Value()-errReads; gotOK != ok || gotBad != bad {
+			t.Errorf("%s: counted %d ok and %d failed reads, want %d and %d", what, gotOK, gotBad, ok, bad)
+		}
+	}
+	rec, text, err := arch.Record(0)
+	if err != nil || !bytes.Equal(rec, want.Core.Window.Archive.Records) || text != want.Core.Window.Archive.Texts[0] {
+		t.Fatalf("archived element read back as %x %q, %v", rec, text, err)
+	}
+	counted("a clean read", 1, 0)
+
+	path := filepath.Join(dir, ElementsFile)
+	clean := readFile(t, dir, ElementsFile)
+	for name, damage := range map[string]func([]byte) []byte{
+		"bit flip": func(log []byte) []byte { log[12] ^= 0x01; return log },
+		"cut":      func(log []byte) []byte { return log[:arch.Frames[0]-1] },
+	} {
+		if err := os.WriteFile(path, damage(bytes.Clone(clean)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := arch.Record(0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: read = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if err := os.WriteFile(path, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.Log.ReadFrame(0, arch.Frames[1]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a read across two frames = %v, want ErrCorrupt", err)
+	}
+	counted("two damaged logs and a misaligned read", 1, 3)
+}
+
+// A checkpoint that falls back to the .bak's shorter prefix over a live
+// archive reading its elements from this directory's log keeps the frames
+// the archive adopted where they are: it checks them and appends after
+// them, so a write that fails then leaves every one of them readable, and
+// the retry writes the same log an undisturbed checkpoint would.
+func TestTornHeadCheckpointKeepsAdoptedFrames(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteCheckpoint(dir, testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCheckpoint(dir, grown(4)); err != nil {
+		t.Fatal(err)
+	}
+	// The live archive: every frame of the head adopted, the window
+	// elements' too, as after a checkpoint of a running stream.
+	loaded, err := LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Log.Close()
+	live := grown(6)
+	live.Core.Window.Archive = loaded.Core.Window.Archive
+	adopted := live.Core.Window.Archive.Frames
+	before := readFile(t, dir, ElementsFile)
+	bak := readFile(t, dir, CheckpointBak)
+	if err := os.WriteFile(filepath.Join(dir, CheckpointFile), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	writeAt = func(*os.File, []byte, int64) (int, error) { return 0, errors.New("no space left on device") }
+	_, err = WriteCheckpointFrames(dir, live)
+	writeAt = (*os.File).WriteAt
+	if err == nil {
+		t.Fatal("a checkpoint whose log write failed succeeded")
+	}
+	if after := readFile(t, dir, ElementsFile); !bytes.HasPrefix(after, before[:adopted[len(adopted)-1]]) {
+		t.Fatalf("the failed checkpoint cut the log to %d bytes, below the %d its archive reads", len(after), adopted[len(adopted)-1])
+	}
+	start := int64(0)
+	for i, end := range adopted {
+		if _, err := loaded.Log.ReadFrame(start, end); err != nil {
+			t.Fatalf("adopted frame %d is lost after the failed checkpoint: %v", i, err)
+		}
+		start = end
+	}
+
+	app, err := WriteCheckpointFrames(dir, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.First != len(adopted) || app.First+len(app.Ends) != int(logLen(&live.Core.Window)) {
+		t.Errorf("the retry appended %d frames from arrival %d, want the %d after the %d adopted", len(app.Ends), app.First, int(logLen(&live.Core.Window))-len(adopted), len(adopted))
+	}
+	if !bytes.Equal(readFile(t, dir, CheckpointBak), bak) {
+		t.Error("the torn head was rotated over the loadable .bak")
+	}
+	want := grown(6)
+	ref := t.TempDir()
+	if err := WriteCheckpoint(ref, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, dir, ElementsFile), readFile(t, ref, ElementsFile)) {
+		t.Error("the retried checkpoint's log differs from an undisturbed one's")
+	}
+	got, err := loadFlat(t, dir)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("load after the retried checkpoint: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/social-streams/ksir/internal/rankedlist"
@@ -28,10 +27,12 @@ import (
 //	          | ntopics u32 | topic u32... | prob f64...
 //	          | nrefs u32 | ref i64... |
 //
-// The record is internal/stream's archive record: the window archives an
-// element in exactly the bytes its frame carries, so a checkpoint frames
-// an archived element without decoding it and a load adopts it without
-// decoding it.
+// The record is internal/stream's archive record: an element that left
+// the window before a checkpoint is archived in exactly the bytes its
+// frame carries, so a checkpoint frames it without decoding it. Once
+// framed, the archive keeps only where the frame ends and reads the
+// element back through an ElementLog (elementlog.go) when a reference
+// resurrects it; a load keeps just that end and the element's ID.
 //
 // The head is one enveloped payload (sealFile):
 //
@@ -46,8 +47,9 @@ import (
 // header plus a record with every count zero and no text.
 const elemFrameMin = 8 + stream.RecordMin
 
-// appendArchivedFrame appends the frame of an archived element: its record
-// as the archive holds it, then its text. Nothing is decoded.
+// appendArchivedFrame appends the frame of an element the archive holds
+// in memory: its record as the archive holds it, then its text. Nothing is
+// decoded.
 func appendArchivedFrame(buf, rec []byte, text string) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // len + crc placeholders
@@ -75,84 +77,6 @@ func sealFrame(buf []byte, start int) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
 	return buf, nil
-}
-
-// decodeElements decodes exactly count element frames that together fill
-// data — a head's durable log prefix — of which the last inWindow are the
-// window queue. Unlike a WAL tail, nothing here may be torn: the prefix
-// was fsynced before the head naming it was written, so any short,
-// oversized or CRC-failing frame is ErrCorrupt.
-//
-// The archived frames are adopted as records, not decoded: their records
-// are copied into one archive allocation and their texts, like the window
-// elements', into one string. Only the window queue is decoded into
-// elements (stream.DecodeRecords), so a cold touch of a long-lived stream
-// costs a dozen allocations and the window, not the history. Every size
-// comes from bytes already checked, so a count never allocates beyond what
-// the bytes that remain could encode.
-func decodeElements(data []byte, count, inWindow uint64) (stream.Archive, []*stream.Element, error) {
-	if count > uint64(len(data)/elemFrameMin) || inWindow > count {
-		return stream.Archive{}, nil, fmt.Errorf("%w: element log of %d bytes cannot hold %d elements", ErrCorrupt, len(data), count)
-	}
-	archived := int(count - inWindow)
-	var recBytes, textBytes int
-	rest := data
-	for i := 0; i < int(count); i++ {
-		if len(rest) < 8 {
-			return stream.Archive{}, nil, fmt.Errorf("%w: element log ends inside frame %d", ErrCorrupt, i)
-		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		if n > maxRecordSize || n > len(rest)-8 {
-			return stream.Archive{}, nil, fmt.Errorf("%w: element frame %d claims %d bytes, %d remain", ErrCorrupt, i, n, len(rest)-8)
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:]) {
-			return stream.Archive{}, nil, fmt.Errorf("%w: element frame %d checksum mismatch", ErrCorrupt, i)
-		}
-		rec, ok := stream.RecordLen(payload)
-		if !ok {
-			return stream.Archive{}, nil, fmt.Errorf("%w: element frame %d of %d bytes is too short for its counts", ErrCorrupt, i, n)
-		}
-		if i < archived {
-			recBytes += rec
-		}
-		textBytes += n - rec
-		rest = rest[8+n:]
-	}
-	if len(rest) != 0 {
-		return stream.Archive{}, nil, fmt.Errorf("%w: %d stray bytes after %d element frames", ErrCorrupt, len(rest), count)
-	}
-
-	var arch stream.Archive
-	if archived > 0 {
-		arch = stream.Archive{Records: make([]byte, 0, recBytes), Ends: make([]int, archived), Texts: make([]string, archived)}
-	}
-	winRecs := make([][]byte, inWindow)
-	winTexts := make([]string, inWindow)
-	var text strings.Builder
-	text.Grow(textBytes)
-	for i := 0; i < int(count); i++ {
-		n := int(binary.LittleEndian.Uint32(data))
-		payload := data[8 : 8+n]
-		data = data[8+n:]
-		rec, _ := stream.RecordLen(payload)
-		// The builder was grown to the total, so it never moves and each
-		// String call is a view of the one buffer, not a copy.
-		start := text.Len()
-		text.Write(payload[rec:])
-		t := text.String()[start:]
-		if i < archived {
-			arch.Records = append(arch.Records, payload[:rec]...)
-			arch.Ends[i], arch.Texts[i] = len(arch.Records), t
-		} else {
-			winRecs[i-archived], winTexts[i-archived] = payload[:rec], t
-		}
-	}
-	window, err := stream.DecodeRecords(winRecs, winTexts)
-	if err != nil {
-		return stream.Archive{}, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return arch, window, nil
 }
 
 // logPrefix names the durable part of an element log: the first count

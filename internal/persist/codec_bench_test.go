@@ -77,9 +77,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := LoadCheckpoint(dir); err != nil {
+			ck, err := LoadCheckpoint(dir)
+			if err != nil {
 				b.Fatal(err)
 			}
+			ck.Log.Close()
 		}
 	})
 }

@@ -54,13 +54,15 @@ func FuzzCheckpointHead(f *testing.F) {
 	})
 }
 
-// FuzzElementLog decodes the first half of count frames (rounded down) as
-// archived records and the rest as the window queue, and re-encodes each
-// part with its own encoder.
+// FuzzElementLog scans count frames, the first half of them (rounded down)
+// as the archive — kept as where their frames end and their IDs — and the
+// rest as the window queue, decoded; it then re-encodes the log, reading
+// the archived frames back through an ElementLog and encoding the window
+// elements with their own encoder.
 func FuzzElementLog(f *testing.F) {
 	ck := grown(3)
 	win := &ck.Core.Window
-	log, _ := encodeFrames(win, 0)
+	log, _, _ := encodeFrames(win, 0)
 	n := logLen(win)
 	first := int(binary.LittleEndian.Uint32(log)) + 8
 	f.Add(log, n, false)
@@ -76,17 +78,24 @@ func FuzzElementLog(f *testing.F) {
 			binary.LittleEndian.PutUint32(framed[4:], crc32.Checksum(data, crcTable))
 			data, count = append(framed, data...), 1
 		}
-		arch, elems, err := decodeElements(data, count, count-count/2)
+		s, err := scanElements(bytes.NewReader(data), logPrefix{count: count, bytes: int64(len(data))}, count-count/2)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("element log error %v is not ErrCorrupt", err)
 			}
 			return
 		}
-		if uint64(arch.Len()) != count/2 || uint64(len(elems)) != count-count/2 {
-			t.Fatalf("decoded %d archived and %d window elements of %d", arch.Len(), len(elems), count)
+		if uint64(len(s.ids)) != count/2 || uint64(len(s.window)) != count-count/2 || uint64(len(s.ends)) != count {
+			t.Fatalf("scanned %d archived IDs, %d window elements and %d frame ends of %d", len(s.ids), len(s.window), len(s.ends), count)
 		}
-		again, err := encodeFrames(&stream.WindowState{Archive: arch, Window: elems}, 0)
+		arch := stream.Archive{Count: int(count / 2), Log: &ElementLog{r: bytes.NewReader(data)}, Frames: s.ends}
+		for i, id := range s.ids {
+			rec, _, err := arch.Record(i)
+			if err != nil || stream.ElemID(binary.LittleEndian.Uint64(rec)) != id {
+				t.Fatalf("archived element %d reads back as %v, %v; scanned ID %d", i, rec, err, id)
+			}
+		}
+		again, _, err := encodeFrames(&stream.WindowState{Archive: arch, Window: s.window}, 0)
 		if err != nil {
 			t.Fatalf("accepted log does not re-encode: %v", err)
 		}

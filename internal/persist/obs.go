@@ -4,9 +4,9 @@ import (
 	"github.com/social-streams/ksir/internal/metrics"
 )
 
-// Durability-layer observability (DESIGN.md §12): WAL append/fsync cost,
-// checkpoint cost, and recovery replay time, aggregated over every stream's
-// WAL in the process.
+// Durability-layer observability (DESIGN.md §12): WAL append/fsync cost
+// and failures, checkpoint cost, element-log reads, and recovery replay
+// time, aggregated over every stream in the process.
 var (
 	obsWALAppends = metrics.NewCounter("ksir_wal_appends_total",
 		"WAL append calls (each a group-commit batch of one or more records).")
@@ -20,6 +20,9 @@ var (
 	obsWALFsyncDuration = metrics.NewDurationHistogram("ksir_wal_fsync_duration_seconds",
 		"WAL fsync latency.",
 		metrics.DefBuckets...)
+	obsWALFailures = metrics.NewCounterVec("ksir_wal_failures_total",
+		"WAL writes (op=append) and fsyncs (op=fsync) that failed, each failing its WAL until a checkpoint resets it.",
+		"op", "append", "fsync")
 	obsWALReplay = metrics.NewDurationCounter("ksir_wal_replay_seconds_total",
 		"Wall time spent scanning and replaying WAL tails at open (recovery and reactivation).")
 
@@ -30,4 +33,8 @@ var (
 		metrics.DefBuckets...)
 	obsCkptBytes = metrics.NewCounter("ksir_checkpoint_bytes_total",
 		"Bytes written to checkpoint snapshots.")
+
+	obsLogReads = metrics.NewCounterVec("ksir_element_log_reads_total",
+		"Reads of archived elements back from element logs — a resurrection, or a checkpoint re-framing them — by whether the read and its CRC checks succeeded.",
+		"result", "ok", "error")
 )

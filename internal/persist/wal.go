@@ -174,6 +174,7 @@ func (w *WAL) AppendBatchTimed(recs []Record, t *BatchTimings) error {
 	w.buf = buf[:0] // recycle the scratch buffer
 	if err := writeFull(w.f, buf); err != nil {
 		w.failed = fmt.Errorf("persist: appending WAL batch: %w", err)
+		obsWALFailures.With("append").Inc()
 		return w.failed
 	}
 	w.size += int64(len(buf))
@@ -217,6 +218,7 @@ func (w *WAL) Sync() error {
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
 		w.failed = fmt.Errorf("persist: syncing WAL: %w", err)
+		obsWALFailures.With("fsync").Inc()
 		return w.failed
 	}
 	w.syncs.Add(1)

@@ -482,11 +482,20 @@ func TestWALFailureFailsLogUntilReset(t *testing.T) {
 			if err := w.Append(postRecord(1, 1)); err != nil {
 				t.Fatal(err)
 			}
+			op := map[string]string{"short write": "append", "fsync": "fsync"}[fault]
+			failures := obsWALFailures.With(op).Value()
 			ff := &faultyFile{shortWrite: fault == "short write", failSync: fault == "fsync"}
 			ff.walFile = w.SwapFileForTest(ff)
 			if err := w.Append(postRecord(2, 2)); err == nil {
 				t.Fatal("the faulty append succeeded")
 			}
+			// The failure is counted once, where the log failed, not
+			// again for each append it refuses after.
+			defer func() {
+				if n := obsWALFailures.With(op).Value() - failures; n != 1 {
+					t.Errorf("ksir_wal_failures_total{op=%q} rose by %d, want 1", op, n)
+				}
+			}()
 			// The file works again, but the log stays failed, and it is
 			// not synced again: a sync now would not make the dropped
 			// writes durable.

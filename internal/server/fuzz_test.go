@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -93,6 +95,42 @@ func FuzzQueryBody(f *testing.F) {
 			}
 		default:
 			t.Fatalf("query route answered %d: %s", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// FuzzLastEventID feeds the subscription resume cursor arbitrary strings:
+// an accepted one is a non-negative bucket sequence that strconv.FormatInt
+// prints back as exactly the string given (or the fresh-subscription -1
+// for an empty one), and a rejected one is ErrBadSubscription — a 400 on
+// the wire — never a panic.
+func FuzzLastEventID(f *testing.F) {
+	for _, seed := range []string{"", "0", "17", "-1", "+5", "007", " 5", "5 ", "1e3", "0x10",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "٣"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, lei string) {
+		v, err := parseLastEventID(lei)
+		if err != nil {
+			if !errors.Is(err, ksir.ErrBadSubscription) {
+				t.Fatalf("Last-Event-ID %q: error %v is not ErrBadSubscription", lei, err)
+			}
+			if _, status := apiv1.Classify(err); status != http.StatusBadRequest {
+				t.Fatalf("Last-Event-ID %q: rejected with status %d, want 400", lei, status)
+			}
+			return
+		}
+		if lei == "" {
+			if v != -1 {
+				t.Fatalf("an empty Last-Event-ID resumes from %d, want a fresh subscription (-1)", v)
+			}
+			return
+		}
+		if v < 0 {
+			t.Fatalf("Last-Event-ID %q accepted as negative %d", lei, v)
+		}
+		if back := strconv.FormatInt(v, 10); back != lei {
+			t.Fatalf("Last-Event-ID %q accepted as %d, which prints as %q", lei, v, back)
 		}
 	})
 }

@@ -116,20 +116,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, hs *ksi
 		writeError(w, err)
 		return
 	}
-	// Resume cursor: -1 means a fresh subscription (bucket seqs start at
-	// 1, so -1 never suppresses anything).
-	sinceBucket := int64(-1)
 	lei := r.Header.Get("Last-Event-ID")
 	if lei == "" {
 		lei = r.URL.Query().Get("last_event_id")
 	}
-	if lei != "" {
-		v, perr := strconv.ParseInt(lei, 10, 64)
-		if perr != nil || v < 0 {
-			writeError(w, fmt.Errorf("%w: bad Last-Event-ID %q", ksir.ErrBadSubscription, lei))
-			return
-		}
-		sinceBucket = v
+	sinceBucket, err := parseLastEventID(lei)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	// Pre-flight the standing query once: an unanswerable query (e.g.
 	// keywords outside the model vocabulary) gets an immediate 400 here
@@ -240,6 +234,23 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, hs *ksi
 			lastSent = ev.Bucket
 		}
 	}
+}
+
+// parseLastEventID parses a subscription's resume cursor — the id of the
+// last event the consumer received, a bucket sequence number. An empty one
+// is a fresh subscription, -1: bucket sequences start at 1, so -1 never
+// suppresses anything. Anything but a non-negative int64 written the way
+// the server writes event ids (in decimal, with no sign and no leading
+// zero) is ErrBadSubscription.
+func parseLastEventID(lei string) (int64, error) {
+	if lei == "" {
+		return -1, nil
+	}
+	v, err := strconv.ParseInt(lei, 10, 64)
+	if err != nil || v < 0 || strconv.FormatInt(v, 10) != lei {
+		return 0, fmt.Errorf("%w: bad Last-Event-ID %q", ksir.ErrBadSubscription, lei)
+	}
+	return v, nil
 }
 
 func parseSubscribeParams(r *http.Request, hs *ksir.StreamHandle) (req apiv1.QueryRequest, every time.Duration, onlyChanged bool, err error) {

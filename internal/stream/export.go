@@ -22,11 +22,20 @@ type ActiveRef struct {
 // derivable and rebuilt on restore.
 type WindowState struct {
 	Now Time
-	// Archive holds the elements that left the window, in arrival order,
-	// as records. Export shares the window's own archive (a capped prefix,
-	// never copied): the archive only grows, so the prefix stays valid
-	// while the window moves on.
+	// Archive holds the elements that left the window, in arrival order.
+	// Export shares the window's own archive (a capped prefix, never
+	// copied): the archive only grows, so the prefix stays valid while the
+	// window moves on.
 	Archive Archive
+	// ArchivedIDs, when set, lists the archived elements' IDs in arrival
+	// order, so Restore reads none of them back from the element log: a
+	// loaded checkpoint has them from checking its frames. Export leaves
+	// it nil.
+	ArchivedIDs []ElemID
+	// ArchivedMaxTS, set with ArchivedIDs, is the latest timestamp among
+	// the archived elements, so Restore checks that all of them lie before
+	// the window's cutoff without reading them back.
+	ArchivedMaxTS Time
 	// Window is the window queue W_t: the elements that arrived after the
 	// archived ones, in arrival order (the order future window exits
 	// replay in).
@@ -70,7 +79,10 @@ func (w *ActiveWindow) Export() WindowState {
 // window followed by the same Advances behaves identically to the
 // original. The window adopts st.Archive without copying it (capped, so
 // its first append reallocates instead of writing into the caller's
-// storage) and decodes only the archived elements that are still active.
+// storage) and decodes only the archived elements that are still active,
+// reading those the element log holds back from it; without
+// st.ArchivedIDs (and ArchivedMaxTS) it reads every archived element's ID
+// and timestamp back too.
 func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("stream: window length must be positive, got %d", T)
@@ -80,27 +92,46 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	}
 	arch := st.Archive.Prefix(st.Archive.Len())
 	n := arch.Len()
+	if st.ArchivedIDs != nil && len(st.ArchivedIDs) != n {
+		return nil, fmt.Errorf("stream: %d archived IDs for %d archived elements", len(st.ArchivedIDs), n)
+	}
+	if len(arch.Frames) > n+len(st.Window) {
+		return nil, fmt.Errorf("stream: element log holds %d frames, only %d elements arrived", len(arch.Frames), n+len(st.Window))
+	}
 	w := NewActiveWindow(T)
 	ws := w.ws
 	w.now = st.Now
 	ws.archive = arch
+	for _, t := range arch.Texts {
+		ws.archiveText += int64(len(t))
+	}
 	ws.index.sorted = make([]ElemID, 0, n+len(st.Window))
 	w.active = make(map[ElemID]*Element, len(st.Active))
 	ws.lastRef = make(map[ElemID]Time, len(st.Active))
 	w.queue, w.head = slices.Clone(st.Window), n
 	cutoff := st.Now - T
+	if st.ArchivedIDs != nil && n > 0 && st.ArchivedMaxTS > cutoff {
+		return nil, fmt.Errorf("stream: an archived element at %d is in the window but outside its queue", st.ArchivedMaxTS)
+	}
 
 	for i := 0; i < n; i++ {
-		rec := arch.Record(i)
-		id, ts := recordID(rec), recordTS(rec)
+		var id ElemID
+		if i < len(st.ArchivedIDs) {
+			id = st.ArchivedIDs[i]
+		} else {
+			rec, _, err := arch.Record(i)
+			if err != nil {
+				return nil, err
+			}
+			id = recordID(rec)
+			if ts := recordTS(rec); ts > cutoff {
+				return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", id, ts)
+			}
+		}
 		if _, dup := ws.index.lookup(id); dup {
 			return nil, fmt.Errorf("stream: duplicate element %d in window state", id)
 		}
-		if ts > cutoff {
-			return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", id, ts)
-		}
 		ws.index.add(id)
-		ws.textBytes += int64(len(arch.Texts[i]))
 	}
 	var refs []RefAdd // the references of window-queue elements, wired below
 	for i, e := range w.queue {
@@ -120,7 +151,6 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 			return nil, fmt.Errorf("stream: duplicate element %d in window state", e.ID)
 		}
 		ws.index.add(e.ID)
-		ws.textBytes += int64(len(e.Text))
 		// Only a parent that arrived before e was wired at ingest; a
 		// reference to an ID that arrived later stayed dangling for good.
 		for _, pid := range e.Refs {
@@ -130,7 +160,9 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		}
 	}
 
-	var archived []int // archived arrivals that are still active
+	// The archived arrivals that are still active, and their IDs.
+	var survivors []int
+	var survivorIDs []ElemID
 	for _, a := range st.Active {
 		seq, known := ws.index.lookup(a.ID)
 		if !known {
@@ -139,30 +171,35 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		if _, dup := ws.lastRef[a.ID]; dup {
 			return nil, fmt.Errorf("stream: element %d listed active twice", a.ID)
 		}
-		var ts Time
 		if seq < n {
-			ts = recordTS(arch.Record(seq))
-			archived = append(archived, seq)
+			survivors, survivorIDs = append(survivors, seq), append(survivorIDs, a.ID)
 		} else {
-			e := w.queue[seq-n]
-			ts = e.TS
-			w.active[a.ID] = e
+			w.active[a.ID] = w.queue[seq-n]
 		}
-		if a.LastRef < ts || a.LastRef <= cutoff {
-			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d, cutoff %d)", a.ID, a.LastRef, ts, cutoff)
+		if a.LastRef <= cutoff {
+			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (cutoff %d)", a.ID, a.LastRef, cutoff)
 		}
 		ws.lastRef[a.ID] = a.LastRef
 		ws.expiryQ = append(ws.expiryQ, expiryEntry{at: a.LastRef, id: a.ID})
 	}
 	heap.Init(&ws.expiryQ)
-	survivors, err := arch.Elements(archived...)
+	decoded, err := arch.Elements(survivors...)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range survivors {
+	for j, e := range decoded {
+		if e.ID != survivorIDs[j] {
+			return nil, fmt.Errorf("stream: the archive holds element %d where active element %d belongs", e.ID, survivorIDs[j])
+		}
+		if e.TS > cutoff {
+			return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", e.ID, e.TS)
+		}
 		w.active[e.ID] = e
 	}
 	for _, e := range w.active {
+		if ws.lastRef[e.ID] < e.TS {
+			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d)", e.ID, ws.lastRef[e.ID], e.TS)
+		}
 		ws.liveBytes += liveElemBytes(e)
 	}
 

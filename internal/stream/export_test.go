@@ -155,8 +155,27 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		st.Archive.Append(e0)
 		return st
 	}
+	// withIDs is st as a load hands it over: the archived elements' IDs
+	// and latest timestamp read off the element log beside them.
+	withIDs := func(st WindowState) WindowState {
+		st.ArchivedIDs, st.ArchivedMaxTS = nil, 0
+		for i := 0; i < st.Archive.Len(); i++ {
+			rec, _, err := st.Archive.Record(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.ArchivedIDs = append(st.ArchivedIDs, recordID(rec))
+			if ts := recordTS(rec); i == 0 || ts > st.ArchivedMaxTS {
+				st.ArchivedMaxTS = ts
+			}
+		}
+		return st
+	}
 	if _, err := Restore(300, base()); err != nil {
 		t.Fatalf("baseline state rejected: %v", err)
+	}
+	if _, err := Restore(300, withIDs(base())); err != nil {
+		t.Fatalf("baseline state with archived IDs rejected: %v", err)
 	}
 	// Each case is the arrival log of three corrupted one way; the log is
 	// the archive (e0) followed by the window queue (e1, e2).
@@ -203,6 +222,13 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		if _, err := Restore(300, st); err == nil {
 			t.Errorf("%s: corrupt state accepted", name)
 		}
+	}
+	// An in-window element archived, caught from the loaded IDs' latest
+	// timestamp alone.
+	st := base()
+	cases["window outside"](&st)
+	if _, err := Restore(300, withIDs(st)); err == nil {
+		t.Error("window outside, archived IDs loaded: corrupt state accepted")
 	}
 	if _, err := Restore(0, base()); err == nil {
 		t.Error("non-positive window length accepted")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/social-streams/ksir/internal/textproc"
 )
@@ -17,10 +18,11 @@ import (
 //	| nrefs u32 | ref i64... |
 //
 // It is the archive's in-memory form of an element that left the window
-// and, followed by the text, the payload of an element-log frame
-// (DESIGN.md §8): a checkpoint frames an archived element's record as it
-// is, without decoding it. The encoding is canonical, so equal elements
-// have equal records.
+// before a checkpoint framed it and, followed by the text, the payload of
+// an element-log frame (DESIGN.md §8): a checkpoint frames an archived
+// element's record as it is, without decoding it, and a resurrection
+// decodes the record it reads back from a frame. The encoding is
+// canonical, so equal elements have equal records.
 
 // RecordMin is the size of a record whose counts are all zero.
 const RecordMin = 8 + 8 + 4 + 4 + 4 + 4
@@ -196,48 +198,105 @@ func carve[T any](free *[]T, n int) []T {
 	return (*free)[start : start+n : start+n]
 }
 
-// Archive is an arrival-ordered run of elements that left the window, one
-// record each, with each element's text beside its record as the string
-// the element held — never copied, since the producer usually still holds
-// it. It only grows; a prefix of it (Prefix) is immutable.
+// ElementLog reads frames back from a stream's element log (DESIGN.md §8):
+// the durable store an archived element is read from once a checkpoint
+// has written its frame. internal/persist implements it over the stream's
+// elements file.
+type ElementLog interface {
+	// ReadFrame returns the payload — the record, then the text — of the
+	// frame that occupies bytes [start, end) of the log, checked against
+	// its CRC. A short read or a failed check is an error.
+	ReadFrame(start, end int64) ([]byte, error)
+}
+
+// Archive is an arrival-ordered run of the Count elements that left the
+// window. It only grows; a prefix of it (Prefix) is immutable. An archived
+// element is held one of two ways:
+//
+//   - inside the durable log prefix — the arrivals a checkpoint has framed
+//     into the element log — as where its frame ends, 8 bytes, read back
+//     through Log only when a reference resurrects it;
+//   - past that prefix, as a record in memory with its text beside it, the
+//     string the element held — never copied, since the producer usually
+//     still holds it.
+//
+// A memory-only stream's prefix stays empty, so it holds every element the
+// second way.
 type Archive struct {
-	// Records holds the records back to back.
+	// Count is the number of archived elements.
+	Count int
+	// Log reads the durable prefix's frames; nil while there is none.
+	Log ElementLog
+	// Frames[i] is where arrival i's frame ends in Log; it starts where
+	// arrival i-1's ends (arrival 0's at 0). The durable prefix may run
+	// past the archived arrivals into the window queue: a window element
+	// checkpointed before it left the window is archived as its frame.
+	Frames []int64
+	// Records holds the records of the archived arrivals past the durable
+	// prefix back to back: arrival len(Frames)+j's record ends at Ends[j]
+	// (and starts where record j-1 ends, record 0 at 0), and Texts[j] is
+	// that element's text.
 	Records []byte
-	// Ends[i] is where record i ends in Records; it starts where record
-	// i-1 ends (record 0 at 0).
-	Ends []int
-	// Texts[i] is the text of the element of record i.
-	Texts []string
+	Ends    []int
+	Texts   []string
 }
 
 // Len is the number of archived elements.
-func (a *Archive) Len() int { return len(a.Ends) }
+func (a *Archive) Len() int { return a.Count }
 
-// Record returns record i.
-func (a *Archive) Record(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = a.Ends[i-1]
+// frameStart is where arrival i's frame starts in the log.
+func (a *Archive) frameStart(i int) int64 {
+	if i == 0 {
+		return 0
 	}
-	return a.Records[start:a.Ends[i]:a.Ends[i]]
+	return a.Frames[i-1]
 }
 
-// Append archives e.
+// Record returns archived element i's record and text: from memory past
+// the durable prefix, read back through Log inside it.
+func (a *Archive) Record(i int) ([]byte, string, error) {
+	if j := i - len(a.Frames); j >= 0 {
+		start := 0
+		if j > 0 {
+			start = a.Ends[j-1]
+		}
+		return a.Records[start:a.Ends[j]:a.Ends[j]], a.Texts[j], nil
+	}
+	if a.Log == nil {
+		return nil, "", fmt.Errorf("stream: archived element %d is in an element log the archive cannot read", i)
+	}
+	payload, err := a.Log.ReadFrame(a.frameStart(i), a.Frames[i])
+	if err != nil {
+		return nil, "", err
+	}
+	n, ok := RecordLen(payload)
+	if !ok {
+		return nil, "", fmt.Errorf("stream: element-log frame of archived element %d is too short for its counts", i)
+	}
+	return payload[:n:n], string(payload[n:]), nil
+}
+
+// Append archives e: as nothing new when its frame is already in the
+// durable prefix, as a record otherwise.
 func (a *Archive) Append(e *Element) {
-	a.Records = AppendRecord(a.Records, e)
-	a.Ends = append(a.Ends, len(a.Records))
-	a.Texts = append(a.Texts, e.Text)
+	if a.Count >= len(a.Frames) {
+		a.Records = AppendRecord(a.Records, e)
+		a.Ends = append(a.Ends, len(a.Records))
+		a.Texts = append(a.Texts, e.Text)
+	}
+	a.Count++
 }
 
-// Prefix returns the first n archived elements, capped so an Append
-// through the result reallocates instead of writing into a's storage:
-// later appends to a leave it unchanged.
+// Prefix returns the first n archived elements with the durable prefix,
+// capped so an Append through the result reallocates instead of writing
+// into a's storage: later appends to a leave it unchanged.
 func (a *Archive) Prefix(n int) Archive {
-	if n == 0 {
-		return Archive{}
+	p := Archive{Count: n, Log: a.Log, Frames: a.Frames[:len(a.Frames):len(a.Frames)]}
+	if tail := n - len(a.Frames); tail > 0 {
+		end := a.Ends[tail-1]
+		p.Records, p.Ends, p.Texts = a.Records[:end:end], a.Ends[:tail:tail], a.Texts[:tail:tail]
 	}
-	end := a.Ends[n-1]
-	return Archive{Records: a.Records[:end:end], Ends: a.Ends[:n:n], Texts: a.Texts[:n:n]}
+	return p
 }
 
 // Elements decodes the archived elements at the given indexes into fresh
@@ -246,17 +305,96 @@ func (a *Archive) Elements(idx ...int) ([]*Element, error) {
 	recs := make([][]byte, len(idx))
 	texts := make([]string, len(idx))
 	for j, i := range idx {
-		recs[j], texts[j] = a.Record(i), a.Texts[i]
+		var err error
+		if recs[j], texts[j], err = a.Record(i); err != nil {
+			return nil, err
+		}
 	}
 	return DecodeRecords(recs, texts)
 }
 
-// check verifies the archive's shape: one text and one end per record,
-// ends rising to the end of Records, and every record exactly as long as
-// its counts say.
+// Materialize returns the archive with every element held in memory — the
+// form a memory-only stream holds it in — reading the durable ones back
+// through Log. Equal archives materialize to equal values, however much of
+// them was durable.
+func (a *Archive) Materialize() (Archive, error) {
+	var m Archive
+	for i := 0; i < a.Count; i++ {
+		rec, text, err := a.Record(i)
+		if err != nil {
+			return Archive{}, err
+		}
+		m.Records = append(m.Records, rec...)
+		m.Ends = append(m.Ends, len(m.Records))
+		m.Texts = append(m.Texts, text)
+	}
+	m.Count = a.Count
+	return m, nil
+}
+
+// makeDurable records that a checkpoint framed arrivals first, first+1, …
+// into log, their frames ending at ends, and drops the in-memory records
+// that now lie inside the durable prefix. It returns the bytes of text it
+// dropped. Frames the archive already knows must be the very frames named
+// again (a checkpoint that fell back to an older head rewrites them in
+// place), and first may not leave a gap after them. The dropped records
+// are left to any prefix sharing them: the rest moves to fresh storage.
+func (a *Archive) makeDurable(log ElementLog, first int, ends []int64) (int64, error) {
+	if first > len(a.Frames) {
+		return 0, fmt.Errorf("stream: element log frames from arrival %d leave a gap after the %d known", first, len(a.Frames))
+	}
+	known := min(len(a.Frames)-first, len(ends))
+	for k, end := range ends[:known] {
+		if a.Frames[first+k] != end {
+			return 0, fmt.Errorf("stream: element log frame of arrival %d moved from %d to %d", first+k, a.Frames[first+k], end)
+		}
+	}
+	prev := len(a.Frames)
+	a.Log = log
+	a.Frames = append(a.Frames, ends[known:]...)
+	drop := min(len(a.Frames), a.Count) - prev
+	if drop <= 0 {
+		return 0, nil
+	}
+	var text int64
+	for _, t := range a.Texts[:drop] {
+		text += int64(len(t))
+	}
+	if drop == len(a.Ends) {
+		a.Records, a.Ends, a.Texts = nil, nil, nil
+		return text, nil
+	}
+	cut := a.Ends[drop-1]
+	a.Records = slices.Clone(a.Records[cut:])
+	ends2 := make([]int, len(a.Ends)-drop)
+	for j, e := range a.Ends[drop:] {
+		ends2[j] = e - cut
+	}
+	a.Ends = ends2
+	a.Texts = slices.Clone(a.Texts[drop:])
+	return text, nil
+}
+
+// check verifies the archive's shape: durable frames that end strictly
+// increasing and a log to read them from, then one text and one end per
+// archived element past the durable prefix, ends rising to the end of
+// Records, and every record exactly as long as its counts say.
 func (a *Archive) check() error {
-	if len(a.Texts) != len(a.Ends) {
-		return fmt.Errorf("stream: archive has %d texts for %d records", len(a.Texts), len(a.Ends))
+	if a.Count < 0 {
+		return fmt.Errorf("stream: archive of %d elements", a.Count)
+	}
+	prev := int64(0)
+	for i, end := range a.Frames {
+		if end <= prev {
+			return fmt.Errorf("stream: element-log frame %d ends at %d, not after %d", i, end, prev)
+		}
+		prev = end
+	}
+	if a.Log == nil && min(a.Count, len(a.Frames)) > 0 {
+		return fmt.Errorf("stream: archive has durable elements but no element log")
+	}
+	if want := max(a.Count-len(a.Frames), 0); len(a.Ends) != want || len(a.Texts) != want {
+		return fmt.Errorf("stream: archive has %d records and %d texts for %d elements past the durable prefix", len(a.Ends), len(a.Texts), want)
 	}
 	start := 0
 	for i, end := range a.Ends {

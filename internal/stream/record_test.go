@@ -20,7 +20,7 @@ func TestArchiveRecordRoundTrip(t *testing.T) {
 	var a stream.Archive
 	for i, e := range elems {
 		a.Append(e)
-		if rec := a.Record(i); len(rec) != stream.RecordSize(e) {
+		if rec, _, _ := a.Record(i); len(rec) != stream.RecordSize(e) {
 			t.Fatalf("element %d: record of %d bytes, stream.RecordSize says %d", e.ID, len(rec), stream.RecordSize(e))
 		} else if n, ok := stream.RecordLen(append(rec, e.Text...)); !ok || n != len(rec) {
 			t.Fatalf("element %d: stream.RecordLen reads %d, %v of a %d-byte record", e.ID, n, ok, len(rec))

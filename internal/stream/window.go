@@ -2,11 +2,18 @@ package stream
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
 )
+
+// ErrArchiveRead reports an advance that failed because an archived
+// element a reference resurrects could not be read back — from the
+// element log, a failed read or a frame that fails its checks. The window
+// is left as it was before the advance.
+var ErrArchiveRead = errors.New("stream: reading back an archived element")
 
 // ChangeSet describes what an Advance call did to the active set; the query
 // engine uses it to maintain the per-topic ranked lists (Algorithm 1).
@@ -34,11 +41,14 @@ type ChangeSet struct {
 // the active set is always exactly the paper's A_t.
 //
 // Only the window queue W_t and the active set A_t hold elements as Go
-// values. An element leaving the window is encoded once, in arrival
-// order, into the archive's append-only records (record.go) and stays
-// there for the stream's life behind an ID → arrival-number index: the paper
-// drops it (Algorithm 1, lines 12–13), but a later reference resurrects
-// it, and a duplicate ID must still be refused. A state export (Export)
+// values. An element leaving the window joins the archive (record.go) in
+// arrival order and stays there for the stream's life behind an ID →
+// arrival-number index: the paper drops it (Algorithm 1, lines 12–13), but
+// a later reference resurrects it, and a duplicate ID must still be
+// refused. Once a checkpoint has written an element's frame to the
+// stream's element log (AdoptLog), the archive keeps only where that frame
+// ends and reads it back when a reference resurrects the element; until
+// then it keeps the element as a record in memory. A state export (Export)
 // shares the archive instead of walking it, so it costs the active set,
 // not the history.
 //
@@ -74,6 +84,8 @@ type writerState struct {
 	// window of the leading twin: the first window whose head passes an
 	// arrival archives it (slideOut).
 	archive Archive
+	// archiveText sums the texts of the archive's in-memory records.
+	archiveText int64
 	// index maps every element ever ingested to its arrival number: an
 	// index into archive once archived, a queue position before.
 	index idIndex
@@ -82,10 +94,9 @@ type writerState struct {
 	lastRef map[ElemID]Time
 	// expiryQ is a lazy min-heap over (lastRef, id) for active-set expiry.
 	expiryQ expiryHeap
-	// textBytes sums the texts of every element ever ingested and
-	// liveBytes the rest of the footprint of the elements held as Go
-	// values (liveElemBytes); ApproxBytes adds the archive's storage.
-	textBytes, liveBytes int64
+	// liveBytes sums the footprint of the elements held as Go values
+	// (liveElemBytes); ApproxBytes adds the archive's storage.
+	liveBytes int64
 }
 
 // Per-entry heap costs for ApproxBytes, measured on amd64 with Go 1.24;
@@ -140,22 +151,39 @@ func (w *ActiveWindow) Replica() *ActiveWindow {
 }
 
 // ApproxBytes reports the approximate heap bytes held by the window's
-// elements: the archive's storage and index, every text, and the elements
-// held as Go values with their bookkeeping across both twins. Like Known
-// it reads writer-shared state: callers must serialize it with
-// Advance/ApplyDelta.
+// elements: the archive's frame ends, records and their texts, the ID
+// index, and the elements held as Go values with their bookkeeping across
+// both twins. An element both active and held as a record counts its
+// text twice: a survivor that left the window before any checkpoint
+// framed it. Like Known it reads writer-shared state: callers must
+// serialize it with Advance/ApplyDelta.
 func (w *ActiveWindow) ApproxBytes() int64 {
 	ws := w.ws
 	a := &ws.archive
-	return int64(cap(a.Records)) + 8*int64(cap(a.Ends)) + 16*int64(cap(a.Texts)) +
-		ws.index.bytes() + ws.textBytes + ws.liveBytes
+	return 8*int64(cap(a.Frames)) + int64(cap(a.Records)) + 8*int64(cap(a.Ends)) + 16*int64(cap(a.Texts)) +
+		ws.archiveText + ws.index.bytes() + ws.liveBytes
 }
 
-// liveElemBytes is what e costs while held as a Go value, its text
-// aside (textBytes counts every text once, archived or not).
+// liveElemBytes is what e costs while held as a Go value.
 func liveElemBytes(e *Element) int64 {
 	perTopic := liveTopicBytes + termCountBytes*len(e.Doc.Terms)
-	return e.ApproxBytes() - int64(len(e.Text)) + liveBaseBytes + int64(perTopic*len(e.Topics.Topics))
+	return e.ApproxBytes() + liveBaseBytes + int64(perTopic*len(e.Topics.Topics))
+}
+
+// AdoptLog records that a checkpoint wrote the frames of arrivals first,
+// first+1, … to the stream's element log, read back through log, their
+// frames ending at ends: from then on the archive holds each of those
+// elements as its frame's end, and drops the in-memory records it held for
+// them. Arrivals still in the window are archived that way when they
+// leave it. Like Known it touches writer-shared state: callers must
+// serialize it with Advance/ApplyDelta.
+func (w *ActiveWindow) AdoptLog(log ElementLog, first int, ends []int64) error {
+	if first+len(ends) > w.ws.index.len() {
+		return fmt.Errorf("stream: element log frames up to arrival %d, only %d arrived", first+len(ends), w.ws.index.len())
+	}
+	text, err := w.ws.archive.makeDurable(log, first, ends)
+	w.ws.archiveText -= text
+	return err
 }
 
 // Now returns the current window time t.
@@ -295,30 +323,48 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	if now < w.now {
 		return ChangeSet{}, fmt.Errorf("stream: time moved backwards %d → %d", w.now, now)
 	}
-	cs := ChangeSet{Now: now}
-	prevNow := w.now
-	w.now = now
 	ws := w.ws
 
-	// The elements this advance resurrects are decoded into storage sized
-	// for exactly them, so a bucket allocates for its resurrections once
-	// and keeps no spare room alive: every known reference to an inactive
-	// element is a resurrection in phase 1 (one referred to twice is
-	// counted twice).
-	var resurrected slabSize
+	// Every known reference to an inactive element is a resurrection in
+	// phase 1 (one referred to twice is read and counted twice). Their
+	// records are read here, in reference order — from memory, or back
+	// from the element log — so a failed read fails the advance before
+	// anything has changed, and they are decoded into storage sized for
+	// exactly them, so a bucket allocates for its resurrections once and
+	// keeps no spare room alive.
+	var (
+		few    [8]archived // room for a typical bucket's, off the heap
+		pulled = few[:0]
+		need   slabSize
+	)
 	for _, e := range batch {
 		for _, pid := range e.Refs {
-			if seq, known := ws.index.lookup(pid); known {
-				if _, isActive := w.active[pid]; !isActive {
-					resurrected.add(ws.archive.Record(seq))
-				}
+			seq, known := ws.index.lookup(pid)
+			if !known {
+				continue
 			}
+			if _, isActive := w.active[pid]; isActive {
+				continue
+			}
+			rec, text, err := ws.archive.Record(seq)
+			if err == nil && recordID(rec) != pid {
+				err = fmt.Errorf("the archive holds element %d in its place", recordID(rec))
+			}
+			if err != nil {
+				return ChangeSet{}, fmt.Errorf("%w: element %d: %w", ErrArchiveRead, pid, err)
+			}
+			pulled = append(pulled, archived{rec, text})
+			need.add(rec)
 		}
 	}
 	var storage *slab
-	if resurrected.elems > 0 {
-		storage = newSlab(resurrected)
+	if need.elems > 0 {
+		storage = newSlab(need)
 	}
+
+	cs := ChangeSet{Now: now}
+	prevNow := w.now
+	w.now = now
 
 	// Phase 1: insert arrivals and wire references.
 	updated := make(map[ElemID]*Element)
@@ -338,7 +384,6 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 			return ChangeSet{}, fmt.Errorf("stream: duplicate element ID %d", e.ID)
 		}
 		ws.index.add(e.ID)
-		ws.textBytes += int64(len(e.Text))
 		ws.liveBytes += liveElemBytes(e)
 		w.active[e.ID] = e
 		ws.lastRef[e.ID] = e.TS
@@ -347,16 +392,21 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 		cs.Inserted = append(cs.Inserted, e)
 
 		for _, pid := range e.Refs {
-			seq, known := ws.index.lookup(pid)
-			if !known {
+			if _, known := ws.index.lookup(pid); !known {
 				continue // dangling reference: producer referenced an element we never saw
 			}
 			parent, isActive := w.active[pid]
 			if !isActive {
 				// Resurrect: the parent re-enters A_t because a window
 				// element now refers to it. Only an element that left
-				// the window can be inactive, so it is archived.
-				parent = w.resurrect(seq, storage)
+				// the window can be inactive, so it is archived, and the
+				// pre-pass read its record. Records it read for a parent
+				// already resurrected are the second references to it.
+				for recordID(pulled[0].rec) != pid {
+					pulled = pulled[1:]
+				}
+				parent = w.resurrect(pulled[0], storage)
+				pulled = pulled[1:]
 				w.active[pid] = parent
 				cs.Inserted = append(cs.Inserted, parent)
 				if rec != nil {
@@ -410,13 +460,19 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	return cs, nil
 }
 
-// resurrect decodes archived arrival seq into a fresh element carved from
-// storage and charges it to the live bytes. Archived records were checked
-// when they were written or restored, so they decode.
-func (w *ActiveWindow) resurrect(seq int, storage *slab) *Element {
-	ws := w.ws
-	e := storage.decode(ws.archive.Record(seq), ws.archive.Texts[seq])
-	ws.liveBytes += liveElemBytes(e)
+// archived is an archived element's record and text, read for a
+// resurrection.
+type archived struct {
+	rec  []byte
+	text string
+}
+
+// resurrect decodes an archived element into a fresh element carved from
+// storage and charges it to the live bytes. Records are checked when they
+// are written, restored or read back, so they decode.
+func (w *ActiveWindow) resurrect(a archived, storage *slab) *Element {
+	e := storage.decode(a.rec, a.text)
+	w.ws.liveBytes += liveElemBytes(e)
 	return e
 }
 
@@ -430,8 +486,11 @@ func (w *ActiveWindow) slideOut(cutoff Time) {
 		child := w.queue[0]
 		w.queue[0] = nil // the queue must not keep an exited element alive
 		w.queue = w.queue[1:]
-		if w.head == w.ws.archive.Len() {
-			w.ws.archive.Append(child)
+		if a := &w.ws.archive; w.head == a.Len() {
+			if a.Len() >= len(a.Frames) {
+				w.ws.archiveText += int64(len(child.Text))
+			}
+			a.Append(child)
 		}
 		w.head++
 		for _, pid := range child.Refs {

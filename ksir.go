@@ -2,6 +2,7 @@ package ksir
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -300,13 +301,39 @@ func (s *Stream) flushBucket(end stream.Time) error {
 	}
 	s.pending = rest
 	s.forgetPending(batch)
-	if err := s.engine.Ingest(end, batch); err != nil {
-		// Ordering and duplicates are pre-checked in Add, so an engine
-		// rejection here is an internal invariant violation.
-		return fmt.Errorf("%w: %v", ErrBadPost, err)
+	if err := s.ingest(end, batch); err != nil {
+		return err
 	}
 	s.fireSubscriptions(int64(end))
 	return nil
+}
+
+// ingest hands one bucket, just taken out of the pending buffer, to the
+// engine. Either way it fails, the engine is left as it was.
+//
+// A bucket that resurrects an element the stream's element log could not
+// give back is a durability failure (ErrPersist): the bucket goes back to
+// the head of the pending buffer, where the Adds that accepted its posts —
+// and logged them to a durable stream's WAL — left them, so the stream
+// still holds exactly what its WAL replays to, and the next Add or Flush
+// past the boundary retries it. Ordering and duplicates are pre-checked in
+// Add, so any other rejection is an internal invariant violation, and the
+// bucket is dropped.
+func (s *Stream) ingest(end stream.Time, batch []*stream.Element) error {
+	err := s.engine.Ingest(end, batch)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, stream.ErrArchiveRead):
+		s.pending = append(batch, s.pending...)
+		for _, e := range batch {
+			s.pendingIDs[e.ID] = struct{}{}
+			s.pendingBytes += e.ApproxBytes()
+		}
+		return fmt.Errorf("%w: %v", ErrPersist, err)
+	default:
+		return fmt.Errorf("%w: %v", ErrBadPost, err)
+	}
 }
 
 // forgetPending drops a batch moving out of the pending buffer from the
@@ -332,8 +359,8 @@ func (s *Stream) Flush(now int64) error {
 		batch := s.pending
 		s.pending = nil
 		s.forgetPending(batch)
-		if err := s.engine.Ingest(ts, batch); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadPost, err)
+		if err := s.ingest(ts, batch); err != nil {
+			return err
 		}
 		s.fireSubscriptions(int64(ts))
 	}

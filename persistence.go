@@ -287,7 +287,7 @@ func (h *Hub) recoverStream(sdir string, m *Model) error {
 		}
 	}
 	if _, err := h.register(meta.Name, st, m, opts, pers); err != nil {
-		_ = pers.releaseWAL() // the registration error is the one to report
+		_ = pers.release() // the registration error is the one to report
 		return err
 	}
 	return nil
@@ -376,6 +376,11 @@ type streamPersist struct {
 	// lock-free Stats path reads it while the commit path swaps it across
 	// residency transitions; all mutation stays on the commit path.
 	walp atomic.Pointer[persist.WAL]
+	// log is the stream's element log open for reading — the archive reads
+	// its checkpointed elements back through it — from the load or the
+	// first checkpoint that finds one until the stream leaves memory; nil
+	// before. Only the commit path touches it.
+	log *persist.ElementLog
 	// syncsBase accumulates the fsync counts of WALs released across
 	// hibernations, so PipelineStats.Fsyncs stays cumulative over the
 	// handle's lifetime.
@@ -423,7 +428,8 @@ type activationPhases struct {
 // reactivation and OpenHub's eager recovery: checkpoint load, WAL open with
 // tail replay, counter refresh. It runs on the commit path or before the
 // handle exists; the caller owns the residency transition. ph (non-nil)
-// receives the phase timing breakdown.
+// receives the phase timing breakdown. On success the stream's element
+// log stays open for its archive until release.
 func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*Stream, error) {
 	ph.ckptStart = time.Now()
 	ck, err := persist.LoadCheckpoint(p.dir)
@@ -431,6 +437,19 @@ func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*S
 		return nil, persistErr(err)
 	}
 	ph.ckptDur = time.Since(ph.ckptStart)
+	if ck != nil {
+		p.log = ck.Log
+	}
+	st, err := p.load(m, opts, ck, ph)
+	if err != nil && p.log != nil {
+		_ = p.log.Close() // the load error is the one to report
+		p.log = nil
+	}
+	return st, err
+}
+
+// load is resume past the checkpoint read.
+func (p *streamPersist) load(m *Model, opts Options, ck *persist.Checkpoint, ph *activationPhases) (*Stream, error) {
 	if ck != nil && ck.Name != p.name {
 		return nil, persistErr(fmt.Errorf("%w: checkpoint names stream %q, manifest %q", persist.ErrCorrupt, ck.Name, p.name))
 	}
@@ -468,20 +487,23 @@ func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*S
 	return st, nil
 }
 
-// releaseWAL closes and detaches the live WAL — the durability half of
-// hibernation, after the caller made the checkpoint current. The closed
+// release closes and detaches the live WAL and the element log — the
+// durability half of hibernation and close, after the caller made the
+// checkpoint current; the in-memory stream must go with them. The closed
 // WAL's fsync count folds into syncsBase so Fsyncs stays cumulative.
-func (p *streamPersist) releaseWAL() error {
+func (p *streamPersist) release() error {
+	var err error
+	if p.log != nil {
+		err = p.log.Close()
+		p.log = nil
+	}
 	wal := p.walp.Swap(nil)
 	if wal == nil {
-		return nil
-	}
-	err := wal.Close()
-	p.syncsBase.Add(wal.Syncs())
-	if err != nil {
 		return persistErr(err)
 	}
-	return nil
+	err = errors.Join(wal.Close(), err)
+	p.syncsBase.Add(wal.Syncs())
+	return persistErr(err)
 }
 
 // fsyncs returns the stream's cumulative WAL fsync count, across
@@ -570,10 +592,12 @@ func (p *streamPersist) maybeCheckpoint(st *Stream) error {
 
 // checkpoint exports the stream's state — O(active): the engine hands out
 // its archive by reference — has persist append the elements the disk
-// does not hold yet and atomically replace the checkpoint head, and
-// truncates the WAL. Called on the handle's commit path, where checkpoints
-// are commit barriers (no other op is mid-apply, so the published engine
-// snapshot IS the latest state).
+// does not hold yet and atomically replace the checkpoint head, truncates
+// the WAL, and hands the engine the frames just written, so its archive
+// drops their in-memory records and reads them back from the log instead.
+// Called on the handle's commit path, where checkpoints are commit
+// barriers (no other op is mid-apply, so the published engine snapshot IS
+// the latest state).
 func (p *streamPersist) checkpoint(st *Stream) error {
 	ck := &persist.Checkpoint{
 		Name:      p.name,
@@ -590,8 +614,14 @@ func (p *streamPersist) checkpoint(st *Stream) error {
 			Refs: refsToInt64(e.Refs),
 		})
 	}
-	if err := persist.WriteCheckpoint(p.dir, ck); err != nil {
+	app, err := persist.WriteCheckpointFrames(p.dir, ck)
+	if err != nil {
 		return persistErr(err)
+	}
+	if err := p.adopt(st, app); err != nil {
+		// The checkpoint is durable all the same; the archive keeps its
+		// records, correct but in RAM, until the stream is next loaded.
+		p.hp.logger().Warn("element log not adopted; the archive keeps its records in memory", "stream", p.name, "error", err)
 	}
 	if err := p.walp.Load().Reset(); err != nil {
 		return persistErr(err)
@@ -601,6 +631,22 @@ func (p *streamPersist) checkpoint(st *Stream) error {
 	p.ckptCurrent = true
 	p.walBytes.Store(0)
 	return nil
+}
+
+// adopt hands st's engine the frames a checkpoint wrote, opening the
+// element log for reading the first time there is one.
+func (p *streamPersist) adopt(st *Stream, app persist.Appended) error {
+	if len(app.Ends) == 0 {
+		return nil
+	}
+	if p.log == nil {
+		log, err := persist.OpenElementLog(p.dir)
+		if err != nil {
+			return err
+		}
+		p.log = log
+	}
+	return st.engine.AdoptLog(p.log, app.First, app.Ends)
 }
 
 // finalize takes the closing checkpoint and releases the WAL. Runs as
@@ -615,7 +661,7 @@ func (p *streamPersist) finalize(st *Stream) error {
 	if !p.ckptCurrent {
 		ckErr = p.checkpoint(st)
 	}
-	if err := p.releaseWAL(); err != nil && ckErr == nil {
+	if err := p.release(); err != nil && ckErr == nil {
 		ckErr = err
 	}
 	return ckErr

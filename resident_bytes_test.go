@@ -60,7 +60,10 @@ func liveHeap() int64 {
 // stream is held as elements), archive ages (how much of it has left the
 // window and is held as records) and topics per element: the σ rows the
 // estimate counts scale with them, so the cases prefixed topics=8 run on an
-// eight-topic model whose posts mix two to four topics' words.
+// eight-topic model whose posts mix two to four topics' words. The cases
+// prefixed durable run on a hub over a directory that checkpoints every
+// four buckets, so their archive is frame ends into the element log, not
+// records.
 func TestResidentBytesTrackHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds streams of up to 40 000 posts")
@@ -74,6 +77,8 @@ func TestResidentBytesTrackHeap(t *testing.T) {
 		window time.Duration
 		posts  int
 	}{
+		{"durable/", 5 * time.Minute, 40000},
+		{"durable/", 30 * time.Minute, 40000},
 		{"", time.Hour, 5000},        // all in the window
 		{"", 5 * time.Minute, 5000},  // young archive
 		{"", 5 * time.Minute, 40000}, // old archive
@@ -83,12 +88,16 @@ func TestResidentBytesTrackHeap(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%swindow=%s/posts=%d", c.prefix, c.window, c.posts), func(t *testing.T) {
 			m, vocab := twoTopics, sports
-			if c.prefix != "" {
+			if c.prefix == "topics=8/" {
 				m, vocab = eightTopics, groups
 			}
 			rng := rand.New(rand.NewSource(int64(c.posts)))
+			dir := t.TempDir()
 			base := liveHeap()
 			h := NewHub()
+			if c.prefix == "durable/" {
+				h = openTestHub(t, dir, m, PersistOptions{CheckpointEvery: 4})
+			}
 			hs, err := h.Create("s", m, Options{Window: c.window, Bucket: time.Minute, Eta: 2})
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,7 @@ func (failingLog) ReadFrame(start, end int64) ([]byte, error) {
 // flushed alike, checkpoints the stream so its archive lives in its
 // element log, and returns an archived, inactive post with where its frame
 // sits in the log.
-func archivedStream(t *testing.T, m *Model, dir string, n int) (h *Hub, hs *StreamHandle, mirror *Stream, posts []Post, id int64, start, end int64) {
+func archivedStream(t *testing.T, m *Model, dir string, n int) (h *Hub, hs *Stream, mirror *Stream, posts []Post, id int64, start, end int64) {
 	t.Helper()
 	h = openTestHub(t, dir, m, PersistOptions{CheckpointEvery: 1})
 	hs, err := h.Create("feed", m, persistOpts())
@@ -53,7 +53,7 @@ func archivedStream(t *testing.T, m *Model, dir string, n int) (h *Hub, hs *Stre
 	if _, err := hs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	eng := hs.Stream().engine
+	eng := hs.stp.Load().engine
 	arch := eng.ExportState().Window.Archive
 	// genPosts numbers posts in arrival order, so post i is arrival i-1.
 	for id = 1; id <= int64(arch.Len()); id++ {
@@ -99,7 +99,7 @@ func TestResurrectionReadFaultKeepsBucketPending(t *testing.T) {
 				damaged[end-1] ^= 0x40
 				err = os.WriteFile(path, damaged, 0o644)
 			case "failing reader":
-				err = hs.Stream().engine.AdoptLog(failingLog{}, 0, nil)
+				err = hs.stp.Load().engine.AdoptLog(failingLog{}, 0, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -130,7 +130,7 @@ func TestResurrectionReadFaultKeepsBucketPending(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fault == "failing reader" {
-				if err := hs.Stream().engine.AdoptLog(hs.pers.log, 0, nil); err != nil {
+				if err := hs.stp.Load().engine.AdoptLog(hs.pers.log, 0, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -156,7 +156,7 @@ func TestResurrectionReadFaultKeepsBucketPending(t *testing.T) {
 				}
 			}
 			for _, st := range []*Stream{hs.Stream(), hs2.Stream()} {
-				if _, active := st.engine.Window().Get(stream.ElemID(id)); !active {
+				if _, active := st.stp.Load().engine.Window().Get(stream.ElemID(id)); !active {
 					t.Fatalf("post %d was not resurrected by the retried bucket", id)
 				}
 			}
@@ -175,7 +175,7 @@ func sameStreamState(t *testing.T, what string, got, want *Stream) {
 	}
 	ids := func(st *Stream) []stream.ElemID {
 		var ids []stream.ElemID
-		for _, e := range st.pending {
+		for _, e := range st.stp.Load().pending {
 			ids = append(ids, e.ID)
 		}
 		return ids
@@ -217,7 +217,7 @@ func TestTornHeadCheckpointKeepsFramesInPlace(t *testing.T) {
 		if _, err := hs.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		return int64(len(hs.Stream().engine.ExportState().Window.Archive.Frames))
+		return int64(len(hs.stp.Load().engine.ExportState().Window.Archive.Frames))
 	}
 	feed(posts[:60])
 	bak := logged() // the .bak-to-be's prefix
@@ -227,7 +227,7 @@ func TestTornHeadCheckpointKeepsFramesInPlace(t *testing.T) {
 	// A post of the stretch only the torn head covers that has left the
 	// window and is inactive: the archive holds it as its frame alone.
 	// genPosts numbers posts in arrival order, so post i is arrival i-1.
-	eng := hs.Stream().engine
+	eng := hs.stp.Load().engine
 	id := bak + 1
 	for ; id <= torn; id++ {
 		if _, active := eng.Window().Get(stream.ElemID(id)); !active {
@@ -262,7 +262,7 @@ func TestTornHeadCheckpointKeepsFramesInPlace(t *testing.T) {
 	if err := mirror.Flush(last + 61); err != nil {
 		t.Fatal(err)
 	}
-	if _, active := hs.Stream().engine.Window().Get(stream.ElemID(id)); !active {
+	if _, active := hs.stp.Load().engine.Window().Get(stream.ElemID(id)); !active {
 		t.Fatalf("post %d was not resurrected", id)
 	}
 	if got, want := exportGob(t, hs.Stream()), exportGob(t, mirror); !bytes.Equal(got, want) {

@@ -203,7 +203,7 @@ type Stats struct {
 // with Run.
 type Connector struct {
 	cfg Config
-	hs  *ksir.StreamHandle
+	hs  *ksir.Stream
 	buf chan Event
 
 	cursorMu sync.Mutex
@@ -222,14 +222,14 @@ type Connector struct {
 	resumeGaps, resumeMissed      atomic.Int64
 }
 
-// New builds a connector feeding hs from cfg.URL. The stream handle must
+// New builds a connector feeding hs from cfg.URL. The stream must
 // stay open for the connector's lifetime; Run returns once ctx ends.
-func New(cfg Config, hs *ksir.StreamHandle) (*Connector, error) {
+func New(cfg Config, hs *ksir.Stream) (*Connector, error) {
 	if cfg.URL == "" {
 		return nil, errors.New("connector: Config.URL is required")
 	}
 	if hs == nil {
-		return nil, errors.New("connector: nil stream handle")
+		return nil, errors.New("connector: nil stream")
 	}
 	cfg = cfg.withDefaults()
 	c := &Connector{

@@ -53,7 +53,7 @@ func testModel(t *testing.T) *ksir.Model {
 	return model
 }
 
-func newTestStream(t *testing.T) *ksir.StreamHandle {
+func newTestStream(t *testing.T) *ksir.Stream {
 	t.Helper()
 	h := ksir.NewHub()
 	t.Cleanup(func() { h.CloseAll() })
@@ -68,7 +68,7 @@ func newTestStream(t *testing.T) *ksir.StreamHandle {
 // fastBackoff keeps reconnect churn cheap and deterministic in tests.
 var fastBackoff = backoff.Policy{Initial: time.Millisecond, Max: 5 * time.Millisecond, Multiplier: 2, Exact: true}
 
-func newTestConnector(t *testing.T, url string, hs *ksir.StreamHandle, mutate ...func(*connector.Config)) *connector.Connector {
+func newTestConnector(t *testing.T, url string, hs *ksir.Stream, mutate ...func(*connector.Config)) *connector.Connector {
 	t.Helper()
 	cfg := connector.Config{
 		URL:           url,
@@ -126,7 +126,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // flushedElements closes the open bucket and returns the stream's total
 // ingested element count — the ground truth for duplicate detection.
-func flushedElements(t *testing.T, hs *ksir.StreamHandle) int64 {
+func flushedElements(t *testing.T, hs *ksir.Stream) int64 {
 	t.Helper()
 	if err := hs.Flush(faultPostTime + 120); err != nil {
 		t.Fatal(err)

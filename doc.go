@@ -16,15 +16,19 @@
 //
 //	model, err := ksir.TrainModel(texts, ksir.WithTopics(50))
 //	st, err := ksir.New(model, ksir.Options{Window: 24 * time.Hour})
+//	defer st.Close()
 //	st.Add(ksir.Post{ID: 1, Time: now, Text: "...", Refs: []int64{...}})
 //	res, err := st.Query(ctx, ksir.Query{K: 10, Keywords: []string{"soccer"}})
+//
+// Every Stream method is safe from any goroutine: writes are serialized
+// by the stream's own writer goroutine, which Close releases.
 //
 // Queries are served in real time by the MTTS ((1/2 − ε)-approximate) and
 // MTTD ((1 − 1/e − ε)-approximate) algorithms over per-topic ranked lists;
 // see internal/core for the algorithms and DESIGN.md for the system map.
 //
-// For serving many tenants, Hub registers named streams and moves the
-// per-stream single-writer discipline into the library; errors.go defines
+// For serving many tenants, Hub registers named streams, durable under a
+// data directory when opened with OpenHub; errors.go defines
 // the typed error taxonomy (errors.Is against ksir.Err*); Subscribe turns
 // a query into a standing query refreshed at bucket boundaries. The
 // api/v1 and client packages expose all of it over a versioned REST + SSE

@@ -35,16 +35,17 @@ var (
 	ErrUnknownStream = errors.New("ksir: unknown stream")
 	// ErrStreamExists reports a Hub.Create of a name already in use.
 	ErrStreamExists = errors.New("ksir: stream already exists")
-	// ErrStreamClosed reports an operation on a stream handle whose stream
-	// has been closed out of the Hub.
+	// ErrStreamClosed reports an operation on a closed stream (Stream.Close,
+	// Hub.Close or Hub.CloseAll).
 	ErrStreamClosed = errors.New("ksir: stream closed")
 	// ErrStreamBusy reports a residency transition that cannot proceed
 	// while the stream is in use — hibernating a stream with standing
 	// queries registered (unsubscribe them first; subscriptions live in
 	// memory only and would be silently dropped by a hibernation).
 	ErrStreamBusy = errors.New("ksir: stream busy")
-	// ErrNotActive reports a post that is no longer in the sliding window
-	// (e.g. Explain after further ingestion expired it).
+	// ErrNotActive reports a result that no longer describes the stream:
+	// Explain of a result computed at an earlier bucket than the one now
+	// published, or of a post no longer in the sliding window.
 	ErrNotActive = errors.New("ksir: post no longer active")
 	// ErrModelVersion reports an on-disk artifact — model file, checkpoint,
 	// WAL — written by an incompatible format version, or persisted stream
@@ -59,7 +60,7 @@ var (
 	// whose bucket is then dropped with the stream left as it was.
 	ErrPersist = errors.New("ksir: persistence error")
 	// ErrPersistDisabled reports a durability operation (e.g.
-	// StreamHandle.Checkpoint) on a stream that has no persistence — a Hub
-	// built with NewHub instead of OpenHub.
+	// Stream.Checkpoint) on a stream that has no persistence — one from New
+	// or from a Hub built with NewHub instead of OpenHub.
 	ErrPersistDisabled = errors.New("ksir: persistence not enabled")
 )

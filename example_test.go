@@ -72,10 +72,10 @@ func ExampleOpenHub() {
 	feed.Add(ksir.Post{ID: 1, Time: 60, Text: "late goal wins the derby"})
 }
 
-// ExampleStreamHandle_Query issues queries concurrently with ingestion:
+// ExampleStream_Query_concurrent issues queries concurrently with ingestion:
 // each query observes exactly one published bucket boundary (reported in
 // Result.Bucket) and never blocks behind the writer.
-func ExampleStreamHandle_Query() {
+func ExampleStream_Query_concurrent() {
 	model, err := ksir.TrainModel(corpus, ksir.WithTopics(8))
 	if err != nil {
 		log.Fatal(err)
@@ -98,11 +98,11 @@ func ExampleStreamHandle_Query() {
 	}
 }
 
-// ExampleStreamHandle_Subscribe registers a standing query: the stream
+// ExampleStream_Subscribe registers a standing query: the stream
 // re-evaluates it at bucket boundaries and reports refreshes to the
 // handler until the context ends. A failing handler is isolated — it
 // cannot stall ingestion.
-func ExampleStreamHandle_Subscribe() {
+func ExampleStream_Subscribe() {
 	model, err := ksir.TrainModel(corpus, ksir.WithTopics(8))
 	if err != nil {
 		log.Fatal(err)

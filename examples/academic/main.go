@@ -64,6 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer st.Close()
 
 	// 5 years of publications, ~40 papers/month. Each paper cites 2-4
 	// earlier papers, biased toward highly cited ones in its own field
@@ -113,7 +114,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("corpus: %d papers over 5 years; %d active (last year + cited-by-it)\n\n",
-		id, st.Active())
+		id, st.Stats().Active)
 
 	// "Representative recent work on database systems."
 	res, err := st.Query(context.Background(), ksir.Query{

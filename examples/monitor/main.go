@@ -49,6 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer st.Close()
 
 	// One match day: rumors before kickoff, live-match chatter, then
 	// post-match verdicts. 2 posts/3s; the query re-runs every 20 minutes.
@@ -80,7 +81,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("t=%2dmin (%s phase, %d active): score %.3f\n",
-				sec/60, phases[phase].label, st.Active(), res.Score)
+				sec/60, phases[phase].label, st.Stats().Active, res.Score)
 			for i, p := range res.Posts {
 				fmt.Printf("   %d. [%4ds] %s\n", i+1, p.Time, trim(p.Text, 7))
 			}

@@ -63,6 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer st.Close()
 
 	// Live stream: 3000 posts over an hour. Popular posts attract
 	// retweets (references) with preferential attachment; the cup final
@@ -101,7 +102,7 @@ func main() {
 	if err := st.Flush(3600); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("stream: %d posts ingested, %d active in the 30min window\n\n", id, st.Active())
+	fmt.Printf("stream: %d posts ingested, %d active in the 30min window\n\n", id, st.Stats().Active)
 
 	// A user asks for a representative feed about the cup final.
 	query := ksir.Query{K: 5, Keywords: []string{"final", "goal", "penalty"}}

@@ -61,6 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer st.Close()
 
 	// 3. Feed posts in timestamp order. Refs model retweets/replies.
 	posts := []ksir.Post{
@@ -80,7 +81,8 @@ func main() {
 	if err := st.Flush(480); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%d active posts at t=%d\n", st.Active(), st.Now())
+	stats := st.Stats()
+	fmt.Printf("\n%d active posts at t=%d\n", stats.Active, stats.Now)
 
 	// 4. Query: the k most representative posts about soccer right now.
 	res, err := st.Query(context.Background(), ksir.Query{

@@ -1,6 +1,7 @@
 package ksir
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/social-streams/ksir/internal/score"
@@ -26,23 +27,33 @@ type Explanation struct {
 	Topics map[int]float64
 }
 
-// Explain recomputes a result's per-post contribution breakdown against the
-// current window. Call it right after Query (before further Ingest/Flush
-// calls change the window) with the same query you issued. Like Query it
-// is safe to call concurrently with ingestion: it pins the last published
-// snapshot for the whole computation.
+// Explain recomputes a result's per-post contribution breakdown against
+// the snapshot the result was computed at. Call it right after Query, with
+// the same query you issued: once a later bucket is published the result
+// is stale, and Explain fails with ErrNotActive naming both buckets rather
+// than explain it against a window that changed. Like Query it pins the
+// published snapshot without waiting for the writer, after reactivating a
+// hibernated stream.
 func (s *Stream) Explain(res Result, q Query) ([]Explanation, error) {
-	x, err := queryVector(s.model, q)
+	es, err := s.resident(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	x, err := queryVector(es.model, q)
 	if err != nil {
 		return nil, err
 	}
 	var contribs []score.Contribution
-	s.engine.ReadSnapshot(func(win *stream.ActiveWindow, scorer *score.Scorer) {
+	es.engine.ReadSnapshot(func(bucket int64, win *stream.ActiveWindow, scorer *score.Scorer) {
+		if bucket != res.Bucket {
+			err = fmt.Errorf("%w: the result is of bucket %d, the stream is at bucket %d; explain before ingesting further", ErrNotActive, res.Bucket, bucket)
+			return
+		}
 		set := make([]*stream.Element, 0, len(res.Posts))
 		for _, p := range res.Posts {
 			e, ok := win.Get(stream.ElemID(p.ID))
 			if !ok {
-				err = fmt.Errorf("%w: post %d; explain before ingesting further", ErrNotActive, p.ID)
+				err = fmt.Errorf("%w: post %d is not in the window of bucket %d", ErrNotActive, p.ID, bucket)
 				return
 			}
 			set = append(set, e)

@@ -25,10 +25,11 @@ import (
 // compares equal to a memory-only twin byte for byte.
 func exportGob(t *testing.T, st *Stream) []byte {
 	t.Helper()
-	if st == nil {
-		t.Fatal("exportGob: nil stream")
+	es := st.stp.Load()
+	if es == nil {
+		t.Fatal("exportGob: the stream is not resident")
 	}
-	state := st.engine.ExportState()
+	state := es.engine.ExportState()
 	state.Stats.UpdateTime, state.Stats.ReplayTime = 0, 0
 	arch, err := state.Window.Archive.Materialize()
 	if err != nil {
@@ -134,7 +135,7 @@ func TestHibernateReactivateEquivalence(t *testing.T) {
 	}
 }
 
-// Hibernation bookkeeping: Stream() goes nil, Stats serves the captured
+// Hibernation bookkeeping: Resident goes false, Stats serves the captured
 // counters without reactivating, a query transparently reactivates with a
 // measured activation, and Hibernate is idempotent.
 func TestHibernateStatsAndReactivation(t *testing.T) {
@@ -165,7 +166,7 @@ func TestHibernateStatsAndReactivation(t *testing.T) {
 	if err := hs.Hibernate(); err != nil {
 		t.Fatalf("second hibernate not idempotent: %v", err)
 	}
-	if hs.Stream() != nil || hs.Resident() {
+	if hs.Resident() {
 		t.Fatal("stream still resident after hibernate")
 	}
 	cold := hs.Stats()
@@ -414,7 +415,7 @@ func TestTornHibernateCrashRecovery(t *testing.T) {
 // budgetHub opens a hub under a budget of two resident streams, swept by
 // hand, and creates n streams with some state, each touched strictly after
 // the one before.
-func budgetHub(t *testing.T, n int) (*Hub, []*StreamHandle) {
+func budgetHub(t *testing.T, n int) (*Hub, []*Stream) {
 	t.Helper()
 	m := trainTestModel(t)
 	h := openTestHub(t, t.TempDir(), m, PersistOptions{
@@ -422,7 +423,7 @@ func budgetHub(t *testing.T, n int) (*Hub, []*StreamHandle) {
 		ResidencySweep:     time.Hour, // deterministic: the test sweeps by hand
 	})
 	posts := genPosts(40, 45)
-	var hss []*StreamHandle
+	var hss []*Stream
 	for i := 0; i < n; i++ {
 		hs, err := h.Create(fmt.Sprintf("s%d", i), m, persistOpts())
 		if err != nil {

@@ -1,6 +1,8 @@
 package ksir
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -47,9 +49,9 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 	q := Query{K: 3, Keywords: []string{"goal"}}
 	// fill creates n streams with some state and checks that the hub now
 	// runs exactly its background goroutines plus one writer per stream.
-	fill := func(t *testing.T, h *Hub, n, before, background int) []*StreamHandle {
+	fill := func(t *testing.T, h *Hub, n, before, background int) []*Stream {
 		t.Helper()
-		var hss []*StreamHandle
+		var hss []*Stream
 		for i := 0; i < n; i++ {
 			hs, err := h.Create(fmt.Sprintf("s%d", i), m, persistOpts())
 			if err != nil {
@@ -136,8 +138,60 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 	t.Run("in memory", func(t *testing.T) {
 		before := goroutineBaseline()
 		h := NewHub()
-		fill(t, h, 2, before, 0)
+		hss := fill(t, h, 2, before, 0)
+		// A stream's own Close takes it out of its hub.
+		if err := hss[0].Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantGoroutines(t, "one stream closed", before+1)
+		if _, err := h.Get("s0"); !errors.Is(err, ErrUnknownStream) || h.Len() != 1 {
+			t.Fatalf("closed stream still registered: Get err = %v, Len %d", err, h.Len())
+		}
+		if err := hss[0].Close(); !errors.Is(err, ErrStreamClosed) {
+			t.Fatalf("second Close: err = %v, want ErrStreamClosed", err)
+		}
 		closeAll(t, h, before)
+	})
+
+	// A stream from New is a hub of one: its writer, until Close.
+	t.Run("New", func(t *testing.T) {
+		before := goroutineBaseline()
+		st, err := New(m, persistOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantGoroutines(t, "New: its writer", before+1)
+		if _, err := st.AddBatch(posts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Subscribe(context.Background(), q, time.Hour, func(Result) {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantGoroutines(t, "after Close", before)
+		select {
+		case <-st.Done():
+		default:
+			t.Error("Done not closed by Close")
+		}
+		later := map[string]error{
+			"Add":       st.Add(Post{ID: 1000, Time: 1 << 20, Text: "goal"}),
+			"Flush":     st.Flush(1 << 21),
+			"Close":     st.Close(),
+			"Hibernate": st.Hibernate(),
+		}
+		_, later["AddBatch"] = st.AddBatch(posts[:1])
+		_, later["Checkpoint"] = st.Checkpoint()
+		_, later["Query"] = st.Query(context.Background(), q)
+		_, later["Explain"] = st.Explain(Result{}, q)
+		_, later["Subscribe"] = st.Subscribe(context.Background(), q, time.Hour, func(Result) {})
+		for op, err := range later {
+			if !errors.Is(err, ErrStreamClosed) {
+				t.Errorf("%s after Close: err = %v, want ErrStreamClosed", op, err)
+			}
+		}
 	})
 }
 

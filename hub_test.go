@@ -98,7 +98,7 @@ func TestHubConcurrentMultiStream(t *testing.T) {
 	m := trainTestModel(t)
 	h := NewHub()
 	const streams = 3
-	handles := make([]*StreamHandle, streams)
+	handles := make([]*Stream, streams)
 	for i := range handles {
 		var err error
 		handles[i], err = h.Create(fmt.Sprintf("s%d", i), m,
@@ -110,13 +110,13 @@ func TestHubConcurrentMultiStream(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, streams*4)
-	// Two writers per stream — the handle must serialize them; the posts
+	// Two writers per stream — the stream must serialize them; the posts
 	// interleave but each batch is internally ordered (same timestamps are
 	// allowed, so two writers at the same clock cannot go out of order).
 	for si, hs := range handles {
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
-			go func(si, w int, hs *StreamHandle) {
+			go func(si, w int, hs *Stream) {
 				defer wg.Done()
 				for i := 0; i < 60; i++ {
 					ts := int64(1 + i*10)
@@ -142,7 +142,7 @@ func TestHubConcurrentMultiStream(t *testing.T) {
 		// Two readers per stream, concurrent with the writers.
 		for r := 0; r < 2; r++ {
 			wg.Add(1)
-			go func(si int, hs *StreamHandle) {
+			go func(si int, hs *Stream) {
 				defer wg.Done()
 				var last int64 = -1
 				for i := 0; i < 40; i++ {
@@ -177,7 +177,7 @@ func TestHubConcurrentMultiStream(t *testing.T) {
 	}
 }
 
-func TestStreamHandleAddBatch(t *testing.T) {
+func TestStreamAddBatch(t *testing.T) {
 	m := trainTestModel(t)
 	h := NewHub()
 	hs, err := h.Create("b", m, Options{Window: time.Hour, Bucket: time.Minute, Eta: 2})

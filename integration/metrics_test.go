@@ -222,7 +222,7 @@ func checkFamilies(t *testing.T, st *scrapeState) {
 
 // checkMonotone asserts no counter series decreased between two scrapes.
 // withRestart skips the per-stream {stream="..."} roll-ups: they mirror the
-// stream handle's own lifetime counters, which legitimately reset when the
+// stream's own lifetime counters, which legitimately reset when the
 // hub reopens (Prometheus counter semantics — scrapers absorb resets via
 // rate()), while the process-global registry families must keep climbing.
 func checkMonotone(t *testing.T, before, after *scrapeState, withRestart bool) {

@@ -79,7 +79,8 @@ func (s *snapshot) waitDrained() {
 }
 
 // ReadSnapshot pins the last published snapshot and calls fn with its
-// window and scorer; the buffer cannot be recycled (and therefore cannot
+// bucket sequence (Result.BucketSeq of a query against it), window and
+// scorer; the buffer cannot be recycled (and therefore cannot
 // be mutated) while fn runs. It is the safe way for read-only consumers —
 // explanations, metrics, baselines — to inspect window state concurrently
 // with Ingest. fn must not mutate its arguments and must not retain them
@@ -93,10 +94,10 @@ func (s *snapshot) waitDrained() {
 // (stream.ActiveWindow.Replica) and a concurrent Ingest mutates.
 // Callers needing those must serialize against Ingest, as ExportState's
 // callers already do.
-func (g *Engine) ReadSnapshot(fn func(win *stream.ActiveWindow, scorer *score.Scorer)) {
+func (g *Engine) ReadSnapshot(fn func(bucket int64, win *stream.ActiveWindow, scorer *score.Scorer)) {
 	snap := g.acquire()
 	defer snap.release()
-	fn(snap.buf.win, snap.buf.scorer)
+	fn(snap.seq, snap.buf.win, snap.buf.scorer)
 }
 
 // view is the read-only engine state a single query runs against: the

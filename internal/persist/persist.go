@@ -13,7 +13,7 @@
 //   - internal/stream and internal/core own what the state *means*: they
 //     export and restore window contents and ranked-list tuples.
 //   - The root ksir package glues the two together: ksir.OpenHub recovers
-//     every stream directory, and the Hub's StreamHandles append WAL
+//     every stream directory, and the Hub's streams append WAL
 //     records on the serialized writer path.
 //
 // Crash-consistency contract: a WAL record is the unit of atomicity. A

@@ -62,7 +62,7 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // sseCounters is one stream's server-side SSE accounting. It lives on the
-// Server (not the stream handle): subscriptions are a wire concern, and the
+// Server (not the stream): subscriptions are a wire concern, and the
 // counters must survive the stream's residency transitions.
 type sseCounters struct {
 	subscribers atomic.Int64
@@ -125,7 +125,7 @@ func (s *Server) MetricsHandler() http.Handler {
 // collectHub emits the scrape-time hub series: aggregate residency gauges
 // over every registered stream, and per-stream {stream="..."} roll-ups.
 //
-// Residency discipline: StreamHandle.Stats is lock-free and NEVER
+// Residency discipline: Stream.Stats is lock-free and NEVER
 // reactivates a hibernated stream (it reports the lastStats captured at
 // hibernation), so scraping cannot churn the hot tier — the aggregates stay
 // correct across hibernation because the cold streams' last-known counters

@@ -72,7 +72,7 @@ type Server struct {
 	closing   chan struct{}
 	closeOnce sync.Once
 	// sse is the per-stream SSE accounting (metrics.go). Kept on the
-	// Server rather than the stream handle so the counters survive
+	// Server rather than the stream so the counters survive
 	// hibernation/reactivation cycles.
 	sseMu sync.Mutex
 	sse   map[string]*sseCounters
@@ -125,8 +125,8 @@ func (s *Server) StopSubscriptions() { s.closeOnce.Do(func() { close(s.closing) 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 
-// streamHandler is a route body operating on one resolved stream handle.
-type streamHandler func(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle)
+// streamHandler is a route body operating on one resolved stream.
+type streamHandler func(w http.ResponseWriter, r *http.Request, hs *ksir.Stream)
 
 // named resolves the {name} path segment into a hub handle.
 func (s *Server) named(fn streamHandler) http.HandlerFunc {
@@ -140,7 +140,7 @@ func (s *Server) named(fn streamHandler) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request, hs *ksir.Stream) {
 	var raw json.RawMessage
 	if !decodeBody(w, r, &raw) {
 		return
@@ -177,7 +177,7 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request, hs *ksir.St
 	writeJSONStatus(w, http.StatusAccepted, apiv1.AcceptedResponse{Accepted: len(posts)})
 }
 
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, hs *ksir.Stream) {
 	var req apiv1.FlushRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -190,7 +190,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, hs *ksir.St
 	writeJSON(w, apiv1.FlushResponse{Active: st.Active, Now: st.Now, Bucket: st.Bucket})
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, hs *ksir.Stream) {
 	var req apiv1.QueryRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -214,7 +214,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, hs *ksir.St
 	writeJSON(w, resp)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, hs *ksir.Stream) {
 	writeJSON(w, s.streamInfo(hs))
 }
 
@@ -222,7 +222,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, hs *ksir.St
 // (POST /v1/streams/{name}/hibernate). The stream stays registered and
 // reactivates on its next post/query/subscription; 409 persist_disabled
 // without -data-dir, 409 stream_busy while subscriptions are live.
-func (s *Server) handleHibernate(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handleHibernate(w http.ResponseWriter, r *http.Request, hs *ksir.Stream) {
 	st, err := hs.HibernateContext(r.Context())
 	if err != nil {
 		writeError(w, err)
@@ -262,13 +262,13 @@ func toResponse(res ksir.Result) apiv1.QueryResponse {
 	}
 }
 
-func (s *Server) streamInfo(hs *ksir.StreamHandle) apiv1.StreamInfo {
+func (s *Server) streamInfo(hs *ksir.Stream) apiv1.StreamInfo {
 	return s.streamInfoFrom(hs, hs.Stats())
 }
 
 // streamInfoFrom renders st, a stats reading of hs, in its wire form.
-func (s *Server) streamInfoFrom(hs *ksir.StreamHandle, st ksir.StreamStats) apiv1.StreamInfo {
-	opts := hs.Options() // residency-independent: hs.Stream() is nil while hibernated
+func (s *Server) streamInfoFrom(hs *ksir.Stream, st ksir.StreamStats) apiv1.StreamInfo {
+	opts := hs.Options() // residency-independent: never reactivates a hibernated stream
 	info := apiv1.StreamInfo{
 		Name:          hs.Name(),
 		Active:        st.Active,

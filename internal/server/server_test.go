@@ -56,7 +56,7 @@ func testStream(t testing.TB) *ksir.Stream {
 
 // defaultServer serves a fresh in-memory hub holding one stream,
 // DefaultStream, over testModel under testOpts.
-func defaultServer(t testing.TB) (*Server, *ksir.StreamHandle) {
+func defaultServer(t testing.TB) (*Server, *ksir.Stream) {
 	t.Helper()
 	m := testModel(t)
 	hub := ksir.NewHub()

@@ -65,7 +65,7 @@ func (s *Server) handleCloseStream(w http.ResponseWriter, r *http.Request) {
 // state is made durable and its WAL truncated. 409/persist_disabled on a
 // server running without a data directory. The response is the stream's
 // info just after the checkpoint (persist.checkpoint_bucket reflects it).
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, hs *ksir.Stream) {
 	if _, err := hs.CheckpointContext(r.Context()); err != nil {
 		writeError(w, err)
 		return
@@ -100,7 +100,7 @@ const sseBuffer = 32
 // refreshes for buckets at or below the presented cursor, so a consumer
 // that reconnects with the id of its last received event never sees a
 // bucket twice.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, hs *ksir.StreamHandle) {
+func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, hs *ksir.Stream) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, "response writer does not support streaming")
@@ -253,7 +253,7 @@ func parseLastEventID(lei string) (int64, error) {
 	return v, nil
 }
 
-func parseSubscribeParams(r *http.Request, hs *ksir.StreamHandle) (req apiv1.QueryRequest, every time.Duration, onlyChanged bool, err error) {
+func parseSubscribeParams(r *http.Request, hs *ksir.Stream) (req apiv1.QueryRequest, every time.Duration, onlyChanged bool, err error) {
 	qs := r.URL.Query()
 	k, err := strconv.Atoi(qs.Get("k"))
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/social-streams/ksir/internal/core"
@@ -35,8 +34,9 @@ type Options struct {
 	// Lambda ∈ [0,1] trades semantic vs influence score; nil means the
 	// default 0.5, so the paper's pure-influence setting is a pointer to 0.
 	Lambda *float64
-	// Eta > 0 rescales the influence score (default 20; use larger values
-	// for retweet-heavy streams, the paper uses 200 for Twitter).
+	// Eta rescales the influence score: finite and > 0 (default 20; use
+	// larger values for retweet-heavy streams, the paper uses 200 for
+	// Twitter).
 	Eta float64
 }
 
@@ -70,8 +70,8 @@ func (o *Options) fill() error {
 	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
 		return fmt.Errorf("%w: lambda must be in [0,1], got %v", ErrBadOptions, lambda)
 	}
-	if o.Eta <= 0 {
-		return fmt.Errorf("%w: eta must be positive, got %v", ErrBadOptions, o.Eta)
+	if !(o.Eta > 0) || math.IsInf(o.Eta, 1) { // NaN fails the comparison
+		return fmt.Errorf("%w: eta must be finite and positive, got %v", ErrBadOptions, o.Eta)
 	}
 	return nil
 }
@@ -122,18 +122,16 @@ type Result struct {
 	Bucket int64
 }
 
-// Stream is a live k-SIR query processor over one social stream. Add posts
-// in timestamp order; query at any time. Stream is safe for concurrent
-// queries — including while Add/Flush is ingesting — because the engine
-// publishes an immutable snapshot at every bucket boundary and queries run
-// against the pinned snapshot without locking. Add/Flush themselves must
-// be called from one goroutine (one writer, many readers).
-type Stream struct {
+// engineStream is a stream's resident state: its engine and the pending
+// buffer of the bucket being filled. Only the owning Stream's writer
+// goroutine calls its write side (add, flush and what they call); query,
+// explain and stats read the engine's published snapshot and are safe from
+// any goroutine.
+type engineStream struct {
 	// model and engine are fixed at construction: elements and queries
 	// live in one topic space for the stream's whole life (§3).
 	model  *Model
 	engine *core.Engine
-	opts   Options
 
 	bucketLen stream.Time
 	pending   []*stream.Element
@@ -142,50 +140,27 @@ type Stream struct {
 	// before it can poison the bucket it would be batched into.
 	pendingIDs map[stream.ElemID]struct{}
 	// pendingBytes tracks the approximate heap footprint of the pending
-	// buffer so the residency accounting stays O(1) per commit. Writer-side
-	// only, advisory, never exported.
+	// buffer so the residency accounting stays O(1) per commit. Advisory,
+	// never exported.
 	pendingBytes int64
 	lastTime     stream.Time
 
-	subs   []*Subscription
-	subSeq int64
-	nsubs  atomic.Int64 // len(subs), readable off the writer goroutine
+	// subs are the owning stream's standing queries, fired at every bucket
+	// boundary; nil while the state is being loaded, before it belongs to
+	// a Stream.
+	subs *subscriptions
 }
 
-// New creates a Stream over a trained model.
-func New(m *Model, opts Options) (*Stream, error) {
-	if m == nil {
-		return nil, fmt.Errorf("%w: nil model", ErrBadOptions)
-	}
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(engineConfig(m, opts))
-	if err != nil {
-		return nil, err
-	}
-	return newStream(m, eng, opts), nil
-}
-
-// newStream wraps an engine built over m under resolved options (New
-// builds an empty one, buildStream restores one).
-func newStream(m *Model, eng *core.Engine, opts Options) *Stream {
-	return &Stream{
+// newEngineStream wraps an engine built over m under resolved options
+// (buildStream builds an empty one or restores one).
+func newEngineStream(m *Model, eng *core.Engine, opts Options) *engineStream {
+	return &engineStream{
 		model:      m,
 		engine:     eng,
-		opts:       opts,
 		bucketLen:  stream.Time(opts.Bucket / time.Second),
 		pendingIDs: make(map[stream.ElemID]struct{}),
 	}
 }
-
-// Model returns the stream's topic model (the one posts and queries are
-// inferred against).
-func (s *Stream) Model() *Model { return s.model }
-
-// Options returns the stream's resolved options, every defaulted field
-// filled in. Lambda is never nil, and points at a copy of the stream's λ.
-func (s *Stream) Options() Options { return s.opts.clone() }
 
 // clone copies resolved options, λ included, so writing through the
 // copy's Lambda cannot reach the original.
@@ -205,11 +180,9 @@ func engineConfig(m *Model, opts Options) core.Config {
 	}
 }
 
-// Add appends one post to the stream. Posts must arrive in non-decreasing
-// time order. The post is buffered and ingested when its bucket completes
-// (or on Flush); queries observe it after that point, matching the paper's
-// batch-update architecture (Figure 4).
-func (s *Stream) Add(p Post) error {
+// add buffers one post (see Stream.Add), first ingesting every bucket that
+// completes before the post's own.
+func (s *engineStream) add(p Post) error {
 	ts := stream.Time(p.Time)
 	if ts <= 0 {
 		return fmt.Errorf("%w: post %d has non-positive time %d", ErrBadPost, p.ID, p.Time)
@@ -252,22 +225,9 @@ func (s *Stream) Add(p Post) error {
 	return nil
 }
 
-// AddBatch appends posts in order, stopping at the first rejected post. It
-// returns how many posts were accepted; when err is non-nil the posts after
-// the rejected one were not examined. Equivalent to calling Add in a loop,
-// packaged for wire servers and bulk loaders.
-func (s *Stream) AddBatch(posts []Post) (int, error) {
-	for i, p := range posts {
-		if err := s.Add(p); err != nil {
-			return i, err
-		}
-	}
-	return len(posts), nil
-}
-
 // advanceTo ingests completed buckets so that the pending buffer only holds
 // elements of the bucket containing ts.
-func (s *Stream) advanceTo(ts stream.Time) error {
+func (s *engineStream) advanceTo(ts stream.Time) error {
 	cur := s.bucketEnd()
 	for cur != 0 && ts > cur {
 		if err := s.flushBucket(cur); err != nil {
@@ -280,7 +240,7 @@ func (s *Stream) advanceTo(ts stream.Time) error {
 
 // bucketEnd returns the end time of the bucket holding the oldest pending
 // element (0 when nothing is pending).
-func (s *Stream) bucketEnd() stream.Time {
+func (s *engineStream) bucketEnd() stream.Time {
 	if len(s.pending) == 0 {
 		return 0
 	}
@@ -289,7 +249,7 @@ func (s *Stream) bucketEnd() stream.Time {
 }
 
 // flushBucket ingests all pending elements with TS ≤ end.
-func (s *Stream) flushBucket(end stream.Time) error {
+func (s *engineStream) flushBucket(end stream.Time) error {
 	var batch []*stream.Element
 	rest := s.pending[:0]
 	for _, e := range s.pending {
@@ -317,9 +277,9 @@ func (s *Stream) flushBucket(end stream.Time) error {
 // and logged them to a durable stream's WAL — left them, so the stream
 // still holds exactly what its WAL replays to, and the next Add or Flush
 // past the boundary retries it. Ordering and duplicates are pre-checked in
-// Add, so any other rejection is an internal invariant violation, and the
+// add, so any other rejection is an internal invariant violation, and the
 // bucket is dropped.
-func (s *Stream) ingest(end stream.Time, batch []*stream.Element) error {
+func (s *engineStream) ingest(end stream.Time, batch []*stream.Element) error {
 	err := s.engine.Ingest(end, batch)
 	switch {
 	case err == nil:
@@ -338,16 +298,16 @@ func (s *Stream) ingest(end stream.Time, batch []*stream.Element) error {
 
 // forgetPending drops a batch moving out of the pending buffer from the
 // duplicate-detection set.
-func (s *Stream) forgetPending(batch []*stream.Element) {
+func (s *engineStream) forgetPending(batch []*stream.Element) {
 	for _, e := range batch {
 		delete(s.pendingIDs, e.ID)
 		s.pendingBytes -= e.ApproxBytes()
 	}
 }
 
-// Flush ingests everything buffered up to and including time now, making it
-// visible to queries. Use it at end of input or before an immediate query.
-func (s *Stream) Flush(now int64) error {
+// flush ingests everything buffered up to and including time now (see
+// Stream.Flush).
+func (s *engineStream) flush(now int64) error {
 	ts := stream.Time(now)
 	if ts < s.lastTime {
 		return fmt.Errorf("%w: flush time %d before last post %d", ErrOutOfOrder, now, s.lastTime)
@@ -368,21 +328,13 @@ func (s *Stream) Flush(now int64) error {
 	return nil
 }
 
-// approxResidentBytes estimates the heap bytes this stream pins while
-// resident: the engine's elements, archived and live, plus the pending
-// buffer.
-// O(1) — both parts are maintained incrementally. Writer-side only, like
-// Add; the hub's commit path mirrors it into a lock-free handle counter.
-func (s *Stream) approxResidentBytes() int64 {
+// approxResidentBytes estimates the heap bytes this state pins: the
+// engine's elements, archived and live, plus the pending buffer. O(1) —
+// both parts are maintained incrementally. Writer-side only; the commit
+// path mirrors it into a lock-free counter on the Stream.
+func (s *engineStream) approxResidentBytes() int64 {
 	return s.engine.WriterResidentBytes() + s.pendingBytes
 }
-
-// Now returns the stream's current time (the end of the last ingested
-// bucket).
-func (s *Stream) Now() int64 { return int64(s.engine.Now()) }
-
-// Active returns the number of active elements n_t.
-func (s *Stream) Active() int { return s.engine.NumActive() }
 
 // StreamStats is a point-in-time summary of one stream, consistent with the
 // last published bucket (the same snapshot queries observe).
@@ -399,52 +351,29 @@ type StreamStats struct {
 	// Elements is the total number of elements ingested over the stream's
 	// lifetime (expired ones included).
 	Elements int64
-	// Persist reports the durability counters. It is only populated by
-	// StreamHandle.Stats on a hub opened with OpenHub (Enabled=false
-	// otherwise — a raw Stream has no persistence).
-	Persist PersistStats
-	// Pipeline reports the writer-pipeline counters (queue depth, commit
-	// batches, fsyncs). It is only populated by StreamHandle.Stats — a raw
-	// Stream has no pipeline.
-	Pipeline PipelineStats
-	// Residency reports the hot/cold residency state and counters of a
-	// hub-managed stream. It is only populated by StreamHandle.Stats — a
-	// raw Stream is always resident and has no residency machinery.
+	// Persist, Pipeline and Residency report the durability counters
+	// (Enabled=false unless the hub was opened with OpenHub), the writer
+	// pipeline's and the hot/cold residency state's.
+	Persist   PersistStats
+	Pipeline  PipelineStats
 	Residency ResidencyStats
 }
 
-// Stats reports the stream's current counters. Like Query it reads the
-// published snapshot and is safe to call concurrently with ingestion.
-func (s *Stream) Stats() StreamStats {
+// stats reads the engine counters of the published snapshot; the Stream
+// adds its own.
+func (s *engineStream) stats() StreamStats {
 	es := s.engine.Stats()
 	return StreamStats{
-		Active:        s.engine.NumActive(),
-		Now:           int64(s.engine.Now()),
-		Bucket:        es.Buckets,
-		Subscriptions: s.Subscriptions(),
-		Elements:      es.ElementsIngested,
+		Active:   s.engine.NumActive(),
+		Now:      int64(s.engine.Now()),
+		Bucket:   es.Buckets,
+		Elements: es.ElementsIngested,
 	}
 }
 
-// Query answers a k-SIR query against the currently ingested window.
-//
-// Snapshot visibility: a query observes exactly the state at the end of the
-// last ingested bucket — the paper's batch-update contract (Figure 4) made
-// concurrency-safe. The query pins that snapshot for its whole run, so it
-// is safe to call from any number of goroutines concurrently with Add and
-// Flush; a query that races an in-flight bucket sees either the bucket
-// before it or (once ingest completes and publishes) the bucket itself,
-// never a partial state. Result.Bucket reports which bucket was observed.
-// Posts buffered in the current, incomplete bucket are not yet visible —
-// call Flush to force them in.
-//
-// Cancellation: ctx is polled between ranked-list descents; a cancelled or
-// expired context aborts the query with ctx.Err() (unwrapped) and releases
-// the snapshot promptly. A nil ctx is treated as context.Background().
-func (s *Stream) Query(ctx context.Context, q Query) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// query answers q against the published snapshot (see Stream.Query); safe
+// from any goroutine. ctx must not be nil.
+func (s *engineStream) query(ctx context.Context, q Query) (Result, error) {
 	if q.K <= 0 {
 		return Result{}, fmt.Errorf("%w: query needs K > 0", ErrBadQuery)
 	}

@@ -80,6 +80,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	// Feed 200 posts over 100 minutes: even IDs soccer, odd basketball;
 	// a few soccer posts get heavily referenced.
 	base := int64(1)
@@ -99,7 +100,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err := st.Flush(base + 200*30); err != nil {
 		t.Fatal(err)
 	}
-	if st.Active() == 0 {
+	if st.Stats().Active == 0 {
 		t.Fatal("no active posts")
 	}
 
@@ -137,6 +138,7 @@ func TestStreamQueryAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	for i := 0; i < 50; i++ {
 		text := "goal striker league"
 		if i%2 == 1 {
@@ -169,6 +171,7 @@ func TestStreamQueryByVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	for i := 0; i < 40; i++ {
 		text := "goal striker league"
 		if i%2 == 1 {
@@ -228,6 +231,7 @@ func newTwoTopicStream(t *testing.T) *Stream {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	feedTwoTopicStream(t, st)
 	return st
 }
@@ -295,6 +299,7 @@ func TestVectorQueryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	// Posts mixing both vocabularies spread over many topics, so the
 	// score feels the last bit of every weight.
 	posts := genPosts(120, 5)
@@ -346,6 +351,7 @@ func TestStreamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	if err := st.Add(Post{ID: 1, Time: 0}); err == nil {
 		t.Error("zero time accepted")
 	}
@@ -375,6 +381,7 @@ func TestStreamExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	for i := 0; i < 20; i++ {
 		if err := st.Add(Post{ID: int64(i + 1), Time: int64(1 + i), Text: "goal striker"}); err != nil {
 			t.Fatal(err)
@@ -383,13 +390,13 @@ func TestStreamExpiry(t *testing.T) {
 	if err := st.Flush(20); err != nil {
 		t.Fatal(err)
 	}
-	firstActive := st.Active()
+	firstActive := st.Stats().Active
 	// Jump far ahead: everything expires.
 	if err := st.Flush(1000); err != nil {
 		t.Fatal(err)
 	}
-	if st.Active() != 0 {
-		t.Errorf("active = %d after drain (was %d)", st.Active(), firstActive)
+	if st.Stats().Active != 0 {
+		t.Errorf("active = %d after drain (was %d)", st.Stats().Active, firstActive)
 	}
 	res, err := st.Query(context.Background(), Query{K: 3, Keywords: []string{"goal"}})
 	if err != nil {
@@ -406,25 +413,26 @@ func TestBucketingMakesPostsVisibleLazily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	if err := st.Add(Post{ID: 1, Time: 30, Text: "goal striker"}); err != nil {
 		t.Fatal(err)
 	}
 	// Not yet visible: its bucket has not completed.
-	if st.Active() != 0 {
+	if st.Stats().Active != 0 {
 		t.Error("post visible before bucket completion")
 	}
 	// A post in the next bucket forces the first bucket's ingestion.
 	if err := st.Add(Post{ID: 2, Time: 700, Text: "dunk rebound"}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Active() != 1 {
-		t.Errorf("active = %d, want 1 (first bucket flushed)", st.Active())
+	if st.Stats().Active != 1 {
+		t.Errorf("active = %d, want 1 (first bucket flushed)", st.Stats().Active)
 	}
 	if err := st.Flush(700); err != nil {
 		t.Fatal(err)
 	}
-	if st.Active() != 2 {
-		t.Errorf("active = %d, want 2", st.Active())
+	if st.Stats().Active != 2 {
+		t.Errorf("active = %d, want 2", st.Stats().Active)
 	}
 }
 
@@ -444,6 +452,7 @@ func ExampleStream_Query() {
 	if err != nil {
 		panic(err)
 	}
+	defer st.Close()
 	st.Add(Post{ID: 1, Time: 10, Text: "late goal wins the derby"})
 	st.Add(Post{ID: 2, Time: 20, Text: "what a dunk in the playoffs"})
 	st.Flush(60)

@@ -113,6 +113,7 @@ func TestLoadedModelServesQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	for i := 0; i < 30; i++ {
 		text := "goal striker league"
 		if i%2 == 1 {

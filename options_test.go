@@ -25,6 +25,7 @@ func TestLambdaExtremesConfigurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { zero.Close() })
 	if got := *zero.Options().Lambda; got != 0 {
 		t.Fatalf("Lambda 0 resolved to %v, want 0", got)
 	}
@@ -32,6 +33,7 @@ func TestLambdaExtremesConfigurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { one.Close() })
 	if got := *one.Options().Lambda; got != 1 {
 		t.Fatalf("Lambda 1 resolved to %v, want 1", got)
 	}
@@ -40,6 +42,7 @@ func TestLambdaExtremesConfigurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { def.Close() })
 	if got := *def.Options().Lambda; got != 0.5 {
 		t.Fatalf("default lambda = %v, want 0.5", got)
 	}
@@ -51,6 +54,7 @@ func TestLambdaExtremesConfigurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { alias.Close() })
 	l = 0.75
 	*alias.Options().Lambda = 0.9
 	if got := *alias.Options().Lambda; got != 0.25 {
@@ -61,6 +65,15 @@ func TestLambdaExtremesConfigurable(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1.1, math.NaN()} {
 		if _, err := New(m, withLambda(bad)); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("Lambda %v err = %v, want ErrBadOptions", bad, err)
+		}
+	}
+	// So is an η that is not a finite positive number: NaN fails every
+	// comparison, and either would answer queries with score 0.
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		o := base
+		o.Eta = bad
+		if _, err := New(m, o); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Eta %v err = %v, want ErrBadOptions", bad, err)
 		}
 	}
 
@@ -127,6 +140,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	if err := st.Add(Post{ID: 1, Time: 0}); !errors.Is(err, ErrBadPost) {
 		t.Errorf("zero-time err = %v, want ErrBadPost", err)
 	}
@@ -162,7 +176,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := st.Flush(5000); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.Active(); n != 0 {
+	if n := st.Stats().Active; n != 0 {
 		t.Fatalf("%d posts still active after the window passed", n)
 	}
 	if err := st.Add(Post{ID: 1, Time: 5100, Text: "goal"}); !errors.Is(err, ErrBadPost) {

@@ -79,7 +79,7 @@ type PersistOptions struct {
 	// FsyncInterval bounds the sync lag under FsyncInterval (default 1s).
 	FsyncInterval time.Duration
 	// CheckpointEvery is how many ingested buckets may elapse between
-	// automatic checkpoints (default 64; StreamHandle.Checkpoint forces
+	// automatic checkpoints (default 64; Stream.Checkpoint forces
 	// one at any time). Smaller values shorten recovery, larger values
 	// shrink the steady-state write amplification.
 	CheckpointEvery int64
@@ -94,7 +94,7 @@ type PersistOptions struct {
 	// MaxResidentBytes caps their summed approximate resident bytes. Zero
 	// disables the respective bound; with both zero no background
 	// sweep runs and streams only hibernate on explicit
-	// StreamHandle.Hibernate calls. With a budget configured, OpenHub
+	// Stream.Hibernate calls. With a budget configured, OpenHub
 	// recovers existing streams cold (registered hibernated, loaded on
 	// first touch) so opening a massive-tenancy data dir stays within the
 	// budget.
@@ -250,7 +250,7 @@ func OpenHub(dir string, m *Model, po PersistOptions) (*Hub, error) {
 	return h, nil
 }
 
-// recoverStream registers one stream directory's handle from its manifest
+// recoverStream registers one stream directory's stream from its manifest
 // and loads it the way a reactivation does (streamPersist.resume:
 // checkpoint → WAL tail). With a residency budget configured the load is
 // deferred instead: a massive data dir must not be loaded wholesale just
@@ -280,13 +280,13 @@ func (h *Hub) recoverStream(sdir string, m *Model) error {
 		return err
 	}
 	pers := newColdStreamPersist(h.p, meta.Name, sdir)
-	var st *Stream
+	var es *engineStream
 	if !h.budget().Enabled() {
-		if st, err = pers.resume(m, opts, &activationPhases{}); err != nil {
+		if es, err = pers.resume(m, opts, &activationPhases{}); err != nil {
 			return err
 		}
 	}
-	if _, err := h.register(meta.Name, st, m, opts, pers); err != nil {
+	if _, err := h.register(meta.Name, es, m, opts, pers); err != nil {
 		_ = pers.release() // the registration error is the one to report
 		return err
 	}
@@ -314,26 +314,26 @@ func optionsFromMeta(meta persist.Meta) (Options, error) {
 	return opts, nil
 }
 
-// buildStream rebuilds a Stream from resolved options: from a checkpoint
+// buildStream builds a stream's resident state from resolved options: from a checkpoint
 // when one exists (engine state restored directly, pending posts
 // re-ingested through Add — per-document-seeded inference makes that
 // byte-identical), from scratch otherwise. It is the load half of both
 // recovery and reactivation.
-func buildStream(m *Model, opts Options, ck *persist.Checkpoint) (*Stream, error) {
+func buildStream(m *Model, opts Options, ck *persist.Checkpoint) (*engineStream, error) {
 	if ck == nil {
 		eng, err := core.NewEngine(engineConfig(m, opts))
 		if err != nil {
 			return nil, err
 		}
-		return newStream(m, eng, opts), nil
+		return newEngineStream(m, eng, opts), nil
 	}
 	eng, err := core.Restore(engineConfig(m, opts), ck.Core)
 	if err != nil {
 		return nil, persistErr(err)
 	}
-	s := newStream(m, eng, opts)
+	s := newEngineStream(m, eng, opts)
 	for _, p := range ck.Pending {
-		if err := s.Add(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs}); err != nil {
+		if err := s.add(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs}); err != nil {
 			return nil, persistErr(fmt.Errorf("%w: re-ingesting pending post %d: %v", persist.ErrCorrupt, p.ID, err))
 		}
 	}
@@ -344,7 +344,7 @@ func buildStream(m *Model, opts Options, ck *persist.Checkpoint) (*Stream, error
 // replayInto returns the WAL replay callback that folds records past the
 // opSeq watermark back into st through the normal ingest path (replaying
 // a WAL twice is a no-op: records at or below the watermark are skipped).
-func replayInto(st *Stream, opSeq uint64) func(persist.Record) error {
+func replayInto(st *engineStream, opSeq uint64) func(persist.Record) error {
 	return func(r persist.Record) error {
 		if r.Seq <= opSeq {
 			return nil // already folded into the checkpoint
@@ -352,16 +352,16 @@ func replayInto(st *Stream, opSeq uint64) func(persist.Record) error {
 		opSeq = r.Seq
 		switch r.Kind {
 		case persist.KindPost:
-			return st.Add(Post{ID: r.Post.ID, Time: r.Post.Time, Text: r.Post.Text, Refs: r.Post.Refs})
+			return st.add(Post{ID: r.Post.ID, Time: r.Post.Time, Text: r.Post.Text, Refs: r.Post.Refs})
 		case persist.KindFlush:
-			return st.Flush(r.FlushNow)
+			return st.flush(r.FlushNow)
 		}
 		return fmt.Errorf("%w: WAL record kind %d", persist.ErrVersion, r.Kind)
 	}
 }
 
 // streamPersist is one stream's durability state, owned by its
-// StreamHandle and mutated only on the handle's commit path (the writer
+// Stream and mutated only on the stream's commit path (the writer
 // goroutine). The counters are atomics because the lock-free Stats path
 // reads them.
 type streamPersist struct {
@@ -383,7 +383,7 @@ type streamPersist struct {
 	log *persist.ElementLog
 	// syncsBase accumulates the fsync counts of WALs released across
 	// hibernations, so PipelineStats.Fsyncs stays cumulative over the
-	// handle's lifetime.
+	// stream's lifetime.
 	syncsBase atomic.Int64
 	// ckptBucket is the bucket sequence covered by the latest checkpoint
 	// (-1 before the first one or while unknown); the auto-checkpoint
@@ -427,10 +427,10 @@ type activationPhases struct {
 // resume loads the stream back into memory — the one loader behind both
 // reactivation and OpenHub's eager recovery: checkpoint load, WAL open with
 // tail replay, counter refresh. It runs on the commit path or before the
-// handle exists; the caller owns the residency transition. ph (non-nil)
+// stream exists; the caller owns the residency transition. ph (non-nil)
 // receives the phase timing breakdown. On success the stream's element
 // log stays open for its archive until release.
-func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*Stream, error) {
+func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*engineStream, error) {
 	ph.ckptStart = time.Now()
 	ck, err := persist.LoadCheckpoint(p.dir)
 	if err != nil {
@@ -449,7 +449,7 @@ func (p *streamPersist) resume(m *Model, opts Options, ph *activationPhases) (*S
 }
 
 // load is resume past the checkpoint read.
-func (p *streamPersist) load(m *Model, opts Options, ck *persist.Checkpoint, ph *activationPhases) (*Stream, error) {
+func (p *streamPersist) load(m *Model, opts Options, ck *persist.Checkpoint, ph *activationPhases) (*engineStream, error) {
 	if ck != nil && ck.Name != p.name {
 		return nil, persistErr(fmt.Errorf("%w: checkpoint names stream %q, manifest %q", persist.ErrCorrupt, ck.Name, p.name))
 	}
@@ -518,7 +518,7 @@ func (p *streamPersist) fsyncs() int64 {
 
 // initStream provisions the on-disk home of a newly created stream, whose
 // resolved options are opts: directory, manifest and empty WAL. Called
-// under the hub lock, before the handle becomes reachable. The
+// under the hub lock, before the stream becomes reachable. The
 // directory must not already exist: a leftover directory for this name
 // means an earlier incarnation's durable state would be silently mixed
 // with the new stream's, so it surfaces as ErrStreamExists.
@@ -579,12 +579,12 @@ func (p *streamPersist) appendBatchTimed(recs []persist.Record, bt *persist.Batc
 
 // maybeCheckpoint fires the automatic checkpoint once CheckpointEvery
 // buckets have been ingested past the last one.
-func (p *streamPersist) maybeCheckpoint(st *Stream) error {
+func (p *streamPersist) maybeCheckpoint(st *engineStream) error {
 	base := p.ckptBucket.Load()
 	if base < 0 {
 		base = 0
 	}
-	if st.Stats().Bucket-base < p.hp.opts.CheckpointEvery {
+	if st.engine.Stats().Buckets-base < p.hp.opts.CheckpointEvery {
 		return nil
 	}
 	return p.checkpoint(st)
@@ -595,10 +595,10 @@ func (p *streamPersist) maybeCheckpoint(st *Stream) error {
 // does not hold yet and atomically replace the checkpoint head, truncates
 // the WAL, and hands the engine the frames just written, so its archive
 // drops their in-memory records and reads them back from the log instead.
-// Called on the handle's commit path, where checkpoints are commit
+// Called on the stream's commit path, where checkpoints are commit
 // barriers (no other op is mid-apply, so the published engine snapshot IS
 // the latest state).
-func (p *streamPersist) checkpoint(st *Stream) error {
+func (p *streamPersist) checkpoint(st *engineStream) error {
 	ck := &persist.Checkpoint{
 		Name:      p.name,
 		ModelHash: p.hp.modelHash,
@@ -635,7 +635,7 @@ func (p *streamPersist) checkpoint(st *Stream) error {
 
 // adopt hands st's engine the frames a checkpoint wrote, opening the
 // element log for reading the first time there is one.
-func (p *streamPersist) adopt(st *Stream, app persist.Appended) error {
+func (p *streamPersist) adopt(st *engineStream, app persist.Appended) error {
 	if len(app.Ends) == 0 {
 		return nil
 	}
@@ -650,10 +650,10 @@ func (p *streamPersist) adopt(st *Stream, app persist.Appended) error {
 }
 
 // finalize takes the closing checkpoint and releases the WAL. Runs as
-// the handle's close op — after the queue drained, before the writer
+// the stream's close op — after the queue drained, before the writer
 // goroutine exits. A hibernated stream (st nil, WAL already released)
 // is already durably current: closing it is a no-op, never a reload.
-func (p *streamPersist) finalize(st *Stream) error {
+func (p *streamPersist) finalize(st *engineStream) error {
 	if p.walp.Load() == nil {
 		return nil
 	}
@@ -667,7 +667,7 @@ func (p *streamPersist) finalize(st *Stream) error {
 	return ckErr
 }
 
-// stats snapshots the durability counters (lock-free; see StreamHandle.Stats).
+// stats snapshots the durability counters (lock-free; see Stream.Stats).
 func (p *streamPersist) stats() PersistStats {
 	return PersistStats{
 		Enabled:          true,

@@ -120,6 +120,7 @@ func mirrorStream(t *testing.T, m *Model) *Stream {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 
@@ -517,7 +518,7 @@ func TestReplayIdempotence(t *testing.T) {
 		persistQueries(t, func(q Query) (Result, error) { return hs2.Query(nil, q) }))
 
 	// Manufacture the checkpoint-written-WAL-not-yet-truncated crash:
-	// checkpoint through h2's handle, then restore the pre-checkpoint WAL
+	// checkpoint through h2's stream, then restore the pre-checkpoint WAL
 	// bytes. Every record is ≤ the checkpoint's watermark, so replay must
 	// skip them all.
 	walPath := filepath.Join(dir, "feed", "wal")
@@ -826,8 +827,8 @@ func TestModelFileVersionSentinel(t *testing.T) {
 // WAL records were then written past its watermark, and replay re-applied
 // them, making the directory unrecoverable. The checkpoint trigger now
 // runs only after the whole accepted prefix is logged. Before the crash the
-// live handle, which applied the whole multi-bucket batch in one commit,
-// must be byte-identical to a raw Stream fed the same posts.
+// live durable stream, which applied the whole multi-bucket batch in one commit,
+// must be byte-identical to a memory-only stream fed the same posts.
 func TestAddBatchCheckpointBoundary(t *testing.T) {
 	m := trainTestModel(t)
 	dir := t.TempDir()
@@ -845,10 +846,10 @@ func TestAddBatchCheckpointBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := hs.Stats(), mirror.Stats(); a.Bucket != b.Bucket || a.Bucket < 2 {
-		t.Fatalf("live handle at bucket %d, mirror at %d (want equal, ≥ 2)", a.Bucket, b.Bucket)
+		t.Fatalf("live stream at bucket %d, mirror at %d (want equal, ≥ 2)", a.Bucket, b.Bucket)
 	}
 	if got, want := exportGob(t, hs.Stream()), exportGob(t, mirror); !bytes.Equal(got, want) {
-		t.Fatal("live handle state after a multi-bucket AddBatch not byte-identical to the raw stream")
+		t.Fatal("live stream state after a multi-bucket AddBatch not byte-identical to the memory-only one")
 	}
 	// Crash and recover: the whole batch must be there exactly once.
 	h2, err := OpenHub(dir, m, PersistOptions{Fsync: FsyncNever})

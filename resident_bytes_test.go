@@ -137,7 +137,7 @@ func TestResidentBytesTrackHeap(t *testing.T) {
 			// The last bucket stays pending, as in a live stream.
 			heap := liveHeap() - base
 			resident := hs.Stats().Residency.ResidentBytes
-			st := hs.Stream()
+			st := hs.stp.Load()
 			writer := st.engine.WriterResidentBytes()
 			runtime.KeepAlive(h)
 			var topics, most int
@@ -145,7 +145,7 @@ func TestResidentBytesTrackHeap(t *testing.T) {
 				topics, most = topics+e.Topics.Len(), max(most, e.Topics.Len())
 			})
 			t.Logf("live heap %d B, resident %d B (%.2f×), writer %d B, active %d on %.2f topics each (at most %d)",
-				heap, resident, float64(resident)/float64(heap), writer, st.Active(), float64(topics)/float64(st.Active()), most)
+				heap, resident, float64(resident)/float64(heap), writer, st.engine.NumActive(), float64(topics)/float64(st.engine.NumActive()), most)
 			for name, v := range map[string]int64{"hub ResidentBytes": resident, "WriterResidentBytes": writer} {
 				if r := float64(v) / float64(heap); r > residentHeapFactor || r < 1/residentHeapFactor {
 					t.Errorf("%s = %d B is %.2f× the stream's %d B of live heap, want within %.1f×", name, v, r, heap, residentHeapFactor)

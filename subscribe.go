@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -29,8 +30,8 @@ type Subscription struct {
 	lastIDs     []int64 // nil until the first delivery
 	failures    atomic.Int64
 	// gone is set by Unsubscribe so an in-flight fireSubscriptions sweep
-	// (which iterates a snapshot of the registration list) skips a
-	// subscription removed re-entrantly by another handler.
+	// (which iterates a copy of the registration list) skips a
+	// subscription removed meanwhile, by a handler or another goroutine.
 	gone atomic.Bool
 }
 
@@ -58,9 +59,36 @@ func OnError(h func(error)) SubscribeOption {
 	return func(s *Subscription) { s.onError = h }
 }
 
+// subscriptions is a stream's standing-query registry. Registration and
+// removal happen under mu from any goroutine; the writer copies the list
+// under mu for each sweep and fires the copy without it.
+type subscriptions struct {
+	mu   sync.Mutex
+	list []*Subscription
+	seq  int64
+	// n is len(list), readable without mu: Stats and the sweep's fast
+	// path never wait on a registration or a hibernation.
+	n atomic.Int64
+}
+
+// remove unregisters sub, if it is registered, and marks it gone.
+func (r *subscriptions) remove(sub *Subscription) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := slices.Index(r.list, sub); i >= 0 {
+		sub.gone.Store(true)
+		r.list = slices.Delete(r.list, i, i+1)
+		r.n.Store(int64(len(r.list)))
+	}
+}
+
 // Subscribe registers a standing query re-evaluated every `every` of stream
-// time, starting at the next bucket boundary. The handler runs synchronously
-// inside Add/Flush (keep it fast; hand off to a channel for slow consumers).
+// time, starting at the next bucket boundary. The handler runs
+// synchronously on the stream's writer goroutine, inside the Add or Flush
+// that completes a bucket (keep it fast; hand off to a channel for slow
+// consumers). A handler may Query, Subscribe and Unsubscribe on its own
+// stream, but must not call its write methods or Close: the writer cannot
+// wait for its own queue.
 //
 // The context bounds the subscription's lifetime: once ctx is done the
 // subscription stops firing and is removed at the next bucket boundary (a
@@ -71,9 +99,8 @@ func OnError(h func(error)) SubscribeOption {
 // error is reported through the OnError hook, if any, and counted in
 // Failures.
 //
-// Subscribe and Unsubscribe are writer-side operations: call them from the
-// ingest goroutine, or go through a Hub handle, which serializes them with
-// Add/Flush.
+// Subscribing to a hibernated stream reactivates it first, as Query does;
+// while a subscription is registered the stream refuses to hibernate.
 func (s *Stream) Subscribe(ctx context.Context, q Query, every time.Duration, handler func(Result), opts ...SubscribeOption) (*Subscription, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -93,44 +120,40 @@ func (s *Stream) Subscribe(ctx context.Context, q Query, every time.Duration, ha
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrBadSubscription)
 	}
-	s.subSeq++
-	sub := &Subscription{
-		id:      s.subSeq,
-		ctx:     ctx,
-		query:   q,
-		every:   every,
-		handler: handler,
-		nextAt:  int64(s.engine.Now()) + int64(every/time.Second),
-	}
+	sub := &Subscription{ctx: ctx, query: q, every: every, handler: handler}
 	for _, opt := range opts {
 		opt(sub)
 	}
-	s.subs = append(s.subs, sub)
-	s.nsubs.Store(int64(len(s.subs)))
-	return sub, nil
-}
-
-// Unsubscribe removes a standing query. It is a no-op for an unknown or
-// already-removed subscription. Like Subscribe it is a writer-side
-// operation, and it is safe to call from inside a subscription handler
-// (e.g. a one-shot query unsubscribing itself).
-func (s *Stream) Unsubscribe(sub *Subscription) {
-	if sub == nil {
-		return
-	}
-	for i, cur := range s.subs {
-		if cur.id == sub.id {
-			cur.gone.Store(true)
-			s.subs = append(s.subs[:i], s.subs[i+1:]...)
-			s.nsubs.Store(int64(len(s.subs)))
-			return
+	for {
+		if _, err := s.resident(ctx); err != nil {
+			return nil, err
 		}
+		r := &s.subs
+		r.mu.Lock()
+		// A hibernation that ran since resident returned left no state to
+		// fire the subscription: reactivate again.
+		if es := s.stp.Load(); es != nil {
+			r.seq++
+			sub.id = r.seq
+			sub.nextAt = int64(es.engine.Now()) + int64(every/time.Second)
+			r.list = append(r.list, sub)
+			r.n.Store(int64(len(r.list)))
+			r.mu.Unlock()
+			return sub, nil
+		}
+		r.mu.Unlock()
 	}
 }
 
-// Subscriptions returns the number of standing queries. Safe to call
-// concurrently with ingestion.
-func (s *Stream) Subscriptions() int { return int(s.nsubs.Load()) }
+// Unsubscribe removes a standing query. It is a no-op for nil or an
+// already-removed subscription, and safe to call from any goroutine,
+// inside a subscription handler too (e.g. a one-shot query unsubscribing
+// itself).
+func (s *Stream) Unsubscribe(sub *Subscription) {
+	if sub != nil {
+		s.subs.remove(sub)
+	}
+}
 
 // fireSubscriptions runs every due standing query after the window advanced
 // to stream time now. Subscriber failures are isolated: a refresh that
@@ -138,14 +161,17 @@ func (s *Stream) Subscriptions() int { return int(s.nsubs.Load()) }
 // that triggered it or starving the remaining subscriptions. Subscriptions
 // whose context is done are dropped.
 //
-// The sweep iterates a snapshot of the registration list, so handlers may
+// The sweep iterates a copy of the registration list, so handlers may
 // re-entrantly Subscribe (the new subscription starts firing next bucket)
 // or Unsubscribe (the gone flag keeps this sweep from firing it).
-func (s *Stream) fireSubscriptions(now int64) {
-	if len(s.subs) == 0 {
+func (s *engineStream) fireSubscriptions(now int64) {
+	r := s.subs
+	if r == nil || r.n.Load() == 0 {
 		return
 	}
-	subs := append([]*Subscription(nil), s.subs...)
+	r.mu.Lock()
+	subs := slices.Clone(r.list)
+	r.mu.Unlock()
 	var expired []*Subscription
 	for _, sub := range subs {
 		if sub.gone.Load() {
@@ -165,7 +191,7 @@ func (s *Stream) fireSubscriptions(now int64) {
 		for sub.nextAt <= now {
 			sub.nextAt += step
 		}
-		res, err := s.Query(sub.ctx, sub.query)
+		res, err := s.query(sub.ctx, sub.query)
 		if err != nil {
 			// A context cancelled mid-refresh is a normal shutdown (e.g.
 			// an SSE client disconnecting), not a refresh failure: drop
@@ -190,7 +216,7 @@ func (s *Stream) fireSubscriptions(now int64) {
 		sub.handler(res)
 	}
 	for _, sub := range expired {
-		s.Unsubscribe(sub)
+		r.remove(sub)
 	}
 }
 

@@ -3,6 +3,10 @@ package ksir
 import (
 	"context"
 	"errors"
+	"math"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -12,13 +16,14 @@ func TestSubscribeFiresOnSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	var fired []int64
 	sub, err := st.Subscribe(context.Background(), Query{K: 2, Keywords: []string{"goal"}}, 5*time.Minute,
-		func(res Result) { fired = append(fired, st.Now()) })
+		func(res Result) { fired = append(fired, st.Stats().Now) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Subscriptions() != 1 {
+	if st.Stats().Subscriptions != 1 {
 		t.Fatal("subscription not registered")
 	}
 	// 30 minutes of posts, one per minute.
@@ -44,7 +49,7 @@ func TestSubscribeFiresOnSchedule(t *testing.T) {
 		}
 	}
 	st.Unsubscribe(sub)
-	if st.Subscriptions() != 0 {
+	if st.Stats().Subscriptions != 0 {
 		t.Error("unsubscribe failed")
 	}
 	// No further firings.
@@ -65,6 +70,7 @@ func TestSubscribeOnlyOnChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	var results []Result
 	_, err = st.Subscribe(context.Background(), Query{K: 1, Keywords: []string{"goal"}}, time.Minute,
 		func(res Result) { results = append(results, res) }, OnlyOnChange())
@@ -102,6 +108,7 @@ func TestSubscribeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	h := func(Result) {}
 	if _, err := st.Subscribe(context.Background(), Query{K: 0, Keywords: []string{"x"}}, time.Hour, h); err == nil {
 		t.Error("k=0 accepted")
@@ -126,6 +133,7 @@ func TestSubscriptionErrorIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 
 	// "zzzz" passes Subscribe validation (non-empty keywords) but fails at
 	// refresh time: no keyword is in the model vocabulary.
@@ -179,6 +187,7 @@ func TestSubscribeContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	ctx, cancel := context.WithCancel(context.Background())
 	var fired int
 	if _, err := st.Subscribe(ctx, Query{K: 1, Keywords: []string{"goal"}}, time.Minute,
@@ -205,8 +214,8 @@ func TestSubscribeContextCancel(t *testing.T) {
 	if fired != n {
 		t.Error("subscription fired after its context was cancelled")
 	}
-	if st.Subscriptions() != 0 {
-		t.Errorf("cancelled subscription still registered: %d", st.Subscriptions())
+	if st.Stats().Subscriptions != 0 {
+		t.Errorf("cancelled subscription still registered: %d", st.Stats().Subscriptions)
 	}
 }
 
@@ -218,6 +227,7 @@ func TestSubscriptionReentrantUnsubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	var fired int
 	var sub *Subscription
 	sub, err = st.Subscribe(context.Background(), Query{K: 1, Keywords: []string{"goal"}}, time.Minute,
@@ -237,8 +247,8 @@ func TestSubscriptionReentrantUnsubscribe(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired %d times, want 1", fired)
 	}
-	if st.Subscriptions() != 0 {
-		t.Fatalf("subscription resurrected: %d registered", st.Subscriptions())
+	if st.Stats().Subscriptions != 0 {
+		t.Fatalf("subscription resurrected: %d registered", st.Stats().Subscriptions)
 	}
 	// Further changing buckets must not re-fire the removed subscription.
 	if err := st.Add(Post{ID: 2, Time: 150, Text: "goal goal league"}); err != nil {
@@ -260,6 +270,7 @@ func TestSubscriptionReentrantSubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	var childFired int
 	registered := false
 	_, err = st.Subscribe(context.Background(), Query{K: 1, Keywords: []string{"goal"}}, time.Minute,
@@ -285,8 +296,8 @@ func TestSubscriptionReentrantSubscribe(t *testing.T) {
 	if !registered {
 		t.Fatal("parent never fired")
 	}
-	if st.Subscriptions() != 2 {
-		t.Fatalf("re-entrant subscription dropped: %d registered", st.Subscriptions())
+	if st.Stats().Subscriptions != 2 {
+		t.Fatalf("re-entrant subscription dropped: %d registered", st.Stats().Subscriptions)
 	}
 	if err := st.Add(Post{ID: 2, Time: 150, Text: "goal goal league"}); err != nil {
 		t.Fatal(err)
@@ -333,5 +344,170 @@ func TestExplainResult(t *testing.T) {
 	// Explain with a bogus query errors.
 	if _, err := st.Explain(res, Query{K: 3}); err == nil {
 		t.Error("query without keywords accepted")
+	}
+}
+
+// A result explained after a later bucket was published would be scored
+// against a window it was not computed on — here the new bucket's posts
+// reference the answer's, so its influence gains grow and no longer sum to
+// the result's score. Explain refuses instead, naming both buckets.
+func TestExplainRefusesStaleResult(t *testing.T) {
+	st := newTwoTopicStream(t)
+	q := Query{K: 3, Keywords: []string{"goal", "league"}}
+	res, err := st.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range res.Posts {
+		if err := st.Add(Post{ID: int64(1000 + i), Time: 1010, Text: "goal league", Refs: []int64{p.ID}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(1060); err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Explain(res, q)
+	if !errors.Is(err, ErrNotActive) {
+		t.Fatalf("stale explain err = %v, want ErrNotActive", err)
+	}
+	for _, b := range []int64{res.Bucket, st.Stats().Bucket} {
+		if !strings.Contains(err.Error(), strconv.FormatInt(b, 10)) {
+			t.Errorf("error %q does not name bucket %d", err, b)
+		}
+	}
+	// Re-queried, the same stream explains again, and the gains add up.
+	if res, err = st.Query(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := st.Explain(res, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total float64
+	for _, e := range ex {
+		total += e.Gain
+	}
+	if math.Abs(total-res.Score) > 1e-9*res.Score {
+		t.Errorf("explanations total %v, result score %v", total, res.Score)
+	}
+}
+
+// Registration never enters the writer queue, so a handler — which runs on
+// the writer goroutine — may subscribe and unsubscribe on its own durable
+// stream and return, while other goroutines do the same and query. Each
+// parent refresh registers a one-shot child; every child fires once and
+// removes itself, so the count that stays registered is the parent plus the
+// children not yet due.
+func TestSubscriptionReentrantDurable(t *testing.T) {
+	m := trainTestModel(t)
+	h := openTestHub(t, t.TempDir(), m, PersistOptions{})
+	defer h.CloseAll()
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := Query{K: 2, Keywords: []string{"goal"}}
+	var parentFired, childFired int // touched on the writer goroutine only
+	if _, err := hs.Subscribe(ctx, q, time.Minute, func(Result) {
+		parentFired++
+		var child *Subscription
+		child, err := hs.Subscribe(ctx, q, time.Minute, func(Result) {
+			childFired++
+			hs.Unsubscribe(child)
+		})
+		if err != nil {
+			t.Errorf("subscribe from a handler: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	churned := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				churned <- nil
+				return
+			default:
+			}
+			sub, err := hs.Subscribe(ctx, q, time.Minute, func(Result) {})
+			if err != nil {
+				churned <- err
+				return
+			}
+			hs.Unsubscribe(sub)
+			if _, err := hs.Query(ctx, q); err != nil {
+				churned <- err
+				return
+			}
+		}
+	}()
+	posts := genPosts(400, 11)
+	for i := 0; i < len(posts); i += 7 {
+		if _, err := hs.AddBatch(posts[i:min(i+7, len(posts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hs.Flush(posts[len(posts)-1].Time + 60); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-churned; err != nil {
+		t.Fatal(err)
+	}
+	if parentFired == 0 || childFired == 0 {
+		t.Fatalf("parent fired %d times, children %d", parentFired, childFired)
+	}
+	if got, want := hs.Stats().Subscriptions, 1+parentFired-childFired; got != want {
+		t.Errorf("%d subscriptions registered, want %d (the parent and %d pending children)", got, want, want-1)
+	}
+}
+
+// Subscribe and Hibernate racing on a durable stream: either the
+// hibernation is refused as busy, or it completes first and Subscribe
+// reactivates the stream. A registered subscription never sits on a
+// hibernated stream.
+func TestSubscribeRacesHibernate(t *testing.T) {
+	m := trainTestModel(t)
+	h := openTestHub(t, t.TempDir(), m, PersistOptions{})
+	defer h.CloseAll()
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.AddBatch(genPosts(120, 5)); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{K: 2, Keywords: []string{"goal"}}
+	for i := 0; i < 40; i++ {
+		var sub *Subscription
+		var subErr, hibErr error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			sub, subErr = hs.Subscribe(context.Background(), q, time.Minute, func(Result) {})
+		}()
+		go func() {
+			defer wg.Done()
+			hibErr = hs.Hibernate()
+		}()
+		wg.Wait()
+		if subErr != nil {
+			t.Fatal(subErr)
+		}
+		if hibErr != nil && !errors.Is(hibErr, ErrStreamBusy) {
+			t.Fatal(hibErr)
+		}
+		if st := hs.Stats(); !st.Residency.Resident || st.Subscriptions != 1 {
+			t.Fatalf("round %d: resident %v with %d subscriptions", i, st.Residency.Resident, st.Subscriptions)
+		}
+		hs.Unsubscribe(sub)
+		if err := hs.Hibernate(); err != nil {
+			t.Fatalf("round %d: hibernate after the unsubscribe: %v", i, err)
+		}
 	}
 }

@@ -137,12 +137,12 @@ type PersistInfo struct {
 	Checkpoints int64 `json:"checkpoints"`
 }
 
-// PipelineInfo reports a stream's writer-pipeline counters (the wire form
-// of ksir.PipelineStats): how deep the ingest queue currently is and how
-// much coalescing the group-commit writer achieved.
+// PipelineInfo reports a stream's commit-pipeline counters (the wire form
+// of ksir.PipelineStats): how many write operations are queued and how
+// much coalescing group commit achieved.
 type PipelineInfo struct {
 	// QueueDepth is the number of write operations queued behind the
-	// stream's writer goroutine at the instant of the stats call.
+	// committing caller at the instant of the stats call.
 	QueueDepth int `json:"queue_depth"`
 	// Ops counts write operations committed over the stream's lifetime.
 	Ops int64 `json:"ops"`

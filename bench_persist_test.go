@@ -40,7 +40,7 @@ func benchPosts(n int) []Post {
 // baseline, from 1, 8 and 64 concurrent producers. (fsync=always is
 // bounded by the device's flush latency from one producer; from several,
 // group commit shares one fsync across a commit batch — batch-size > 1 and
-// fsyncs/op < 1 are the writer pipeline doing its job. The other policies
+// fsyncs/op < 1 are the commit pipeline doing its job. The other policies
 // should track the baseline closely.)
 //
 // Every post carries one shared timestamp, so acceptance never depends on

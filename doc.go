@@ -20,8 +20,9 @@
 //	st.Add(ksir.Post{ID: 1, Time: now, Text: "...", Refs: []int64{...}})
 //	res, err := st.Query(ctx, ksir.Query{K: 10, Keywords: []string{"soccer"}})
 //
-// Every Stream method is safe from any goroutine: writes are serialized
-// by the stream's own writer goroutine, which Close releases.
+// Every Stream method is safe from any goroutine: writes are committed by
+// their callers under the stream's lock, concurrent ones coalesced into
+// shared commits, and a stream runs no goroutine of its own.
 //
 // Queries are served in real time by the MTTS ((1/2 − ε)-approximate) and
 // MTTD ((1 − 1/e − ε)-approximate) algorithms over per-topic ranked lists;

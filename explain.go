@@ -32,8 +32,8 @@ type Explanation struct {
 // the same query you issued: once a later bucket is published the result
 // is stale, and Explain fails with ErrNotActive naming both buckets rather
 // than explain it against a window that changed. Like Query it pins the
-// published snapshot without waiting for the writer, after reactivating a
-// hibernated stream.
+// published snapshot without taking the stream's lock, after reactivating
+// a hibernated stream.
 func (s *Stream) Explain(res Result, q Query) ([]Explanation, error) {
 	es, err := s.resident(context.Background())
 	if err != nil {

@@ -22,13 +22,12 @@ import (
 // write-ahead logged and checkpointed under a data directory, and
 // recovered on the next OpenHub (see persistence.go).
 //
-// Lifecycle: every registered stream owns a writer goroutine, released by
-// Close/CloseAll or the stream's own Close, and a durable hub with a
-// residency budget runs one background sweeper until CloseAll. Nothing else runs, at any fsync
-// policy: the writer also owns its stream's WAL and runs the FsyncInterval
-// idle sync itself while it waits for work. A hub that is dropped without
-// being closed leaks those goroutines (and the streams they pin) — close
-// hubs you abandon, in-memory ones included.
+// Lifecycle: a stream runs no goroutine — its callers commit their own
+// writes — and under FsyncInterval its WAL's idle sync is a timer, not a
+// goroutine. The one goroutine a hub may run is a durable hub's residency
+// sweeper (only with a budget), until CloseAll. An in-memory hub holds
+// nothing that must be closed; a durable one holds each stream's open WAL
+// and element log until Close/CloseAll takes the final checkpoints.
 //
 // All Hub methods are safe for concurrent use.
 type Hub struct {
@@ -42,8 +41,8 @@ type Hub struct {
 	stopSweeper func()
 }
 
-// NewHub creates an empty registry. Call CloseAll when done with it:
-// each stream's writer goroutine runs until its stream is closed.
+// NewHub creates an empty in-memory registry. It runs no goroutine;
+// CloseAll fences its streams (see Stream.Close).
 func NewHub() *Hub {
 	return &Hub{streams: make(map[string]*Stream)}
 }
@@ -147,8 +146,8 @@ func (h *Hub) startSweeper() {
 			}
 		}
 	}()
-	// Waiting for the exit means no hibernate op can be enqueued after
-	// CloseAll starts draining.
+	// Waiting for the exit means no hibernate op can be queued after
+	// CloseAll starts closing streams.
 	h.stopSweeper = sync.OnceFunc(func() {
 		close(stop)
 		<-done
@@ -231,14 +230,14 @@ func (h *Hub) Close(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
-	return hs.shutdown()
+	return hs.do(&writeOp{kind: opClose}).err
 }
 
 // CloseAll closes every registered stream — the graceful-shutdown sweep:
-// on a durable hub each stream drains its queue and takes its final
-// checkpoint, and every stream's Done channel closes so SSE consumers and
-// other long-lived readers shut down. Errors are joined; streams close
-// regardless.
+// on a durable hub each stream commits its queued operations and takes
+// its final checkpoint, and every stream's Done channel closes so SSE
+// consumers and other long-lived readers shut down. Errors are joined;
+// streams close regardless.
 func (h *Hub) CloseAll() error {
 	if h.stopSweeper != nil {
 		h.stopSweeper()

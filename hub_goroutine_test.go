@@ -40,15 +40,17 @@ func goroutineBaseline() int {
 	}
 }
 
-// Nothing a hub starts outlives CloseAll, and what it starts is one writer
-// per stream plus at most one background sweeper — none at all on a hub
-// without a residency budget — whatever the fsync policy.
+// A resident stream costs no goroutine — memory-only or durable, at every
+// fsync policy, from a hub or from New: its callers commit their own
+// writes under its lock. What a hub starts is at most one background
+// sweeper, none at all without a residency budget, and nothing outlives
+// CloseAll.
 func TestHubLeavesNothingRunning(t *testing.T) {
 	m := trainTestModel(t)
 	posts := genPosts(30, 57)
 	q := Query{K: 3, Keywords: []string{"goal"}}
-	// fill creates n streams with some state and checks that the hub now
-	// runs exactly its background goroutines plus one writer per stream.
+	// fill creates n streams with some state and checks that the hub still
+	// runs exactly its background goroutines.
 	fill := func(t *testing.T, h *Hub, n, before, background int) []*Stream {
 		t.Helper()
 		var hss []*Stream
@@ -64,7 +66,7 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 			}
 			hss = append(hss, hs)
 		}
-		wantGoroutines(t, fmt.Sprintf("%d streams, %d background", n, background), before+n+background)
+		wantGoroutines(t, fmt.Sprintf("%d streams, %d background", n, background), before+background)
 		return hss
 	}
 	closeAll := func(t *testing.T, h *Hub, before int) {
@@ -105,34 +107,43 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		closeAll(t, h, before)
 	})
 
-	// At the default policy, FsyncInterval: the writer syncs its own WAL,
-	// so the interval sync adds no goroutine.
-	openDefault := func(t *testing.T, dir string) *Hub {
-		t.Helper()
-		h, err := OpenHub(dir, m, PersistOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
+	// Under FsyncInterval the idle sync is a timer an append arms: its
+	// func runs only when it fires (a short interval here, so it does
+	// within the test) and holds no goroutine in between.
 	t.Run("durable, no budget", func(t *testing.T) {
-		dir := t.TempDir()
-		before := goroutineBaseline()
-		h := openDefault(t, dir)
-		wantGoroutines(t, "OpenHub: nothing of its own", before)
-		hss := fill(t, h, 2, before, 0)
-		if err := hss[0].Hibernate(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hss[0].Query(nil, q); err != nil {
-			t.Fatal(err)
-		}
-		closeAll(t, h, before)
+		for _, policy := range []FsyncPolicy{FsyncInterval, FsyncAlways, FsyncNever} {
+			t.Run("fsync "+policy.String(), func(t *testing.T) {
+				po := PersistOptions{Fsync: policy, FsyncInterval: 5 * time.Millisecond}
+				open := func(t *testing.T, dir string) *Hub {
+					t.Helper()
+					h, err := OpenHub(dir, m, po)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return h
+				}
+				dir := t.TempDir()
+				before := goroutineBaseline()
+				h := open(t, dir)
+				wantGoroutines(t, "OpenHub: nothing of its own", before)
+				hss := fill(t, h, 2, before, 0)
+				time.Sleep(4 * po.FsyncInterval) // let the idle syncs fire
+				wantGoroutines(t, "after the idle syncs", before)
+				if err := hss[0].Hibernate(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := hss[0].Query(nil, q); err != nil {
+					t.Fatal(err)
+				}
+				wantGoroutines(t, "reactivated", before)
+				closeAll(t, h, before)
 
-		// Eager recovery: the same two writers and nothing else.
-		h = openDefault(t, dir)
-		wantGoroutines(t, "reopened: 2 writers", before+2)
-		closeAll(t, h, before)
+				// Eager recovery: still nothing.
+				h = open(t, dir)
+				wantGoroutines(t, "reopened", before)
+				closeAll(t, h, before)
+			})
+		}
 	})
 
 	t.Run("in memory", func(t *testing.T) {
@@ -143,7 +154,7 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		if err := hss[0].Close(); err != nil {
 			t.Fatal(err)
 		}
-		wantGoroutines(t, "one stream closed", before+1)
+		wantGoroutines(t, "one stream closed", before)
 		if _, err := h.Get("s0"); !errors.Is(err, ErrUnknownStream) || h.Len() != 1 {
 			t.Fatalf("closed stream still registered: Get err = %v, Len %d", err, h.Len())
 		}
@@ -153,20 +164,21 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		closeAll(t, h, before)
 	})
 
-	// A stream from New is a hub of one: its writer, until Close.
+	// A stream from New holds nothing that must be closed; Close still
+	// fences it.
 	t.Run("New", func(t *testing.T) {
 		before := goroutineBaseline()
 		st, err := New(m, persistOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantGoroutines(t, "New: its writer", before+1)
 		if _, err := st.AddBatch(posts); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.Subscribe(context.Background(), q, time.Hour, func(Result) {}); err != nil {
 			t.Fatal(err)
 		}
+		wantGoroutines(t, "New, fed and subscribed", before)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}

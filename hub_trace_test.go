@@ -36,8 +36,7 @@ func spanIn(t *testing.T, tr *trace.Trace, name string) trace.Span {
 
 // The pipeline tracing contract: a write op carrying a trace op through
 // AddContext comes back with the full commit breakdown — queue wait,
-// commit batch, engine apply, WAL append, fsync and future completion —
-// correctly parented and with non-zero durations, and the trace is
+// commit batch, engine apply, WAL append and fsync — correctly parented and with non-zero durations, and the trace is
 // attributed to the stream.
 func TestAddContextRecordsPipelineSpans(t *testing.T) {
 	m := trainTestModel(t)
@@ -73,14 +72,13 @@ func TestAddContextRecordsPipelineSpans(t *testing.T) {
 	apply := spanIn(t, tr, "engine.apply")
 	wal := spanIn(t, tr, "wal.append")
 	fsync := spanIn(t, tr, "wal.fsync")
-	fut := spanIn(t, tr, "future.completion")
-	for _, s := range []trace.Span{qw, cb, apply, wal, fsync, fut} {
+	for _, s := range []trace.Span{qw, cb, apply, wal, fsync} {
 		if s.Duration <= 0 {
 			t.Errorf("span %s duration = %v, want > 0", s.Name, s.Duration)
 		}
 	}
-	if qw.Parent != root.SpanID || cb.Parent != root.SpanID || fut.Parent != root.SpanID {
-		t.Error("queue.wait/commit.batch/future.completion not parented to the op root")
+	if qw.Parent != root.SpanID || cb.Parent != root.SpanID {
+		t.Error("queue.wait/commit.batch not parented to the op root")
 	}
 	if apply.Parent != cb.SpanID || wal.Parent != cb.SpanID || fsync.Parent != cb.SpanID {
 		t.Error("engine.apply/wal.append/wal.fsync not parented to commit.batch")

@@ -148,14 +148,13 @@ func TestTracingEndToEnd(t *testing.T) {
 	apply := ingest.span(t, "engine.apply")
 	wal := ingest.span(t, "wal.append")
 	fsync := ingest.span(t, "wal.fsync")
-	fut := ingest.span(t, "future.completion")
-	for _, s := range []wireSpan{qw, cb, apply, wal, fsync, fut} {
+	for _, s := range []wireSpan{qw, cb, apply, wal, fsync} {
 		if s.Dur <= 0 {
 			t.Errorf("span %s has non-positive duration %d", s.Name, s.Dur)
 		}
 	}
-	if qw.Parent != root.SpanID || cb.Parent != root.SpanID || fut.Parent != root.SpanID {
-		t.Error("queue.wait/commit.batch/future.completion not parented to the request root")
+	if qw.Parent != root.SpanID || cb.Parent != root.SpanID {
+		t.Error("queue.wait/commit.batch not parented to the request root")
 	}
 	if apply.Parent != cb.SpanID || wal.Parent != cb.SpanID || fsync.Parent != cb.SpanID {
 		t.Error("engine.apply/wal.append/wal.fsync not parented to commit.batch")

@@ -140,8 +140,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return Restore(cfg, State{Lists: make([][]rankedlist.Item, cfg.Model.Z)})
 }
 
-// NumShards is always 1: the ranked lists are maintained in one pass on the
-// writer goroutine. Kept, with ShardStats, only because the frozen
+// NumShards is always 1: the ranked lists are maintained in one pass by the
+// ingesting caller. Kept, with ShardStats, only because the frozen
 // benchmark/ module divides by it; both go when a benchmark PR drops them.
 func (g *Engine) NumShards() int { return 1 }
 

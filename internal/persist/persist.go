@@ -26,10 +26,10 @@
 // prefix, and its op-sequence number tells replay exactly which WAL
 // records are already folded in.
 //
-// Ownership: a WAL belongs to one goroutine — in the service, its
-// stream's writer — which makes every call on it. The package starts no
-// goroutine and takes no lock; under SyncInterval the owner syncs an idle
-// tail by calling Sync when WAL.Tick fires while it waits for work.
+// Ownership: a WAL belongs to one owner that serializes every call on it —
+// in the service, its stream, under the stream's lock. The package starts
+// no goroutine and takes no lock; under SyncInterval the owner syncs an
+// idle tail by calling Sync within the interval of its last append.
 // Syncs alone may be read from any goroutine.
 package persist
 
@@ -58,10 +58,10 @@ type SyncPolicy int
 
 const (
 	// SyncInterval (the default) fsyncs at most once per interval: appends
-	// past the deadline sync inline, the owner's Sync on WAL.Tick covers
-	// idle streams (a tail write reaches stable storage within the
-	// interval even when no further append ever comes), and Close/checkpoint
-	// boundaries always sync. Bounds power-loss exposure to the interval
+	// past the deadline sync inline, the owner's Sync after its last
+	// append covers idle streams (a tail write reaches stable storage
+	// within the interval even when no further append ever comes), and
+	// Close/checkpoint boundaries always sync. Bounds power-loss exposure to the interval
 	// at a small fraction of SyncAlways' cost.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every record: no acknowledged write is ever

@@ -17,8 +17,8 @@ type walFile interface {
 }
 
 // WAL is one stream's write-ahead log: an append-only file of framed
-// records (record.go). It has one owner goroutine, which makes every call
-// but Syncs (see the package comment).
+// records (record.go). Its owner serializes every call but Syncs (see the
+// package comment).
 //
 // A failed write or fsync fails the log: a short write leaves a partial
 // frame at the file's end, behind which a later acknowledged record would
@@ -35,12 +35,11 @@ type WAL struct {
 	lastSync time.Time
 	dirty    bool // bytes appended since the last fsync
 	buf      []byte
-	lastSeq  uint64       // highest Seq ever appended or replayed
-	ticker   *time.Ticker // idle-sync cadence; nil unless SyncInterval
-	failed   error        // the write or fsync error that failed the log
+	lastSeq  uint64 // highest Seq ever appended or replayed
+	failed   error  // the write or fsync error that failed the log
 	// syncs counts fsyncs issued over the WAL's lifetime. Atomic: Syncs
-	// backs the lock-free stats path, which reads it off the owner
-	// goroutine, even while an append's fsync is in flight.
+	// backs the lock-free stats path, which reads it without the owner's
+	// serialization, even while an append's fsync is in flight.
 	syncs atomic.Int64
 }
 
@@ -48,10 +47,11 @@ type WAL struct {
 // record prefix through replay, in order. A torn or corrupt tail — the
 // normal shape of a crash mid-append — is truncated away so new records
 // append cleanly after the last valid one; it is not an error. replay may
-// be nil. interval is only consulted under SyncInterval (0 means 1s);
-// under that policy Tick fires every interval, and an owner that calls
-// Sync on it gets an idle stream's tail writes to stable storage within
-// the interval even when no further append ever comes.
+// be nil. interval is only consulted under SyncInterval (0 means 1s): an
+// append syncs inline once interval has passed since the last sync, and an
+// owner that calls Sync within interval of its last append gets an idle
+// stream's tail to stable storage even when no further append ever comes
+// (Sync returns at once on a clean log).
 func OpenWAL(path string, policy SyncPolicy, interval time.Duration, replay func(Record) error) (*WAL, error) {
 	if interval <= 0 {
 		interval = time.Second
@@ -92,20 +92,7 @@ func OpenWAL(path string, policy SyncPolicy, interval time.Duration, replay func
 		return nil, fmt.Errorf("persist: seeking WAL: %w", err)
 	}
 	w.size = valid
-	if policy == SyncInterval {
-		w.ticker = time.NewTicker(interval)
-	}
 	return w, nil
-}
-
-// Tick returns the channel on which the idle-sync cadence fires, every
-// interval under SyncInterval; nil (which blocks forever in a select)
-// under the other policies. The owner calls Sync when it fires.
-func (w *WAL) Tick() <-chan time.Time {
-	if w.ticker == nil {
-		return nil
-	}
-	return w.ticker.C
 }
 
 // Append writes one record and applies the sync policy: a one-record
@@ -232,8 +219,8 @@ func (w *WAL) Sync() error {
 // Syncs returns how many fsyncs the WAL has issued over its lifetime
 // (inline policy syncs, the owner's idle syncs, Reset and Close all
 // count). The pipeline's fsyncs-per-op metric is built on it. The one
-// method safe to call off the owner goroutine, even while an append's
-// fsync is in flight.
+// method safe to call concurrently with the owner's calls, even while an
+// append's fsync is in flight.
 func (w *WAL) Syncs() int64 { return w.syncs.Load() }
 
 // Reset empties the log — called after a checkpoint has captured every
@@ -268,13 +255,10 @@ func (w *WAL) Size() int64 { return w.size }
 // LastSeq returns the highest record sequence appended or replayed.
 func (w *WAL) LastSeq() uint64 { return w.lastSeq }
 
-// Close syncs and closes the log file and stops Tick. Safe to call twice.
+// Close syncs and closes the log file. Safe to call twice.
 func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
-	}
-	if w.ticker != nil {
-		w.ticker.Stop()
 	}
 	serr := w.Sync()
 	cerr := w.f.Close()

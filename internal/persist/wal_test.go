@@ -373,15 +373,11 @@ func TestWALSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The WAL is its owner's: it starts no goroutine of its own
-			// (polled, as an unrelated one may be exiting), and only the
-			// interval policy has a tick for the owner to sync on.
+			// (polled, as an unrelated one may be exiting).
 			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("OpenWAL left %d goroutines running, %d before", runtime.NumGoroutine(), before)
 				}
-			}
-			if got := w.Tick() != nil; got != (policy == SyncInterval) {
-				t.Errorf("Tick() non-nil = %v under %v", got, policy)
 			}
 			for seq := uint64(1); seq <= 20; seq++ {
 				if err := w.Append(postRecord(seq, int64(seq))); err != nil {

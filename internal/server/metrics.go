@@ -89,7 +89,8 @@ func (s *Server) sseLookup(name string) *sseCounters {
 }
 
 // deliverSSE hands one refresh to an SSE connection's event channel without
-// ever blocking (it runs on the stream's writer goroutine): when the buffer
+// ever blocking (it runs inside the Add or Flush that completes a bucket,
+// under the stream's lock): when the buffer
 // is full, the oldest pending refresh is shed — the standing query is a
 // state feed, so the latest refresh wins — and the drop is counted.
 func (s *Server) deliverSSE(c *sseCounters, events chan apiv1.QueryResponse, ev apiv1.QueryResponse) {
@@ -183,7 +184,7 @@ func (s *Server) collectHub(w *metrics.Writer) {
 		func(r row) float64 { return float64(r.st.Active) })
 	sample("ksir_stream_subscriptions", "Standing queries registered, per resident stream.", "gauge",
 		func(r row) float64 { return float64(r.st.Subscriptions) })
-	sample("ksir_stream_queue_depth", "Write operations waiting in the writer pipeline, per resident stream.", "gauge",
+	sample("ksir_stream_queue_depth", "Write operations queued behind the committing caller, per resident stream.", "gauge",
 		func(r row) float64 { return float64(r.st.Pipeline.QueueDepth) })
 	sample("ksir_stream_ops_total", "Write operations committed, per resident stream.", "counter",
 		func(r row) float64 { return float64(r.st.Pipeline.Ops) })

@@ -125,7 +125,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if info.Active != 3 {
 		t.Errorf("stats = %+v", info)
 	}
-	// The stats block reports the writer pipeline: the three ingest
+	// The stats block reports the commit pipeline: the three ingest
 	// requests and the flush all committed through it.
 	if info.Pipeline == nil || info.Pipeline.Ops < 3 || info.Pipeline.Batches == 0 {
 		t.Errorf("pipeline stats missing or empty: %+v", info.Pipeline)

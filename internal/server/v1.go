@@ -135,8 +135,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, hs *ksi
 		return
 	}
 
-	// The subscription handler runs on the writer goroutine inside
-	// Add/Flush; it must never block, so refreshes are handed to the SSE
+	// The subscription handler runs inside the Add/Flush that completes a
+	// bucket, under the stream's lock; it must never block, so refreshes are handed to the SSE
 	// loop through a bounded channel with drop-oldest overflow (deliverSSE,
 	// metrics.go — each shed refresh is counted per stream and globally).
 	events := make(chan apiv1.QueryResponse, sseBuffer)

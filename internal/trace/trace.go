@@ -9,10 +9,10 @@
 //   - An Op is one operation's span accumulator: a root span (the HTTP
 //     request, or an explicitly started unit of work) plus completed child
 //     spans appended as each stage of the operation finishes. Children are
-//     recorded with explicit start/duration, which is what lets the stream
-//     writer goroutine attribute spans to an op it does not own — the
-//     pipeline's done-channel close is the happens-before edge that makes
-//     those cross-goroutine appends race-free without a lock.
+//     recorded with explicit start/duration, which is what lets a stream's
+//     committing caller attribute spans to an op it does not own — the
+//     stream's locks are the happens-before edges that make those
+//     cross-goroutine appends race-free without a lock of the Op's own.
 //   - Sampling is head-based by rate, decided when the Op starts (or
 //     inherited from a W3C traceparent's sampled flag), plus always-keep
 //     for ops whose total duration reaches the slow threshold. Children
@@ -224,8 +224,8 @@ type Trace struct {
 // Op is one in-flight operation's span accumulator. The zero keep/sample
 // machinery lives on the Recorder; the Op itself is a plain buffer with no
 // lock — at any instant exactly one goroutine owns it (ownership handoffs
-// ride existing happens-before edges: channel send into the writer queue,
-// done-channel close back out).
+// ride existing happens-before edges: the stream's queue lock on the way
+// into a commit and back out).
 //
 // All methods are safe on a nil receiver (the disabled / unsampled-path
 // contract), so call sites never branch on whether tracing is on.

@@ -352,7 +352,7 @@ type StreamStats struct {
 	// lifetime (expired ones included).
 	Elements int64
 	// Persist, Pipeline and Residency report the durability counters
-	// (Enabled=false unless the hub was opened with OpenHub), the writer
+	// (Enabled=false unless the hub was opened with OpenHub), the commit
 	// pipeline's and the hot/cold residency state's.
 	Persist   PersistStats
 	Pipeline  PipelineStats

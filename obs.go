@@ -12,7 +12,7 @@ import (
 // StreamStats at scrape time.
 var (
 	obsPipeOps = metrics.NewCounter("ksir_pipeline_ops_total",
-		"Write operations committed through stream writer pipelines.")
+		"Write operations committed through stream commit pipelines.")
 	obsPipeBatches = metrics.NewCounter("ksir_pipeline_commit_batches_total",
 		"Commit batches (each one engine apply pass and at most one WAL append + fsync).")
 	obsPipeBatchSize = metrics.NewHistogram("ksir_pipeline_batch_size",

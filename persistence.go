@@ -28,9 +28,9 @@ type FsyncPolicy int
 const (
 	// FsyncInterval (the default) syncs at most once per FsyncInterval
 	// duration — inline on appends past the deadline, and on an idle
-	// stream by its writer goroutine while it waits for work — so data
-	// loss after a power failure is bounded by the interval at a small
-	// fraction of FsyncAlways' cost.
+	// stream by a timer that every append resets — so data loss after a
+	// power failure is bounded by the interval at a small fraction of
+	// FsyncAlways' cost.
 	// Process crashes lose nothing under any policy — the OS holds the
 	// writes.
 	FsyncInterval FsyncPolicy = iota
@@ -360,10 +360,10 @@ func replayInto(st *engineStream, opSeq uint64) func(persist.Record) error {
 	}
 }
 
-// streamPersist is one stream's durability state, owned by its
-// Stream and mutated only on the stream's commit path (the writer
-// goroutine). The counters are atomics because the lock-free Stats path
-// reads them.
+// streamPersist is one stream's durability state, owned by its Stream and
+// mutated only under the stream's lock (its commit path, the idle sync and
+// Close). The counters are atomics because the lock-free Stats path reads
+// them.
 type streamPersist struct {
 	hp   *hubPersist
 	name string
@@ -555,7 +555,7 @@ func (hp *hubPersist) initStream(name string, opts Options) (*streamPersist, err
 // write, one shared fsync under FsyncAlways — and refreshes the lock-free
 // stat mirrors, filling bt with the append/fsync timing split so the commit
 // path can record WAL spans on traced operations. Called from the stream's
-// commit path (the writer goroutine); it does not run the checkpoint
+// commit path, under the stream's lock; it does not run the checkpoint
 // trigger — the caller does, once the whole committed batch is logged (a
 // checkpoint taken with applied-but-unlogged posts would be followed by
 // their records past its watermark, which replay would then wrongly
@@ -649,10 +649,11 @@ func (p *streamPersist) adopt(st *engineStream, app persist.Appended) error {
 	return st.engine.AdoptLog(p.log, app.First, app.Ends)
 }
 
-// finalize takes the closing checkpoint and releases the WAL. Runs as
-// the stream's close op — after the queue drained, before the writer
-// goroutine exits. A hibernated stream (st nil, WAL already released)
-// is already durably current: closing it is a no-op, never a reload.
+// finalize takes the closing checkpoint and releases the WAL. Runs in the
+// stream's close barrier, under its lock, after the operations queued
+// ahead of it committed. A hibernated stream (st nil, WAL already
+// released) is already durably current: closing it is a no-op, never a
+// reload.
 func (p *streamPersist) finalize(st *engineStream) error {
 	if p.walp.Load() == nil {
 		return nil

@@ -2,6 +2,7 @@ package ksir
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
@@ -19,6 +20,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1104,8 +1106,7 @@ func mean(v []float64) float64 {
 }
 
 // Under FsyncInterval an idle stream's WAL tail reaches stable storage
-// within the interval with no further op: the writer syncs it while it
-// waits for work.
+// within the interval with no further op: the idle-sync timer syncs it.
 func TestHubIdleWALSyncedWithinInterval(t *testing.T) {
 	m := trainTestModel(t)
 	h, err := OpenHub(t.TempDir(), m, PersistOptions{FsyncInterval: 20 * time.Millisecond})
@@ -1135,17 +1136,20 @@ func TestHubIdleWALSyncedWithinInterval(t *testing.T) {
 	waitFor(t, "the idle tail to be synced", func() bool { return hs.Stats().Pipeline.Fsyncs > synced })
 }
 
+// walFile is what a WAL writes through (see persist.WAL.SwapFileForTest).
+type walFile interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // shortWriteWALFile stands between a stream's WAL and its file and makes
 // the first write store only half its bytes, reporting no error — a full
 // disk's short write.
 type shortWriteWALFile struct {
-	inner interface {
-		Write(b []byte) (int, error)
-		Sync() error
-		Truncate(size int64) error
-		Seek(offset int64, whence int) (int64, error)
-		Close() error
-	}
+	inner walFile
 	fired bool
 }
 
@@ -1191,8 +1195,8 @@ func TestFailedWALWriteFailsAddsUntilCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Under FsyncAlways the writer is idle between ops and the WAL has no
-	// idle tick: the swap happens before the next op reaches the writer.
+	// Under FsyncAlways the WAL has no idle sync and no commit is under way
+	// between ops: the swap happens before the next op takes the lock.
 	wal := hs.pers.walp.Load()
 	faulty := &shortWriteWALFile{}
 	faulty.inner = wal.SwapFileForTest(faulty)
@@ -1311,5 +1315,205 @@ func TestFailedWALHealedByAutomaticCheckpoint(t *testing.T) {
 		persistQueries(t, func(q Query) (Result, error) { return mirror.Query(nil, q) }))
 	if a, b := hs2.Stats(), mirror.Stats(); a.Elements != b.Elements || a.Bucket != b.Bucket {
 		t.Errorf("stats diverge: %+v vs %+v", a, b)
+	}
+}
+
+// gateWALFile stands between a stream's WAL and its file and counts the
+// fsyncs that reach it in syncs. While held is set, the next fsync clears
+// it, announces itself on entered and waits on release; the fsync whose
+// count is failAt fails with failErr.
+type gateWALFile struct {
+	walFile
+	held    atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	syncs   atomic.Int64
+	failAt  atomic.Int64
+	failErr error
+}
+
+func (f *gateWALFile) Sync() error {
+	n := f.syncs.Add(1)
+	if f.held.CompareAndSwap(true, false) {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	if n == f.failAt.Load() {
+		return f.failErr
+	}
+	return f.walFile.Sync()
+}
+
+// Group commit by combining, free of scheduler timing: while one Add's
+// fsync is held, eight producers queue their Adds behind it; once it is
+// released, one of them commits all eight as one batch with one fsync. A
+// WAL failure in such a batch is joined into exactly the ops whose records
+// were in it — a post rejected before logging reports its rejection alone.
+func TestGroupCommitCombinesQueuedProducers(t *testing.T) {
+	m := trainTestModel(t)
+	h, err := OpenHub(t.TempDir(), m, PersistOptions{Fsync: FsyncAlways, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.CloseAll()
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := genPosts(18, 71)
+	post := func(id int64) Post {
+		// One shared timestamp: acceptance never depends on the order the
+		// producers queue in.
+		return Post{ID: id, Time: 700, Text: texts[id%int64(len(texts))].Text}
+	}
+	injected := errors.New("injected fsync failure")
+	gate := &gateWALFile{entered: make(chan struct{}), release: make(chan struct{}), failErr: injected}
+	gate.walFile = hs.pers.walp.Load().SwapFileForTest(gate)
+
+	// round holds the fsync of post first's Add, queues an Add of each of
+	// ids behind it, fails the fsync after the held one if fail is set,
+	// and releases the held one. It returns each id's Add result, how many
+	// fsyncs reached the file after the held one, and the pipeline
+	// counters' growth over the round.
+	round := func(first int64, ids []int64, fail bool) (map[int64]error, int64, PipelineStats) {
+		t.Helper()
+		before := hs.Stats().Pipeline
+		gate.held.Store(true)
+		firstDone := make(chan error)
+		go func() { firstDone <- hs.Add(post(first)) }()
+		<-gate.entered
+		synced := gate.syncs.Load()
+		var mu sync.Mutex
+		errs := make(map[int64]error)
+		var wg sync.WaitGroup
+		for _, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := hs.Add(post(id))
+				mu.Lock()
+				errs[id] = err
+				mu.Unlock()
+			}()
+		}
+		waitFor(t, "the producers to queue", func() bool { return hs.Stats().Pipeline.QueueDepth == len(ids) })
+		if fail {
+			gate.failAt.Store(synced + 1)
+		}
+		gate.release <- struct{}{}
+		if err := <-firstDone; err != nil {
+			t.Fatalf("Add %d: %v", first, err)
+		}
+		wg.Wait()
+		after := hs.Stats().Pipeline
+		return errs, gate.syncs.Load() - synced, PipelineStats{
+			Ops:     after.Ops - before.Ops,
+			Batches: after.Batches - before.Batches,
+			Fsyncs:  after.Fsyncs - before.Fsyncs,
+		}
+	}
+
+	ids := []int64{2, 3, 4, 5, 6, 7, 8, 9}
+	errs, fsyncs, grew := round(1, ids, false)
+	for id, err := range errs {
+		if err != nil {
+			t.Errorf("Add %d: %v", id, err)
+		}
+	}
+	if want := (PipelineStats{Ops: 9, Batches: 2, Fsyncs: 2}); grew != want || fsyncs != 1 {
+		t.Errorf("pipeline grew by %+v and %d fsyncs followed the held one, want %+v and 1: the eight queued Adds are one batch, one fsync",
+			grew, fsyncs, want)
+	}
+
+	// Two of the eight reuse IDs the first round took: rejected, they log
+	// no record, so the failed fsync is not theirs to report.
+	errs, fsyncs, grew = round(10, []int64{11, 12, 3, 13, 14, 7, 15, 16}, true)
+	for id, err := range errs {
+		switch id {
+		case 3, 7:
+			if !errors.Is(err, ErrBadPost) || errors.Is(err, ErrPersist) {
+				t.Errorf("duplicate Add %d = %v, want ErrBadPost alone", id, err)
+			}
+		default:
+			if !errors.Is(err, ErrPersist) || !strings.Contains(err.Error(), injected.Error()) {
+				t.Errorf("Add %d = %v, want ErrPersist carrying the injected failure", id, err)
+			}
+		}
+	}
+	if want := (PipelineStats{Ops: 9, Batches: 2, Fsyncs: 1}); grew != want || fsyncs != 1 {
+		t.Errorf("pipeline grew by %+v and %d fsyncs followed the held one, want %+v and 1: one batch, its fsync failed",
+			grew, fsyncs, want)
+	}
+}
+
+// A panic inside a commit — here a subscription handler's — unwinds the
+// caller that led it. The stream closes instead of staying locked: the
+// producers queued with that caller return, and a later Flush, Close and
+// the hub's CloseAll return ErrStreamClosed rather than wait for a leader
+// that is gone.
+func TestCommitPanicClosesStream(t *testing.T) {
+	m := trainTestModel(t)
+	h, err := OpenHub(t.TempDir(), m, PersistOptions{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := h.Create("feed", m, persistOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.Subscribe(context.Background(), Query{K: 2, Keywords: []string{"goal"}}, time.Minute, func(Result) {
+		panic("subscription handler")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Four producers race through the bucket whose completion fires the
+	// handler; whichever leads that commit panics.
+	posts := genPosts(200, 73)
+	var panics atomic.Int64
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if recover() != nil {
+					panics.Add(1)
+				}
+			}()
+			for i := w; i < len(posts); i += 4 {
+				if err := hs.Add(posts[i]); errors.Is(err, ErrStreamClosed) {
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() {
+		wg.Wait()
+		_, err := hs.Checkpoint()
+		errs := []error{hs.Flush(1 << 20), err, h.CloseAll(), hs.Close()}
+		for _, err := range errs {
+			if !errors.Is(err, ErrStreamClosed) {
+				done <- fmt.Errorf("after the panic: err = %v, want ErrStreamClosed", err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream stayed locked after a commit panicked")
+	}
+	if n := panics.Load(); n != 1 {
+		t.Errorf("%d producers panicked, want 1", n)
+	}
+	select {
+	case <-hs.Done():
+	default:
+		t.Error("Done not closed by the panicked commit")
 	}
 }

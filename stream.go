@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,32 +16,37 @@ import (
 // makes a memory-only one, a Hub registers named ones, durable on a hub
 // opened with OpenHub. Add posts in timestamp order; query at any time.
 //
-// Every method is safe for concurrent use. The write operations (Add,
-// AddBatch, Flush, Checkpoint, Hibernate) go through a bounded queue to
-// the stream's one writer goroutine, which runs them in queue order and
-// coalesces adjacent ingest operations into commit batches: one engine
-// pass and, on a durable hub, one WAL append with one shared fsync.
-// Coalescing is invisible in the results — acceptance is decided per
-// operation, in queue order — and a full queue blocks producers
-// (backpressure). Checkpoint and Hibernate are commit barriers: each runs
-// alone, after everything enqueued before it has committed. Queries,
-// explanations and stats never enter the queue: they read the snapshot
-// the engine publishes at every bucket boundary. Subscribe and
-// Unsubscribe register under a small lock of their own, so subscription
-// handlers may call them too.
+// Every method is safe for concurrent use. A stream runs no goroutine of
+// its own: the write operations (Add, AddBatch, Flush, Checkpoint,
+// Hibernate) are committed by their callers under the stream's lock. Each
+// caller queues its operation; the one heading the queue takes the lock
+// and commits every queued operation in queue order, coalescing adjacent
+// ingest operations into commit batches — one engine pass and, on a
+// durable hub, one WAL append with one shared fsync — while the others
+// wait for that commit and return its results. While one caller commits,
+// the others queue behind it, so concurrent producers share fsyncs and a
+// lone producer commits at once (see do). Coalescing
+// is invisible in the results — acceptance is decided per operation, in
+// queue order. Checkpoint and Hibernate are commit barriers: each runs
+// alone, after everything queued before it has committed. Queries,
+// explanations and stats never take the lock: they read the snapshot the
+// engine publishes at every bucket boundary. Subscribe and Unsubscribe
+// register under a small lock of their own, so subscription handlers may
+// call them too.
 //
-// The writer goroutine runs until Close (or the hub's Close or CloseAll);
-// after that every operation fails with ErrStreamClosed.
+// Close fences the stream: every later operation fails with
+// ErrStreamClosed. A memory-only stream need not be closed; a durable
+// one's Close takes its final checkpoint and releases its files.
 type Stream struct {
 	name string
 	// hub is the registry the stream is registered in (nil for New); Close
 	// takes the stream out of it.
 	hub *Hub
 	// stp is the resident state, nil while hibernated. Only the commit
-	// path stores it (residency transitions are commit barriers); queries
-	// Load it and pin whatever snapshot they find — a stream hibernated
-	// out from under an in-flight query stays reachable (and thus alive)
-	// through the query's own pointer until it finishes.
+	// path stores it, under mu (residency transitions are commit
+	// barriers); queries Load it and pin whatever snapshot they find — a
+	// stream hibernated out from under an in-flight query stays reachable
+	// (and thus alive) through the query's own pointer until it finishes.
 	stp atomic.Pointer[engineStream]
 	// model and opts are everything needed to rebuild the stream from its
 	// durable state; both are fixed at construction.
@@ -54,13 +58,26 @@ type Stream struct {
 	// a hibernation exclude each other.
 	subs subscriptions
 
-	// qmu serializes enqueues with shutdown: the closed flag and the
-	// channel send are checked-and-done under it, so no operation can
-	// slip into the queue after the close op that ends the writer loop.
-	qmu    sync.Mutex
-	ops    chan *writeOp
-	closed atomic.Bool   // fail-fast flag; reads must never contend with writers
-	done   chan struct{} // closed by shutdown; see Done
+	// mu is the stream's state lock: its holder commits. Everything the
+	// commit path mutates — the resident state's writer side, pers, recs,
+	// the WAL the idle-sync timer syncs — is guarded by it.
+	mu sync.Mutex
+	// pending holds the operations queued and not yet taken by a commit,
+	// in queue order. The small lock pmu guards it, leading, unread and
+	// every op's done flag. leading says a commit is under way; unread
+	// counts the ops of the last commit whose callers have not yet picked
+	// up their results. The caller heading the queue waits on turn for
+	// both to clear, the others on committed for their op's done flag —
+	// never on mu, so a caller whose op a commit covered returns without
+	// queuing behind the next one.
+	pmu       sync.Mutex
+	turn      sync.Cond
+	committed sync.Cond
+	pending   []*writeOp
+	leading   bool
+	unread    int
+	closed    atomic.Bool   // set by the close barrier; read lock-free by readers
+	done      chan struct{} // closed by the close barrier; see Done
 
 	// Residency accounting. lastTouch orders eviction (stored by every
 	// operation except Hibernate itself — an eviction must not refresh its
@@ -74,19 +91,18 @@ type Stream struct {
 	lastStats        atomic.Pointer[StreamStats]
 
 	// pers is the stream's durability state (nil unless the hub was opened
-	// with OpenHub), mutated only by the writer goroutine. The commit path
-	// is the WAL append point: every accepted write is logged before its
-	// operation completes.
+	// with OpenHub), mutated only under mu. The commit path is the WAL
+	// append point: every accepted write is logged before its operation
+	// completes.
 	pers *streamPersist
+	// idleSync syncs, under FsyncInterval, the WAL tail one interval after
+	// the last append (nil under the other policies). Every append resets
+	// it; a fire on a clean log is a no-op Sync.
+	idleSync *time.Timer
 
-	// recs is the writer-owned scratch buffer of WAL records for the
+	// recs is the commit path's scratch buffer of WAL records for the
 	// current commit batch.
 	recs []persist.Record
-
-	// inflight counts producers currently inside do() — enqueued or about
-	// to be. The writer reads it as herd evidence when deciding whether to
-	// wait a scheduling pass for a fuller commit batch.
-	inflight atomic.Int64
 
 	statOps     atomic.Int64
 	statBatches atomic.Int64
@@ -97,7 +113,8 @@ type Stream struct {
 type StreamHandle = Stream
 
 // New creates a memory-only stream over a trained model, registered in no
-// Hub. Close it when done: its writer goroutine runs until then.
+// Hub. It holds no goroutine and no file: dropping it without Close
+// leaks nothing.
 func New(m *Model, opts Options) (*Stream, error) {
 	es, opts, err := emptyStream(m, opts)
 	if err != nil {
@@ -118,8 +135,8 @@ func emptyStream(m *Model, opts Options) (*engineStream, Options, error) {
 	return es, opts, err
 }
 
-// newStream builds a stream and starts its writer goroutine. A nil es
-// (cold recovery under a residency budget) starts it hibernated.
+// newStream builds a stream. A nil es (cold recovery under a residency
+// budget) starts it hibernated.
 func newStream(name string, h *Hub, m *Model, opts Options, es *engineStream, pers *streamPersist) *Stream {
 	s := &Stream{
 		name:  name,
@@ -128,13 +145,17 @@ func newStream(name string, h *Hub, m *Model, opts Options, es *engineStream, pe
 		opts:  opts,
 		pers:  pers,
 		done:  make(chan struct{}),
-		ops:   make(chan *writeOp, writeQueueCap),
+	}
+	s.turn.L = &s.pmu
+	s.committed.L = &s.pmu
+	if pers != nil && pers.hp.opts.Fsync == FsyncInterval {
+		s.idleSync = time.AfterFunc(pers.hp.opts.FsyncInterval, s.syncIdle)
+		s.idleSync.Stop()
 	}
 	if es != nil {
 		s.setResident(es)
 	}
 	s.touch()
-	go s.writerLoop()
 	return s
 }
 
@@ -169,7 +190,7 @@ func (s *Stream) touch() { s.lastTouch.Store(time.Now().UnixNano()) }
 
 // resident returns the resident state for a read, reactivating a
 // hibernated stream first through an activate op: a commit barrier, so one
-// activation serves every reader that races it. The state stays valid for
+// activation serves every reader queued with it. The state stays valid for
 // this caller even if the stream hibernates again (see stp).
 func (s *Stream) resident(ctx context.Context) (*engineStream, error) {
 	if s.closed.Load() {
@@ -196,10 +217,10 @@ func (s *Stream) Add(p Post) error {
 
 // AddContext is Add with trace propagation: when ctx carries a trace op
 // (internal/trace, attached by the HTTP middleware or an embedding
-// caller), the operation's pipeline breakdown — queue wait, commit batch,
-// engine apply, WAL append, fsync, future completion — is recorded as
-// child spans on it. The context does not cancel the write: once
-// enqueued, an operation always commits.
+// caller), the operation's pipeline breakdown — queue wait (for the
+// stream's lock), commit batch, engine apply, WAL append, fsync — is
+// recorded as child spans on it. The context does not cancel the write:
+// once queued, an operation always commits.
 func (s *Stream) AddContext(ctx context.Context, p Post) error {
 	return s.do(&writeOp{kind: opAdd, post: p, tr: trace.FromContext(ctx)}).err
 }
@@ -235,7 +256,7 @@ func (s *Stream) FlushContext(ctx context.Context, now int64) error {
 
 // Checkpoint forces an immediate checkpoint: the stream's full state is
 // serialized, the snapshot atomically replaces the previous one, and the
-// WAL is truncated. It is a commit barrier — every operation enqueued
+// WAL is truncated. It is a commit barrier — every operation queued
 // before it is applied and WAL-logged first, so the checkpoint covers a
 // fully drained prefix. It fails with ErrPersistDisabled unless the hub
 // was opened with OpenHub. The returned stats reflect the stream just
@@ -280,14 +301,14 @@ func (s *Stream) HibernateContext(ctx context.Context) (StreamStats, error) {
 // Snapshot visibility: a query observes exactly the state at the end of the
 // last ingested bucket — the paper's batch-update contract (Figure 4) made
 // concurrency-safe. The query pins that snapshot for its whole run and
-// never enters the writer pipeline, so queries run in parallel with each
+// never takes the stream's lock, so queries run in parallel with each
 // other and with ingestion; a query that races an in-flight bucket sees
 // either the bucket before it or (once ingest completes and publishes) the
 // bucket itself, never a partial state. Result.Bucket reports which bucket
 // was observed. Posts buffered in the current, incomplete bucket are not
 // yet visible — call Flush to force them in. Against a hibernated stream
-// the query first reactivates it through the pipeline (one activation,
-// however many queries race it).
+// the query first reactivates it under the stream's lock (one activation
+// serves every query queued with it).
 //
 // Cancellation: ctx is polled between ranked-list descents; a cancelled or
 // expired context aborts the query with ctx.Err() (unwrapped) and releases
@@ -304,10 +325,11 @@ func (s *Stream) Query(ctx context.Context, q Query) (Result, error) {
 }
 
 // Stats reports the stream's counters as of the last published bucket,
-// including the durability, writer-pipeline and residency counters.
-// Lock-free like Query — and it NEVER reactivates a hibernated stream
-// (monitoring sweeps across thousands of tenants must not churn the hot
-// tier): a hibernated stream reports the engine counters captured at
+// including the durability, commit-pipeline and residency counters. Like
+// Query it never waits for a commit — it takes only the queue's small
+// lock, to read the queue depth — and it NEVER reactivates a hibernated
+// stream (monitoring sweeps across thousands of tenants must not churn the
+// hot tier): a hibernated stream reports the engine counters captured at
 // hibernation, and a cold-recovered stream that has never been touched
 // reports them as zero until its first activation.
 func (s *Stream) Stats() StreamStats {
@@ -319,8 +341,11 @@ func (s *Stream) Stats() StreamStats {
 		st = *last
 	}
 	st.Subscriptions = int(s.subs.n.Load())
+	s.pmu.Lock()
+	depth := len(s.pending)
+	s.pmu.Unlock()
 	st.Pipeline = PipelineStats{
-		QueueDepth: len(s.ops),
+		QueueDepth: depth,
 		Ops:        s.statOps.Load(),
 		Batches:    s.statBatches.Load(),
 	}
@@ -338,12 +363,12 @@ func (s *Stream) Stats() StreamStats {
 	return st
 }
 
-// Close releases the stream: queued operations drain with their real
+// Close releases the stream: queued operations commit with their real
 // results, later ones (a second Close included) fail with ErrStreamClosed,
-// and the writer goroutine exits. A hub stream leaves its hub; on a
-// durable hub Close takes a final checkpoint and releases the WAL — the
-// state stays on disk for the next OpenHub, and a checkpoint failure is
-// reported (wrapping ErrPersist) but the stream still closes.
+// and Done's channel closes. A hub stream leaves its hub; on a durable hub
+// Close takes a final checkpoint and releases the WAL — the state stays
+// on disk for the next OpenHub, and a checkpoint failure is reported
+// (wrapping ErrPersist) but the stream still closes.
 func (s *Stream) Close() error {
 	if h := s.hub; h != nil {
 		h.mu.Lock()
@@ -352,39 +377,22 @@ func (s *Stream) Close() error {
 		}
 		h.mu.Unlock()
 	}
-	return s.shutdown()
+	return s.do(&writeOp{kind: opClose}).err
 }
 
-// shutdown ends the stream: the closed flag fences new operations, the
-// queued ones drain with their real results, and the writer goroutine
-// finalizes persistence (final checkpoint + WAL release) and exits. Every
-// call after the first returns ErrStreamClosed.
-func (s *Stream) shutdown() error {
-	op := &writeOp{kind: opClose, done: make(chan struct{})}
-	s.qmu.Lock()
-	if s.closed.Load() {
-		s.qmu.Unlock()
-		return fmt.Errorf("%w: %q", ErrStreamClosed, s.name)
-	}
+// finish runs the close barrier: the operations queued ahead of it have
+// committed with their real results, the closed flag fences the ones
+// behind it, and persistence is finalized (final checkpoint + WAL
+// release). Called under mu.
+func (s *Stream) finish() error {
 	s.closed.Store(true)
-	s.ops <- op
-	s.qmu.Unlock()
-	<-op.done
 	close(s.done)
-	return op.err
+	s.stopIdleSync()
+	if s.pers != nil {
+		return s.pers.finalize(s.stp.Load())
+	}
+	return nil
 }
-
-// Writer-pipeline sizing. The queue bound is the backpressure mechanism: a
-// producer enqueueing into a full queue blocks until the writer drains.
-// The commit cap bounds how much work (and how many WAL bytes) one commit
-// batch can accumulate before its callers see their results.
-const (
-	// writeQueueCap is the per-stream operation queue capacity.
-	writeQueueCap = 256
-	// maxCommitOps is the most queued operations one commit batch
-	// coalesces (one engine application pass, one WAL append, one fsync).
-	maxCommitOps = 128
-)
 
 // opKind discriminates queued write operations.
 type opKind uint8
@@ -394,15 +402,15 @@ const (
 	opAddBatch
 	opFlush
 	opCheckpoint
-	opClose
 	opHibernate
 	opActivate
+	opClose
 )
 
 // coalescable reports whether ops of this kind may share a commit batch.
 // Only the ingest ops coalesce: they are the high-rate path and their
 // durability records can share one WAL append. The others are barriers —
-// each runs in its own batch, after everything enqueued before it has
+// each runs in its own batch, after everything queued before it has
 // committed (so Checkpoint captures a fully drained prefix).
 func (k opKind) coalescable() bool {
 	return k == opAdd || k == opAddBatch || k == opFlush
@@ -411,17 +419,17 @@ func (k opKind) coalescable() bool {
 // needsResident reports whether an op of this kind must have the stream
 // loaded in memory: these are the ops whose arrival transparently
 // reactivates a hibernated stream. Hibernate itself does not (it is
-// idempotent on a cold stream), and Checkpoint does not (a hibernated
-// stream's on-disk checkpoint is already current — reloading it just to
-// rewrite identical state would defeat hibernation).
+// idempotent on a cold stream), and neither do Checkpoint and Close (a
+// hibernated stream's on-disk checkpoint is already current — reloading
+// it just to rewrite identical state would defeat hibernation).
 func (k opKind) needsResident() bool {
-	return k != opHibernate && k != opCheckpoint
+	return k.coalescable() || k == opActivate
 }
 
-// writeOp is one queued write operation: its inputs, and — once the
-// writer goroutine closes done — its results. The completing channel close
-// is the happens-before edge that lets the enqueueing goroutine read the
-// result fields without further synchronization.
+// writeOp is one queued write operation: its inputs, and — once done is
+// set — its results. Whoever commits the op sets the results under the
+// stream's lock and then done under pmu; the queuing caller reads done
+// under pmu, so the results need no synchronization of their own.
 type writeOp struct {
 	kind opKind
 
@@ -431,6 +439,7 @@ type writeOp struct {
 	now   int64  // opFlush
 
 	// Results.
+	done     bool
 	err      error
 	accepted int           // opAddBatch
 	ps       PersistStats  // opCheckpoint
@@ -441,27 +450,22 @@ type writeOp struct {
 	// contributing op.
 	nrecs int
 
-	// done is closed by the committing goroutine when the op's results are set.
-	done chan struct{}
-
 	// Tracing (all zero on untraced ops — the *Context methods populate tr
-	// from the caller's context). The writer goroutine appends child spans
-	// to tr only between the queue receive and the done-channel close, and
-	// the producer touches it only before the send and after the wake: the
-	// same happens-before edges that protect the result fields make the
-	// cross-goroutine span appends race-free without a lock.
+	// from the caller's context). The committing caller appends child
+	// spans to tr before it sets done, and the queuing caller touches it
+	// only before queuing and after seeing done: the edges that protect
+	// the results make the cross-goroutine span appends race-free.
 	tr         *trace.Op
 	enqueued   time.Time // queue entry
 	applyStart time.Time // this op's apply slice of the commit pass
 	applyDur   time.Duration
-	committed  time.Time // stamped by commit just before done closes
 }
 
-// PipelineStats reports a stream's writer-pipeline counters (Fsyncs is 0
+// PipelineStats reports a stream's commit-pipeline counters (Fsyncs is 0
 // unless the hub was opened with OpenHub).
 type PipelineStats struct {
-	// QueueDepth is the number of write operations waiting in the
-	// stream's queue at the instant of the Stats call.
+	// QueueDepth is the number of write operations queued behind the
+	// committing caller at the instant of the Stats call.
 	QueueDepth int
 	// Ops counts write operations committed over the stream's lifetime.
 	Ops int64
@@ -517,125 +521,138 @@ type ResidencyStats struct {
 	ResidentBytes int64
 }
 
-// do executes op through the writer pipeline and returns it with its
-// result fields set.
+// do queues op and returns it committed, with its result fields set.
+//
+// The caller whose op heads the queue leads: once no commit is under way
+// and every caller of the last one has picked up its result, it takes the
+// stream's lock and commits everything queued, its own op included. The
+// others wait for that commit, which covers their op. Only a commit
+// empties the queue, so every commit is led by the owner of its oldest op,
+// as in LevelDB's writer queue; and a herd of callers that one commit
+// releases queues up again before the next starts, instead of the leader
+// that comes straight back committing alone ahead of the callers it just
+// woke. A lone caller leads at once.
 func (s *Stream) do(op *writeOp) *writeOp {
 	if op.kind != opHibernate {
 		s.touch()
 	}
-	op.done = make(chan struct{})
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	if op.tr != nil {
 		op.enqueued = time.Now()
 	}
-	s.qmu.Lock()
-	if s.closed.Load() {
-		s.qmu.Unlock()
-		op.err = fmt.Errorf("%w: %q", ErrStreamClosed, s.name)
+	s.pmu.Lock()
+	s.pending = append(s.pending, op)
+	if len(s.pending) > 1 {
+		for !op.done {
+			s.committed.Wait()
+		}
+		if s.unread--; s.unread == 0 {
+			s.turn.Signal()
+		}
+		s.pmu.Unlock()
 		return op
 	}
-	s.ops <- op // blocks when the queue is full: backpressure
-	s.qmu.Unlock()
-	<-op.done
-	if op.tr != nil && !op.committed.IsZero() {
-		// The gap between the writer finishing the op and this producer
-		// waking with the result — scheduler latency the aggregate commit
-		// histogram can't see per op.
-		op.tr.Child("future.completion", op.committed, time.Since(op.committed))
+	for s.leading || s.unread > 0 {
+		s.turn.Wait()
 	}
+	s.leading = true
+	s.pmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.commitPending()
 	return op
 }
 
-// writerLoop is the stream's single writer: it drains the op queue,
-// coalescing adjacent ingest ops into commit batches, until the close op
-// arrives. Every op that entered the queue is completed — the close path
-// enqueues its op under qmu after setting the closed flag, so the loop
-// never abandons a waiting caller.
-func (s *Stream) writerLoop() {
-	batch := make([]*writeOp, 0, maxCommitOps)
-	var carry *writeOp
-	for {
-		var op *writeOp
-		if carry != nil {
-			op, carry = carry, nil
-		} else {
-			op = s.next()
+// commitPending commits every queued operation, in queue order: each run
+// of adjacent ingest ops as one commit batch, each other barrier alone.
+// Behind a close barrier it fails them with ErrStreamClosed instead. Then
+// it marks them done, ends the lead and wakes the waiting callers — also
+// when a commit panics, after abandon has failed the ops it left. Called
+// by the leader, whose own op is ops[0], under mu.
+func (s *Stream) commitPending() {
+	s.pmu.Lock()
+	ops := s.pending
+	s.pending = nil
+	s.pmu.Unlock()
+	rest := ops
+	defer func() {
+		if len(rest) > 0 {
+			s.abandon(rest)
 		}
-		if op.kind == opClose {
-			if s.pers != nil {
-				op.err = s.pers.finalize(s.stp.Load())
+		s.pmu.Lock()
+		for _, op := range ops {
+			op.done = true
+		}
+		s.leading = false
+		s.unread = len(ops) - 1
+		s.committed.Broadcast()
+		if s.unread == 0 {
+			s.turn.Signal()
+		}
+		s.pmu.Unlock()
+	}()
+	for len(rest) > 0 {
+		n := 1
+		switch {
+		case s.closed.Load():
+			rest[0].err = fmt.Errorf("%w: %q", ErrStreamClosed, s.name)
+		case rest[0].kind == opClose:
+			rest[0].err = s.finish()
+		default:
+			if rest[0].kind.coalescable() {
+				for n < len(rest) && rest[n].kind.coalescable() {
+					n++
+				}
 			}
-			close(op.done)
-			return
+			s.commit(rest[:n])
 		}
-		batch = append(batch[:0], op)
-		if op.kind.coalescable() {
-			// Gather the batch in passes: drain the queue, and while the
-			// in-flight counter shows producers that have not enqueued
-			// yet — typically the herd just woken by the previous
-			// commit's completions — yield once to let them, so the
-			// batch (and its shared fsync) covers the whole herd. The
-			// writer otherwise outruns producer wake-up and group commit
-			// shrinks toward batches of one (≈ 2 instead of ≈ 5.5 at 8
-			// producers, DESIGN.md §10; pronounced at GOMAXPROCS=1, where
-			// the writer is never preempted between commits). A lone
-			// producer never trips the yield: its op is the whole
-			// in-flight population, so it commits at once.
-			for tries := 0; len(batch) < maxCommitOps && carry == nil; {
-				var next *writeOp
-				select {
-				case next = <-s.ops:
-				default:
-				}
-				if next != nil {
-					if !next.kind.coalescable() {
-						carry = next // barrier op: runs alone, next iteration
-						break
-					}
-					batch = append(batch, next)
-					continue
-				}
-				if tries >= 2 || int64(len(batch)) >= s.inflight.Load() {
-					break
-				}
-				tries++
-				runtime.Gosched()
-			}
-		}
-		s.commit(batch)
-		// Drop the completed ops' pointers: the reused backing array
-		// would otherwise pin a big batch's posts (and contexts' trace
-		// ops) across an arbitrarily long run of small batches.
-		clear(batch)
+		rest = rest[n:]
 	}
 }
 
-// next waits for the writer's next op. While it waits, the live WAL's
-// tick (nil under FsyncAlways and FsyncNever, and with no WAL open: an
-// in-memory, hibernated or closed stream) fires the idle sync: the
-// writer is the WAL's only owner, so it syncs the tail an append left
-// dirty. A failed sync fails the WAL — every later append reports it,
-// wrapped in ErrPersist, until a checkpoint resets the log — and is
-// logged here, where no caller is waiting for it.
-func (s *Stream) next() *writeOp {
-	for {
-		var wal *persist.WAL
-		var tick <-chan time.Time
-		if s.pers != nil {
-			if wal = s.pers.walp.Load(); wal != nil {
-				tick = wal.Tick()
-			}
+// abandon closes the stream when a commit panics — a subscription
+// handler's panic, or an engine bug's — and its leader unwinds: ops is
+// the unfinished rest of the leader's queue. The in-memory state is no
+// longer trusted, so no final checkpoint is taken and the durable state
+// stays at the last append. The unfinished ops fail, and every later op
+// fails with ErrStreamClosed, instead of waiting for a leader that is
+// gone; the panic goes on to the leader's caller. A hub stream stays
+// registered, closed, until Hub.Close or CloseAll. Called under mu.
+func (s *Stream) abandon(ops []*writeOp) {
+	err := fmt.Errorf("%w: %q: a commit panicked before this operation completed", ErrStreamClosed, s.name)
+	for _, op := range ops {
+		op.err = err
+	}
+	wasClosed := s.closed.Swap(true)
+	s.stopIdleSync()
+	if s.pers != nil {
+		s.pers.release() // its error is moot beside the panic
+	}
+	if !wasClosed {
+		close(s.done)
+	}
+}
+
+// syncIdle is the idle-sync timer's func: it syncs the tail the WAL's
+// appends left dirty. A failed sync fails the WAL — every later append
+// reports it, wrapped in ErrPersist, until a checkpoint resets the log —
+// and is logged here, where no caller is waiting for it.
+func (s *Stream) syncIdle() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if wal := s.pers.walp.Load(); wal != nil {
+		if err := wal.Sync(); err != nil {
+			s.pers.hp.logger().Warn("idle WAL sync failed; appends fail until the next checkpoint",
+				"stream", s.name, "error", err)
 		}
-		select {
-		case op := <-s.ops:
-			return op
-		case <-tick:
-			if err := wal.Sync(); err != nil {
-				s.pers.hp.logger().Warn("idle WAL sync failed; appends fail until the next checkpoint",
-					"stream", s.name, "error", err)
-			}
-		}
+	}
+}
+
+// stopIdleSync disarms the idle-sync timer before the WAL is released
+// (which syncs it). A timer that already fired finds no WAL, or the next
+// one, and syncs at most an early tail. Called under mu.
+func (s *Stream) stopIdleSync() {
+	if s.idleSync != nil {
+		s.idleSync.Stop()
 	}
 }
 
@@ -643,7 +660,7 @@ func (s *Stream) next() *writeOp {
 // pass in queue order (each bucket it completes is published on the spot),
 // then — on a durable hub — one WAL append covering every accepted
 // operation, with one fsync shared by the batch, then the auto-checkpoint
-// trigger, and finally the completion of every caller's op.
+// trigger. A batch is one barrier or a run of ingest ops.
 //
 // Atomicity is per operation, not per batch: each op's acceptance and
 // result are decided individually (batch[i] failing never rolls back
@@ -661,43 +678,27 @@ func (s *Stream) commit(batch []*writeOp) {
 	var actDur time.Duration
 	var actPh *activationPhases
 	es := s.stp.Load()
-	if es == nil {
-		// Hibernated. Reactivate if any op in the batch needs the stream
-		// in memory; an activation failure (corrupt checkpoint, I/O error)
-		// fails the whole batch — the stream stays hibernated and the
-		// next touch retries.
-		needs := false
-		for _, op := range batch {
-			if op.kind.needsResident() {
-				needs = true
-				break
+	if es == nil && batch[0].kind.needsResident() {
+		// Hibernated, and the batch needs the stream in memory. An
+		// activation failure (corrupt checkpoint, I/O error) fails the
+		// whole batch — the stream stays hibernated and the next touch
+		// retries.
+		var err error
+		actStart = time.Now()
+		if es, actPh, err = s.activate(); err != nil {
+			err = fmt.Errorf("reactivating %q: %w", s.name, err)
+			for _, op := range batch {
+				op.err = err
 			}
+			return
 		}
-		if needs {
-			var err error
-			actStart = time.Now()
-			if es, actPh, err = s.activate(); err != nil {
-				err = fmt.Errorf("reactivating %q: %w", s.name, err)
-				for _, op := range batch {
-					op.err = err
-					close(op.done)
-				}
-				return
-			}
-			actDur = time.Since(actStart)
-		}
+		actDur = time.Since(actStart)
 	}
-	if s.pers != nil {
-		for _, op := range batch {
-			if op.kind.coalescable() {
-				// Any ingest attempt can move the stream past its
-				// checkpoint (even a rejected duplicate advances the
-				// window first), so the checkpoint is stale from here
-				// until the next one is taken.
-				s.pers.ckptCurrent = false
-				break
-			}
-		}
+	if s.pers != nil && batch[0].kind.coalescable() {
+		// Any ingest attempt can move the stream past its checkpoint
+		// (even a rejected duplicate advances the window first), so the
+		// checkpoint is stale from here until the next one is taken.
+		s.pers.ckptCurrent = false
 	}
 	recs := s.recs[:0]
 	for _, op := range batch {
@@ -743,8 +744,8 @@ func (s *Stream) commit(batch []*writeOp) {
 		case opHibernate:
 			if op.err = s.hibernate(es); op.err == nil {
 				es = nil // barrier: alone in its batch, nothing else uses it
-				// Read here, on the writer goroutine: a reactivation is an
-				// op behind this one, so these are the stats of the
+				// Read here, under the lock: a reactivation is an op
+				// behind this one, so these are the stats of the
 				// hibernated stream whatever races the caller's return.
 				op.stats = s.Stats()
 			}
@@ -771,6 +772,9 @@ func (s *Stream) commit(batch []*writeOp) {
 					op.err = errors.Join(op.err, err)
 				}
 			}
+		}
+		if s.idleSync != nil {
+			s.idleSync.Reset(s.pers.hp.opts.FsyncInterval)
 		}
 		// The trigger runs once per committed batch, after its append
 		// (appendBatchTimed says why not before), and also when the
@@ -841,11 +845,6 @@ func (s *Stream) commit(batch []*writeOp) {
 				t.ChildOf(cb, "wal.fsync", walT.FsyncStart, walT.FsyncDur)
 			}
 		}
-		op.committed = time.Now()
-	}
-
-	for _, op := range batch {
-		close(op.done)
 	}
 }
 
@@ -885,6 +884,7 @@ func (s *Stream) hibernate(es *engineStream) error {
 			return err
 		}
 	}
+	s.stopIdleSync()
 	err := s.pers.release()
 	// Publish the final counters before the state pointer goes nil, so a
 	// Stats racing the transition never sees a hibernated stream without

@@ -60,8 +60,8 @@ func OnError(h func(error)) SubscribeOption {
 }
 
 // subscriptions is a stream's standing-query registry. Registration and
-// removal happen under mu from any goroutine; the writer copies the list
-// under mu for each sweep and fires the copy without it.
+// removal happen under mu from any goroutine; the committing caller copies
+// the list under mu for each sweep and fires the copy without it.
 type subscriptions struct {
 	mu   sync.Mutex
 	list []*Subscription
@@ -84,11 +84,14 @@ func (r *subscriptions) remove(sub *Subscription) {
 
 // Subscribe registers a standing query re-evaluated every `every` of stream
 // time, starting at the next bucket boundary. The handler runs
-// synchronously on the stream's writer goroutine, inside the Add or Flush
-// that completes a bucket (keep it fast; hand off to a channel for slow
-// consumers). A handler may Query, Subscribe and Unsubscribe on its own
-// stream, but must not call its write methods or Close: the writer cannot
-// wait for its own queue.
+// synchronously in the goroutine whose Add or Flush completes the bucket —
+// possibly another producer's, whose commit covered that write — under the
+// stream's lock (keep it fast; hand off to a channel for slow consumers).
+// A handler may Query, Subscribe and Unsubscribe on its own stream, but
+// must not call its write methods or Close: they would wait behind the
+// very commit that runs the handler. A handler's panic unwinds that
+// goroutine and closes the stream: the operations its commit had not
+// finished, and every later one, fail with ErrStreamClosed.
 //
 // The context bounds the subscription's lifetime: once ctx is done the
 // subscription stops firing and is removed at the next bucket boundary (a

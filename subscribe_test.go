@@ -219,7 +219,7 @@ func TestSubscribeContextCancel(t *testing.T) {
 	}
 }
 
-// Handlers run on the writer goroutine mid-sweep; a handler
+// Handlers run in the committing caller mid-sweep; a handler
 // unsubscribing itself (one-shot standing query) must neither fire again
 // nor be resurrected by the sweep's bookkeeping.
 func TestSubscriptionReentrantUnsubscribe(t *testing.T) {
@@ -392,9 +392,9 @@ func TestExplainRefusesStaleResult(t *testing.T) {
 	}
 }
 
-// Registration never enters the writer queue, so a handler — which runs on
-// the writer goroutine — may subscribe and unsubscribe on its own durable
-// stream and return, while other goroutines do the same and query. Each
+// Registration never enters the commit queue, so a handler — which runs in
+// the committing caller, under the stream's lock — may subscribe and
+// unsubscribe on its own durable stream and return, while other goroutines do the same and query. Each
 // parent refresh registers a one-shot child; every child fires once and
 // removes itself, so the count that stays registered is the parent plus the
 // children not yet due.
@@ -408,7 +408,7 @@ func TestSubscriptionReentrantDurable(t *testing.T) {
 	}
 	ctx := context.Background()
 	q := Query{K: 2, Keywords: []string{"goal"}}
-	var parentFired, childFired int // touched on the writer goroutine only
+	var parentFired, childFired int // touched under the stream's lock only
 	if _, err := hs.Subscribe(ctx, q, time.Minute, func(Result) {
 		parentFired++
 		var child *Subscription

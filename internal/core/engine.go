@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +88,7 @@ type ShardStats struct {
 type buffer struct {
 	win    *stream.ActiveWindow
 	scorer *score.Scorer
-	lists  []*rankedlist.List
+	lists  []*rankedlist.List     // on one node table, indexed by the window's slots
 	frozen []*rankedlist.Snapshot // set while this buffer is published
 }
 
@@ -127,8 +128,10 @@ type Engine struct {
 	// replayed onto back (nil before the first bucket and after recycle).
 	pending  *bucketDelta
 	spentOps []topicOp // op slice of the last replayed delta, reused by newBucketDelta
-	stats    Stats
-	listBusy time.Duration // wall time spent in maintainLists
+	// idScratch sorts a batch's IDs when validate looks for duplicates.
+	idScratch []stream.ElemID
+	stats     Stats
+	listBusy  time.Duration // wall time spent in maintainLists
 }
 
 // NewEngine validates the configuration and returns an empty engine: the
@@ -271,7 +274,6 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 	if now < prevNow {
 		return fmt.Errorf("core: time moved backwards %d → %d", prevNow, now)
 	}
-	ids := make(map[stream.ElemID]struct{}, len(batch))
 	prevTS := prevNow
 	for _, e := range batch {
 		if e.TS <= prevNow || e.TS > now {
@@ -284,10 +286,29 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 		if len(e.Topics.Probs) != len(e.Topics.Topics) {
 			return fmt.Errorf("core: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
 		}
-		if _, dup := ids[e.ID]; dup || win.Known(e.ID) {
+		if win.Known(e.ID) {
 			return fmt.Errorf("core: duplicate element ID %d", e.ID)
 		}
-		ids[e.ID] = struct{}{}
+	}
+	// A duplicate within the batch: producers mostly number posts in
+	// arrival order, so a strictly increasing batch needs no more; any
+	// other is sorted in the writer's scratch.
+	for i := 1; i < len(batch); i++ {
+		if batch[i].ID > batch[i-1].ID {
+			continue
+		}
+		ids := g.idScratch[:0]
+		for _, e := range batch {
+			ids = append(ids, e.ID)
+		}
+		slices.Sort(ids)
+		g.idScratch = ids
+		for k := 1; k < len(ids); k++ {
+			if ids[k] == ids[k-1] {
+				return fmt.Errorf("core: duplicate element ID %d", ids[k])
+			}
+		}
+		break
 	}
 	return nil
 }
@@ -316,25 +337,31 @@ func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element
 func (g *Engine) maintainLists(b *buffer, cs stream.ChangeSet, rec *bucketDelta) {
 	start := time.Now()
 	ops := rec.ops
-	for _, e := range cs.Expired {
-		for _, topic := range e.Topics.Topics {
-			if op, ok := b.lists[topic].DeleteRecorded(e.ID); ok {
+	for i, e := range cs.Expired {
+		s := cs.ExpiredSlots[i]
+		for j, topic := range e.Topics.Topics {
+			if op, ok := b.lists[topic].DeleteAt(s, j); ok {
 				ops = append(ops, topicOp{topic: topic, op: op})
 				g.stats.ListDeletes++
 			}
 		}
 	}
-	for _, es := range [2][]*stream.Element{cs.Inserted, cs.Updated} {
-		for _, e := range es {
+	for _, es := range [2]struct {
+		elems []*stream.Element
+		slots []stream.Slot
+	}{{cs.Inserted, cs.InsertedSlots}, {cs.Updated, cs.UpdatedSlots}} {
+		for i, e := range es.elems {
 			// An element that entered already out of window expired in
-			// this same advance and must not linger in the lists.
-			te, active := b.win.LastRef(e.ID)
-			if !active {
+			// this same advance and must not linger in the lists; its
+			// slot is empty until the next advance.
+			s := es.slots[i]
+			if b.win.At(s) != e {
 				continue
 			}
-			for _, topic := range e.Topics.Topics {
-				delta := b.scorer.TopicScore(e, topic)
-				ops = append(ops, topicOp{topic: topic, op: b.lists[topic].UpsertRecorded(e.ID, delta, te)})
+			te := b.win.LastRefAt(s)
+			for j, topic := range e.Topics.Topics {
+				delta := b.scorer.TopicScoreAt(e, s, j)
+				ops = append(ops, topicOp{topic: topic, op: b.lists[topic].UpsertAt(s, j, e.ID, delta, te)})
 				g.stats.ListUpserts++
 			}
 		}

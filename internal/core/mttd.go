@@ -41,11 +41,11 @@ func (v *view) mttd(ctx context.Context, q Query, a *arena) (Result, error) {
 		// an upper bound on any future marginal gain; the probe it came
 		// from stays with the entry for the re-evaluations.
 		for tr.ub() >= tau {
-			e, ok := tr.pop()
+			e, slot, ok := tr.pop()
 			if !ok {
 				break
 			}
-			p := v.scorer.Prepare(&a.buf, e, q.X)
+			p := v.scorer.PrepareAt(&a.buf, e, slot, q.X)
 			evaluated++
 			buf.push(gainEntry{gain: p.Delta, id: e.ID, probe: int32(len(a.probes))})
 			a.probes = append(a.probes, p)

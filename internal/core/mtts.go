@@ -55,12 +55,12 @@ func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 				return Result{}, err
 			}
 		}
-		e, ok := tr.pop()
+		e, slot, ok := tr.pop()
 		if !ok {
 			break
 		}
 		a.buf.Reset()
-		p := v.scorer.Prepare(&a.buf, e, q.X)
+		p := v.scorer.PrepareAt(&a.buf, e, slot, q.X)
 		delta := p.Delta
 		evaluated++
 

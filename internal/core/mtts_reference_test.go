@@ -32,7 +32,7 @@ func algorithm2(g *Engine, x topicmodel.TopicVec, k int, eps float64, pool *setP
 	)
 	th, ub := 0.0, tr.ub()
 	for ub >= th {
-		e, ok := tr.pop()
+		e, _, ok := tr.pop()
 		if !ok {
 			break
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
@@ -105,22 +106,29 @@ func restoreBuffer(cfg Config, win *stream.ActiveWindow, tuples [][]rankedlist.I
 		scorer.AdoptCache(warmFrom)
 	} else {
 		var warm stream.ChangeSet
-		win.ForEachActive(func(e *stream.Element) {
+		win.ForEachActiveSlot(func(e *stream.Element, s stream.Slot) {
 			warm.Inserted = append(warm.Inserted, e)
+			warm.InsertedSlots = append(warm.InsertedSlots, s)
 		})
 		scorer.OnChange(warm)
 	}
 
+	tab := rankedlist.NewTable()
 	lists := make([]*rankedlist.List, cfg.Model.Z)
 	for i := range lists {
-		lists[i] = rankedlist.New()
+		lists[i] = tab.New()
 	}
 	for topic, items := range tuples {
 		for _, it := range items {
-			if _, active := win.Get(it.ID); !active {
+			s, active := win.SlotOf(it.ID)
+			if !active {
 				return nil, fmt.Errorf("core: ranked list %d holds inactive element %d", topic, it.ID)
 			}
-			lists[topic].Upsert(it.ID, it.Score, it.LastRef)
+			j := slices.Index(win.At(s).Topics.Topics, int32(topic))
+			if j < 0 {
+				return nil, fmt.Errorf("core: ranked list %d holds element %d, which lacks the topic", topic, it.ID)
+			}
+			lists[topic].UpsertAt(s, j, it.ID, it.Score, it.LastRef)
 		}
 	}
 	return &buffer{win: win, scorer: scorer, lists: lists}, nil

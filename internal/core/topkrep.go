@@ -30,7 +30,7 @@ func (v *view) topkRep(ctx context.Context, q Query, a *arena) (Result, error) {
 		if top.Len() == q.K && (*top)[0].score >= tr.ub() {
 			break
 		}
-		e, ok := tr.pop()
+		e, _, ok := tr.pop()
 		if !ok {
 			break
 		}

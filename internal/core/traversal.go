@@ -117,9 +117,11 @@ func (tr *traversal) exhausted() bool {
 }
 
 // pop removes and returns the element e^(i*) with the maximum
-// x_i·δ_i(e^(i)) across the cursors, marking it visited everywhere
-// (Algorithm 2 line 5 / Algorithm 3 line 16).
-func (tr *traversal) pop() (*stream.Element, bool) {
+// x_i·δ_i(e^(i)) across the cursors, and its slot, marking it visited
+// everywhere (Algorithm 2 line 5 / Algorithm 3 line 16). The snapshot's
+// lists and window are frozen at the same bucket boundary, so the slot a
+// tuple names holds its element.
+func (tr *traversal) pop() (*stream.Element, stream.Slot, bool) {
 	tr.skipVisited()
 	best := -1
 	var bestVal float64
@@ -132,17 +134,16 @@ func (tr *traversal) pop() (*stream.Element, bool) {
 		}
 	}
 	if best == -1 {
-		return nil, false
+		return nil, 0, false
 	}
-	id := tr.cur[best].ID
+	id, s := tr.cur[best].ID, tr.iters[best].Slot()
 	tr.visited.Insert(int64(id), 0)
 	tr.advance(best)
-	e, ok := tr.win.Get(id)
-	if !ok {
-		// The snapshot's lists never hold inactive elements (both are
-		// frozen at the same bucket boundary); treat a miss as exhaustion
-		// of this tuple.
+	e := tr.win.At(s)
+	if e == nil || e.ID != id {
+		// The snapshot's lists never hold inactive elements; treat a miss
+		// as exhaustion of this tuple.
 		return tr.pop()
 	}
-	return e, true
+	return e, s, true
 }

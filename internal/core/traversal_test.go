@@ -21,7 +21,7 @@ func TestTraversalOrderAndDedup(t *testing.T) {
 	for {
 		// Record the key of the head we are about to pop.
 		key := headKey(tr)
-		e, ok := tr.pop()
+		e, _, ok := tr.pop()
 		if !ok {
 			break
 		}
@@ -83,7 +83,7 @@ func TestTraversalUpperBoundInvariant(t *testing.T) {
 				t.Errorf("UB %v < δ(e%d)=%v", ub, e.ID, d)
 			}
 		})
-		e, ok := tr.pop()
+		e, _, ok := tr.pop()
 		if !ok {
 			break
 		}
@@ -102,7 +102,7 @@ func TestTraversalSkipsZeroWeightTopics(t *testing.T) {
 	}
 	// Only elements with p_2 > 0 are reachable — that is all 7 here, but
 	// they must come out in RL2 order.
-	first, ok := tr.pop()
+	first, _, ok := tr.pop()
 	if !ok || first.ID != 1 {
 		t.Errorf("first pop = %v, want e1 (RL2 head)", first)
 	}
@@ -121,7 +121,7 @@ func TestTraversalOnEmptyEngine(t *testing.T) {
 	if !tr.exhausted() {
 		t.Error("empty traversal not exhausted")
 	}
-	if _, ok := tr.pop(); ok {
+	if _, _, ok := tr.pop(); ok {
 		t.Error("pop on empty succeeded")
 	}
 	if tr.ub() != 0 {

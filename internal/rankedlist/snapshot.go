@@ -14,16 +14,15 @@ import "github.com/social-streams/ksir/internal/stream"
 // finished. A snapshot read after Thaw and a later mutation sees the
 // mutated nodes.
 type Snapshot struct {
-	head  *node
-	index map[stream.ElemID]*node
-	size  int
+	head *node
+	size int
 }
 
 // Freeze returns an immutable Snapshot over the list's current nodes in
 // O(1) and makes the list read-only until Thaw.
 func (l *List) Freeze() *Snapshot {
 	l.frozen = true
-	return &Snapshot{head: l.head, index: l.index, size: l.size}
+	return &Snapshot{head: l.head, size: l.size}
 }
 
 // Thaw declares that no reader still uses the snapshot taken by the last
@@ -43,31 +42,20 @@ func (s *Snapshot) Len() int { return s.size }
 
 // First returns the highest-scored tuple (RL_i.first of §4.1).
 func (s *Snapshot) First() (Item, bool) {
-	n := s.head.next[0]
+	n := s.head.link[0]
 	if n == nil {
 		return Item{}, false
 	}
 	return n.item, true
 }
 
-// Get returns the tuple for id as of the snapshot.
-func (s *Snapshot) Get(id stream.ElemID) (Item, bool) {
-	n, ok := s.index[id]
-	if !ok {
-		return Item{}, false
-	}
-	return n.item, true
-}
+// Get returns the tuple for id as of the snapshot, by a walk of the
+// snapshot (tests and diagnostics).
+func (s *Snapshot) Get(id stream.ElemID) (Item, bool) { return find(s.head, id) }
 
 // Iter returns an iterator positioned before the first tuple; it walks the
 // snapshot in ranked (descending score) order.
 func (s *Snapshot) Iter() *Iterator { return &Iterator{cur: s.head} }
 
 // Items returns all tuples in ranked order.
-func (s *Snapshot) Items() []Item {
-	out := make([]Item, 0, s.size)
-	for n := s.head.next[0]; n != nil; n = n.next[0] {
-		out = append(out, n.item)
-	}
-	return out
-}
+func (s *Snapshot) Items() []Item { return items(s.head, s.size) }

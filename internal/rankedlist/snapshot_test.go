@@ -69,17 +69,17 @@ func TestFrozenListPanicsOnMutation(t *testing.T) {
 		l.Upsert(stream.ElemID(i), float64(i), 1)
 	}
 	replica := New()
-	op := replica.UpsertRecorded(99, 5.5, 2)
+	op := replica.UpsertAt(0, 0, 99, 5.5, 2)
 	s := l.Freeze()
 	want := s.Items()
 	for name, f := range map[string]func(){
-		"Upsert":         func() { l.Upsert(99, 5.5, 2) },
-		"Upsert(touch)":  func() { l.Upsert(7, 7, 9) },
-		"Delete":         func() { l.Delete(10) },
-		"UpsertRecorded": func() { l.UpsertRecorded(3, 20, 3) },
-		"DeleteRecorded": func() { l.DeleteRecorded(10) },
-		"Apply":          func() { l.Apply(&op) },
-		"ApplyDelta":     func() { l.ApplyDelta([]Op{op}) },
+		"Upsert":        func() { l.Upsert(99, 5.5, 2) },
+		"Upsert(touch)": func() { l.Upsert(7, 7, 9) },
+		"Delete":        func() { l.Delete(10) },
+		"UpsertAt":      func() { l.UpsertAt(2, 0, 3, 20, 3) },
+		"DeleteAt":      func() { l.DeleteAt(9, 0) },
+		"Apply":         func() { l.Apply(&op) },
+		"ApplyDelta":    func() { l.ApplyDelta([]Op{op}) },
 	} {
 		if !mustPanic(f) {
 			t.Errorf("%s on a frozen list did not panic", name)

@@ -45,8 +45,18 @@ func (b *ProbeBuf) Footprint() int { return 8*cap(b.pairs) + 8*cap(b.childP) }
 // Delta costs nothing extra and the per-child products are resolved once
 // instead of once per candidate set.
 func (s *Scorer) Prepare(b *ProbeBuf, e *stream.Element, x topicmodel.TopicVec) Probe {
-	ec := s.ensureCached(e)
-	p := Probe{Elem: e, ec: ec, children: s.win.ChildrenView(e.ID)}
+	return s.prepare(b, e, s.ensureCached(e), s.win.ChildrenView(e.ID), x)
+}
+
+// PrepareAt is Prepare for the active element e in slot sl of the
+// scorer's window, which must be cached: its cache entry and I_t(e) are
+// table reads.
+func (s *Scorer) PrepareAt(b *ProbeBuf, e *stream.Element, sl stream.Slot, x topicmodel.TopicVec) Probe {
+	return s.prepare(b, e, s.cache[sl], s.win.ChildrenAt(sl), x)
+}
+
+func (s *Scorer) prepare(b *ProbeBuf, e *stream.Element, ec *elemCache, children []*stream.Element, x topicmodel.TopicVec) Probe {
+	p := Probe{Elem: e, ec: ec, children: children}
 	p0, c0 := len(b.pairs), len(b.childP)
 	i, j := 0, 0
 	for i < len(x.Topics) && j < len(e.Topics.Topics) {

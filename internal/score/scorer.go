@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/social-streams/ksir/internal/stream"
@@ -20,16 +21,22 @@ type elemCache struct {
 
 // Scorer binds a topic model, scoring parameters and an active window, and
 // evaluates all the scoring functions of §3.2. Semantic word weights are
-// cached per active element; influence scores are always computed from the
-// window's live reference index so they are exact at query time.
+// cached per active element, in a table indexed by the element's slot in
+// the window; influence scores are always computed from the window's live
+// reference index so they are exact at query time.
 //
 // Scorer is safe for concurrent read use (queries); cache mutations
-// (OnChange) must be serialized with reads, which the engine does.
+// (OnChange) must be serialized with reads, which the engine does. A
+// scorer must see every advance of its window after its first through
+// OnChange (or the recorded twin): a slot freed by an advance it missed
+// would keep the expired element's entry for the next element in it.
 type Scorer struct {
 	model  *topicmodel.Model
 	win    *stream.ActiveWindow
 	params Params
-	cache  map[stream.ElemID]*elemCache
+	// cache[s] is the entry of the active element in slot s of win, nil
+	// for a free slot.
+	cache []*elemCache
 }
 
 // NewScorer returns a Scorer over the given model, window and parameters.
@@ -41,7 +48,6 @@ func NewScorer(model *topicmodel.Model, win *stream.ActiveWindow, params Params)
 		model:  model,
 		win:    win,
 		params: params,
-		cache:  make(map[stream.ElemID]*elemCache),
 	}, nil
 }
 
@@ -53,27 +59,34 @@ func (s *Scorer) Window() *stream.ActiveWindow { return s.win }
 
 // OnChange maintains the per-element caches after a window advance.
 func (s *Scorer) OnChange(cs stream.ChangeSet) {
-	for _, e := range cs.Inserted {
-		s.ensureCached(e)
+	for i, e := range cs.Inserted {
+		s.cacheAt(e, cs.InsertedSlots[i])
 	}
-	for _, e := range cs.Expired {
-		delete(s.cache, e.ID)
+	s.drop(cs.ExpiredSlots)
+}
+
+// drop clears the entries of the given slots.
+func (s *Scorer) drop(slots []stream.Slot) {
+	for _, sl := range slots {
+		if int(sl) < len(s.cache) {
+			s.cache[sl] = nil
+		}
 	}
 }
 
 // CacheDelta records the net cache effect of one OnChange: the entries it
-// computed (or re-validated) and the entries it dropped. Because an
+// computed (or re-validated) and the slots it cleared. Because an
 // element's cache entry is immutable once built, a replica scorer over
 // the same immutable elements can adopt the recorded entries by pointer —
 // ApplyCacheDelta re-derives nothing.
 type CacheDelta struct {
 	added   []cacheAdd
-	dropped []stream.ElemID
+	dropped []stream.Slot
 }
 
 type cacheAdd struct {
-	id stream.ElemID
-	c  *elemCache
+	slot stream.Slot
+	c    *elemCache
 }
 
 // OnChangeRecorded is OnChange additionally returning the CacheDelta for
@@ -83,28 +96,21 @@ func (s *Scorer) OnChangeRecorded(cs stream.ChangeSet) CacheDelta {
 	if len(cs.Inserted) > 0 {
 		d.added = make([]cacheAdd, 0, len(cs.Inserted))
 	}
-	for _, e := range cs.Inserted {
-		d.added = append(d.added, cacheAdd{id: e.ID, c: s.ensureCached(e)})
+	for i, e := range cs.Inserted {
+		sl := cs.InsertedSlots[i]
+		d.added = append(d.added, cacheAdd{slot: sl, c: s.cacheAt(e, sl)})
 	}
-	if len(cs.Expired) > 0 {
-		d.dropped = make([]stream.ElemID, 0, len(cs.Expired))
-	}
-	for _, e := range cs.Expired {
-		delete(s.cache, e.ID)
-		d.dropped = append(d.dropped, e.ID)
-	}
+	s.drop(cs.ExpiredSlots)
+	d.dropped = cs.ExpiredSlots
 	return d
 }
 
 // AdoptCache copies every cache entry of from into this scorer, by
 // pointer (entries are immutable once built). Both scorers must be over
-// the same model and parameters — the engine's restore path uses it to
-// warm the second buffer's scorer without re-deriving every word weight.
-func (s *Scorer) AdoptCache(from *Scorer) {
-	for id, c := range from.cache {
-		s.cache[id] = c
-	}
-}
+// the same model and parameters and over windows with equal slots — the
+// engine's restore path uses it to warm the second buffer's scorer
+// without re-deriving every word weight.
+func (s *Scorer) AdoptCache(from *Scorer) { s.cache = slices.Clone(from.cache) }
 
 // ApplyCacheDelta replays a recorded OnChange onto this scorer, sharing
 // the recording scorer's immutable cache entries instead of recomputing
@@ -114,17 +120,47 @@ func (s *Scorer) AdoptCache(from *Scorer) {
 // the buffer publishes).
 func (s *Scorer) ApplyCacheDelta(d CacheDelta) {
 	for _, a := range d.added {
-		s.cache[a.id] = a.c
+		s.cache = grow(s.cache, a.slot)
+		s.cache[a.slot] = a.c
 	}
-	for _, id := range d.dropped {
-		delete(s.cache, id)
-	}
+	s.drop(d.dropped)
 }
 
-func (s *Scorer) ensureCached(e *stream.Element) *elemCache {
-	if c, ok := s.cache[e.ID]; ok {
-		return c
+// cacheAt returns the entry of e, the active element in slot sl, building
+// it first if the slot has none. A cached entry is only read: queries call
+// it concurrently on the published scorer, whose active elements are all
+// cached.
+func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) *elemCache {
+	if int(sl) < len(s.cache) {
+		if c := s.cache[sl]; c != nil {
+			return c
+		}
+	} else {
+		s.cache = grow(s.cache, sl)
 	}
+	c := s.build(e)
+	s.cache[sl] = c
+	return c
+}
+
+// ensureCached returns e's entry: the cached one when e is active in the
+// scorer's window, otherwise one built for this call and not kept.
+func (s *Scorer) ensureCached(e *stream.Element) *elemCache {
+	if sl, ok := s.win.SlotOf(e.ID); ok {
+		return s.cacheAt(e, sl)
+	}
+	return s.build(e)
+}
+
+// grow returns t with room for index sl, new entries nil.
+func grow(t []*elemCache, sl stream.Slot) []*elemCache {
+	for int(sl) >= len(t) {
+		t = append(t, nil)
+	}
+	return t
+}
+
+func (s *Scorer) build(e *stream.Element) *elemCache {
 	c := &elemCache{
 		wordWeights: make([][]float64, e.Topics.Len()),
 		semTotal:    make([]float64, e.Topics.Len()),
@@ -145,22 +181,16 @@ func (s *Scorer) ensureCached(e *stream.Element) *elemCache {
 		c.wordWeights[j] = ws
 		c.semTotal[j] = total
 	}
-	s.cache[e.ID] = c
 	return c
 }
 
-// SemanticScore returns R_i(e) for the element's j-th topic entry.
-func (s *Scorer) semantic(e *stream.Element, j int) float64 {
-	return s.ensureCached(e).semTotal[j]
-}
-
 // InfluenceScore returns I_{i,t}({e}) = Σ_{c ∈ I_t(e)} p_i(e)·p_i(c) for
-// topic i, computed live from the window's reference index.
-func (s *Scorer) influence(e *stream.Element, topic int32, pe float64) float64 {
+// topic i, computed live from the window's reference index (children).
+func influence(children []*stream.Element, topic int32, pe float64) float64 {
 	var sum float64
-	s.win.ForEachChild(e.ID, func(c *stream.Element) {
+	for _, c := range children {
 		sum += c.Topics.Prob(topic)
-	})
+	}
 	return pe * sum
 }
 
@@ -169,17 +199,27 @@ func (s *Scorer) influence(e *stream.Element, topic int32, pe float64) float64 {
 func (s *Scorer) TopicScore(e *stream.Element, topic int32) float64 {
 	for j, tp := range e.Topics.Topics {
 		if tp == topic {
-			sem := s.semantic(e, j)
-			infl := s.influence(e, topic, e.Topics.Probs[j])
-			return s.params.Lambda*sem + s.params.inflFactor()*infl
+			return s.topicScore(e, s.ensureCached(e), s.win.ChildrenView(e.ID), j)
 		}
 	}
 	return 0
 }
 
+// TopicScoreAt is TopicScore for the active element e in slot sl and its
+// j-th topic, which must be cached.
+func (s *Scorer) TopicScoreAt(e *stream.Element, sl stream.Slot, j int) float64 {
+	return s.topicScore(e, s.cache[sl], s.win.ChildrenAt(sl), j)
+}
+
+func (s *Scorer) topicScore(e *stream.Element, c *elemCache, children []*stream.Element, j int) float64 {
+	infl := influence(children, e.Topics.Topics[j], e.Topics.Probs[j])
+	return s.params.Lambda*c.semTotal[j] + s.params.inflFactor()*infl
+}
+
 // Score returns δ(e, x) = f({e}, x) = Σ_i x_i·δ_i(e).
 func (s *Scorer) Score(e *stream.Element, x topicmodel.TopicVec) float64 {
 	c := s.ensureCached(e)
+	children := s.win.ChildrenView(e.ID)
 	var total float64
 	// Merge the sorted topic lists of e and x.
 	i, j := 0, 0
@@ -191,7 +231,7 @@ func (s *Scorer) Score(e *stream.Element, x topicmodel.TopicVec) float64 {
 			j++
 		default:
 			sem := c.semTotal[j]
-			infl := s.influence(e, e.Topics.Topics[j], e.Topics.Probs[j])
+			infl := influence(children, e.Topics.Topics[j], e.Topics.Probs[j])
 			total += x.Probs[i] * (s.params.Lambda*sem + s.params.inflFactor()*infl)
 			i++
 			j++

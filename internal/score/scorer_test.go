@@ -144,12 +144,23 @@ func TestOnChangeEvictsCache(t *testing.T) {
 		}
 		s.OnChange(cs)
 	}
-	// e4 expired at t=8; its cache entry must be gone.
-	if _, ok := s.cache[4]; ok {
-		t.Error("expired element still cached")
+	// e4 expired at t=8; its slot's cache entry must be gone, and only
+	// the slots of active elements hold one.
+	if _, ok := win.SlotOf(4); ok {
+		t.Fatal("e4 still active")
 	}
-	if len(s.cache) != 7 {
-		t.Errorf("cache has %d entries, want 7", len(s.cache))
+	cached := 0
+	for sl, c := range s.cache {
+		if c == nil {
+			continue
+		}
+		cached++
+		if win.At(stream.Slot(sl)) == nil {
+			t.Errorf("free slot %d still cached", sl)
+		}
+	}
+	if cached != 7 {
+		t.Errorf("cache has %d entries, want 7", cached)
 	}
 }
 

@@ -1,10 +1,10 @@
 package stream
 
 // RefAdd records one reference-index insertion: Child (in-window) was
-// wired as a referrer of Parent, bumping Parent's last-ref time to
-// Child.TS.
+// wired as a referrer of the parent in slot Parent, bumping the parent's
+// last-ref time to Child.TS.
 type RefAdd struct {
-	Parent ElemID
+	Parent Slot
 	Child  *Element
 }
 
@@ -17,18 +17,22 @@ type RefAdd struct {
 // state without re-deriving any of it.
 type Delta struct {
 	Now Time
-	// Batch is the bucket's arrivals in order, queued and activated on
-	// replay (the recording advance already indexed them).
+	// Batch is the bucket's arrivals in order, queued on replay (the
+	// recording advance already indexed them).
 	Batch []*Element
-	// Resurrected are previously expired parents that re-entered A_t
-	// because a batch element refers to them, decoded from the archive by
-	// the recording advance; replay adopts the same values.
-	Resurrected []*Element
+	// Inserted are the elements that entered A_t, with their slots: the
+	// arrivals and the previously expired parents a batch element refers
+	// to, decoded from the archive by the recording advance; replay
+	// adopts the same values in the same slots.
+	Inserted      []*Element
+	InsertedSlots []Slot
 	// RefAdds are the reference-index insertions in wiring order (dangling
 	// references already dropped).
 	RefAdds []RefAdd
-	// Expired are the elements the advance removed from the active set.
-	Expired []*Element
+	// Expired are the elements the advance removed from the active set,
+	// with the slots they gave back.
+	Expired      []*Element
+	ExpiredSlots []Slot
 }
 
 // ApplyDelta replays a recorded advance onto this window, which must share
@@ -39,19 +43,17 @@ type Delta struct {
 // scan, the recorded expiries — leaves it byte-identical to the recording
 // window just after. No duplicate detection, resurrection lookup or expiry
 // staleness check runs: those decisions are already in the delta. The
-// index, archive, last-ref and heap writes are not repeated either: the
-// recording advance already made them in the shared structures.
+// index, archive, last-ref, heap and slot-pool writes are not repeated
+// either: the recording advance already made them in the shared
+// structures.
 func (w *ActiveWindow) ApplyDelta(d *Delta) {
 	w.now = d.Now
 
 	// Phase 1: arrivals, resurrections and reference wiring, as recorded.
-	for _, e := range d.Batch {
-		w.active[e.ID] = e
+	for i, e := range d.Inserted {
+		w.place(e, d.InsertedSlots[i])
 	}
 	w.queue = append(w.queue, d.Batch...)
-	for _, p := range d.Resurrected {
-		w.active[p.ID] = p
-	}
 	for _, ra := range d.RefAdds {
 		w.addChild(ra.Parent, ra.Child)
 	}
@@ -60,8 +62,7 @@ func (w *ActiveWindow) ApplyDelta(d *Delta) {
 	w.slideOut(d.Now - w.T)
 
 	// Phase 3: expiries as recorded.
-	for _, e := range d.Expired {
-		delete(w.active, e.ID)
-		delete(w.children, e.ID)
+	for i, e := range d.Expired {
+		w.unplace(e.ID, d.ExpiredSlots[i])
 	}
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 	"sort"
@@ -57,16 +56,16 @@ func (w *ActiveWindow) Export() WindowState {
 		Active:  make([]ActiveRef, 0, len(w.active)),
 	}
 	for _, e := range w.queue {
-		st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.ws.lastRef[e.ID]})
+		st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.ws.lastRef[w.active[e.ID]]})
 	}
 	// Arrivals are timestamp-ordered, so the window queue holds exactly
 	// the actives past the cutoff; the rest are the referenced survivors.
 	cutoff := w.now - w.T
-	for id, e := range w.active {
+	w.ForEachActiveSlot(func(e *Element, s Slot) {
 		if e.TS <= cutoff {
-			st.Active = append(st.Active, ActiveRef{ID: id, LastRef: w.ws.lastRef[id]})
+			st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.ws.lastRef[s]})
 		}
-	}
+	})
 	rest := st.Active[len(w.queue):]
 	sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
 	return st
@@ -82,7 +81,8 @@ func (w *ActiveWindow) Export() WindowState {
 // storage) and decodes only the archived elements that are still active,
 // reading those the element log holds back from it; without
 // st.ArchivedIDs (and ArchivedMaxTS) it reads every archived element's ID
-// and timestamp back too.
+// and timestamp back too. The active elements get slots 0, 1, … in the
+// order st.Active lists them.
 func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("stream: window length must be positive, got %d", T)
@@ -106,8 +106,11 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		ws.archiveText += int64(len(t))
 	}
 	ws.index.sorted = make([]ElemID, 0, n+len(st.Window))
-	w.active = make(map[ElemID]*Element, len(st.Active))
-	ws.lastRef = make(map[ElemID]Time, len(st.Active))
+	na := len(st.Active)
+	w.active = make(map[ElemID]Slot, na)
+	w.elems, w.children = make([]*Element, na), make([][]*Element, na)
+	ws.lastRef, ws.mark = make([]Time, na), make([]uint8, na)
+	ws.slots.next = Slot(na)
 	w.queue, w.head = slices.Clone(st.Window), n
 	cutoff := st.Now - T
 	if st.ArchivedIDs != nil && n > 0 && st.ArchivedMaxTS > cutoff {
@@ -133,7 +136,11 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		}
 		ws.index.add(id)
 	}
-	var refs []RefAdd // the references of window-queue elements, wired below
+	type ref struct {
+		parent ElemID
+		child  *Element
+	}
+	var refs []ref // the references of window-queue elements, wired below
 	for i, e := range w.queue {
 		switch {
 		case e == nil:
@@ -155,34 +162,37 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		// reference to an ID that arrived later stayed dangling for good.
 		for _, pid := range e.Refs {
 			if _, known := ws.index.lookup(pid); known {
-				refs = append(refs, RefAdd{Parent: pid, Child: e})
+				refs = append(refs, ref{pid, e})
 			}
 		}
 	}
 
-	// The archived arrivals that are still active, and their IDs.
+	// The archived arrivals that are still active, their IDs and slots.
 	var survivors []int
 	var survivorIDs []ElemID
-	for _, a := range st.Active {
+	var survivorSlots []Slot
+	for i, a := range st.Active {
+		s := Slot(i)
 		seq, known := ws.index.lookup(a.ID)
 		if !known {
 			return nil, fmt.Errorf("stream: active element %d is not in the log", a.ID)
 		}
-		if _, dup := ws.lastRef[a.ID]; dup {
+		if _, dup := w.active[a.ID]; dup {
 			return nil, fmt.Errorf("stream: element %d listed active twice", a.ID)
 		}
+		w.active[a.ID] = s
 		if seq < n {
-			survivors, survivorIDs = append(survivors, seq), append(survivorIDs, a.ID)
+			survivors, survivorIDs, survivorSlots = append(survivors, seq), append(survivorIDs, a.ID), append(survivorSlots, s)
 		} else {
-			w.active[a.ID] = w.queue[seq-n]
+			w.elems[s] = w.queue[seq-n]
 		}
 		if a.LastRef <= cutoff {
 			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (cutoff %d)", a.ID, a.LastRef, cutoff)
 		}
-		ws.lastRef[a.ID] = a.LastRef
+		ws.lastRef[s] = a.LastRef
 		ws.expiryQ = append(ws.expiryQ, expiryEntry{at: a.LastRef, id: a.ID})
 	}
-	heap.Init(&ws.expiryQ)
+	ws.expiryQ.init()
 	decoded, err := arch.Elements(survivors...)
 	if err != nil {
 		return nil, err
@@ -194,11 +204,11 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		if e.TS > cutoff {
 			return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", e.ID, e.TS)
 		}
-		w.active[e.ID] = e
+		w.elems[survivorSlots[j]] = e
 	}
-	for _, e := range w.active {
-		if ws.lastRef[e.ID] < e.TS {
-			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d)", e.ID, ws.lastRef[e.ID], e.TS)
+	for s, e := range w.elems {
+		if ws.lastRef[s] < e.TS {
+			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d)", e.ID, ws.lastRef[s], e.TS)
 		}
 		ws.liveBytes += liveElemBytes(e)
 	}
@@ -213,10 +223,11 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		}
 	}
 	for _, r := range refs {
-		if _, active := w.active[r.Parent]; !active {
-			return nil, fmt.Errorf("stream: element %d referenced by in-window %d but not active", r.Parent, r.Child.ID)
+		p, active := w.active[r.parent]
+		if !active {
+			return nil, fmt.Errorf("stream: element %d referenced by in-window %d but not active", r.parent, r.child.ID)
 		}
-		w.addChild(r.Parent, r.Child)
+		w.addChild(p, r.child)
 	}
 	return w, nil
 }

@@ -1,7 +1,7 @@
 package stream
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -15,11 +15,23 @@ import (
 // is left as it was before the advance.
 var ErrArchiveRead = errors.New("stream: reading back an archived element")
 
+// Slot is an active element's row in the per-element tables of its
+// window and of the scorer and ranked lists built over it. An element gets
+// a slot when it enters the active set — on arrival or on resurrection —
+// and gives it back when it expires; a slot given back in one advance is
+// handed out again from the next advance on. Slots depend on the history
+// of the advances, not only on the state they lead to, so they are never
+// persisted, exported or used to order anything an answer depends on:
+// Restore hands them out afresh.
+type Slot uint32
+
 // ChangeSet describes what an Advance call did to the active set; the query
 // engine uses it to maintain the per-topic ranked lists (Algorithm 1).
+// Each element list has a parallel list of the elements' slots.
 type ChangeSet struct {
 	Now Time
-	// Inserted are the newly arrived in-window elements, in arrival order.
+	// Inserted are the newly arrived in-window elements, in arrival order,
+	// each followed by the expired parents its references resurrected.
 	Inserted []*Element
 	// Updated are active parents whose influenced set I_t(e) gained at least
 	// one new child this advance (their δ_i scores must be recomputed and
@@ -28,8 +40,11 @@ type ChangeSet struct {
 	Updated []*Element
 	// Expired are elements discarded from the active set: they left the
 	// window and are no longer referred to by any in-window element
-	// (Algorithm 1 lines 12–13).
+	// (Algorithm 1 lines 12–13). An element inserted and expired by the
+	// same advance is in both lists.
 	Expired []*Element
+
+	InsertedSlots, UpdatedSlots, ExpiredSlots []Slot
 }
 
 // ActiveWindow maintains the sliding window W_t and the active set A_t.
@@ -52,18 +67,33 @@ type ChangeSet struct {
 // shares the archive instead of walking it, so it costs the active set,
 // not the history.
 //
+// Per-element state lives in tables indexed by the element's Slot rather
+// than in maps keyed by its ID: the element itself, I_t(e) and t_e here,
+// the word weights in the scorer, the list nodes in the ranked lists. Only
+// the lookups that start from an ID — a reference, a duplicate check, an
+// explanation — go through the ID map of the active set. Twin windows
+// (Replica) hold equal tables, each its own copy, so the replica a query
+// reads is never written by the advance of the other. A slot an advance
+// gives back is handed out again from the next advance on, once the other
+// twin has replayed the one that gave it back; slots are never exported,
+// and Restore hands them out afresh (see Slot).
+//
 // ActiveWindow is not safe for concurrent mutation; the engine serializes
 // Advance calls and allows concurrent reads between them.
 type ActiveWindow struct {
 	T   Time // window length
 	now Time
 
-	active map[ElemID]*Element
-	// children[p] = I_t(p): the in-window elements that refer to p, kept
-	// sorted by child ID. The slice (rather than a map) makes every
-	// iteration deterministic, so float sums over I_t(e) — the influence
-	// scores — are bit-reproducible across runs and across restores.
-	children map[ElemID][]*Element
+	// active maps the ID of every member of A_t to its slot.
+	active map[ElemID]Slot
+	// elems[s] is the active element in slot s, nil for a free slot.
+	elems []*Element
+	// children[s] = I_t(e) of the element in slot s: the in-window
+	// elements that refer to it, kept sorted by child ID. The slice
+	// (rather than a set) makes every iteration deterministic, so float
+	// sums over I_t(e) — the influence scores — are bit-reproducible
+	// across runs and across restores.
+	children [][]*Element
 	// queue is W_t, oldest first; head counts the arrivals that have left
 	// it, so queue[0] is arrival number head. Each window keeps its own:
 	// a replica replaying deltas (ApplyDelta) trails the recording window
@@ -89,28 +119,75 @@ type writerState struct {
 	// index maps every element ever ingested to its arrival number: an
 	// index into archive once archived, a queue position before.
 	index idIndex
-	// lastRef is t_e of every active element: max(e.TS, TS of the latest
-	// in-window referrer).
-	lastRef map[ElemID]Time
+	// lastRef[s] is t_e of the active element in slot s: max(e.TS, TS of
+	// the latest in-window referrer).
+	lastRef []Time
 	// expiryQ is a lazy min-heap over (lastRef, id) for active-set expiry.
 	expiryQ expiryHeap
 	// liveBytes sums the footprint of the elements held as Go values
 	// (liveElemBytes); ApproxBytes adds the archive's storage.
 	liveBytes int64
+	// slots hands out the slots of elements entering the active set.
+	slots slotPool
+	// mark[s] is the slot's part in the current advance (markInserted,
+	// markUpdated, markGone), 0 outside an advance; updated lists the
+	// slots marked updated, in the order they were.
+	mark    []uint8
+	updated []Slot
+}
+
+// Slot marks of one advance.
+const (
+	markInserted = 1 + iota // entered the active set
+	markUpdated             // gained a child
+	markGone                // gained a child, then expired
+)
+
+// slotPool hands out slots: the lowest never-used one, or one given
+// back, most recent first. An advance takes every slot it hands out in
+// phase 1, before phase 3 gives any back, so a slot given back in one
+// advance is handed out again at the earliest by the next — when the
+// engine's other buffer, which a query may still read with the expired
+// element in that slot, has replayed the advance that gave it back.
+type slotPool struct {
+	free []Slot
+	next Slot // slots ever handed out
+}
+
+func (p *slotPool) get() Slot {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	p.next++
+	return p.next - 1
+}
+
+func (p *slotPool) put(s Slot) { p.free = append(p.free, s) }
+
+// grow returns t with room for index s, new entries zero.
+func grow[T any](t []T, s Slot) []T {
+	for int(s) >= len(t) {
+		var zero T
+		t = append(t, zero)
+	}
+	return t
 }
 
 // Per-entry heap costs for ApproxBytes, measured on amd64 with Go 1.24;
 // TestResidentBytesTrackHeap holds the total to the live heap.
 // mapEntryBytes is one entry of a map keyed by element ID, growth slack
 // included. An element held as a Go value costs, beyond its own fields,
-// liveBaseBytes — its entries in both twins' active maps, the last-ref map
-// and the expiry heap, its scorer-cache entries, its share of the pending
-// delta — plus, for each of its topics, liveTopicBytes — its tuples in
-// both buffers' ranked lists — and a cached weight per term.
+// liveBaseBytes — its entries in both twins' active maps and slot tables,
+// the last-ref table and the expiry heap, its scorer-cache entries, its
+// share of the pending delta — plus, for each of its topics,
+// liveTopicBytes — its list nodes and node-table cells in both buffers —
+// and a cached weight per term.
 const (
 	mapEntryBytes  = 32
-	liveBaseBytes  = 500
-	liveTopicBytes = 200
+	liveBaseBytes  = 385
+	liveTopicBytes = 190
 )
 
 // NewActiveWindow returns an empty window of length T. It panics if T ≤ 0
@@ -120,10 +197,9 @@ func NewActiveWindow(T Time) *ActiveWindow {
 		panic(fmt.Sprintf("stream: window length must be positive, got %d", T))
 	}
 	return &ActiveWindow{
-		T:        T,
-		active:   make(map[ElemID]*Element),
-		children: make(map[ElemID][]*Element),
-		ws:       &writerState{lastRef: make(map[ElemID]Time)},
+		T:      T,
+		active: make(map[ElemID]Slot),
+		ws:     &writerState{},
 	}
 }
 
@@ -139,13 +215,14 @@ func (w *ActiveWindow) Replica() *ActiveWindow {
 		T:        w.T,
 		now:      w.now,
 		active:   maps.Clone(w.active),
-		children: make(map[ElemID][]*Element, len(w.children)),
+		elems:    slices.Clone(w.elems),
+		children: make([][]*Element, len(w.children)),
 		queue:    slices.Clone(w.queue),
 		head:     w.head,
 		ws:       w.ws,
 	}
-	for id, cs := range w.children {
-		r.children[id] = slices.Clone(cs)
+	for s, cs := range w.children {
+		r.children[s] = slices.Clone(cs)
 	}
 	return r
 }
@@ -194,8 +271,25 @@ func (w *ActiveWindow) NumActive() int { return len(w.active) }
 
 // Get returns an active element by ID.
 func (w *ActiveWindow) Get(id ElemID) (*Element, bool) {
-	e, ok := w.active[id]
-	return e, ok
+	s, ok := w.active[id]
+	if !ok {
+		return nil, false
+	}
+	return w.elems[s], true
+}
+
+// SlotOf returns the slot of the active element id.
+func (w *ActiveWindow) SlotOf(id ElemID) (Slot, bool) {
+	s, ok := w.active[id]
+	return s, ok
+}
+
+// At returns the active element in slot s, nil for a free slot.
+func (w *ActiveWindow) At(s Slot) *Element {
+	if int(s) < len(w.elems) {
+		return w.elems[s]
+	}
+	return nil
 }
 
 // Known reports whether id was ever ingested into this window (active,
@@ -214,7 +308,7 @@ func (w *ActiveWindow) InWindow(e *Element) bool { return e.TS > w.now-w.T }
 // Children returns I_t(e): the in-window elements referring to id, in
 // ascending child-ID order. The returned slice is freshly allocated.
 func (w *ActiveWindow) Children(id ElemID) []*Element {
-	cs := w.children[id]
+	cs := w.ChildrenView(id)
 	if len(cs) == 0 {
 		return nil
 	}
@@ -225,15 +319,29 @@ func (w *ActiveWindow) Children(id ElemID) []*Element {
 // window's own slice, in ascending child-ID order. The caller must not
 // mutate it and must not use it across an Advance/ApplyDelta — queries read
 // it under their snapshot pin.
-func (w *ActiveWindow) ChildrenView(id ElemID) []*Element { return w.children[id] }
+func (w *ActiveWindow) ChildrenView(id ElemID) []*Element {
+	s, ok := w.active[id]
+	if !ok {
+		return nil
+	}
+	return w.ChildrenAt(s)
+}
+
+// ChildrenAt is ChildrenView for the active element in slot s.
+func (w *ActiveWindow) ChildrenAt(s Slot) []*Element {
+	if int(s) < len(w.children) {
+		return w.children[s]
+	}
+	return nil
+}
 
 // NumChildren returns |I_t(e)| without allocating.
-func (w *ActiveWindow) NumChildren(id ElemID) int { return len(w.children[id]) }
+func (w *ActiveWindow) NumChildren(id ElemID) int { return len(w.ChildrenView(id)) }
 
-// addChild inserts c into parent's sorted child list (idempotent for a
-// duplicate reference within one element's ref list).
-func (w *ActiveWindow) addChild(parent ElemID, c *Element) {
-	cs := w.children[parent]
+// addChild inserts c into the sorted child list of the parent in slot p
+// (idempotent for a duplicate reference within one element's ref list).
+func (w *ActiveWindow) addChild(p Slot, c *Element) {
+	cs := w.children[p]
 	i := sort.Search(len(cs), func(i int) bool { return cs[i].ID >= c.ID })
 	if i < len(cs) && cs[i].ID == c.ID {
 		return
@@ -241,25 +349,42 @@ func (w *ActiveWindow) addChild(parent ElemID, c *Element) {
 	cs = append(cs, nil)
 	copy(cs[i+1:], cs[i:])
 	cs[i] = c
-	w.children[parent] = cs
+	w.children[p] = cs
 }
 
-// removeChild drops child from parent's sorted child list, deleting the
-// entry when it empties.
+// removeChild drops child from the sorted child list of the active
+// element parent, if it is there.
 func (w *ActiveWindow) removeChild(parent, child ElemID) {
-	cs, ok := w.children[parent]
+	p, ok := w.active[parent]
 	if !ok {
 		return
 	}
+	cs := w.children[p]
 	i := sort.Search(len(cs), func(i int) bool { return cs[i].ID >= child })
 	if i == len(cs) || cs[i].ID != child {
 		return
 	}
 	if len(cs) == 1 {
-		delete(w.children, parent)
+		w.children[p] = nil
 		return
 	}
-	w.children[parent] = append(cs[:i], cs[i+1:]...)
+	w.children[p] = append(cs[:i], cs[i+1:]...)
+}
+
+// place puts e into the active set at slot s, growing the window's tables
+// to hold it.
+func (w *ActiveWindow) place(e *Element, s Slot) {
+	w.active[e.ID] = s
+	w.elems = grow(w.elems, s)
+	w.children = grow(w.children, s)
+	w.elems[s] = e
+}
+
+// unplace takes the element id in slot s out of the active set.
+func (w *ActiveWindow) unplace(id ElemID, s Slot) {
+	delete(w.active, id)
+	w.elems[s] = nil
+	w.children[s] = nil
 }
 
 // LastRef returns t_e, the time the active element id was last referred to
@@ -267,23 +392,42 @@ func (w *ActiveWindow) removeChild(parent, child ElemID) {
 // inactive elements. Like Known, it reads writer-shared state and must be
 // serialized with Advance/ApplyDelta.
 func (w *ActiveWindow) LastRef(id ElemID) (Time, bool) {
-	t, ok := w.ws.lastRef[id]
-	return t, ok
+	s, ok := w.active[id]
+	if !ok {
+		return 0, false
+	}
+	return w.ws.lastRef[s], true
 }
+
+// LastRefAt is LastRef for the active element in slot s.
+func (w *ActiveWindow) LastRefAt(s Slot) Time { return w.ws.lastRef[s] }
 
 // ForEachChild calls fn for every in-window element referring to id, in
 // ascending child-ID order — a deterministic order, so float accumulations
 // over I_t(e) (the influence scores) are bit-reproducible.
 func (w *ActiveWindow) ForEachChild(id ElemID, fn func(*Element)) {
-	for _, c := range w.children[id] {
+	for _, c := range w.ChildrenView(id) {
 		fn(c)
 	}
 }
 
 // ForEachActive calls fn for every active element in unspecified order.
 func (w *ActiveWindow) ForEachActive(fn func(*Element)) {
-	for _, e := range w.active {
-		fn(e)
+	for _, e := range w.elems {
+		if e != nil {
+			fn(e)
+		}
+	}
+}
+
+// ForEachActiveSlot calls fn for every active element and its slot, in
+// slot order — an order that depends on the window's history, so nothing
+// an answer depends on may follow it.
+func (w *ActiveWindow) ForEachActiveSlot(fn func(*Element, Slot)) {
+	for s, e := range w.elems {
+		if e != nil {
+			fn(e, Slot(s))
+		}
 	}
 }
 
@@ -315,7 +459,8 @@ func (w *ActiveWindow) AdvanceRecorded(now Time, batch []*Element) (ChangeSet, *
 	if err != nil {
 		return cs, nil, err
 	}
-	rec.Expired = cs.Expired
+	rec.Inserted, rec.InsertedSlots = cs.Inserted, cs.InsertedSlots
+	rec.Expired, rec.ExpiredSlots = cs.Expired, cs.ExpiredSlots
 	return cs, rec, nil
 }
 
@@ -367,7 +512,6 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	w.now = now
 
 	// Phase 1: insert arrivals and wire references.
-	updated := make(map[ElemID]*Element)
 	prevTS := prevNow
 	for _, e := range batch {
 		if e.TS <= prevNow || e.TS > now {
@@ -385,17 +529,16 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 		}
 		ws.index.add(e.ID)
 		ws.liveBytes += liveElemBytes(e)
-		w.active[e.ID] = e
-		ws.lastRef[e.ID] = e.TS
+		s := w.enter(e, &cs)
+		ws.lastRef[s] = e.TS
 		w.queue = append(w.queue, e)
-		heap.Push(&ws.expiryQ, expiryEntry{at: e.TS, id: e.ID})
-		cs.Inserted = append(cs.Inserted, e)
+		ws.expiryQ.push(expiryEntry{at: e.TS, id: e.ID})
 
 		for _, pid := range e.Refs {
 			if _, known := ws.index.lookup(pid); !known {
 				continue // dangling reference: producer referenced an element we never saw
 			}
-			parent, isActive := w.active[pid]
+			p, isActive := w.active[pid]
 			if !isActive {
 				// Resurrect: the parent re-enters A_t because a window
 				// element now refers to it. Only an element that left
@@ -405,22 +548,18 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 				for recordID(pulled[0].rec) != pid {
 					pulled = pulled[1:]
 				}
-				parent = w.resurrect(pulled[0], storage)
+				p = w.enter(w.resurrect(pulled[0], storage), &cs)
 				pulled = pulled[1:]
-				w.active[pid] = parent
-				cs.Inserted = append(cs.Inserted, parent)
-				if rec != nil {
-					rec.Resurrected = append(rec.Resurrected, parent)
-				}
 			}
-			w.addChild(pid, e)
-			ws.lastRef[pid] = e.TS
-			heap.Push(&ws.expiryQ, expiryEntry{at: e.TS, id: pid})
+			w.addChild(p, e)
+			ws.lastRef[p] = e.TS
+			ws.expiryQ.push(expiryEntry{at: e.TS, id: pid})
 			if rec != nil {
-				rec.RefAdds = append(rec.RefAdds, RefAdd{Parent: pid, Child: e})
+				rec.RefAdds = append(rec.RefAdds, RefAdd{Parent: p, Child: e})
 			}
-			if _, justIn := updated[pid]; !justIn {
-				updated[pid] = parent
+			if ws.mark[p] == 0 {
+				ws.mark[p] = markUpdated
+				ws.updated = append(ws.updated, p)
 			}
 		}
 	}
@@ -431,33 +570,60 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	w.slideOut(cutoff)
 
 	// Phase 3: expire actives never referred to after the cutoff.
-	for ws.expiryQ.Len() > 0 && ws.expiryQ[0].at <= cutoff {
-		entry := heap.Pop(&ws.expiryQ).(expiryEntry)
-		e, isActive := w.active[entry.id]
-		if !isActive || ws.lastRef[entry.id] > cutoff {
+	for len(ws.expiryQ) > 0 && ws.expiryQ[0].at <= cutoff {
+		entry := ws.expiryQ.pop()
+		s, isActive := w.active[entry.id]
+		if !isActive || ws.lastRef[s] > cutoff {
 			continue // stale heap entry (element was re-referenced or already gone)
 		}
-		delete(w.active, entry.id)
-		delete(ws.lastRef, entry.id)
-		delete(w.children, entry.id)
-		delete(updated, entry.id)
+		e := w.elems[s]
+		w.unplace(entry.id, s)
+		ws.slots.put(s)
+		if ws.mark[s] == markUpdated {
+			ws.mark[s] = markGone
+		}
 		ws.liveBytes -= liveElemBytes(e)
 		cs.Expired = append(cs.Expired, e)
+		cs.ExpiredSlots = append(cs.ExpiredSlots, s)
 	}
 
-	// Deduplicate Updated against Inserted (a resurrected parent is already
-	// reported as inserted; its δ is computed fresh anyway).
-	inserted := make(map[ElemID]struct{}, len(cs.Inserted))
-	for _, e := range cs.Inserted {
-		inserted[e.ID] = struct{}{}
-	}
-	for id, e := range updated {
-		if _, dup := inserted[id]; !dup {
-			cs.Updated = append(cs.Updated, e)
+	// Updated lists the parents that gained a child, are still active and
+	// did not enter in this advance (a resurrected parent is reported as
+	// inserted; its δ is computed fresh anyway), by ID.
+	kept := ws.updated[:0]
+	for _, p := range ws.updated {
+		if ws.mark[p] == markUpdated {
+			kept = append(kept, p)
 		}
+		ws.mark[p] = 0
 	}
-	sort.Slice(cs.Updated, func(i, j int) bool { return cs.Updated[i].ID < cs.Updated[j].ID })
+	slices.SortFunc(kept, func(a, b Slot) int { return cmp.Compare(w.elems[a].ID, w.elems[b].ID) })
+	if len(kept) > 0 {
+		cs.Updated = make([]*Element, len(kept))
+		for i, p := range kept {
+			cs.Updated[i] = w.elems[p]
+		}
+		cs.UpdatedSlots = slices.Clone(kept)
+	}
+	ws.updated = kept[:0]
+	for _, s := range cs.InsertedSlots {
+		ws.mark[s] = 0
+	}
 	return cs, nil
+}
+
+// enter gives e, an arrival or a resurrected parent, a slot in the active
+// set and reports it in cs as inserted.
+func (w *ActiveWindow) enter(e *Element, cs *ChangeSet) Slot {
+	ws := w.ws
+	s := ws.slots.get()
+	ws.lastRef = grow(ws.lastRef, s)
+	ws.mark = grow(ws.mark, s)
+	ws.mark[s] = markInserted
+	w.place(e, s)
+	cs.Inserted = append(cs.Inserted, e)
+	cs.InsertedSlots = append(cs.InsertedSlots, s)
+	return s
 }
 
 // archived is an archived element's record and text, read for a
@@ -506,16 +672,60 @@ type expiryEntry struct {
 	id ElemID
 }
 
+// expiryHeap is a binary min-heap on at. Its sift-up and sift-down are
+// container/heap's, step for step, so entries of equal at pop in the same
+// order they always have; typed, a push boxes nothing.
 type expiryHeap []expiryEntry
 
-func (h expiryHeap) Len() int            { return len(h) }
-func (h expiryHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h expiryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x interface{}) { *h = append(*h, x.(expiryEntry)) }
-func (h *expiryHeap) Pop() interface{} {
+func (h *expiryHeap) push(x expiryEntry) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
+}
+
+func (h *expiryHeap) pop() expiryEntry {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	x := old[n]
+	*h = old[:n]
 	return x
+}
+
+// init establishes the heap order over arbitrary entries.
+func (h expiryHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h expiryHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].at < h[i].at) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h expiryHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].at < h[j1].at {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !(h[j].at < h[i].at) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

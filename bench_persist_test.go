@@ -2,7 +2,6 @@ package ksir
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,26 +116,10 @@ func BenchmarkAddBatchBuckets(b *testing.B) {
 		calls     = 16 // distinct calls in the timeline; later rounds shift it
 		warmCalls = 4  // ingested before timing: fills the window
 	)
-	d, err := dataset.Generate(dataset.TwitterLike(call*calls), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	posts := make([]Post, len(d.Elements))
-	texts := make([]string, len(posts))
-	for i, e := range d.Elements {
-		words := make([]string, len(d.Docs[i]))
-		for j, w := range d.Docs[i] {
-			words[j] = d.Vocab.Word(w)
-		}
-		texts[i] = strings.Join(words, " ")
-		refs := make([]int64, len(e.Refs))
-		for j, r := range e.Refs {
-			refs[j] = int64(r)
-		}
-		// One post per second, so a bucket of perBucket seconds holds
-		// perBucket posts.
-		posts[i] = Post{ID: int64(e.ID), Time: int64(i + 1), Text: texts[i], Refs: refs}
-	}
+	// One post per second, so a bucket of perBucket seconds holds
+	// perBucket posts.
+	profile := dataset.TwitterLike(call * calls)
+	posts, texts := datasetPosts(b, profile)
 	model, err := TrainModel(texts, WithTopics(20), WithIterations(20), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
@@ -147,7 +130,7 @@ func BenchmarkAddBatchBuckets(b *testing.B) {
 	}
 	defer hub.CloseAll()
 	bucket := perBucket * time.Second
-	hs, err := hub.Create("bench", model, Options{Window: 96 * bucket, Bucket: bucket, Eta: d.Profile.Eta})
+	hs, err := hub.Create("bench", model, Options{Window: 96 * bucket, Bucket: bucket, Eta: profile.Eta})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 )
@@ -42,13 +43,28 @@ func goroutineBaseline() int {
 
 // A resident stream costs no goroutine — memory-only or durable, at every
 // fsync policy, from a hub or from New: its callers commit their own
-// writes under its lock. What a hub starts is at most one background
+// writes under its lock, and the helpers an AddBatch builds its elements
+// on end before it returns, whether it commits or its queued op fails
+// because the stream closed. What a hub starts is at most one background
 // sweeper, none at all without a residency budget, and nothing outlives
 // CloseAll.
 func TestHubLeavesNothingRunning(t *testing.T) {
 	m := trainTestModel(t)
-	posts := genPosts(30, 57)
+	all := genPosts(30+2*256, 57)
+	posts, batches := all[:30], [][]Post{all[30:286], all[286:]}
 	q := Query{K: 3, Keywords: []string{"goal"}}
+	// addBatch feeds one 256-post batch and checks that no helper of it is
+	// still building once AddBatch has returned.
+	addBatch := func(t *testing.T, hs *Stream, batch []Post) {
+		t.Helper()
+		_, err := hs.AddBatch(batch)
+		if running := buildersRunning(); running != "" {
+			t.Fatalf("a helper is still building after AddBatch returned:\n%s", running)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	// fill creates n streams with some state and checks that the hub still
 	// runs exactly its background goroutines.
 	fill := func(t *testing.T, h *Hub, n, before, background int) []*Stream {
@@ -63,6 +79,9 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 				if err := hs.Add(p); err != nil {
 					t.Fatal(err)
 				}
+			}
+			for _, batch := range batches {
+				addBatch(t, hs, batch)
 			}
 			hss = append(hss, hs)
 		}
@@ -175,6 +194,9 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 		if _, err := st.AddBatch(posts); err != nil {
 			t.Fatal(err)
 		}
+		for _, batch := range batches {
+			addBatch(t, st, batch)
+		}
 		if _, err := st.Subscribe(context.Background(), q, time.Hour, func(Result) {}); err != nil {
 			t.Fatal(err)
 		}
@@ -203,6 +225,81 @@ func TestHubLeavesNothingRunning(t *testing.T) {
 			if !errors.Is(err, ErrStreamClosed) {
 				t.Errorf("%s after Close: err = %v, want ErrStreamClosed", op, err)
 			}
+		}
+	})
+
+	// An AddBatch queued behind a commit that ends the stream — a Close
+	// queued ahead of it, or a subscription handler that panics — fails
+	// with ErrStreamClosed, and its helpers (four procs: three of them)
+	// stop with it. The batch is long enough that they would still be
+	// building when it fails if they did not.
+	t.Run("AddBatch queued as the stream closes", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		long := genPosts(1<<14, 58)
+		for _, how := range []string{"Close queued ahead", "handler panics"} {
+			t.Run(how, func(t *testing.T) {
+				before := goroutineBaseline()
+				st, err := New(m, persistOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.AddBatch(posts); err != nil {
+					t.Fatal(err)
+				}
+				// The handler's first refresh holds the commit of the Flush
+				// below until the batch has queued behind it.
+				entered, release := make(chan struct{}), make(chan struct{})
+				var first sync.Once
+				if _, err := st.Subscribe(context.Background(), q, time.Minute, func(Result) {
+					first.Do(func() { close(entered) })
+					<-release
+					if how == "handler panics" {
+						panic("subscription handler")
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				flushed := make(chan any, 1)
+				go func() {
+					defer func() { flushed <- recover() }()
+					st.Flush(posts[len(posts)-1].Time + 3600)
+				}()
+				<-entered
+				queued := 1
+				closed := make(chan error, 1)
+				if how == "Close queued ahead" {
+					go func() { closed <- st.Close() }()
+					waitFor(t, "Close to queue", func() bool { return st.Stats().Pipeline.QueueDepth == 1 })
+					queued = 2
+				}
+				type outcome struct {
+					err     error
+					running string
+				}
+				added := make(chan outcome, 1)
+				go func() {
+					_, err := st.AddBatch(long)
+					added <- outcome{err, buildersRunning()}
+				}()
+				waitFor(t, "the batch to queue", func() bool { return st.Stats().Pipeline.QueueDepth == queued })
+				close(release)
+				got := <-added
+				if !errors.Is(got.err, ErrStreamClosed) {
+					t.Errorf("queued AddBatch: err = %v, want ErrStreamClosed", got.err)
+				}
+				if got.running != "" {
+					t.Errorf("a helper is still building after AddBatch returned:\n%s", got.running)
+				}
+				if p := <-flushed; (p != nil) != (how == "handler panics") {
+					t.Errorf("the Flush whose commit fired the handler panicked with %v", p)
+				}
+				if how == "Close queued ahead" {
+					if err := <-closed; err != nil {
+						t.Errorf("Close: %v", err)
+					}
+				}
+				wantGoroutines(t, "after the queued AddBatch failed", before)
+			})
 		}
 	})
 }

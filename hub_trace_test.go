@@ -35,9 +35,11 @@ func spanIn(t *testing.T, tr *trace.Trace, name string) trace.Span {
 }
 
 // The pipeline tracing contract: a write op carrying a trace op through
-// AddContext comes back with the full commit breakdown — queue wait,
-// commit batch, engine apply, WAL append and fsync — correctly parented and with non-zero durations, and the trace is
-// attributed to the stream.
+// AddContext comes back with the full breakdown — the post's build before
+// it queues, queue wait, commit batch, engine apply, WAL append and fsync
+// — correctly parented and with non-zero durations, and the trace is
+// attributed to the stream. AddBatchContext records one post.build, the
+// caller's, however many helpers built the rest of the batch.
 func TestAddContextRecordsPipelineSpans(t *testing.T) {
 	m := trainTestModel(t)
 	h, err := OpenHub(t.TempDir(), m, PersistOptions{Fsync: FsyncAlways})
@@ -67,21 +69,46 @@ func TestAddContextRecordsPipelineSpans(t *testing.T) {
 		t.Fatalf("trace stream = %q, want feed", tr.Stream)
 	}
 	root := tr.Spans[0]
+	build := spanIn(t, tr, "post.build")
 	qw := spanIn(t, tr, "queue.wait")
 	cb := spanIn(t, tr, "commit.batch")
 	apply := spanIn(t, tr, "engine.apply")
 	wal := spanIn(t, tr, "wal.append")
 	fsync := spanIn(t, tr, "wal.fsync")
-	for _, s := range []trace.Span{qw, cb, apply, wal, fsync} {
+	for _, s := range []trace.Span{build, qw, cb, apply, wal, fsync} {
 		if s.Duration <= 0 {
 			t.Errorf("span %s duration = %v, want > 0", s.Name, s.Duration)
 		}
 	}
-	if qw.Parent != root.SpanID || cb.Parent != root.SpanID {
-		t.Error("queue.wait/commit.batch not parented to the op root")
+	if build.Parent != root.SpanID || qw.Parent != root.SpanID || cb.Parent != root.SpanID {
+		t.Error("post.build/queue.wait/commit.batch not parented to the op root")
+	}
+	if build.Start.Add(build.Duration).After(qw.Start) {
+		t.Errorf("post.build [%v +%v] does not end before queue.wait starts at %v", build.Start, build.Duration, qw.Start)
 	}
 	if apply.Parent != cb.SpanID || wal.Parent != cb.SpanID || fsync.Parent != cb.SpanID {
 		t.Error("engine.apply/wal.append/wal.fsync not parented to commit.batch")
+	}
+
+	op = startedOp(t, rec, "test.addbatch")
+	ctx = trace.ContextWith(context.Background(), op)
+	batch := genPosts(100, 3)
+	for i := range batch {
+		batch[i].ID += 1000
+	}
+	if _, err := hs.AddBatchContext(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	op.End()
+	tr = rec.Snapshot(trace.Filter{})[0]
+	var builds []trace.Span
+	for _, s := range tr.Spans {
+		if s.Name == "post.build" {
+			builds = append(builds, s)
+		}
+	}
+	if len(builds) != 1 || builds[0].Parent != tr.Spans[0].SpanID || builds[0].Duration <= 0 {
+		t.Errorf("AddBatchContext recorded post.build spans %+v, want one under the op root", builds)
 	}
 }
 

@@ -87,9 +87,9 @@ func (tr wireTrace) span(t *testing.T, name string) wireSpan {
 
 // TestTracingEndToEnd drives a durable server through the Go SDK with an
 // injected W3C traceparent and asserts the recorded span trees: an ingest
-// trace joins the caller's trace id and breaks down into queue-wait,
-// commit-batch, engine-apply, WAL-append and fsync child spans with
-// non-zero durations; a query trace records snapshot.pin and
+// trace joins the caller's trace id and breaks down into post-build,
+// queue-wait, commit-batch, engine-apply, WAL-append and fsync child spans
+// with non-zero durations; a query trace records snapshot.pin and
 // query.descend; reactivating a hibernated stream records stream.activate;
 // and scraping /debug/traces never reactivates a hibernated stream.
 func TestTracingEndToEnd(t *testing.T) {
@@ -143,18 +143,19 @@ func TestTracingEndToEnd(t *testing.T) {
 	if ingest.Stream != "feed" {
 		t.Errorf("ingest trace stream = %q, want feed", ingest.Stream)
 	}
+	build := ingest.span(t, "post.build")
 	qw := ingest.span(t, "queue.wait")
 	cb := ingest.span(t, "commit.batch")
 	apply := ingest.span(t, "engine.apply")
 	wal := ingest.span(t, "wal.append")
 	fsync := ingest.span(t, "wal.fsync")
-	for _, s := range []wireSpan{qw, cb, apply, wal, fsync} {
+	for _, s := range []wireSpan{build, qw, cb, apply, wal, fsync} {
 		if s.Dur <= 0 {
 			t.Errorf("span %s has non-positive duration %d", s.Name, s.Dur)
 		}
 	}
-	if qw.Parent != root.SpanID || cb.Parent != root.SpanID {
-		t.Error("queue.wait/commit.batch not parented to the request root")
+	if build.Parent != root.SpanID || qw.Parent != root.SpanID || cb.Parent != root.SpanID {
+		t.Error("post.build/queue.wait/commit.batch not parented to the request root")
 	}
 	if apply.Parent != cb.SpanID || wal.Parent != cb.SpanID || fsync.Parent != cb.SpanID {
 		t.Error("engine.apply/wal.append/wal.fsync not parented to commit.batch")

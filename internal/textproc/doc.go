@@ -1,6 +1,9 @@
 package textproc
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TermCount is one (word, frequency) pair of a bag-of-words document.
 type TermCount struct {
@@ -16,17 +19,26 @@ type Document struct {
 	Len   int // total token count including repeats
 }
 
-// NewDocument builds a Document from a token ID sequence.
+// NewDocument builds a Document from a token ID sequence. It counts the
+// words on a sorted copy of ids, kept on the stack for a document of up to
+// 128 tokens, so what it allocates is the term list alone.
 func NewDocument(ids []WordID) Document {
-	counts := make(map[WordID]int32, len(ids))
-	for _, id := range ids {
-		counts[id]++
+	var stack [128]WordID
+	sorted := append(stack[:0], ids...)
+	slices.Sort(sorted)
+	distinct := 0
+	for i, id := range sorted {
+		if i == 0 || id != sorted[i-1] {
+			distinct++
+		}
 	}
-	terms := make([]TermCount, 0, len(counts))
-	for id, c := range counts {
-		terms = append(terms, TermCount{Word: id, Count: c})
+	terms := make([]TermCount, 0, distinct)
+	for i, id := range sorted {
+		if i == 0 || id != sorted[i-1] {
+			terms = append(terms, TermCount{Word: id})
+		}
+		terms[len(terms)-1].Count++
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Word < terms[j].Word })
 	return Document{Terms: terms, Len: len(ids)}
 }
 

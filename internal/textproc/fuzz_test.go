@@ -6,8 +6,11 @@ import (
 )
 
 // FuzzTokenize asserts the tokenizer's invariants on arbitrary input: it
-// never panics, never returns stop words or empty/oversized tokens, and is
-// idempotent under re-tokenization of its own output.
+// never panics, never returns stop words or empty/oversized tokens, is
+// idempotent under re-tokenization of its own output, and AppendIDs gives
+// the IDs of Tokenize followed by Vocabulary.ID — against a vocabulary of
+// the seeds' tokens and one holding every other token of the input, so
+// lookups both hit and miss.
 func FuzzTokenize(f *testing.F) {
 	seeds := []string{
 		"",
@@ -23,6 +26,12 @@ func FuzzTokenize(f *testing.F) {
 	}
 	tok := NewTokenizer()
 	stop := defaultStopwords()
+	seedVocab := NewVocabulary()
+	for _, s := range seeds {
+		for _, w := range tok.Tokenize(s) {
+			seedVocab.Add(w)
+		}
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		tokens := tok.Tokenize(input)
 		for _, w := range tokens {
@@ -56,6 +65,27 @@ func FuzzTokenize(f *testing.F) {
 		for i := range tokens {
 			if again[i] != tokens[i] {
 				t.Fatalf("not idempotent at %d: %v vs %v", i, tokens, again)
+			}
+		}
+		alternate := NewVocabulary()
+		for i := 0; i < len(tokens); i += 2 {
+			alternate.Add(tokens[i])
+		}
+		for _, v := range []*Vocabulary{seedVocab, alternate} {
+			var want []WordID
+			for _, w := range tokens {
+				if id, ok := v.ID(w); ok {
+					want = append(want, id)
+				}
+			}
+			got := tok.AppendIDs(nil, input, v)
+			if len(got) != len(want) {
+				t.Fatalf("AppendIDs(%q) = %v, want %v", input, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("AppendIDs(%q) = %v, want %v", input, got, want)
+				}
 			}
 		}
 	})

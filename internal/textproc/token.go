@@ -4,8 +4,10 @@
 package textproc
 
 import (
+	"bytes"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenizer splits raw text into normalized tokens. The zero value is not
@@ -57,52 +59,100 @@ func NewTokenizer(opts ...TokenizerOption) *Tokenizer {
 // out-of-length tokens.
 func (t *Tokenizer) Tokenize(text string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		tok := b.String()
-		b.Reset()
-		if t.keep(tok) {
-			tokens = append(tokens, tok)
+	var stack [tokenBufBytes]byte
+	buf := stack[:0]
+	for i := 0; i < len(text); {
+		var tok []byte
+		if tok, i = t.next(text, i, buf); tok != nil {
+			tokens = append(tokens, string(tok))
+			buf = tok[:0]
 		}
 	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		case (r == '#' || r == '@') && b.Len() == 0:
-			b.WriteRune(r)
-		case r == '\'' || r == '’':
-			// Drop apostrophes in-place: "it's" -> "its".
-		default:
-			flush()
-		}
-	}
-	flush()
 	return tokens
 }
 
-func (t *Tokenizer) keep(tok string) bool {
-	n := len([]rune(tok))
-	if n < t.minLen || n > t.maxLen {
-		return false
+// AppendIDs appends to dst the IDs of text's tokens that v knows, in order:
+// Tokenize followed by v.ID on each token. It builds no token string — one
+// byte buffer serves every token, read in place by the stop-word and
+// vocabulary lookups — so what it allocates is dst's growth alone.
+func (t *Tokenizer) AppendIDs(dst []WordID, text string, v *Vocabulary) []WordID {
+	var stack [tokenBufBytes]byte
+	buf := stack[:0]
+	for i := 0; i < len(text); {
+		var tok []byte
+		if tok, i = t.next(text, i, buf); tok != nil {
+			if id, ok := v.ids[string(tok)]; ok {
+				dst = append(dst, id)
+			}
+			buf = tok[:0]
+		}
 	}
-	if _, ok := t.stopwords[strings.TrimLeft(tok, "#@")]; ok {
-		return false
-	}
-	if isNumeric(tok) {
-		return false
-	}
-	return true
+	return dst
 }
 
-func isNumeric(s string) bool {
-	for _, r := range s {
+// tokenBufBytes holds any token of the default length bound: at most 33
+// runes are written (one past the bound says "too long"), of ≤ 4 bytes.
+const tokenBufBytes = 4 * 33
+
+// next scans text from byte offset i and returns the next token Tokenize
+// keeps, built in buf's storage (lower-cased, apostrophes dropped), and the
+// offset just past it; tok is nil when text ends first. A token longer than
+// maxLen runes is dropped, so its runes past the bound are not written.
+func (t *Tokenizer) next(text string, i int, buf []byte) (tok []byte, end int) {
+	buf = buf[:0]
+	runes := 0
+	for i < len(text) {
+		r, size := rune(text[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(text[i:])
+		}
+		i += size
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			if runes <= t.maxLen {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			}
+			runes++
+		case (r == '#' || r == '@') && runes == 0:
+			buf = append(buf, byte(r))
+			runes++
+		case r == '\'' || r == '’':
+			// Drop apostrophes in-place: "it's" -> "its".
+		default:
+			if runes > 0 {
+				if t.keep(buf, runes) {
+					return buf, i
+				}
+				buf, runes = buf[:0], 0
+			}
+		}
+	}
+	if runes > 0 && t.keep(buf, runes) {
+		return buf, i
+	}
+	return nil, i
+}
+
+// keep reports whether a token of the given rune count survives: inside
+// the length bounds, not a stop word (ignoring its '#'/'@' prefix) and not
+// a pure number.
+func (t *Tokenizer) keep(tok []byte, runes int) bool {
+	if runes < t.minLen || runes > t.maxLen {
+		return false
+	}
+	if _, ok := t.stopwords[string(bytes.TrimLeft(tok, "#@"))]; ok {
+		return false
+	}
+	return !isNumeric(tok)
+}
+
+func isNumeric(b []byte) bool {
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
 		if !unicode.IsDigit(r) {
 			return false
 		}
+		b = b[size:]
 	}
-	return len(s) > 0
+	return true
 }

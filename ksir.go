@@ -180,48 +180,35 @@ func engineConfig(m *Model, opts Options) core.Config {
 	}
 }
 
-// add buffers one post (see Stream.Add), first ingesting every bucket that
-// completes before the post's own.
-func (s *engineStream) add(p Post) error {
-	ts := stream.Time(p.Time)
-	if ts <= 0 {
-		return fmt.Errorf("%w: post %d has non-positive time %d", ErrBadPost, p.ID, p.Time)
+// add buffers the element of one post (see Stream.Add and Model.element),
+// first ingesting every bucket that completes before the post's own. Only
+// the checks against the stream — time, order, duplicate ID — and the
+// pending append run here, under the stream's lock.
+func (s *engineStream) add(e *stream.Element) error {
+	if e.TS <= 0 {
+		return fmt.Errorf("%w: post %d has non-positive time %d", ErrBadPost, e.ID, e.TS)
 	}
-	if ts < s.lastTime {
-		return fmt.Errorf("%w: post %d at %d arrives after time %d", ErrOutOfOrder, p.ID, p.Time, s.lastTime)
+	if e.TS < s.lastTime {
+		return fmt.Errorf("%w: post %d at %d arrives after time %d", ErrOutOfOrder, e.ID, e.TS, s.lastTime)
 	}
 	// A bucket boundary that has been ingested (e.g. by Flush) is closed:
 	// a post at or before it can never be ingested — reject it now as
 	// out-of-order instead of poisoning the bucket it would be batched
 	// into.
-	if ingested := s.engine.Now(); ts <= ingested {
-		return fmt.Errorf("%w: post %d at %d is at or before the last ingested boundary %d", ErrOutOfOrder, p.ID, p.Time, int64(ingested))
+	if ingested := s.engine.Now(); e.TS <= ingested {
+		return fmt.Errorf("%w: post %d at %d is at or before the last ingested boundary %d", ErrOutOfOrder, e.ID, e.TS, int64(ingested))
 	}
 	// Complete buckets before this post's bucket.
-	if err := s.advanceTo(ts); err != nil {
+	if err := s.advanceTo(e.TS); err != nil {
 		return err
 	}
-	id := stream.ElemID(p.ID)
-	if _, dup := s.pendingIDs[id]; dup || s.engine.Window().Known(id) {
-		return fmt.Errorf("%w: duplicate post ID %d", ErrBadPost, p.ID)
-	}
-	ids := s.model.tokenIDs(p.Text)
-	refs := make([]stream.ElemID, len(p.Refs))
-	for i, r := range p.Refs {
-		refs[i] = stream.ElemID(r)
-	}
-	e := &stream.Element{
-		ID:     stream.ElemID(p.ID),
-		TS:     ts,
-		Doc:    textproc.NewDocument(ids),
-		Topics: s.model.inf.InferDoc(ids),
-		Refs:   refs,
-		Text:   p.Text,
+	if _, dup := s.pendingIDs[e.ID]; dup || s.engine.Window().Known(e.ID) {
+		return fmt.Errorf("%w: duplicate post ID %d", ErrBadPost, e.ID)
 	}
 	s.pending = append(s.pending, e)
-	s.pendingIDs[id] = struct{}{}
+	s.pendingIDs[e.ID] = struct{}{}
 	s.pendingBytes += e.ApproxBytes()
-	s.lastTime = ts
+	s.lastTime = e.TS
 	return nil
 }
 

@@ -2,6 +2,7 @@ package ksir
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -169,16 +170,11 @@ func (m *Model) TopWords(topic, n int) ([]string, error) {
 	return out, nil
 }
 
-// tokenIDs maps raw text to in-vocabulary token IDs.
+// tokenIDs maps raw text to in-vocabulary token IDs, allocating only the
+// result.
 func (m *Model) tokenIDs(text string) []textproc.WordID {
-	tokens := m.tok.Tokenize(text)
-	ids := make([]textproc.WordID, 0, len(tokens))
-	for _, t := range tokens {
-		if id, ok := m.vocab.ID(t); ok {
-			ids = append(ids, id)
-		}
-	}
-	return ids
+	var buf [idBufLen]textproc.WordID
+	return slices.Clone(m.tok.AppendIDs(buf[:0], text, m.vocab))
 }
 
 // InferTopics returns the sparse topic distribution of a text, exposing the

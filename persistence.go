@@ -333,7 +333,7 @@ func buildStream(m *Model, opts Options, ck *persist.Checkpoint) (*engineStream,
 	}
 	s := newEngineStream(m, eng, opts)
 	for _, p := range ck.Pending {
-		if err := s.add(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs}); err != nil {
+		if err := s.add(m.element(Post{ID: p.ID, Time: p.Time, Text: p.Text, Refs: p.Refs})); err != nil {
 			return nil, persistErr(fmt.Errorf("%w: re-ingesting pending post %d: %v", persist.ErrCorrupt, p.ID, err))
 		}
 	}
@@ -352,7 +352,7 @@ func replayInto(st *engineStream, opSeq uint64) func(persist.Record) error {
 		opSeq = r.Seq
 		switch r.Kind {
 		case persist.KindPost:
-			return st.add(Post{ID: r.Post.ID, Time: r.Post.Time, Text: r.Post.Text, Refs: r.Post.Refs})
+			return st.add(st.model.element(Post{ID: r.Post.ID, Time: r.Post.Time, Text: r.Post.Text, Refs: r.Post.Refs}))
 		case persist.KindFlush:
 			return st.flush(r.FlushNow)
 		}

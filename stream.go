@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/social-streams/ksir/internal/persist"
+	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/trace"
 )
 
@@ -217,12 +218,15 @@ func (s *Stream) Add(p Post) error {
 
 // AddContext is Add with trace propagation: when ctx carries a trace op
 // (internal/trace, attached by the HTTP middleware or an embedding
-// caller), the operation's pipeline breakdown — queue wait (for the
-// stream's lock), commit batch, engine apply, WAL append, fsync — is
-// recorded as child spans on it. The context does not cancel the write:
+// caller), the operation's pipeline breakdown — the post's build (tokenize
+// and topic inference, before the op queues), queue wait (for the stream's
+// lock), commit batch, engine apply, WAL append, fsync — is recorded as
+// child spans on it. The context does not cancel the write:
 // once queued, an operation always commits.
 func (s *Stream) AddContext(ctx context.Context, p Post) error {
-	return s.do(&writeOp{kind: opAdd, post: p, tr: trace.FromContext(ctx)}).err
+	op := &writeOp{kind: opAdd, post: p, tr: trace.FromContext(ctx)}
+	buildTimed(op.tr, func() { op.elem = s.model.element(p) })
+	return s.do(op).err
 }
 
 // AddBatch appends posts in order, stopping at the first rejected post and
@@ -231,14 +235,19 @@ func (s *Stream) AddContext(ctx context.Context, p Post) error {
 // is WAL-logged even when a later post is rejected; if both an ingest
 // rejection and a logging failure occur, the returned error joins them
 // (errors.Is matches each), and on a logging failure the accepted prefix
-// is in memory but not durable.
+// is in memory but not durable. The posts are tokenized and inferred off
+// the stream's lock, on the caller and up to GOMAXPROCS − 1 helper
+// goroutines that end before AddBatch returns.
 func (s *Stream) AddBatch(posts []Post) (accepted int, err error) {
 	return s.AddBatchContext(context.Background(), posts)
 }
 
 // AddBatchContext is AddBatch with trace propagation (see AddContext).
 func (s *Stream) AddBatchContext(ctx context.Context, posts []Post) (accepted int, err error) {
-	op := s.do(&writeOp{kind: opAddBatch, posts: posts, tr: trace.FromContext(ctx)})
+	op := &writeOp{kind: opAddBatch, posts: posts, tr: trace.FromContext(ctx)}
+	buildTimed(op.tr, func() { op.build = newBatchBuild(s.model, posts) })
+	defer op.build.stop()
+	s.do(op)
 	return op.accepted, op.err
 }
 
@@ -433,10 +442,13 @@ func (k opKind) needsResident() bool {
 type writeOp struct {
 	kind opKind
 
-	// Inputs (by kind).
-	post  Post   // opAdd
-	posts []Post // opAddBatch
-	now   int64  // opFlush
+	// Inputs (by kind). An ingest op carries its posts' elements, built off
+	// the lock by the caller (and, for a batch, its helpers).
+	post  Post            // opAdd
+	elem  *stream.Element // opAdd
+	posts []Post          // opAddBatch
+	build *batchBuild     // opAddBatch
+	now   int64           // opFlush
 
 	// Results.
 	done     bool
@@ -707,14 +719,14 @@ func (s *Stream) commit(batch []*writeOp) {
 		}
 		switch op.kind {
 		case opAdd:
-			op.err = es.add(op.post)
+			op.err = es.add(op.elem)
 			if op.err == nil && s.pers != nil {
 				recs = append(recs, postRecord(op.post))
 				op.nrecs = 1
 			}
 		case opAddBatch:
-			for _, p := range op.posts {
-				if op.err = es.add(p); op.err != nil {
+			for i := range op.posts {
+				if op.err = es.add(op.build.elem(i)); op.err != nil {
 					break
 				}
 				op.accepted++

@@ -132,7 +132,8 @@ func BenchmarkQuerySieve(b *testing.B) {
 // BenchmarkIngest measures ranked-list maintenance per arriving element
 // (the Figure 14 metric) by replaying a fresh stream each iteration:
 // ns/element from Stats.UpdateTime, and replay-ns/element from
-// Stats.ReplayTime, the catch-up of the recycled buffer.
+// Stats.ReplayTime, the catch-up of the recycled buffer and the sweep of
+// the list nodes the published bucket removed.
 func BenchmarkIngest(b *testing.B) {
 	st := microSetup(b, "Twitter")
 	b.ReportAllocs()

@@ -11,6 +11,7 @@ import (
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/testutil"
+	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
@@ -273,6 +274,25 @@ func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 	}
 	if err := g.Ingest(now+10, []*stream.Element{&fresh, &fresh}); err == nil {
 		t.Fatal("within-batch duplicate accepted")
+	}
+	// Elements that do not fit the model, behind a good one.
+	for name, spoil := range map[string]func(e *stream.Element){
+		"topic outside the model": func(e *stream.Element) { e.Topics.Topics = []int32{int32(f.model.Z)} },
+		"negative topic":          func(e *stream.Element) { e.Topics.Topics = []int32{-1} },
+		"word outside the vocabulary": func(e *stream.Element) {
+			e.Doc.Terms = []textproc.TermCount{{Word: textproc.WordID(f.model.V), Count: 1}}
+		},
+		"repeated topic": func(e *stream.Element) {
+			e.Topics = topicmodel.TopicVec{Topics: []int32{0, 0}, Probs: []float64{0.5, 0.5}}
+		},
+	} {
+		bad := *f.buckets[0].Elems[1]
+		bad.ID, bad.TS, bad.Refs = 100002, now+6, nil
+		bad.Topics = topicmodel.TopicVec{Topics: []int32{0}, Probs: []float64{1}}
+		spoil(&bad)
+		if err := g.Ingest(now+10, []*stream.Element{&fresh, &bad}); err == nil {
+			t.Fatalf("element with a %s accepted", name)
+		}
 	}
 	// The rejected buckets must have left no trace: the next good bucket
 	// keeps both buffers identical (checked via golden single engine).

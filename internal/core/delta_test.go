@@ -89,12 +89,26 @@ type bufferState struct {
 	Lists  [][]rankedlist.Item
 }
 
-func stateOf(b *buffer) bufferState {
-	st := bufferState{Window: b.win.Export(), Lists: make([][]rankedlist.Item, len(b.lists))}
-	for i, l := range b.lists {
-		st.Lists[i] = l.Items()
+func stateOf(win *stream.ActiveWindow, lists [][]rankedlist.Item) bufferState {
+	return bufferState{Window: win.Export(), Lists: lists}
+}
+
+// listItems dumps the version of lists their table is writing.
+func listItems(lists []*rankedlist.List) [][]rankedlist.Item {
+	out := make([][]rankedlist.Item, len(lists))
+	for i, l := range lists {
+		out[i] = l.Items()
 	}
-	return st
+	return out
+}
+
+// listsAt dumps version seq of the engine's lists.
+func listsAt(g *Engine, seq int64) [][]rankedlist.Item {
+	out := make([][]rankedlist.Item, len(g.lists))
+	for i, l := range g.lists {
+		out[i] = l.ItemsAt(seq, 0)
+	}
+	return out
 }
 
 // gobBytes serializes a buffer state so "byte-identical" is literal.
@@ -109,9 +123,11 @@ func gobBytes(t *testing.T, st bufferState) []byte {
 
 // singleBuffer is the delta suite's reference: Algorithm 1 applied once to
 // one buffer, composed from the window, scorer and list primitives — no
-// recording, no replay, no second copy.
+// recording, no replay, no versions, no second copy.
 type singleBuffer struct {
 	buf        *buffer
+	lists      []*rankedlist.List
+	prev       [][]rankedlist.Item // the lists' tuples before the last bucket
 	ups, dels  int64
 	elems, seq int64
 }
@@ -127,7 +143,7 @@ func newSingleBuffer(t *testing.T, cfg Config) *singleBuffer {
 	for i := range lists {
 		lists[i] = rankedlist.New()
 	}
-	return &singleBuffer{buf: &buffer{win: win, scorer: scorer, lists: lists}}
+	return &singleBuffer{buf: &buffer{win: win, scorer: scorer}, lists: lists}
 }
 
 func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
@@ -136,11 +152,12 @@ func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 		return err
 	}
 	r.buf.scorer.OnChange(cs)
+	r.prev = listItems(r.lists)
 	gone := make(map[stream.ElemID]bool, len(cs.Expired))
 	for _, e := range cs.Expired {
 		gone[e.ID] = true
 		for _, topic := range e.Topics.Topics {
-			if r.buf.lists[topic].Delete(e.ID) {
+			if r.lists[topic].Delete(e.ID) {
 				r.dels++
 			}
 		}
@@ -151,7 +168,7 @@ func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 		}
 		te, _ := r.buf.win.LastRef(e.ID)
 		for _, topic := range e.Topics.Topics {
-			r.buf.lists[topic].Upsert(e.ID, r.buf.scorer.TopicScore(e, topic), te)
+			r.lists[topic].Upsert(e.ID, r.buf.scorer.TopicScore(e, topic), te)
 			r.ups++
 		}
 	}
@@ -163,17 +180,30 @@ func (r *singleBuffer) ingest(now stream.Time, batch []*stream.Element) error {
 // checkLockstep forces the catch-up that would otherwise run at g's next
 // Ingest, then, holding the writer lock, compares the recycled buffer
 // against the published front, and the front against the reference. The
-// gob pass makes "byte-identical" literal; it is costly, so the caller
-// samples it.
-func checkLockstep(t *testing.T, g *Engine, ref *singleBuffer, gobPass bool) error {
+// lists exist once, so their check is per version: before the catch-up
+// the version before the published one — which a reader pinned there
+// still walks — must equal the reference's previous bucket (when prev is
+// set: a restored engine has no earlier version), and the published
+// version must read the same before and after the catch-up's sweep and
+// equal the version the writer writes next. The gob pass makes
+// "byte-identical" literal; it is costly, so the caller samples it.
+func checkLockstep(t *testing.T, g *Engine, ref *singleBuffer, prev, gobPass bool) error {
 	t.Helper()
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	seq := g.front.Load().seq
+	if prev && !reflect.DeepEqual(listsAt(g, seq-1), ref.prev) {
+		return fmt.Errorf("version %d changed while the writer built %d", seq-1, seq)
+	}
+	published := listsAt(g, seq)
 	g.recycle()
+	if !reflect.DeepEqual(listsAt(g, seq), published) {
+		return fmt.Errorf("the sweep changed published version %d", seq)
+	}
 	frontBuf := g.front.Load().buf
-	back, front, want := stateOf(g.back), stateOf(frontBuf), stateOf(ref.buf)
+	back, front, want := stateOf(g.back.win, listItems(g.lists)), stateOf(frontBuf.win, published), stateOf(ref.buf.win, listItems(ref.lists))
 	if !reflect.DeepEqual(back, front) {
-		return fmt.Errorf("recycled buffer diverges from front")
+		return fmt.Errorf("recycled buffer or the lists' next version diverges from front")
 	}
 	if !reflect.DeepEqual(front, want) {
 		return fmt.Errorf("published front diverges from the single-buffer reference")
@@ -203,17 +233,19 @@ func checkLockstep(t *testing.T, g *Engine, ref *singleBuffer, gobPass bool) err
 	return nil
 }
 
-// TestDeltaReplayEquivalence is the §9 correctness bar: after replay-on-
-// thaw, the recycled buffer is byte-identical — window export, ranked-list
-// tuples, reference index — to the published front, across randomized
-// bucket sequences, while concurrent queries run (-race covers the capture
+// TestDeltaReplayEquivalence is the §9 correctness bar: after replay on
+// recycle, the recycled buffer is byte-identical — window export,
+// reference index — to the published front, and the lists' published
+// version reads the same before and after the sweep, across randomized
+// bucket sequences, while concurrent queries run (-race covers the write
 // path against the read path). Every bucket, the published front must also
 // equal a single buffer maintained by plain Advance → OnChange → Upsert/
-// Delete, tuples and counters alike, proving record-and-replay changes
-// cost, not semantics. Halfway through, an engine restored from the
+// Delete, tuples and counters alike, and the version before it the
+// reference's previous bucket, proving record-and-replay and versioning
+// change cost, not semantics. Halfway through, an engine restored from the
 // original's export joins the lockstep — checked once before its first
-// Ingest, then every bucket — so Restore's two buffers are held to the same
-// bar.
+// Ingest, then every bucket — so Restore's buffers and lists are held to
+// the same bar.
 func TestDeltaReplayEquivalence(t *testing.T) {
 	seeds := int64(4)
 	if testing.Short() {
@@ -267,7 +299,7 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d bucket %d: restore: %v", seed, b, err)
 				}
-				if err := checkLockstep(t, r, ref, true); err != nil {
+				if err := checkLockstep(t, r, ref, false, true); err != nil {
 					t.Fatalf("seed %d bucket %d: restored engine before its first Ingest: %v", seed, b, err)
 				}
 				engines.Store(&[]*Engine{g, r})
@@ -281,7 +313,7 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 				t.Fatalf("seed %d bucket %d (reference): %v", seed, b, err)
 			}
 			for i, e := range *engines.Load() {
-				if err := checkLockstep(t, e, ref, b%7 == 6); err != nil {
+				if err := checkLockstep(t, e, ref, true, b%7 == 6); err != nil {
 					t.Fatalf("seed %d bucket %d engine %d: %v", seed, b, i, err)
 				}
 			}

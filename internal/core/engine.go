@@ -5,19 +5,21 @@
 // (1 − 1/e − ε)-approximate).
 //
 // The engine separates an ingest path from a read path (DESIGN.md §6): the
-// writer maintains a private back buffer — window, scorer and the Z ranked
-// lists, updated in one sequential pass on the writer's own goroutine — and
-// at the end of every bucket publishes an immutable snapshot through an
-// atomic pointer. Queries pin the published snapshot and traverse it with
-// zero locking, so they never block behind ingest and always observe exactly
-// one bucket boundary.
+// writer maintains a private back buffer — window and scorer — and the Z
+// versioned ranked lists, updated in one sequential pass in the committing
+// caller, and at the end of every bucket publishes an immutable snapshot
+// through an atomic pointer. The lists exist once: a snapshot names the
+// list version it reads, and the writer's next version links new nodes
+// beside the ones readers walk. Queries pin the published snapshot and
+// traverse it with zero locking, so they never block behind ingest and
+// always observe exactly one bucket boundary.
 //
 // The retired buffer catches up on the bucket it missed by structural
 // delta replay (DESIGN.md §9): the primary application records the net
-// window, scorer-cache and ranked-list operations it performed
-// (bucketDelta), and recycling replays them verbatim — no re-scoring, no
-// second pass through score.Scorer — leaving the recycled buffer
-// byte-identical to the published front.
+// window and scorer-cache operations it performed (bucketDelta), and
+// recycling replays them verbatim — no re-scoring, no second pass through
+// score.Scorer — leaving the recycled buffer byte-identical to the
+// published front.
 package core
 
 import (
@@ -49,16 +51,16 @@ type Config struct {
 type Stats struct {
 	ElementsIngested int64
 	Buckets          int64
-	// UpdateTime is the wall time spent applying buckets to the back
-	// buffer: window advance, rescoring, and ranked-list maintenance,
-	// counted once per bucket. This is the paper's Figure-14 cost; the
-	// catch-up on the recycled buffer is counted separately in ReplayTime,
-	// and the wait for readers to drain (reader latency, not maintenance)
-	// is counted nowhere.
+	// UpdateTime is the wall time spent applying buckets: window advance,
+	// rescoring, and ranked-list maintenance, counted once per bucket.
+	// This is the paper's Figure-14 cost; the catch-up on the recycled
+	// buffer is counted separately in ReplayTime, and the wait for readers
+	// to drain (reader latency, not maintenance) is counted nowhere.
 	UpdateTime time.Duration
 	// ReplayTime is the wall time spent bringing recycled buffers up to
-	// the published front by delta replay. It lags UpdateTime by one bucket
-	// (a bucket's catch-up runs at the start of the next Ingest).
+	// the published front by delta replay, and unlinking the list nodes
+	// the published bucket removed. It lags UpdateTime by one bucket (a
+	// bucket's catch-up runs at the start of the next Ingest).
 	ReplayTime  time.Duration
 	ListUpserts int64
 	ListDeletes int64
@@ -82,31 +84,13 @@ type ShardStats struct {
 	Busy time.Duration
 }
 
-// buffer is one complete copy of the mutable engine state. The engine keeps
-// two: the published one backs the read path, the other is the writer's
-// working copy (DESIGN.md §6).
+// buffer is one copy of the window and the scorer. The engine keeps two:
+// the published one backs the read path, the other is the writer's working
+// copy (DESIGN.md §6). The ranked lists are not in it: they are versioned,
+// and one set serves both.
 type buffer struct {
 	win    *stream.ActiveWindow
 	scorer *score.Scorer
-	lists  []*rankedlist.List     // on one node table, indexed by the window's slots
-	frozen []*rankedlist.Snapshot // set while this buffer is published
-}
-
-// freeze publishes the buffer's lists as immutable snapshots.
-func (b *buffer) freeze() {
-	b.frozen = make([]*rankedlist.Snapshot, len(b.lists))
-	for i, l := range b.lists {
-		b.frozen[i] = l.Freeze()
-	}
-}
-
-// thaw releases the snapshots for in-place mutation again. Only legal once
-// every reader pinning this buffer's engine snapshot has released it.
-func (b *buffer) thaw() {
-	for _, l := range b.lists {
-		l.Thaw()
-	}
-	b.frozen = nil
 }
 
 // Engine is the k-SIR query processor (Figure 4). Ingest is serialized (one
@@ -120,14 +104,18 @@ type Engine struct {
 
 	mu    sync.Mutex // serializes Ingest (the writer side)
 	front atomic.Pointer[snapshot]
+	// lists are RL_1..RL_Z on tab, indexed by the windows' slots: the
+	// writer writes the version after the published one, readers read the
+	// version their snapshot names.
+	lists []*rankedlist.List
 
 	// Writer-owned state (guarded by mu):
+	tab      *rankedlist.Table
 	back     *buffer   // working copy; never nil
 	backSnap *snapshot // retired snapshot whose buffer is back; drained before reuse
 	// pending is the bucket applied to the published buffer but not yet
 	// replayed onto back (nil before the first bucket and after recycle).
-	pending  *bucketDelta
-	spentOps []topicOp // op slice of the last replayed delta, reused by newBucketDelta
+	pending *bucketDelta
 	// idScratch sorts a batch's IDs when validate looks for duplicates.
 	idScratch []stream.ElemID
 	stats     Stats
@@ -196,7 +184,7 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 	// inflated by the drain wait (reader latency, not maintenance) or the
 	// catch-up above (counted in ReplayTime).
 	start := time.Now()
-	rec := g.newBucketDelta()
+	rec := new(bucketDelta)
 	if err := g.applyBucket(g.back, now, batch, rec); err != nil {
 		return err
 	}
@@ -242,23 +230,23 @@ func (g *Engine) AdoptLog(log stream.ElementLog, first int, ends []int64) error 
 }
 
 // recycle readies the back buffer for the next bucket: wait until the
-// readers that pinned its retired snapshot have drained, thaw it, and
-// catch it up on the one bucket it missed while published by structural
-// delta replay (no re-scoring).
+// readers that pinned its retired snapshot have drained, unlink the list
+// nodes the published bucket removed (only those readers could see them),
+// and catch the buffer up on the one bucket it missed while published by
+// structural delta replay (no re-scoring). The sweep comes before the
+// advance that may hand out the slots of the removed nodes again.
 func (g *Engine) recycle() {
 	if g.backSnap != nil {
 		g.backSnap.waitDrained()
 		g.backSnap = nil
 	}
-	g.back.thaw()
 	if g.pending == nil {
 		return
 	}
 	start := time.Now()
+	g.tab.Sweep()
 	g.back.replay(g.pending)
-	// Keep only the ops slice for the next capture; the window and cache
-	// parts go with the delta so their element references can be collected.
-	g.spentOps, g.pending = g.pending.ops, nil
+	g.pending = nil
 	elapsed := time.Since(start)
 	g.stats.ReplayTime += elapsed
 	obsReplayTime.AddDuration(elapsed)
@@ -283,8 +271,8 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 			return fmt.Errorf("core: element %d at %d arrives after later timestamp %d", e.ID, e.TS, prevTS)
 		}
 		prevTS = e.TS
-		if len(e.Topics.Probs) != len(e.Topics.Topics) {
-			return fmt.Errorf("core: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
+		if err := fits(g.cfg.Model, e); err != nil {
+			return err
 		}
 		if win.Known(e.ID) {
 			return fmt.Errorf("core: duplicate element ID %d", e.ID)
@@ -313,9 +301,9 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 	return nil
 }
 
-// applyBucket advances one buffer's window by one bucket and maintains its
-// ranked lists. The structural outcome — window delta, cache delta, net
-// list ops — is recorded into rec for replay onto the other buffer.
+// applyBucket advances one buffer's window by one bucket and maintains the
+// ranked lists. The buffer's structural outcome — window delta, cache
+// delta — is recorded into rec for replay onto the other buffer.
 func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element, rec *bucketDelta) error {
 	cs, win, err := b.win.AdvanceRecorded(now, batch)
 	if err != nil {
@@ -325,23 +313,21 @@ func (g *Engine) applyBucket(b *buffer, now stream.Time, batch []*stream.Element
 	// OnChange caches every inserted element's word weights and drops the
 	// expired ones, so the list pass below scores from the cache alone.
 	rec.cache = b.scorer.OnChangeRecorded(cs)
-	g.maintainLists(b, cs, rec)
+	g.maintainLists(b, cs)
 	return nil
 }
 
 // maintainLists is the ranked-list half of Algorithm 1 (lines 7–13), one
-// sequential pass over the changeset: expired elements leave the lists of
-// their topics first, then every inserted and every updated element has
-// δ_i(e) recomputed and its tuple (re)positioned. Each structural outcome is
-// appended to rec.ops carrying the computed score, so replay never rescores.
-func (g *Engine) maintainLists(b *buffer, cs stream.ChangeSet, rec *bucketDelta) {
+// sequential pass over the changeset, writing the lists' next version:
+// expired elements leave the lists of their topics first, then every
+// inserted and every updated element has δ_i(e) recomputed and its tuple
+// (re)positioned.
+func (g *Engine) maintainLists(b *buffer, cs stream.ChangeSet) {
 	start := time.Now()
-	ops := rec.ops
 	for i, e := range cs.Expired {
 		s := cs.ExpiredSlots[i]
 		for j, topic := range e.Topics.Topics {
-			if op, ok := b.lists[topic].DeleteAt(s, j); ok {
-				ops = append(ops, topicOp{topic: topic, op: op})
+			if g.lists[topic].DeleteAt(s, j) {
 				g.stats.ListDeletes++
 			}
 		}
@@ -360,24 +346,20 @@ func (g *Engine) maintainLists(b *buffer, cs stream.ChangeSet, rec *bucketDelta)
 			}
 			te := b.win.LastRefAt(s)
 			for j, topic := range e.Topics.Topics {
-				delta := b.scorer.TopicScoreAt(e, s, j)
-				ops = append(ops, topicOp{topic: topic, op: b.lists[topic].UpsertAt(s, j, e.ID, delta, te)})
+				g.lists[topic].UpsertAt(s, j, e.ID, b.scorer.TopicScoreAt(e, s, j), te)
 				g.stats.ListUpserts++
 			}
 		}
 	}
-	rec.ops = ops
 	g.listBusy += time.Since(start)
 }
 
-// publish freezes the back buffer into an immutable snapshot, swaps it in as
-// the read path, and retires the old snapshot; its buffer becomes the next
-// back buffer once readers drain, with rec — the bucket just applied —
+// publish ends the lists' version, publishes it with the back buffer as an
+// immutable snapshot, and retires the old snapshot; its buffer becomes the
+// next back buffer once readers drain, with rec — the bucket just applied —
 // pending replay onto it.
 func (g *Engine) publish(rec *bucketDelta) {
-	b := g.back
-	b.freeze()
-	snap := newSnapshot(b, g.stats, g.listBusy)
+	snap := g.newSnapshot(g.back)
 	old := g.front.Swap(snap)
 	g.backSnap = old
 	g.back = old.buf
@@ -390,7 +372,7 @@ func (g *Engine) publish(rec *bucketDelta) {
 func (g *Engine) ListLen(topic int) int {
 	snap := g.acquire()
 	defer snap.release()
-	return snap.buf.frozen[topic].Len()
+	return snap.lens[topic]
 }
 
 // ListItems returns RL_i's tuples in ranked order as of the last published
@@ -398,5 +380,5 @@ func (g *Engine) ListLen(topic int) int {
 func (g *Engine) ListItems(topic int) []rankedlist.Item {
 	snap := g.acquire()
 	defer snap.release()
-	return snap.buf.frozen[topic].Items()
+	return g.lists[topic].ItemsAt(snap.seq, snap.lens[topic])
 }

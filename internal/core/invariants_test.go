@@ -6,19 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/testutil"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
-// checkLists verifies Algorithm 1's ranked-list invariants on one buffer by
-// brute force against its own window and scorer. touched holds the IDs the
-// last bucket inserted or referenced: their tuples must carry the current
-// score exactly; every other tuple may be stale, but only upwards.
-func checkLists(b *buffer, touched map[stream.ElemID]bool) error {
-	for i, l := range b.lists {
+// checkLists verifies Algorithm 1's ranked-list invariants on one version
+// of the lists by brute force against a buffer's window and scorer. touched
+// holds the IDs the last bucket inserted or referenced: their tuples must
+// carry the current score exactly; every other tuple may be stale, but
+// only upwards.
+func checkLists(b *buffer, lists [][]rankedlist.Item, touched map[stream.ElemID]bool) error {
+	for i, items := range lists {
 		topic := int32(i)
-		items := l.Items()
 		got := make(map[stream.ElemID]bool, len(items))
 		for j, it := range items {
 			if got[it.ID] {
@@ -62,8 +63,10 @@ func checkLists(b *buffer, touched map[stream.ElemID]bool) error {
 }
 
 // listInvariants runs buckets through a fresh engine and returns the first
-// invariant violation, checked after every bucket and in both buffers (the
-// catch-up that would otherwise wait for the next Ingest is forced).
+// invariant violation, checked after every bucket, in the published
+// version against the front buffer and in the version the writer writes
+// next against the back one (the catch-up that would otherwise wait for
+// the next Ingest is forced).
 func listInvariants(model *topicmodel.Model, windowT stream.Time, buckets []deltaBucket) error {
 	g, err := NewEngine(Config{Model: model, WindowLength: windowT, Params: paperConfig().Params})
 	if err != nil {
@@ -82,9 +85,10 @@ func listInvariants(model *topicmodel.Model, windowT stream.Time, buckets []delt
 		}
 		g.mu.Lock()
 		g.recycle()
-		err := checkLists(g.front.Load().buf, touched)
+		front := g.front.Load()
+		err := checkLists(front.buf, listsAt(g, front.seq), touched)
 		if err == nil {
-			err = checkLists(g.back, touched)
+			err = checkLists(g.back, listItems(g.lists), touched)
 		}
 		g.mu.Unlock()
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
+	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
 // State is the serializable form of an Engine at a published bucket
@@ -38,12 +39,12 @@ func (g *Engine) ExportState() State {
 	defer snap.release()
 	st := State{
 		Window: snap.buf.win.Export(),
-		Lists:  make([][]rankedlist.Item, len(snap.buf.frozen)),
+		Lists:  make([][]rankedlist.Item, len(snap.lists)),
 		Stats:  snap.stats,
 	}
-	for i, l := range snap.buf.frozen {
-		if l.Len() > 0 {
-			st.Lists[i] = l.Items()
+	for i, l := range snap.lists {
+		if n := snap.lens[i]; n > 0 {
+			st.Lists[i] = l.ItemsAt(snap.seq, n)
 		}
 	}
 	return st
@@ -58,7 +59,12 @@ func (g *Engine) ExportState() State {
 // Both buffers are built before Restore returns: the back buffer's window
 // is a replica of the front's, sharing its writer state (the archive and
 // its index are built once), and its scorer adopts the front scorer's
-// cache entries, so it is byte-identical to the front.
+// cache entries, so it is byte-identical to the front. The lists are built
+// once, as the published version st.Stats.Buckets.
+//
+// A state whose active or window-queue elements do not fit the model (a
+// topic outside [0, Z), a word outside the vocabulary) is an error, not a
+// panic in the scorer.
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -73,63 +79,98 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	front, err := restoreBuffer(cfg, win, st.Lists, nil)
+	for _, e := range st.Window.Window {
+		if err := fits(cfg.Model, e); err != nil {
+			return nil, err
+		}
+	}
+	var warm stream.ChangeSet
+	win.ForEachActiveSlot(func(e *stream.Element, s stream.Slot) {
+		if err == nil {
+			err = fits(cfg.Model, e)
+		}
+		warm.Inserted = append(warm.Inserted, e)
+		warm.InsertedSlots = append(warm.InsertedSlots, s)
+	})
 	if err != nil {
 		return nil, err
 	}
+	// Queries read the scorer cache without locking, so it is complete
+	// before publication.
+	front, err := newBuffer(cfg, win)
+	if err != nil {
+		return nil, err
+	}
+	front.scorer.OnChange(warm)
 	// The twin windows advance in lockstep (primary apply on one, delta
 	// replay on the other), so the writer-path-only structures — archive,
 	// ID index, last-ref times, expiry heap — exist once and replay skips
-	// maintaining them.
-	back, err := restoreBuffer(cfg, win.Replica(), st.Lists, front.scorer)
+	// maintaining them. The back scorer adopts the front's immutable cache
+	// entries by pointer instead of recomputing them.
+	back, err := newBuffer(cfg, win.Replica())
 	if err != nil {
 		return nil, err
 	}
-	g := &Engine{cfg: cfg, back: back, stats: st.Stats}
-	front.freeze()
-	g.front.Store(newSnapshot(front, g.stats, g.listBusy))
+	back.scorer.AdoptCache(front.scorer)
+
+	g := &Engine{cfg: cfg, back: back, stats: st.Stats, tab: rankedlist.NewTable(st.Stats.Buckets)}
+	g.lists = make([]*rankedlist.List, cfg.Model.Z)
+	for i := range g.lists {
+		g.lists[i] = g.tab.New()
+	}
+	if err := g.restoreLists(win, st.Lists); err != nil {
+		return nil, err
+	}
+	g.front.Store(g.newSnapshot(front))
 	return g, nil
 }
 
-// restoreBuffer builds one buffer copy over a restored window: warm the
-// scorer cache for every active element (queries read the cache without
-// locking, so it must be complete before publication), and re-insert the
-// ranked-list tuples. A non-nil warmFrom supplies an already-warmed scorer
-// over the same state whose immutable cache entries are adopted by pointer
-// instead of recomputed.
-func restoreBuffer(cfg Config, win *stream.ActiveWindow, tuples [][]rankedlist.Item, warmFrom *score.Scorer) (*buffer, error) {
+// newBuffer returns a buffer over win with an empty scorer.
+func newBuffer(cfg Config, win *stream.ActiveWindow) (*buffer, error) {
 	scorer, err := score.NewScorer(cfg.Model, win, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	if warmFrom != nil {
-		scorer.AdoptCache(warmFrom)
-	} else {
-		var warm stream.ChangeSet
-		win.ForEachActiveSlot(func(e *stream.Element, s stream.Slot) {
-			warm.Inserted = append(warm.Inserted, e)
-			warm.InsertedSlots = append(warm.InsertedSlots, s)
-		})
-		scorer.OnChange(warm)
-	}
+	return &buffer{win: win, scorer: scorer}, nil
+}
 
-	tab := rankedlist.NewTable()
-	lists := make([]*rankedlist.List, cfg.Model.Z)
-	for i := range lists {
-		lists[i] = tab.New()
-	}
+// restoreLists re-inserts the ranked-list tuples, each for an active
+// element of win that has the list's topic.
+func (g *Engine) restoreLists(win *stream.ActiveWindow, tuples [][]rankedlist.Item) error {
 	for topic, items := range tuples {
 		for _, it := range items {
 			s, active := win.SlotOf(it.ID)
 			if !active {
-				return nil, fmt.Errorf("core: ranked list %d holds inactive element %d", topic, it.ID)
+				return fmt.Errorf("core: ranked list %d holds inactive element %d", topic, it.ID)
 			}
 			j := slices.Index(win.At(s).Topics.Topics, int32(topic))
 			if j < 0 {
-				return nil, fmt.Errorf("core: ranked list %d holds element %d, which lacks the topic", topic, it.ID)
+				return fmt.Errorf("core: ranked list %d holds element %d, which lacks the topic", topic, it.ID)
 			}
-			lists[topic].UpsertAt(s, j, it.ID, it.Score, it.LastRef)
+			g.lists[topic].UpsertAt(s, j, it.ID, it.Score, it.LastRef)
 		}
 	}
-	return &buffer{win: win, scorer: scorer, lists: lists}, nil
+	return nil
+}
+
+// fits rejects an element that does not fit the model: topics that are not
+// strictly increasing in [0, Z) with a probability each, or a word outside
+// the vocabulary. Scoring such an element would index past the model's
+// tables, and a repeated topic would put two tuples of it in one list.
+func fits(m *topicmodel.Model, e *stream.Element) error {
+	tv := e.Topics
+	if len(tv.Probs) != len(tv.Topics) {
+		return fmt.Errorf("core: element %d has %d topics for %d probabilities", e.ID, len(tv.Topics), len(tv.Probs))
+	}
+	for i, z := range tv.Topics {
+		if z < 0 || int(z) >= m.Z || i > 0 && z <= tv.Topics[i-1] {
+			return fmt.Errorf("core: element %d has topics %v, not increasing in [0, %d)", e.ID, tv.Topics, m.Z)
+		}
+	}
+	for _, t := range e.Doc.Terms {
+		if t.Word < 0 || int(t.Word) >= m.V {
+			return fmt.Errorf("core: element %d has word %d outside a vocabulary of %d", e.ID, t.Word, m.V)
+		}
+	}
+	return nil
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/social-streams/ksir/internal/papertest"
 	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
+	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
@@ -178,6 +180,28 @@ func TestRestoreValidation(t *testing.T) {
 	bad.Lists[0] = append([]rankedlist.Item{{ID: 4, Score: 1}}, st.Lists[0]...) // e4 expired
 	if _, err := Restore(paperConfig(), bad); err == nil {
 		t.Error("inactive list entry accepted")
+	}
+	// An element that does not fit the model fails the restore instead of
+	// panicking in the scorer: a topic past Z, a word past the vocabulary,
+	// a repeated topic.
+	for name, spoil := range map[string]func(e *stream.Element){
+		"topic outside the model":      func(e *stream.Element) { e.Topics.Topics[len(e.Topics.Topics)-1] = 99 },
+		"word outside the vocabulary":  func(e *stream.Element) { e.Doc.Terms[0].Word = textproc.WordID(paperConfig().Model.V) },
+		"repeated topic":               func(e *stream.Element) { e.Topics.Topics = []int32{0, 0}; e.Topics.Probs = []float64{0.5, 0.5} },
+		"topics without probabilities": func(e *stream.Element) { e.Topics.Probs = e.Topics.Probs[:0] },
+	} {
+		for i := range st.Window.Window {
+			bad = st
+			bad.Window.Window = slices.Clone(st.Window.Window)
+			e := *st.Window.Window[i]
+			e.Topics.Topics, e.Topics.Probs = slices.Clone(e.Topics.Topics), slices.Clone(e.Topics.Probs)
+			e.Doc.Terms = slices.Clone(e.Doc.Terms)
+			spoil(&e)
+			bad.Window.Window[i] = &e
+			if _, err := Restore(paperConfig(), bad); err == nil {
+				t.Errorf("%s accepted in window element %d", name, e.ID)
+			}
+		}
 	}
 	cfg := paperConfig()
 	cfg.Model = nil

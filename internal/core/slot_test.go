@@ -122,10 +122,11 @@ func TestSlotLifecycle(t *testing.T) {
 
 			g.mu.Lock()
 			g.recycle()
-			front := g.front.Load().buf
+			snap := g.front.Load()
+			front := snap.buf
 			checkSlots(t, front.win, "front")
 			checkSlots(t, g.back.win, "back")
-			if !bytes.Equal(gobBytes(t, stateOf(g.back)), gobBytes(t, stateOf(front))) {
+			if !bytes.Equal(gobBytes(t, stateOf(g.back.win, listItems(g.lists))), gobBytes(t, stateOf(front.win, listsAt(g, snap.seq)))) {
 				g.mu.Unlock()
 				t.Fatalf("seed %d bucket %d: twin buffers export different states", seed, b)
 			}

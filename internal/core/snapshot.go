@@ -9,11 +9,12 @@ import (
 	"github.com/social-streams/ksir/internal/stream"
 )
 
-// snapshot is one published, immutable engine state: the buffer as of a
-// bucket boundary plus the scalar facts queries report. Readers pin it with
-// acquire/release; the writer recycles its buffer only after a grace period
-// confirms the last reader has drained (an RCU-style scheme built on a
-// read-write lock).
+// snapshot is one published, immutable engine state: the buffer and the
+// ranked lists' version as of a bucket boundary plus the scalar facts
+// queries report. Readers pin it with acquire/release; the writer recycles
+// its buffer, and unlinks the list nodes only its version still sees, only
+// after a grace period confirms the last reader has drained (an RCU-style
+// scheme built on a read-write lock).
 //
 // The lock never serializes queries against ingest: a query read-locks the
 // snapshot current at its start, and the writer's drain barrier only ever
@@ -22,8 +23,12 @@ import (
 // waits for are those started before the previous publish and still
 // running.
 type snapshot struct {
-	buf       *buffer
-	seq       int64 // bucket sequence number (== stats.Buckets at publish)
+	buf *buffer
+	// seq is the bucket sequence number (== stats.Buckets at publish) and
+	// the version of lists it reads; lens[i] is RL_i's length there.
+	seq       int64
+	lists     []*rankedlist.List
+	lens      []int
 	now       stream.Time
 	numActive int
 	stats     Stats
@@ -35,14 +40,22 @@ type snapshot struct {
 	pins sync.RWMutex
 }
 
-func newSnapshot(b *buffer, stats Stats, listBusy time.Duration) *snapshot {
+// newSnapshot ends the lists' version being written and returns it with b
+// as the next snapshot to publish.
+func (g *Engine) newSnapshot(b *buffer) *snapshot {
+	lens := make([]int, len(g.lists))
+	for i, l := range g.lists {
+		lens[i] = l.Len()
+	}
 	return &snapshot{
 		buf:       b,
-		seq:       stats.Buckets,
+		seq:       g.tab.Publish(),
+		lists:     g.lists,
+		lens:      lens,
 		now:       b.win.Now(),
 		numActive: b.win.NumActive(),
-		stats:     stats,
-		listBusy:  listBusy,
+		stats:     g.stats,
+		listBusy:  g.listBusy,
 	}
 }
 
@@ -101,14 +114,14 @@ func (g *Engine) ReadSnapshot(fn func(bucket int64, win *stream.ActiveWindow, sc
 }
 
 // view is the read-only engine state a single query runs against: the
-// pinned snapshot's window, scorer and frozen ranked lists. The query
+// pinned snapshot's window, scorer and version of the ranked lists. The query
 // algorithms (Algorithms 2 and 3) are methods on view, which makes "queries
 // only see published buckets" a type-level property — they cannot reach the
 // writer's buffer.
 type view struct {
 	win       *stream.ActiveWindow
 	scorer    *score.Scorer
-	lists     []*rankedlist.Snapshot
+	lists     []*rankedlist.List // read at version seq only
 	numActive int
 	seq       int64
 }
@@ -117,7 +130,7 @@ func (s *snapshot) view() *view {
 	return &view{
 		win:       s.buf.win,
 		scorer:    s.buf.scorer,
-		lists:     s.buf.frozen,
+		lists:     s.lists,
 		numActive: s.numActive,
 		seq:       s.seq,
 	}

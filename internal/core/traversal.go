@@ -53,7 +53,7 @@ func (tr *traversal) start(v *view, x topicmodel.TopicVec) {
 		}
 		tr.topics = append(tr.topics, topic)
 		tr.weights = append(tr.weights, x.Probs[i])
-		tr.iters = append(tr.iters, *v.lists[topic].Iter())
+		tr.iters = append(tr.iters, *v.lists[topic].IterAt(v.seq))
 		tr.cur = append(tr.cur, rankedlist.Item{})
 		tr.has = append(tr.has, false)
 	}
@@ -119,7 +119,7 @@ func (tr *traversal) exhausted() bool {
 // pop removes and returns the element e^(i*) with the maximum
 // x_i·δ_i(e^(i)) across the cursors, and its slot, marking it visited
 // everywhere (Algorithm 2 line 5 / Algorithm 3 line 16). The snapshot's
-// lists and window are frozen at the same bucket boundary, so the slot a
+// window and list version are of the same bucket boundary, so the slot a
 // tuple names holds its element.
 func (tr *traversal) pop() (*stream.Element, stream.Slot, bool) {
 	tr.skipVisited()

@@ -8,26 +8,29 @@
 // expected O(log n) bounds still hold for adversarial insert orders.
 //
 // A list finds its nodes by the element's slot (stream.Slot), not by its
-// ID: the lists of one engine buffer share a node Table whose row s holds
-// the nodes of the element in slot s, one per topic, at the topic's
-// position j in the element's topic vector. A standalone list (New) can
-// instead be driven by element ID through Upsert, Delete and Get, a shim
-// over an ID map it builds on first use; the engine never calls them.
+// ID: the lists of one engine share a node Table whose row s holds the
+// nodes of the element in slot s, one per topic, at the topic's position j
+// in the element's topic vector. A standalone list (New) can instead be
+// driven by element ID through Upsert, Delete and Get, a shim over an ID
+// map it builds on first use; the engine never calls them.
 //
-// Two mechanisms serve the engine's double-buffered concurrency
-// architecture (DESIGN.md §6, §9):
-//
-//   - Freeze publishes an O(1) immutable Snapshot sharing the list's
-//     nodes and makes the list read-only; Thaw re-enables in-place
-//     mutation once the engine's readers have drained.
-//   - UpsertAt/DeleteAt return the structural Op each mutation performed
-//     — final tuple, kind, per-level position hints — and Apply replays
-//     such ops onto a replica list, splicing recorded tuples verbatim
-//     (O(1) for the common short nodes) instead of recomputing scores.
+// The lists are versioned (DESIGN.md §6): one writer and any number of
+// readers share the nodes, with no second copy. The table numbers
+// versions; every node carries the version that linked it (born) and the
+// one that removed it (died), and a reader of version v walks only the
+// nodes with born ≤ v < died. A write never changes a tuple a reader can
+// see: an insert links a node born in the version being written, a delete
+// sets died, and a rescore or a LastRef update does both. Publish ends a
+// version; Sweep unlinks the nodes published versions removed, once no
+// reader of an older version remains. Readers walk the bottom level only,
+// so its links and died are the only fields written while they run, and
+// the only atomic ones.
 package rankedlist
 
 import (
+	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/social-streams/ksir/internal/stream"
 )
@@ -40,37 +43,35 @@ type Item struct {
 	LastRef stream.Time // t_e, the time the element was last referred to
 }
 
-// less reports whether a precedes b in ranked order: higher score first,
-// ties broken by smaller ID for determinism.
-func less(a, b Item) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.ID < b.ID
-}
-
 const maxLevel = 24
 
 // linkLevels is how many levels a node links inline. Levels are
-// geometric (p=1/2), so 87.5% of nodes have no more, and the node stays
-// one 64-byte allocation — one cache line for a descent to read.
+// geometric (p=1/2), so 87.5% of nodes have no more.
 const linkLevels = 3
+
+// alive is the died of a node no version has removed.
+const alive = math.MaxInt64
 
 type node struct {
 	item Item
+	born int64        // the version that linked the node
+	died atomic.Int64 // the version that removed it; alive until then
+	// next is the successor at level 0, the full list readers walk.
+	next atomic.Pointer[node]
+	// link holds the successors at levels 1..linkLevels-1, up those at the
+	// levels above: nil for a node of at most linkLevels levels,
+	// level-linkLevels entries otherwise. Only the writer reads them.
+	link [linkLevels - 1]*node
+	up   *[]*node
 	slot stream.Slot // the element's slot: its row in the node table
 	j    uint16      // the list's topic position in the element's topics: its column
 	list uint16      // the number of the list the node is in, on its table
-	// link holds the successors at levels 0..linkLevels-1 (index 0 is the
-	// full linked list), up those at the levels above: nil for a node of
-	// at most linkLevels levels, level-linkLevels entries otherwise.
-	link [linkLevels]*node
-	up   *[]*node
 }
 
-// newNode allocates a node of the given level.
-func newNode(item Item, lvl int) *node {
-	n := &node{item: item}
+// newNode allocates a node of the given level, alive.
+func newNode(item Item, born int64, lvl int) *node {
+	n := &node{item: item, born: born}
+	n.died.Store(alive)
 	if lvl > linkLevels {
 		up := make([]*node, lvl-linkLevels)
 		n.up = &up
@@ -78,43 +79,91 @@ func newNode(item Item, lvl int) *node {
 	return n
 }
 
-// next returns n's successor at level lv, which n must reach.
-func (n *node) next(lv int) *node {
-	if lv < linkLevels {
-		return n.link[lv]
+// nextAt returns n's successor at level lv, which n must reach.
+func (n *node) nextAt(lv int) *node {
+	switch {
+	case lv == 0:
+		return n.next.Load()
+	case lv < linkLevels:
+		return n.link[lv-1]
 	}
 	return (*n.up)[lv-linkLevels]
 }
 
 // setNext sets n's successor at level lv, which n must reach.
 func (n *node) setNext(lv int, m *node) {
-	if lv < linkLevels {
-		n.link[lv] = m
-		return
+	switch {
+	case lv == 0:
+		n.next.Store(m)
+	case lv < linkLevels:
+		n.link[lv-1] = m
+	default:
+		(*n.up)[lv-linkLevels] = m
 	}
-	(*n.up)[lv-linkLevels] = m
 }
 
 // level returns the number of levels n, a list node, links.
 func (n *node) level() int { return nodeLevel(n.item.ID) }
 
-// Table is the node table the ranked lists of one engine buffer share:
-// cell (s, j) holds the node of the element in slot s in the list of its
-// j-th topic, nil when it has none. A table and its lists belong to one
-// writer; readers of a frozen list never read the table.
+// in reports whether version v sees n.
+func (n *node) in(v int64) bool { return n.born <= v && v < n.died.Load() }
+
+// before reports whether n precedes the node of tuple it born in version
+// born: higher score first, ties broken by smaller ID for determinism,
+// then by the older node (the two nodes of one element a rescore leaves
+// until the sweep).
+func (n *node) before(it Item, born int64) bool {
+	if n.item.Score != it.Score {
+		return n.item.Score > it.Score
+	}
+	if n.item.ID != it.ID {
+		return n.item.ID < it.ID
+	}
+	return n.born < born
+}
+
+// Table is the node table the ranked lists of one engine share: cell
+// (s, j) holds the live node of the element in slot s in the list of its
+// j-th topic, nil when it has none. It also numbers the lists' versions.
+// A table and its lists belong to one writer; readers never read the
+// table.
 type Table struct {
 	nodes []*node // cell (s, j) at s·width + j
 	width int     // cells per row: the most topics an element had, at least 4
-	lists uint16  // lists made on the table
+	lists []*List // by number
+	seq   int64   // the version writes go to
+	// dead holds the removed nodes still linked, in the order they died.
+	dead []*node
 }
 
-// NewTable returns an empty node table.
-func NewTable() *Table { return &Table{width: 4} }
+// NewTable returns an empty node table whose writes go to version seq.
+func NewTable(seq int64) *Table { return &Table{width: 4, seq: seq} }
 
 // New returns an empty ranked list on the table.
 func (t *Table) New() *List {
-	t.lists++
-	return &List{head: newNode(Item{}, maxLevel), tab: t, id: t.lists, level: 1}
+	l := &List{head: newNode(Item{}, 0, maxLevel), tab: t, id: uint16(len(t.lists)), level: 1}
+	t.lists = append(t.lists, l)
+	return l
+}
+
+// Publish ends the version being written and returns its number: a reader
+// of it sees every write made so far, and later writes go to the next.
+func (t *Table) Publish() int64 {
+	t.seq++
+	return t.seq - 1
+}
+
+// Sweep unlinks the nodes that published versions removed. The caller
+// vouches that no reader of a version older than the last published one
+// remains: those are the only readers that see such a node.
+func (t *Table) Sweep() {
+	k := 0
+	for ; k < len(t.dead) && t.dead[k].died.Load() < t.seq; k++ {
+		n := t.dead[k]
+		t.lists[n.list].unlink(n)
+		t.dead[k] = nil
+	}
+	t.dead = append(t.dead[:0], t.dead[k:]...)
 }
 
 // get returns cell (s, j), nil outside the table.
@@ -150,25 +199,20 @@ func (t *Table) widen(w int) {
 	t.nodes, t.width = nodes, w
 }
 
-// List is one ranked list RL_i.
-//
-// A list can be frozen into an immutable Snapshot (see Freeze) that shares
-// its nodes. A frozen list panics on mutation until Thaw releases it; the
-// engine's buffer recycling thaws only after readers drain.
+// List is one ranked list RL_i. Its writer methods act on the version
+// its table is writing; Snapshot and IterAt read a published one.
 type List struct {
 	head  *node
 	tab   *Table
 	id    uint16 // the list's number on tab
 	level int    // highest level in use
-	size  int
-	// frozen is true while the current nodes back a live Snapshot.
-	frozen bool
+	size  int    // tuples in the version being written
 	// ids is the ID shim's slot assignment, nil until an ID method runs.
 	ids *idSlots
 }
 
 // New returns an empty standalone ranked list, on a table of its own.
-func New() *List { return NewTable().New() }
+func New() *List { return NewTable(0).New() }
 
 // Len returns the number of tuples.
 func (l *List) Len() int { return l.size }
@@ -190,33 +234,41 @@ func nodeLevel(id stream.ElemID) int {
 	return lvl
 }
 
-// findPredecessors fills pred with, per level, the last node whose item
-// precedes target.
-func (l *List) findPredecessors(target Item, pred *[maxLevel]*node) {
+// findPredecessors fills pred with, per level, the last node that precedes
+// the node of tuple it born in version born.
+func (l *List) findPredecessors(it Item, born int64, pred *[maxLevel]*node) {
 	x := l.head
 	for lv := l.level - 1; lv >= linkLevels; lv-- {
 		for {
 			nx := (*x.up)[lv-linkLevels]
-			if nx == nil || !less(nx.item, target) {
+			if nx == nil || !nx.before(it, born) {
 				break
 			}
 			x = nx
 		}
 		pred[lv] = x
 	}
-	for lv := min(l.level, linkLevels) - 1; lv >= 0; lv-- {
+	for lv := min(l.level, linkLevels) - 1; lv >= 1; lv-- {
 		for {
-			nx := x.link[lv]
-			if nx == nil || !less(nx.item, target) {
+			nx := x.link[lv-1]
+			if nx == nil || !nx.before(it, born) {
 				break
 			}
 			x = nx
 		}
 		pred[lv] = x
 	}
+	for {
+		nx := x.next.Load()
+		if nx == nil || !nx.before(it, born) {
+			break
+		}
+		x = nx
+	}
+	pred[0] = x
 }
 
-// node returns the list's node in cell (s, j), nil when it has none.
+// node returns the list's live node in cell (s, j), nil when it has none.
 func (l *List) node(s stream.Slot, j int) *node {
 	if n := l.tab.get(s, j); n != nil && n.list == l.id {
 		return n
@@ -224,66 +276,89 @@ func (l *List) node(s stream.Slot, j int) *node {
 	return nil
 }
 
-// insert splices a fresh tuple for cell (s, j), which has none, into the
-// list. It returns the node's position hint (predecessor cells per level,
-// when the node is short enough to hint), which the delta recorder stores
-// for replay.
-func (l *List) insert(s stream.Slot, j int, item Item) posHint {
+// insert links a node born in the version being written for cell (s, j),
+// which has none, and enters it in the table. Level 0 is linked first:
+// the store that makes the node reachable to readers publishes its fields.
+func (l *List) insert(s stream.Slot, j int, item Item) {
 	lvl := nodeLevel(item.ID)
 	if lvl > l.level {
 		l.level = lvl
 	}
+	born := l.tab.seq
 	var pred [maxLevel]*node
-	l.findPredecessors(item, &pred)
-	n := l.newNode(s, j, item, lvl)
+	l.findPredecessors(item, born, &pred)
+	n := newNode(item, born, lvl)
+	n.slot, n.j, n.list = s, uint16(j), l.id
 	for lv := 0; lv < lvl; lv++ {
 		p := pred[lv]
 		if p == nil {
 			p = l.head
 		}
-		n.setNext(lv, p.next(lv))
+		n.setNext(lv, p.nextAt(lv))
 		p.setNext(lv, n)
 	}
-	l.size++
-	return l.hintOf(&pred, lvl)
-}
-
-// newNode allocates the node of cell (s, j) and enters it in the table.
-func (l *List) newNode(s stream.Slot, j int, item Item, lvl int) *node {
-	n := newNode(item, lvl)
-	n.slot, n.j, n.list = s, uint16(j), l.id
 	l.tab.set(s, j, n)
-	return n
+	l.size++
 }
 
+// remove takes n out of the version being written. A node born in that
+// version no reader can see, so it is unlinked now; any other is marked
+// dead and left linked for the readers of older versions until Sweep.
 func (l *List) remove(n *node) {
-	var pred [maxLevel]*node
-	l.findPredecessors(n.item, &pred)
-	l.unlink(n, &pred)
+	t := l.tab
+	t.set(n.slot, int(n.j), nil)
+	l.size--
+	if n.born == t.seq {
+		l.unlink(n)
+		return
+	}
+	n.died.Store(t.seq)
+	t.dead = append(t.dead, n)
 }
 
-// unlink splices n out given its predecessors (as filled by
-// findPredecessors on n.item).
-func (l *List) unlink(n *node, pred *[maxLevel]*node) {
+// unlink splices n out of every level it links. n keeps its own links, so
+// a reader standing on it walks on into the list.
+func (l *List) unlink(n *node) {
+	var pred [maxLevel]*node
+	l.findPredecessors(n.item, n.born, &pred)
 	for lv := range n.level() {
 		p := pred[lv]
 		if p == nil {
 			p = l.head
 		}
-		if p.next(lv) == n {
-			p.setNext(lv, n.next(lv))
+		if p.nextAt(lv) == n {
+			p.setNext(lv, n.nextAt(lv))
 		}
 	}
-	l.dropped(n)
-}
-
-// dropped finishes the removal of n, already spliced out of every level.
-func (l *List) dropped(n *node) {
-	for l.level > 1 && l.head.next(l.level-1) == nil {
+	for l.level > 1 && l.head.nextAt(l.level-1) == nil {
 		l.level--
 	}
-	l.tab.set(n.slot, int(n.j), nil)
-	l.size--
+}
+
+// UpsertAt inserts or repositions the tuple of the element in slot s,
+// whose j-th topic is the list's (Algorithm 1 lines 7 and 11). A changed
+// tuple gets a new node, even when only LastRef moved: readers copy a
+// visible tuple whole, so no field of one is written in place.
+func (l *List) UpsertAt(s stream.Slot, j int, id stream.ElemID, score float64, lastRef stream.Time) {
+	item := Item{ID: id, Score: score, LastRef: lastRef}
+	if n := l.node(s, j); n != nil {
+		if n.item == item {
+			return
+		}
+		l.remove(n)
+	}
+	l.insert(s, j, item)
+}
+
+// DeleteAt removes the tuple of the element in slot s, whose j-th topic
+// is the list's, reporting whether it was present (Algorithm 1 line 13).
+func (l *List) DeleteAt(s stream.Slot, j int) bool {
+	n := l.node(s, j)
+	if n == nil {
+		return false
+	}
+	l.remove(n)
+	return true
 }
 
 // GetAt returns the tuple of cell (s, j).
@@ -295,46 +370,65 @@ func (l *List) GetAt(s stream.Slot, j int) (Item, bool) {
 }
 
 // First returns the highest-scored tuple (the RL_i.first operation of §4.1).
-func (l *List) First() (Item, bool) {
-	n := l.head.link[0]
-	if n == nil {
-		return Item{}, false
-	}
-	return n.item, true
-}
+func (l *List) First() (Item, bool) { return l.IterAt(l.tab.seq).Next() }
 
-// Iterator walks the list in ranked (descending score) order. The list must
-// not be mutated while an iterator is live; the query engine guarantees this
-// by iterating only over frozen Snapshots, which no mutation can reach
-// before Thaw.
+// Iterator walks one version of a list in ranked (descending score) order.
+// Any number of iterators may walk published versions while the writer
+// writes the next: they pass over the nodes their version does not see.
 type Iterator struct {
 	cur *node
+	seq int64
 }
 
-// Iter returns an iterator positioned before the first tuple.
-func (l *List) Iter() *Iterator { return &Iterator{cur: l.head} }
+// Iter returns an iterator over the version being written, positioned
+// before the first tuple.
+func (l *List) Iter() *Iterator { return l.IterAt(l.tab.seq) }
+
+// IterAt returns an iterator over version seq, positioned before the first
+// tuple. seq must be the version being written, or a published one whose
+// removed nodes the caller keeps Sweep from unlinking while it reads.
+func (l *List) IterAt(seq int64) *Iterator { return &Iterator{cur: l.head, seq: seq} }
 
 // Next advances and returns the next tuple (the RL_i.next operation).
 func (it *Iterator) Next() (Item, bool) {
-	if it.cur == nil || it.cur.link[0] == nil {
-		return Item{}, false
+	for n := it.cur.next.Load(); n != nil; n = n.next.Load() {
+		it.cur = n
+		if n.in(it.seq) {
+			return n.item, true
+		}
 	}
-	it.cur = it.cur.link[0]
-	return it.cur.item, true
+	return Item{}, false
 }
 
 // Slot returns the slot of the element whose tuple Next last returned.
 func (it *Iterator) Slot() stream.Slot { return it.cur.slot }
 
 // Items returns all tuples in ranked order (for tests and diagnostics).
-func (l *List) Items() []Item { return items(l.head, l.size) }
+func (l *List) Items() []Item { return l.ItemsAt(l.tab.seq, l.size) }
 
-func items(head *node, size int) []Item {
-	out := make([]Item, 0, size)
-	for n := head.link[0]; n != nil; n = n.link[0] {
-		out = append(out, n.item)
+// ItemsAt returns version seq's tuples in ranked order, sized for n of
+// them (IterAt's rule on seq applies).
+func (l *List) ItemsAt(seq int64, n int) []Item { return items(l.head, seq, n) }
+
+func items(head *node, seq int64, n int) []Item {
+	out := make([]Item, 0, n)
+	for it := (Iterator{cur: head, seq: seq}); ; {
+		item, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, item)
 	}
-	return out
+}
+
+// find walks version seq of the list from head for id's tuple.
+func find(head *node, seq int64, id stream.ElemID) (Item, bool) {
+	for it := (Iterator{cur: head, seq: seq}); ; {
+		item, ok := it.Next()
+		if !ok || item.ID == id {
+			return item, ok
+		}
+	}
 }
 
 // idSlots is the ID shim's slot assignment: the slot of every element
@@ -357,7 +451,6 @@ func (l *List) shim() *idSlots {
 // Upsert inserts the tuple for id or repositions it if already present
 // (Algorithm 1 lines 7 and 11), on a list driven by ID.
 func (l *List) Upsert(id stream.ElemID, score float64, lastRef stream.Time) {
-	l.mustBeThawed()
 	ids := l.shim()
 	s, ok := ids.slot[id]
 	if !ok {
@@ -374,7 +467,6 @@ func (l *List) Upsert(id stream.ElemID, score float64, lastRef stream.Time) {
 // Delete removes the tuple for id, reporting whether it was present
 // (Algorithm 1 line 13), on a list driven by ID.
 func (l *List) Delete(id stream.ElemID) bool {
-	l.mustBeThawed()
 	ids := l.shim()
 	s, ok := ids.slot[id]
 	if !ok {
@@ -382,28 +474,17 @@ func (l *List) Delete(id stream.ElemID) bool {
 	}
 	delete(ids.slot, id)
 	ids.free = append(ids.free, s)
-	_, ok = l.DeleteAt(s, 0)
-	return ok
+	return l.DeleteAt(s, 0)
 }
 
 // Get returns the current tuple for id: through the ID map on a list
 // driven by ID, by a walk of the list otherwise (tests and diagnostics).
 func (l *List) Get(id stream.ElemID) (Item, bool) {
 	if l.ids == nil {
-		return find(l.head, id)
+		return find(l.head, l.tab.seq, id)
 	}
 	if s, ok := l.ids.slot[id]; ok {
 		return l.GetAt(s, 0)
-	}
-	return Item{}, false
-}
-
-// find walks the list from head for id's tuple.
-func find(head *node, id stream.ElemID) (Item, bool) {
-	for n := head.link[0]; n != nil; n = n.link[0] {
-		if n.item.ID == id {
-			return n.item, true
-		}
 	}
 	return Item{}, false
 }

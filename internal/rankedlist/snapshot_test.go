@@ -54,44 +54,44 @@ func TestSnapshotMatchesListAtFreeze(t *testing.T) {
 	}
 }
 
-// mustPanic reports whether f panicked.
-func mustPanic(f func()) (panicked bool) {
-	defer func() { panicked = recover() != nil }()
-	f()
-	return false
-}
-
-// A frozen list refuses every mutator — plain, recorded and replayed — and
-// the refused call leaves both the list and its snapshot untouched.
-func TestFrozenListPanicsOnMutation(t *testing.T) {
+// Every mutator of a list goes on after Freeze, and none changes what the
+// snapshot reads: writes go to the next version.
+func TestMutationAfterFreezeLeavesSnapshot(t *testing.T) {
 	l := New()
 	for i := 1; i <= 10; i++ {
 		l.Upsert(stream.ElemID(i), float64(i), 1)
 	}
-	replica := New()
-	op := replica.UpsertAt(0, 0, 99, 5.5, 2)
 	s := l.Freeze()
 	want := s.Items()
-	for name, f := range map[string]func(){
-		"Upsert":        func() { l.Upsert(99, 5.5, 2) },
-		"Upsert(touch)": func() { l.Upsert(7, 7, 9) },
-		"Delete":        func() { l.Delete(10) },
-		"UpsertAt":      func() { l.UpsertAt(2, 0, 3, 20, 3) },
-		"DeleteAt":      func() { l.DeleteAt(9, 0) },
-		"Apply":         func() { l.Apply(&op) },
-		"ApplyDelta":    func() { l.ApplyDelta([]Op{op}) },
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Upsert", func() { l.Upsert(99, 5.5, 2) }},
+		{"Upsert(touch)", func() { l.Upsert(7, 7, 9) }},
+		{"Delete", func() { l.Delete(10) }},
+		{"UpsertAt", func() { l.UpsertAt(2, 0, 3, 20, 3) }},
+		{"DeleteAt", func() { l.DeleteAt(8, 0) }},
 	} {
-		if !mustPanic(f) {
-			t.Errorf("%s on a frozen list did not panic", name)
+		before := l.Items()
+		c.f()
+		if !equalItems(s.Items(), want) || s.Len() != len(want) {
+			t.Fatalf("%s after Freeze changed the snapshot", c.name)
 		}
-		if !equalItems(s.Items(), want) || !equalItems(l.Items(), want) {
-			t.Fatalf("%s changed a frozen list", name)
+		if equalItems(l.Items(), before) {
+			t.Fatalf("%s after Freeze did not change the list", c.name)
 		}
+	}
+	if item, ok := s.Get(7); !ok || item.LastRef != 1 {
+		t.Errorf("snapshot Get(7) = %+v, %v; want LastRef 1", item, ok)
+	}
+	if item, ok := l.Get(7); !ok || item.LastRef != 9 {
+		t.Errorf("list Get(7) = %+v, %v; want LastRef 9", item, ok)
 	}
 }
 
-// Freeze → thaw cycles, the engine's buffer discipline: each snapshot shows
-// exactly the tuples of its freeze point — upserts, repositions, same-score
+// Freeze → thaw cycles: each snapshot shows exactly the tuples of its
+// freeze point — upserts, repositions, same-score
 // LastRef updates and deletes made while thawed included.
 func TestSnapshotIsImmutableUnderMutation(t *testing.T) {
 	l := New()
@@ -128,21 +128,28 @@ func TestSnapshotIsImmutableUnderMutation(t *testing.T) {
 	}
 }
 
-// Thaw releases the snapshot's claim: subsequent mutations are in place, and
-// the list keeps behaving exactly like an unfrozen one.
+// Thaw unlinks only what the snapshots before the last Freeze could see:
+// the list keeps behaving exactly like an unfrozen one, and the last
+// snapshot still reads its version.
 func TestThawReusesNodes(t *testing.T) {
 	l := New()
 	l.Upsert(1, 1, 1)
 	l.Upsert(2, 2, 1)
+	l.Freeze()
+	l.Delete(1)
 	s := l.Freeze()
 	l.Thaw()
 	l.Upsert(3, 3, 1)
-	if l.Len() != 3 {
+	l.Upsert(2, 2.5, 2)
+	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	// The snapshot is invalidated by contract; it must still not crash on
-	// iteration (it shares the mutated nodes).
-	_ = s.Items()
+	if got := s.Items(); !equalItems(got, []Item{{2, 2, 1}}) {
+		t.Fatalf("snapshot reads %v after Thaw, want its version", got)
+	}
+	if got := l.Items(); !equalItems(got, []Item{{3, 3, 1}, {2, 2.5, 2}}) {
+		t.Fatalf("list reads %v", got)
+	}
 }
 
 // Property: under a random mix of upserts/deletes with freeze → thaw

@@ -181,13 +181,13 @@ func grow[T any](t []T, s Slot) []T {
 // included. An element held as a Go value costs, beyond its own fields,
 // liveBaseBytes — its entries in both twins' active maps and slot tables,
 // the last-ref table and the expiry heap, its scorer-cache entries, its
-// share of the pending delta — plus, for each of its topics,
-// liveTopicBytes — its list nodes and node-table cells in both buffers —
-// and a cached weight per term.
+// row of the lists' node table, its share of the pending delta — plus,
+// for each of its topics, liveTopicBytes — its one versioned list node
+// (both buffers read the same lists) — and a cached weight per term.
 const (
 	mapEntryBytes  = 32
-	liveBaseBytes  = 385
-	liveTopicBytes = 190
+	liveBaseBytes  = 347
+	liveTopicBytes = 130
 )
 
 // NewActiveWindow returns an empty window of length T. It panics if T ≤ 0

@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"math"
 	randv2 "math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,13 +236,30 @@ type Op struct {
 	root    Span
 	stream  string
 	sampled bool
-	spans   []Span
+	spans   []child
+	attrs   []Attr // the children's attributes, back to back
 	dropped int
 }
 
-// opPool recycles Op buffers (and their span backing arrays): almost every
-// op is unsampled and discarded at End, and the pipeline starts one per
-// write, so the discard path must not allocate.
+// child is one recorded child span. Until End keeps the op, its SpanID is
+// not drawn, its Parent is zero for the root or the provisional id of an
+// earlier child (childID), and its attributes are attrs[from:to] of its op.
+type child struct {
+	Span
+	from, to int
+}
+
+// childID is the provisional id ChildOf returns for the op's i-th child:
+// i+1, big-endian. End maps it to the child's drawn id.
+func childID(i int) SpanID {
+	var id SpanID
+	binary.BigEndian.PutUint64(id[:], uint64(i)+1)
+	return id
+}
+
+// opPool recycles Op buffers (and their span and attribute backing arrays):
+// almost every op is unsampled and discarded at End, and the pipeline
+// starts one per write, so the discard path must not allocate.
 var opPool = sync.Pool{New: func() any { return new(Op) }}
 
 // Start begins an op on the default recorder. See Recorder.Start.
@@ -266,7 +284,8 @@ func (r *Recorder) Start(name, stream string, parent SpanContext) *Op {
 		rec:    r,
 		stream: stream,
 		spans:  o.spans[:0],
-		root:   Span{Name: name, Start: time.Now()},
+		attrs:  o.attrs[:0],
+		root:   Span{Name: name, Start: time.Now(), Attrs: o.root.Attrs[:0]},
 	}
 	if parent.Valid() {
 		o.traceID = parent.TraceID
@@ -288,13 +307,14 @@ func (o *Op) ids() {
 	}
 }
 
-// release clears the op (dropping the string/attr references its span
-// buffer pins) and returns it to the pool. Callers must not touch an op
-// after End.
+// release clears the op (dropping the string references its span and
+// attribute buffers pin) and returns it to the pool. Callers must not
+// touch an op after End.
 func (o *Op) release() {
 	clear(o.spans)
-	spans := o.spans[:0]
-	*o = Op{spans: spans}
+	clear(o.attrs)
+	clear(o.root.Attrs)
+	*o = Op{spans: o.spans[:0], attrs: o.attrs[:0], root: Span{Attrs: o.root.Attrs[:0]}}
 	opPool.Put(o)
 }
 
@@ -340,8 +360,11 @@ func (o *Op) Child(name string, start time.Time, d time.Duration, attrs ...Attr)
 	return o.ChildOf(SpanID{}, name, start, d, attrs...)
 }
 
-// ChildOf records a completed span under parent (zero parent means the
-// root). Beyond maxOpSpans the span is dropped and counted.
+// ChildOf records a completed span under parent: zero for the root, or an
+// id an earlier Child or ChildOf of this op returned. Beyond maxOpSpans
+// the span is dropped and counted. The returned id is provisional — the
+// span's real id is drawn at End, and only if the op is kept — and the
+// attributes are copied, so an unsampled op allocates nothing here.
 func (o *Op) ChildOf(parent SpanID, name string, start time.Time, d time.Duration, attrs ...Attr) SpanID {
 	if o == nil {
 		return SpanID{}
@@ -350,14 +373,13 @@ func (o *Op) ChildOf(parent SpanID, name string, start time.Time, d time.Duratio
 		o.dropped++
 		return SpanID{}
 	}
-	// A zero parent stays zero here — it means "under the root", and the
-	// root's lazily drawn id is resolved into kept spans at End.
-	id := newSpanID()
-	o.spans = append(o.spans, Span{
-		SpanID: id, Parent: parent, Name: name,
-		Start: start, Duration: d, Attrs: attrs,
+	from := len(o.attrs)
+	o.attrs = append(o.attrs, attrs...)
+	o.spans = append(o.spans, child{
+		Span: Span{Parent: parent, Name: name, Start: start, Duration: d},
+		from: from, to: len(o.attrs),
 	})
-	return id
+	return childID(len(o.spans) - 1)
 }
 
 // End finalizes the op: the root duration is stamped, the keep decision is
@@ -386,11 +408,23 @@ func (o *Op) End() {
 	if o.dropped > 0 {
 		o.root.Attrs = append(o.root.Attrs, Int("dropped_spans", int64(o.dropped)))
 	}
+	// The kept trace owns its attributes: the op's buffers go back to the
+	// pool.
+	root, attrs := o.root, slices.Clone(o.attrs)
+	root.Attrs = slices.Clone(o.root.Attrs)
 	spans := make([]Span, 0, 1+len(o.spans))
-	spans = append(spans, o.root)
-	for _, s := range o.spans {
-		if s.Parent.IsZero() {
+	spans = append(spans, root)
+	for i := range o.spans {
+		c := &o.spans[i]
+		c.SpanID = newSpanID()
+		s := c.Span
+		if p := binary.BigEndian.Uint64(s.Parent[:]); p >= 1 && p <= uint64(i) {
+			s.Parent = o.spans[p-1].SpanID
+		} else {
 			s.Parent = o.root.SpanID
+		}
+		if c.to > c.from {
+			s.Attrs = attrs[c.from:c.to:c.to]
 		}
 		spans = append(spans, s)
 	}

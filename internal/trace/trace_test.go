@@ -303,6 +303,70 @@ func TestTraceJSONShape(t *testing.T) {
 	}
 }
 
+// queryOp records an op shaped like a traced query's: two children, the
+// second under the first, six attributes between them.
+func queryOp(rec *Recorder, evaluated int64) {
+	op := rec.Start("http.query", "s", SpanContext{})
+	start := time.Now()
+	pin := op.Child("snapshot.pin", start, time.Since(start), Int("bucket", 7))
+	op.ChildOf(pin, "query.descend", start, time.Since(start),
+		String("algorithm", "mtts"), Int("evaluated", evaluated), Int("retrieved", 20),
+		Int("gain_evals", 30), Int("certified", 4))
+	op.End()
+}
+
+// An unsampled op allocates nothing: it draws no span id, and it copies
+// its children's attributes into its pooled buffer instead of keeping the
+// callers' variadic slices, which would make them escape.
+func TestUnsampledOpAllocationsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled ops")
+	}
+	rec := NewRecorder(8)
+	rec.SetSampleRate(0)
+	rec.SetSlowThreshold(time.Hour)
+	if allocs := testing.AllocsPerRun(200, func() { queryOp(rec, 10) }); allocs != 0 {
+		t.Errorf("an unsampled query-shaped op allocates %.1f times, want 0", allocs)
+	}
+}
+
+// A kept trace owns its attributes and ids: the ops that reuse the pooled
+// buffers after it change nothing in it, and every span has its own drawn
+// id.
+func TestKeptTraceOwnsItsAttrs(t *testing.T) {
+	r := NewRecorder(8)
+	r.SetSlowThreshold(0)
+	r.SetSampleRate(1)
+	queryOp(r, 1)
+	queryOp(r, 2)
+	traces := r.Snapshot(Filter{})
+	if len(traces) != 2 {
+		t.Fatalf("kept %d traces, want 2", len(traces))
+	}
+	for i, tr := range traces {
+		descend := tr.Spans[2]
+		var evaluated int64 = -1
+		for _, a := range descend.Attrs {
+			if a.Key == "evaluated" {
+				evaluated = a.Int
+			}
+		}
+		if want := int64(2 - i); len(descend.Attrs) != 5 || evaluated != want {
+			t.Fatalf("trace %d: query.descend attrs %+v, want 5 with evaluated %d", i, descend.Attrs, want)
+		}
+		if len(tr.Spans[1].Attrs) != 1 || tr.Spans[1].Attrs[0].Key != "bucket" {
+			t.Fatalf("trace %d: snapshot.pin attrs %+v", i, tr.Spans[1].Attrs)
+		}
+		ids := map[SpanID]bool{}
+		for _, sp := range tr.Spans {
+			ids[sp.SpanID] = true
+		}
+		if len(ids) != 3 || ids[SpanID{}] || descend.Parent != tr.Spans[1].SpanID || tr.Spans[1].Parent != tr.Spans[0].SpanID {
+			t.Fatalf("trace %d: span ids or parents wrong: %+v", i, tr.Spans)
+		}
+	}
+}
+
 // The pipeline starts one op per write and records ~6 children whether or
 // not the op is sampled (a slow op must surface with its breakdown
 // intact), so the unsampled path is the per-op hot cost the overhead gate
@@ -317,5 +381,16 @@ func BenchmarkUnsampledOp(b *testing.B) {
 		start := time.Now()
 		op.Child("engine.apply", start, time.Since(start))
 		op.End()
+	}
+}
+
+// BenchmarkUnsampledQueryOp is the unsampled cost a traced query adds.
+func BenchmarkUnsampledQueryOp(b *testing.B) {
+	rec := NewRecorder(8)
+	rec.SetSampleRate(0)
+	rec.SetSlowThreshold(time.Hour)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		queryOp(rec, int64(i))
 	}
 }

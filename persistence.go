@@ -329,7 +329,9 @@ func buildStream(m *Model, opts Options, ck *persist.Checkpoint) (*engineStream,
 	}
 	eng, err := core.Restore(engineConfig(m, opts), ck.Core)
 	if err != nil {
-		return nil, persistErr(err)
+		// The options and model came from the manifest the checkpoint was
+		// matched against, so a state Restore refuses is a corrupt one.
+		return nil, persistErr(fmt.Errorf("%w: %v", persist.ErrCorrupt, err))
 	}
 	s := newEngineStream(m, eng, opts)
 	for _, p := range ck.Pending {

@@ -26,6 +26,7 @@ import (
 
 	"github.com/social-streams/ksir/internal/metrics"
 	"github.com/social-streams/ksir/internal/persist"
+	"github.com/social-streams/ksir/internal/stream"
 )
 
 // persistOpts are the stream options used across the recovery suite:
@@ -918,6 +919,57 @@ func TestOldSamplerDataDirRefused(t *testing.T) {
 		if after := snapshot(); !reflect.DeepEqual(after, before) {
 			t.Errorf("OpenHub(%+v) changed the refused directory", po)
 		}
+	}
+}
+
+// A checkpoint whose state does not fit the model — here a window
+// element with a topic past Z — fails OpenHub as corrupt instead of
+// panicking in the restore.
+func TestOpenHubRefusesElementOutsideModel(t *testing.T) {
+	m := trainTestModel(t)
+	src := t.TempDir()
+	h := openTestHub(t, src, m, PersistOptions{})
+	hs, err := h.Create("s", m, Options{Window: time.Hour, Bucket: time.Minute, Eta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 20; i++ {
+		if err := hs.Add(Post{ID: i, Time: i * 30, Text: "late goal wins the derby"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := hs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := persist.LoadCheckpoint(filepath.Join(src, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Log != nil {
+		defer ck.Log.Close()
+	}
+	if len(ck.Core.Window.Window) == 0 {
+		t.Fatal("the checkpoint holds no window element")
+	}
+	e := *ck.Core.Window.Window[0]
+	e.Topics.Topics = append([]int32(nil), e.Topics.Topics...)
+	e.Topics.Topics[len(e.Topics.Topics)-1] = 99
+	ck.Core.Window.Window = append([]*stream.Element{&e}, ck.Core.Window.Window[1:]...)
+
+	dst := t.TempDir()
+	copyStreamTree(t, src, dst)
+	for _, f := range []string{persist.CheckpointFile, persist.CheckpointFile + ".bak", persist.ElementsFile, persist.WALFile} {
+		os.Remove(filepath.Join(dst, "s", f))
+	}
+	if err := persist.WriteCheckpoint(filepath.Join(dst, "s"), ck); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenHub(dst, m, PersistOptions{})
+	if !errors.Is(err, ErrPersist) || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("OpenHub over an element outside the model: %v, want a corrupt-state ErrPersist", err)
 	}
 }
 

@@ -131,14 +131,12 @@ func BenchmarkQuerySieve(b *testing.B) {
 
 // BenchmarkIngest measures ranked-list maintenance per arriving element
 // (the Figure 14 metric) by replaying a fresh stream each iteration:
-// ns/element from Stats.UpdateTime, and replay-ns/element from
-// Stats.ReplayTime, the catch-up of the recycled buffer and the sweep of
-// the list nodes the published bucket removed.
+// ns/element from Stats.UpdateTime.
 func BenchmarkIngest(b *testing.B) {
 	st := microSetup(b, "Twitter")
 	b.ReportAllocs()
 	b.ResetTimer()
-	var update, replay time.Duration
+	var update time.Duration
 	var elements int64
 	for i := 0; i < b.N; i++ {
 		g, err := st.env.NewEngine(0)
@@ -150,12 +148,10 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		st := g.Stats()
 		update += st.UpdateTime
-		replay += st.ReplayTime
 		elements += st.ElementsIngested
 	}
 	b.StopTimer()
 	if elements > 0 {
 		b.ReportMetric(float64(update.Nanoseconds())/float64(elements), "ns/element")
-		b.ReportMetric(float64(replay.Nanoseconds())/float64(elements), "replay-ns/element")
 	}
 }

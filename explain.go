@@ -31,9 +31,10 @@ type Explanation struct {
 // the snapshot the result was computed at. Call it right after Query, with
 // the same query you issued: once a later bucket is published the result
 // is stale, and Explain fails with ErrNotActive naming both buckets rather
-// than explain it against a window that changed. Like Query it pins the
-// published snapshot without taking the stream's lock, after reactivating
-// a hibernated stream.
+// than explain it against a window that changed. It does not take the
+// stream's lock, but it looks the posts up by ID under the engine's writer
+// lock, so it waits out a bucket being applied (core.Engine.ReadSnapshot);
+// a hibernated stream is reactivated first.
 func (s *Stream) Explain(res Result, q Query) ([]Explanation, error) {
 	es, err := s.resident(context.Background())
 	if err != nil {

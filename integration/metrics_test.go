@@ -27,15 +27,15 @@ import (
 // (DESIGN.md §12), with its TYPE. The test fails when a family disappears
 // from the scrape or changes type — the exposition is a wire contract.
 var metricFamilies = map[string]string{
-	"ksir_engine_elements_ingested_total": "counter",
-	"ksir_engine_buckets_total":           "counter",
-	"ksir_engine_update_seconds_total":    "counter",
-	"ksir_engine_replay_seconds_total":    "counter",
-	"ksir_engine_query_duration_seconds":  "histogram",
-	"ksir_engine_query_evaluated_ratio":   "histogram",
-	"ksir_engine_query_retrieved":         "histogram",
-	"ksir_engine_query_gain_evals":        "histogram",
-	"ksir_engine_snapshot_pins":           "gauge",
+	"ksir_engine_elements_ingested_total":  "counter",
+	"ksir_engine_buckets_total":            "counter",
+	"ksir_engine_update_seconds_total":     "counter",
+	"ksir_engine_drain_wait_seconds_total": "counter",
+	"ksir_engine_query_duration_seconds":   "histogram",
+	"ksir_engine_query_evaluated_ratio":    "histogram",
+	"ksir_engine_query_retrieved":          "histogram",
+	"ksir_engine_query_gain_evals":         "histogram",
+	"ksir_engine_snapshot_pins":            "gauge",
 
 	"ksir_pipeline_ops_total":               "counter",
 	"ksir_pipeline_commit_batches_total":    "counter",

@@ -18,8 +18,8 @@ import (
 //
 // An arena lives strictly inside its query's snapshot pin: it is taken
 // after the pin and released — every element reference dropped — before
-// the unpin, so pooled arenas never keep an expired element or a recycled
-// buffer's state alive.
+// the unpin, so pooled arenas never keep an expired element or a retired
+// version's tables alive.
 type arena struct {
 	tr traversal
 	// buf backs the probes: reset per element by MTTS (one live probe),
@@ -70,7 +70,7 @@ func putArena(a *arena) {
 // reset empties a in O(what the query touched), dropping every element,
 // window and ranked-list reference.
 func (a *arena) reset() {
-	a.tr.win = nil
+	a.tr.win = stream.View{}
 	clear(a.tr.iters)
 	clear(a.probes)
 	clear(a.rejected)

@@ -237,7 +237,7 @@ func TestQueryPinsBucketAcrossIngest(t *testing.T) {
 		t.Fatalf("live query at bucket %d (err %v), want 2", res.BucketSeq, err)
 	}
 	snap.release()
-	// After release the writer can recycle the buffer freely.
+	// After release the writer can free what only bucket 1 still saw.
 	if err := g.Ingest(f.buckets[2].End, f.buckets[2].Elems); err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestQueryPinsBucketAcrossIngest(t *testing.T) {
 	}
 }
 
-// Duplicate IDs and out-of-bucket timestamps must be rejected before either
-// buffer mutates, so the engine stays usable after the error.
+// Duplicate IDs and out-of-bucket timestamps must be rejected before the
+// window or the lists change, so the engine stays usable after the error.
 func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 	f := newConcurrentFixture(53)
 	g := f.newEngine(t)
@@ -295,7 +295,7 @@ func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 		}
 	}
 	// The rejected buckets must have left no trace: the next good bucket
-	// keeps both buffers identical (checked via golden single engine).
+	// leaves the engine equal to one that never saw them.
 	if err := g.Ingest(now+10, []*stream.Element{&fresh}); err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +308,8 @@ func TestIngestValidationKeepsBuffersInSync(t *testing.T) {
 	if err := ref.Ingest(now+10, []*stream.Element{&fresh}); err != nil {
 		t.Fatal(err)
 	}
-	// Ingest once more so the engine's recycled buffer (the one the failed
-	// calls could have corrupted) becomes the published one.
+	// Ingest once more so any state the failed calls could have corrupted
+	// is published.
 	for _, g2 := range []*Engine{g, ref} {
 		if err := g2.Ingest(now+30, nil); err != nil {
 			t.Fatal(err)

@@ -7,17 +7,18 @@ import (
 	"testing"
 
 	"github.com/social-streams/ksir/internal/rankedlist"
+	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/testutil"
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
 // checkLists verifies Algorithm 1's ranked-list invariants on one version
-// of the lists by brute force against a buffer's window and scorer. touched
+// of the lists by brute force against the engine's window and scorer. touched
 // holds the IDs the last bucket inserted or referenced: their tuples must
 // carry the current score exactly; every other tuple may be stale, but
 // only upwards.
-func checkLists(b *buffer, lists [][]rankedlist.Item, touched map[stream.ElemID]bool) error {
+func checkLists(win *stream.ActiveWindow, scorer *score.Scorer, lists [][]rankedlist.Item, touched map[stream.ElemID]bool) error {
 	for i, items := range lists {
 		topic := int32(i)
 		got := make(map[stream.ElemID]bool, len(items))
@@ -26,7 +27,7 @@ func checkLists(b *buffer, lists [][]rankedlist.Item, touched map[stream.ElemID]
 				return fmt.Errorf("RL_%d holds element %d twice", i, it.ID)
 			}
 			got[it.ID] = true
-			e, active := b.win.Get(it.ID)
+			e, active := win.Get(it.ID)
 			if !active {
 				return fmt.Errorf("RL_%d holds inactive element %d", i, it.ID)
 			}
@@ -41,7 +42,7 @@ func checkLists(b *buffer, lists [][]rankedlist.Item, touched map[stream.ElemID]
 			// Influence lost to window exit is never rescored, so a tuple
 			// may overestimate; float sums of non-negative terms in fixed
 			// child order are monotone under term removal, so ≥ is exact.
-			cur := b.scorer.TopicScore(e, topic)
+			cur := scorer.TopicScore(e, topic)
 			if it.Score < cur {
 				return fmt.Errorf("RL_%d underestimates element %d: tuple %v < δ %v", i, it.ID, it.Score, cur)
 			}
@@ -50,7 +51,7 @@ func checkLists(b *buffer, lists [][]rankedlist.Item, touched map[stream.ElemID]
 			}
 		}
 		var missing error
-		b.win.ForEachActive(func(e *stream.Element) {
+		win.ForEachActive(func(e *stream.Element) {
 			if e.Topics.Prob(topic) > 0 && !got[e.ID] {
 				missing = fmt.Errorf("RL_%d misses active element %d with p_%d = %v", i, e.ID, i, e.Topics.Prob(topic))
 			}
@@ -63,11 +64,9 @@ func checkLists(b *buffer, lists [][]rankedlist.Item, touched map[stream.ElemID]
 }
 
 // listInvariants runs buckets through a fresh engine and returns the first
-// invariant violation, checked after every bucket, in the published
-// version against the front buffer and in the version the writer writes
-// next against the back one (the catch-up that would otherwise wait for
-// the next Ingest is forced).
-func listInvariants(model *topicmodel.Model, windowT stream.Time, buckets []deltaBucket) error {
+// invariant violation, checked after every bucket in the published
+// version.
+func listInvariants(model *topicmodel.Model, windowT stream.Time, buckets []scriptBucket) error {
 	g, err := NewEngine(Config{Model: model, WindowLength: windowT, Params: paperConfig().Params})
 	if err != nil {
 		return err
@@ -84,12 +83,7 @@ func listInvariants(model *topicmodel.Model, windowT stream.Time, buckets []delt
 			}
 		}
 		g.mu.Lock()
-		g.recycle()
-		front := g.front.Load()
-		err := checkLists(front.buf, listsAt(g, front.seq), touched)
-		if err == nil {
-			err = checkLists(g.back, listItems(g.lists), touched)
-		}
+		err := checkLists(g.win, g.scorer, listsAt(g, g.front.Load().seq), touched)
 		g.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("bucket %d: %w", b, err)
@@ -114,7 +108,7 @@ func TestRankedListInvariants(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		model := testutil.RandModel(rng, z, v)
-		buckets := randomDeltaStream(rng, z, v, 80, windowT)
+		buckets := randomStream(rng, z, v, 80, windowT)
 		if listInvariants(model, windowT, buckets) == nil {
 			continue
 		}

@@ -26,7 +26,7 @@ func (v *view) mttd(ctx context.Context, q Query, a *arena) (Result, error) {
 	eps := q.Epsilon
 	k := q.K
 
-	s := a.newSet(v.scorer, q.X)
+	s := a.newSet(v.sc.Scorer(), q.X)
 	buf := &a.heap
 	evaluated, gainEvals := 0, 0
 
@@ -45,7 +45,7 @@ func (v *view) mttd(ctx context.Context, q Query, a *arena) (Result, error) {
 			if !ok {
 				break
 			}
-			p := v.scorer.PrepareAt(&a.buf, e, slot, q.X)
+			p := v.sc.PrepareAt(&a.buf, e, slot, q.X)
 			evaluated++
 			buf.push(gainEntry{gain: p.Delta, id: e.ID, probe: int32(len(a.probes))})
 			a.probes = append(a.probes, p)

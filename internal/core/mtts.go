@@ -60,7 +60,7 @@ func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 			break
 		}
 		a.buf.Reset()
-		p := v.scorer.PrepareAt(&a.buf, e, slot, q.X)
+		p := v.sc.PrepareAt(&a.buf, e, slot, q.X)
 		delta := p.Delta
 		evaluated++
 
@@ -83,7 +83,7 @@ func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 					continue
 				}
 				if fresh == nil {
-					fresh = a.newSet(v.scorer, q.X)
+					fresh = a.newSet(v.sc.Scorer(), q.X)
 				}
 				next = append(next, sieveCand{
 					j:         j,
@@ -145,7 +145,7 @@ func (v *view) mtts(ctx context.Context, q Query, a *arena) (Result, error) {
 				continue
 			}
 			if m < hi {
-				set = a.newSet(v.scorer, q.X)
+				set = a.newSet(v.sc.Scorer(), q.X)
 				set.CopyFrom(sieves[lo].set)
 				for i := lo; i < m; i++ {
 					sieves[i].set = set

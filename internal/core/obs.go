@@ -11,13 +11,13 @@ import (
 // from scrape-time collectors over StreamStats, not from hot-path labels.
 var (
 	obsElements = metrics.NewCounter("ksir_engine_elements_ingested_total",
-		"Stream elements applied to engine back buffers.")
+		"Stream elements applied to engines.")
 	obsBuckets = metrics.NewCounter("ksir_engine_buckets_total",
 		"Bucket boundaries applied (window advances).")
 	obsUpdateTime = metrics.NewDurationCounter("ksir_engine_update_seconds_total",
 		"Wall time spent in primary bucket application (the Figure-14 maintenance cost).")
-	obsReplayTime = metrics.NewDurationCounter("ksir_engine_replay_seconds_total",
-		"Wall time spent catching recycled buffers up by delta replay.")
+	obsDrainWait = metrics.NewDurationCounter("ksir_engine_drain_wait_seconds_total",
+		"Wall time the writer spent waiting for the readers of a retired snapshot to drain before a bucket.")
 	obsQueryDuration = metrics.NewDurationHistogramVec("ksir_engine_query_duration_seconds",
 		"k-SIR query latency (snapshot pin to result) by algorithm.",
 		"algorithm", algNames, metrics.DefBuckets...)

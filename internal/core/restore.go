@@ -30,15 +30,16 @@ type State struct {
 	Stats Stats
 }
 
-// ExportState dumps the last published state. Like a query it pins the
-// snapshot, so it is safe to run concurrently with readers; the caller
-// must serialize it against Ingest (the Hub's writer pipeline does — a
-// checkpoint op is a commit barrier).
+// ExportState dumps the last published state. It takes the writer lock:
+// the window's export walks its ID map and archive, which only the writer
+// reads (the Hub's writer pipeline already serializes it against Ingest —
+// a checkpoint op is a commit barrier).
 func (g *Engine) ExportState() State {
-	snap := g.acquire()
-	defer snap.release()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	snap := g.front.Load()
 	st := State{
-		Window: snap.buf.win.Export(),
+		Window: g.win.Export(),
 		Lists:  make([][]rankedlist.Item, len(snap.lists)),
 		Stats:  snap.stats,
 	}
@@ -54,17 +55,14 @@ func (g *Engine) ExportState() State {
 // window, the same ranked-list tuples (stale scores included), the same
 // counters and bucket sequence. Queries against the restored engine return
 // byte-identical results to the engine st was exported from, and
-// subsequent Ingests continue deterministically.
-//
-// Both buffers are built before Restore returns: the back buffer's window
-// is a replica of the front's, sharing its writer state (the archive and
-// its index are built once), and its scorer adopts the front scorer's
-// cache entries, so it is byte-identical to the front. The lists are built
-// once, as the published version st.Stats.Buckets.
+// subsequent Ingests continue deterministically. The window, its scorer
+// cache and the lists are each built once, the lists as the published
+// version st.Stats.Buckets.
 //
 // A state whose active or window-queue elements do not fit the model (a
 // topic outside [0, Z), a word outside the vocabulary) is an error, not a
-// panic in the scorer.
+// panic in the scorer; so is, when a later bucket resurrects it, such an
+// archived element (stream.ErrArchiveRead).
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -79,6 +77,7 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	win.Check = func(e *stream.Element) error { return fits(cfg.Model, e) }
 	for _, e := range st.Window.Window {
 		if err := fits(cfg.Model, e); err != nil {
 			return nil, err
@@ -95,48 +94,30 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Queries read the scorer cache without locking, so it is complete
-	// before publication.
-	front, err := newBuffer(cfg, win)
-	if err != nil {
-		return nil, err
-	}
-	front.scorer.OnChange(warm)
-	// The twin windows advance in lockstep (primary apply on one, delta
-	// replay on the other), so the writer-path-only structures — archive,
-	// ID index, last-ref times, expiry heap — exist once and replay skips
-	// maintaining them. The back scorer adopts the front's immutable cache
-	// entries by pointer instead of recomputing them.
-	back, err := newBuffer(cfg, win.Replica())
-	if err != nil {
-		return nil, err
-	}
-	back.scorer.AdoptCache(front.scorer)
-
-	g := &Engine{cfg: cfg, back: back, stats: st.Stats, tab: rankedlist.NewTable(st.Stats.Buckets)}
-	g.lists = make([]*rankedlist.List, cfg.Model.Z)
-	for i := range g.lists {
-		g.lists[i] = g.tab.New()
-	}
-	if err := g.restoreLists(win, st.Lists); err != nil {
-		return nil, err
-	}
-	g.front.Store(g.newSnapshot(front))
-	return g, nil
-}
-
-// newBuffer returns a buffer over win with an empty scorer.
-func newBuffer(cfg Config, win *stream.ActiveWindow) (*buffer, error) {
 	scorer, err := score.NewScorer(cfg.Model, win, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	return &buffer{win: win, scorer: scorer}, nil
+	// Queries read the scorer cache without locking, so it is complete
+	// before publication.
+	scorer.OnChange(warm)
+
+	g := &Engine{cfg: cfg, win: win, scorer: scorer, stats: st.Stats, tab: rankedlist.NewTable(st.Stats.Buckets)}
+	g.lists = make([]*rankedlist.List, cfg.Model.Z)
+	for i := range g.lists {
+		g.lists[i] = g.tab.New()
+	}
+	if err := g.restoreLists(st.Lists); err != nil {
+		return nil, err
+	}
+	g.front.Store(g.newSnapshot())
+	return g, nil
 }
 
 // restoreLists re-inserts the ranked-list tuples, each for an active
-// element of win that has the list's topic.
-func (g *Engine) restoreLists(win *stream.ActiveWindow, tuples [][]rankedlist.Item) error {
+// element of the window that has the list's topic.
+func (g *Engine) restoreLists(tuples [][]rankedlist.Item) error {
+	win := g.win
 	for topic, items := range tuples {
 		for _, it := range items {
 			s, active := win.SlotOf(it.ID)

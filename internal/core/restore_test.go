@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -114,8 +115,7 @@ func TestRestoreContinuesDeterministically(t *testing.T) {
 	r := restoreOf(t, g, cfg)
 
 	mk := func(id stream.ElemID, ts stream.Time, refs ...stream.ElemID) func() *stream.Element {
-		// Fresh element values per engine: buffers share elements within
-		// one engine, never across engines.
+		// Fresh element values per engine: engines never share elements.
 		return func() *stream.Element {
 			src := papertest.Elements()[int(id-1)%8]
 			return &stream.Element{ID: id, TS: ts, Doc: src.Doc, Topics: src.Topics, Refs: refs}
@@ -203,9 +203,59 @@ func TestRestoreValidation(t *testing.T) {
 			}
 		}
 	}
+	// So does an archived, inactive one — e4 expired — but only once a
+	// referrer resurrects it: the advance fails with ErrArchiveRead before
+	// the window changes, and the engine answers as before.
+	for name, spoil := range map[string]func(e *stream.Element){
+		"archived topic outside the model":     func(e *stream.Element) { e.Topics.Topics[len(e.Topics.Topics)-1] = 99 },
+		"archived word outside the vocabulary": func(e *stream.Element) { e.Doc.Terms[0].Word = textproc.WordID(paperConfig().Model.V) },
+	} {
+		bad = st
+		bad.Window.Archive = spoilArchived(t, st.Window.Archive, 4, spoil)
+		r, err := Restore(paperConfig(), bad)
+		if err != nil {
+			t.Fatalf("%s: the restore reads no inactive archived element, yet failed: %v", name, err)
+		}
+		before := engineQueries(t, r)
+		referrer := *papertest.Elements()[7]
+		referrer.ID, referrer.TS, referrer.Refs = 100, st.Window.Now+1, []stream.ElemID{4}
+		if err := r.Ingest(referrer.TS, []*stream.Element{&referrer}); !errors.Is(err, stream.ErrArchiveRead) {
+			t.Errorf("%s: resurrecting it returned %v, want ErrArchiveRead", name, err)
+		}
+		if err := sameResults(before, engineQueries(t, r)); err != nil {
+			t.Errorf("%s: the failed ingest changed the engine: %v", name, err)
+		}
+	}
 	cfg := paperConfig()
 	cfg.Model = nil
 	if _, err := Restore(cfg, st); err == nil {
 		t.Error("nil model accepted")
 	}
+}
+
+// spoilArchived returns a memory-only copy of a with the archived element
+// id changed by spoil.
+func spoilArchived(t *testing.T, a stream.Archive, id stream.ElemID, spoil func(*stream.Element)) stream.Archive {
+	t.Helper()
+	out := stream.Archive{Count: a.Len()}
+	found := false
+	for i := 0; i < a.Len(); i++ {
+		rec, text, err := a.Record(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if es, err := stream.DecodeRecords([][]byte{rec}, []string{text}); err != nil {
+			t.Fatal(err)
+		} else if es[0].ID == id {
+			spoil(es[0])
+			rec, found = stream.AppendRecord(nil, es[0]), true
+		}
+		out.Records = append(out.Records, rec...)
+		out.Ends = append(out.Ends, len(out.Records))
+		out.Texts = append(out.Texts, text)
+	}
+	if !found {
+		t.Fatalf("element %d is not archived", id)
+	}
+	return out
 }

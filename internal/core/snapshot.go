@@ -9,10 +9,13 @@ import (
 	"github.com/social-streams/ksir/internal/stream"
 )
 
-// snapshot is one published, immutable engine state: the buffer and the
-// ranked lists' version as of a bucket boundary plus the scalar facts
-// queries report. Readers pin it with acquire/release; the writer recycles
-// its buffer, and unlinks the list nodes only its version still sees, only
+// snapshot is one published engine version: the bucket's sequence number,
+// the slot tables' headers and the list lengths as the bucket left them,
+// and the scalar facts queries report. It copies no element state: readers
+// reach the window, the scorer cache and the lists only by slot and by
+// list node, at the snapshot's version, while the writer writes the next
+// one beside it. Readers pin it with acquire/release; the writer unlinks
+// the list nodes and releases the slots only its version still sees only
 // after a grace period confirms the last reader has drained (an RCU-style
 // scheme built on a read-write lock).
 //
@@ -23,10 +26,10 @@ import (
 // waits for are those started before the previous publish and still
 // running.
 type snapshot struct {
-	buf *buffer
 	// seq is the bucket sequence number (== stats.Buckets at publish) and
 	// the version of lists it reads; lens[i] is RL_i's length there.
 	seq       int64
+	sc        score.View // the scorer cache and window tables at seq
 	lists     []*rankedlist.List
 	lens      []int
 	now       stream.Time
@@ -34,26 +37,26 @@ type snapshot struct {
 	stats     Stats
 	listBusy  time.Duration // Engine.listBusy at publish
 
-	// pins is read-locked by every reader of buf for the duration of the
-	// read. waitDrained write-locks it once, after the snapshot is
+	// pins is read-locked by every reader of the snapshot for the duration
+	// of the read. waitDrained write-locks it once, after the snapshot is
 	// retired, to establish that all those readers have finished.
 	pins sync.RWMutex
 }
 
-// newSnapshot ends the lists' version being written and returns it with b
-// as the next snapshot to publish.
-func (g *Engine) newSnapshot(b *buffer) *snapshot {
+// newSnapshot ends the version being written and returns it as the next
+// snapshot to publish.
+func (g *Engine) newSnapshot() *snapshot {
 	lens := make([]int, len(g.lists))
 	for i, l := range g.lists {
 		lens[i] = l.Len()
 	}
 	return &snapshot{
-		buf:       b,
 		seq:       g.tab.Publish(),
+		sc:        g.scorer.View(),
 		lists:     g.lists,
 		lens:      lens,
-		now:       b.win.Now(),
-		numActive: b.win.NumActive(),
+		now:       g.win.Now(),
+		numActive: g.win.NumActive(),
 		stats:     g.stats,
 		listBusy:  g.listBusy,
 	}
@@ -61,8 +64,9 @@ func (g *Engine) newSnapshot(b *buffer) *snapshot {
 
 // acquire pins the current published snapshot. The lock-then-validate loop
 // closes the race with a concurrent publish: if the pointer moved after we
-// read-locked, we pinned a retiring snapshot — drop it (we never
-// dereferenced its buffer) and take the new one.
+// read-locked, we pinned a retired snapshot, whose version the writer may
+// already be freeing — drop it (we read nothing of it) and take the new
+// one.
 func (g *Engine) acquire() *snapshot {
 	for {
 		s := g.front.Load()
@@ -83,44 +87,35 @@ func (s *snapshot) release() {
 
 // waitDrained blocks until every reader that pinned the snapshot has
 // released it. Only the writer calls it, after the snapshot has been
-// retired, before mutating its buffer; the write-lock/unlock pair is a
-// pure barrier establishing the RCU grace period.
+// retired, before freeing what only its version sees; the write-lock/unlock
+// pair is a pure barrier establishing the RCU grace period.
 func (s *snapshot) waitDrained() {
 	s.pins.Lock()
 	//lint:ignore SA2001 empty critical section is the point: a barrier.
 	s.pins.Unlock()
 }
 
-// ReadSnapshot pins the last published snapshot and calls fn with its
-// bucket sequence (Result.BucketSeq of a query against it), window and
-// scorer; the buffer cannot be recycled (and therefore cannot
-// be mutated) while fn runs. It is the safe way for read-only consumers —
-// explanations, metrics, baselines — to inspect window state concurrently
-// with Ingest. fn must not mutate its arguments and must not retain them
-// after it returns.
-//
-// Snapshot stability covers the per-buffer state queries read: the active
-// set (Get/NumActive/ForEachActive/ActiveIDs), the reference index
-// (Children/ForEachChild) and the scorer. It does NOT cover the window's
-// writer-shared structures — Known, LastRef and Export read the archive,
-// its index and the last-ref map, which the twin buffers share
-// (stream.ActiveWindow.Replica) and a concurrent Ingest mutates.
-// Callers needing those must serialize against Ingest, as ExportState's
-// callers already do.
+// ReadSnapshot calls fn with the last published bucket's sequence
+// (Result.BucketSeq of a query against it), and the engine's window and
+// scorer as that bucket left them. It holds the writer lock while fn runs,
+// so fn may use the ID-keyed reads — Get, Children, LastRef, Known,
+// Export, Score, Explain — that queries may not; Ingest waits for it. It
+// is the way for read-only consumers — explanations, metrics, baselines —
+// to inspect window state concurrently with ingest. fn must not mutate its
+// arguments and must not retain them after it returns.
 func (g *Engine) ReadSnapshot(fn func(bucket int64, win *stream.ActiveWindow, scorer *score.Scorer)) {
-	snap := g.acquire()
-	defer snap.release()
-	fn(snap.seq, snap.buf.win, snap.buf.scorer)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	fn(g.front.Load().seq, g.win, g.scorer)
 }
 
 // view is the read-only engine state a single query runs against: the
-// pinned snapshot's window, scorer and version of the ranked lists. The query
-// algorithms (Algorithms 2 and 3) are methods on view, which makes "queries
-// only see published buckets" a type-level property — they cannot reach the
-// writer's buffer.
+// pinned snapshot's scorer view (with its window version) and version of
+// the ranked lists. The query algorithms (Algorithms 2 and 3) are methods
+// on view, which makes "queries only see published buckets" a type-level
+// property — they reach per-element state only by slot, at the version.
 type view struct {
-	win       *stream.ActiveWindow
-	scorer    *score.Scorer
+	sc        score.View
 	lists     []*rankedlist.List // read at version seq only
 	numActive int
 	seq       int64
@@ -128,8 +123,7 @@ type view struct {
 
 func (s *snapshot) view() *view {
 	return &view{
-		win:       s.buf.win,
-		scorer:    s.buf.scorer,
+		sc:        s.sc,
 		lists:     s.lists,
 		numActive: s.numActive,
 		seq:       s.seq,

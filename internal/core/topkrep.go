@@ -30,28 +30,32 @@ func (v *view) topkRep(ctx context.Context, q Query, a *arena) (Result, error) {
 		if top.Len() == q.K && (*top)[0].score >= tr.ub() {
 			break
 		}
-		e, _, ok := tr.pop()
+		e, slot, ok := tr.pop()
 		if !ok {
 			break
 		}
-		delta := v.scorer.Score(e, q.X)
+		delta := v.sc.ScoreAt(e, slot, q.X)
 		evaluated++
 		if top.Len() < q.K {
-			heap.Push(top, scoredElem{e, delta})
+			heap.Push(top, scoredElem{e, slot, delta})
 		} else if delta > (*top)[0].score {
-			(*top)[0] = scoredElem{e, delta}
+			(*top)[0] = scoredElem{e, slot, delta}
 			heap.Fix(top, 0)
 		}
 	}
 
 	// Emit in descending score order and measure the true set score.
 	members := make([]*stream.Element, top.Len())
+	slots := make([]stream.Slot, top.Len())
 	for i := top.Len() - 1; i >= 0; i-- {
-		members[i] = heap.Pop(top).(scoredElem).elem
+		se := heap.Pop(top).(scoredElem)
+		members[i], slots[i] = se.elem, se.slot
 	}
-	set := a.newSet(v.scorer, q.X)
-	for _, e := range members {
-		set.Add(e)
+	set := a.newSet(v.sc.Scorer(), q.X)
+	for i, e := range members {
+		a.buf.Reset()
+		p := v.sc.PrepareAt(&a.buf, e, slots[i], q.X)
+		set.AddProbe(&p)
 	}
 	res := a.result(v, nil, evaluated, 0)
 	res.Elements, res.Score = members, set.Value()
@@ -60,6 +64,7 @@ func (v *view) topkRep(ctx context.Context, q Query, a *arena) (Result, error) {
 
 type scoredElem struct {
 	elem  *stream.Element
+	slot  stream.Slot
 	score float64
 }
 

@@ -19,7 +19,7 @@ import (
 // algorithms need) while per-element evaluation always recomputes the exact
 // current score.
 type traversal struct {
-	win     *stream.ActiveWindow
+	win     stream.View
 	topics  []int32   // query topics with x_i > 0
 	weights []float64 // corresponding x_i
 	iters   []rankedlist.Iterator
@@ -43,7 +43,7 @@ func newTraversal(g *Engine, x topicmodel.TopicVec) *traversal {
 // immutable snapshot view (the RL_i.first calls of Algorithms 2 and 3,
 // line 2), reusing whatever storage an earlier query left in it.
 func (tr *traversal) start(v *view, x topicmodel.TopicVec) {
-	tr.win, tr.retrieved = v.win, 0
+	tr.win, tr.retrieved = v.sc.Window(), 0
 	tr.topics, tr.weights = tr.topics[:0], tr.weights[:0]
 	tr.iters, tr.cur, tr.has = tr.iters[:0], tr.cur[:0], tr.has[:0]
 	tr.visited.Reset(false)

@@ -122,7 +122,9 @@ func appendHead(buf []byte, ck *Checkpoint, lp logPrefix, inWindow uint64) []byt
 		}
 	}
 	st := &ck.Core.Stats
-	for _, v := range [...]int64{st.ElementsIngested, st.Buckets, int64(st.UpdateTime), int64(st.ReplayTime), st.ListUpserts, st.ListDeletes} {
+	// The 0 fills the slot of a deleted counter (the delta-replay time), so
+	// checkpoints of either layout read the same.
+	for _, v := range [...]int64{st.ElementsIngested, st.Buckets, int64(st.UpdateTime), 0, st.ListUpserts, st.ListDeletes} {
 		buf = appendI64(buf, v)
 	}
 	buf = appendU32(buf, uint32(len(ck.Pending)))
@@ -186,7 +188,8 @@ func decodeHead(payload []byte) (*Checkpoint, logPrefix, uint64, error) {
 	}
 	st := &ck.Core.Stats
 	st.ElementsIngested, st.Buckets = r.i64(), r.i64()
-	st.UpdateTime, st.ReplayTime = time.Duration(r.i64()), time.Duration(r.i64())
+	st.UpdateTime = time.Duration(r.i64())
+	r.i64() // the deleted delta-replay time, see appendHead
 	st.ListUpserts, st.ListDeletes = r.i64(), r.i64()
 	// A pending post costs at least id, time and its two counts.
 	if n := r.count(8 + 8 + 4 + 4); n > 0 {

@@ -48,13 +48,6 @@ func (s *Scorer) Prepare(b *ProbeBuf, e *stream.Element, x topicmodel.TopicVec) 
 	return s.prepare(b, e, s.ensureCached(e), s.win.ChildrenView(e.ID), x)
 }
 
-// PrepareAt is Prepare for the active element e in slot sl of the
-// scorer's window, which must be cached: its cache entry and I_t(e) are
-// table reads.
-func (s *Scorer) PrepareAt(b *ProbeBuf, e *stream.Element, sl stream.Slot, x topicmodel.TopicVec) Probe {
-	return s.prepare(b, e, s.cache[sl], s.win.ChildrenAt(sl), x)
-}
-
 func (s *Scorer) prepare(b *ProbeBuf, e *stream.Element, ec *elemCache, children []*stream.Element, x topicmodel.TopicVec) Probe {
 	p := Probe{Elem: e, ec: ec, children: children}
 	p0, c0 := len(b.pairs), len(b.childP)

@@ -112,49 +112,58 @@ func TestScoringIsBitDeterministic(t *testing.T) {
 	}
 }
 
-// A replica scorer fed only the recorded cache delta scores identically
-// to the recording scorer — the entries are shared by pointer, never
-// recomputed.
-func TestApplyCacheDeltaSharesEntries(t *testing.T) {
+// A view taken after an advance scores every element active at that
+// version bit for bit as the scorer did then, while the next advance —
+// arrivals, expiries, and the release of the slots the one before gave
+// back — runs; and OnChange drops a released slot's entry, so a slot's
+// next element gets its own.
+func TestViewScoresItsVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const z, v = 6, 60
 	model := randModel(rng, z, v)
-	primaryWin, replicaWin := stream.NewActiveWindow(50), stream.NewActiveWindow(50)
-	primary, _ := NewScorer(model, primaryWin, Params{Lambda: 0.5, Eta: 2})
-	replica, _ := NewScorer(model, replicaWin, Params{Lambda: 0.5, Eta: 2})
+	win := stream.NewActiveWindow(50)
+	s, _ := NewScorer(model, win, Params{Lambda: 0.5, Eta: 2})
 
 	x := topicmodel.TopicVec{Topics: []int32{1, 3}, Probs: []float64{0.6, 0.4}}
 	now := stream.Time(0)
-	for b := 0; b < 8; b++ {
+	released := 0
+	for b := 0; b < 12; b++ {
 		batch := make([]*stream.Element, 0, 5)
 		for i := 0; i < 5; i++ {
 			e := randElement(rng, b*10+i+1, z, v)
 			e.TS = now + stream.Time(i+1)
+			if b > 0 {
+				e.Refs = []stream.ElemID{stream.ElemID((b-1)*10 + 1 + rng.Intn(5))}
+			}
 			batch = append(batch, e)
 		}
-		now += 20 // slides old elements out: exercises the drop side too
-		cs, err := primaryWin.Advance(now, batch)
+		now += stream.Time(10 + rng.Intn(20)) // slides old elements out: exercises the release side too
+		view := s.View()
+		want := map[stream.Slot]float64{}
+		win.ForEachActiveSlot(func(e *stream.Element, sl stream.Slot) { want[sl] = s.Score(e, x) })
+		cs, err := win.Advance(now, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := primary.OnChangeRecorded(cs)
-		if _, err := replicaWin.Advance(now, batch); err != nil {
-			t.Fatal(err)
-		}
-		replica.ApplyCacheDelta(d)
-
-		if got, want := len(replica.cache), len(primary.cache); got != want {
-			t.Fatalf("bucket %d: cache sizes diverge %d vs %d", b, got, want)
-		}
-		for id, c := range primary.cache {
-			if replica.cache[id] != c {
-				t.Fatalf("bucket %d: cache entry %d not shared", b, id)
+		s.OnChange(cs)
+		for sl, w := range want {
+			if got := view.ScoreAt(view.Window().At(sl), sl, x); got != w {
+				t.Fatalf("bucket %d: slot %d scores %v at its version, want %v", b, sl, got, w)
 			}
 		}
-		for _, e := range batch {
-			if replica.Score(e, x) != primary.Score(e, x) {
-				t.Fatalf("bucket %d: scores diverge for %d", b, e.ID)
+		for _, sl := range cs.Released {
+			released++
+			if e := win.At(sl); e == nil && s.cache[sl] != nil {
+				t.Fatalf("bucket %d: released slot %d keeps a cache entry", b, sl)
 			}
 		}
+		for i, e := range cs.Inserted {
+			if sl := cs.InsertedSlots[i]; win.At(sl) == e && s.cache[sl] == nil {
+				t.Fatalf("bucket %d: inserted element %d has no cache entry", b, e.ID)
+			}
+		}
+	}
+	if released == 0 {
+		t.Fatal("no slot was released; the script must expire elements")
 	}
 }

@@ -4,6 +4,9 @@
 // scores I_{i,t} (probabilistic coverage over in-window references), their
 // combination f(S, x), and incremental candidate-set state that evaluates
 // marginal gains Δ(e|S) in O(|V_e| + |I_t(e)|) per query topic.
+//
+// A Scorer belongs to its window's writer; concurrent readers of a
+// published window version score through a View of it, by slot.
 package score
 
 import "fmt"

@@ -2,7 +2,6 @@ package score
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"github.com/social-streams/ksir/internal/stream"
@@ -25,17 +24,20 @@ type elemCache struct {
 // the window; influence scores are always computed from the window's live
 // reference index so they are exact at query time.
 //
-// Scorer is safe for concurrent read use (queries); cache mutations
-// (OnChange) must be serialized with reads, which the engine does. A
-// scorer must see every advance of its window after its first through
-// OnChange (or the recorded twin): a slot freed by an advance it missed
-// would keep the expired element's entry for the next element in it.
+// The methods of Scorer read the window as its writer does, through its ID
+// map, and must be serialized with the window's advances; concurrent
+// readers of a published window version go through a View. A scorer must
+// see every advance of its window after its first through OnChange: a
+// slot released by an advance it missed would keep the expired element's
+// entry for the next element in it.
 type Scorer struct {
 	model  *topicmodel.Model
 	win    *stream.ActiveWindow
 	params Params
-	// cache[s] is the entry of the active element in slot s of win, nil
-	// for a free slot.
+	// cache[s] is the entry of the element in slot s of win, nil for a
+	// free slot. An entry is written when its slot is filled and cleared
+	// when the slot is released, never in between, so a View reads the
+	// entries of its version without locking.
 	cache []*elemCache
 }
 
@@ -57,79 +59,22 @@ func (s *Scorer) Params() Params { return s.params }
 // Window returns the active window the scorer reads.
 func (s *Scorer) Window() *stream.ActiveWindow { return s.win }
 
-// OnChange maintains the per-element caches after a window advance.
+// OnChange maintains the per-element caches after a window advance: it
+// clears the entries of the slots the advance released, then caches every
+// inserted element's word weights.
 func (s *Scorer) OnChange(cs stream.ChangeSet) {
-	for i, e := range cs.Inserted {
-		s.cacheAt(e, cs.InsertedSlots[i])
-	}
-	s.drop(cs.ExpiredSlots)
-}
-
-// drop clears the entries of the given slots.
-func (s *Scorer) drop(slots []stream.Slot) {
-	for _, sl := range slots {
+	for _, sl := range cs.Released {
 		if int(sl) < len(s.cache) {
 			s.cache[sl] = nil
 		}
 	}
-}
-
-// CacheDelta records the net cache effect of one OnChange: the entries it
-// computed (or re-validated) and the slots it cleared. Because an
-// element's cache entry is immutable once built, a replica scorer over
-// the same immutable elements can adopt the recorded entries by pointer —
-// ApplyCacheDelta re-derives nothing.
-type CacheDelta struct {
-	added   []cacheAdd
-	dropped []stream.Slot
-}
-
-type cacheAdd struct {
-	slot stream.Slot
-	c    *elemCache
-}
-
-// OnChangeRecorded is OnChange additionally returning the CacheDelta for
-// replay onto a replica scorer via ApplyCacheDelta.
-func (s *Scorer) OnChangeRecorded(cs stream.ChangeSet) CacheDelta {
-	var d CacheDelta
-	if len(cs.Inserted) > 0 {
-		d.added = make([]cacheAdd, 0, len(cs.Inserted))
-	}
 	for i, e := range cs.Inserted {
-		sl := cs.InsertedSlots[i]
-		d.added = append(d.added, cacheAdd{slot: sl, c: s.cacheAt(e, sl)})
+		s.cacheAt(e, cs.InsertedSlots[i])
 	}
-	s.drop(cs.ExpiredSlots)
-	d.dropped = cs.ExpiredSlots
-	return d
-}
-
-// AdoptCache copies every cache entry of from into this scorer, by
-// pointer (entries are immutable once built). Both scorers must be over
-// the same model and parameters and over windows with equal slots — the
-// engine's restore path uses it to warm the second buffer's scorer
-// without re-deriving every word weight.
-func (s *Scorer) AdoptCache(from *Scorer) { s.cache = slices.Clone(from.cache) }
-
-// ApplyCacheDelta replays a recorded OnChange onto this scorer, sharing
-// the recording scorer's immutable cache entries instead of recomputing
-// the word weights. After replay the cache covers exactly the same
-// elements with bit-identical values — the invariant queries rely on to
-// read the cache without locking (every active element is cached before
-// the buffer publishes).
-func (s *Scorer) ApplyCacheDelta(d CacheDelta) {
-	for _, a := range d.added {
-		s.cache = grow(s.cache, a.slot)
-		s.cache[a.slot] = a.c
-	}
-	s.drop(d.dropped)
 }
 
 // cacheAt returns the entry of e, the active element in slot sl, building
-// it first if the slot has none. A cached entry is only read: queries call
-// it concurrently on the published scorer, whose active elements are all
-// cached.
+// it first if the slot has none.
 func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) *elemCache {
 	if int(sl) < len(s.cache) {
 		if c := s.cache[sl]; c != nil {
@@ -141,6 +86,38 @@ func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) *elemCache {
 	c := s.build(e)
 	s.cache[sl] = c
 	return c
+}
+
+// View is a scorer's read side at one version of its window: the cache
+// table and the window's View as the writer left them at that version,
+// read by slot only, without locking. Its lifetime is the window View's.
+type View struct {
+	s     *Scorer
+	win   stream.View
+	cache []*elemCache
+}
+
+// View returns the scorer's view of the version its window's last advance
+// wrote. Every element active at that version must be cached (OnChange).
+func (s *Scorer) View() View { return View{s: s, win: s.win.View(), cache: s.cache} }
+
+// Window returns the window version the view reads.
+func (v View) Window() stream.View { return v.win }
+
+// Scorer returns the scorer the view reads, for its parameters: a reader
+// must not call its methods that go through the window's ID map.
+func (v View) Scorer() *Scorer { return v.s }
+
+// PrepareAt is Scorer.Prepare for the element e in slot sl at the view's
+// version: its cache entry and I_t(e) are table reads.
+func (v View) PrepareAt(b *ProbeBuf, e *stream.Element, sl stream.Slot, x topicmodel.TopicVec) Probe {
+	return v.s.prepare(b, e, v.cache[sl], v.win.ChildrenAt(sl), x)
+}
+
+// ScoreAt is Scorer.Score for the element e in slot sl at the view's
+// version.
+func (v View) ScoreAt(e *stream.Element, sl stream.Slot, x topicmodel.TopicVec) float64 {
+	return v.s.score(e, v.cache[sl], v.win.ChildrenAt(sl), x)
 }
 
 // ensureCached returns e's entry: the cached one when e is active in the
@@ -218,8 +195,10 @@ func (s *Scorer) topicScore(e *stream.Element, c *elemCache, children []*stream.
 
 // Score returns δ(e, x) = f({e}, x) = Σ_i x_i·δ_i(e).
 func (s *Scorer) Score(e *stream.Element, x topicmodel.TopicVec) float64 {
-	c := s.ensureCached(e)
-	children := s.win.ChildrenView(e.ID)
+	return s.score(e, s.ensureCached(e), s.win.ChildrenView(e.ID), x)
+}
+
+func (s *Scorer) score(e *stream.Element, c *elemCache, children []*stream.Element, x topicmodel.TopicVec) float64 {
 	var total float64
 	// Merge the sorted topic lists of e and x.
 	i, j := 0, 0

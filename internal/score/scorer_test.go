@@ -144,11 +144,19 @@ func TestOnChangeEvictsCache(t *testing.T) {
 		}
 		s.OnChange(cs)
 	}
-	// e4 expired at t=8; its slot's cache entry must be gone, and only
-	// the slots of active elements hold one.
+	// e4 expired at t=8; its slot keeps its entry until the next advance
+	// releases the slot, after which only active elements' slots hold one.
 	if _, ok := win.SlotOf(4); ok {
 		t.Fatal("e4 still active")
 	}
+	cs, err := win.Advance(win.Now(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Released) != 1 {
+		t.Fatalf("the flush released %d slots, want e4's", len(cs.Released))
+	}
+	s.OnChange(cs)
 	cached := 0
 	for sl, c := range s.cache {
 		if c == nil {

@@ -1,6 +1,11 @@
 // Package stream implements the social-stream substrate of k-SIR: social
 // elements ⟨ts, doc, ref⟩, time-based sliding windows, and the active-element
 // set A_t = W_t ∪ {e' : e ∈ W_t ∧ e' ∈ e.ref} (§3.1).
+//
+// A window has one writer, which advances it bucket by bucket, and any
+// number of concurrent readers, each holding a View of one version: the
+// per-element tables, read by slot, as the advance that wrote the version
+// left them (ActiveWindow, DESIGN.md §6).
 package stream
 
 import (

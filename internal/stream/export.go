@@ -51,19 +51,19 @@ type WindowState struct {
 func (w *ActiveWindow) Export() WindowState {
 	st := WindowState{
 		Now:     w.now,
-		Archive: w.ws.archive.Prefix(w.head),
+		Archive: w.archive.Prefix(w.head),
 		Window:  slices.Clone(w.queue),
 		Active:  make([]ActiveRef, 0, len(w.active)),
 	}
 	for _, e := range w.queue {
-		st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.ws.lastRef[w.active[e.ID]]})
+		st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.lastRef[w.active[e.ID]]})
 	}
 	// Arrivals are timestamp-ordered, so the window queue holds exactly
 	// the actives past the cutoff; the rest are the referenced survivors.
 	cutoff := w.now - w.T
 	w.ForEachActiveSlot(func(e *Element, s Slot) {
 		if e.TS <= cutoff {
-			st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.ws.lastRef[s]})
+			st.Active = append(st.Active, ActiveRef{ID: e.ID, LastRef: w.lastRef[s]})
 		}
 	})
 	rest := st.Active[len(w.queue):]
@@ -99,18 +99,17 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		return nil, fmt.Errorf("stream: element log holds %d frames, only %d elements arrived", len(arch.Frames), n+len(st.Window))
 	}
 	w := NewActiveWindow(T)
-	ws := w.ws
 	w.now = st.Now
-	ws.archive = arch
+	w.archive = arch
 	for _, t := range arch.Texts {
-		ws.archiveText += int64(len(t))
+		w.archiveText += int64(len(t))
 	}
-	ws.index.sorted = make([]ElemID, 0, n+len(st.Window))
+	w.index.sorted = make([]ElemID, 0, n+len(st.Window))
 	na := len(st.Active)
 	w.active = make(map[ElemID]Slot, na)
-	w.elems, w.children = make([]*Element, na), make([][]*Element, na)
-	ws.lastRef, ws.mark = make([]Time, na), make([]uint8, na)
-	ws.slots.next = Slot(na)
+	w.elems, w.children = make([]*Element, na), make([]kids, na)
+	w.lastRef, w.mark = make([]Time, na), make([]uint8, na)
+	w.slots.next = Slot(na)
 	w.queue, w.head = slices.Clone(st.Window), n
 	cutoff := st.Now - T
 	if st.ArchivedIDs != nil && n > 0 && st.ArchivedMaxTS > cutoff {
@@ -131,10 +130,10 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 				return nil, fmt.Errorf("stream: element %d at %d is in the window but outside its queue", id, ts)
 			}
 		}
-		if _, dup := ws.index.lookup(id); dup {
+		if _, dup := w.index.lookup(id); dup {
 			return nil, fmt.Errorf("stream: duplicate element %d in window state", id)
 		}
-		ws.index.add(id)
+		w.index.add(id)
 	}
 	type ref struct {
 		parent ElemID
@@ -154,14 +153,14 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		case len(e.Topics.Probs) != len(e.Topics.Topics):
 			return nil, fmt.Errorf("stream: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
 		}
-		if _, dup := ws.index.lookup(e.ID); dup {
+		if _, dup := w.index.lookup(e.ID); dup {
 			return nil, fmt.Errorf("stream: duplicate element %d in window state", e.ID)
 		}
-		ws.index.add(e.ID)
+		w.index.add(e.ID)
 		// Only a parent that arrived before e was wired at ingest; a
 		// reference to an ID that arrived later stayed dangling for good.
 		for _, pid := range e.Refs {
-			if _, known := ws.index.lookup(pid); known {
+			if _, known := w.index.lookup(pid); known {
 				refs = append(refs, ref{pid, e})
 			}
 		}
@@ -173,7 +172,7 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 	var survivorSlots []Slot
 	for i, a := range st.Active {
 		s := Slot(i)
-		seq, known := ws.index.lookup(a.ID)
+		seq, known := w.index.lookup(a.ID)
 		if !known {
 			return nil, fmt.Errorf("stream: active element %d is not in the log", a.ID)
 		}
@@ -189,10 +188,10 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		if a.LastRef <= cutoff {
 			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (cutoff %d)", a.ID, a.LastRef, cutoff)
 		}
-		ws.lastRef[s] = a.LastRef
-		ws.expiryQ = append(ws.expiryQ, expiryEntry{at: a.LastRef, id: a.ID})
+		w.lastRef[s] = a.LastRef
+		w.expiryQ = append(w.expiryQ, expiryEntry{at: a.LastRef, id: a.ID})
 	}
-	ws.expiryQ.init()
+	w.expiryQ.init()
 	decoded, err := arch.Elements(survivors...)
 	if err != nil {
 		return nil, err
@@ -207,10 +206,10 @@ func Restore(T Time, st WindowState) (*ActiveWindow, error) {
 		w.elems[survivorSlots[j]] = e
 	}
 	for s, e := range w.elems {
-		if ws.lastRef[s] < e.TS {
-			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d)", e.ID, ws.lastRef[s], e.TS)
+		if w.lastRef[s] < e.TS {
+			return nil, fmt.Errorf("stream: active element %d has impossible last-ref %d (ts %d)", e.ID, w.lastRef[s], e.TS)
 		}
-		ws.liveBytes += liveElemBytes(e)
+		w.liveBytes += liveElemBytes(e)
 	}
 
 	// Rebuild the reverse reference index I_t from the window queue: the

@@ -251,7 +251,7 @@ func TestExportSharesLogPrefix(t *testing.T) {
 	if cap(a.Records) != len(a.Records) || cap(a.Ends) != len(a.Ends) || cap(a.Texts) != len(a.Texts) {
 		t.Fatal("exported archive has spare capacity: an append through it could reach the window's archive")
 	}
-	if &a.Records[0] != &w.ws.archive.Records[0] {
+	if &a.Records[0] != &w.archive.Records[0] {
 		t.Fatal("export copied the archive instead of sharing it")
 	}
 	records := string(a.Records)

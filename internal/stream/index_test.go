@@ -123,7 +123,7 @@ func TestOutOfOrderIDsMatchInOrder(t *testing.T) {
 		step()
 	}
 	same("live")
-	if out.ws.index.rest == nil || in.ws.index.rest != nil {
+	if out.index.rest == nil || in.index.rest != nil {
 		t.Fatal("the scrambled IDs never reached the map, or the ordered ones did")
 	}
 	var err error

@@ -33,7 +33,7 @@ func (l *memLog) ReadFrame(start, end int64) ([]byte, error) {
 func (l *memLog) checkpoint(t *testing.T, w *ActiveWindow) {
 	t.Helper()
 	st := w.Export()
-	first := len(w.ws.archive.Frames)
+	first := len(w.archive.Frames)
 	var ends []int64
 	frame := func(rec []byte, text string) {
 		l.data = append(append(append(l.data, make([]byte, 8)...), rec...), text...)
@@ -52,8 +52,8 @@ func (l *memLog) checkpoint(t *testing.T, w *ActiveWindow) {
 	if err := w.AdoptLog(l, first, ends); err != nil {
 		t.Fatal(err)
 	}
-	if a := &w.ws.archive; len(a.Ends) != 0 || len(a.Texts) != 0 || len(a.Records) != 0 || w.ws.archiveText != 0 {
-		t.Fatalf("after a checkpoint the archive still holds %d records (%d text bytes)", len(a.Ends), w.ws.archiveText)
+	if a := &w.archive; len(a.Ends) != 0 || len(a.Texts) != 0 || len(a.Records) != 0 || w.archiveText != 0 {
+		t.Fatalf("after a checkpoint the archive still holds %d records (%d text bytes)", len(a.Ends), w.archiveText)
 	}
 }
 
@@ -137,14 +137,14 @@ func TestArchiveReadFailureLeavesWindow(t *testing.T) {
 
 	// Frame 1 (element 2) where frame 0 (element 1) belongs.
 	good := append([]byte(nil), log.data...)
-	n := len(good) - int(w.ws.archive.Frames[0])
-	copy(log.data, good[w.ws.archive.Frames[0]:])
+	n := len(good) - int(w.archive.Frames[0])
+	copy(log.data, good[w.archive.Frames[0]:])
 	log.data = log.data[:n]
-	w.ws.archive.Frames[0] = int64(n)
+	w.archive.Frames[0] = int64(n)
 	if _, err := w.Advance(40, []*Element{child}); !errors.Is(err, ErrArchiveRead) {
 		t.Fatalf("advance over a log holding another element = %v, want ErrArchiveRead", err)
 	}
-	log.data, w.ws.archive.Frames[0] = good, int64(len(good)-n)
+	log.data, w.archive.Frames[0] = good, int64(len(good)-n)
 
 	cs, err := w.Advance(40, []*Element{child})
 	if err != nil {

@@ -2,6 +2,8 @@ package stream_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -97,6 +99,12 @@ func FuzzArchiveRecord(f *testing.F) {
 	}
 	f.Add([]byte{}, "")
 	f.Add(bytes.Repeat([]byte{0xff}, stream.RecordMin), "")
+	// Elements a small model cannot score: a resurrection must refuse them.
+	f.Add(stream.AppendRecord(nil, &stream.Element{ID: 9, TS: 2,
+		Topics: topicmodel.TopicVec{Topics: []int32{1, 99}, Probs: []float64{0.5, 0.5}}}), "")
+	f.Add(stream.AppendRecord(nil, &stream.Element{ID: 9, TS: 2,
+		Doc:    textproc.Document{Terms: []textproc.TermCount{{Word: 1 << 20, Count: 1}}, Len: 1},
+		Topics: topicmodel.TopicVec{Topics: []int32{0}, Probs: []float64{1}}}), "")
 	f.Fuzz(func(t *testing.T, rec []byte, text string) {
 		n, ok := stream.RecordLen(rec)
 		if !ok {
@@ -118,5 +126,46 @@ func FuzzArchiveRecord(f *testing.F) {
 		if es[0].Text != text {
 			t.Fatal("decoded text differs")
 		}
+		checkResurrection(t, es[0])
 	})
+}
+
+// checkResurrection archives e, then resurrects it in a window whose Check
+// admits what a 4-topic, 16-word model can score: the advance resurrects
+// an element that fits, and fails with ErrArchiveRead, leaving the window
+// as it was, on one that does not.
+func checkResurrection(t *testing.T, e *stream.Element) {
+	t.Helper()
+	fits := func(e *stream.Element) error {
+		for _, z := range e.Topics.Topics {
+			if z < 0 || z >= 4 {
+				return fmt.Errorf("topic %d", z)
+			}
+		}
+		for _, tc := range e.Doc.Terms {
+			if tc.Word < 0 || tc.Word >= 16 {
+				return fmt.Errorf("word %d", tc.Word)
+			}
+		}
+		return nil
+	}
+	const T = 10
+	w := stream.NewActiveWindow(T)
+	w.Check = fits
+	parent := *e
+	parent.ID, parent.TS, parent.Refs = 1, 1, nil
+	if _, err := w.Advance(1, []*stream.Element{&parent}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Advance(2+T, nil); err != nil || w.NumActive() != 0 {
+		t.Fatalf("the parent did not expire: %v", err)
+	}
+	child := &stream.Element{ID: 2, TS: 3 + T, Refs: []stream.ElemID{1}}
+	_, err := w.Advance(child.TS, []*stream.Element{child})
+	switch {
+	case fits(&parent) == nil && (err != nil || w.NumActive() != 2):
+		t.Fatalf("a parent that fits was not resurrected: %v", err)
+	case fits(&parent) != nil && (!errors.Is(err, stream.ErrArchiveRead) || w.NumActive() != 0 || w.Now() != 2+T):
+		t.Fatalf("a parent that does not fit: advance returned %v, %d active at %d", err, w.NumActive(), w.Now())
+	}
 }

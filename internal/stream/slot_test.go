@@ -7,29 +7,24 @@ import (
 	"testing"
 )
 
-// Twin windows in the engine's rhythm — one records a bucket, the other
-// replays it just before recording the next, roles alternating — through
-// random buckets with resurrections, IDs out of order, flushes and a
-// restore: after every bucket the active elements and their slots are one
-// to one in both windows, the slots the bucket handed out are free in the
-// twin that has yet to replay it (so a slot given back is reused only from
-// the next bucket on), and once caught up the twins are identical.
+// One window through random buckets with resurrections, IDs out of order,
+// flushes and a restore, read the way the engine's readers read it: after
+// every advance the active elements and their slots are one to one, a View
+// of the version before the advance still reads that version — every
+// element by its slot and its children in order — and no slot an element
+// held at that version is handed out by the advance (a slot given back is
+// released and reused only from the next advance on). A slot refilled by
+// an element without children reads none, whatever its last holder had.
 func TestSlotsFollowTheActiveSet(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const T = 20
-		lead := NewActiveWindow(T)
-		lag := lead.Replica()
-		var pending *Delta
+		w := NewActiveWindow(T)
 		freed := map[Slot]bool{}
-		reused, resurrected := 0, 0
+		reused, resurrected, childless := 0, 0, 0
 		ids := rng.Perm(400)
 		now := Time(0)
 		for b := 0; b < 80; b++ {
-			if pending != nil {
-				lag.ApplyDelta(pending)
-				lead, lag = lag, lead
-			}
 			prev := now
 			now += Time(1 + rng.Intn(6))
 			if rng.Intn(10) == 0 {
@@ -45,49 +40,128 @@ func TestSlotsFollowTheActiveSet(t *testing.T) {
 				batch = append(batch, e)
 			}
 			sortByTS(batch)
-			cs, d, err := lead.AdvanceRecorded(now, batch)
+			before, held := w.View(), viewFacts(w)
+			cs, err := w.Advance(now, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got := readView(before, held); !reflect.DeepEqual(got, held) {
+				t.Fatalf("seed %d bucket %d: the view of the version before the advance changed", seed, b)
+			}
 			resurrected += len(cs.Inserted) - len(batch)
 			for _, s := range cs.InsertedSlots {
-				if e := lag.At(s); e != nil {
-					t.Fatalf("seed %d bucket %d: slot %d handed out while the lagging twin holds element %d in it", seed, b, s, e.ID)
+				if _, ok := held[s]; ok {
+					t.Fatalf("seed %d bucket %d: slot %d handed out while the previous version holds element %d in it", seed, b, s, held[s].id)
 				}
 				if freed[s] {
 					reused++
+					if w.At(s) != nil && len(w.ChildrenAt(s)) == 0 {
+						childless++
+					}
 				}
 			}
 			for _, s := range cs.ExpiredSlots {
 				freed[s] = true
 			}
-			checkWindowSlots(t, lead)
-			checkWindowSlots(t, lag)
-			pending = d
+			checkWindowSlots(t, w)
+			if now := viewFacts(w); !reflect.DeepEqual(readView(w.View(), now), now) {
+				t.Fatalf("seed %d bucket %d: the view of the new version does not read the window", seed, b)
+			}
 
 			if b == 40 {
 				// A restore hands the slots out afresh, in the export's
-				// active order, and the twins carry on from it.
-				lag.ApplyDelta(pending)
-				r, err := Restore(T, lead.Export())
+				// active order, and the window carries on from it.
+				r, err := Restore(T, w.Export())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(snapshotFacts(r), snapshotFacts(lead)) {
+				if !reflect.DeepEqual(snapshotFacts(r), snapshotFacts(w)) {
 					t.Fatalf("seed %d: restored window diverges", seed)
 				}
-				lead, lag, pending = r, r.Replica(), nil
-				checkWindowSlots(t, lead)
+				w = r
+				checkWindowSlots(t, w)
 			}
 		}
-		if reused == 0 || resurrected == 0 {
-			t.Fatalf("seed %d: %d slots reused and %d elements resurrected; the script must do both", seed, reused, resurrected)
-		}
-		lag.ApplyDelta(pending)
-		if !reflect.DeepEqual(lag.Export(), lead.Export()) || !reflect.DeepEqual(snapshotFacts(lag), snapshotFacts(lead)) {
-			t.Fatalf("seed %d: twins diverge once caught up", seed)
+		if reused == 0 || resurrected == 0 || childless == 0 {
+			t.Fatalf("seed %d: %d slots reused (%d without children) and %d elements resurrected; the script must do all", seed, reused, childless, resurrected)
 		}
 	}
+}
+
+// slotFacts is what a reader finds in one slot: the element and the IDs of
+// its children, in order.
+type slotFacts struct {
+	id       ElemID
+	e        *Element
+	children []ElemID
+}
+
+// viewFacts reads every active element of w through its ID map.
+func viewFacts(w *ActiveWindow) map[Slot]slotFacts {
+	out := map[Slot]slotFacts{}
+	for _, id := range w.ActiveIDs() {
+		s, _ := w.SlotOf(id)
+		e, _ := w.Get(id)
+		f := slotFacts{id: id, e: e, children: []ElemID{}}
+		for _, c := range w.ChildrenView(id) {
+			f.children = append(f.children, c.ID)
+		}
+		out[s] = f
+	}
+	return out
+}
+
+// readView reads the slots of want through v alone.
+func readView(v View, want map[Slot]slotFacts) map[Slot]slotFacts {
+	out := map[Slot]slotFacts{}
+	for s := range want {
+		e := v.At(s)
+		f := slotFacts{e: e, children: []ElemID{}}
+		if e != nil {
+			f.id = e.ID
+		}
+		for _, c := range v.ChildrenAt(s) {
+			f.children = append(f.children, c.ID)
+		}
+		out[s] = f
+	}
+	return out
+}
+
+// randomBuckets generates a bucket sequence exercising every structural
+// path: fresh arrivals, references to live / expired / dangling IDs
+// (resurrections), duplicate refs within one element, and occasional time
+// jumps larger than the window (mass expiry plus arrive-already-expired).
+func randomBuckets(rng *rand.Rand, buckets int) [][2]interface{} {
+	var out [][2]interface{}
+	now := Time(0)
+	nextID := ElemID(1)
+	for b := 0; b < buckets; b++ {
+		var step Time
+		switch rng.Intn(8) {
+		case 0:
+			step = Time(rng.Intn(40) + 25) // jump past the window (T=20 in the test)
+		default:
+			step = Time(rng.Intn(6) + 1)
+		}
+		prev := now
+		now += step
+		n := rng.Intn(6)
+		batch := make([]*Element, 0, n)
+		for i := 0; i < n; i++ {
+			ts := prev + 1 + Time(rng.Int63n(int64(now-prev)))
+			e := &Element{ID: nextID, TS: ts}
+			nextID++
+			for r := 0; r < rng.Intn(3); r++ {
+				// Any historical ID, plus the occasional dangling one.
+				e.Refs = append(e.Refs, ElemID(rng.Int63n(int64(nextID)+3)))
+			}
+			batch = append(batch, e)
+		}
+		sortByTS(batch)
+		out = append(out, [2]interface{}{now, batch})
+	}
+	return out
 }
 
 // checkWindowSlots asserts that w's active elements and occupied slots are

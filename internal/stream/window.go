@@ -4,22 +4,23 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // ErrArchiveRead reports an advance that failed because an archived
 // element a reference resurrects could not be read back — from the
-// element log, a failed read or a frame that fails its checks. The window
-// is left as it was before the advance.
+// element log, a failed read or a frame that fails its checks — or was
+// refused by the window's Check. The window is left as it was before the
+// advance.
 var ErrArchiveRead = errors.New("stream: reading back an archived element")
 
 // Slot is an active element's row in the per-element tables of its
 // window and of the scorer and ranked lists built over it. An element gets
 // a slot when it enters the active set — on arrival or on resurrection —
 // and gives it back when it expires; a slot given back in one advance is
-// handed out again from the next advance on. Slots depend on the history
+// released, and handed out again, from the next advance on. Slots depend on the history
 // of the advances, not only on the state they lead to, so they are never
 // persisted, exported or used to order anything an answer depends on:
 // Restore hands them out afresh.
@@ -45,6 +46,9 @@ type ChangeSet struct {
 	Expired []*Element
 
 	InsertedSlots, UpdatedSlots, ExpiredSlots []Slot
+	// Released are the slots the previous advance gave back (its
+	// ExpiredSlots), cleared and free again from this advance on.
+	Released []Slot
 }
 
 // ActiveWindow maintains the sliding window W_t and the active set A_t.
@@ -71,48 +75,54 @@ type ChangeSet struct {
 // than in maps keyed by its ID: the element itself, I_t(e) and t_e here,
 // the word weights in the scorer, the list nodes in the ranked lists. Only
 // the lookups that start from an ID — a reference, a duplicate check, an
-// explanation — go through the ID map of the active set. Twin windows
-// (Replica) hold equal tables, each its own copy, so the replica a query
-// reads is never written by the advance of the other. A slot an advance
-// gives back is handed out again from the next advance on, once the other
-// twin has replayed the one that gave it back; slots are never exported,
-// and Restore hands them out afresh (see Slot).
+// explanation — go through the ID map of the active set.
 //
-// ActiveWindow is not safe for concurrent mutation; the engine serializes
-// Advance calls and allows concurrent reads between them.
+// Every advance is a version, numbered from the window's creation. A View
+// taken after an advance reads that version by slot while later advances
+// run, under two rules that make the reads race-free without copying the
+// window (DESIGN.md §6):
+//   - A slot an advance gives back keeps its element until the next
+//     advance, which clears it before it hands out any slot. So a slot is
+//     refilled at the earliest two versions after the last one that held
+//     its element, and the holder of a View of version v must have
+//     stopped reading before the advance to version v+2 starts.
+//   - I_t(e) keeps two versions per slot, each stamped with the version
+//     that wrote it (see kids): a View reads the newest one not past its
+//     own, and an advance writes the other.
+//
+// Everything else — the ID map, the queue, the archive and its index, t_e,
+// the expiry heap — is read and written by the serialized writer only:
+// every method that takes an ID or walks the active set must be serialized
+// with Advance.
 type ActiveWindow struct {
 	T   Time // window length
 	now Time
+	// ver is the number of advances since the window was made or
+	// restored: the version the last advance wrote.
+	ver int64
 
 	// active maps the ID of every member of A_t to its slot.
 	active map[ElemID]Slot
-	// elems[s] is the active element in slot s, nil for a free slot.
+	// elems[s] is the active element in slot s, nil for a free slot; a
+	// slot the last advance gave back still holds its element (retired).
 	elems []*Element
-	// children[s] = I_t(e) of the element in slot s: the in-window
-	// elements that refer to it, kept sorted by child ID. The slice
-	// (rather than a set) makes every iteration deterministic, so float
-	// sums over I_t(e) — the influence scores — are bit-reproducible
-	// across runs and across restores.
-	children [][]*Element
+	// children[s] = I_t(e) of the element in slot s, in two versions.
+	children []kids
 	// queue is W_t, oldest first; head counts the arrivals that have left
-	// it, so queue[0] is arrival number head. Each window keeps its own:
-	// a replica replaying deltas (ApplyDelta) trails the recording window
-	// and must still find its in-window elements when its own exits come.
+	// it, so queue[0] is arrival number head.
 	queue []*Element
 	head  int
-	// ws is the state only the serialized writer path touches, shared
-	// by twin windows (Replica).
-	ws *writerState
-}
+	// retired are the slots the last advance gave back, released by the
+	// next one (ChangeSet.Released).
+	retired []Slot
 
-// writerState is the part of a window that only the serialized writer
-// path reads or writes — never a concurrent reader — so the engine's twin
-// windows share one copy (Replica) and delta replay skips maintaining it:
-// the recording advance already did.
-type writerState struct {
+	// Check, when set, vets every archived element an advance resurrects
+	// before the window changes: an element it refuses fails the advance
+	// with ErrArchiveRead. The engine sets it to its model's bounds.
+	Check func(*Element) error
+
 	// archive holds, in arrival order, every element that has left the
-	// window of the leading twin: the first window whose head passes an
-	// arrival archives it (slideOut).
+	// window.
 	archive Archive
 	// archiveText sums the texts of the archive's in-memory records.
 	archiveText int64
@@ -130,25 +140,94 @@ type writerState struct {
 	// slots hands out the slots of elements entering the active set.
 	slots slotPool
 	// mark[s] is the slot's part in the current advance (markInserted,
-	// markUpdated, markGone), 0 outside an advance; updated lists the
+	// markUpdated, markGone), markRetired from the advance that gave it
+	// back to the one that releases it, 0 otherwise; updated lists the
 	// slots marked updated, in the order they were.
 	mark    []uint8
 	updated []Slot
 }
 
-// Slot marks of one advance.
+// Slot marks.
 const (
 	markInserted = 1 + iota // entered the active set
 	markUpdated             // gained a child
 	markGone                // gained a child, then expired
+	markRetired             // given back, not yet released
 )
 
-// slotPool hands out slots: the lowest never-used one, or one given
-// back, most recent first. An advance takes every slot it hands out in
-// phase 1, before phase 3 gives any back, so a slot given back in one
-// advance is handed out again at the earliest by the next — when the
-// engine's other buffer, which a query may still read with the expired
-// element in that slot, has replayed the advance that gave it back.
+// kids is I_t(e) of one slot in two versions: the in-window elements that
+// refer to the slot's element, sorted by child ID. The slice (rather than
+// a set) makes every iteration deterministic, so float sums over I_t(e) —
+// the influence scores — are bit-reproducible across runs and restores.
+//
+// born is the window version that wrote a version's list, read and
+// written atomically; a reader at version v takes the newest list born at
+// or before v. The first change an advance makes to a slot's children
+// copies the newest list into the other version's storage and stamps it
+// with the advance's version; later changes in the same advance edit it
+// in place. The version overwritten is never one a reader can take: a
+// reader of version v exists only until the advance to v+2 starts, and
+// while the advance to v+1 runs, the newest list born at or before v is
+// the one it leaves alone. Steady state, both versions keep their storage
+// and an advance allocates only to grow one. A slot released to be
+// refilled drops both (born 0, no list).
+type kids [2]struct {
+	born int64
+	list []*Element
+}
+
+// newest is the index of the version the writer last wrote.
+func (k *kids) newest() int {
+	if k[1].born > k[0].born {
+		return 1
+	}
+	return 0
+}
+
+// at returns the list a reader of version v reads.
+func (k *kids) at(v int64) []*Element {
+	b0, b1 := atomic.LoadInt64(&k[0].born), atomic.LoadInt64(&k[1].born)
+	if b0 > v || b1 <= v && b1 > b0 {
+		return k[1].list
+	}
+	return k[0].list
+}
+
+// View is a window version a reader holds: the slot tables as the advance
+// that wrote the version left them. It reads by slot only, without locking,
+// and stays valid until the advance two versions later starts (see
+// ActiveWindow). A View of a window being advanced is taken between
+// advances by the writer.
+type View struct {
+	elems    []*Element
+	children []kids
+	ver      int64
+}
+
+// View returns the version the last advance wrote.
+func (w *ActiveWindow) View() View { return View{w.elems, w.children, w.ver} }
+
+// At returns the element in slot s at the view's version; the slot must
+// hold an element active at that version for the answer to mean anything.
+func (v View) At(s Slot) *Element {
+	if int(s) < len(v.elems) {
+		return v.elems[s]
+	}
+	return nil
+}
+
+// ChildrenAt returns I_t(e) of the element in slot s at the view's
+// version, in ascending child-ID order. The slice is the window's own.
+func (v View) ChildrenAt(s Slot) []*Element {
+	if int(s) < len(v.children) {
+		return v.children[s].at(v.ver)
+	}
+	return nil
+}
+
+// slotPool hands out slots: the lowest never-used one, or one released,
+// most recent first. A slot is released by the advance after the one that
+// gave it back, before any slot is handed out (ActiveWindow).
 type slotPool struct {
 	free []Slot
 	next Slot // slots ever handed out
@@ -179,14 +258,14 @@ func grow[T any](t []T, s Slot) []T {
 // TestResidentBytesTrackHeap holds the total to the live heap.
 // mapEntryBytes is one entry of a map keyed by element ID, growth slack
 // included. An element held as a Go value costs, beyond its own fields,
-// liveBaseBytes — its entries in both twins' active maps and slot tables,
-// the last-ref table and the expiry heap, its scorer-cache entries, its
-// row of the lists' node table, its share of the pending delta — plus,
-// for each of its topics, liveTopicBytes — its one versioned list node
-// (both buffers read the same lists) — and a cached weight per term.
+// liveBaseBytes — its entries in the active map and the slot tables (both
+// versions of its children), the last-ref table and the expiry heap, its
+// scorer-cache entry and its row of the lists' node table — plus, for each
+// of its topics, liveTopicBytes — its versioned list node — and a cached
+// weight per term.
 const (
 	mapEntryBytes  = 32
-	liveBaseBytes  = 347
+	liveBaseBytes  = 287
 	liveTopicBytes = 130
 )
 
@@ -199,46 +278,18 @@ func NewActiveWindow(T Time) *ActiveWindow {
 	return &ActiveWindow{
 		T:      T,
 		active: make(map[ElemID]Slot),
-		ws:     &writerState{},
 	}
-}
-
-// Replica returns a window equal to w that shares w's writer state: the
-// engine's twin. Both must from then on advance in lockstep over the same
-// stream with all mutation serialized — one by Advance/AdvanceRecorded,
-// the other by ApplyDelta of the recorded deltas, the roles free to swap
-// at any hand-off — and no concurrent reader may touch the writer state
-// (queries read only the active set and the reference index, which stay
-// per window).
-func (w *ActiveWindow) Replica() *ActiveWindow {
-	r := &ActiveWindow{
-		T:        w.T,
-		now:      w.now,
-		active:   maps.Clone(w.active),
-		elems:    slices.Clone(w.elems),
-		children: make([][]*Element, len(w.children)),
-		queue:    slices.Clone(w.queue),
-		head:     w.head,
-		ws:       w.ws,
-	}
-	for s, cs := range w.children {
-		r.children[s] = slices.Clone(cs)
-	}
-	return r
 }
 
 // ApproxBytes reports the approximate heap bytes held by the window's
 // elements: the archive's frame ends, records and their texts, the ID
-// index, and the elements held as Go values with their bookkeeping across
-// both twins. An element both active and held as a record counts its
-// text twice: a survivor that left the window before any checkpoint
-// framed it. Like Known it reads writer-shared state: callers must
-// serialize it with Advance/ApplyDelta.
+// index, and the elements held as Go values with their bookkeeping. An
+// element both active and held as a record counts its text twice: a
+// survivor that left the window before any checkpoint framed it.
 func (w *ActiveWindow) ApproxBytes() int64 {
-	ws := w.ws
-	a := &ws.archive
+	a := &w.archive
 	return 8*int64(cap(a.Frames)) + int64(cap(a.Records)) + 8*int64(cap(a.Ends)) + 16*int64(cap(a.Texts)) +
-		ws.archiveText + ws.index.bytes() + ws.liveBytes
+		w.archiveText + w.index.bytes() + w.liveBytes
 }
 
 // liveElemBytes is what e costs while held as a Go value.
@@ -252,14 +303,13 @@ func liveElemBytes(e *Element) int64 {
 // frames ending at ends: from then on the archive holds each of those
 // elements as its frame's end, and drops the in-memory records it held for
 // them. Arrivals still in the window are archived that way when they
-// leave it. Like Known it touches writer-shared state: callers must
-// serialize it with Advance/ApplyDelta.
+// leave it.
 func (w *ActiveWindow) AdoptLog(log ElementLog, first int, ends []int64) error {
-	if first+len(ends) > w.ws.index.len() {
-		return fmt.Errorf("stream: element log frames up to arrival %d, only %d arrived", first+len(ends), w.ws.index.len())
+	if first+len(ends) > w.index.len() {
+		return fmt.Errorf("stream: element log frames up to arrival %d, only %d arrived", first+len(ends), w.index.len())
 	}
-	text, err := w.ws.archive.makeDurable(log, first, ends)
-	w.ws.archiveText -= text
+	text, err := w.archive.makeDurable(log, first, ends)
+	w.archiveText -= text
 	return err
 }
 
@@ -284,20 +334,18 @@ func (w *ActiveWindow) SlotOf(id ElemID) (Slot, bool) {
 	return s, ok
 }
 
-// At returns the active element in slot s, nil for a free slot.
+// At returns the active element in slot s, nil for a free or retired slot.
 func (w *ActiveWindow) At(s Slot) *Element {
-	if int(s) < len(w.elems) {
+	if int(s) < len(w.elems) && w.mark[s] != markRetired {
 		return w.elems[s]
 	}
 	return nil
 }
 
 // Known reports whether id was ever ingested into this window (active,
-// expired or archived). Producers must never reuse a known ID. Known
-// reads the writer-shared index (Replica), so callers must serialize it
-// with Advance/ApplyDelta (the engine's writer path does).
+// expired or archived). Producers must never reuse a known ID.
 func (w *ActiveWindow) Known(id ElemID) bool {
-	_, ok := w.ws.index.lookup(id)
+	_, ok := w.index.lookup(id)
 	return ok
 }
 
@@ -317,8 +365,7 @@ func (w *ActiveWindow) Children(id ElemID) []*Element {
 
 // ChildrenView returns I_t(e) like Children but without copying: the
 // window's own slice, in ascending child-ID order. The caller must not
-// mutate it and must not use it across an Advance/ApplyDelta — queries read
-// it under their snapshot pin.
+// mutate it and must not use it across an Advance.
 func (w *ActiveWindow) ChildrenView(id ElemID) []*Element {
 	s, ok := w.active[id]
 	if !ok {
@@ -330,7 +377,8 @@ func (w *ActiveWindow) ChildrenView(id ElemID) []*Element {
 // ChildrenAt is ChildrenView for the active element in slot s.
 func (w *ActiveWindow) ChildrenAt(s Slot) []*Element {
 	if int(s) < len(w.children) {
-		return w.children[s]
+		k := &w.children[s]
+		return k[k.newest()].list
 	}
 	return nil
 }
@@ -338,18 +386,33 @@ func (w *ActiveWindow) ChildrenAt(s Slot) []*Element {
 // NumChildren returns |I_t(e)| without allocating.
 func (w *ActiveWindow) NumChildren(id ElemID) int { return len(w.ChildrenView(id)) }
 
+// writable returns the version of slot p's children this advance writes,
+// made from the newest one on the advance's first change (see kids).
+func (w *ActiveWindow) writable(p Slot) *[]*Element {
+	k := &w.children[p]
+	n := k.newest()
+	if k[n].born == w.ver {
+		return &k[n].list
+	}
+	o := &k[1-n]
+	o.list = append(o.list[:0], k[n].list...)
+	atomic.StoreInt64(&o.born, w.ver)
+	return &o.list
+}
+
 // addChild inserts c into the sorted child list of the parent in slot p
 // (idempotent for a duplicate reference within one element's ref list).
 func (w *ActiveWindow) addChild(p Slot, c *Element) {
-	cs := w.children[p]
+	cs := w.ChildrenAt(p)
 	i := sort.Search(len(cs), func(i int) bool { return cs[i].ID >= c.ID })
 	if i < len(cs) && cs[i].ID == c.ID {
 		return
 	}
-	cs = append(cs, nil)
+	l := w.writable(p)
+	cs = append(*l, nil)
 	copy(cs[i+1:], cs[i:])
 	cs[i] = c
-	w.children[p] = cs
+	*l = cs
 }
 
 // removeChild drops child from the sorted child list of the active
@@ -359,48 +422,32 @@ func (w *ActiveWindow) removeChild(parent, child ElemID) {
 	if !ok {
 		return
 	}
-	cs := w.children[p]
+	cs := w.ChildrenAt(p)
 	i := sort.Search(len(cs), func(i int) bool { return cs[i].ID >= child })
 	if i == len(cs) || cs[i].ID != child {
 		return
 	}
-	if len(cs) == 1 {
-		w.children[p] = nil
+	l := w.writable(p)
+	if len(*l) == 1 {
+		*l = nil
 		return
 	}
-	w.children[p] = append(cs[:i], cs[i+1:]...)
-}
-
-// place puts e into the active set at slot s, growing the window's tables
-// to hold it.
-func (w *ActiveWindow) place(e *Element, s Slot) {
-	w.active[e.ID] = s
-	w.elems = grow(w.elems, s)
-	w.children = grow(w.children, s)
-	w.elems[s] = e
-}
-
-// unplace takes the element id in slot s out of the active set.
-func (w *ActiveWindow) unplace(id ElemID, s Slot) {
-	delete(w.active, id)
-	w.elems[s] = nil
-	w.children[s] = nil
+	*l = append((*l)[:i], (*l)[i+1:]...)
 }
 
 // LastRef returns t_e, the time the active element id was last referred to
 // (its own timestamp if never referenced). The second result is false for
-// inactive elements. Like Known, it reads writer-shared state and must be
-// serialized with Advance/ApplyDelta.
+// inactive elements.
 func (w *ActiveWindow) LastRef(id ElemID) (Time, bool) {
 	s, ok := w.active[id]
 	if !ok {
 		return 0, false
 	}
-	return w.ws.lastRef[s], true
+	return w.lastRef[s], true
 }
 
 // LastRefAt is LastRef for the active element in slot s.
-func (w *ActiveWindow) LastRefAt(s Slot) Time { return w.ws.lastRef[s] }
+func (w *ActiveWindow) LastRefAt(s Slot) Time { return w.lastRef[s] }
 
 // ForEachChild calls fn for every in-window element referring to id, in
 // ascending child-ID order — a deterministic order, so float accumulations
@@ -413,11 +460,7 @@ func (w *ActiveWindow) ForEachChild(id ElemID, fn func(*Element)) {
 
 // ForEachActive calls fn for every active element in unspecified order.
 func (w *ActiveWindow) ForEachActive(fn func(*Element)) {
-	for _, e := range w.elems {
-		if e != nil {
-			fn(e)
-		}
-	}
+	w.ForEachActiveSlot(func(e *Element, _ Slot) { fn(e) })
 }
 
 // ForEachActiveSlot calls fn for every active element and its slot, in
@@ -425,7 +468,7 @@ func (w *ActiveWindow) ForEachActive(fn func(*Element)) {
 // an answer depends on may follow it.
 func (w *ActiveWindow) ForEachActiveSlot(fn func(*Element, Slot)) {
 	for s, e := range w.elems {
-		if e != nil {
+		if e != nil && w.mark[s] != markRetired {
 			fn(e, Slot(s))
 		}
 	}
@@ -447,36 +490,22 @@ func (w *ActiveWindow) ActiveIDs() []ElemID {
 // previous now — so the arrival log stays timestamp-ordered and window
 // exits pop its head). It returns the resulting ChangeSet. Elements
 // referencing IDs never seen before have those references ignored.
+//
+// The advance writes the window's next version. It first releases the
+// slots the previous advance gave back (ChangeSet.Released): the holder
+// of a View two versions old must have stopped reading by then.
 func (w *ActiveWindow) Advance(now Time, batch []*Element) (ChangeSet, error) {
-	return w.advance(now, batch, nil)
-}
-
-// AdvanceRecorded is Advance additionally returning the structural Delta
-// of the advance, for replay onto a replica window via ApplyDelta.
-func (w *ActiveWindow) AdvanceRecorded(now Time, batch []*Element) (ChangeSet, *Delta, error) {
-	rec := &Delta{Now: now, Batch: batch, RefAdds: make([]RefAdd, 0, len(batch)*2)}
-	cs, err := w.advance(now, batch, rec)
-	if err != nil {
-		return cs, nil, err
-	}
-	rec.Inserted, rec.InsertedSlots = cs.Inserted, cs.InsertedSlots
-	rec.Expired, rec.ExpiredSlots = cs.Expired, cs.ExpiredSlots
-	return cs, rec, nil
-}
-
-func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSet, error) {
 	if now < w.now {
 		return ChangeSet{}, fmt.Errorf("stream: time moved backwards %d → %d", w.now, now)
 	}
-	ws := w.ws
 
 	// Every known reference to an inactive element is a resurrection in
 	// phase 1 (one referred to twice is read and counted twice). Their
 	// records are read here, in reference order — from memory, or back
-	// from the element log — so a failed read fails the advance before
-	// anything has changed, and they are decoded into storage sized for
-	// exactly them, so a bucket allocates for its resurrections once and
-	// keeps no spare room alive.
+	// from the element log — and decoded into storage sized for exactly
+	// them, so a bucket allocates for its resurrections once and keeps no
+	// spare room alive, and a failed read or a refused element fails the
+	// advance before anything has changed.
 	var (
 		few    [8]archived // room for a typical bucket's, off the heap
 		pulled = few[:0]
@@ -484,32 +513,48 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	)
 	for _, e := range batch {
 		for _, pid := range e.Refs {
-			seq, known := ws.index.lookup(pid)
+			seq, known := w.index.lookup(pid)
 			if !known {
 				continue
 			}
 			if _, isActive := w.active[pid]; isActive {
 				continue
 			}
-			rec, text, err := ws.archive.Record(seq)
+			rec, text, err := w.archive.Record(seq)
 			if err == nil && recordID(rec) != pid {
 				err = fmt.Errorf("the archive holds element %d in its place", recordID(rec))
 			}
 			if err != nil {
 				return ChangeSet{}, fmt.Errorf("%w: element %d: %w", ErrArchiveRead, pid, err)
 			}
-			pulled = append(pulled, archived{rec, text})
+			pulled = append(pulled, archived{rec: rec, text: text})
 			need.add(rec)
 		}
 	}
-	var storage *slab
 	if need.elems > 0 {
-		storage = newSlab(need)
+		storage := newSlab(need)
+		for i := range pulled {
+			e := storage.decode(pulled[i].rec, pulled[i].text)
+			if w.Check != nil {
+				if err := w.Check(e); err != nil {
+					return ChangeSet{}, fmt.Errorf("%w: element %d: %w", ErrArchiveRead, e.ID, err)
+				}
+			}
+			pulled[i].e = e
+		}
 	}
 
-	cs := ChangeSet{Now: now}
+	cs := ChangeSet{Now: now, Released: w.retired}
 	prevNow := w.now
 	w.now = now
+	w.ver++
+	for _, s := range w.retired {
+		w.elems[s] = nil
+		w.children[s] = kids{} // no View reads a released slot
+		w.mark[s] = 0
+		w.slots.put(s)
+	}
+	w.retired = nil
 
 	// Phase 1: insert arrivals and wire references.
 	prevTS := prevNow
@@ -524,18 +569,18 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 		if len(e.Topics.Probs) != len(e.Topics.Topics) {
 			return ChangeSet{}, fmt.Errorf("stream: element %d has %d topics for %d probabilities", e.ID, len(e.Topics.Topics), len(e.Topics.Probs))
 		}
-		if _, dup := ws.index.lookup(e.ID); dup {
+		if _, dup := w.index.lookup(e.ID); dup {
 			return ChangeSet{}, fmt.Errorf("stream: duplicate element ID %d", e.ID)
 		}
-		ws.index.add(e.ID)
-		ws.liveBytes += liveElemBytes(e)
+		w.index.add(e.ID)
+		w.liveBytes += liveElemBytes(e)
 		s := w.enter(e, &cs)
-		ws.lastRef[s] = e.TS
+		w.lastRef[s] = e.TS
 		w.queue = append(w.queue, e)
-		ws.expiryQ.push(expiryEntry{at: e.TS, id: e.ID})
+		w.expiryQ.push(expiryEntry{at: e.TS, id: e.ID})
 
 		for _, pid := range e.Refs {
-			if _, known := ws.index.lookup(pid); !known {
+			if _, known := w.index.lookup(pid); !known {
 				continue // dangling reference: producer referenced an element we never saw
 			}
 			p, isActive := w.active[pid]
@@ -543,23 +588,22 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 				// Resurrect: the parent re-enters A_t because a window
 				// element now refers to it. Only an element that left
 				// the window can be inactive, so it is archived, and the
-				// pre-pass read its record. Records it read for a parent
+				// pre-pass decoded it. Elements it decoded for a parent
 				// already resurrected are the second references to it.
-				for recordID(pulled[0].rec) != pid {
+				for pulled[0].e.ID != pid {
 					pulled = pulled[1:]
 				}
-				p = w.enter(w.resurrect(pulled[0], storage), &cs)
+				parent := pulled[0].e
+				w.liveBytes += liveElemBytes(parent)
+				p = w.enter(parent, &cs)
 				pulled = pulled[1:]
 			}
 			w.addChild(p, e)
-			ws.lastRef[p] = e.TS
-			ws.expiryQ.push(expiryEntry{at: e.TS, id: pid})
-			if rec != nil {
-				rec.RefAdds = append(rec.RefAdds, RefAdd{Parent: p, Child: e})
-			}
-			if ws.mark[p] == 0 {
-				ws.mark[p] = markUpdated
-				ws.updated = append(ws.updated, p)
+			w.lastRef[p] = e.TS
+			w.expiryQ.push(expiryEntry{at: e.TS, id: pid})
+			if w.mark[p] == 0 {
+				w.mark[p] = markUpdated
+				w.updated = append(w.updated, p)
 			}
 		}
 	}
@@ -569,20 +613,20 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	cutoff := now - w.T // keep elements with TS > cutoff
 	w.slideOut(cutoff)
 
-	// Phase 3: expire actives never referred to after the cutoff.
-	for len(ws.expiryQ) > 0 && ws.expiryQ[0].at <= cutoff {
-		entry := ws.expiryQ.pop()
+	// Phase 3: expire actives never referred to after the cutoff. The slot
+	// keeps its element until the next advance releases it.
+	for len(w.expiryQ) > 0 && w.expiryQ[0].at <= cutoff {
+		entry := w.expiryQ.pop()
 		s, isActive := w.active[entry.id]
-		if !isActive || ws.lastRef[s] > cutoff {
+		if !isActive || w.lastRef[s] > cutoff {
 			continue // stale heap entry (element was re-referenced or already gone)
 		}
 		e := w.elems[s]
-		w.unplace(entry.id, s)
-		ws.slots.put(s)
-		if ws.mark[s] == markUpdated {
-			ws.mark[s] = markGone
+		delete(w.active, entry.id)
+		if w.mark[s] == markUpdated {
+			w.mark[s] = markGone
 		}
-		ws.liveBytes -= liveElemBytes(e)
+		w.liveBytes -= liveElemBytes(e)
 		cs.Expired = append(cs.Expired, e)
 		cs.ExpiredSlots = append(cs.ExpiredSlots, s)
 	}
@@ -590,12 +634,12 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 	// Updated lists the parents that gained a child, are still active and
 	// did not enter in this advance (a resurrected parent is reported as
 	// inserted; its δ is computed fresh anyway), by ID.
-	kept := ws.updated[:0]
-	for _, p := range ws.updated {
-		if ws.mark[p] == markUpdated {
+	kept := w.updated[:0]
+	for _, p := range w.updated {
+		if w.mark[p] == markUpdated {
 			kept = append(kept, p)
 		}
-		ws.mark[p] = 0
+		w.mark[p] = 0
 	}
 	slices.SortFunc(kept, func(a, b Slot) int { return cmp.Compare(w.elems[a].ID, w.elems[b].ID) })
 	if len(kept) > 0 {
@@ -605,59 +649,53 @@ func (w *ActiveWindow) advance(now Time, batch []*Element, rec *Delta) (ChangeSe
 		}
 		cs.UpdatedSlots = slices.Clone(kept)
 	}
-	ws.updated = kept[:0]
+	w.updated = kept[:0]
 	for _, s := range cs.InsertedSlots {
-		ws.mark[s] = 0
+		w.mark[s] = 0
 	}
+	for _, s := range cs.ExpiredSlots {
+		w.mark[s] = markRetired
+	}
+	w.retired = cs.ExpiredSlots
 	return cs, nil
 }
 
 // enter gives e, an arrival or a resurrected parent, a slot in the active
 // set and reports it in cs as inserted.
 func (w *ActiveWindow) enter(e *Element, cs *ChangeSet) Slot {
-	ws := w.ws
-	s := ws.slots.get()
-	ws.lastRef = grow(ws.lastRef, s)
-	ws.mark = grow(ws.mark, s)
-	ws.mark[s] = markInserted
-	w.place(e, s)
+	s := w.slots.get()
+	w.active[e.ID] = s
+	w.elems = grow(w.elems, s)
+	w.children = grow(w.children, s)
+	w.lastRef = grow(w.lastRef, s)
+	w.mark = grow(w.mark, s)
+	w.elems[s] = e
+	w.mark[s] = markInserted
 	cs.Inserted = append(cs.Inserted, e)
 	cs.InsertedSlots = append(cs.InsertedSlots, s)
 	return s
 }
 
 // archived is an archived element's record and text, read for a
-// resurrection.
+// resurrection, and the element decoded from them.
 type archived struct {
 	rec  []byte
 	text string
-}
-
-// resurrect decodes an archived element into a fresh element carved from
-// storage and charges it to the live bytes. Records are checked when they
-// are written, restored or read back, so they decode.
-func (w *ActiveWindow) resurrect(a archived, storage *slab) *Element {
-	e := storage.decode(a.rec, a.text)
-	w.ws.liveBytes += liveElemBytes(e)
-	return e
+	e    *Element
 }
 
 // slideOut moves the window head past the exits (arrival order, TS ≤
-// cutoff), dropping each exiting child from the reference index. The
-// first twin whose head passes an arrival archives it; the other finds
-// it still in its own queue. Shared verbatim between Advance and
-// ApplyDelta so the two paths cannot drift.
+// cutoff), archiving each exiting element and dropping it from the
+// reference index.
 func (w *ActiveWindow) slideOut(cutoff Time) {
 	for len(w.queue) > 0 && w.queue[0].TS <= cutoff {
 		child := w.queue[0]
 		w.queue[0] = nil // the queue must not keep an exited element alive
 		w.queue = w.queue[1:]
-		if a := &w.ws.archive; w.head == a.Len() {
-			if a.Len() >= len(a.Frames) {
-				w.ws.archiveText += int64(len(child.Text))
-			}
-			a.Append(child)
+		if a := &w.archive; a.Len() >= len(a.Frames) {
+			w.archiveText += int64(len(child.Text))
 		}
+		w.archive.Append(child)
 		w.head++
 		for _, pid := range child.Refs {
 			w.removeChild(pid, child.ID)

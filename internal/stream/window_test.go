@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/social-streams/ksir/internal/textproc"
@@ -305,5 +306,33 @@ func verifyInvariant(t *testing.T, w *ActiveWindow, all []*Element, now, T Time)
 		if got, want := w.NumChildren(id), len(wantChildren[id]); got != want {
 			t.Fatalf("t=%d: children(e%d) = %d, want %d", now, id, got, want)
 		}
+	}
+}
+
+// ForEachChild iterates in ascending child-ID order, making influence
+// accumulation deterministic.
+func TestForEachChildOrderDeterministic(t *testing.T) {
+	w := NewActiveWindow(100)
+	parent := &Element{ID: 1, TS: 1}
+	if _, err := w.Advance(1, []*Element{parent}); err != nil {
+		t.Fatal(err)
+	}
+	// Children arrive in non-sorted ID order within later buckets.
+	children := []*Element{
+		{ID: 9, TS: 2, Refs: []ElemID{1}},
+		{ID: 4, TS: 3, Refs: []ElemID{1, 1}}, // duplicate ref: wired once
+		{ID: 7, TS: 4, Refs: []ElemID{1}},
+	}
+	if _, err := w.Advance(4, children); err != nil {
+		t.Fatal(err)
+	}
+	var got []ElemID
+	w.ForEachChild(1, func(c *Element) { got = append(got, c.ID) })
+	want := []ElemID{4, 7, 9}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("child order %v, want %v", got, want)
+	}
+	if w.NumChildren(1) != 3 {
+		t.Fatalf("NumChildren = %d, want 3", w.NumChildren(1))
 	}
 }

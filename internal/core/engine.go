@@ -109,7 +109,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
 	}
-	return Restore(cfg, State{Lists: make([][]rankedlist.Item, cfg.Model.Z)})
+	return Restore(cfg, State{Lists: make([][]Tuple, cfg.Model.Z)})
 }
 
 // NumShards is always 1: the ranked lists are maintained in one pass by the
@@ -267,7 +267,8 @@ func (g *Engine) validate(now stream.Time, batch []*stream.Element) error {
 // sequential pass over the changeset, writing the lists' next version:
 // expired elements leave the lists of their topics first, then every
 // inserted and every updated element has δ_i(e) recomputed and its tuple
-// (re)positioned.
+// (re)positioned. t_e is the window's alone (the advance moved it), so an
+// updated parent keeps its node on every topic whose score did not move.
 func (g *Engine) maintainLists(cs stream.ChangeSet) {
 	start := time.Now()
 	for i, e := range cs.Expired {
@@ -290,9 +291,8 @@ func (g *Engine) maintainLists(cs stream.ChangeSet) {
 			if g.win.At(s) != e {
 				continue
 			}
-			te := g.win.LastRefAt(s)
 			for j, topic := range e.Topics.Topics {
-				g.lists[topic].UpsertAt(s, j, e.ID, g.scorer.TopicScoreAt(e, s, j), te)
+				g.lists[topic].UpsertAt(s, j, e.ID, g.scorer.TopicScoreAt(e, s, j))
 				g.stats.ListUpserts++
 			}
 		}

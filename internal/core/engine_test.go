@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/social-streams/ksir/internal/papertest"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
+	"github.com/social-streams/ksir/internal/testutil"
+	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
 // paperEngine builds an engine with the paper's example parameters
@@ -82,16 +85,17 @@ func TestFigure5RankedLists(t *testing.T) {
 	}
 }
 
-// Last-referred timestamps in the tuples (Algorithm 1: t_e updates when a
-// reference arrives).
+// Last-referred timestamps of the listed elements (Algorithm 1: t_e
+// updates when a reference arrives). The window holds t_e; the tuples do
+// not.
 func TestRankedListLastRef(t *testing.T) {
 	g := paperEngine(t)
 	wantTe := map[stream.ElemID]stream.Time{
 		1: 5, 2: 8, 3: 8, 5: 5, 6: 8, 7: 7, 8: 8,
 	}
 	for _, item := range g.ListItems(1) {
-		if item.LastRef != wantTe[item.ID] {
-			t.Errorf("t_e(e%d) = %d, want %d", item.ID, item.LastRef, wantTe[item.ID])
+		if te, _ := g.Window().LastRef(item.ID); te != wantTe[item.ID] {
+			t.Errorf("t_e(e%d) = %d, want %d", item.ID, te, wantTe[item.ID])
 		}
 	}
 }
@@ -151,5 +155,85 @@ func TestEngineNow(t *testing.T) {
 	}
 	if g.NumActive() != 7 {
 		t.Errorf("NumActive = %d", g.NumActive())
+	}
+}
+
+// A child that shares no topic with its parent moves the parent's t_e
+// alone: the window advances it, and the parent's list nodes stay the same
+// nodes, with no dead node left for the sweep. A child that shares a topic
+// moves δ on that topic, which gets a new node; the other keeps its own.
+func TestParentKeepsItsNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const z, v = 4, 20
+	g, err := NewEngine(Config{Model: testutil.RandModel(rng, z, v), WindowLength: 100, Params: paperConfig().Params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elem := func(id stream.ElemID, ts stream.Time, topics []int32, refs ...stream.ElemID) *stream.Element {
+		e := testutil.RandElement(rng, int(id), z, v, 0)
+		e.TS, e.Refs = ts, refs
+		e.Topics = topicmodel.TopicVec{Topics: topics, Probs: make([]float64, len(topics))}
+		for j := range topics {
+			e.Topics.Probs[j] = 1 / float64(len(topics))
+		}
+		return e
+	}
+	parent := []int32{0, 1}
+	// nodes returns the parent's node handles, by topic position, and its
+	// t_e, under the writer lock like any ID-keyed read.
+	nodes := func() ([]any, stream.Time) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		s, ok := g.win.SlotOf(1)
+		if !ok {
+			t.Fatal("the parent is not active")
+		}
+		out := make([]any, len(parent))
+		for j, topic := range parent {
+			if out[j] = g.lists[topic].NodeAt(s, j); out[j] == nil {
+				t.Fatalf("the parent has no node on topic %d", topic)
+			}
+		}
+		return out, g.win.LastRefAt(s)
+	}
+	if err := g.Ingest(10, []*stream.Element{elem(1, 10, parent)}); err != nil {
+		t.Fatal(err)
+	}
+	before, te := nodes()
+	if te != 10 {
+		t.Fatalf("the parent's t_e is %d after its arrival, want 10", te)
+	}
+
+	if err := g.Ingest(20, []*stream.Element{elem(2, 20, []int32{2, 3}, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	after, te := nodes()
+	if te != 20 {
+		t.Errorf("the parent's t_e is %d after a reference at 20", te)
+	}
+	for j, topic := range parent {
+		if after[j] != before[j] {
+			t.Errorf("a child without the parent's topics replaced its node on topic %d", topic)
+		}
+	}
+	if d := g.tab.Dead(); d != 0 {
+		t.Errorf("%d dead nodes after a bucket that removed none", d)
+	}
+
+	if err := g.Ingest(30, []*stream.Element{elem(3, 30, []int32{1, 3}, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	shared, te := nodes()
+	if te != 30 {
+		t.Errorf("the parent's t_e is %d after a reference at 30", te)
+	}
+	if shared[0] != before[0] {
+		t.Error("a child on topic 1 alone replaced the parent's node on topic 0")
+	}
+	if shared[1] == before[1] {
+		t.Error("a child on topic 1 left the parent's node on topic 1, whose score it moved")
+	}
+	if d := g.tab.Dead(); d != 1 {
+		t.Errorf("%d dead nodes after one rescore, want 1", d)
 	}
 }

@@ -26,27 +26,49 @@ import (
 type State struct {
 	Window stream.WindowState
 	// Lists[i] holds RL_i's tuples in ranked order.
-	Lists [][]rankedlist.Item
+	Lists [][]Tuple
 	Stats Stats
+}
+
+// Tuple is a ranked-list tuple as a state holds it: Algorithm 1's
+// ⟨δ_i(e), t_e⟩ and the element's ID. The lists themselves keep no t_e
+// (rankedlist.Item); ExportState copies it from the window, and Restore
+// requires it to equal the element's active entry.
+type Tuple struct {
+	ID      stream.ElemID
+	Score   float64     // δ_i(e) as the list holds it, stale or not
+	LastRef stream.Time // t_e, the time the element was last referred to
 }
 
 // ExportState dumps the last published state. It takes the writer lock:
 // the window's export walks its ID map and archive, which only the writer
 // reads (the Hub's writer pipeline already serializes it against Ingest —
-// a checkpoint op is a commit barrier).
+// a checkpoint op is a commit barrier). Under the lock the window is the
+// published bucket's, so a tuple's t_e is the window's entry for the
+// slot of its node.
 func (g *Engine) ExportState() State {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	snap := g.front.Load()
 	st := State{
 		Window: g.win.Export(),
-		Lists:  make([][]rankedlist.Item, len(snap.lists)),
+		Lists:  make([][]Tuple, len(snap.lists)),
 		Stats:  snap.stats,
 	}
 	for i, l := range snap.lists {
-		if n := snap.lens[i]; n > 0 {
-			st.Lists[i] = l.ItemsAt(snap.seq, n)
+		n := snap.lens[i]
+		if n == 0 {
+			continue
 		}
+		tuples := make([]Tuple, 0, n)
+		for it := l.IterAt(snap.seq); ; {
+			item, ok := it.Next()
+			if !ok {
+				break
+			}
+			tuples = append(tuples, Tuple{ID: item.ID, Score: item.Score, LastRef: g.win.LastRefAt(it.Slot())})
+		}
+		st.Lists[i] = tuples
 	}
 	return st
 }
@@ -62,7 +84,11 @@ func (g *Engine) ExportState() State {
 // A state whose active or window-queue elements do not fit the model (a
 // topic outside [0, Z), a word outside the vocabulary) is an error, not a
 // panic in the scorer; so is, when a later bucket resurrects it, such an
-// archived element (stream.ErrArchiveRead).
+// archived element (stream.ErrArchiveRead). So are lists that do not
+// match the window: a tuple of an element that is not active or lacks the
+// list's topic, a tuple listed twice, a t_e other than the element's
+// active entry, and an active element without a tuple in one of its
+// topics' lists.
 func Restore(cfg Config, st State) (*Engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("core: config needs a topic model")
@@ -84,12 +110,14 @@ func Restore(cfg Config, st State) (*Engine, error) {
 		}
 	}
 	var warm stream.ChangeSet
+	cells := 0 // the tuples the lists must hold: one per topic of each active element
 	win.ForEachActiveSlot(func(e *stream.Element, s stream.Slot) {
 		if err == nil {
 			err = fits(cfg.Model, e)
 		}
 		warm.Inserted = append(warm.Inserted, e)
 		warm.InsertedSlots = append(warm.InsertedSlots, s)
+		cells += len(e.Topics.Topics)
 	})
 	if err != nil {
 		return nil, err
@@ -107,7 +135,7 @@ func Restore(cfg Config, st State) (*Engine, error) {
 	for i := range g.lists {
 		g.lists[i] = g.tab.New()
 	}
-	if err := g.restoreLists(st.Lists); err != nil {
+	if err := g.restoreLists(st.Lists, cells); err != nil {
 		return nil, err
 	}
 	g.front.Store(g.newSnapshot())
@@ -115,10 +143,14 @@ func Restore(cfg Config, st State) (*Engine, error) {
 }
 
 // restoreLists re-inserts the ranked-list tuples, each for an active
-// element of the window that has the list's topic.
-func (g *Engine) restoreLists(tuples [][]rankedlist.Item) error {
+// element of the window that has the list's topic, at most once per list,
+// with the element's t_e; cells is how many the lists must end up holding,
+// one per topic of each active element, so none is missing.
+func (g *Engine) restoreLists(tuples [][]Tuple, cells int) error {
 	win := g.win
+	n := 0
 	for topic, items := range tuples {
+		l := g.lists[topic]
 		for _, it := range items {
 			s, active := win.SlotOf(it.ID)
 			if !active {
@@ -128,8 +160,18 @@ func (g *Engine) restoreLists(tuples [][]rankedlist.Item) error {
 			if j < 0 {
 				return fmt.Errorf("core: ranked list %d holds element %d, which lacks the topic", topic, it.ID)
 			}
-			g.lists[topic].UpsertAt(s, j, it.ID, it.Score, it.LastRef)
+			if _, dup := l.GetAt(s, j); dup {
+				return fmt.Errorf("core: ranked list %d holds element %d twice", topic, it.ID)
+			}
+			if te := win.LastRefAt(s); it.LastRef != te {
+				return fmt.Errorf("core: ranked list %d holds element %d at t_e %d, the window at %d", topic, it.ID, it.LastRef, te)
+			}
+			l.UpsertAt(s, j, it.ID, it.Score)
 		}
+		n += len(items)
+	}
+	if n != cells {
+		return fmt.Errorf("core: ranked lists hold %d tuples for the %d topics of the active elements", n, cells)
 	}
 	return nil
 }

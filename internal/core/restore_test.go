@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/social-streams/ksir/internal/papertest"
-	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/score"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
@@ -174,12 +173,24 @@ func TestRestoreValidation(t *testing.T) {
 	if _, err := Restore(paperConfig(), bad); err == nil {
 		t.Error("wrong list count accepted")
 	}
-	bad = st
-	bad.Lists = make([][]rankedlist.Item, len(st.Lists))
-	copy(bad.Lists, st.Lists)
-	bad.Lists[0] = append([]rankedlist.Item{{ID: 4, Score: 1}}, st.Lists[0]...) // e4 expired
-	if _, err := Restore(paperConfig(), bad); err == nil {
-		t.Error("inactive list entry accepted")
+	// Lists that do not match the window: each would leave the restored
+	// engine answering otherwise than the exported one.
+	for name, spoil := range map[string]func(lists [][]Tuple){
+		"inactive list entry": func(l [][]Tuple) { l[0] = append([]Tuple{{ID: 4, Score: 1}}, l[0]...) }, // e4 expired
+		// e1 would never surface on topic 1.
+		"active element missing from a list": func(l [][]Tuple) { l[1] = l[1][1:] },
+		"tuple listed twice":                 func(l [][]Tuple) { l[1] = append(l[1], l[1][0]) },
+		"t_e other than the window's":        func(l [][]Tuple) { l[1][0].LastRef++ },
+	} {
+		bad = st
+		bad.Lists = make([][]Tuple, len(st.Lists))
+		for i, items := range st.Lists {
+			bad.Lists[i] = slices.Clone(items)
+		}
+		spoil(bad.Lists)
+		if _, err := Restore(paperConfig(), bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	// An element that does not fit the model fails the restore instead of
 	// panicking in the scorer: a topic past Z, a word past the vocabulary,

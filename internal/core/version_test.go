@@ -155,9 +155,8 @@ func (r *reference) ingest(now stream.Time, batch []*stream.Element) error {
 		if gone[e.ID] {
 			continue // entered already out of window
 		}
-		te, _ := r.win.LastRef(e.ID)
 		for _, topic := range e.Topics.Topics {
-			r.lists[topic].Upsert(e.ID, r.scorer.TopicScore(e, topic), te)
+			r.lists[topic].Upsert(e.ID, r.scorer.TopicScore(e, topic), 0)
 			r.ups++
 		}
 	}
@@ -166,9 +165,17 @@ func (r *reference) ingest(now stream.Time, batch []*stream.Element) error {
 	return nil
 }
 
-// state is the reference's state as an engine state at its sequence.
+// state is the reference's state as an engine state at its sequence, each
+// tuple with its element's t_e from the window.
 func (r *reference) state() State {
-	return State{Window: r.win.Export(), Lists: listItems(r.lists),
+	lists := make([][]Tuple, len(r.lists))
+	for i, l := range r.lists {
+		for _, it := range l.Items() {
+			te, _ := r.win.LastRef(it.ID)
+			lists[i] = append(lists[i], Tuple{ID: it.ID, Score: it.Score, LastRef: te})
+		}
+	}
+	return State{Window: r.win.Export(), Lists: lists,
 		Stats: Stats{ElementsIngested: r.elems, Buckets: r.seq, ListUpserts: r.ups, ListDeletes: r.dels}}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/social-streams/ksir/internal/core"
-	"github.com/social-streams/ksir/internal/rankedlist"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/testutil"
 	"github.com/social-streams/ksir/internal/textproc"
@@ -50,7 +49,7 @@ func testCheckpoint() *Checkpoint {
 				Window: []*stream.Element{e1, e2},
 				Active: []stream.ActiveRef{{ID: 1, LastRef: 160}, {ID: 2, LastRef: 160}},
 			},
-			Lists: [][]rankedlist.Item{
+			Lists: [][]core.Tuple{
 				{{ID: 1, Score: 0.9, LastRef: 160}, {ID: 2, Score: 0.4, LastRef: 160}},
 				{{ID: 2, Score: 0.7, LastRef: 160}},
 			},

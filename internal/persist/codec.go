@@ -8,7 +8,7 @@ import (
 	"slices"
 	"time"
 
-	"github.com/social-streams/ksir/internal/rankedlist"
+	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/stream"
 )
 
@@ -176,12 +176,12 @@ func decodeHead(payload []byte) (*Checkpoint, logPrefix, uint64, error) {
 		}
 	}
 	// An empty list still costs its 4-byte count, which bounds nlists.
-	ck.Core.Lists = make([][]rankedlist.Item, r.count(4))
+	ck.Core.Lists = make([][]core.Tuple, r.count(4))
 	for t := range ck.Core.Lists {
 		if n := r.count(24); n > 0 {
-			items := make([]rankedlist.Item, n)
+			items := make([]core.Tuple, n)
 			for i := range items {
-				items[i] = rankedlist.Item{ID: stream.ElemID(r.i64()), Score: math.Float64frombits(r.u64()), LastRef: stream.Time(r.i64())}
+				items[i] = core.Tuple{ID: stream.ElemID(r.i64()), Score: math.Float64frombits(r.u64()), LastRef: stream.Time(r.i64())}
 			}
 			ck.Core.Lists[t] = items
 		}

@@ -6,7 +6,7 @@ import (
 	"os"
 	"testing"
 
-	"github.com/social-streams/ksir/internal/rankedlist"
+	"github.com/social-streams/ksir/internal/core"
 	"github.com/social-streams/ksir/internal/stream"
 	"github.com/social-streams/ksir/internal/textproc"
 	"github.com/social-streams/ksir/internal/topicmodel"
@@ -19,7 +19,7 @@ func benchCheckpoint(history, active int) *Checkpoint {
 	rng := rand.New(rand.NewSource(1))
 	ck := &Checkpoint{Name: "bench", ModelHash: 1}
 	win := &ck.Core.Window
-	ck.Core.Lists = make([][]rankedlist.Item, 50)
+	ck.Core.Lists = make([][]core.Tuple, 50)
 	for i := 0; i < history; i++ {
 		words := make([]textproc.WordID, 5)
 		for j := range words {
@@ -40,7 +40,7 @@ func benchCheckpoint(history, active int) *Checkpoint {
 			win.Window = append(win.Window, e)
 			win.Active = append(win.Active, stream.ActiveRef{ID: e.ID, LastRef: e.TS})
 			for _, t := range e.Topics.Topics {
-				ck.Core.Lists[t] = append(ck.Core.Lists[t], rankedlist.Item{ID: e.ID, Score: rng.Float64(), LastRef: e.TS})
+				ck.Core.Lists[t] = append(ck.Core.Lists[t], core.Tuple{ID: e.ID, Score: rng.Float64(), LastRef: e.TS})
 			}
 		}
 	}

@@ -1,7 +1,11 @@
 // Package rankedlist implements the per-topic ranked lists RL_1..RL_z of
-// §4.1: ordered collections of ⟨δ_i(e), t_e⟩ tuples sorted by topic-wise
-// representativeness score in descending order, with O(log n) insert,
-// reposition and delete.
+// §4.1: ordered collections of tuples sorted by topic-wise
+// representativeness score δ_i(e) in descending order, with O(log n)
+// insert, reposition and delete. The paper's tuple is ⟨δ_i(e), t_e⟩; here
+// a tuple is ⟨element ID, δ_i(e)⟩ alone, because no list operation reads
+// t_e: expiry runs off the window's own record of it
+// (stream.ActiveWindow.LastRef), so a reference that leaves δ_i(e) as it
+// was leaves the list as it was.
 //
 // The ordered structure is a skip list with levels derived deterministically
 // from the element ID, so runs are reproducible without a seed and the
@@ -20,11 +24,11 @@
 // one that removed it (died), and a reader of version v walks only the
 // nodes with born ≤ v < died. A write never changes a tuple a reader can
 // see: an insert links a node born in the version being written, a delete
-// sets died, and a rescore or a LastRef update does both. Publish ends a
-// version; Sweep unlinks the nodes published versions removed, once no
-// reader of an older version remains. Readers walk the bottom level only,
-// so its links and died are the only fields written while they run, and
-// the only atomic ones.
+// sets died, and a rescore does both; an upsert of an unchanged score
+// writes nothing. Publish ends a version; Sweep unlinks the nodes
+// published versions removed, once no reader of an older version
+// remains. Readers walk the bottom level only, so its links and died are
+// the only fields written while they run, and the only atomic ones.
 package rankedlist
 
 import (
@@ -35,12 +39,10 @@ import (
 	"github.com/social-streams/ksir/internal/stream"
 )
 
-// Item is one ranked-list tuple ⟨δ_i(e), t_e⟩ plus the element ID it belongs
-// to.
+// Item is one ranked-list tuple: the element ID and δ_i(e).
 type Item struct {
-	ID      stream.ElemID
-	Score   float64     // δ_i(e), the topic-wise representativeness score
-	LastRef stream.Time // t_e, the time the element was last referred to
+	ID    stream.ElemID
+	Score float64 // δ_i(e), the topic-wise representativeness score
 }
 
 const maxLevel = 24
@@ -63,6 +65,10 @@ type node struct {
 	// level-linkLevels entries otherwise. Only the writer reads them.
 	link [linkLevels - 1]*node
 	up   *[]*node
+	// prev is the predecessor at level 0. Only the writer reads it: walking
+	// back from a node finds its predecessor at every level, so an unlink
+	// needs no descent.
+	prev *node
 	slot stream.Slot // the element's slot: its row in the node table
 	j    uint16      // the list's topic position in the element's topics: its column
 	list uint16      // the number of the list the node is in, on its table
@@ -165,6 +171,10 @@ func (t *Table) Sweep() {
 	}
 	t.dead = append(t.dead[:0], t.dead[k:]...)
 }
+
+// Dead returns how many removed nodes are still linked, waiting for Sweep
+// (tests and diagnostics).
+func (t *Table) Dead() int { return len(t.dead) }
 
 // get returns cell (s, j), nil outside the table.
 func (t *Table) get(s stream.Slot, j int) *node {
@@ -297,6 +307,10 @@ func (l *List) insert(s stream.Slot, j int, item Item) {
 		n.setNext(lv, p.nextAt(lv))
 		p.setNext(lv, n)
 	}
+	n.prev = pred[0] // the descent starts at the head, so it always sets pred[0]
+	if nx := n.next.Load(); nx != nil {
+		nx.prev = n
+	}
 	l.tab.set(s, j, n)
 	l.size++
 }
@@ -316,38 +330,54 @@ func (l *List) remove(n *node) {
 	t.dead = append(t.dead, n)
 }
 
-// unlink splices n out of every level it links. n keeps its own links, so
-// a reader standing on it walks on into the list.
+// unlink splices n out of every level it links. Its predecessor at level
+// lv is the last node before it that reaches lv, found by walking back
+// from prev: about two steps a level, against a descent's comparisons from
+// the top. n keeps its own links, so a reader standing on it walks on into
+// the list.
 func (l *List) unlink(n *node) {
-	var pred [maxLevel]*node
-	l.findPredecessors(n.item, n.born, &pred)
+	p := n.prev
+	reach := l.reach(p)
 	for lv := range n.level() {
-		p := pred[lv]
-		if p == nil {
-			p = l.head
+		for reach <= lv {
+			p = p.prev
+			reach = l.reach(p)
 		}
 		if p.nextAt(lv) == n {
 			p.setNext(lv, n.nextAt(lv))
 		}
+	}
+	if nx := n.next.Load(); nx != nil {
+		nx.prev = n.prev
 	}
 	for l.level > 1 && l.head.nextAt(l.level-1) == nil {
 		l.level--
 	}
 }
 
+// reach returns the number of levels n, a node of the list or its head,
+// links.
+func (l *List) reach(n *node) int {
+	if n == l.head {
+		return maxLevel
+	}
+	return n.level()
+}
+
 // UpsertAt inserts or repositions the tuple of the element in slot s,
-// whose j-th topic is the list's (Algorithm 1 lines 7 and 11). A changed
-// tuple gets a new node, even when only LastRef moved: readers copy a
-// visible tuple whole, so no field of one is written in place.
-func (l *List) UpsertAt(s stream.Slot, j int, id stream.ElemID, score float64, lastRef stream.Time) {
-	item := Item{ID: id, Score: score, LastRef: lastRef}
+// whose j-th topic is the list's (Algorithm 1 lines 7 and 11). A tuple
+// whose ID and score bits are unchanged keeps its node: nothing is
+// written, and no version sees a difference. A changed score gets a new
+// node: readers copy a visible tuple whole, so no field of one is written
+// in place.
+func (l *List) UpsertAt(s stream.Slot, j int, id stream.ElemID, score float64) {
 	if n := l.node(s, j); n != nil {
-		if n.item == item {
+		if n.item.ID == id && math.Float64bits(n.item.Score) == math.Float64bits(score) {
 			return
 		}
 		l.remove(n)
 	}
-	l.insert(s, j, item)
+	l.insert(s, j, Item{ID: id, Score: score})
 }
 
 // DeleteAt removes the tuple of the element in slot s, whose j-th topic
@@ -359,6 +389,16 @@ func (l *List) DeleteAt(s stream.Slot, j int) bool {
 	}
 	l.remove(n)
 	return true
+}
+
+// NodeAt returns a handle on the list's live node in cell (s, j), nil when
+// it has none: two handles are equal only for one node (tests and
+// diagnostics).
+func (l *List) NodeAt(s stream.Slot, j int) any {
+	if n := l.node(s, j); n != nil {
+		return n
+	}
+	return nil
 }
 
 // GetAt returns the tuple of cell (s, j).
@@ -449,7 +489,10 @@ func (l *List) shim() *idSlots {
 }
 
 // Upsert inserts the tuple for id or repositions it if already present
-// (Algorithm 1 lines 7 and 11), on a list driven by ID.
+// (Algorithm 1 lines 7 and 11), on a list driven by ID. lastRef is
+// ignored: a tuple holds no t_e. The parameter stays only because the
+// benchmark module's layer replay (benchmark/layers.go) passes one; it
+// goes with the shim.
 func (l *List) Upsert(id stream.ElemID, score float64, lastRef stream.Time) {
 	ids := l.shim()
 	s, ok := ids.slot[id]
@@ -461,7 +504,7 @@ func (l *List) Upsert(id stream.ElemID, score float64, lastRef stream.Time) {
 		}
 		ids.slot[id] = s
 	}
-	l.UpsertAt(s, 0, id, score, lastRef)
+	l.UpsertAt(s, 0, id, score)
 }
 
 // Delete removes the tuple for id, reporting whether it was present

@@ -33,7 +33,7 @@ func TestUpsertReposition(t *testing.T) {
 	// e1's score rises above e2's (a new reference arrived).
 	l.Upsert(1, 1.5, 5)
 	first, ok := l.First()
-	if !ok || first.ID != 1 || first.Score != 1.5 || first.LastRef != 5 {
+	if !ok || first.ID != 1 || first.Score != 1.5 {
 		t.Errorf("First = %+v", first)
 	}
 	if l.Len() != 2 {
@@ -41,13 +41,20 @@ func TestUpsertReposition(t *testing.T) {
 	}
 }
 
-func TestUpsertSameScoreUpdatesLastRef(t *testing.T) {
+// An upsert of the score a tuple already has — a reference that moved
+// only t_e, which the list does not hold — is a no-op: the node stays,
+// and a later version neither replaces nor marks it.
+func TestUpsertSameScoreIsNoOp(t *testing.T) {
 	l := New()
 	l.Upsert(1, 0.5, 1)
+	n := l.node(0, 0)
+	l.Freeze()
 	l.Upsert(1, 0.5, 9)
-	item, _ := l.Get(1)
-	if item.LastRef != 9 {
-		t.Errorf("LastRef = %d, want 9", item.LastRef)
+	if item, _ := l.Get(1); item != (Item{ID: 1, Score: 0.5}) {
+		t.Errorf("Get(1) = %+v, want {1 0.5}", item)
+	}
+	if l.node(0, 0) != n || len(l.tab.dead) != 0 {
+		t.Errorf("the upsert replaced the node (%d dead)", len(l.tab.dead))
 	}
 	if l.Len() != 1 {
 		t.Errorf("Len = %d", l.Len())

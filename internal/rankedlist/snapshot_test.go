@@ -55,7 +55,8 @@ func TestSnapshotMatchesListAtFreeze(t *testing.T) {
 }
 
 // Every mutator of a list goes on after Freeze, and none changes what the
-// snapshot reads: writes go to the next version.
+// snapshot reads: writes go to the next version. A touch (the same score
+// again) writes nothing at all.
 func TestMutationAfterFreezeLeavesSnapshot(t *testing.T) {
 	l := New()
 	for i := 1; i <= 10; i++ {
@@ -64,35 +65,40 @@ func TestMutationAfterFreezeLeavesSnapshot(t *testing.T) {
 	s := l.Freeze()
 	want := s.Items()
 	for _, c := range []struct {
-		name string
-		f    func()
+		name    string
+		f       func()
+		changes bool
 	}{
-		{"Upsert", func() { l.Upsert(99, 5.5, 2) }},
-		{"Upsert(touch)", func() { l.Upsert(7, 7, 9) }},
-		{"Delete", func() { l.Delete(10) }},
-		{"UpsertAt", func() { l.UpsertAt(2, 0, 3, 20, 3) }},
-		{"DeleteAt", func() { l.DeleteAt(8, 0) }},
+		{"Upsert", func() { l.Upsert(99, 5.5, 2) }, true},
+		{"Upsert(touch)", func() { l.Upsert(7, 7, 9) }, false},
+		{"Delete", func() { l.Delete(10) }, true},
+		{"UpsertAt", func() { l.UpsertAt(2, 0, 3, 20) }, true},
+		{"DeleteAt", func() { l.DeleteAt(8, 0) }, true},
 	} {
 		before := l.Items()
 		c.f()
 		if !equalItems(s.Items(), want) || s.Len() != len(want) {
 			t.Fatalf("%s after Freeze changed the snapshot", c.name)
 		}
-		if equalItems(l.Items(), before) {
-			t.Fatalf("%s after Freeze did not change the list", c.name)
+		if changed := !equalItems(l.Items(), before); changed != c.changes {
+			t.Fatalf("%s after Freeze changed the list: %v, want %v", c.name, changed, c.changes)
 		}
 	}
-	if item, ok := s.Get(7); !ok || item.LastRef != 1 {
-		t.Errorf("snapshot Get(7) = %+v, %v; want LastRef 1", item, ok)
+	// The touch left element 7's node alone: one node, in both versions.
+	if len(l.tab.dead) != 3 {
+		t.Errorf("%d nodes dead, want 3 (the deletes and the rescore)", len(l.tab.dead))
 	}
-	if item, ok := l.Get(7); !ok || item.LastRef != 9 {
-		t.Errorf("list Get(7) = %+v, %v; want LastRef 9", item, ok)
+	if item, ok := s.Get(7); !ok || item != (Item{7, 7}) {
+		t.Errorf("snapshot Get(7) = %+v, %v; want {7 7}", item, ok)
+	}
+	if item, ok := l.Get(7); !ok || item != (Item{7, 7}) {
+		t.Errorf("list Get(7) = %+v, %v; want {7 7}", item, ok)
 	}
 }
 
 // Freeze → thaw cycles: each snapshot shows exactly the tuples of its
-// freeze point — upserts, repositions, same-score
-// LastRef updates and deletes made while thawed included.
+// freeze point — upserts, repositions, same-score touches (no-ops) and
+// deletes made while thawed included.
 func TestSnapshotIsImmutableUnderMutation(t *testing.T) {
 	l := New()
 	for i := 1; i <= 10; i++ {
@@ -106,7 +112,7 @@ func TestSnapshotIsImmutableUnderMutation(t *testing.T) {
 
 	l.Upsert(99, 5.5, 2) // fresh insert
 	l.Upsert(3, 20, 3)   // reposition to the top
-	l.Upsert(7, 7, 9)    // same score, LastRef-only update
+	l.Upsert(7, 7, 9)    // same score: a touch, a no-op
 	l.Delete(10)         // delete the old maximum
 	want := l.Items()
 	s = l.Freeze()
@@ -117,8 +123,8 @@ func TestSnapshotIsImmutableUnderMutation(t *testing.T) {
 	if s.Len() != 10 { // 10 − delete + insert
 		t.Errorf("snapshot Len = %d, want 10", s.Len())
 	}
-	if item, ok := s.Get(7); !ok || item.LastRef != 9 {
-		t.Errorf("snapshot Get(7) = %+v, %v; want LastRef 9", item, ok)
+	if item, ok := s.Get(7); !ok || item != (Item{7, 7}) {
+		t.Errorf("snapshot Get(7) = %+v, %v; want {7 7}", item, ok)
 	}
 	if _, ok := s.Get(10); ok {
 		t.Error("snapshot sees element deleted before Freeze")
@@ -144,10 +150,10 @@ func TestThawReusesNodes(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if got := s.Items(); !equalItems(got, []Item{{2, 2, 1}}) {
+	if got := s.Items(); !equalItems(got, []Item{{2, 2}}) {
 		t.Fatalf("snapshot reads %v after Thaw, want its version", got)
 	}
-	if got := l.Items(); !equalItems(got, []Item{{3, 3, 1}, {2, 2.5, 2}}) {
+	if got := l.Items(); !equalItems(got, []Item{{3, 3}, {2, 2.5}}) {
 		t.Fatalf("list reads %v", got)
 	}
 }
@@ -199,7 +205,7 @@ func TestSnapshotPropertyUnderChurn(t *testing.T) {
 	// The live list still matches a from-scratch rebuild.
 	rebuilt := New()
 	for _, it := range l.Items() {
-		rebuilt.Upsert(it.ID, it.Score, it.LastRef)
+		rebuilt.Upsert(it.ID, it.Score, 0)
 	}
 	if !equalItems(l.Items(), rebuilt.Items()) {
 		t.Error("live list inconsistent after churn")
@@ -230,6 +236,6 @@ func TestSnapshotIterator(t *testing.T) {
 		// Thaw and add a new maximum: the next snapshot leads with it.
 		l.Thaw()
 		l.Upsert(100, 99, 1)
-		want = append([]Item{{ID: 100, Score: 99, LastRef: 1}}, want...)
+		want = append([]Item{{ID: 100, Score: 99}}, want...)
 	}
 }

@@ -51,14 +51,18 @@ func (r refList) items() []Item {
 
 // checkLinks walks every level of l: each is in strictly ascending node
 // order, holds only nodes that reach the level, and is a subsequence of
-// the level below. It returns the nodes linked at level 0.
+// the level below; at level 0 every node's prev is the node before it. It
+// returns the nodes linked at level 0.
 func checkLinks(l *List) ([]*node, error) {
 	var below []*node
 	for lv := l.level - 1; lv >= 0; lv-- {
 		var at []*node
-		for n := l.head.nextAt(lv); n != nil; n = n.nextAt(lv) {
+		for p, n := l.head, l.head.nextAt(lv); n != nil; p, n = n, n.nextAt(lv) {
 			if n.level() <= lv {
 				return nil, fmt.Errorf("level %d links element %d, a node of %d levels", lv, n.item.ID, n.level())
+			}
+			if lv == 0 && n.prev != p {
+				return nil, fmt.Errorf("element %d's prev is not the node before it", n.item.ID)
 			}
 			if k := len(at); k > 0 && !at[k-1].before(n.item, n.born) {
 				return nil, fmt.Errorf("level %d out of order at element %d", lv, n.item.ID)
@@ -78,8 +82,9 @@ func checkLinks(l *List) ([]*node, error) {
 	return below, nil
 }
 
-// Random runs of inserts, rescores, touches, unchanged upserts, second
-// writes of a cell within one version and deletes of elements with up to
+// Random runs of inserts, rescores, touches (the same score again, which
+// must keep the node), second writes of a cell within one version and
+// deletes of elements with up to
 // six topics, driven through the slot handles of lists sharing one node
 // table, read at every published version exactly the tuples and order of
 // a single-version reference. A reader goroutine pinned at version F reads
@@ -112,10 +117,10 @@ func TestVersionsMatchSingleVersionReference(t *testing.T) {
 			}
 			return out
 		}
-		upsert := func(e elem, j int, score float64, lastRef stream.Time) {
+		upsert := func(e elem, j int, score float64) {
 			topic := e.topics[j]
-			lists[topic].UpsertAt(e.s, j, e.id, score, lastRef)
-			refs[topic][e.id] = Item{ID: e.id, Score: score, LastRef: lastRef}
+			lists[topic].UpsertAt(e.s, j, e.id, score)
+			refs[topic][e.id] = Item{ID: e.id, Score: score}
 		}
 
 		// The reader: handed a version and its expected tuples, it reads
@@ -157,7 +162,7 @@ func TestVersionsMatchSingleVersionReference(t *testing.T) {
 					nextID += stream.ElemID(1 + rng.Intn(3))
 					e.topics = rng.Perm(z)[:1+rng.Intn(6)]
 					for j := range e.topics {
-						upsert(e, j, float64(rng.Intn(8))/2, stream.Time(bucket))
+						upsert(e, j, float64(rng.Intn(8))/2)
 					}
 					live = append(live, e)
 				case r < 6: // delete a live element from all its lists
@@ -174,19 +179,22 @@ func TestVersionsMatchSingleVersionReference(t *testing.T) {
 				default: // rescore, touch or rewrite one topic of a live element
 					e := live[rng.Intn(len(live))]
 					j := rng.Intn(len(e.topics))
-					old, _ := lists[e.topics[j]].GetAt(e.s, j)
+					l := lists[e.topics[j]]
+					old, _ := l.GetAt(e.s, j)
 					switch rng.Intn(4) {
-					case 0: // touch: LastRef only
-						upsert(e, j, old.Score, old.LastRef+1)
+					case 0, 1: // touch: the same score again
+						n, dead := l.node(e.s, j), len(tab.dead)
+						upsert(e, j, old.Score)
+						if l.node(e.s, j) != n || len(tab.dead) != dead {
+							t.Fatalf("seed %d: a touch of element %d replaced its node", seed, e.id)
+						}
 						touches++
-					case 1: // unchanged
-						upsert(e, j, old.Score, old.LastRef)
 					case 2: // twice in this version
-						upsert(e, j, float64(rng.Intn(8))/2, old.LastRef+1)
-						upsert(e, j, float64(rng.Intn(8))/2, old.LastRef+2)
+						upsert(e, j, float64(rng.Intn(8))/2)
+						upsert(e, j, float64(rng.Intn(8))/2)
 						rewrites++
 					default:
-						upsert(e, j, float64(rng.Intn(8))/2, old.LastRef+1)
+						upsert(e, j, float64(rng.Intn(8))/2)
 					}
 				}
 			}
@@ -230,23 +238,28 @@ func TestVersionsMatchSingleVersionReference(t *testing.T) {
 }
 
 // What each write does to the versions: an insert is seen from its own
-// version on, a delete up to the version before its own; a touch and a
-// rescore leave the old tuple to the old versions and the new one to the
-// new; a node written and removed within one version is unlinked at once,
-// never marked. IDs 5 and 7 hash to nodes of one level.
+// version on, a delete up to the version before its own; a rescore leaves
+// the old tuple to the old versions and the new one to the new; a touch
+// (the same score again) writes nothing; a node written and removed within
+// one version is unlinked at once, never marked. IDs 5 and 7 hash to nodes
+// of one level.
 func TestWritesMakeVersions(t *testing.T) {
 	tab := NewTable(0)
 	l := tab.New()
-	l.UpsertAt(0, 0, 5, 2.0, 1)
-	l.UpsertAt(1, 0, 7, 1.0, 2)
+	l.UpsertAt(0, 0, 5, 2.0)
+	l.UpsertAt(1, 0, 7, 1.0)
 	v0 := tab.Publish()
 
-	l.UpsertAt(1, 0, 7, 1.0, 9) // touch
-	l.UpsertAt(0, 0, 5, 0.5, 3) // rescore below 7
-	l.UpsertAt(2, 0, 9, 3.0, 4) // insert
-	l.UpsertAt(2, 0, 9, 4.0, 5) // and rescore within the version
-	if len(tab.dead) != 2 {
-		t.Fatalf("%d nodes marked dead, want 2 (the touched and the rescored one)", len(tab.dead))
+	seven := l.node(1, 0)
+	l.UpsertAt(1, 0, 7, 1.0) // touch
+	if l.node(1, 0) != seven {
+		t.Fatal("the touch replaced the node")
+	}
+	l.UpsertAt(0, 0, 5, 0.5) // rescore below 7
+	l.UpsertAt(2, 0, 9, 3.0) // insert
+	l.UpsertAt(2, 0, 9, 4.0) // and rescore within the version
+	if len(tab.dead) != 1 {
+		t.Fatalf("%d nodes marked dead, want 1 (the rescored one)", len(tab.dead))
 	}
 	if !l.DeleteAt(1, 0) || l.DeleteAt(1, 0) {
 		t.Fatal("DeleteAt reports a missing tuple, or one deleted twice")
@@ -257,16 +270,15 @@ func TestWritesMakeVersions(t *testing.T) {
 		seq  int64
 		want []Item
 	}{
-		{v0, []Item{{5, 2.0, 1}, {7, 1.0, 2}}},
-		{v1, []Item{{9, 4.0, 5}, {5, 0.5, 3}}},
+		{v0, []Item{{5, 2.0}, {7, 1.0}}},
+		{v1, []Item{{9, 4.0}, {5, 0.5}}},
 	} {
 		if got := l.ItemsAt(c.seq, 0); !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("version %d reads %v, want %v", c.seq, got, c.want)
 		}
 	}
 	// Linked: the v1 nodes of 9 and 5 and the dead v0 nodes of 5 and 7.
-	// The v1 node of 7 and the first of 9, written and removed within v1,
-	// went at once.
+	// The first node of 9, written and removed within v1, went at once.
 	if linked, _ := checkLinks(l); len(linked) != 4 {
 		t.Fatalf("%d nodes linked before the sweep, want 4", len(linked))
 	}
@@ -274,7 +286,7 @@ func TestWritesMakeVersions(t *testing.T) {
 	if linked, _ := checkLinks(l); len(linked) != 2 || len(tab.dead) != 0 {
 		t.Fatalf("%d nodes linked and %d dead after the sweep, want 2 and 0", len(linked), len(tab.dead))
 	}
-	if got := l.ItemsAt(v1, 0); !reflect.DeepEqual(got, []Item{{9, 4.0, 5}, {5, 0.5, 3}}) {
+	if got := l.ItemsAt(v1, 0); !reflect.DeepEqual(got, []Item{{9, 4.0}, {5, 0.5}}) {
 		t.Fatalf("the sweep changed version %d: %v", v1, got)
 	}
 }
@@ -286,7 +298,7 @@ func TestSweepKeepsPublishedVersion(t *testing.T) {
 	tab := NewTable(0)
 	l := tab.New()
 	for s := range stream.Slot(6) {
-		l.UpsertAt(s, 0, stream.ElemID(s+1), float64(s), 1)
+		l.UpsertAt(s, 0, stream.ElemID(s+1), float64(s))
 	}
 	tab.Publish()
 	l.DeleteAt(0, 0)

@@ -195,14 +195,14 @@ func (g *Engine) Ingest(now stream.Time, batch []*stream.Element) error {
 
 // WriterResidentBytes approximates the heap bytes pinned by the engine's
 // elements: the archive's frame ends and in-memory records, the ID index,
-// and the active elements with their bookkeeping (see
-// stream.ActiveWindow.ApproxBytes). It feeds the hub's residency
-// accounting from the commit path and is never part of exported state.
-// Takes the writer lock.
+// the active elements with their bookkeeping (see
+// stream.ActiveWindow.ApproxBytes) and their σ caches (score.Scorer.Bytes).
+// It feeds the hub's residency accounting from the commit path and is never
+// part of exported state. Takes the writer lock.
 func (g *Engine) WriterResidentBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.win.ApproxBytes()
+	return g.win.ApproxBytes() + g.scorer.Bytes()
 }
 
 // AdoptLog hands the engine the frames a checkpoint just wrote to the

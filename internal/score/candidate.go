@@ -20,7 +20,7 @@ type Probe struct {
 	// Delta is δ(e, x) = f({e}, x), bit-identical to Scorer.Score(e, x).
 	Delta float64
 
-	ec       *elemCache        // σ rows by element topic position
+	sigma    []float64         // Elem's σ cache (Scorer.build's layout)
 	children []*stream.Element // I_t(e) in ascending ID order (the window's own slice)
 	pairs    []topicPair       // ascending qi
 	// childP[p·|children| + c] = p_i(e ⇝ c) for pairs[p]'s topic i.
@@ -48,8 +48,8 @@ func (s *Scorer) Prepare(b *ProbeBuf, e *stream.Element, x topicmodel.TopicVec) 
 	return s.prepare(b, e, s.ensureCached(e), s.win.ChildrenView(e.ID), x)
 }
 
-func (s *Scorer) prepare(b *ProbeBuf, e *stream.Element, ec *elemCache, children []*stream.Element, x topicmodel.TopicVec) Probe {
-	p := Probe{Elem: e, ec: ec, children: children}
+func (s *Scorer) prepare(b *ProbeBuf, e *stream.Element, sigma []float64, children []*stream.Element, x topicmodel.TopicVec) Probe {
+	p := Probe{Elem: e, sigma: sigma, children: children}
 	p0, c0 := len(b.pairs), len(b.childP)
 	i, j := 0, 0
 	for i < len(x.Topics) && j < len(e.Topics.Topics) {
@@ -71,7 +71,7 @@ func (s *Scorer) prepare(b *ProbeBuf, e *stream.Element, ec *elemCache, children
 			if xi > 0 {
 				b.pairs = append(b.pairs, topicPair{int32(i), int32(j)})
 			}
-			p.Delta += xi * (s.params.Lambda*ec.semTotal[j] + s.params.inflFactor()*(pe*sum))
+			p.Delta += float64(xi * s.params.combine(sigma[j], pe*sum))
 			i++
 			j++
 		}
@@ -351,7 +351,7 @@ func (cs *CandidateSet) eval(p *Probe, commit bool) float64 {
 		// registers; a commit folds e's weights in afterwards (its words are
 		// distinct, so no term reads another's update).
 		terms := p.Elem.Doc.Terms
-		weights := p.ec.wordWeights[pr.ej][:len(terms)]
+		weights := sigmaRow(p.sigma, p.Elem, int(pr.ej))[:len(terms)]
 		dir, pages, col := cs.words.dir, cs.words.pages, cs.covered[pr.qi]
 		for k, tc := range terms {
 			if sig, cov := weights[k], coverage(col, lookup(dir, pages, tc.Word)); sig > cov {
@@ -370,16 +370,16 @@ func (cs *CandidateSet) eval(p *Probe, commit bool) float64 {
 			if r >= 0 {
 				old = *cs.inflProb.Val(r)
 			}
-			dInfl += pc * (1 - old)
+			dInfl += float64(pc * (1 - old))
 			if commit {
-				if now := 1 - (1-old)*(1-pc); r >= 0 {
+				if now := 1 - float64((1-old)*(1-pc)); r >= 0 {
 					*cs.inflProb.Val(r) = now
 				} else if now != 0 {
 					*cs.inflProb.Val(cs.inflProb.Insert(int64(c.ID), pr.qi)) = now
 				}
 			}
 		}
-		gain += cs.x.Probs[pr.qi] * (params.Lambda*dSem + params.inflFactor()*dInfl)
+		gain += float64(cs.x.Probs[pr.qi] * params.combine(dSem, dInfl))
 	}
 	return gain
 }

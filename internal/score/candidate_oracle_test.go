@@ -39,7 +39,7 @@ func (cs *mapCandidateSet) gain(e *stream.Element, commit bool) float64 {
 	if _, ok := cs.inSet[e.ID]; ok {
 		return 0
 	}
-	ec := cs.scorer.ensureCached(e)
+	sigma := cs.scorer.ensureCached(e)
 	params := cs.scorer.params
 	var gain float64
 	for qi, ej := 0, 0; qi < len(cs.x.Topics) && ej < len(e.Topics.Topics); {
@@ -52,9 +52,10 @@ func (cs *mapCandidateSet) gain(e *stream.Element, commit bool) float64 {
 			continue
 		case cs.x.Probs[qi] > 0:
 			var dSem float64
+			row := sigma[len(e.Topics.Topics)+ej*len(e.Doc.Terms):]
 			for k, tc := range e.Doc.Terms {
 				w := int32(tc.Word)
-				if sig := ec.wordWeights[ej][k]; sig > cs.covered[qi][w] {
+				if sig := row[k]; sig > cs.covered[qi][w] {
 					dSem += sig - cs.covered[qi][w]
 					if commit {
 						cs.covered[qi][w] = sig
@@ -66,12 +67,12 @@ func (cs *mapCandidateSet) gain(e *stream.Element, commit bool) float64 {
 			for _, c := range cs.scorer.win.Children(e.ID) {
 				p := pe * c.Topics.Prob(topic)
 				old := cs.inflProb[qi][c.ID]
-				dInfl += p * (1 - old)
+				dInfl += float64(p * (1 - old))
 				if commit {
-					cs.inflProb[qi][c.ID] = 1 - (1-old)*(1-p)
+					cs.inflProb[qi][c.ID] = 1 - float64((1-old)*(1-p))
 				}
 			}
-			gain += cs.x.Probs[qi] * (params.Lambda*dSem + params.inflFactor()*dInfl)
+			gain += float64(cs.x.Probs[qi] * (float64(params.Lambda*dSem) + float64(params.inflFactor()*dInfl)))
 		}
 		qi++
 		ej++

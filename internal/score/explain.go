@@ -41,19 +41,20 @@ func (s *Scorer) Explain(set []*stream.Element, x topicmodel.TopicVec) []Contrib
 		for pi, pr := range p.pairs {
 			xi := x.Probs[pr.qi]
 			var dSem float64
+			row := sigmaRow(p.sigma, e, int(pr.ej))
 			for k, tc := range e.Doc.Terms {
 				cov := coverage(cs.covered[pr.qi], cs.words.find(tc.Word))
-				if sig := p.ec.wordWeights[pr.ej][k]; sig > cov {
+				if sig := row[k]; sig > cov {
 					dSem += sig - cov
 					fresh[k] = true
 				}
 			}
 			var dInfl float64
 			for ci, child := range p.children {
-				dInfl += p.childP[pi*len(p.children)+ci] * (1 - entry(&cs.inflProb, int64(child.ID), pr.qi))
+				dInfl += float64(p.childP[pi*len(p.children)+ci] * (1 - entry(&cs.inflProb, int64(child.ID), pr.qi)))
 			}
-			sem := xi * params.Lambda * dSem
-			infl := xi * params.inflFactor() * dInfl
+			sem := float64(xi * params.Lambda * dSem)
+			infl := float64(xi * params.inflFactor() * dInfl)
 			c.Semantic += sem
 			c.Influence += infl
 			c.TopicGains[x.Topics[pr.qi]] += sem + infl

@@ -37,3 +37,11 @@ func (p Params) Validate() error {
 
 // inflFactor returns (1−λ)/η, the influence multiplier of Equation 2.
 func (p Params) inflFactor() float64 { return (1 - p.Lambda) / p.Eta }
+
+// combine returns λ·sem + (1−λ)/η·infl, Equation 2's mix of a semantic and
+// an influence term. Each product is rounded before the sum (an explicit
+// float64 conversion), so no platform fuses them into a multiply-add and
+// every CPU computes the same bits.
+func (p Params) combine(sem, infl float64) float64 {
+	return float64(p.Lambda*sem) + float64(p.inflFactor()*infl)
+}

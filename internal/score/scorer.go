@@ -8,15 +8,12 @@ import (
 	"github.com/social-streams/ksir/internal/topicmodel"
 )
 
-// elemCache holds the time-independent per-element scoring data, computed
-// once when the element enters the active set.
-type elemCache struct {
-	// wordWeights[j][k] = σ_i(w_k, e) for topic i = e.Topics.Topics[j] and
-	// word w_k = e.Doc.Terms[k].Word.
-	wordWeights [][]float64
-	// semTotal[j] = R_i(e) = Σ_k σ_i(w_k, e).
-	semTotal []float64
-}
+// An element's σ cache is one []float64 of nt·(n + 1) entries for nt =
+// len(e.Topics.Topics) and n = len(e.Doc.Terms), computed once when the
+// element enters the active set: first R_i(e) = Σ_k σ_i(w_k, e) for each
+// topic position j (entry j), then one row of σ_i(w_k, e) in term order per
+// topic position (row j at nt + j·n). Both are reached from e's shape by a
+// multiply and an add; see sigmaRow.
 
 // Scorer binds a topic model, scoring parameters and an active window, and
 // evaluates all the scoring functions of §3.2. Semantic word weights are
@@ -34,11 +31,13 @@ type Scorer struct {
 	model  *topicmodel.Model
 	win    *stream.ActiveWindow
 	params Params
-	// cache[s] is the entry of the element in slot s of win, nil for a
+	// cache[s] is the σ cache of the element in slot s of win, nil for a
 	// free slot. An entry is written when its slot is filled and cleared
 	// when the slot is released, never in between, so a View reads the
 	// entries of its version without locking.
-	cache []*elemCache
+	cache [][]float64
+	// rowBytes is 8·cap of every entry of cache, for Bytes.
+	rowBytes int64
 }
 
 // NewScorer returns a Scorer over the given model, window and parameters.
@@ -65,6 +64,7 @@ func (s *Scorer) Window() *stream.ActiveWindow { return s.win }
 func (s *Scorer) OnChange(cs stream.ChangeSet) {
 	for _, sl := range cs.Released {
 		if int(sl) < len(s.cache) {
+			s.rowBytes -= 8 * int64(cap(s.cache[sl]))
 			s.cache[sl] = nil
 		}
 	}
@@ -73,9 +73,9 @@ func (s *Scorer) OnChange(cs stream.ChangeSet) {
 	}
 }
 
-// cacheAt returns the entry of e, the active element in slot sl, building
+// cacheAt returns the σ cache of e, the active element in slot sl, building
 // it first if the slot has none.
-func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) *elemCache {
+func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) []float64 {
 	if int(sl) < len(s.cache) {
 		if c := s.cache[sl]; c != nil {
 			return c
@@ -85,7 +85,14 @@ func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) *elemCache {
 	}
 	c := s.build(e)
 	s.cache[sl] = c
+	s.rowBytes += 8 * int64(cap(c))
 	return c
+}
+
+// Bytes returns the heap bytes the scorer's caches hold: the slot table's
+// headers and every cached element's σ entries.
+func (s *Scorer) Bytes() int64 {
+	return 24*int64(cap(s.cache)) + s.rowBytes
 }
 
 // View is a scorer's read side at one version of its window: the cache
@@ -94,7 +101,7 @@ func (s *Scorer) cacheAt(e *stream.Element, sl stream.Slot) *elemCache {
 type View struct {
 	s     *Scorer
 	win   stream.View
-	cache []*elemCache
+	cache [][]float64
 }
 
 // View returns the scorer's view of the version its window's last advance
@@ -109,7 +116,7 @@ func (v View) Window() stream.View { return v.win }
 func (v View) Scorer() *Scorer { return v.s }
 
 // PrepareAt is Scorer.Prepare for the element e in slot sl at the view's
-// version: its cache entry and I_t(e) are table reads.
+// version: its σ cache and I_t(e) are table reads.
 func (v View) PrepareAt(b *ProbeBuf, e *stream.Element, sl stream.Slot, x topicmodel.TopicVec) Probe {
 	return v.s.prepare(b, e, v.cache[sl], v.win.ChildrenAt(sl), x)
 }
@@ -120,9 +127,9 @@ func (v View) ScoreAt(e *stream.Element, sl stream.Slot, x topicmodel.TopicVec) 
 	return v.s.score(e, v.cache[sl], v.win.ChildrenAt(sl), x)
 }
 
-// ensureCached returns e's entry: the cached one when e is active in the
+// ensureCached returns e's σ cache: the cached one when e is active in the
 // scorer's window, otherwise one built for this call and not kept.
-func (s *Scorer) ensureCached(e *stream.Element) *elemCache {
+func (s *Scorer) ensureCached(e *stream.Element) []float64 {
 	if sl, ok := s.win.SlotOf(e.ID); ok {
 		return s.cacheAt(e, sl)
 	}
@@ -130,21 +137,21 @@ func (s *Scorer) ensureCached(e *stream.Element) *elemCache {
 }
 
 // grow returns t with room for index sl, new entries nil.
-func grow(t []*elemCache, sl stream.Slot) []*elemCache {
+func grow(t [][]float64, sl stream.Slot) [][]float64 {
 	for int(sl) >= len(t) {
 		t = append(t, nil)
 	}
 	return t
 }
 
-func (s *Scorer) build(e *stream.Element) *elemCache {
-	c := &elemCache{
-		wordWeights: make([][]float64, e.Topics.Len()),
-		semTotal:    make([]float64, e.Topics.Len()),
-	}
+// build computes e's σ cache in one allocation. It is never nil, so a
+// table entry of an element with no topic still reads as cached.
+func (s *Scorer) build(e *stream.Element) []float64 {
+	nt, n := len(e.Topics.Topics), len(e.Doc.Terms)
+	c := make([]float64, nt*(n+1))
 	for j, topic := range e.Topics.Topics {
 		pe := e.Topics.Probs[j]
-		ws := make([]float64, len(e.Doc.Terms))
+		ws := sigmaRow(c, e, j)
 		var total float64
 		for k, tc := range e.Doc.Terms {
 			p := s.model.TopicWord(int(topic), tc.Word) * pe
@@ -155,10 +162,17 @@ func (s *Scorer) build(e *stream.Element) *elemCache {
 			}
 			total += ws[k]
 		}
-		c.wordWeights[j] = ws
-		c.semTotal[j] = total
+		c[j] = total
 	}
 	return c
+}
+
+// sigmaRow returns the row of σ_i(w_k, e), k in term order, for e's j-th
+// topic i from e's σ cache c.
+func sigmaRow(c []float64, e *stream.Element, j int) []float64 {
+	n := len(e.Doc.Terms)
+	off := len(e.Topics.Topics) + j*n
+	return c[off : off+n : off+n]
 }
 
 // InfluenceScore returns I_{i,t}({e}) = Σ_{c ∈ I_t(e)} p_i(e)·p_i(c) for
@@ -188,9 +202,9 @@ func (s *Scorer) TopicScoreAt(e *stream.Element, sl stream.Slot, j int) float64 
 	return s.topicScore(e, s.cache[sl], s.win.ChildrenAt(sl), j)
 }
 
-func (s *Scorer) topicScore(e *stream.Element, c *elemCache, children []*stream.Element, j int) float64 {
+func (s *Scorer) topicScore(e *stream.Element, c []float64, children []*stream.Element, j int) float64 {
 	infl := influence(children, e.Topics.Topics[j], e.Topics.Probs[j])
-	return s.params.Lambda*c.semTotal[j] + s.params.inflFactor()*infl
+	return s.params.combine(c[j], infl)
 }
 
 // Score returns δ(e, x) = f({e}, x) = Σ_i x_i·δ_i(e).
@@ -198,7 +212,7 @@ func (s *Scorer) Score(e *stream.Element, x topicmodel.TopicVec) float64 {
 	return s.score(e, s.ensureCached(e), s.win.ChildrenView(e.ID), x)
 }
 
-func (s *Scorer) score(e *stream.Element, c *elemCache, children []*stream.Element, x topicmodel.TopicVec) float64 {
+func (s *Scorer) score(e *stream.Element, c []float64, children []*stream.Element, x topicmodel.TopicVec) float64 {
 	var total float64
 	// Merge the sorted topic lists of e and x.
 	i, j := 0, 0
@@ -209,9 +223,8 @@ func (s *Scorer) score(e *stream.Element, c *elemCache, children []*stream.Eleme
 		case x.Topics[i] > e.Topics.Topics[j]:
 			j++
 		default:
-			sem := c.semTotal[j]
 			infl := influence(children, e.Topics.Topics[j], e.Topics.Probs[j])
-			total += x.Probs[i] * (s.params.Lambda*sem + s.params.inflFactor()*infl)
+			total += float64(x.Probs[i] * s.params.combine(c[j], infl))
 			i++
 			j++
 		}
@@ -229,8 +242,7 @@ func (s *Scorer) SetScore(set []*stream.Element, x topicmodel.TopicVec) float64 
 		if xi == 0 {
 			continue
 		}
-		total += xi * (s.params.Lambda*s.setSemantic(set, topic) +
-			s.params.inflFactor()*s.setInfluence(set, topic))
+		total += float64(xi * s.params.combine(s.setSemantic(set, topic), s.setInfluence(set, topic)))
 	}
 	return total
 }
@@ -246,9 +258,10 @@ func (s *Scorer) setSemantic(set []*stream.Element, topic int32) float64 {
 			if tp != topic {
 				continue
 			}
+			row := sigmaRow(c, e, j)
 			for k, tc := range e.Doc.Terms {
 				w := int32(tc.Word)
-				if sig := c.wordWeights[j][k]; sig > best[w] {
+				if sig := row[k]; sig > best[w] {
 					best[w] = sig
 				}
 			}
@@ -276,7 +289,7 @@ func (s *Scorer) setInfluence(set []*stream.Element, topic int32) float64 {
 	for _, e := range set {
 		pe := e.Topics.Prob(topic)
 		s.win.ForEachChild(e.ID, func(c *stream.Element) {
-			p := pe * c.Topics.Prob(topic)
+			p := float64(pe * c.Topics.Prob(topic))
 			if cur, ok := survive[c.ID]; ok {
 				survive[c.ID] = cur * (1 - p)
 			} else {

@@ -259,14 +259,14 @@ func grow[T any](t []T, s Slot) []T {
 // mapEntryBytes is one entry of a map keyed by element ID, growth slack
 // included. An element held as a Go value costs, beyond its own fields,
 // liveBaseBytes — its entries in the active map and the slot tables (both
-// versions of its children), the last-ref table and the expiry heap, its
-// scorer-cache entry and its row of the lists' node table — plus, for each
-// of its topics, liveTopicBytes — its versioned list node — and a cached
-// weight per term.
+// versions of its children), the last-ref table and the expiry heap, and
+// its row of the lists' node table — plus, for each of its topics,
+// liveTopicBytes — its versioned list node. Its σ cache is the scorer's to
+// count (score.Scorer.Bytes).
 const (
 	mapEntryBytes  = 32
-	liveBaseBytes  = 287
-	liveTopicBytes = 130
+	liveBaseBytes  = 239
+	liveTopicBytes = 90
 )
 
 // NewActiveWindow returns an empty window of length T. It panics if T ≤ 0
@@ -294,8 +294,7 @@ func (w *ActiveWindow) ApproxBytes() int64 {
 
 // liveElemBytes is what e costs while held as a Go value.
 func liveElemBytes(e *Element) int64 {
-	perTopic := liveTopicBytes + termCountBytes*len(e.Doc.Terms)
-	return e.ApproxBytes() + liveBaseBytes + int64(perTopic*len(e.Topics.Topics))
+	return e.ApproxBytes() + liveBaseBytes + int64(liveTopicBytes*len(e.Topics.Topics))
 }
 
 // AdoptLog records that a checkpoint wrote the frames of arrivals first,

@@ -42,7 +42,10 @@ func (c *BTMConfig) fill() error {
 	if c.WindowSize == 0 {
 		c.WindowSize = 15
 	}
-	return nil
+	if c.WindowSize < 0 {
+		return fmt.Errorf("btm: WindowSize must not be negative, got %d", c.WindowSize)
+	}
+	return checkPriors("btm", c.Topics, c.VocabSize, c.Alpha, c.Beta, c.Iterations)
 }
 
 type biterm struct{ w1, w2 int32 }
@@ -90,54 +93,70 @@ func TrainBTM(docs [][]textproc.WordID, cfg BTMConfig) (*Model, []TopicVec, erro
 		docRange[d] = [2]int{start, len(biterms)}
 	}
 
-	nTopic := make([]int64, z)       // biterms assigned to topic
-	nTopicWord := make([]int32, z*v) // word occurrences per topic
+	nTopic := make([]int64, z)       // n_t, biterms assigned to topic t
+	nWordTopic := make([]int32, v*z) // n_{t,w}, word occurrences, at w·z + t
 	assign := make([]topicID, len(biterms))
 
 	for b, bt := range biterms {
 		t := rng.Intn(z)
 		assign[b] = topicID(t)
 		nTopic[t]++
-		nTopicWord[t*v+int(bt.w1)]++
-		nTopicWord[t*v+int(bt.w2)]++
+		nWordTopic[int(bt.w1)*z+t]++
+		nWordTopic[int(bt.w2)*z+t]++
 	}
 
-	probs := make([]float64, z)
-	vBeta := float64(v) * cfg.Beta
+	// A step redraws a biterm's topic with weight
+	// (n_t + α)·((n_{t,w1} + β)/(2n_t + Vβ))·((n_{t,w2} + β)/(2n_t + Vβ + 1)).
+	// As in TrainLDA, the counts are word-major and every factor is a
+	// float64 array updated where its count moves, by the expression that
+	// converting the count at every step would evaluate.
+	vBeta := float64(float64(v) * cfg.Beta)
+	topicF := make([]float64, z)  // n_t + α
+	denF := make([]float64, z)    // 2n_t + Vβ
+	den1F := make([]float64, z)   // 2n_t + Vβ + 1
+	wordF := make([]float64, v*z) // n_{t,w} + β at w·z + t
+	cum := make([]float64, z)
+	moveTopic := func(t int, by int64) {
+		nTopic[t] += by
+		n := float64(nTopic[t])
+		topicF[t] = n + cfg.Alpha
+		denF[t] = float64(2*n) + vBeta
+		den1F[t] = denF[t] + 1
+	}
+	for t := range nTopic {
+		moveTopic(t, 0)
+	}
+	for i, n := range nWordTopic {
+		wordF[i] = float64(n) + cfg.Beta
+	}
 	for it := 0; it < cfg.Iterations; it++ {
 		for b, bt := range biterms {
-			old := int(assign[b])
-			nTopic[old]--
-			nTopicWord[old*v+int(bt.w1)]--
-			nTopicWord[old*v+int(bt.w2)]--
-
-			var sum float64
-			for t := 0; t < z; t++ {
-				denom := 2*float64(nTopic[t]) + vBeta
-				p := (float64(nTopic[t]) + cfg.Alpha) *
-					((float64(nTopicWord[t*v+int(bt.w1)]) + cfg.Beta) / denom) *
-					((float64(nTopicWord[t*v+int(bt.w2)]) + cfg.Beta) / (denom + 1))
-				probs[t] = p
-				sum += p
-			}
-			t := sampleDiscrete(rng, probs, sum)
+			n1, f1 := nWordTopic[int(bt.w1)*z:int(bt.w1)*z+z], wordF[int(bt.w1)*z:int(bt.w1)*z+z]
+			n2, f2 := nWordTopic[int(bt.w2)*z:int(bt.w2)*z+z], wordF[int(bt.w2)*z:int(bt.w2)*z+z]
+			t := int(assign[b])
+			moveTopic(t, -1)
+			move(n1, f1, t, -1, cfg.Beta)
+			move(n2, f2, t, -1, cfg.Beta)
+			t = drawBTM(rng, cum, topicF, f1, denF, f2, den1F)
 			assign[b] = topicID(t)
-			nTopic[t]++
-			nTopicWord[t*v+int(bt.w1)]++
-			nTopicWord[t*v+int(bt.w2)]++
+			moveTopic(t, 1)
+			move(n1, f1, t, 1, cfg.Beta)
+			move(n2, f2, t, 1, cfg.Beta)
 		}
 	}
 
+	// φ_t(w) = (n_{t,w} + β) / (2n_t + Vβ). wordF becomes φ word-major,
+	// which the document distributions below read a biterm's rows from, and
+	// Phi its topic-major copy.
 	m := &Model{Z: z, V: v, Phi: make([]float64, z*v), PTopic: make([]float64, z)}
-	var totalBiterms int64
-	for t := 0; t < z; t++ {
-		denom := 2*float64(nTopic[t]) + vBeta
-		for w := 0; w < v; w++ {
-			m.Phi[t*v+w] = (float64(nTopicWord[t*v+w]) + cfg.Beta) / denom
+	for w := 0; w < v; w++ {
+		row := wordF[w*z : w*z+z]
+		for t := range row {
+			row[t] /= denF[t]
+			m.Phi[t*v+w] = row[t]
 		}
-		m.PTopic[t] = float64(nTopic[t]) + cfg.Alpha
-		totalBiterms += nTopic[t]
 	}
+	copy(m.PTopic, topicF)
 	var ptSum float64
 	for _, p := range m.PTopic {
 		ptSum += p
@@ -149,6 +168,7 @@ func TrainBTM(docs [][]textproc.WordID, cfg BTMConfig) (*Model, []TopicVec, erro
 	// Per-document distributions: p(z|d) ∝ Σ_{b∈d} p(z|b).
 	docVecs := make([]TopicVec, len(docs))
 	dense := make([]float64, z)
+	probs := cum // the sweep's scratch, free again
 	for d := range docs {
 		for t := range dense {
 			dense[t] = 0
@@ -156,9 +176,11 @@ func TrainBTM(docs [][]textproc.WordID, cfg BTMConfig) (*Model, []TopicVec, erro
 		lo, hi := docRange[d][0], docRange[d][1]
 		for b := lo; b < hi; b++ {
 			bt := biterms[b]
+			phi1 := wordF[int(bt.w1)*z : int(bt.w1)*z+z]
+			phi2 := wordF[int(bt.w2)*z : int(bt.w2)*z+z]
 			var sum float64
-			for t := 0; t < z; t++ {
-				p := m.PTopic[t] * m.TopicWord(t, textproc.WordID(bt.w1)) * m.TopicWord(t, textproc.WordID(bt.w2))
+			for t := range probs {
+				p := float64(m.PTopic[t] * phi1[t] * phi2[t])
 				probs[t] = p
 				sum += p
 			}
@@ -178,4 +200,16 @@ func TrainBTM(docs [][]textproc.WordID, cfg BTMConfig) (*Model, []TopicVec, erro
 		docVecs[d] = NewTopicVec(dense)
 	}
 	return m, docVecs, nil
+}
+
+// drawBTM draws a topic with weight a[t]·(b[t]/c[t])·(d[t]/e[t]), as
+// drawLDA does.
+func drawBTM(rng *rand.Rand, cum, a, b, c, d, e []float64) int {
+	a, b, c, d, e = a[:len(cum)], b[:len(cum)], c[:len(cum)], d[:len(cum)], e[:len(cum)]
+	var sum float64
+	for t := range cum {
+		sum += float64(a[t] * (b[t] / c[t]) * (d[t] / e[t]))
+		cum[t] = sum
+	}
+	return searchCum(cum, rng.Float64()*sum)
 }

@@ -193,7 +193,7 @@ func (inf *Inferencer) foldIn(sc *foldScratch) {
 		}
 	}
 
-	denom := float64(len(words)) + float64(m.Z)*foldAlpha
+	denom := float64(len(words)) + float64(float64(m.Z)*foldAlpha)
 	for t, n := range c.n {
 		sc.dense[t] = (float64(n) + foldAlpha) / denom
 	}
@@ -240,7 +240,7 @@ func (inf *Inferencer) buckets(q []float64, c counts, w textproc.WordID) (count,
 		q[i] = float64(float64(c.n[t]) * col[int(t)*m.V])
 		count += q[i]
 	}
-	return count, foldAlpha * inf.wordMass[w]
+	return count, float64(foldAlpha * inf.wordMass[w])
 }
 
 // pick maps u ∈ [0, count+prior) to a topic: the count bucket occupies

@@ -29,24 +29,36 @@ func (m *Model) TopicWord(topic int, w textproc.WordID) float64 {
 	return m.Phi[topic*m.V+int(w)]
 }
 
-// Validate checks structural invariants: dimensions match and every topic
-// row is a probability distribution.
+// Validate checks structural invariants: dimensions match, every topic
+// row is a probability distribution and so is PTopic. A NaN or infinite
+// probability fails it.
 func (m *Model) Validate() error {
 	if len(m.Phi) != m.Z*m.V {
 		return fmt.Errorf("topicmodel: Phi has %d entries, want %d", len(m.Phi), m.Z*m.V)
 	}
 	for i := 0; i < m.Z; i++ {
-		var s float64
-		for w := 0; w < m.V; w++ {
-			p := m.Phi[i*m.V+w]
-			if p < 0 {
-				return fmt.Errorf("topicmodel: negative p_%d(%d) = %v", i, w, p)
-			}
-			s += p
+		if err := checkDistribution(m.Phi[i*m.V:(i+1)*m.V], fmt.Sprintf("p_%d", i)); err != nil {
+			return err
 		}
-		if math.Abs(s-1) > 1e-6 {
-			return fmt.Errorf("topicmodel: topic %d sums to %v, want 1", i, s)
+	}
+	if len(m.PTopic) != m.Z {
+		return fmt.Errorf("topicmodel: PTopic has %d entries, want %d", len(m.PTopic), m.Z)
+	}
+	return checkDistribution(m.PTopic, "PTopic")
+}
+
+// checkDistribution returns an error naming name(j) unless every p[j] is
+// finite and non-negative and they sum to 1 within 1e-6.
+func checkDistribution(p []float64, name string) error {
+	var s float64
+	for j, x := range p {
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return fmt.Errorf("topicmodel: %s(%d) = %v, want a finite non-negative probability", name, j, x)
 		}
+		s += x
+	}
+	if math.Abs(s-1) > 1e-6 {
+		return fmt.Errorf("topicmodel: %s sums to %v, want 1", name, s)
 	}
 	return nil
 }
@@ -121,7 +133,7 @@ func (v TopicVec) Cosine(o TopicVec) float64 {
 		case v.Topics[i] > o.Topics[j]:
 			j++
 		default:
-			dot += v.Probs[i] * o.Probs[j]
+			dot += float64(v.Probs[i] * o.Probs[j])
 			i++
 			j++
 		}
@@ -136,7 +148,7 @@ func (v TopicVec) Cosine(o TopicVec) float64 {
 func (v TopicVec) norm() float64 {
 	var s float64
 	for _, p := range v.Probs {
-		s += p * p
+		s += float64(p * p)
 	}
 	return math.Sqrt(s)
 }

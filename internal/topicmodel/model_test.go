@@ -217,16 +217,29 @@ func TestTruncateMatchesSorting(t *testing.T) {
 }
 
 func TestModelValidate(t *testing.T) {
-	m := &Model{Z: 2, V: 2, Phi: []float64{0.5, 0.5, 0.9, 0.1}}
+	m := &Model{Z: 2, V: 2, Phi: []float64{0.5, 0.5, 0.9, 0.1}, PTopic: []float64{0.25, 0.75}}
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid model rejected: %v", err)
 	}
-	bad := &Model{Z: 2, V: 2, Phi: []float64{0.5, 0.5, 0.9, 0.2}}
-	if err := bad.Validate(); err == nil {
-		t.Error("non-normalized topic accepted")
-	}
-	short := &Model{Z: 2, V: 2, Phi: []float64{0.5}}
-	if err := short.Validate(); err == nil {
-		t.Error("wrong-size Phi accepted")
+	for _, c := range []struct {
+		name   string
+		phi    []float64
+		pTopic []float64
+	}{
+		{"non-normalized topic", []float64{0.5, 0.5, 0.9, 0.2}, m.PTopic},
+		{"wrong-size Phi", []float64{0.5}, m.PTopic},
+		{"negative φ", []float64{0.5, 0.5, 1.1, -0.1}, m.PTopic},
+		{"NaN φ", []float64{0.5, 0.5, math.NaN(), 0.1}, m.PTopic},
+		{"infinite φ", []float64{0.5, 0.5, math.Inf(1), 0.1}, m.PTopic},
+		{"no PTopic", m.Phi, nil},
+		{"short PTopic", m.Phi, []float64{1}},
+		{"non-normalized PTopic", m.Phi, []float64{0.5, 0.6}},
+		{"NaN PTopic", m.Phi, []float64{math.NaN(), 1}},
+		{"negative PTopic", m.Phi, []float64{-0.5, 1.5}},
+	} {
+		bad := &Model{Z: 2, V: 2, Phi: c.phi, PTopic: c.pTopic}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }

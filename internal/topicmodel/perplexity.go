@@ -29,7 +29,7 @@ func Perplexity(inf *Inferencer, docs [][]textproc.WordID) (float64, error) {
 		for _, w := range known {
 			var p float64
 			for i := range theta.Topics {
-				p += theta.Probs[i] * m.TopicWord(int(theta.Topics[i]), w)
+				p += float64(theta.Probs[i] * m.TopicWord(int(theta.Topics[i]), w))
 			}
 			if p <= 0 {
 				// β-smoothing guarantees p > 0 for in-vocabulary words; a

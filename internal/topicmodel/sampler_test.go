@@ -279,3 +279,19 @@ func TestInferVersionGolden(t *testing.T) {
 		}
 	}
 }
+
+// sampleDiscrete draws an index from an unnormalized discrete distribution
+// with precomputed sum, by the scan the trainers' searchCum reproduces over
+// running sums. It falls back to the last index on floating-point
+// underflow.
+func sampleDiscrete(rng *rand.Rand, probs []float64, sum float64) int {
+	u := rng.Float64() * sum
+	var acc float64
+	for i, p := range probs {
+		acc += p
+		if u < acc {
+			return i
+		}
+	}
+	return len(probs) - 1
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -80,22 +81,91 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 // errors.Is instead of matching message strings.
 func TestLoadModelVersionMismatchIsTyped(t *testing.T) {
 	m := trainTestModel(t)
-	var buf bytes.Buffer
 	// Re-encode the wire struct with a future version.
-	mf := modelFile{Version: modelFileVersion + 1, Z: m.tm.Z, V: m.tm.V,
-		Phi: m.tm.Phi, PTopic: m.tm.PTopic, Seed: m.seed}
+	mf := wireModel(m)
+	mf.Version++
+	_, err := LoadModel(encodeModel(t, mf))
+	if !errors.Is(err, ErrModelVersion) {
+		t.Errorf("future-version load = %v, want ErrModelVersion", err)
+	}
+}
+
+// wireModel returns m's serialized form, with copies of its φ and p(z).
+func wireModel(m *Model) modelFile {
+	mf := modelFile{Version: modelFileVersion, Z: m.tm.Z, V: m.tm.V,
+		Phi: append([]float64(nil), m.tm.Phi...), PTopic: append([]float64(nil), m.tm.PTopic...), Seed: m.seed}
 	for i := 0; i < m.vocab.Size(); i++ {
 		id := textproc.WordID(i)
 		mf.Words = append(mf.Words, m.vocab.Word(id))
 		mf.Freq = append(mf.Freq, m.vocab.Freq(id))
 		mf.DocFreq = append(mf.DocFreq, m.vocab.DocFreq(id))
 	}
+	return mf
+}
+
+func encodeModel(t *testing.T, mf modelFile) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(mf); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadModel(&buf)
-	if !errors.Is(err, ErrModelVersion) {
-		t.Errorf("future-version load = %v, want ErrModelVersion", err)
+	return &buf
+}
+
+// A model file whose φ or p(z) holds one value that is not a probability,
+// or whose p(z) is not a distribution, is refused as corrupt.
+func TestLoadModelRefusesNonProbabilities(t *testing.T) {
+	m := trainTestModel(t)
+	if _, err := LoadModel(encodeModel(t, wireModel(m))); err != nil {
+		t.Fatalf("unmodified model refused: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*modelFile)
+	}{
+		{"NaN φ", func(mf *modelFile) { mf.Phi[3] = math.NaN() }},
+		{"infinite φ", func(mf *modelFile) { mf.Phi[0] = math.Inf(1) }},
+		{"negative φ", func(mf *modelFile) { mf.Phi[0] = -mf.Phi[0] }},
+		{"NaN p(z)", func(mf *modelFile) { mf.PTopic[1] = math.NaN() }},
+		{"p(z) sums to 2", func(mf *modelFile) {
+			for i := range mf.PTopic {
+				mf.PTopic[i] *= 2
+			}
+		}},
+	} {
+		mf := wireModel(m)
+		c.edit(&mf)
+		if _, err := LoadModel(encodeModel(t, mf)); err == nil || !strings.Contains(err.Error(), "corrupt model file") {
+			t.Errorf("%s: LoadModel = %v, want a corrupt model file", c.name, err)
+		}
+	}
+}
+
+// TrainModel refuses priors and sweep counts the Gibbs samplers cannot
+// use, naming the field, for LDA and BTM alike; before, a negative β
+// trained a model that its own Save could not be loaded from.
+func TestTrainModelRefusesBadPriors(t *testing.T) {
+	texts := corpus(200)
+	for _, c := range []struct {
+		name  string
+		opt   ModelOption
+		field string
+	}{
+		{"negative β", WithPriors(0.5, -0.01), "Beta"},
+		{"infinite β", WithPriors(0.5, math.Inf(1)), "Beta"},
+		{"negative α", WithPriors(-1, 0.01), "Alpha"},
+		{"NaN α", WithPriors(math.NaN(), 0.01), "Alpha"},
+		{"negative sweeps", WithIterations(-3), "Iterations"},
+	} {
+		for _, btm := range []bool{false, true} {
+			opts := []ModelOption{WithTopics(2), WithSeed(1), c.opt}
+			if btm {
+				opts = append(opts, WithBTM())
+			}
+			if _, err := TrainModel(texts, opts...); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s (BTM %v): TrainModel = %v, want an error naming %s", c.name, btm, err, c.field)
+			}
+		}
 	}
 }
 
